@@ -1,9 +1,10 @@
 """Ray-tracing kernels for orbit generation.
 
 The boundary is packed into plain float arrays so the per-step loop (the hot
-path of simulation, Lyapunov and QR long runs) can be jit-compiled.  Every
-kernel runs unmodified as pure Python: set PESIN_CODER_DISABLE_NUMBA=1 to
-force the fallback (used by the benchmark and the kernel-equivalence test).
+path of simulation, Lyapunov and QR long runs) can be jit-compiled when the
+optional numba dependency (the `jit` extra) is installed.  Every kernel runs
+unmodified as pure Python: without numba, or with PESIN_CODER_DISABLE_NUMBA=1,
+which the kernel-equivalence test sets to compare the two.
 
 Component packing (one row of `cpar` per component, `ctype` 0=segment 1=arc):
   segment: p0x, p0y, ux, uy, length, -, -, -, startcorner, endcorner

@@ -41,7 +41,7 @@ from .errors import (
     OverlapMissing,
 )
 from .lattice import EpsilonConfig, LatticeSize
-from .tables import LinearFixtureMap, PhasePoint
+from .tables import PhasePoint
 
 __all__ = [
     "PesinChart",
@@ -50,7 +50,6 @@ __all__ = [
     "PROBE_FLOOR",
     "GRID_N",
     "q_tilde_log",
-    "q_tilde",
     "compute_Q",
     "build_pesin_chart",
     "chart_from_segment",
@@ -154,12 +153,6 @@ def q_tilde_log(frame_x: HyperbolicFrame, frame_fx: HyperbolicFrame,
     return (3.0 / b) * math.log(cfg.eps) + min(t1, t2)
 
 
-def q_tilde(frame_x: HyperbolicFrame, frame_fx: HyperbolicFrame, rho_x: float,
-            cfg: EpsilonConfig, consts: RegularityConstants) -> float:
-    """Float value of the un-floored size (0.0 when it underflows)."""
-    return math.exp(q_tilde_log(frame_x, frame_fx, rho_x, cfg, consts))
-
-
 def compute_Q(frame_x: HyperbolicFrame, frame_fx: HyperbolicFrame,
               rho_x: float, cfg: EpsilonConfig,
               consts: RegularityConstants) -> LatticeSize:
@@ -215,44 +208,12 @@ def chart_from_segment(seg: OrbitSegment, splitting: Splitting, chi: float,
 def _embed(chart: PesinChart, v: np.ndarray) -> PhasePoint:
     """x + C v in component coordinates, without the domain check."""
     w = chart.frame.C @ v
-    r = chart.x.r + w[0]
-    theta = chart.x.theta + w[1]
-    table = chart.table
-    comp = chart.x.component
-    if isinstance(table, LinearFixtureMap):
-        return PhasePoint(comp, r, theta)
-    if abs(theta) >= math.pi / 2:
-        raise DomainEscape(f"embedded angle {theta} leaves (-pi/2, pi/2)")
-    comp, r = table.wrap_r(comp, r)
-    return PhasePoint(comp, r, theta)
+    return chart.table.embed(chart.x, w[0], w[1])
 
 
 def _pullback(chart: PesinChart, p: PhasePoint) -> np.ndarray:
     """C^-1 (p - x) in component coordinates, without the domain check."""
-    if p.component != chart.x.component:
-        # walk the arclength difference through the component chain
-        table = chart.table
-        if isinstance(table, LinearFixtureMap):
-            raise OutOfDomain("fixture points live on one component")
-        d = _component_offset(table, chart.x, p)
-    else:
-        d = np.array([p.r - chart.x.r, p.theta - chart.x.theta])
-    return np.linalg.solve(chart.frame.C, d)
-
-
-def _component_offset(table, x: PhasePoint, p: PhasePoint) -> np.ndarray:
-    """Signed (arclength, angle) offset from x to p, walking the loop."""
-    loop = next(lp for lp in table.loops if x.component in lp)
-    if p.component not in loop:
-        raise OutOfDomain("points on different boundary loops")
-    lengths = [table.components[c].length for c in loop]
-    total = sum(lengths)
-    ix, ip = loop.index(x.component), loop.index(p.component)
-    sx = sum(lengths[:ix]) + x.r
-    sp = sum(lengths[:ip]) + p.r
-    # shortest signed wrap around the loop
-    dr = (sp - sx + total / 2.0) % total - total / 2.0
-    return np.array([dr, p.theta - x.theta])
+    return np.linalg.solve(chart.frame.C, chart.table.offset(chart.x, p))
 
 
 def chart_apply(chart: PesinChart, v) -> PhasePoint:
@@ -293,8 +254,6 @@ def _map_step(table, p: PhasePoint, forward: bool) -> PhasePoint:
         return billiard_map(table, p) if forward else billiard_inverse(table, p)
     except (GrazingCollision, CornerHit, NoIntersection) as e:
         raise DomainEscape(f"map undefined inside probe square: {e}") from e
-    except ValueError as e:  # fixture domain escape
-        raise DomainEscape(str(e)) from e
 
 
 def _sample_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
@@ -551,8 +510,7 @@ def change_of_coordinates(chart1: PesinChart, chart2: PesinChart) -> dict:
         return {"offset": np.zeros(2), "linear": np.eye(2),
                 "offset_norm": 0.0, "linear_deviation": 0.0,
                 "measured": 0.0, "identity": True}
-    dx = np.array([chart1.x.r - chart2.x.r, chart1.x.theta - chart2.x.theta])
-    t = np.linalg.solve(chart2.frame.C, dx)
+    t = np.linalg.solve(chart2.frame.C, chart1.table.offset(chart2.x, chart1.x))
     L = np.linalg.solve(chart2.frame.C, chart1.frame.C)
     offset = float(np.linalg.norm(t))
     lin_dev = float(np.sqrt(np.sum((L - np.eye(2)) ** 2)))

@@ -16,18 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
-from .accel import run_orbit
-from .dynamics import (
-    CORNER_TOL,
-    GRAZING_COS_TOL,
-    MIN_FLIGHT,
-    billiard_inverse,
-    billiard_map,
-    derivative_along_orbit,
-    dist_to_discontinuity,
-    step_with_flight,
-)
+from .dynamics import billiard_inverse, dist_to_discontinuity
 from .errors import (
     CornerHit,
     DegenerateAngle,
@@ -40,7 +29,7 @@ from .errors import (
     SeriesDiverging,
     SplittingNotConverged,
 )
-from .tables import LinearFixtureMap, PhasePoint
+from .tables import PhasePoint
 
 __all__ = [
     "OrbitSegment",
@@ -191,24 +180,6 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v if v[1] > 0 else -v
 
 
-_STATUS_TEXT = {
-    accel.GRAZING: "tangential collision",
-    accel.CORNER: "junction hit",
-    accel.NO_INTERSECTION: "ray misses the boundary",
-}
-
-
-def _run_or_raise(table, p: PhasePoint, n: int, sign: int):
-    """Kernel orbit of n steps; sign=-1 runs the time-reversed map."""
-    comps, rs, ths, taus, status, k = run_orbit(
-        table.ctype, table.cpar, p.component, p.r, sign * p.theta, n,
-        GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
-    if status != accel.OK:
-        step = k if sign > 0 else -k - 1
-        raise OrbitHitsDiscontinuity(step, _STATUS_TEXT[status])
-    return comps, rs, sign * ths, taus
-
-
 def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
                   with_rho: bool = True) -> OrbitSegment:
     """Collect f^n(x) for n in [-n_minus, n_plus] with derivatives and rho.
@@ -219,61 +190,14 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
     """
     if n_minus < 0 or n_plus < 0:
         raise ValueError("window lengths must be nonnegative")
-
-    if isinstance(table, LinearFixtureMap):
-        table.validate_point(x)
-        pts = [x]
-        for k in range(n_plus):
-            pts.append(billiard_map(table, pts[-1]))
-            try:
-                table.validate_point(pts[-1])
-            except ValueError as e:
-                raise OrbitHitsDiscontinuity(k + 1, str(e)) from e
-        head = [x]
-        for k in range(n_minus):
-            head.append(billiard_inverse(table, head[-1]))
-            try:
-                table.validate_point(head[-1])
-            except ValueError as e:
-                raise OrbitHitsDiscontinuity(-k - 1, str(e)) from e
-        pts = list(reversed(head[1:])) + pts
-        derivs = np.broadcast_to(
-            np.array([[table.lambda_s, 0.0], [0.0, table.lambda_u]]),
-            (len(pts), 2, 2)).copy()
-        dists = np.array([dist_to_discontinuity(table, p) for p in pts])
-        d_before = dist_to_discontinuity(table, billiard_inverse(table, pts[0]))
-        d_after = dist_to_discontinuity(table, billiard_map(table, pts[-1]))
-        padded = np.concatenate([[d_before], dists, [d_after]])
-        rhos = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
-        return OrbitSegment(table, n_minus, n_plus, tuple(pts), derivs, rhos,
-                            dists, np.zeros(len(pts) - 1))
-
-    comps_f, rs_f, ths_f, taus_f = _run_or_raise(table, x, n_plus, +1)
-    comps_b, rs_b, ths_b, taus_b = _run_or_raise(table, x, n_minus, -1)
-    comps = np.concatenate([comps_b[::-1][:-1], comps_f])
-    rs = np.concatenate([rs_b[::-1][:-1], rs_f])
-    ths = np.concatenate([ths_b[::-1][:-1], ths_f])
-    flights = np.concatenate([taus_b[::-1], taus_f])
-    pts = tuple(PhasePoint(int(c), float(r), float(t))
-                for c, r, t in zip(comps, rs, ths))
-
-    # df at the last point needs the collision after it: one probe step
-    try:
-        probe, probe_tau = step_with_flight(table, pts[-1])
-    except (GrazingCollision, CornerHit, NoIntersection) as e:
-        raise OrbitHitsDiscontinuity(n_plus, f"derivative probe: {e}") from e
-    comps_x = np.concatenate([comps, [probe.component]])
-    ths_x = np.concatenate([ths, [probe.theta]])
-    taus_x = np.concatenate([flights, [probe_tau]])
-    derivs = derivative_along_orbit(table, comps_x, rs, ths_x, taus_x)
-
+    pts, derivs, flights, after = table.orbit(x, n_minus, n_plus)
     if with_rho:
         dists = np.array([dist_to_discontinuity(table, p) for p in pts])
         try:
             d_before = dist_to_discontinuity(table, billiard_inverse(table, pts[0]))
         except (GrazingCollision, CornerHit, NoIntersection) as e:
             raise OrbitHitsDiscontinuity(-n_minus - 1, str(e)) from e
-        d_after = dist_to_discontinuity(table, probe)
+        d_after = dist_to_discontinuity(table, after)
         padded = np.concatenate([[d_before], dists, [d_after]])
         rhos = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
     else:

@@ -838,8 +838,7 @@ def inverse_diagnostics(it1: Itinerary, it2: Itinerary, cfg: EpsilonConfig,
         if x.component != y.component:
             raise DiagnosticFailed(
                 6, n, f"centers on different components at step {n}")
-        dx = np.array([x.r - y.r, x.theta - y.theta])
-        t = np.linalg.solve(fw.C, dx)
+        t = np.linalg.solve(fw.C, table.offset(y, x))
         L = np.linalg.solve(fw.C, fv.C)
         sigma = 0 if float(np.trace(L)) > 0.0 else 1
         sigmas.append(sigma)

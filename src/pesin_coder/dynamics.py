@@ -1,13 +1,8 @@
 """Map operations: stepping, derivatives, discontinuity distances, assumptions.
 
-The discontinuity set D of a billiard map consists of the grazing fibers
-(|theta| = pi/2), the corner fibers (junction arclengths, all theta), and the
-one-step forward/backward preimages of tangencies and corners (first
-generation only; deeper generations surface dynamically as errors).  The
-distance to the preimage curves is estimated from a precomputed point cloud on
-them plus local 1-D minimizations over the curve parameters; the estimate is a
-min over distances to points ON D, hence an upper bound on d(x, D) that
-converges as the cloud refines, and it is exactly 1-Lipschitz in x.
+The functions here are the entry points for any map of module `tables`: a
+billiard table or the linear fixture.  Each one calls the map's own method
+(step, derivative, dist_to_D, embed), so none of them asks which map it holds.
 """
 from __future__ import annotations
 
@@ -16,15 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
-from .accel import run_orbit, trace_ray
-from .errors import (
-    AssumptionViolated,
-    CornerHit,
-    GrazingCollision,
-    NoIntersection,
+from .errors import AssumptionViolated, CornerHit, GrazingCollision, NoIntersection
+from .tables import (
+    CORNER_TOL,
+    GRAZING_COS_TOL,
+    MIN_FLIGHT,
+    PhasePoint,
+    derivative_along_orbit,
+    fd_derivative,
 )
-from .tables import BilliardTable, LinearFixtureMap, PhasePoint
 
 __all__ = [
     "GRAZING_COS_TOL",
@@ -45,10 +40,6 @@ __all__ = [
     "operator_norm",
     "smallest_singular_value",
 ]
-
-GRAZING_COS_TOL = 1e-8  # |cos theta| below this counts as tangential
-MIN_FLIGHT = 1e-9  # shortest admissible chord
-CORNER_TOL = 1e-12  # arclength proximity to a flagged junction
 
 
 @dataclass(frozen=True)
@@ -81,303 +72,43 @@ class RegularityConstants:
 
 
 # ------------------------------------------------------------------ stepping
-def _fixture_step(table: LinearFixtureMap, p: PhasePoint, forward: bool) -> PhasePoint:
-    if forward:
-        return PhasePoint(0, table.lambda_s * p.r, table.lambda_u * p.theta)
-    return PhasePoint(0, p.r / table.lambda_s, p.theta / table.lambda_u)
-
-
 def step_with_flight(table, p: PhasePoint) -> tuple[PhasePoint, float]:
     """One forward step plus the flight length (fixture: flight 0)."""
-    if isinstance(table, LinearFixtureMap):
-        return _fixture_step(table, p, True), 0.0
-    comps, rs, ths, taus, status, k = run_orbit(
-        table.ctype, table.cpar, p.component, p.r, p.theta, 1,
-        GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
-    _raise_for_status(status, p)
-    return PhasePoint(int(comps[1]), float(rs[1]), float(ths[1])), float(taus[0])
-
-
-def _raise_for_status(status: int, p: PhasePoint):
-    if status == accel.OK:
-        return
-    if status == accel.GRAZING:
-        raise GrazingCollision(f"tangential collision from {p}")
-    if status == accel.CORNER:
-        raise CornerHit(f"traced ray lands on a junction from {p}")
-    raise NoIntersection(f"ray from {p} misses the boundary")
+    return table.step(p, True)
 
 
 def billiard_map(table, p: PhasePoint) -> PhasePoint:
     """Next collision (specular reflection); fixture: the linear map."""
-    return step_with_flight(table, p)[0]
+    return table.step(p, True)[0]
 
 
 def billiard_inverse(table, p: PhasePoint) -> PhasePoint:
-    """Previous collision, via time reversal (r, theta) -> (r, -theta)."""
-    if isinstance(table, LinearFixtureMap):
-        return _fixture_step(table, p, False)
-    rev = PhasePoint(p.component, p.r, -p.theta)
-    img = billiard_map(table, rev)
-    return PhasePoint(img.component, img.r, -img.theta)
+    """Previous collision; billiards: via time reversal (r, theta) -> (r, -theta)."""
+    return table.step(p, False)[0]
 
 
 # ---------------------------------------------------------------- derivative
-def _mirror_jacobian(kappa0, kappa1, tau, th0, th1):
-    """d(r', theta')/d(r, theta) for one bounce (mirror-equation form)."""
-    c0 = math.cos(th0)
-    c1 = math.cos(th1)
-    return np.array([
-        [(kappa0 * tau - c0) / c1, -tau / c1],
-        [(kappa0 * c1 + kappa1 * c0 - kappa0 * kappa1 * tau) / c1,
-         (kappa1 * tau - c1) / c1],
-    ])
-
-
 def billiard_derivative(table, p: PhasePoint) -> np.ndarray:
-    """df at p in (r, theta) coordinates.
-
-    Analytic mirror-equation formula; the first call on each table instance
-    cross-validates it against central finite differences (sign conventions
-    differ across the literature, the oracle removes the ambiguity).
-    """
-    if isinstance(table, LinearFixtureMap):
-        return np.array([[table.lambda_s, 0.0], [0.0, table.lambda_u]])
-    _ensure_derivative_selftest(table)
-    q, tau = step_with_flight(table, p)
-    return _mirror_jacobian(table.curvature(p.component), table.curvature(q.component),
-                            tau, p.theta, q.theta)
+    """df at p in (r, theta) coordinates (billiards: mirror equation,
+    cross-checked against finite differences on the first call)."""
+    return table.derivative(p, True)
 
 
 def inverse_derivative(table, p: PhasePoint) -> np.ndarray:
     """d(f^-1) at p = inverse of df at f^-1(p)."""
-    if isinstance(table, LinearFixtureMap):
-        return np.array([[1.0 / table.lambda_s, 0.0], [0.0, 1.0 / table.lambda_u]])
-    q = billiard_inverse(table, p)
-    M = billiard_derivative(table, q)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-
-
-def derivative_along_orbit(table, comps, rs, ths, taus) -> np.ndarray:
-    """Vectorized df at each of the n = len(taus) stored collisions."""
-    kaps = np.array([table.curvature(int(c)) for c in comps])
-    c_in = np.cos(ths[:-1])
-    c_out = np.cos(ths[1:])
-    k0 = kaps[:-1]
-    k1 = kaps[1:]
-    out = np.empty((len(taus), 2, 2))
-    out[:, 0, 0] = (k0 * taus - c_in) / c_out
-    out[:, 0, 1] = -taus / c_out
-    out[:, 1, 0] = (k0 * c_out + k1 * c_in - k0 * k1 * taus) / c_out
-    out[:, 1, 1] = (k1 * taus - c_out) / c_out
-    return out
-
-
-def _global_arclength(table: BilliardTable, comp: int, r: float) -> tuple[int, float, float]:
-    """(loop index, global arclength within loop, loop perimeter)."""
-    for li, loop in enumerate(table.loops):
-        if comp in loop:
-            g = 0.0
-            for ci in loop:
-                if ci == comp:
-                    return li, g + r, sum(table.components[c].length for c in loop)
-                g += table.components[ci].length
-    raise ValueError(f"component {comp} not in any loop")
-
-
-def _signed_wrap(d: float, L: float) -> float:
-    return (d + L / 2.0) % L - L / 2.0
-
-
-def fd_derivative(table, p: PhasePoint, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the map in (r, theta)."""
-    def image(dr, dth):
-        c, r = table.wrap_r(p.component, p.r + dr)
-        return billiard_map(table, PhasePoint(c, r, p.theta + dth))
-
-    cols = []
-    for dr, dth in ((h, 0.0), (0.0, h)):
-        a = image(dr, dth)
-        b = image(-dr, -dth)
-        la, ga, La = _global_arclength(table, a.component, a.r)
-        lb, gb, _ = _global_arclength(table, b.component, b.r)
-        if la != lb:
-            raise NoIntersection("finite-difference images land on different loops")
-        cols.append([_signed_wrap(ga - gb, La) / (2 * h), (a.theta - b.theta) / (2 * h)])
-    return np.array(cols).T
-
-
-def _ensure_derivative_selftest(table: BilliardTable):
-    if getattr(table, "_deriv_checked", False):
-        return
-    table._deriv_checked = True  # set first: fd_derivative calls back into us
-    rng = np.random.default_rng(0)
-    checked = 0
-    for p in table.liouville_sample(rng, 200, theta_cap=1.2):
-        if checked >= 8:
-            break
-        try:
-            if dist_to_discontinuity(table, p) < 0.05 * table.metric_scale:
-                continue
-            ana = billiard_derivative(table, p)
-            num = fd_derivative(table, p)
-        except (GrazingCollision, CornerHit, NoIntersection):
-            continue
-        rel = np.abs(ana - num).max() / max(np.abs(num).max(), 1.0)
-        if rel > 1e-5:
-            table._deriv_checked = False
-            raise AssertionError(
-                f"analytic billiard derivative mismatch vs finite differences: rel {rel:.2e}")
-        checked += 1
-    if checked == 0:
-        table._deriv_checked = False
-        raise AssertionError("derivative self-test found no valid sample points")
+    return table.derivative(p, False)
 
 
 # ----------------------------------------------------- singularity distances
-def _phase_of_hit(table, ci, s, w):
-    """Phase point at hit (ci, s) whose FORWARD ray runs along -w."""
-    t2 = table.tangent_xy(ci, s)
-    n2 = np.array([-t2[1], t2[0]])
-    cos0 = -(w[0] * n2[0] + w[1] * n2[1])
-    sin0 = -(w[0] * t2[0] + w[1] * t2[1])
-    if cos0 <= 1e-6:
-        return None
-    return PhasePoint(int(ci), float(s), math.atan2(sin0, cos0))
-
-
-def _trace_singular_source(table: BilliardTable, kind: int, a: int, u: float):
-    """Point of S+ generated by tangency (kind 0, component a, arclength |u|,
-    branch sign(u)) or by a corner ray (kind 1, corner a, direction angle u)."""
-    if kind == 0:
-        s_src = abs(u)
-        branch = 1.0 if u >= 0 else -1.0
-        src = table.point_xy(a, s_src)
-        t0 = table.tangent_xy(a, s_src)
-        w = branch * t0
-    else:
-        src = table.corner_points[a]
-        w = np.array([math.cos(u), math.sin(u)])
-    ci, s, t = trace_ray(table.ctype, table.cpar, src[0], src[1], w[0], w[1], MIN_FLIGHT)
-    if ci < 0 or t > 1e200:
-        return None
-    return _phase_of_hit(table, ci, s, w), src, t, w
-
-
-def _segment_inside(table: BilliardTable, src, w, t, checks: int = 4) -> bool:
-    for k in range(1, checks + 1):
-        lam = t * k / (checks + 1.0)
-        if not table.contains_point((src[0] + lam * w[0], src[1] + lam * w[1]),
-                                    samples_per_component=100):
-            return False
-    return True
-
-
-def singularity_cloud(table: BilliardTable) -> dict:
-    """Sampled points on the one-step singularity preimage curves S+ and S-.
-
-    Returns arrays px, py, theta (S+ rows), plus the generating family of each
-    row (kind, index, parameter) for local 1-D refinement.  S- is obtained by
-    time reversal (same positions, negated theta), so it is not stored.
-    """
-    if table._singular_cloud is not None:
-        return table._singular_cloud
-    rows = []
-    fams = []
-    n_tan = 48
-    n_fan = 64
-    for ci, comp in enumerate(table.components):
-        if table.ctype[ci] != 1:
-            continue  # tangent rays of straight pieces lie inside the wall
-        for s in np.linspace(0.0, comp.length, n_tan, endpoint=False):
-            for branch in (1.0, -1.0):
-                got = _trace_singular_source(table, 0, ci, branch * (s + 1e-12))
-                if got is None or got[0] is None:
-                    continue
-                ph, src, t, w = got
-                if not _segment_inside(table, src, w, t):
-                    continue
-                rows.append((table.point_xy(ph.component, ph.r), ph.theta))
-                fams.append((0, ci, branch * (s + 1e-12)))
-    for k in range(len(table.corner_points)):
-        for psi in np.linspace(0.0, 2 * math.pi, n_fan, endpoint=False):
-            got = _trace_singular_source(table, 1, k, psi)
-            if got is None or got[0] is None:
-                continue
-            ph, src, t, w = got
-            if not _segment_inside(table, src, w, t):
-                continue
-            rows.append((table.point_xy(ph.component, ph.r), ph.theta))
-            fams.append((1, k, psi))
-    if rows:
-        cloud = {
-            "px": np.array([xy[0] for xy, th in rows]),
-            "py": np.array([xy[1] for xy, th in rows]),
-            "theta": np.array([th for xy, th in rows]),
-            "fam": fams,
-        }
-    else:
-        cloud = {"px": np.zeros(0), "py": np.zeros(0), "theta": np.zeros(0), "fam": []}
-    table._singular_cloud = cloud
-    return cloud
-
-
-def _refine_preimage_distance(table, cloud, idx, P, th, d0) -> float:
-    """Golden-section over the generating curve parameter near cloud row idx."""
-    kind, a, u0 = cloud["fam"][idx]
-    if kind == 0:
-        span = table.components[a].length / 48.0
-    else:
-        span = 2 * math.pi / 64.0
-
-    def g(u):
-        got = _trace_singular_source(table, kind, a, u)
-        if got is None or got[0] is None:
-            return float("inf")
-        ph = got[0]
-        Q = table.point_xy(ph.component, ph.r)
-        return math.hypot(math.hypot(Q[0] - P[0], Q[1] - P[1]), ph.theta - th)
-
-    lo, hi = u0 - span, u0 + span
-    phi_r = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi_r * (hi - lo)
-    x2 = lo + phi_r * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(18):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi_r * (hi - lo)
-            f1 = g(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi_r * (hi - lo)
-            f2 = g(x2)
-    return min(d0, f1, f2)
+def singularity_cloud(table) -> dict:
+    """Sampled points on the one-step singularity preimage curves of a
+    billiard table (see BilliardTable.singularity_cloud)."""
+    return table.singularity_cloud()
 
 
 def dist_to_discontinuity(table, p: PhasePoint) -> float:
     """Estimated metric distance from p to D (0 on D; 1-Lipschitz in p)."""
-    if isinstance(table, LinearFixtureMap):
-        return table.metric_scale * max(
-            0.0, table.half_width - max(abs(p.r), abs(p.theta)))
-    scale = table.metric_scale
-    best_unscaled = math.pi / 2 - abs(p.theta)  # grazing fibers
-    P = table.point_xy(p.component, p.r)
-    for C in table.corner_points:  # corner fibers (all theta)
-        best_unscaled = min(best_unscaled, math.hypot(P[0] - C[0], P[1] - C[1]))
-    cloud = singularity_cloud(table)
-    if cloud["px"].size:
-        for th_sign in (1.0, -1.0):  # S+ rows, then S- via time reversal
-            d2 = np.hypot(np.hypot(cloud["px"] - P[0], cloud["py"] - P[1]),
-                          th_sign * cloud["theta"] - p.theta)
-            i = int(np.argmin(d2))
-            d_best = float(d2[i])
-            if d_best < best_unscaled * 2.0:
-                d_best = _refine_preimage_distance(table, cloud, i, P,
-                                                   th_sign * p.theta, d_best)
-            best_unscaled = min(best_unscaled, d_best)
-    return scale * max(0.0, best_unscaled)
+    return table.dist_to_D(p)
 
 
 def rho(table, p: PhasePoint) -> float:
@@ -444,13 +175,7 @@ def verify_assumptions(table, consts: RegularityConstants, sample,
                 th = p.theta + dth
                 if abs(th) >= math.pi / 2 - 2 * GRAZING_COS_TOL:
                     continue
-                if isinstance(table, LinearFixtureMap):
-                    y = PhasePoint(0, p.r + dr, th)
-                    if max(abs(y.r), abs(y.theta)) >= table.half_width:
-                        continue
-                else:
-                    c, r = table.wrap_r(p.component, p.r + dr)
-                    y = PhasePoint(c, r, th)
+                y = table.embed(p, dr, dth)
                 try:
                     dfy = billiard_derivative(table, y)
                 except (GrazingCollision, CornerHit, NoIntersection):

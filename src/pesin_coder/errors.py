@@ -169,12 +169,3 @@ class DiagnosticFailed(PesinCoderError):
         self.item = item
         self.n = n
         super().__init__(message or f"double-coding diagnostic item {item} failed at index {n}")
-
-
-# ---------------------------------------------------------------- markov
-class EmptyCover(PesinCoderError):
-    """No Z-sets could be built from the itinerary corpus."""
-
-
-class CylinderEmpty(PesinCoderError):
-    """A realized word has an empty cylinder at sample resolution."""

@@ -1,7 +1,7 @@
-"""Billiard table geometry, phase points, metric, and the linear fixture.
+"""Billiard table geometry, phase points, metric, and the two maps.
 
-Conventions (fixed once, validated by the construction-time derivative
-self-test in dynamics.py):
+Conventions (fixed once, validated by the first-call derivative self-test of
+BilliardTable.derivative):
   * every boundary loop is traversed with the table's interior on the LEFT;
   * the unit tangent is t = dP/dr, the inward normal n = rot90(t) = (-ty, tx);
   * signed curvature kappa is defined by dt/dr = kappa * n, so focusing pieces
@@ -13,24 +13,58 @@ The metric on phase space is the flat product metric: d(x,y) =
 metric_scale * hypot(|P(x)-P(y)|_2, theta_x - theta_y).  The default
 metric_scale makes diam(M) < 1, so chart exponentials are plain translations
 and parallel transport is the identity.
+
+A billiard table and the exactly solvable linear fixture are both maps f
+with a discontinuity set D, and both answer the same six methods; no other
+module asks which of the two it holds:
+  step(p, forward)           f(p) or f^-1(p), and the flight length;
+  derivative(p, forward)     df at p, or d(f^-1) at p;
+  orbit(x, n_minus, n_plus)  f^n(x) for n in [-n_minus, n_plus] with df at
+                             each point, the flights, and f of the last point;
+  dist_to_D(p)               metric distance from p to D;
+  embed(p, dr, dtheta)       the point at coordinate offset (dr, dtheta) from p;
+  offset(x, p)               the signed coordinate offset from x to p.
+
+The discontinuity set D of a billiard map consists of the grazing fibers
+(|theta| = pi/2), the corner fibers (junction arclengths, all theta), and the
+one-step forward/backward preimages of tangencies and corners (first
+generation only; deeper generations surface dynamically as errors).  The
+distance to the preimage curves is estimated from a precomputed point cloud on
+them plus local 1-D minimizations over the curve parameters; the estimate is a
+min over distances to points ON D, hence an upper bound on d(x, D) that
+converges as the cloud refines, and it is exactly 1-Lipschitz in x.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .accel import comp_curvature, comp_point, comp_tangent
+from .accel import (CORNER, GRAZING, OK, comp_curvature, comp_point, comp_tangent,
+                    run_orbit, trace_ray)
+from .errors import (
+    CornerHit,
+    DomainEscape,
+    GrazingCollision,
+    NoIntersection,
+    OrbitHitsDiscontinuity,
+    OutOfDomain,
+)
 
 __all__ = [
+    "GRAZING_COS_TOL",
+    "MIN_FLIGHT",
+    "CORNER_TOL",
     "PhasePoint",
     "Segment",
     "Arc",
     "BilliardTable",
     "LinearFixtureMap",
+    "derivative_along_orbit",
+    "fd_derivative",
     "make_circle",
     "make_stadium",
     "make_sinai",
@@ -41,6 +75,9 @@ __all__ = [
     "make_table",
 ]
 
+GRAZING_COS_TOL = 1e-8  # |cos theta| below this counts as tangential
+MIN_FLIGHT = 1e-9  # shortest admissible chord
+CORNER_TOL = 1e-12  # arclength proximity to a flagged junction
 CLOSURE_TOL = 1e-12
 
 
@@ -134,6 +171,62 @@ class Arc:
         return self._pt(self.length)
 
 
+# ------------------------------------------------------------ map helpers
+def _kernel_error(status: int, p: PhasePoint) -> Exception:
+    """The geometry error for a failed orbit-kernel status, started at p."""
+    if status == GRAZING:
+        return GrazingCollision(f"tangential collision from {p}")
+    if status == CORNER:
+        return CornerHit(f"traced ray lands on a junction from {p}")
+    return NoIntersection(f"ray from {p} misses the boundary")
+
+
+def _mirror_jacobian(kappa0, kappa1, tau, th0, th1):
+    """d(r', theta')/d(r, theta) for one bounce (mirror-equation form)."""
+    c0 = math.cos(th0)
+    c1 = math.cos(th1)
+    return np.array([
+        [(kappa0 * tau - c0) / c1, -tau / c1],
+        [(kappa0 * c1 + kappa1 * c0 - kappa0 * kappa1 * tau) / c1,
+         (kappa1 * tau - c1) / c1],
+    ])
+
+
+def derivative_along_orbit(table, comps, rs, ths, taus) -> np.ndarray:
+    """Vectorized df at each of the n = len(taus) stored collisions."""
+    kaps = np.array([table.curvature(int(c)) for c in comps])
+    c_in = np.cos(ths[:-1])
+    c_out = np.cos(ths[1:])
+    k0 = kaps[:-1]
+    k1 = kaps[1:]
+    out = np.empty((len(taus), 2, 2))
+    out[:, 0, 0] = (k0 * taus - c_in) / c_out
+    out[:, 0, 1] = -taus / c_out
+    out[:, 1, 0] = (k0 * c_out + k1 * c_in - k0 * k1 * taus) / c_out
+    out[:, 1, 1] = (k1 * taus - c_out) / c_out
+    return out
+
+
+def fd_derivative(table, p: PhasePoint, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of the map in (r, theta)."""
+    def image(dr, dth):
+        try:
+            return table.step(table.embed(p, dr, dth))[0]
+        except DomainEscape as e:  # the probe angle passes grazing
+            raise GrazingCollision(str(e)) from e
+
+    cols = []
+    for dr, dth in ((h, 0.0), (0.0, h)):
+        a, b = image(dr, dth), image(-dr, -dth)
+        try:
+            d = table.offset(b, a)
+        except OutOfDomain as e:
+            raise NoIntersection(
+                "finite-difference images land on different loops") from e
+        cols.append(d / (2 * h))
+    return np.array(cols).T
+
+
 class BilliardTable:
     """A billiard table: packed components, loops, corners, metric."""
 
@@ -159,7 +252,8 @@ class BilliardTable:
         self.boundary_diameter = self._boundary_diameter()
         raw_diam = math.hypot(self.boundary_diameter, math.pi)
         self.metric_scale = 0.95 / raw_diam if metric_scale is None else float(metric_scale)
-        self._singular_cloud = None  # lazy, filled by dynamics.singularity_cloud
+        self._singular_cloud = None  # lazy, filled by singularity_cloud()
+        self._deriv_checked = False  # set by the first derivative() call
 
     # ------------------------------------------------------------ validation
     def _validate_closure(self):
@@ -277,6 +371,255 @@ class BilliardTable:
                 out.append(PhasePoint(c, r, th))
         return out
 
+    # ------------------------------------------------------------ the map
+    def step(self, p: PhasePoint, forward: bool = True) -> tuple[PhasePoint, float]:
+        """f(p), or f^-1(p) via time reversal (r, theta) -> (r, -theta), and
+        the flight length between the two collisions."""
+        sign = 1 if forward else -1
+        comps, rs, ths, taus, status, _ = run_orbit(
+            self.ctype, self.cpar, p.component, p.r, sign * p.theta, 1,
+            GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+        if status != OK:
+            raise _kernel_error(status, PhasePoint(p.component, p.r, sign * p.theta))
+        return PhasePoint(int(comps[1]), float(rs[1]), sign * float(ths[1])), float(taus[0])
+
+    def derivative(self, p: PhasePoint, forward: bool = True) -> np.ndarray:
+        """df at p in (r, theta) coordinates, or d(f^-1) at p = (df at f^-1 p)^-1.
+
+        Analytic mirror-equation formula; the first call on each table
+        cross-validates it against central finite differences (sign conventions
+        differ across the literature, the oracle removes the ambiguity).
+        """
+        if not forward:
+            M = self.derivative(self.step(p, False)[0])
+            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+        self._check_derivative()
+        q, tau = self.step(p)
+        return _mirror_jacobian(self.curvature(p.component),
+                                self.curvature(q.component), tau, p.theta, q.theta)
+
+    def _check_derivative(self):
+        if self._deriv_checked:
+            return
+        self._deriv_checked = True  # set first: the check calls derivative()
+        rng = np.random.default_rng(0)
+        checked = 0
+        for p in self.liouville_sample(rng, 200, theta_cap=1.2):
+            if checked >= 8:
+                break
+            try:
+                if self.dist_to_D(p) < 0.05 * self.metric_scale:
+                    continue
+                ana = self.derivative(p)
+                num = fd_derivative(self, p)
+            except (GrazingCollision, CornerHit, NoIntersection):
+                continue
+            rel = np.abs(ana - num).max() / max(np.abs(num).max(), 1.0)
+            if rel > 1e-5:
+                self._deriv_checked = False
+                raise AssertionError(
+                    f"analytic billiard derivative mismatch vs finite differences: rel {rel:.2e}")
+            checked += 1
+        if checked == 0:
+            self._deriv_checked = False
+            raise AssertionError("derivative self-test found no valid sample points")
+
+    def orbit(self, x: PhasePoint, n_minus: int, n_plus: int):
+        """f^n(x) for n in [-n_minus, n_plus]: (points, derivs, flights, after).
+
+        derivs[i] is df at points[i]; for the last point it needs the
+        collision after it, `after` = f(points[-1]), which is not part of the
+        orbit.  A kernel failure raises OrbitHitsDiscontinuity at its step.
+        """
+        comps_f, rs_f, ths_f, taus_f = self._kernel_orbit(x, n_plus, +1)
+        comps_b, rs_b, ths_b, taus_b = self._kernel_orbit(x, n_minus, -1)
+        comps = np.concatenate([comps_b[::-1][:-1], comps_f])
+        rs = np.concatenate([rs_b[::-1][:-1], rs_f])
+        ths = np.concatenate([ths_b[::-1][:-1], ths_f])
+        flights = np.concatenate([taus_b[::-1], taus_f])
+        pts = tuple(PhasePoint(int(c), float(r), float(t))
+                    for c, r, t in zip(comps, rs, ths))
+        try:
+            after, tau = self.step(pts[-1])
+        except (GrazingCollision, CornerHit, NoIntersection) as e:
+            raise OrbitHitsDiscontinuity(n_plus, f"derivative probe: {e}") from e
+        derivs = derivative_along_orbit(
+            self, np.concatenate([comps, [after.component]]), rs,
+            np.concatenate([ths, [after.theta]]), np.concatenate([flights, [tau]]))
+        return pts, derivs, flights, after
+
+    def _kernel_orbit(self, p: PhasePoint, n: int, sign: int):
+        """Kernel orbit of n steps; sign=-1 runs the time-reversed map."""
+        comps, rs, ths, taus, status, k = run_orbit(
+            self.ctype, self.cpar, p.component, p.r, sign * p.theta, n,
+            GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+        if status != OK:
+            err = _kernel_error(status, p)
+            raise OrbitHitsDiscontinuity(k if sign > 0 else -k - 1, str(err)) from err
+        return comps, rs, sign * ths, taus
+
+    def embed(self, p: PhasePoint, dr: float, dtheta: float) -> PhasePoint:
+        """The phase point at offset (dr, dtheta) from p, walking the loop."""
+        theta = p.theta + dtheta
+        if abs(theta) >= math.pi / 2:
+            raise DomainEscape(f"embedded angle {theta} leaves (-pi/2, pi/2)")
+        return PhasePoint(*self.wrap_r(p.component, p.r + dr), theta)
+
+    def offset(self, x: PhasePoint, p: PhasePoint) -> np.ndarray:
+        """Signed (arclength, angle) offset from x to p along x's loop.
+
+        The arclength part goes the short way round the loop.  On a loop of
+        one component it is folded into (-L/2, L/2] by adding or subtracting
+        L, so that small offsets keep their full precision.
+        """
+        loop = next(lp for lp in self.loops if x.component in lp)
+        if p.component == x.component:
+            dr = p.r - x.r
+            if len(loop) == 1:
+                L = self.components[x.component].length
+                if dr > L / 2.0:
+                    dr -= L
+                elif dr <= -L / 2.0:
+                    dr += L
+        elif p.component not in loop:
+            raise OutOfDomain("points on different boundary loops")
+        else:
+            lengths = [self.components[c].length for c in loop]
+            total = sum(lengths)
+            ix, ip = loop.index(x.component), loop.index(p.component)
+            sx = sum(lengths[:ix]) + x.r
+            sp = sum(lengths[:ip]) + p.r
+            dr = (sp - sx + total / 2.0) % total - total / 2.0
+        return np.array([dr, p.theta - x.theta])
+
+    # ------------------------------------------------- singularity distances
+    def _trace_singular_source(self, kind: int, a: int, u: float):
+        """Point of S+ generated by tangency (kind 0, component a, arclength
+        |u|, branch sign(u)) or by a corner ray (kind 1, corner a, direction
+        angle u): the phase point at the hit whose FORWARD ray runs along -w
+        (None when that ray leaves the hit near-tangentially), the source, the
+        flight and w."""
+        if kind == 0:
+            s_src = abs(u)
+            branch = 1.0 if u >= 0 else -1.0
+            src = self.point_xy(a, s_src)
+            t0 = self.tangent_xy(a, s_src)
+            w = branch * t0
+        else:
+            src = self.corner_points[a]
+            w = np.array([math.cos(u), math.sin(u)])
+        ci, s, t = trace_ray(self.ctype, self.cpar, src[0], src[1], w[0], w[1], MIN_FLIGHT)
+        if ci < 0 or t > 1e200:
+            return None
+        t2 = self.tangent_xy(ci, s)
+        cos0 = -(w[0] * -t2[1] + w[1] * t2[0])  # against the inward normal
+        sin0 = -(w[0] * t2[0] + w[1] * t2[1])
+        ph = None if cos0 <= 1e-6 else PhasePoint(int(ci), float(s), math.atan2(sin0, cos0))
+        return ph, src, t, w
+
+    def _segment_inside(self, src, w, t, checks: int = 4) -> bool:
+        for k in range(1, checks + 1):
+            lam = t * k / (checks + 1.0)
+            if not self.contains_point((src[0] + lam * w[0], src[1] + lam * w[1]),
+                                       samples_per_component=100):
+                return False
+        return True
+
+    def singularity_cloud(self) -> dict:
+        """Sampled points on the one-step singularity preimage curves S+ and S-.
+
+        Returns arrays px, py, theta (S+ rows), plus the generating family of
+        each row (kind, index, parameter) for local 1-D refinement.  S- is
+        obtained by time reversal (same positions, negated theta), so it is
+        not stored.  Built once per table.
+        """
+        if self._singular_cloud is not None:
+            return self._singular_cloud
+        n_tan = 48
+        n_fan = 64
+        # tangent rays of straight pieces lie inside the wall: arcs only
+        sources = [(0, ci, branch * (s + 1e-12))
+                   for ci, comp in enumerate(self.components) if self.ctype[ci] == 1
+                   for s in np.linspace(0.0, comp.length, n_tan, endpoint=False)
+                   for branch in (1.0, -1.0)]
+        sources += [(1, k, psi) for k in range(len(self.corner_points))
+                    for psi in np.linspace(0.0, 2 * math.pi, n_fan, endpoint=False)]
+        rows = []
+        fams = []
+        for fam in sources:
+            got = self._trace_singular_source(*fam)
+            if got is None or got[0] is None:
+                continue
+            ph, src, t, w = got
+            if not self._segment_inside(src, w, t):
+                continue
+            rows.append((self.point_xy(ph.component, ph.r), ph.theta))
+            fams.append(fam)
+        if rows:
+            cloud = {
+                "px": np.array([xy[0] for xy, th in rows]),
+                "py": np.array([xy[1] for xy, th in rows]),
+                "theta": np.array([th for xy, th in rows]),
+                "fam": fams,
+            }
+        else:
+            cloud = {"px": np.zeros(0), "py": np.zeros(0), "theta": np.zeros(0), "fam": []}
+        self._singular_cloud = cloud
+        return cloud
+
+    def _refine_preimage_distance(self, cloud, idx, P, th, d0) -> float:
+        """Golden-section over the generating curve parameter near cloud row idx."""
+        kind, a, u0 = cloud["fam"][idx]
+        if kind == 0:
+            span = self.components[a].length / 48.0
+        else:
+            span = 2 * math.pi / 64.0
+
+        def g(u):
+            got = self._trace_singular_source(kind, a, u)
+            if got is None or got[0] is None:
+                return float("inf")
+            ph = got[0]
+            Q = self.point_xy(ph.component, ph.r)
+            return math.hypot(math.hypot(Q[0] - P[0], Q[1] - P[1]), ph.theta - th)
+
+        lo, hi = u0 - span, u0 + span
+        phi_r = (math.sqrt(5.0) - 1.0) / 2.0
+        x1 = hi - phi_r * (hi - lo)
+        x2 = lo + phi_r * (hi - lo)
+        f1, f2 = g(x1), g(x2)
+        for _ in range(18):
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - phi_r * (hi - lo)
+                f1 = g(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + phi_r * (hi - lo)
+                f2 = g(x2)
+        return min(d0, f1, f2)
+
+    def dist_to_D(self, p: PhasePoint) -> float:
+        """Estimated metric distance from p to D (0 on D; 1-Lipschitz in p)."""
+        scale = self.metric_scale
+        best_unscaled = math.pi / 2 - abs(p.theta)  # grazing fibers
+        P = self.point_xy(p.component, p.r)
+        for C in self.corner_points:  # corner fibers (all theta)
+            best_unscaled = min(best_unscaled, math.hypot(P[0] - C[0], P[1] - C[1]))
+        cloud = self.singularity_cloud()
+        if cloud["px"].size:
+            for th_sign in (1.0, -1.0):  # S+ rows, then S- via time reversal
+                d2 = np.hypot(np.hypot(cloud["px"] - P[0], cloud["py"] - P[1]),
+                              th_sign * cloud["theta"] - p.theta)
+                i = int(np.argmin(d2))
+                d_best = float(d2[i])
+                if d_best < best_unscaled * 2.0:
+                    d_best = self._refine_preimage_distance(cloud, i, P,
+                                                            th_sign * p.theta, d_best)
+                best_unscaled = min(best_unscaled, d_best)
+        return scale * max(0.0, best_unscaled)
+
 
 class LinearFixtureMap:
     """Exactly solvable hyperbolic fixture: (x, y) -> (lambda_s x, lambda_u y).
@@ -318,6 +661,50 @@ class LinearFixtureMap:
         # the fixture's invariant reference measure is plain area
         xs = rng.uniform(-self.half_width, self.half_width, size=(n, 2))
         return [PhasePoint(0, float(a), float(b)) for a, b in xs]
+
+    # ------------------------------------------------------------ the map
+    def step(self, p: PhasePoint, forward: bool = True) -> tuple[PhasePoint, float]:
+        """The linear map or its inverse; the fixture has no flights."""
+        if forward:
+            return PhasePoint(0, self.lambda_s * p.r, self.lambda_u * p.theta), 0.0
+        return PhasePoint(0, p.r / self.lambda_s, p.theta / self.lambda_u), 0.0
+
+    def derivative(self, p: PhasePoint, forward: bool = True) -> np.ndarray:
+        if forward:
+            return np.array([[self.lambda_s, 0.0], [0.0, self.lambda_u]])
+        return np.array([[1.0 / self.lambda_s, 0.0], [0.0, 1.0 / self.lambda_u]])
+
+    def orbit(self, x: PhasePoint, n_minus: int, n_plus: int):
+        """Same contract as BilliardTable.orbit; a point leaving the domain
+        raises OrbitHitsDiscontinuity at its signed step."""
+        self.validate_point(x)
+        tail = self._walk(x, n_plus, True)
+        pts = tuple(self._walk(x, n_minus, False)[:0:-1] + tail)
+        derivs = np.broadcast_to(self.derivative(x), (len(pts), 2, 2)).copy()
+        return pts, derivs, np.zeros(len(pts) - 1), self.step(pts[-1])[0]
+
+    def _walk(self, x: PhasePoint, n: int, forward: bool) -> list[PhasePoint]:
+        pts = [x]
+        for k in range(1, n + 1):
+            pts.append(self.step(pts[-1], forward)[0])
+            try:
+                self.validate_point(pts[-1])
+            except ValueError as e:
+                raise OrbitHitsDiscontinuity(k if forward else -k, str(e)) from e
+        return pts
+
+    def dist_to_D(self, p: PhasePoint) -> float:
+        return self.metric_scale * max(
+            0.0, self.half_width - max(abs(p.r), abs(p.theta)))
+
+    def embed(self, p: PhasePoint, dr: float, dtheta: float) -> PhasePoint:
+        """Plain translation: the linear map is defined on the whole plane."""
+        return PhasePoint(p.component, p.r + dr, p.theta + dtheta)
+
+    def offset(self, x: PhasePoint, p: PhasePoint) -> np.ndarray:
+        if p.component != x.component:
+            raise OutOfDomain("fixture points live on one component")
+        return np.array([p.r - x.r, p.theta - x.theta])
 
 
 # ---------------------------------------------------------------- builders

@@ -56,6 +56,7 @@ from pesin_coder.errors import (
 from pesin_coder.lattice import EpsilonConfig, LatticeSize
 from pesin_coder.tables import (
     PhasePoint,
+    make_circle,
     make_linear_fixture,
     make_sinai,
     make_stadium,
@@ -262,13 +263,17 @@ class TestRealization:
         assert p.component == 1
         assert np.max(np.abs(_pullback(ch, p) - v)) < 1e-12
 
-    def test_embed_pullback_wraps_backward(self):
-        st = make_stadium()
-        x = PhasePoint(0, 0.001, -0.2)
-        ch = synthetic_chart(st, x, rho=0.05)
+    # the stadium's left cap precedes its bottom segment; the circle and the
+    # Sinai scatterer are loops of one component, which r = 0 wraps onto itself
+    @pytest.mark.parametrize("mk, comp, comp_after", [
+        (make_stadium, 0, 3), (make_circle, 0, 0), (make_sinai, 4, 4)],
+        ids=["stadium", "circle", "sinai"])
+    def test_embed_pullback_wraps_backward(self, mk, comp, comp_after):
+        x = PhasePoint(comp, 0.001, -0.2)
+        ch = synthetic_chart(mk(), x, rho=0.05)
         v = np.array([-0.01, 0.0])
         p = _embed(ch, v)
-        assert p.component == 3  # left cap precedes the bottom segment
+        assert p.component == comp_after and p.r > 1.0
         assert np.max(np.abs(_pullback(ch, p) - v)) < 1e-12
 
     def test_embed_angle_escape(self):

@@ -81,6 +81,10 @@ class TestOrbitSegment:
         assert np.array_equal(seg.rhos, np.full(81, fx.half_width))
         expected = np.array([[fx.lambda_s, 0.0], [0.0, fx.lambda_u]])
         assert np.array_equal(seg.derivs, np.broadcast_to(expected, (81, 2, 2)))
+        # without rho the fixture leaves the distances unset, like a billiard
+        bare = orbit_segment(fx, seg.base, 40, 40, with_rho=False)
+        assert bare.points == seg.points
+        assert np.isnan(bare.rhos).all() and np.isnan(bare.dists).all()
 
     def test_fixture_escape_indices_are_signed(self):
         fx = make_linear_fixture()

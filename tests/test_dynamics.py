@@ -99,7 +99,8 @@ def test_stadium_flat_bounce():
 
 
 # ------------------------------------------------------------- inverse maps
-@pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower])
+@pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower,
+                                make_linear_fixture])
 def test_round_trip_inverse(mk):
     tb = mk()
     ok = 0
@@ -141,7 +142,8 @@ def test_determinant_identity(mk):
     assert checked > 200
 
 
-@pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower])
+@pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower,
+                                make_linear_fixture])
 def test_derivative_matches_finite_differences(mk):
     tb = mk()
     checked = 0
