@@ -370,8 +370,7 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
 
 
 def chart_map_fx(chart_x: PesinChart, chart_fx: PesinChart,
-                 consts: RegularityConstants,
-                 df_x: np.ndarray | None = None) -> ChartMapDecomposition:
+                 consts: RegularityConstants) -> ChartMapDecomposition:
     """The map in chart coordinates along one orbit step.
 
     A, B come from the exact frame reduction of df; the grid supplies the
@@ -384,9 +383,8 @@ def chart_map_fx(chart_x: PesinChart, chart_fx: PesinChart,
         raise ValueError(
             "chart_fx is not at the image of chart_x (same-orbit charts "
             f"required; distance {table.distance(fx, chart_fx.x):.3e})")
-    if df_x is None:
-        df_x = billiard_derivative(table, chart_x.x)
-    D = reduced_cocycle(chart_x.frame, chart_fx.frame, df_x)
+    D = reduced_cocycle(chart_x.frame, chart_fx.frame,
+                        billiard_derivative(table, chart_x.x))
     dec = _decompose(chart_x, chart_fx, float(D[0, 0]), float(D[1, 1]),
                      consts, consts.beta / 2.0, forward=True)
 
@@ -408,8 +406,8 @@ def chart_map_fx(chart_x: PesinChart, chart_fx: PesinChart,
 
 
 def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
-                  consts: RegularityConstants, direction: str = "forward",
-                  df_x: np.ndarray | None = None) -> ChartMapDecomposition:
+                  consts: RegularityConstants, direction: str = "forward"
+                  ) -> ChartMapDecomposition:
     """Chart-to-chart map for an edge: y near f(x) (or f^-1(x) backward).
 
     The linear part is read from the frame reduction across the two charts;
@@ -432,9 +430,8 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
             raise OverlapMissing(
                 f"target chart too far from the image: d = {d:.3e}, "
                 f"log bound {log_bound:.6g}")
-    if df_x is None:
-        df_x = (billiard_derivative(table, chart_x.x) if forward
-                else inverse_derivative(table, chart_x.x))
+    df_x = (billiard_derivative(table, chart_x.x) if forward
+            else inverse_derivative(table, chart_x.x))
     M = np.linalg.solve(chart_y.frame.C, df_x @ chart_x.frame.C)
     A, B = float(M[0, 0]), float(M[1, 1])
     chi = chart_x.frame.chi

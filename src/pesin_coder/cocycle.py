@@ -64,6 +64,12 @@ SERIES_SUM_CAP = 1e100
 DEGENERATE_SIN = 1e-12
 # relative off-diagonal mass allowed in the reduced cocycle
 OFFDIAG_REL_TOL = 1e-8
+# largest angle change under push-window halving that counts as converged
+CONVERGENCE_TOL = 1e-6
+# burn-in floor on both segment sides of a splitting
+MIN_WINDOW = 4
+# number of blocks whose mean spread bounds the exponent estimate
+LYAPUNOV_BLOCKS = 10
 
 
 # --------------------------------------------------------------- containers
@@ -245,27 +251,26 @@ def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
 _SEED = np.array([0.6, 0.8])
 
 
-def oseledets_splitting(seg: OrbitSegment, convergence_tol: float = 1e-6,
-                        min_window: int = 4) -> Splitting:
+def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     """Stable/unstable directions by push-forward from the segment ends.
 
     The unstable direction at index i is the forward push of a generic seed
     from the past end; the stable direction is the backward (inverse-cocycle)
     push from the future end.  Convergence is measured by the angle change at
-    the base point when each push window is halved; above `convergence_tol`
+    the base point when each push window is halved; above `CONVERGENCE_TOL`
     the splitting is rejected.
 
-    `min_window` is only a burn-in floor: sides at or above it can still be
+    `MIN_WINDOW` is only a burn-in floor: sides at or above it can still be
     rejected, because the halving check alone decides convergence.  The
     halved-window angle decays like exp(-gap * side / 2) for an exponent gap
-    `gap`, so the sides needed grow like 2 log(1/convergence_tol) / gap.  On
+    `gap`, so the sides needed grow like 2 log(1/CONVERGENCE_TOL) / gap.  On
     the default linear fixture (gap 2, tol 1e-6) 5-step sides leave an angle
     of ~1.4e-2 and 15 is the first side length that converges.
     """
     n = len(seg)
-    if seg.n_minus < min_window or seg.n_plus < min_window:
+    if seg.n_minus < MIN_WINDOW or seg.n_plus < MIN_WINDOW:
         raise ValueError(
-            f"segment sides ({seg.n_minus}, {seg.n_plus}) below burn-in {min_window}")
+            f"segment sides ({seg.n_minus}, {seg.n_plus}) below burn-in {MIN_WINDOW}")
     base = seg.n_minus
     e_u = np.empty((n, 2))
     e_s = np.empty((n, 2))
@@ -277,10 +282,10 @@ def oseledets_splitting(seg: OrbitSegment, convergence_tol: float = 1e-6,
     s_half = _push_backward(seg.derivs, base + seg.n_plus - seg.n_plus // 2, base, _SEED)
     ang_u = _angle_between(e_u[base], u_half)
     ang_s = _angle_between(e_s[base], s_half)
-    if ang_u > convergence_tol or ang_s > convergence_tol:
+    if ang_u > CONVERGENCE_TOL or ang_s > CONVERGENCE_TOL:
         raise SplittingNotConverged(
             f"angle change under window halving: unstable {ang_u:.3e}, "
-            f"stable {ang_s:.3e} (tol {convergence_tol:.1e})")
+            f"stable {ang_s:.3e} (tol {CONVERGENCE_TOL:.1e})")
     sep = _angle_between(e_s[base], e_u[base])
     if sep < DEGENERATE_SIN:
         raise SplittingNotConverged(
@@ -295,11 +300,11 @@ def oseledets_splitting(seg: OrbitSegment, convergence_tol: float = 1e-6,
 
 
 # ------------------------------------------------------------------ exponents
-def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting | None = None,
-                       blocks: int = 10) -> LyapunovEstimate:
+def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting | None = None
+                       ) -> LyapunovEstimate:
     """Finite-window exponents: QR cocycle, plus Birkhoff means when a
     splitting is supplied.  The confidence radius is the larger of the
-    QR/Birkhoff discrepancy and the spread of block means."""
+    QR/Birkhoff discrepancy and the spread of LYAPUNOV_BLOCKS block means."""
     n = len(seg) - 1
     logs = np.zeros((n, 2))
     Q = np.eye(2)
@@ -311,7 +316,7 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting | None = None,
     qr_l1, qr_l2 = float(qr_means[0]), float(qr_means[1])
 
     block_means = np.array([
-        b.mean(axis=0) for b in np.array_split(logs, min(blocks, n)) if len(b)])
+        b.mean(axis=0) for b in np.array_split(logs, min(LYAPUNOV_BLOCKS, n)) if len(b)])
     spread = float(np.max(block_means.std(axis=0))) if len(block_means) > 1 else 0.0
 
     if splitting is None:
@@ -414,18 +419,16 @@ def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
 
 
 def frame_at(seg: OrbitSegment, splitting: Splitting, chi: float,
-             at: int = 0, n_trunc: int = SERIES_MAX_TERMS) -> HyperbolicFrame:
+             at: int = 0) -> HyperbolicFrame:
     i = seg.index(at)
-    su = s_u_parameters(seg, splitting, chi, at=at, n_trunc=n_trunc)
+    su = s_u_parameters(seg, splitting, chi, at=at)
     return build_frame(splitting.e_s[i], splitting.e_u[i], su.s, su.u, chi)
 
 
 def frames_along(seg: OrbitSegment, splitting: Splitting, chi: float,
-                 lo: int, hi: int, n_trunc: int = SERIES_MAX_TERMS
-                 ) -> list[HyperbolicFrame]:
+                 lo: int, hi: int) -> list[HyperbolicFrame]:
     """Frames at relative steps lo..hi inclusive."""
-    return [frame_at(seg, splitting, chi, at=m, n_trunc=n_trunc)
-            for m in range(lo, hi + 1)]
+    return [frame_at(seg, splitting, chi, at=m) for m in range(lo, hi + 1)]
 
 
 def reduced_cocycle(frame_x: HyperbolicFrame, frame_fx: HyperbolicFrame,
@@ -493,6 +496,10 @@ def nuh_diagnostics(seg: OrbitSegment, frames: list[HyperbolicFrame],
         raise ValueError("frames must cover the base point (lo <= 0 <= hi)")
     ns = np.arange(lo, lo + len(frames))
     far = np.abs(ns) >= max(2, len(frames) // 4)
+    if not far.any():
+        raise ValueError(
+            f"window [{ns[0]}, {ns[-1]}] has no far step: the slopes need a "
+            f"step with |n| >= 2")
 
     rho_at = np.array([seg.rhos[seg.index(int(n))] for n in ns])
     with np.errstate(divide="ignore"):

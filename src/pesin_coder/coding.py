@@ -47,11 +47,14 @@ __all__ = [
     "make_itinerary", "sigma_sharp_filter", "project_pi",
     "detect_double_codings", "inverse_diagnostics",
     "discreteness_certificate", "degree_report", "save_alphabet",
-    "load_alphabet", "NET_EXPONENT",
+    "load_alphabet", "NET_EXPONENT", "SHADOW_TOL",
 ]
 
 # radius exponent of the bin nets: members merge below e^(-NET_EXPONENT*(j+2))
 NET_EXPONENT = 8.0
+# largest distance from a word's shadow to the point it must land on: the
+# coded window's base point, or the image of the anchor's shadow
+SHADOW_TOL = 1e-6
 
 
 def _lt_log(value: float, log_bound: float) -> bool:
@@ -221,13 +224,12 @@ def bin_signature(gamma: GammaPoint, cover: GridCover) -> BinSignature:
     return BinSignature(tuple(ks), tuple(ls), tuple(as_), m, gamma.j)
 
 
-def gamma_close(g1: GammaPoint, g2: GammaPoint, j: int,
-                net_exponent: float = NET_EXPONENT) -> bool:
-    """Net-level closeness: triple distances below e^(-net_exponent*(j+2))
+def gamma_close(g1: GammaPoint, g2: GammaPoint, j: int) -> bool:
+    """Net-level closeness: triple distances below e^(-NET_EXPONENT*(j+2))
     and exact size ratio within one lattice third."""
     if not g1.Q.ratio_within_e_eps_third(g2.Q, thirds=1):
         return False
-    log_r = -net_exponent * (j + 2.0)
+    log_r = -NET_EXPONENT * (j + 2.0)
     for p1, f1, p2, f2 in zip(g1.points, g1.frames, g2.points, g2.frames):
         d = g1.table.distance(p1, p2) + _frame_distance(f1, f2)
         if not _lt_log(d, log_r):
@@ -469,8 +471,7 @@ class Alphabet:
         """Net center covering this gamma at its own level, if any."""
         sig = bin_signature(gamma, self.cover)
         for cid in self.nets.get((sig.base(), sig.j), ()):
-            if gamma_close(gamma, self.centers[cid], sig.j,
-                           self.stats.get("net_exponent", NET_EXPONENT)):
+            if gamma_close(gamma, self.centers[cid], sig.j):
                 return cid
         return None
 
@@ -479,9 +480,8 @@ class Alphabet:
         return self.vertex_index.get((center_id, p_s.expo, p_u.expo))
 
 
-def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants,
-                 cover: GridCover | None = None,
-                 net_exponent: float = NET_EXPONENT) -> Alphabet:
+def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
+                 ) -> Alphabet:
     """Bin sampled gammas, select net centers, emit charts, build edges.
 
     ``windows`` is a list of gamma-point lists, each one orbit window in
@@ -495,7 +495,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants,
     flat: list[GammaPoint] = [g for w in windows for g in w]
     if not flat:
         raise EmptyAlphabet("no sampled windows given")
-    cover = cover or GridCover()
+    cover = GridCover()
 
     sigs = [bin_signature(g, cover) for g in flat]
     bins: dict[tuple, list[int]] = {}
@@ -516,7 +516,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants,
                 g = flat[fi]
                 hit = None
                 for cid in net:
-                    if gamma_close(g, centers[cid], j, net_exponent):
+                    if gamma_close(g, centers[cid], j):
                         hit = cid
                         break
                 if hit is None:
@@ -569,7 +569,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants,
                 edges.append((int(v_id), w_id))
 
     graph = make_graph(vlist, edges, {"eps": cfg.eps,
-                                      "net_exponent": net_exponent})
+                                      "net_exponent": NET_EXPONENT})
     core, kept = prune_graph(graph)
     stats = {
         "samples": len(flat),
@@ -582,7 +582,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants,
         "core_vertices": core.n_vertices,
         "core_edges": core.n_edges,
         "cover_boxes": cover.n_boxes,
-        "net_exponent": net_exponent,
+        "net_exponent": NET_EXPONENT,
     }
     return Alphabet(cfg, consts, cover, tuple(centers), nets, graph, core,
                     kept, vindex, tuple(center_of), stats)
@@ -628,7 +628,7 @@ def make_itinerary(vertices, anchor: int, cfg: EpsilonConfig,
                      for a, b in zip(vertices, vertices[1:]))
     path = path_from_vertices(
         [PathVertex(v.chart, v.p_s, v.p_u) for v in vertices],
-        consts, direction="two-sided", base_index=anchor)
+        consts, base_index=anchor)
     if in_alphabet is None:
         in_alphabet = (True,) * len(vertices)
     return Itinerary(vertices, anchor, edges_ok, tuple(in_alphabet), path,
@@ -651,14 +651,13 @@ def assign_centers(alphabet: Alphabet, gammas, offset: int = 0) -> list[int]:
 
 
 def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int,
-                          tol: float = 1e-6,
                           check_shadow: bool = True) -> Itinerary:
     """Code one orbit window through the alphabet.
 
     Per step, finds a net center covering the sampled gamma, then re-runs
     the one-sided size recursions over the selected centers and assembles
     the word; verifies the edges and (optionally) that the word's shadow
-    comes back to the window's base point within ``tol``.
+    comes back to the window's base point within ``SHADOW_TOL``.
     """
     gammas = list(gammas)
     cfg, consts = alphabet.cfg, alphabet.consts
@@ -689,9 +688,9 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int,
             raise ValueError("shadow verification needs an interior anchor")
         x_hat, info = shadow(it.path, consts)
         gap = gammas[anchor].table.distance(x_hat, gammas[anchor].x)
-        if gap > tol:
+        if gap > SHADOW_TOL:
             raise InequalityViolated(
-                f"shadow misses the coded point by {gap:.3e} > {tol:.1e}")
+                f"shadow misses the coded point by {gap:.3e} > {SHADOW_TOL:.1e}")
         it.meta["shadow_gap"] = gap
         it.meta["shadow_point"] = x_hat
         it.meta["shadow_w"] = info["w"]
@@ -715,10 +714,10 @@ def sigma_sharp_filter(itinerary) -> bool:
 
 
 def project_pi(itinerary: Itinerary, consts: RegularityConstants,
-               tol: float = 1e-6,
                equivariance: bool = True) -> tuple[PhasePoint, dict]:
     """Phase point shadowed by the word, with an anchor-shift consistency
-    check: projecting the shifted word must land on the mapped point."""
+    check: projecting the shifted word must land within ``SHADOW_TOL`` of
+    the mapped point."""
     path = itinerary.path
     x, info = shadow(path, consts)
     report = {"w": info["w"], "equivariance_gap": None}
@@ -727,27 +726,26 @@ def project_pi(itinerary: Itinerary, consts: RegularityConstants,
         if not 0 < k < len(path) - 1:
             raise ValueError(
                 "equivariance check needs an interior shifted anchor")
-        shifted = GpoPath(path.vertices, path.fwd, path.bwd,
-                          path.direction, k)
+        shifted = GpoPath(path.vertices, path.fwd, path.bwd, k)
         x1, _ = shadow(shifted, consts)
         table = itinerary.vertices[0].gamma.table
         gap = table.distance(billiard_map(table, x), x1)
-        if gap > tol:
+        if gap > SHADOW_TOL:
             raise InequalityViolated(
-                f"shift/projection mismatch {gap:.3e} > {tol:.1e}")
+                f"shift/projection mismatch {gap:.3e} > {SHADOW_TOL:.1e}")
         report["equivariance_gap"] = gap
     return x, report
 
 
-def detect_double_codings(points, tol: float = 1e-6, table=None
+def detect_double_codings(points, table, tol: float = 1e-6
                           ) -> list[tuple[int, int, float]]:
-    """Index pairs of projected points closer than ``tol`` (i < j)."""
+    """Index pairs of projected points closer than ``tol`` in the table's
+    metric (i < j)."""
     pts = list(points)
     out = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = table.distance(pts[i], pts[j]) if table is not None else \
-                math.hypot(pts[i].r - pts[j].r, pts[i].theta - pts[j].theta)
+            d = table.distance(pts[i], pts[j])
             if d < tol:
                 out.append((i, j, d))
     return out
@@ -992,6 +990,10 @@ def save_alphabet(alphabet: Alphabet, path) -> None:
 def load_alphabet(path) -> Alphabet:
     """Rebuild an alphabet from its JSON file; charts are revalidated."""
     doc = json.loads(Path(path).read_text())
+    if doc["stats"]["net_exponent"] != NET_EXPONENT:
+        raise ValueError(
+            f"alphabet built with net exponent {doc['stats']['net_exponent']}, "
+            f"this code uses {NET_EXPONENT}")
     cfg = EpsilonConfig(doc["eps"])
     c = doc["consts"]
     consts = RegularityConstants(a=c["a"], beta=c["beta"], K=c["K"])
@@ -1017,8 +1019,7 @@ def load_alphabet(path) -> Alphabet:
         vlist.append(dc)
         center_of.append(cid)
     graph = make_graph(vlist, [tuple(e) for e in doc["edges"]],
-                       {"eps": cfg.eps,
-                        "net_exponent": doc["stats"]["net_exponent"]})
+                       {"eps": cfg.eps, "net_exponent": NET_EXPONENT})
     core, kept = prune_graph(graph)
     return Alphabet(cfg, consts, cover, centers, nets, graph, core, kept,
                     vindex, tuple(center_of), dict(doc["stats"]))

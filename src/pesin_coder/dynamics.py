@@ -25,6 +25,8 @@ __all__ = [
     "GRAZING_COS_TOL",
     "MIN_FLIGHT",
     "CORNER_TOL",
+    "HOLDER_PAIRS_PER_POINT",
+    "ASSUMPTION_SEED",
     "RegularityConstants",
     "billiard_map",
     "billiard_inverse",
@@ -40,6 +42,11 @@ __all__ = [
     "operator_norm",
     "smallest_singular_value",
 ]
+
+# A6 draws this many point pairs from the comparison ball of each sample
+# point, from a generator seeded with ASSUMPTION_SEED
+HOLDER_PAIRS_PER_POINT = 3
+ASSUMPTION_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -134,17 +141,17 @@ def smallest_singular_value(M: np.ndarray) -> float:
 
 # ------------------------------------------------------------- assumptions
 def verify_assumptions(table, consts: RegularityConstants, sample,
-                       pairs_per_point: int = 3, seed: int = 0,
                        raise_on_violation: bool = True) -> dict:
     """Check the derivative-regularity assumptions on a point sample.
 
     A1-A4 (exponential map, parallel transport, curvature control) hold by
     construction in the flat rescaled metric and are reported structurally.
-    A5: ||df^[+-1]|| <= K * d(x,D)^(-b);  A6: Hölder control of df over pairs
-    in the comparison ball;  A7: smallest singular value of df^(+-1) >= rho^a.
+    A5: ||df^[+-1]|| <= K * d(x,D)^(-b);  A6: Hölder control of df over
+    HOLDER_PAIRS_PER_POINT pairs in the comparison ball of each point;
+    A7: smallest singular value of df^(+-1) >= rho^a.
     Returns per-assumption minimal margins (log scale; positive = satisfied).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ASSUMPTION_SEED)
     margins = {"A5": (math.inf, None), "A6": (math.inf, None), "A7": (math.inf, None)}
 
     def _upd(key, val, witness):
@@ -168,7 +175,7 @@ def verify_assumptions(table, consts: RegularityConstants, sample,
             _upd("A7", math.log(smallest_singular_value(df)) - consts.a * math.log(rr), p)
             _upd("A7", math.log(smallest_singular_value(dfi)) - consts.a * math.log(rr), p)
         ball = consts.r_map(d)
-        for _ in range(pairs_per_point):
+        for _ in range(HOLDER_PAIRS_PER_POINT):
             ys = []
             for _try in range(8):
                 dr, dth = rng.uniform(-ball, ball, 2) / table.metric_scale

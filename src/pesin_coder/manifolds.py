@@ -139,7 +139,6 @@ class GpoPath:
     vertices: tuple[PathVertex, ...]
     fwd: tuple[ChartMapDecomposition, ...]
     bwd: tuple[ChartMapDecomposition, ...]
-    direction: str
     base_index: int = 0
 
     def __len__(self) -> int:
@@ -275,7 +274,6 @@ def validate_admissible(m: AdmissibleManifold,
 
 # ------------------------------------------------------------------ paths
 def path_from_vertices(vertices, consts: RegularityConstants,
-                       direction: str = "positive",
                        base_index: int = 0) -> GpoPath:
     """Precompute both edge decompositions along a chart path."""
     vertices = tuple(vertices)
@@ -286,12 +284,11 @@ def path_from_vertices(vertices, consts: RegularityConstants,
     for a, b in zip(vertices, vertices[1:]):
         fwd.append(chart_map_fxy(a.chart, b.chart, consts, "forward"))
         bwd.append(chart_map_fxy(b.chart, a.chart, consts, "backward"))
-    return GpoPath(vertices, tuple(fwd), tuple(bwd), direction, base_index)
+    return GpoPath(vertices, tuple(fwd), tuple(bwd), base_index)
 
 
 def constant_path(vertex: PathVertex, length: int,
                   consts: RegularityConstants,
-                  direction: str = "positive",
                   base_index: int = 0) -> GpoPath:
     """Path repeating one vertex (fixed-point gpo); edges computed once."""
     if length < 2:
@@ -299,7 +296,7 @@ def constant_path(vertex: PathVertex, length: int,
     f = chart_map_fxy(vertex.chart, vertex.chart, consts, "forward")
     b = chart_map_fxy(vertex.chart, vertex.chart, consts, "backward")
     return GpoPath((vertex,) * length, (f,) * (length - 1), (b,) * (length - 1),
-                   direction, base_index)
+                   base_index)
 
 
 # -------------------------------------------------------------- transforms
@@ -325,33 +322,19 @@ def _normalized_offset(dec: ChartMapDecomposition,
     return out
 
 
-def _affine_images(dec: ChartMapDecomposition, first: np.ndarray,
-                   second: np.ndarray, ratio: float, h0n: np.ndarray):
-    """Edge images in output-window units of input-window-unit points."""
-    H = dec.grad0
-    w1 = ratio * ((dec.A + H[0, 0]) * first + H[0, 1] * second) + h0n[0]
-    w2 = ratio * (H[1, 0] * first + (dec.B + H[1, 1]) * second) + h0n[1]
-    return w1, w2
+def _push_graph(A: float, B: float, H: np.ndarray, values: np.ndarray,
+                slopes: np.ndarray, ratio: float, h0n: np.ndarray):
+    """Push a normalized u-graph through an affine edge model, reparametrize.
 
-
-def _push_graph(dec: ChartMapDecomposition, values: np.ndarray,
-                slopes: np.ndarray, param_axis: int, ratio: float,
-                h0n: np.ndarray):
-    """Push a normalized graph through the affine edge model, reparametrize.
-
-    param_axis 1: graph over the second coordinate (u-kind, forward maps);
-    param_axis 0: graph over the first coordinate (s-kind, backward maps).
-    `values` are input samples over TAU in input-window units; `ratio` is
-    (input half-width) / (output half-width), from the size lattice.
-    Returns output samples on TAU in output-window units and the normalized
-    containment residual of mapping output points back.
+    The model is w = (A v1, B v2) + h0n + H v in output-window units and the
+    graph gives the first coordinate over the second.  `values` are input
+    samples over TAU in input-window units; `ratio` is (input half-width) /
+    (output half-width), from the size lattice.  Returns output samples on
+    TAU in output-window units and the normalized containment residual of
+    mapping output points back.
     """
-    if param_axis == 1:
-        first, second = values, TAU
-    else:
-        first, second = TAU, values
-    w1, w2 = _affine_images(dec, first, second, ratio, h0n)
-    out_param = w2 if param_axis == 1 else w1
+    a, b = A + H[0, 0], B + H[1, 1]
+    out_param = ratio * (H[1, 0] * values + b * TAU) + h0n[1]
 
     dp = np.diff(out_param)
     if np.all(dp < 0.0):
@@ -375,50 +358,36 @@ def _push_graph(dec: ChartMapDecomposition, values: np.ndarray,
     slope_fn = PchipInterpolator(TAU, slopes)
     v_src = val_fn(src)
     g_src = slope_fn(src)
-    if param_axis == 1:
-        f1, s2 = v_src, src
-    else:
-        f1, s2 = src, v_src
-    i1, i2 = _affine_images(dec, f1, s2, ratio, h0n)
-    out_vals = i1 if param_axis == 1 else i2
+    out_vals = ratio * (a * v_src + H[0, 1] * src) + h0n[0]
 
     # slopes by the chain rule on the affine model (window scales cancel)
-    H = dec.grad0
-    if param_axis == 1:
-        d_val = (dec.A + H[0, 0]) * g_src + H[0, 1]
-        d_par = H[1, 0] * g_src + (dec.B + H[1, 1])
-    else:
-        d_val = H[1, 0] + (dec.B + H[1, 1]) * g_src
-        d_par = (dec.A + H[0, 0]) + H[0, 1] * g_src
-    out_slopes = d_val / d_par
+    out_slopes = (a * g_src + H[0, 1]) / (H[1, 0] * g_src + b)
 
     # containment: map the output nodes back and compare to the input graph
-    M = np.array([[dec.A + H[0, 0], H[0, 1]], [H[1, 0], dec.B + H[1, 1]]])
-    if param_axis == 1:
-        pts = np.stack([out_vals, TAU])
-    else:
-        pts = np.stack([TAU, out_vals])
-    back = np.linalg.solve(M, pts - h0n[:, None]) / ratio
-    back_param = back[1] if param_axis == 1 else back[0]
-    back_value = back[0] if param_axis == 1 else back[1]
-    resid = float(np.max(np.abs(back_value - val_fn(back_param))))
+    M = np.array([[a, H[0, 1]], [H[1, 0], b]])
+    back = np.linalg.solve(M, np.stack([out_vals, TAU]) - h0n[:, None]) / ratio
+    resid = float(np.max(np.abs(back[0] - val_fn(back[1]))))
     return out_vals, out_slopes, resid
 
 
 def _transform(dec: ChartMapDecomposition, m: AdmissibleManifold,
                target: PathVertex, consts: RegularityConstants,
-               param_axis: int, validate: bool) -> AdmissibleManifold:
-    p_out = target.p_u if param_axis == 1 else target.p_s
+               validate: bool) -> AdmissibleManifold:
+    p_out = target.p_s if m.kind == "s" else target.p_u
     ratio = math.exp(m.p.log_value - p_out.log_value)
+    A, B, H = dec.A, dec.B, dec.grad0
     h0n = _normalized_offset(dec, p_out)
-    vals, slopes, resid = _push_graph(dec, m.values, m.slopes, param_axis,
-                                      ratio, h0n)
+    if m.kind == "s":
+        # an s-graph over the first axis is a u-graph over the second axis
+        # of the axis-swapped model
+        A, B, H, h0n = B, A, H[::-1, ::-1], h0n[::-1]
+    vals, slopes, resid = _push_graph(A, B, H, m.values, m.slopes, ratio, h0n)
     if resid > CONTAINMENT_RTOL:
         raise DomainEscape(
             f"containment back-check residual {resid:.3e} of the input "
             f"window exceeds {CONTAINMENT_RTOL:g}")
-    return make_manifold(target, "u" if param_axis == 1 else "s", vals,
-                         slopes, consts, validate=validate)
+    return make_manifold(target, m.kind, vals, slopes, consts,
+                         validate=validate)
 
 
 def graph_transform_u(dec: ChartMapDecomposition, m: AdmissibleManifold,
@@ -427,7 +396,7 @@ def graph_transform_u(dec: ChartMapDecomposition, m: AdmissibleManifold,
     """Forward image of a u-graph along an edge, as a u-graph at the target."""
     if m.kind != "u":
         raise ValueError("graph_transform_u needs a u-manifold")
-    return _transform(dec, m, target, consts, 1, validate)
+    return _transform(dec, m, target, consts, validate)
 
 
 def graph_transform_s(dec: ChartMapDecomposition, m: AdmissibleManifold,
@@ -437,7 +406,7 @@ def graph_transform_s(dec: ChartMapDecomposition, m: AdmissibleManifold,
     of that edge), as an s-graph at the edge's source vertex."""
     if m.kind != "s":
         raise ValueError("graph_transform_s needs an s-manifold")
-    return _transform(dec, m, target, consts, 0, validate)
+    return _transform(dec, m, target, consts, validate)
 
 
 # ------------------------------------------------------------- distances
@@ -534,10 +503,9 @@ def _random_admissible_seed(vertex: PathVertex, kind: str,
 
 
 def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
-                    depth: int | None, rng_seed: int) -> tuple:
+                    rng_seed: int) -> tuple:
     n_edges = len(path) - 1
-    depth = n_edges if depth is None else min(depth, n_edges)
-    if depth < 1:
+    if n_edges < 1:
         raise ValueError("need at least one edge to iterate")
     if kind == "s":
         base = path.vertices[0]
@@ -561,7 +529,7 @@ def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
     result = None
     converged = False
     used = 0
-    for d in range(1, depth + 1):
+    for d in range(1, n_edges + 1):
         cur = sweep(d, zero_manifold(seed_vertex(d), kind))
         used = d
         if prev is not None:
@@ -601,27 +569,21 @@ def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
     return result, log
 
 
-def stable_manifold(path: GpoPath, depth: int | None = None,
-                    consts: RegularityConstants | None = None,
+def stable_manifold(path: GpoPath, consts: RegularityConstants,
                     rng_seed: int = 0):
     """Limit of backward s-transform sweeps from ever-deeper zero seeds.
 
     Returns (manifold at the first vertex, convergence log).  Deepens until
-    successive results differ by less than the C1 cutoff or the path is
-    exhausted; the limit is cross-checked from an independent random seed.
+    successive results differ by less than C1_CUTOFF or every edge of the
+    path is used; the limit is cross-checked from an independent random seed.
     """
-    if consts is None:
-        raise ValueError("regularity constants are required")
-    return _manifold_limit(path, "s", consts, depth, rng_seed)
+    return _manifold_limit(path, "s", consts, rng_seed)
 
 
-def unstable_manifold(path: GpoPath, depth: int | None = None,
-                      consts: RegularityConstants | None = None,
+def unstable_manifold(path: GpoPath, consts: RegularityConstants,
                       rng_seed: int = 0):
     """Mirror of stable_manifold: forward u-sweeps ending at the last vertex."""
-    if consts is None:
-        raise ValueError("regularity constants are required")
-    return _manifold_limit(path, "u", consts, depth, rng_seed)
+    return _manifold_limit(path, "u", consts, rng_seed)
 
 
 # ------------------------------------------------------------ intersection
@@ -709,8 +671,7 @@ def intersect(ms: AdmissibleManifold, mu: AdmissibleManifold,
 
 
 # --------------------------------------------------------------- shadowing
-def shadow(path: GpoPath, consts: RegularityConstants,
-           depth: int | None = None):
+def shadow(path: GpoPath, consts: RegularityConstants):
     """Point whose orbit tracks the path's chart windows.
 
     Computes V^s forward of the base vertex and V^u backward of it,
@@ -723,12 +684,11 @@ def shadow(path: GpoPath, consts: RegularityConstants,
         raise ValueError("base index outside the path")
     if i0 == 0 or i0 == len(path) - 1:
         raise ValueError("shadowing needs vertices on both sides of the base")
-    fwd_part = GpoPath(path.vertices[i0:], path.fwd[i0:], path.bwd[i0:],
-                       "positive", 0)
+    fwd_part = GpoPath(path.vertices[i0:], path.fwd[i0:], path.bwd[i0:], 0)
     bwd_part = GpoPath(path.vertices[:i0 + 1], path.fwd[:i0], path.bwd[:i0],
-                       "negative", i0)
-    ms, slog = stable_manifold(fwd_part, depth, consts)
-    mu, ulog = unstable_manifold(bwd_part, depth, consts)
+                       i0)
+    ms, slog = stable_manifold(fwd_part, consts)
+    mu, ulog = unstable_manifold(bwd_part, consts)
     w, ilog = intersect(ms, mu, consts)
 
     base = path.vertices[i0]

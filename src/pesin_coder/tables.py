@@ -58,6 +58,8 @@ __all__ = [
     "GRAZING_COS_TOL",
     "MIN_FLIGHT",
     "CORNER_TOL",
+    "FD_STEP",
+    "BOUNDARY_SAMPLES",
     "PhasePoint",
     "Segment",
     "Arc",
@@ -79,6 +81,8 @@ GRAZING_COS_TOL = 1e-8  # |cos theta| below this counts as tangential
 MIN_FLIGHT = 1e-9  # shortest admissible chord
 CORNER_TOL = 1e-12  # arclength proximity to a flagged junction
 CLOSURE_TOL = 1e-12
+FD_STEP = 1e-6  # coordinate step of the central finite differences
+BOUNDARY_SAMPLES = 64  # boundary points per component for the table diameter
 
 
 @dataclass(frozen=True)
@@ -207,8 +211,8 @@ def derivative_along_orbit(table, comps, rs, ths, taus) -> np.ndarray:
     return out
 
 
-def fd_derivative(table, p: PhasePoint, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the map in (r, theta)."""
+def fd_derivative(table, p: PhasePoint) -> np.ndarray:
+    """Central finite differences of the map in (r, theta), step FD_STEP."""
     def image(dr, dth):
         try:
             return table.step(table.embed(p, dr, dth))[0]
@@ -216,14 +220,14 @@ def fd_derivative(table, p: PhasePoint, h: float = 1e-6) -> np.ndarray:
             raise GrazingCollision(str(e)) from e
 
     cols = []
-    for dr, dth in ((h, 0.0), (0.0, h)):
+    for dr, dth in ((FD_STEP, 0.0), (0.0, FD_STEP)):
         a, b = image(dr, dth), image(-dr, -dth)
         try:
             d = table.offset(b, a)
         except OutOfDomain as e:
             raise NoIntersection(
                 "finite-difference images land on different loops") from e
-        cols.append(d / (2 * h))
+        cols.append(d / (2 * FD_STEP))
     return np.array(cols).T
 
 
@@ -246,6 +250,8 @@ class BilliardTable:
             cpar.append(row)
         self.ctype = np.array(ctype, dtype=np.int64)
         self.cpar = np.array(cpar, dtype=np.float64)
+        if metric_scale is not None and not metric_scale > 0.0:
+            raise ValueError(f"metric_scale must be positive, got {metric_scale}")
         self.lengths = np.array([c.length for c in self.components])
         self._validate_closure()
         self.corner_points = self._collect_corners()
@@ -278,14 +284,14 @@ class BilliardTable:
         return np.array(pts)
 
     def _boundary_diameter(self) -> float:
-        pts = self.sample_boundary(64)
+        pts = self.sample_boundary()
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         return math.sqrt(d2.max())
 
-    def sample_boundary(self, per_component: int = 64) -> np.ndarray:
+    def sample_boundary(self) -> np.ndarray:
         out = []
         for i, comp in enumerate(self.components):
-            ss = np.linspace(0.0, comp.length, per_component, endpoint=False)
+            ss = np.linspace(0.0, comp.length, BOUNDARY_SAMPLES, endpoint=False)
             for s in ss:
                 out.append(self.point_xy(i, s))
         return np.array(out)
@@ -325,6 +331,9 @@ class BilliardTable:
 
     # ------------------------------------------------------------ phase metric
     def validate_point(self, p: PhasePoint):
+        if not 0 <= p.component < len(self.components):
+            raise ValueError(f"component {p.component} outside "
+                             f"[0, {len(self.components)})")
         L = self.components[p.component].length
         if not (0.0 <= p.r < L + 1e-12):
             raise ValueError(f"r={p.r} outside [0,{L}) on component {p.component}")
@@ -430,8 +439,10 @@ class BilliardTable:
 
         derivs[i] is df at points[i]; for the last point it needs the
         collision after it, `after` = f(points[-1]), which is not part of the
-        orbit.  A kernel failure raises OrbitHitsDiscontinuity at its step.
+        orbit.  A start point outside phase space raises ValueError; a kernel
+        failure raises OrbitHitsDiscontinuity at its step.
         """
+        self.validate_point(x)
         comps_f, rs_f, ths_f, taus_f = self._kernel_orbit(x, n_plus, +1)
         comps_b, rs_b, ths_b, taus_b = self._kernel_orbit(x, n_minus, -1)
         comps = np.concatenate([comps_b[::-1][:-1], comps_f])
@@ -636,6 +647,8 @@ class LinearFixtureMap:
                  half_width: float = 0.3, metric_scale: float = 1.0):
         if not (lambda_u > 1.0 > lambda_s > 0.0):
             raise ValueError("need lambda_u > 1 > lambda_s > 0")
+        if not (half_width > 0.0 and metric_scale > 0.0):
+            raise ValueError("half_width and metric_scale must be positive")
         self.lambda_u = float(lambda_u)
         self.lambda_s = float(lambda_s)
         self.half_width = float(half_width)
@@ -709,6 +722,8 @@ class LinearFixtureMap:
 
 # ---------------------------------------------------------------- builders
 def make_circle(radius: float = 1.0, metric_scale: float | None = None) -> BilliardTable:
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
     arc = Arc(center=(0.0, 0.0), radius=radius, a0=-math.pi,
               length=2 * math.pi * radius, orient=+1,
               start_corner=False, end_corner=False)
@@ -719,6 +734,8 @@ def make_circle(radius: float = 1.0, metric_scale: float | None = None) -> Billi
 def make_stadium(radius: float = 1.0, straight_half_length: float = 1.0,
                  metric_scale: float | None = None) -> BilliardTable:
     R, l = radius, straight_half_length
+    if not (R > 0.0 and l > 0.0):
+        raise ValueError("radius and straight_half_length must be positive")
     comps = [
         Segment((-l, -R), (l, -R)),
         Arc(center=(l, 0.0), radius=R, a0=-math.pi / 2, length=math.pi * R,
@@ -738,6 +755,8 @@ def make_stadium(radius: float = 1.0, straight_half_length: float = 1.0,
 def make_sinai(half_side: float = 1.0, scatterer_radius: float = 0.5,
                metric_scale: float | None = None) -> BilliardTable:
     a, rd = half_side, scatterer_radius
+    if not 0.0 < rd < a:
+        raise ValueError("need 0 < scatterer_radius < half_side")
     comps = [
         Segment((-a, -a), (a, -a)),
         Segment((a, -a), (a, a)),
@@ -759,6 +778,8 @@ def make_flower(arc_radius: float = 2.0, half_side: float = 1.0,
     tip-to-tip bouncing orbits bitwise periodic.
     """
     R, a = arc_radius, half_side
+    if not a > 0.0:
+        raise ValueError(f"half_side must be positive, got {a}")
     if R <= a:
         raise ValueError("arc_radius must exceed half_side")
     d = math.sqrt(R * R - a * a)

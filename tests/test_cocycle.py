@@ -512,6 +512,16 @@ class TestDiagnostics:
         assert rep["q_s_final_running_max"] == pytest.approx(math.exp(-10.0))
         assert rep["q_u_running_max"] == 1.0
 
+    def test_three_frame_window_is_refused(self):
+        from pesin_coder.cocycle import nuh_diagnostics
+
+        _, seg = fixture_segment()
+        sp = oseledets_splitting(seg)
+        frames = frames_along(seg, sp, 0.5, -1, 1)
+        with pytest.raises(ValueError,
+                           match=r"window \[-1, 1\] .*\|n\| >= 2"):
+            nuh_diagnostics(seg, frames, -1)
+
     def test_synthetic_grazing_approach_fails_regularity_proxy(self):
         from pesin_coder.cocycle import nuh_diagnostics
 

@@ -33,6 +33,7 @@ from pesin_coder.coding import (
     BinSignature,
     GammaPoint,
     GridCover,
+    NET_EXPONENT,
     assign_centers,
     bin_signature,
     coarse_grain,
@@ -659,6 +660,18 @@ def test_save_load_round_trip_bitwise(tmp_path):
     f2 = tmp_path / "again.json"
     save_alphabet(back, f2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_load_refuses_other_net_exponent(tmp_path):
+    alpha = fixture_alphabet(0.0)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    assert doc["stats"]["net_exponent"] == NET_EXPONENT == 8.0
+    doc["stats"]["net_exponent"] = 6.0
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="net exponent 6.0"):
+        load_alphabet(f)
 
 
 def test_loaded_alphabet_still_codes(tmp_path):

@@ -458,7 +458,7 @@ def test_shadow_escape_on_corrupted_vertex():
     good = path_from_vertices(verts, CONSTS, base_index=3)
     bad_verts = list(good.vertices)
     bad_verts[5] = bad_verts[1]
-    bad = GpoPath(tuple(bad_verts), good.fwd, good.bwd, good.direction, 3)
+    bad = GpoPath(tuple(bad_verts), good.fwd, good.bwd, 3)
     with pytest.raises(ShadowEscape) as ei:
         shadow(bad, CONSTS)
     assert ei.value.n == 2

@@ -175,6 +175,19 @@ def test_validate_point():
         st.validate_point(PhasePoint(0, 0.5, 2.0))
 
 
+@pytest.mark.parametrize("x", [
+    PhasePoint(-1, 0.5, 0.1),   # negative index would run on component 3
+    PhasePoint(5, 0.0, 0.0),    # past the last component
+    PhasePoint(0, 100.0, 0.1),  # r beyond the component length
+    PhasePoint(0, 0.5, 2.0),    # |theta| beyond pi/2
+], ids=["component-negative", "component-too-large", "r-outside", "theta-outside"])
+def test_orbit_rejects_start_outside_phase_space(x):
+    from pesin_coder.cocycle import orbit_segment
+
+    with pytest.raises(ValueError, match="outside|exceeds"):
+        orbit_segment(make_stadium(), x, 3, 3)
+
+
 def test_liouville_sample_respects_cap_and_measure():
     st = make_stadium()
     rng = np.random.default_rng(7)
@@ -237,3 +250,26 @@ def test_make_table_dispatch():
     assert tb.components[0].length == 4.0
     with pytest.raises(ValueError, match="unknown table kind"):
         make_table("pentagon")
+
+
+@pytest.mark.parametrize("kind,params,metric_scale", [
+    ("circle", {"radius": 0.0}, None),
+    ("circle", {"radius": -1.0}, None),
+    ("sinai", {"scatterer_radius": 2.0}, None),
+    ("sinai", {"scatterer_radius": 0.0}, None),
+    ("sinai", {"half_side": -1.0}, None),
+    ("linear-fixture", {"half_width": -0.3}, None),
+    ("stadium", {}, 0.0),
+    ("stadium", {}, -1.0),
+], ids=["circle-radius-0", "circle-radius-negative", "sinai-scatterer-too-big",
+        "sinai-scatterer-0", "sinai-half-side-negative",
+        "fixture-half-width-negative", "stadium-metric-scale-0",
+        "stadium-metric-scale-negative"])
+def test_make_table_rejects_bad_specs(tmp_path, kind, params, metric_scale):
+    with pytest.raises(ValueError, match="must|need"):
+        make_table(kind, params, metric_scale)
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({"kind": kind, "params": params,
+                             "metric_scale": metric_scale}))
+    with pytest.raises(ValueError, match="must|need"):
+        load_table(f)
