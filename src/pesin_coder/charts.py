@@ -33,10 +33,8 @@ from .dynamics import (
 )
 from .errors import (
     BoundViolated,
-    CornerHit,
     DomainEscape,
-    GrazingCollision,
-    NoIntersection,
+    MapUndefined,
     OutOfDomain,
     OverlapMissing,
 )
@@ -252,7 +250,7 @@ def _probe_halfwidth(chart: PesinChart) -> tuple[float, bool]:
 def _map_step(table, p: PhasePoint, forward: bool) -> PhasePoint:
     try:
         return billiard_map(table, p) if forward else billiard_inverse(table, p)
-    except (GrazingCollision, CornerHit, NoIntersection) as e:
+    except MapUndefined as e:
         raise DomainEscape(f"map undefined inside probe square: {e}") from e
 
 

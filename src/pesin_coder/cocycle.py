@@ -18,11 +18,9 @@ import numpy as np
 
 from .dynamics import billiard_inverse, dist_to_discontinuity
 from .errors import (
-    CornerHit,
     DegenerateAngle,
-    GrazingCollision,
     InequalityViolated,
-    NoIntersection,
+    MapUndefined,
     NotDiagonal,
     NotHyperbolic,
     OrbitHitsDiscontinuity,
@@ -201,7 +199,7 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
         dists = np.array([dist_to_discontinuity(table, p) for p in pts])
         try:
             d_before = dist_to_discontinuity(table, billiard_inverse(table, pts[0]))
-        except (GrazingCollision, CornerHit, NoIntersection) as e:
+        except MapUndefined as e:
             raise OrbitHitsDiscontinuity(-n_minus - 1, str(e)) from e
         d_after = dist_to_discontinuity(table, after)
         padded = np.concatenate([[d_before], dists, [d_after]])
@@ -547,7 +545,7 @@ def adaptedness_estimate(table, n: int, seed: int = 0,
     for p in pts:
         try:
             r = rho_fn(table, p)
-        except (GrazingCollision, CornerHit, NoIntersection):
+        except MapUndefined:
             skipped += 1
             continue
         if r <= 0:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .charts import (PesinChart, build_pesin_chart, compute_Q, greedy_q,
-                     overlap_test)
+from .charts import build_pesin_chart, compute_Q, greedy_q, overlap_test
 from .cocycle import (HyperbolicFrame, OrbitSegment, Splitting, build_frame,
                       frame_at)
 from .dynamics import RegularityConstants, billiard_map, operator_norm
@@ -47,9 +46,11 @@ __all__ = [
     "make_itinerary", "sigma_sharp_filter", "project_pi",
     "detect_double_codings", "inverse_diagnostics",
     "discreteness_certificate", "degree_report", "save_alphabet",
-    "load_alphabet", "NET_EXPONENT", "SHADOW_TOL",
+    "load_alphabet", "COVER_SIDE", "NET_EXPONENT", "SHADOW_TOL",
 ]
 
+# side of the cover's coordinate boxes in (r, theta)
+COVER_SIDE = 0.25
 # radius exponent of the bin nets: members merge below e^(-NET_EXPONENT*(j+2))
 NET_EXPONENT = 8.0
 # largest distance from a word's shadow to the point it must land on: the
@@ -76,19 +77,17 @@ def _frame_distance(f1: HyperbolicFrame, f2: HyperbolicFrame) -> float:
 class GridCover:
     """Countable cover of phase space by half-open coordinate boxes.
 
-    Box ids are assigned on first sight, so signatures are deterministic
-    for a fixed insertion history; persistence freezes the id map.
+    Boxes have side ``COVER_SIDE``.  Box ids are assigned on first sight, so
+    signatures are deterministic for a fixed insertion history; persistence
+    freezes the id map.
     """
 
-    def __init__(self, side: float = 0.25):
-        if not side > 0.0:
-            raise ValueError(f"cover box side must be positive, got {side}")
-        self.side = float(side)
+    def __init__(self):
         self._ids: dict[tuple[int, int, int], int] = {}
 
     def box_key(self, p: PhasePoint) -> tuple[int, int, int]:
-        s = self.side
-        return (p.component, math.floor(p.r / s), math.floor(p.theta / s))
+        return (p.component, math.floor(p.r / COVER_SIDE),
+                math.floor(p.theta / COVER_SIDE))
 
     def box_id(self, p: PhasePoint) -> int:
         k = self.box_key(p)
@@ -103,11 +102,14 @@ class GridCover:
     def to_json(self) -> dict:
         boxes = [[c, ir, it, i] for (c, ir, it), i in self._ids.items()]
         boxes.sort(key=lambda row: row[3])
-        return {"side": self.side, "boxes": boxes}
+        return {"side": COVER_SIDE, "boxes": boxes}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridCover":
-        cover = cls(obj["side"])
+        if obj["side"] != COVER_SIDE:
+            raise ValueError(f"cover built with box side {obj['side']}, "
+                             f"this code uses {COVER_SIDE}")
+        cover = cls()
         for c, ir, it, i in obj["boxes"]:
             if i != len(cover._ids):
                 raise ValueError("cover box ids must be dense and ordered")
@@ -237,20 +239,25 @@ def gamma_close(g1: GammaPoint, g2: GammaPoint, j: int) -> bool:
     return True
 
 
+def _first_close(gamma: GammaPoint, net, centers, j: int) -> int | None:
+    """First center id of a net that is level-j close to gamma, if any."""
+    return next((cid for cid in net if gamma_close(gamma, centers[cid], j)),
+                None)
+
+
 # ------------------------------------------------------------ double charts
 @dataclass(frozen=True, eq=False)
-class DoubleChart:
-    """A chart with two one-sided window sizes and its coarse bin data."""
+class DoubleChart(PathVertex):
+    """A path vertex built at a sampled center, with its coarse bin data.
+
+    Compared and hashed by identity: each emitted chart is its own symbol.
+    """
 
     gamma: GammaPoint
-    p_s: LatticeSize
-    p_u: LatticeSize
     signature: BinSignature
-    chart: PesinChart
 
-    @property
-    def p_min(self) -> LatticeSize:
-        return self.p_s.min_with(self.p_u)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def x(self) -> PhasePoint:
@@ -287,12 +294,11 @@ def double_chart(gamma: GammaPoint, cover: GridCover, cfg: EpsilonConfig,
         raise ValueError(
             f"p_s^p_u = e^-{t:.6g} outside the level window "
             f"[e^-{j + 2}, e^-{j - 2}]")
-    sig = bin_signature(gamma, cover)
-    if sig.j != j:
-        sig = BinSignature(sig.k, sig.l, sig.a, sig.m, j)
+    sig = replace(bin_signature(gamma, cover), j=j)
     chart = build_pesin_chart(gamma.table, gamma.x, gamma.frame, gamma.Q,
                               gamma.rho, cfg, consts, eta=p_min)
-    return DoubleChart(gamma, p_s, p_u, sig, chart)
+    return DoubleChart(chart=chart, p_s=p_s, p_u=p_u, gamma=gamma,
+                       signature=sig)
 
 
 # -------------------------------------------------------------- shift graph
@@ -394,23 +400,16 @@ def degree_report(g: ShiftGraph) -> dict:
 
 
 # -------------------------------------------------------------- edge relation
-def _size_recursion_ok(v: DoubleChart, w: DoubleChart,
-                       cfg: EpsilonConfig) -> tuple[bool, bool]:
-    """Exact integer forms of the two greedy size equations for an edge."""
-    d = cfg.delta_exponent
-    want_s = max(w.p_s.expo - 3, v.gamma.Q.expo + d)
-    want_u = max(v.p_u.expo - 3, w.gamma.Q.expo + d)
-    return v.p_s.expo == want_s, w.p_u.expo == want_u
-
-
 def edge_report(v: DoubleChart, w: DoubleChart, cfg: EpsilonConfig,
                 consts: RegularityConstants) -> list[str]:
-    """Reasons the pair fails the edge relation (empty list = edge)."""
+    """Reasons the pair fails the edge relation (empty list = edge): the
+    exact integer forms of the two greedy size equations, then the forward
+    and backward overlaps."""
     out = []
-    ok_s, ok_u = _size_recursion_ok(v, w, cfg)
-    if not ok_s:
+    d = cfg.delta_exponent
+    if v.p_s.expo != max(w.p_s.expo - 3, v.gamma.Q.expo + d):
         out.append("stable size recursion broken")
-    if not ok_u:
+    if w.p_u.expo != max(v.p_u.expo - 3, w.gamma.Q.expo + d):
         out.append("unstable size recursion broken")
 
     gv, gw = v.gamma, w.gamma
@@ -436,8 +435,6 @@ def edge_report(v: DoubleChart, w: DoubleChart, cfg: EpsilonConfig,
 def edge_test(v: DoubleChart, w: DoubleChart, cfg: EpsilonConfig,
               consts: RegularityConstants) -> bool:
     """True iff both size recursions hold exactly and both overlaps pass."""
-    if not all(_size_recursion_ok(v, w, cfg)):
-        return False
     return not edge_report(v, w, cfg, consts)
 
 
@@ -448,7 +445,9 @@ class Alphabet:
 
     ``graph`` holds every emitted chart and every passing edge; ``core``
     is the recurrent part (both degrees positive after trimming), which a
-    finite aperiodic corpus legitimately leaves empty.
+    finite aperiodic corpus legitimately leaves empty.  ``core``,
+    ``core_kept`` and ``vertex_index`` are derived from the graph and
+    ``center_of_vertex``.
     """
 
     cfg: EpsilonConfig
@@ -457,11 +456,17 @@ class Alphabet:
     centers: tuple[GammaPoint, ...]
     nets: dict
     graph: ShiftGraph
-    core: ShiftGraph
-    core_kept: tuple[int, ...]
-    vertex_index: dict
     center_of_vertex: tuple[int, ...]
     stats: dict
+    core: ShiftGraph = field(init=False)
+    core_kept: tuple[int, ...] = field(init=False)
+    vertex_index: dict = field(init=False)
+
+    def __post_init__(self):
+        self.core, self.core_kept = prune_graph(self.graph)
+        self.vertex_index = {
+            (c, v.p_s.expo, v.p_u.expo): i for i, (c, v)
+            in enumerate(zip(self.center_of_vertex, self.graph.vertices))}
 
     @property
     def vertices(self) -> tuple:
@@ -470,14 +475,24 @@ class Alphabet:
     def find_center(self, gamma: GammaPoint) -> int | None:
         """Net center covering this gamma at its own level, if any."""
         sig = bin_signature(gamma, self.cover)
-        for cid in self.nets.get((sig.base(), sig.j), ()):
-            if gamma_close(gamma, self.centers[cid], sig.j):
-                return cid
-        return None
+        return _first_close(gamma, self.nets.get((sig.base(), sig.j), ()),
+                            self.centers, sig.j)
 
     def vertex_id(self, center_id: int, p_s: LatticeSize,
                   p_u: LatticeSize) -> int | None:
         return self.vertex_index.get((center_id, p_s.expo, p_u.expo))
+
+
+def _emit_charts(rows, centers, cover: GridCover, cfg: EpsilonConfig,
+                 consts: RegularityConstants) -> list[DoubleChart]:
+    """Alphabet elements for (center id, p_s, p_u, level j) rows, in order."""
+    return [double_chart(centers[c], cover, cfg, consts, p_s, p_u, j=j)
+            for c, p_s, p_u, j in rows]
+
+
+def _alphabet_graph(vertices, edges, cfg: EpsilonConfig) -> ShiftGraph:
+    return make_graph(vertices, edges, {"eps": cfg.eps,
+                                        "net_exponent": NET_EXPONENT})
 
 
 def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
@@ -514,11 +529,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
             net: list[int] = []
             for fi in members:
                 g = flat[fi]
-                hit = None
-                for cid in net:
-                    if gamma_close(g, centers[cid], j):
-                        hit = cid
-                        break
+                hit = _first_close(g, net, centers, j)
                 if hit is None:
                     cid = center_ids.get(fi)
                     if cid is None:
@@ -531,23 +542,19 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
                     assign[fi] = hit
             nets[(base, j)] = tuple(net)
 
-    # vertex emission: window recursions over the selected centers' sizes
-    vlist: list[DoubleChart] = []
-    vindex: dict[tuple[int, int, int], int] = {}
-    center_of: list[int] = []
+    # vertex emission: window recursions over the selected centers' sizes,
+    # one row per distinct (center, p_s, p_u) in first-seen order
+    seen: dict[tuple[int, int, int], tuple] = {}
     pos = 0
     for w in windows:
         cids = [assign[pos + k] for k in range(len(w))]
         gq = greedy_q([centers[c].Q for c in cids], cfg)
-        for k, (c, g) in enumerate(zip(cids, w)):
-            key = (c, gq.qs[k].expo, gq.qu[k].expo)
-            if key not in vindex:
-                dc = double_chart(centers[c], cover, cfg, consts,
-                                  gq.qs[k], gq.qu[k], j=sigs[pos + k].j)
-                vindex[key] = len(vlist)
-                vlist.append(dc)
-                center_of.append(c)
+        for k, c in enumerate(cids):
+            seen.setdefault((c, gq.qs[k].expo, gq.qu[k].expo),
+                            (c, gq.qs[k], gq.qu[k], sigs[pos + k].j))
         pos += len(w)
+    rows = list(seen.values())
+    vlist = _emit_charts(rows, centers, cover, cfg, consts)
 
     # edges: integer prefilter over the exact size equations, then the
     # overlap geometry on the few surviving pairs
@@ -568,10 +575,11 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
             if edge_test(vlist[int(v_id)], vlist[w_id], cfg, consts):
                 edges.append((int(v_id), w_id))
 
-    graph = make_graph(vlist, edges, {"eps": cfg.eps,
-                                      "net_exponent": NET_EXPONENT})
-    core, kept = prune_graph(graph)
-    stats = {
+    alphabet = Alphabet(cfg, consts, cover, tuple(centers), nets,
+                        _alphabet_graph(vlist, edges, cfg),
+                        tuple(row[0] for row in rows), stats={})
+    graph, core = alphabet.graph, alphabet.core
+    alphabet.stats.update({
         "samples": len(flat),
         "windows": len(windows),
         "bins": len(bins),
@@ -583,19 +591,18 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
         "core_edges": core.n_edges,
         "cover_boxes": cover.n_boxes,
         "net_exponent": NET_EXPONENT,
-    }
-    return Alphabet(cfg, consts, cover, tuple(centers), nets, graph, core,
-                    kept, vindex, tuple(center_of), stats)
+    })
+    return alphabet
 
 
 # -------------------------------------------------------------- itineraries
 @dataclass(frozen=True, eq=False)
 class Itinerary:
-    """Finite alphabet word with its edge certificate and chart path."""
+    """Finite alphabet word, every consecutive pair an edge, with its chart
+    path."""
 
     vertices: tuple[DoubleChart, ...]
     anchor: int
-    edges_ok: tuple[bool, ...]
     in_alphabet: tuple[bool, ...]
     path: GpoPath
     meta: dict = field(default_factory=dict)
@@ -603,11 +610,6 @@ class Itinerary:
     def __post_init__(self):
         if not 0 <= self.anchor < len(self.vertices):
             raise ValueError("anchor outside the word")
-        if len(self.edges_ok) != len(self.vertices) - 1:
-            raise ValueError("edge certificate length mismatch")
-        if not all(self.edges_ok):
-            bad = self.edges_ok.index(False)
-            raise ValueError(f"consecutive pair {bad} is not an edge")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -620,18 +622,24 @@ def make_itinerary(vertices, anchor: int, cfg: EpsilonConfig,
                    consts: RegularityConstants,
                    in_alphabet=None, meta: dict | None = None) -> Itinerary:
     """Assemble a word, verifying every consecutive pair and building the
-    chart path used for projection."""
+    chart path used for projection.
+
+    The first pair that fails the edge relation raises InequalityViolated
+    with the pair's index as witness.
+    """
     vertices = tuple(vertices)
     if len(vertices) < 2:
         raise ValueError("a word needs at least two charts")
-    edges_ok = tuple(edge_test(a, b, cfg, consts)
-                     for a, b in zip(vertices, vertices[1:]))
-    path = path_from_vertices(
-        [PathVertex(v.chart, v.p_s, v.p_u) for v in vertices],
-        consts, base_index=anchor)
+    for k, (a, b) in enumerate(zip(vertices, vertices[1:])):
+        reasons = edge_report(a, b, cfg, consts)
+        if reasons:
+            raise InequalityViolated(
+                f"coded charts fail the edge relation at step {k}: "
+                + "; ".join(reasons), witness=k)
+    path = path_from_vertices(vertices, consts, base_index=anchor)
     if in_alphabet is None:
         in_alphabet = (True,) * len(vertices)
-    return Itinerary(vertices, anchor, edges_ok, tuple(in_alphabet), path,
+    return Itinerary(vertices, anchor, tuple(in_alphabet), path,
                      dict(meta or {}))
 
 
@@ -675,11 +683,6 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int,
                                          cfg, consts, gq.qs[k], gq.qu[k],
                                          j=g.j))
             in_alpha.append(False)
-    for k, (a, b) in enumerate(zip(vertices, vertices[1:])):
-        if not edge_test(a, b, cfg, consts):
-            raise InequalityViolated(
-                f"coded charts fail the edge relation at step {k}: "
-                + "; ".join(edge_report(a, b, cfg, consts)))
     meta = {"center_ids": tuple(cids),
             "in_alphabet_fraction": float(np.mean(in_alpha))}
     it = make_itinerary(vertices, anchor, cfg, consts, in_alpha, meta)
@@ -1007,19 +1010,9 @@ def load_alphabet(path) -> Alphabet:
         base = (tuple(int(x) for x in k3), tuple(int(x) for x in l3),
                 tuple(int(x) for x in a3), int(m))
         nets[(base, int(j))] = tuple(int(x) for x in cids)
-    vlist = []
-    vindex = {}
-    center_of = []
-    for row in doc["vertices"]:
-        cid = int(row["center"])
-        dc = double_chart(centers[cid], cover, cfg, consts,
-                          cfg.size(row["p_s"]), cfg.size(row["p_u"]),
-                          j=int(row["j"]))
-        vindex[(cid, dc.p_s.expo, dc.p_u.expo)] = len(vlist)
-        vlist.append(dc)
-        center_of.append(cid)
-    graph = make_graph(vlist, [tuple(e) for e in doc["edges"]],
-                       {"eps": cfg.eps, "net_exponent": NET_EXPONENT})
-    core, kept = prune_graph(graph)
-    return Alphabet(cfg, consts, cover, centers, nets, graph, core, kept,
-                    vindex, tuple(center_of), dict(doc["stats"]))
+    rows = [(int(row["center"]), cfg.size(row["p_s"]), cfg.size(row["p_u"]),
+             int(row["j"])) for row in doc["vertices"]]
+    vlist = _emit_charts(rows, centers, cover, cfg, consts)
+    graph = _alphabet_graph(vlist, [tuple(e) for e in doc["edges"]], cfg)
+    return Alphabet(cfg, consts, cover, centers, nets, graph,
+                    tuple(row[0] for row in rows), dict(doc["stats"]))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolated, CornerHit, GrazingCollision, NoIntersection
+from .errors import AssumptionViolated, MapUndefined
 from .tables import (
     CORNER_TOL,
     GRAZING_COS_TOL,
@@ -166,7 +166,7 @@ def verify_assumptions(table, consts: RegularityConstants, sample,
             df = billiard_derivative(table, p)
             dfi = inverse_derivative(table, p)
             rr = rho(table, p)
-        except (GrazingCollision, CornerHit, NoIntersection):
+        except MapUndefined:
             continue
         cap = math.log(consts.K) - consts.b * math.log(d)
         _upd("A5", cap - math.log(operator_norm(df)), p)
@@ -185,7 +185,7 @@ def verify_assumptions(table, consts: RegularityConstants, sample,
                 y = table.embed(p, dr, dth)
                 try:
                     dfy = billiard_derivative(table, y)
-                except (GrazingCollision, CornerHit, NoIntersection):
+                except MapUndefined:
                     continue
                 ys.append((y, dfy))
                 if len(ys) == 2:

@@ -11,15 +11,19 @@ class PesinCoderError(Exception):
 
 
 # ---------------------------------------------------------------- geometry
-class GrazingCollision(PesinCoderError):
+class MapUndefined(PesinCoderError):
+    """The map (or a geometric search it relies on) is undefined here."""
+
+
+class GrazingCollision(MapUndefined):
     """Ray meets the boundary tangentially (|cos theta'| below tolerance)."""
 
 
-class CornerHit(PesinCoderError):
+class CornerHit(MapUndefined):
     """Traced ray lands on a boundary junction within tolerance."""
 
 
-class NoIntersection(PesinCoderError):
+class NoIntersection(MapUndefined):
     """Ray-boundary intersection search failed (geometry inconsistency)."""
 
 

@@ -53,9 +53,6 @@ class EpsilonConfig:
     def size(self, expo: int) -> "LatticeSize":
         return LatticeSize(expo, self.eps)
 
-    def floor(self, value: float) -> "LatticeSize":
-        return i_eps_floor(value, self)
-
     def floor_log(self, log_value: float) -> "LatticeSize":
         return i_eps_floor_log(log_value, self)
 

@@ -35,10 +35,9 @@ from .dynamics import RegularityConstants, billiard_inverse, billiard_map
 from .errors import (
     AdmissibilityViolated,
     ContractionViolated,
-    CornerHit,
     DomainEscape,
     GraphFolded,
-    GrazingCollision,
+    MapUndefined,
     MultipleIntersections,
     NoIntersection,
     NotConverged,
@@ -711,7 +710,7 @@ def shadow(path: GpoPath, consts: RegularityConstants):
 def _advance(table, p, n: int, step):
     try:
         return step(table, p)
-    except (GrazingCollision, CornerHit, NoIntersection, ValueError) as e:
+    except (MapUndefined, ValueError) as e:
         raise ShadowEscape(n, f"orbit becomes undefined before step {n}: "
                               f"{e}") from e
 

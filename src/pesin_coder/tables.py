@@ -36,8 +36,10 @@ converges as the cloud refines, and it is exactly 1-Lipschitz in x.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from .errors import (
     CornerHit,
     DomainEscape,
     GrazingCollision,
+    MapUndefined,
     NoIntersection,
     OrbitHitsDiscontinuity,
     OutOfDomain,
@@ -97,9 +100,6 @@ class PhasePoint:
     component: int
     r: float
     theta: float
-
-    def coords(self) -> np.ndarray:
-        return np.array([self.r, self.theta])
 
 
 @dataclass(frozen=True)
@@ -422,7 +422,7 @@ class BilliardTable:
                     continue
                 ana = self.derivative(p)
                 num = fd_derivative(self, p)
-            except (GrazingCollision, CornerHit, NoIntersection):
+            except MapUndefined:
                 continue
             rel = np.abs(ana - num).max() / max(np.abs(num).max(), 1.0)
             if rel > 1e-5:
@@ -453,7 +453,7 @@ class BilliardTable:
                     for c, r, t in zip(comps, rs, ths))
         try:
             after, tau = self.step(pts[-1])
-        except (GrazingCollision, CornerHit, NoIntersection) as e:
+        except MapUndefined as e:
             raise OrbitHitsDiscontinuity(n_plus, f"derivative probe: {e}") from e
         derivs = derivative_along_orbit(
             self, np.concatenate([comps, [after.component]]), rs,
@@ -666,6 +666,9 @@ class LinearFixtureMap:
         return self.metric_scale * 2.0 * math.sqrt(2.0) * self.half_width
 
     def validate_point(self, p: PhasePoint):
+        if p.component != 0:
+            raise ValueError(f"component {p.component} outside the fixture's "
+                             f"single component 0")
         if max(abs(p.r), abs(p.theta)) > self.half_width:
             raise ValueError("point outside fixture domain")
 
@@ -833,11 +836,17 @@ def make_table(kind: str, params: dict | None = None,
     if kind not in _BUILDERS:
         raise ValueError(f"unknown table kind {kind!r}; choose from {sorted(_BUILDERS)}")
     params = dict(params or {})
-    if kind == "linear-fixture":
-        if metric_scale is not None:
-            params["metric_scale"] = metric_scale
-        return _BUILDERS[kind](**params)
-    return _BUILDERS[kind](metric_scale=metric_scale, **params)
+    names = set(inspect.signature(_BUILDERS[kind]).parameters) - {"metric_scale"}
+    for name, value in params.items():
+        if name not in names or isinstance(value, bool) \
+                or not isinstance(value, numbers.Real):
+            raise ValueError(f"{kind} parameters must be numbers named in "
+                             f"{sorted(names)}, got {name}={value!r}")
+    if metric_scale is not None:
+        if isinstance(metric_scale, bool) or not isinstance(metric_scale, numbers.Real):
+            raise ValueError(f"metric_scale must be a number, got {metric_scale!r}")
+        params["metric_scale"] = metric_scale
+    return _BUILDERS[kind](**params)
 
 
 def load_table(path) -> BilliardTable | LinearFixtureMap:

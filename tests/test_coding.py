@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+import pesin_coder.coding as coding
 from pesin_coder.cocycle import (
     build_frame,
     orbit_segment,
@@ -31,6 +32,8 @@ from pesin_coder.cocycle import (
 from pesin_coder.coding import (
     Alphabet,
     BinSignature,
+    COVER_SIDE,
+    DoubleChart,
     GammaPoint,
     GridCover,
     NET_EXPONENT,
@@ -201,7 +204,7 @@ def test_window_size_recursion_identity():
 
 # ------------------------------------------------------------------- cover
 def test_cover_boxes_and_persistence():
-    cover = GridCover(side=0.25)
+    cover = GridCover()
     p1 = PhasePoint(0, 0.1, 0.1)
     p2 = PhasePoint(0, 0.26, 0.1)
     p3 = PhasePoint(1, 0.1, 0.1)
@@ -219,8 +222,9 @@ def test_cover_boxes_and_persistence():
     bad["boxes"][0][3] = 7
     with pytest.raises(ValueError, match="dense"):
         GridCover.from_json(bad)
-    with pytest.raises(ValueError, match="positive"):
-        GridCover(side=0.0)
+    other = dict(cover.to_json(), side=0.5)
+    with pytest.raises(ValueError, match="box side 0.5"):
+        GridCover.from_json(other)
 
 
 # --------------------------------------------------------------- signatures
@@ -294,6 +298,9 @@ def test_double_chart_level_window():
     assert dc.p_min.expo == FIX_P_EXPO
     assert dc.signature.j == FIX_J
     assert dc.chart.eta.expo == FIX_P_EXPO
+    # identity semantics: a chart built again from equal data is another symbol
+    twin = double_chart(gam[4], GridCover(), CFG, CONSTS)
+    assert dc != twin and len({dc, twin, dc}) == 2
 
 
 # ------------------------------------------------------------------- edges
@@ -425,7 +432,6 @@ def test_fixture_itinerary_codes_and_shadows():
     _, gam = fixture_gammas()
     it = sufficiency_itinerary(alpha, gam, anchor=4)
     assert len(it) == 9
-    assert all(it.edges_ok)
     assert all(it.in_alphabet)
     assert it.meta["in_alphabet_fraction"] == 1.0
     assert it.meta["shadow_gap"] == 0.0
@@ -457,8 +463,32 @@ def test_mixed_window_fails_edge_relation():
 def test_make_itinerary_rejects_non_edge():
     alpha = fixture_alphabet(0.0, H)
     v_fix, v_h = alpha.graph.vertices[0], alpha.graph.vertices[1]
-    with pytest.raises(ValueError, match="not an edge"):
+    with pytest.raises(InequalityViolated, match="edge relation at step 0"):
         make_itinerary([v_fix, v_h], 0, CFG, CONSTS)
+
+
+def test_make_itinerary_names_the_failing_pair():
+    alpha = fixture_alphabet(0.0, H)
+    v_fix, v_h = alpha.graph.vertices[0], alpha.graph.vertices[1]
+    with pytest.raises(InequalityViolated, match="overlap fails") as ei:
+        make_itinerary([v_fix, v_fix, v_h], 0, CFG, CONSTS)
+    assert ei.value.witness == 1
+
+
+def test_coding_checks_each_pair_once(monkeypatch):
+    alpha = fixture_alphabet(0.0)
+    _, gam = fixture_gammas()
+    calls = []
+    real = coding.edge_report
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coding, "edge_report", counted)
+    it = sufficiency_itinerary(alpha, gam, anchor=4)
+    assert len(it) == 9
+    assert len(calls) == 8
 
 
 def test_stadium_itinerary_codes_and_shadows():
@@ -627,14 +657,12 @@ def test_certificate_stadium_counts():
 def test_certificate_rejects_inconsistent_level():
     alpha = fixture_alphabet(0.0)
     v = alpha.graph.vertices[0]
-    from pesin_coder.coding import DoubleChart
     sig = v.signature
-    fake = DoubleChart(v.gamma, v.p_s, v.p_u,
-                       BinSignature(sig.k, sig.l, sig.a, sig.m, 999),
-                       v.chart)
+    fake = DoubleChart(chart=v.chart, p_s=v.p_s, p_u=v.p_u, gamma=v.gamma,
+                       signature=BinSignature(sig.k, sig.l, sig.a, sig.m, 999))
     g = make_graph((fake,), [(0, 0)])
     bad = Alphabet(CFG, CONSTS, alpha.cover, alpha.centers, alpha.nets,
-                   g, g, (0,), {}, (0,), dict(alpha.stats))
+                   graph=g, center_of_vertex=(0,), stats=dict(alpha.stats))
     with pytest.raises(AssertionError, match="level 999"):
         discreteness_certificate(bad, t_log=-315.0)
 
@@ -671,6 +699,18 @@ def test_load_refuses_other_net_exponent(tmp_path):
     doc["stats"]["net_exponent"] = 6.0
     f.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="net exponent 6.0"):
+        load_alphabet(f)
+
+
+def test_load_refuses_other_cover_side(tmp_path):
+    alpha = fixture_alphabet(0.0)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    assert doc["cover"]["side"] == COVER_SIDE == 0.25
+    doc["cover"]["side"] = 0.5
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="box side 0.5"):
         load_alphabet(f)
 
 

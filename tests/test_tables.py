@@ -175,17 +175,19 @@ def test_validate_point():
         st.validate_point(PhasePoint(0, 0.5, 2.0))
 
 
-@pytest.mark.parametrize("x", [
-    PhasePoint(-1, 0.5, 0.1),   # negative index would run on component 3
-    PhasePoint(5, 0.0, 0.0),    # past the last component
-    PhasePoint(0, 100.0, 0.1),  # r beyond the component length
-    PhasePoint(0, 0.5, 2.0),    # |theta| beyond pi/2
-], ids=["component-negative", "component-too-large", "r-outside", "theta-outside"])
-def test_orbit_rejects_start_outside_phase_space(x):
+@pytest.mark.parametrize("make,x", [
+    (make_stadium, PhasePoint(-1, 0.5, 0.1)),   # negative index would run on component 3
+    (make_stadium, PhasePoint(5, 0.0, 0.0)),    # past the last component
+    (make_stadium, PhasePoint(0, 100.0, 0.1)),  # r beyond the component length
+    (make_stadium, PhasePoint(0, 0.5, 2.0)),    # |theta| beyond pi/2
+    (make_linear_fixture, PhasePoint(3, 0.01, 0.01)),  # the fixture has one component
+], ids=["component-negative", "component-too-large", "r-outside", "theta-outside",
+        "fixture-component"])
+def test_orbit_rejects_start_outside_phase_space(make, x):
     from pesin_coder.cocycle import orbit_segment
 
     with pytest.raises(ValueError, match="outside|exceeds"):
-        orbit_segment(make_stadium(), x, 3, 3)
+        orbit_segment(make(), x, 3, 3)
 
 
 def test_liouville_sample_respects_cap_and_measure():
@@ -261,10 +263,16 @@ def test_make_table_dispatch():
     ("linear-fixture", {"half_width": -0.3}, None),
     ("stadium", {}, 0.0),
     ("stadium", {}, -1.0),
+    ("circle", {"radius": 1.0, "colour": 2}, None),
+    ("circle", {"radius": "1"}, None),
+    ("circle", {}, "1"),
+    ("stadium", {}, True),
 ], ids=["circle-radius-0", "circle-radius-negative", "sinai-scatterer-too-big",
         "sinai-scatterer-0", "sinai-half-side-negative",
         "fixture-half-width-negative", "stadium-metric-scale-0",
-        "stadium-metric-scale-negative"])
+        "stadium-metric-scale-negative", "circle-unknown-parameter",
+        "circle-radius-string", "circle-metric-scale-string",
+        "stadium-metric-scale-bool"])
 def test_make_table_rejects_bad_specs(tmp_path, kind, params, metric_scale):
     with pytest.raises(ValueError, match="must|need"):
         make_table(kind, params, metric_scale)
