@@ -1,10 +1,7 @@
 """Ray-tracing kernels for orbit generation.
 
-The boundary is packed into plain float arrays so the per-step loop (the hot
-path of simulation, Lyapunov and QR long runs) can be jit-compiled when the
-optional numba dependency (the `jit` extra) is installed.  Every kernel runs
-unmodified as pure Python: without numba, or with PESIN_CODER_DISABLE_NUMBA=1,
-which the kernel-equivalence test sets to compare the two.
+The boundary is packed into plain float arrays that the per-step loop (the
+hot path of simulation, Lyapunov and QR long runs) reads by index.
 
 Component packing (one row of `cpar` per component, `ctype` 0=segment 1=arc):
   segment: p0x, p0y, ux, uy, length, -, -, -, startcorner, endcorner
@@ -20,28 +17,11 @@ periodic).  Arclength s runs 0..length.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("PESIN_CODER_DISABLE_NUMBA", "0") == "1"
-
-try:  # pragma: no cover - import guard
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by env flag")
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-
-    def _maybe_jit(f):
-        return _njit(cache=True)(f)
-
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def _maybe_jit(f):
-        return f
-
+# the kernels are plain Python; the benchmark's host fingerprint reports this
+HAVE_NUMBA = False
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,7 +32,6 @@ CORNER = 2
 NO_INTERSECTION = 3
 
 
-@_maybe_jit
 def comp_point(ct, par, s):
     if ct == 0:
         return par[0] + s * par[2], par[1] + s * par[3]
@@ -66,7 +45,6 @@ def comp_point(ct, par, s):
     )
 
 
-@_maybe_jit
 def comp_tangent(ct, par, s):
     if ct == 0:
         return par[2], par[3]
@@ -78,7 +56,6 @@ def comp_tangent(ct, par, s):
     return axc * lx - axs * ly, axs * lx + axc * ly
 
 
-@_maybe_jit
 def comp_curvature(ct, par):
     if ct == 0:
         return 0.0
@@ -86,7 +63,6 @@ def comp_curvature(ct, par):
     return par[4] / par[2]
 
 
-@_maybe_jit
 def trace_ray(ctype, cpar, px, py, dx, dy, min_flight):
     """First boundary hit of the ray p + t*d, t > min_flight.
 
@@ -140,7 +116,6 @@ def trace_ray(ctype, cpar, px, py, dx, dy, min_flight):
     return best_i, best_s, best_t
 
 
-@_maybe_jit
 def run_orbit(ctype, cpar, comp0, r0, th0, n_steps, grazing_tol, min_flight, corner_tol):
     """Iterate the billiard map n_steps times from (comp0, r0, th0).
 

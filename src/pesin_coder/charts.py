@@ -60,7 +60,6 @@ __all__ = [
     "greedy_q",
     "temperedness_slopes",
     "epsilon_sweep",
-    "dump_chart_sizes",
 ]
 
 # smallest half-width at which chart-coordinate maps are grid-sampled; below
@@ -404,19 +403,16 @@ def chart_map_fx(chart_x: PesinChart, chart_fx: PesinChart,
 
 
 def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
-                  consts: RegularityConstants, direction: str = "forward"
+                  consts: RegularityConstants, forward: bool
                   ) -> ChartMapDecomposition:
-    """Chart-to-chart map for an edge: y near f(x) (or f^-1(x) backward).
+    """Chart-to-chart map for an edge: y near f(x), or near f^-1(x) when not
+    forward.
 
     The linear part is read from the frame reduction across the two charts;
     frame mismatch lands in grad h(0), bounded by eps eta^(beta/3); the
     offset of y from the true image lands in h(0), bounded by eps eta.  At
     underflowed eta the bounds are asserted at the realized probe scale.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, "
-                         f"got {direction!r}")
-    forward = direction == "forward"
     table = chart_x.table
     img = _map_step(table, chart_x.x, forward)
     d = table.distance(img, chart_y.x)
@@ -645,15 +641,3 @@ def epsilon_sweep(seg: OrbitSegment, splitting: Splitting, chi: float,
             "tempered_far_ratio": temper["far_ratio"],
         })
     return out
-
-
-# ------------------------------------------------------------------- dump
-def dump_chart_sizes(ns, Qs, gq: GreedyQ) -> str:
-    """Tabular text of exact size exponents along a window."""
-    lines = ["# n Q_expo q_expo qs_expo qu_expo log_Q log_q converged"]
-    for k, n in enumerate(ns):
-        lines.append(
-            f"{n} {Qs[k].expo} {gq.q[k].expo} {gq.qs[k].expo} "
-            f"{gq.qu[k].expo} {Qs[k].log_value:.17g} "
-            f"{gq.q[k].log_value:.17g} {int(gq.converged[k])}")
-    return "\n".join(lines) + "\n"

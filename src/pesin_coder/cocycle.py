@@ -46,7 +46,6 @@ __all__ = [
     "c_inverse_growth_check",
     "nuh_diagnostics",
     "adaptedness_estimate",
-    "dump_segment",
 ]
 
 # series term below this fraction of the partial sum ends the truncation
@@ -562,27 +561,3 @@ def adaptedness_estimate(table, n: int, seed: int = 0,
         "n_skipped": int(skipped),
         "running": running,
     }
-
-
-# --------------------------------------------------------------------- dump
-def dump_segment(seg: OrbitSegment, frames: list[HyperbolicFrame] | None = None,
-                 lo: int = 0, q_eps: list | None = None) -> str:
-    """Tabular text: n, component, r, theta, rho, s, u, alpha, |C^-1|, Q_eps.
-
-    When frames (and optionally chart sizes) are missing their columns print
-    as 'nan'; `lo` is the relative step of frames[0]/q_eps[0].
-    """
-    header = ("# n component r theta rho s u alpha c_inv_frob q_eps")
-    lines = [header]
-    for i, p in enumerate(seg.points):
-        n = i - seg.n_minus
-        s_v = u_v = al = ci = q_v = float("nan")
-        if frames is not None and 0 <= n - lo < len(frames):
-            f = frames[n - lo]
-            s_v, u_v, al, ci = f.s_param, f.u_param, f.alpha, f.c_inv_frob
-        if q_eps is not None and 0 <= n - lo < len(q_eps):
-            q_v = float(q_eps[n - lo])
-        lines.append(
-            f"{n} {p.component} {p.r!r} {p.theta!r} {seg.rhos[i]:.17g} "
-            f"{s_v:.17g} {u_v:.17g} {al:.17g} {ci:.17g} {q_v:.17g}")
-    return "\n".join(lines) + "\n"

@@ -12,7 +12,9 @@ Graph transforms evaluate the edge map through its affine model
 w = (A v1, B v2) + h(0) + grad h(0) v, read from the chart-map decomposition.
 At real chart sizes this model is exact to float precision (higher-order
 terms of h vanish relatively); on the exactly-affine fixture it is exact at
-every scale.
+every scale.  Time runs one way in the code: an s-graph pushed backward along
+a path is a u-graph pushed forward along the reversed path, so a stable
+manifold is the unstable manifold of the reversed path.
 
 Asserted bounds follow the same desk-scale reading as module charts: the
 value bound AM1 runs exactly in log space, while slope-type bounds (AM2, the
@@ -61,8 +63,7 @@ __all__ = [
     "validate_admissible",
     "path_from_vertices",
     "constant_path",
-    "graph_transform_u",
-    "graph_transform_s",
+    "graph_transform",
     "c0_distance",
     "c1_distance",
     "contraction_measurement",
@@ -71,7 +72,6 @@ __all__ = [
     "intersect",
     "shadow",
     "holder_dependence",
-    "dump_manifold",
 ]
 
 # 65-point uniform grid on [-1, 1]; odd so tau = 0 is a node
@@ -203,26 +203,23 @@ def _slope_holder(slopes: np.ndarray, exponent: float) -> float:
 
 
 def make_manifold(vertex: PathVertex, kind: str, values,
-                  slopes=None, consts: RegularityConstants | None = None,
-                  validate: bool = True) -> AdmissibleManifold:
-    """Assemble a manifold from normalized samples; slopes fitted if absent."""
+                  slopes=None) -> AdmissibleManifold:
+    """Assemble a manifold from normalized samples; slopes fitted if absent.
+
+    Nothing is validated here: `validate_admissible` asserts the bounds.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape == ():
         values = np.full(MANIFOLD_GRID_N, float(values))
     if slopes is None:
         slopes = PchipInterpolator(TAU, values).derivative()(TAU)
-    slopes = np.asarray(slopes, dtype=float)
-    m = AdmissibleManifold(vertex, kind, values, slopes)
-    if validate:
-        if consts is None:
-            raise ValueError("validation needs the regularity constants")
-        validate_admissible(m, consts)
-    return m
+    return AdmissibleManifold(vertex, kind, values,
+                              np.asarray(slopes, dtype=float))
 
 
 def zero_manifold(vertex: PathVertex, kind: str) -> AdmissibleManifold:
     return make_manifold(vertex, kind, np.zeros(MANIFOLD_GRID_N),
-                         np.zeros(MANIFOLD_GRID_N), validate=False)
+                         np.zeros(MANIFOLD_GRID_N))
 
 
 def validate_admissible(m: AdmissibleManifold,
@@ -281,8 +278,8 @@ def path_from_vertices(vertices, consts: RegularityConstants,
     fwd = []
     bwd = []
     for a, b in zip(vertices, vertices[1:]):
-        fwd.append(chart_map_fxy(a.chart, b.chart, consts, "forward"))
-        bwd.append(chart_map_fxy(b.chart, a.chart, consts, "backward"))
+        fwd.append(chart_map_fxy(a.chart, b.chart, consts, True))
+        bwd.append(chart_map_fxy(b.chart, a.chart, consts, False))
     return GpoPath(vertices, tuple(fwd), tuple(bwd), base_index)
 
 
@@ -292,8 +289,8 @@ def constant_path(vertex: PathVertex, length: int,
     """Path repeating one vertex (fixed-point gpo); edges computed once."""
     if length < 2:
         raise ValueError("a path needs at least two vertices")
-    f = chart_map_fxy(vertex.chart, vertex.chart, consts, "forward")
-    b = chart_map_fxy(vertex.chart, vertex.chart, consts, "backward")
+    f = chart_map_fxy(vertex.chart, vertex.chart, consts, True)
+    b = chart_map_fxy(vertex.chart, vertex.chart, consts, False)
     return GpoPath((vertex,) * length, (f,) * (length - 1), (b,) * (length - 1),
                    base_index)
 
@@ -369,43 +366,27 @@ def _push_graph(A: float, B: float, H: np.ndarray, values: np.ndarray,
     return out_vals, out_slopes, resid
 
 
-def _transform(dec: ChartMapDecomposition, m: AdmissibleManifold,
-               target: PathVertex, consts: RegularityConstants,
-               validate: bool) -> AdmissibleManifold:
+def graph_transform(dec: ChartMapDecomposition, m: AdmissibleManifold,
+                    target: PathVertex) -> AdmissibleManifold:
+    """Image of a graph along an edge, as a graph of the same kind at target.
+
+    A u-graph goes forward (dec is the edge's forward map, target its end
+    vertex), an s-graph backward (dec is the backward map, target the start
+    vertex).  An s-graph over the first axis is a u-graph over the second
+    axis of the axis-swapped model, so both kinds run one push.
+    """
     p_out = target.p_s if m.kind == "s" else target.p_u
     ratio = math.exp(m.p.log_value - p_out.log_value)
     A, B, H = dec.A, dec.B, dec.grad0
     h0n = _normalized_offset(dec, p_out)
     if m.kind == "s":
-        # an s-graph over the first axis is a u-graph over the second axis
-        # of the axis-swapped model
         A, B, H, h0n = B, A, H[::-1, ::-1], h0n[::-1]
     vals, slopes, resid = _push_graph(A, B, H, m.values, m.slopes, ratio, h0n)
     if resid > CONTAINMENT_RTOL:
         raise DomainEscape(
             f"containment back-check residual {resid:.3e} of the input "
             f"window exceeds {CONTAINMENT_RTOL:g}")
-    return make_manifold(target, m.kind, vals, slopes, consts,
-                         validate=validate)
-
-
-def graph_transform_u(dec: ChartMapDecomposition, m: AdmissibleManifold,
-                      target: PathVertex, consts: RegularityConstants,
-                      validate: bool = True) -> AdmissibleManifold:
-    """Forward image of a u-graph along an edge, as a u-graph at the target."""
-    if m.kind != "u":
-        raise ValueError("graph_transform_u needs a u-manifold")
-    return _transform(dec, m, target, consts, validate)
-
-
-def graph_transform_s(dec: ChartMapDecomposition, m: AdmissibleManifold,
-                      target: PathVertex, consts: RegularityConstants,
-                      validate: bool = True) -> AdmissibleManifold:
-    """Backward image of an s-graph along an edge (dec is the backward map
-    of that edge), as an s-graph at the edge's source vertex."""
-    if m.kind != "s":
-        raise ValueError("graph_transform_s needs an s-manifold")
-    return _transform(dec, m, target, consts, validate)
+    return make_manifold(target, m.kind, vals, slopes)
 
 
 # ------------------------------------------------------------- distances
@@ -435,10 +416,8 @@ def contraction_measurement(dec: ChartMapDecomposition,
     lattice); asserts c0 <= e^(-chi/2) and the compound C1 bound
     d_C1(out) <= e^(-chi/2) (d_C1(in) + d_C0(in)^(beta/3)).
     """
-    kind = m1.kind
-    transform = graph_transform_u if kind == "u" else graph_transform_s
-    o1 = transform(dec, m1, target, consts, validate=False)
-    o2 = transform(dec, m2, target, consts, validate=False)
+    o1 = graph_transform(dec, m1, target)
+    o2 = graph_transform(dec, m2, target)
     d0_in = c0_distance(m1, m2, normalized=True)
     d0_out = c0_distance(o1, o2, normalized=True)
     p_in, p_out = m1.p, o1.p
@@ -473,22 +452,12 @@ def contraction_measurement(dec: ChartMapDecomposition,
 
 
 # ------------------------------------------------------- manifold limits
-def _sweep_s(path: GpoPath, start: int, seed: AdmissibleManifold,
-             consts: RegularityConstants) -> AdmissibleManifold:
+def _sweep(path: GpoPath, start: int,
+           seed: AdmissibleManifold) -> AdmissibleManifold:
+    """Push a graph at vertex `start` forward to the last vertex."""
     m = seed
-    for k in range(start - 1, -1, -1):
-        m = graph_transform_s(path.bwd[k], m, path.vertices[k], consts,
-                              validate=False)
-    return m
-
-
-def _sweep_u(path: GpoPath, start: int, seed: AdmissibleManifold,
-             consts: RegularityConstants) -> AdmissibleManifold:
-    n = len(path) - 1
-    m = seed
-    for k in range(start, n):
-        m = graph_transform_u(path.fwd[k], m, path.vertices[k + 1], consts,
-                              validate=False)
+    for k in range(start, len(path) - 1):
+        m = graph_transform(path.fwd[k], m, path.vertices[k + 1])
     return m
 
 
@@ -498,7 +467,7 @@ def _random_admissible_seed(vertex: PathVertex, kind: str,
     scale = 1e-3 * math.exp(vertex.p_min.log_value - p.log_value)
     c = float(rng.uniform(-0.9, 0.9)) * scale
     return make_manifold(vertex, kind, np.full(MANIFOLD_GRID_N, c),
-                         np.zeros(MANIFOLD_GRID_N), validate=False)
+                         np.zeros(MANIFOLD_GRID_N))
 
 
 def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
@@ -507,21 +476,10 @@ def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
     if n_edges < 1:
         raise ValueError("need at least one edge to iterate")
     if kind == "s":
-        base = path.vertices[0]
-
-        def seed_vertex(d):
-            return path.vertices[d]
-
-        def sweep(d, seed):
-            return _sweep_s(path, d, seed, consts)
-    else:
-        base = path.vertices[-1]
-
-        def seed_vertex(d):
-            return path.vertices[len(path) - 1 - d]
-
-        def sweep(d, seed):
-            return _sweep_u(path, len(path) - 1 - d, seed, consts)
+        # time reversal: V^s of the path is V^u of the reversed path, whose
+        # forward edge maps are the backward maps of the original
+        path = GpoPath(path.vertices[::-1], path.bwd[::-1], path.fwd[::-1])
+    base = path.vertices[-1]
 
     history = []
     prev = None
@@ -529,7 +487,8 @@ def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
     converged = False
     used = 0
     for d in range(1, n_edges + 1):
-        cur = sweep(d, zero_manifold(seed_vertex(d), kind))
+        cur = _sweep(path, n_edges - d,
+                     zero_manifold(path.vertices[n_edges - d], kind))
         used = d
         if prev is not None:
             dc1 = c1_distance(cur, prev, normalized=True)
@@ -551,8 +510,7 @@ def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
     # the enforceable agreement is what n contracting edges certify, and it
     # tightens to the hard tolerance once the envelope reaches it
     rng = np.random.default_rng(rng_seed)
-    alt = sweep(n_edges,
-                _random_admissible_seed(seed_vertex(n_edges), kind, rng))
+    alt = _sweep(path, 0, _random_admissible_seed(path.vertices[0], kind, rng))
     seed_gap = c1_distance(result, alt, normalized=True)
     chi = base.chart.frame.chi
     seed_allow = max(SEED_AGREEMENT_TOL,
@@ -748,14 +706,3 @@ def holder_dependence(pairs) -> dict:
     theta = math.exp(slope)
     return {"K": math.exp(intercept), "theta": theta, "n_used": len(pos),
             "theta_below_one": theta < 1.0, "zeros": len(pairs) - len(pos)}
-
-
-# ------------------------------------------------------------------ dump
-def dump_manifold(m: AdmissibleManifold, vertex_id: str = "-") -> str:
-    """Tabular text: vertex id, kind, normalized samples and slopes."""
-    lines = [f"# vertex {vertex_id} kind {m.kind} p_expo {m.p.expo} "
-             f"log_p {m.p.log_value:.17g}",
-             "# tau value slope"]
-    for i in range(MANIFOLD_GRID_N):
-        lines.append(f"{TAU[i]:.17g} {m.values[i]:.17g} {m.slopes[i]:.17g}")
-    return "\n".join(lines) + "\n"

@@ -337,7 +337,8 @@ class BilliardTable:
         L = self.components[p.component].length
         if not (0.0 <= p.r < L + 1e-12):
             raise ValueError(f"r={p.r} outside [0,{L}) on component {p.component}")
-        if abs(p.theta) > math.pi / 2 + 1e-12:
+        # bounds written as "not within" also refuse NaN
+        if not abs(p.theta) <= math.pi / 2 + 1e-12:
             raise ValueError(f"|theta|={abs(p.theta)} exceeds pi/2")
 
     def wrap_r(self, component: int, r: float) -> tuple[int, float]:
@@ -669,7 +670,7 @@ class LinearFixtureMap:
         if p.component != 0:
             raise ValueError(f"component {p.component} outside the fixture's "
                              f"single component 0")
-        if max(abs(p.r), abs(p.theta)) > self.half_width:
+        if not (abs(p.r) <= self.half_width and abs(p.theta) <= self.half_width):
             raise ValueError("point outside fixture domain")
 
     def liouville_sample(self, rng: np.random.Generator, n: int,
@@ -831,6 +832,12 @@ _BUILDERS = {
 }
 
 
+def _finite_number(value) -> bool:
+    # json.loads parses Infinity and NaN, so a spec file can carry them
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) \
+        and -math.inf < value < math.inf
+
+
 def make_table(kind: str, params: dict | None = None,
                metric_scale: float | None = None):
     if kind not in _BUILDERS:
@@ -838,13 +845,12 @@ def make_table(kind: str, params: dict | None = None,
     params = dict(params or {})
     names = set(inspect.signature(_BUILDERS[kind]).parameters) - {"metric_scale"}
     for name, value in params.items():
-        if name not in names or isinstance(value, bool) \
-                or not isinstance(value, numbers.Real):
-            raise ValueError(f"{kind} parameters must be numbers named in "
+        if name not in names or not _finite_number(value):
+            raise ValueError(f"{kind} parameters must be finite numbers named in "
                              f"{sorted(names)}, got {name}={value!r}")
     if metric_scale is not None:
-        if isinstance(metric_scale, bool) or not isinstance(metric_scale, numbers.Real):
-            raise ValueError(f"metric_scale must be a number, got {metric_scale!r}")
+        if not _finite_number(metric_scale):
+            raise ValueError(f"metric_scale must be a finite number, got {metric_scale!r}")
         params["metric_scale"] = metric_scale
     return _BUILDERS[kind](**params)
 

@@ -29,7 +29,6 @@ from pesin_coder.charts import (
     chart_map_fx,
     chart_map_fxy,
     compute_Q,
-    dump_chart_sizes,
     epsilon_sweep,
     greedy_q,
     overlap_test,
@@ -361,7 +360,7 @@ class TestChartMapFx:
 class TestChartMapFxy:
     def test_fixture_forward_edge(self):
         fx, seg, sp, ch0, ch1 = fixture_charts()
-        dec = chart_map_fxy(ch0, ch1, CONSTS, "forward")
+        dec = chart_map_fxy(ch0, ch1, CONSTS, True)
         assert abs(dec.A - 1.0 / math.e) < 1e-12
         assert abs(dec.B - math.e) < 1e-12
         assert dec.h0 == (0.0, 0.0)
@@ -371,14 +370,9 @@ class TestChartMapFxy:
 
     def test_fixture_backward_edge_swaps_rates(self):
         fx, seg, sp, ch0, ch1 = fixture_charts()
-        dec = chart_map_fxy(ch1, ch0, CONSTS, "backward")
+        dec = chart_map_fxy(ch1, ch0, CONSTS, False)
         assert abs(dec.A - math.e) < 1e-12
         assert abs(dec.B - 1.0 / math.e) < 1e-12
-
-    def test_direction_validated(self):
-        fx, seg, sp, ch0, ch1 = fixture_charts()
-        with pytest.raises(ValueError, match="direction"):
-            chart_map_fxy(ch0, ch1, CONSTS, "sideways")
 
     def test_offset_target_lands_in_h0(self):
         # y = f(x) + (0.05, 0): the offset appears as h(0) = C^-1 (f(x) - y)
@@ -387,7 +381,7 @@ class TestChartMapFxy:
         y0 = PhasePoint(0, 0.001 / math.e + 0.05, 0.0)
         cx = synthetic_chart(fx, x0, rho=0.299)
         cy = synthetic_chart(fx, y0, rho=0.23)
-        dec = chart_map_fxy(cx, cy, CONSTS, "forward")
+        dec = chart_map_fxy(cx, cy, CONSTS, True)
         assert abs(dec.h0[0] - (-0.05 * math.sqrt(2.0))) < 1e-12
         assert abs(dec.h0[1]) < 1e-15
         assert dec.grad_h0 < 1e-12
@@ -401,7 +395,7 @@ class TestChartMapFxy:
         cx = synthetic_chart(fx, x0, rho=0.299)
         cy = synthetic_chart(fx, y0, rho=0.01)
         with pytest.raises(OverlapMissing):
-            chart_map_fxy(cx, cy, CONSTS, "forward")
+            chart_map_fxy(cx, cy, CONSTS, True)
 
     def test_hyperbolicity_gate(self):
         # chi = 1.2 exceeds the fixture rates (log lambda = 1): |A| = 1/e
@@ -411,12 +405,12 @@ class TestChartMapFxy:
         cx = synthetic_chart(fx, x0, chi=1.2)
         cy = synthetic_chart(fx, x0, chi=1.2)
         with pytest.raises(BoundViolated, match="hyperbolicity"):
-            chart_map_fxy(cx, cy, CONSTS, "forward")
+            chart_map_fxy(cx, cy, CONSTS, True)
 
     def test_stadium_edge_matches_one_step_map(self):
         st, seg, sp, cha, chb = tame_stadium_pair()
         dec_fx = chart_map_fx(cha, chb, CONSTS)
-        dec_edge = chart_map_fxy(cha, chb, CONSTS, "forward")
+        dec_edge = chart_map_fxy(cha, chb, CONSTS, True)
         assert abs(dec_edge.A - dec_fx.A) < 1e-12
         assert abs(dec_edge.B - dec_fx.B) < 1e-12
 
@@ -588,20 +582,3 @@ class TestSweepAndDump:
             assert r["probe_floored_fraction"] == 1.0
             assert r["greedy_converged_fraction"] == 1.0
             assert r["tempered_fitted_slope"] < 1e-12
-
-    def test_dump_format(self):
-        fx, seg, sp, ch0, ch1 = fixture_charts()
-        frames = frames_along(seg, sp, CHI, -5, 6)
-        Qs = [compute_Q(a, b, 0.3, CFG, CONSTS)
-              for a, b in zip(frames, frames[1:])]
-        gq = greedy_q(Qs, CFG)
-        text = dump_chart_sizes(range(-5, 6), Qs, gq)
-        lines = text.splitlines()
-        assert lines[0].startswith("# n Q_expo")
-        assert len(lines) == 12
-        first = lines[1].split()
-        assert first[0] == "-5"
-        assert int(first[1]) == 92949
-        assert int(first[2]) == 92949 + 1383
-        assert first[7] in ("0", "1")
-        assert float(lines[1].split()[5]) == -309.83

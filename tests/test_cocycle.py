@@ -20,7 +20,6 @@ from pesin_coder.cocycle import (
     adaptedness_estimate,
     build_frame,
     c_inverse_growth_check,
-    dump_segment,
     frame_at,
     frames_along,
     lyapunov_exponents,
@@ -602,34 +601,3 @@ class TestAdaptedness:
         assert marks[-1] == rep["n_used"]
         assert all(a < b for a, b in zip(marks, marks[1:]))
         assert rep["running"][-1][1] == pytest.approx(rep["value"], abs=1e-15)
-
-
-# -------------------------------------------------------------------- dump
-class TestDump:
-    def test_dump_format_and_round_trip(self):
-        _, seg = fixture_segment(n=20)
-        sp = oseledets_splitting(seg)
-        frames = frames_along(seg, sp, 0.5, -2, 2)
-        text = dump_segment(seg, frames, lo=-2, q_eps=[0.5, 0.4, 0.3, 0.2, 0.1])
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("# n component r theta rho")
-        assert len(lines) == 42
-        rows = {int(ln.split()[0]): ln.split() for ln in lines[1:]}
-        assert set(rows) == set(range(-20, 21))
-        mid = rows[0]
-        assert len(mid) == 10
-        assert float(mid[2]) == seg.base.r
-        assert float(mid[3]) == seg.base.theta
-        assert float(mid[5]) == frames[2].s_param
-        assert float(mid[9]) == 0.3
-        # outside the frame window the frame columns print as nan
-        assert math.isnan(float(rows[-5][5]))
-        assert math.isnan(float(rows[-5][9]))
-
-    def test_dump_without_frames_has_nan_columns(self):
-        _, seg = fixture_segment(n=3)
-        text = dump_segment(seg)
-        row = text.strip().split("\n")[1].split()
-        assert math.isnan(float(row[5]))
-        assert math.isnan(float(row[8]))
-        assert math.isnan(float(row[9]))

@@ -2,9 +2,6 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -328,55 +325,3 @@ def test_assumptions_violation_detected():
     rep = verify_assumptions(tb, RegularityConstants(a=1.01, beta=0.5, K=1.0),
                              sample, raise_on_violation=False)
     assert rep["A6"]["min_margin"] == pytest.approx(ei.value.margin)
-
-
-# ------------------------------------------------------- kernel equivalence
-def test_kernels_match_without_numba():
-    """The pure-python fallback agrees with the jitted kernels.
-
-    Per-step agreement is checked at 1e-13 (libm implementations may differ
-    in the last ulp, which chaos would amplify over long orbits, so bitwise
-    equality across backends is checked per step, not per orbit).
-    """
-    code = r"""
-import json, sys
-import numpy as np
-from pesin_coder.accel import run_orbit, HAVE_NUMBA
-from pesin_coder.tables import make_stadium, make_flower
-from pesin_coder.dynamics import GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL
-rng = np.random.default_rng(12)
-out = {"have_numba": HAVE_NUMBA, "steps": []}
-for tb in (make_stadium(), make_flower()):
-    for _ in range(100):
-        c0 = int(rng.integers(0, len(tb.components)))
-        r0 = float(rng.uniform(0.05, 0.95) * tb.components[c0].length)
-        th0 = float(rng.uniform(-1.4, 1.4))
-        comps, rs, ths, taus, status, k = run_orbit(
-            tb.ctype, tb.cpar, c0, r0, th0, 1,
-            GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
-        rec = [int(status)]
-        if status == 0:
-            rec += [int(comps[1]), float(rs[1]), float(ths[1]), float(taus[0])]
-        out["steps"].append(rec)
-print(json.dumps(out))
-"""
-    import json
-
-    def run(disable):
-        env = dict(os.environ)
-        env["PESIN_CODER_DISABLE_NUMBA"] = "1" if disable else "0"
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert res.returncode == 0, res.stderr
-        return json.loads(res.stdout)
-
-    plain = run(True)
-    jitted = run(False)
-    assert plain["have_numba"] is False
-    assert len(plain["steps"]) == len(jitted["steps"]) == 200
-    for a, b in zip(plain["steps"], jitted["steps"]):
-        assert a[0] == b[0]  # identical status
-        if a[0] == 0:
-            assert a[1] == b[1]  # identical target component
-            for x, y in zip(a[2:], b[2:]):
-                assert abs(x - y) <= 1e-13 * max(1.0, abs(x))

@@ -57,9 +57,7 @@ from pesin_coder.manifolds import (
     c1_distance,
     constant_path,
     contraction_measurement,
-    dump_manifold,
-    graph_transform_s,
-    graph_transform_u,
+    graph_transform,
     holder_dependence,
     intersect,
     make_manifold,
@@ -107,7 +105,7 @@ def const_manifold(vertex: PathVertex, kind: str, c: float,
                    slopes=None) -> AdmissibleManifold:
     return make_manifold(vertex, kind, np.full(MANIFOLD_GRID_N, c),
                          np.zeros(MANIFOLD_GRID_N) if slopes is None
-                         else slopes, validate=False)
+                         else slopes)
 
 
 def manual_edge(A: float, B: float, h0=(0.0, 0.0),
@@ -196,8 +194,7 @@ def test_am3_violation():
 
 def test_diagonal_graph_fails_admissibility():
     _, v = synthetic_vertex()
-    m = make_manifold(v, "s", TAU.copy(), np.ones(MANIFOLD_GRID_N),
-                      validate=False)
+    m = make_manifold(v, "s", TAU.copy(), np.ones(MANIFOLD_GRID_N))
     with pytest.raises(AdmissibilityViolated):
         validate_admissible(m, CONSTS)
 
@@ -215,8 +212,9 @@ def test_am2_floor_active_at_real_scale():
 
 def test_make_manifold_scalar_and_shape_checks():
     _, v = synthetic_vertex()
-    m = make_manifold(v, "u", 1e-4, consts=CONSTS)
+    m = make_manifold(v, "u", 1e-4)
     assert np.all(m.values == 1e-4)
+    validate_admissible(m, CONSTS)
     with pytest.raises(ValueError):
         AdmissibleManifold(v, "x", np.zeros(MANIFOLD_GRID_N),
                            np.zeros(MANIFOLD_GRID_N))
@@ -236,7 +234,8 @@ def test_u_transform_constant_literal():
     _, v = synthetic_vertex()
     path = constant_path(v, 3, CONSTS)
     c = 2.0 ** -11
-    out = graph_transform_u(path.fwd[0], const_manifold(v, "u", c), v, CONSTS)
+    out = graph_transform(path.fwd[0], const_manifold(v, "u", c), v)
+    validate_admissible(out, CONSTS)
     A = path.fwd[0].A
     assert abs(A - math.exp(-1.0)) < 1e-12
     assert np.max(np.abs(out.values - A * c)) < 1e-15
@@ -247,7 +246,8 @@ def test_s_transform_constant_literal():
     _, v = synthetic_vertex()
     path = constant_path(v, 3, CONSTS)
     c = 2.0 ** -11
-    out = graph_transform_s(path.bwd[0], const_manifold(v, "s", c), v, CONSTS)
+    out = graph_transform(path.bwd[0], const_manifold(v, "s", c), v)
+    validate_admissible(out, CONSTS)
     assert np.max(np.abs(out.values - path.bwd[0].B * c)) < 1e-15
 
 
@@ -255,22 +255,13 @@ def test_u_transform_linear_slope_literal():
     _, v = synthetic_vertex()
     path = constant_path(v, 3, CONSTS)
     a = 0.3
-    m = make_manifold(v, "u", a * TAU, np.full(MANIFOLD_GRID_N, a),
-                      validate=False)
-    out = graph_transform_u(path.fwd[0], m, v, CONSTS)
+    m = make_manifold(v, "u", a * TAU, np.full(MANIFOLD_GRID_N, a))
+    out = graph_transform(path.fwd[0], m, v)
+    validate_admissible(out, CONSTS)
     A, B = path.fwd[0].A, path.fwd[0].B
     # image of {(a s, s)} is {(A a s, B s)}: value A a t / B, slope A a / B
     assert np.max(np.abs(out.values - (A * a / B) * TAU)) < 1e-14
     assert np.max(np.abs(out.slopes - A * a / B)) < 1e-14
-
-
-def test_transform_kind_mismatch():
-    _, v = synthetic_vertex()
-    path = constant_path(v, 3, CONSTS)
-    with pytest.raises(ValueError):
-        graph_transform_u(path.fwd[0], const_manifold(v, "s", 0.0), v, CONSTS)
-    with pytest.raises(ValueError):
-        graph_transform_s(path.bwd[0], const_manifold(v, "u", 0.0), v, CONSTS)
 
 
 def test_coverage_escape_when_window_grows_too_fast():
@@ -280,16 +271,16 @@ def test_coverage_escape_when_window_grows_too_fast():
     small = PathVertex(v.chart, v.chart.Q.step(7), v.chart.Q.step(7))
     m = zero_manifold(small, "u")
     with pytest.raises(DomainEscape, match="cover"):
-        graph_transform_u(path.fwd[0], m, v, CONSTS)
+        graph_transform(path.fwd[0], m, v)
 
 
 def test_orientation_flip_negative_expansion():
     _, v = synthetic_vertex()
     dec = manual_edge(0.3, -2.0)
     a = 0.2
-    m = make_manifold(v, "u", a * TAU, np.full(MANIFOLD_GRID_N, a),
-                      validate=False)
-    out = graph_transform_u(dec, m, v, CONSTS)
+    m = make_manifold(v, "u", a * TAU, np.full(MANIFOLD_GRID_N, a))
+    out = graph_transform(dec, m, v)
+    validate_admissible(out, CONSTS)
     want = 0.3 * a / -2.0
     assert np.max(np.abs(out.values - want * TAU)) < 1e-14
     assert np.max(np.abs(out.slopes - want)) < 1e-14
@@ -299,17 +290,16 @@ def test_graph_folded_on_strong_coupling():
     _, v = synthetic_vertex()
     dec = manual_edge(0.3, 1.5, grad0=[[0.0, 0.0], [-4.0, 0.0]])
     vals = 0.45 * np.sin(math.pi * TAU)
-    m = make_manifold(v, "u", vals, validate=False)
+    m = make_manifold(v, "u", vals)
     with pytest.raises(GraphFolded):
-        graph_transform_u(dec, m, v, CONSTS)
+        graph_transform(dec, m, v)
 
 
 def test_center_offset_enters_literally_at_desk_scale():
     _, v = synthetic_vertex()
     p = v.p_u.value
     dec = manual_edge(math.exp(-1.0), math.exp(1.0), h0=(0.05, 0.0))
-    out = graph_transform_u(dec, zero_manifold(v, "u"), v, CONSTS,
-                            validate=False)
+    out = graph_transform(dec, zero_manifold(v, "u"), v)
     assert abs(out.value_at_zero - 0.05 / p) < 1e-12
     with pytest.raises(AdmissibilityViolated, match="AM1"):
         validate_admissible(out, CONSTS)
@@ -320,8 +310,8 @@ def test_roundtrip_offset_is_measured_zero():
     clean = manual_edge(math.exp(-1.0), math.exp(1.0))
     noisy = manual_edge(math.exp(-1.0), math.exp(1.0), h0=(1e-16, -1e-16))
     m = const_manifold(v, "u", 3e-4)
-    o1 = graph_transform_u(clean, m, v, CONSTS, validate=False)
-    o2 = graph_transform_u(noisy, m, v, CONSTS, validate=False)
+    o1 = graph_transform(clean, m, v)
+    o2 = graph_transform(noisy, m, v)
     assert np.array_equal(o1.values, o2.values)
     assert np.array_equal(o1.slopes, o2.slopes)
 
@@ -333,7 +323,7 @@ def test_genuine_offset_dwarfs_subfloat_window():
     vz = PathVertex(v.chart, tiny, tiny)
     dec = manual_edge(math.exp(-1.0), math.exp(1.0), h0=(1e-3, 0.0))
     with pytest.raises(DomainEscape, match="dwarfs"):
-        graph_transform_u(dec, zero_manifold(vz, "u"), vz, CONSTS)
+        graph_transform(dec, zero_manifold(vz, "u"), vz)
 
 
 # --------------------------------------------------- real-scale fixture
@@ -471,7 +461,7 @@ def test_holder_theta_matches_fixture_contraction():
     m = const_manifold(v, "s", 2.0 ** -11)
     pairs = []
     for k in range(1, 21):
-        m = graph_transform_s(path.bwd[0], m, v, CONSTS, validate=False)
+        m = graph_transform(path.bwd[0], m, v)
         pairs.append((k, c1_distance(m, limit, normalized=True)))
     fit = holder_dependence(pairs)
     assert abs(fit["theta"] - math.exp(-1.0)) < 1e-12
@@ -530,8 +520,8 @@ def test_window_derivative_spread_vanishes():
 def test_intersect_grid_scan_oracle():
     _, v = synthetic_vertex()
     vs = PathVertex(v.chart, v.chart.Q.step(3), v.chart.Q)
-    ms = make_manifold(vs, "s", 1e-4 + 0.2 * TAU ** 2, validate=False)
-    mu = make_manifold(vs, "u", -2e-4 + 0.15 * TAU ** 3, validate=False)
+    ms = make_manifold(vs, "s", 1e-4 + 0.2 * TAU ** 2)
+    mu = make_manifold(vs, "u", -2e-4 + 0.15 * TAU ** 3)
     w, rep = intersect(ms, mu, CONSTS)
     r = math.exp(vs.p_s.log_value - vs.p_u.log_value)
     F = ms.value_fn()
@@ -557,9 +547,9 @@ def test_intersect_grid_scan_oracle():
 def test_intersect_residuals_decay_quarter():
     _, v = synthetic_vertex()
     ms = make_manifold(v, "s", 1e-3 + 0.45 * TAU,
-                       np.full(MANIFOLD_GRID_N, 0.45), validate=False)
+                       np.full(MANIFOLD_GRID_N, 0.45))
     mu = make_manifold(v, "u", -8e-4 - 0.45 * TAU,
-                       np.full(MANIFOLD_GRID_N, -0.45), validate=False)
+                       np.full(MANIFOLD_GRID_N, -0.45))
     _, rep = intersect(ms, mu, CONSTS)
     rs = rep["residuals"]
     assert len(rs) >= 3
@@ -577,8 +567,8 @@ def test_intersect_no_sign_change():
 def test_intersect_multiple_crossings_rejected():
     _, v = synthetic_vertex()
     wig = 0.8 * np.sin(2.0 * math.pi * TAU)
-    ms = make_manifold(v, "s", wig, validate=False)
-    mu = make_manifold(v, "u", wig, validate=False)
+    ms = make_manifold(v, "s", wig)
+    mu = make_manifold(v, "u", wig)
     with pytest.raises(MultipleIntersections):
         intersect(ms, mu, CONSTS)
 
@@ -595,13 +585,13 @@ def test_intersect_parallel_tangents_rejected():
     # crossing, beyond what the slope-noise allowance explains, must fail
     _, v = synthetic_vertex()
     ms = make_manifold(v, "s", np.zeros(MANIFOLD_GRID_N),
-                       np.full(MANIFOLD_GRID_N, 4.0), validate=False)
+                       np.full(MANIFOLD_GRID_N, 4.0))
     mu = make_manifold(v, "u", np.zeros(MANIFOLD_GRID_N),
-                       np.full(MANIFOLD_GRID_N, 0.25 + 1e-9), validate=False)
+                       np.full(MANIFOLD_GRID_N, 0.25 + 1e-9))
     with pytest.raises(NoIntersection, match="tangent"):
         intersect(ms, mu, CONSTS)
     mu_exact = make_manifold(v, "u", np.zeros(MANIFOLD_GRID_N),
-                             np.full(MANIFOLD_GRID_N, 0.25), validate=False)
+                             np.full(MANIFOLD_GRID_N, 0.25))
     with pytest.raises(NoIntersection, match="tangent"):
         intersect(ms, mu_exact, CONSTS)
 
@@ -629,8 +619,8 @@ def test_stadium_edges_hyperbolic_and_centered():
 
 def test_stadium_zero_push_stays_admissible():
     _, path = stadium_path()
-    out = graph_transform_u(path.fwd[0], zero_manifold(path.vertices[0], "u"),
-                            path.vertices[1], CONSTS)
+    out = graph_transform(path.fwd[0], zero_manifold(path.vertices[0], "u"),
+                          path.vertices[1])
     assert float(np.max(np.abs(out.values))) < 1e-8
     rep = validate_admissible(out, CONSTS)
     assert rep["am2_floor_used"]
@@ -645,8 +635,7 @@ def test_stadium_contraction_random_pairs():
         for _ in range(25):
             c1v, c2v = rng.uniform(-4e-4, 4e-4, 2)
             s1 = rng.uniform(-2e-4, 2e-4, MANIFOLD_GRID_N)
-            m1 = make_manifold(va, "u", np.full(MANIFOLD_GRID_N, c1v), s1,
-                               validate=False)
+            m1 = make_manifold(va, "u", np.full(MANIFOLD_GRID_N, c1v), s1)
             m2 = const_manifold(va, "u", c2v)
             rep = contraction_measurement(dec, m1, m2, vb, CONSTS)
             assert rep["c0"] <= bound
@@ -682,8 +671,7 @@ def test_stadium_invariance_fixed_point_property():
     tail = path_from_vertices(verts[1:], CONSTS)
     m_full, _ = stable_manifold(full, consts=CONSTS)
     m_tail, _ = stable_manifold(tail, consts=CONSTS)
-    pushed = graph_transform_s(full.bwd[0], m_tail, verts[0], CONSTS,
-                               validate=False)
+    pushed = graph_transform(full.bwd[0], m_tail, verts[0])
     assert c1_distance(pushed, m_full, normalized=True) < 1e-8
 
 
@@ -725,17 +713,7 @@ def test_transforms_deterministic():
     _, path = stadium_path()
     v0, v1 = path.vertices[0], path.vertices[1]
     m = const_manifold(v0, "u", 3e-4)
-    o1 = graph_transform_u(path.fwd[0], m, v1, CONSTS, validate=False)
-    o2 = graph_transform_u(path.fwd[0], m, v1, CONSTS, validate=False)
+    o1 = graph_transform(path.fwd[0], m, v1)
+    o2 = graph_transform(path.fwd[0], m, v1)
     assert np.array_equal(o1.values, o2.values)
     assert np.array_equal(o1.slopes, o2.slopes)
-
-
-def test_dump_manifold_format():
-    _, v = fixture_vertex()
-    text = dump_manifold(zero_manifold(v, "u"), vertex_id="v0")
-    lines = text.strip().split("\n")
-    assert len(lines) == 2 + MANIFOLD_GRID_N
-    assert lines[0].startswith("# vertex v0 kind u")
-    tau, val, slope = lines[2].split()
-    assert float(tau) == -1.0 and float(val) == 0.0

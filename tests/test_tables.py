@@ -181,8 +181,11 @@ def test_validate_point():
     (make_stadium, PhasePoint(0, 100.0, 0.1)),  # r beyond the component length
     (make_stadium, PhasePoint(0, 0.5, 2.0)),    # |theta| beyond pi/2
     (make_linear_fixture, PhasePoint(3, 0.01, 0.01)),  # the fixture has one component
+    (make_stadium, PhasePoint(0, 0.5, math.nan)),
+    (make_linear_fixture, PhasePoint(0, 0.01, math.nan)),
+    (make_linear_fixture, PhasePoint(0, math.nan, 0.01)),
 ], ids=["component-negative", "component-too-large", "r-outside", "theta-outside",
-        "fixture-component"])
+        "fixture-component", "theta-nan", "fixture-theta-nan", "fixture-r-nan"])
 def test_orbit_rejects_start_outside_phase_space(make, x):
     from pesin_coder.cocycle import orbit_segment
 
@@ -267,12 +270,16 @@ def test_make_table_dispatch():
     ("circle", {"radius": "1"}, None),
     ("circle", {}, "1"),
     ("stadium", {}, True),
+    ("circle", {"radius": math.inf}, None),
+    ("stadium", {}, math.inf),
+    ("linear-fixture", {"half_width": math.inf}, None),
 ], ids=["circle-radius-0", "circle-radius-negative", "sinai-scatterer-too-big",
         "sinai-scatterer-0", "sinai-half-side-negative",
         "fixture-half-width-negative", "stadium-metric-scale-0",
         "stadium-metric-scale-negative", "circle-unknown-parameter",
         "circle-radius-string", "circle-metric-scale-string",
-        "stadium-metric-scale-bool"])
+        "stadium-metric-scale-bool", "circle-radius-inf",
+        "stadium-metric-scale-inf", "fixture-half-width-inf"])
 def test_make_table_rejects_bad_specs(tmp_path, kind, params, metric_scale):
     with pytest.raises(ValueError, match="must|need"):
         make_table(kind, params, metric_scale)
