@@ -190,8 +190,7 @@ def chart_from_segment(seg: OrbitSegment, splitting: Splitting, chi: float,
                        cfg: EpsilonConfig, consts: RegularityConstants,
                        at: int = 0) -> PesinChart:
     """Chart at relative step `at`, sized from this and the next frame."""
-    i = seg.index(at)
-    rho_x = float(seg.rhos[i])
+    rho_x = seg.rho(at)
     if math.isnan(rho_x):
         raise ValueError("segment built with with_rho=False has no rho data")
     fr_x = frame_at(seg, splitting, chi, at=at)
@@ -619,7 +618,7 @@ def epsilon_sweep(seg: OrbitSegment, splitting: Splitting, chi: float,
     from .cocycle import frames_along
 
     frames = frames_along(seg, splitting, chi, lo, hi + 1)
-    rhos = [float(seg.rhos[seg.index(m)]) for m in range(lo, hi + 1)]
+    rhos = [seg.rho(m) for m in range(lo, hi + 1)]
     out = []
     for eps in eps_values:
         cfg = EpsilonConfig(eps)

@@ -12,7 +12,7 @@ return distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,8 +76,13 @@ class OrbitSegment:
 
     Index-0 of the arrays is n = -n_minus; the base point sits at array index
     `n_minus`.  `derivs[i]` is df at point i (for the last point, computed
-    from a probe step that is not part of the segment); `rhos[i]` is the
-    min distance to the discontinuity set over the point and both neighbours.
+    from a probe step that is not part of the segment).
+
+    Distances to the discontinuity set are computed on first request and
+    kept: `dist(n)` is d(f^n x, D), also at the two padding points
+    n = -n_minus-1 and n_plus+1 held in `ends`, and `rho(n)` is the min of
+    `dist` over n-1, n, n+1.  Without `ends` (a segment built with
+    `with_rho=False`) both return NaN.
     """
 
     table: object
@@ -85,9 +90,10 @@ class OrbitSegment:
     n_plus: int
     points: tuple[PhasePoint, ...]
     derivs: np.ndarray  # (len, 2, 2)
-    rhos: np.ndarray  # (len,)
-    dists: np.ndarray  # (len,) distance of each point itself to D
     flights: np.ndarray  # (len-1,)
+    ends: tuple[PhasePoint, PhasePoint] | None = None  # f^-1 of first, f of last
+    _dists: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -104,6 +110,22 @@ class OrbitSegment:
     @property
     def base(self) -> PhasePoint:
         return self.points[self.n_minus]
+
+    def dist(self, n: int) -> float:
+        """Distance of f^n x to D, for n in [-n_minus-1, n_plus+1]."""
+        if n not in self._dists:
+            if n == -self.n_minus - 1 or n == self.n_plus + 1:
+                p = self.ends[n > 0] if self.ends else None
+            else:
+                p = self.point(n)
+            self._dists[n] = (math.nan if self.ends is None
+                              else dist_to_discontinuity(self.table, p))
+        return self._dists[n]
+
+    def rho(self, n: int) -> float:
+        """Min distance to D over f^(n-1) x, f^n x and f^(n+1) x."""
+        self.index(n)  # raises outside [-n_minus, n_plus]
+        return min(self.dist(n - 1), self.dist(n), self.dist(n + 1))
 
 
 @dataclass(frozen=True)
@@ -185,29 +207,26 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
                   with_rho: bool = True) -> OrbitSegment:
-    """Collect f^n(x) for n in [-n_minus, n_plus] with derivatives and rho.
+    """Collect f^n(x) for n in [-n_minus, n_plus] with derivatives.
 
-    `with_rho=False` skips the (expensive) per-point discontinuity distances
-    and fills them with nan — intended for long exponent runs where only the
-    derivative cocycle matters.
+    With rho (the default) the segment also keeps the padding points f^-1
+    of the first point and f of the last, so that `seg.dist`/`seg.rho` can
+    compute distances to D on request; a first point whose preimage is
+    undefined raises OrbitHitsDiscontinuity at step -n_minus-1.
+    `with_rho=False` takes no padding step and its `dist`/`rho` are NaN —
+    intended for long exponent runs where only the derivative cocycle
+    matters.
     """
     if n_minus < 0 or n_plus < 0:
         raise ValueError("window lengths must be nonnegative")
     pts, derivs, flights, after = table.orbit(x, n_minus, n_plus)
+    ends = None
     if with_rho:
-        dists = np.array([dist_to_discontinuity(table, p) for p in pts])
         try:
-            d_before = dist_to_discontinuity(table, billiard_inverse(table, pts[0]))
+            ends = (billiard_inverse(table, pts[0]), after)
         except MapUndefined as e:
             raise OrbitHitsDiscontinuity(-n_minus - 1, str(e)) from e
-        d_after = dist_to_discontinuity(table, after)
-        padded = np.concatenate([[d_before], dists, [d_after]])
-        rhos = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
-    else:
-        dists = np.full(len(pts), np.nan)
-        rhos = np.full(len(pts), np.nan)
-    return OrbitSegment(table, n_minus, n_plus, pts, derivs, rhos,
-                        dists, flights)
+    return OrbitSegment(table, n_minus, n_plus, pts, derivs, flights, ends)
 
 
 # ------------------------------------------------------------- splitting
@@ -459,8 +478,7 @@ def c_inverse_growth_check(seg: OrbitSegment, frames: list[HyperbolicFrame],
     """
     worst = (math.inf, None)
     for k in range(1, len(frames)):
-        x_idx = seg.index(lo + k)
-        rho_x = float(seg.rhos[x_idx])
+        rho_x = seg.rho(lo + k)
         if rho_x <= 0:
             raise InequalityViolated("rho = 0 at an interior point", lo + k)
         chi = frames[k].chi
@@ -498,7 +516,7 @@ def nuh_diagnostics(seg: OrbitSegment, frames: list[HyperbolicFrame],
             f"window [{ns[0]}, {ns[-1]}] has no far step: the slopes need a "
             f"step with |n| >= 2")
 
-    rho_at = np.array([seg.rhos[seg.index(int(n))] for n in ns])
+    rho_at = np.array([seg.rho(int(n)) for n in ns])
     with np.errstate(divide="ignore"):
         log_rho = np.log(rho_at)
     reg_slope = float(np.max(np.abs(log_rho[far]) / np.abs(ns[far])))

@@ -176,8 +176,7 @@ def gammas_from_segment(seg: OrbitSegment, splitting: Splitting, chi: float,
             f"[{lo}, {hi}] (needs [{lo - 1}, {hi + 2}])")
     frames = {k: frame_at(seg, splitting, chi, at=k)
               for k in range(lo - 1, hi + 3)}
-    Qs = {k: compute_Q(frames[k], frames[k + 1],
-                       float(seg.rhos[seg.index(k)]), cfg, consts)
+    Qs = {k: compute_Q(frames[k], frames[k + 1], seg.rho(k), cfg, consts)
           for k in range(lo - 1, hi + 2)}
     gq = greedy_q([Qs[k] for k in range(lo, hi + 1)], cfg)
     out = []
@@ -188,10 +187,8 @@ def gammas_from_segment(seg: OrbitSegment, splitting: Splitting, chi: float,
             points=tuple(seg.point(k) for k in (n - 1, n, n + 1)),
             frames=(frames[n - 1], frames[n], frames[n + 1]),
             Qs=(Qs[n - 1], Qs[n], Qs[n + 1]),
-            dists=tuple(float(seg.dists[seg.index(k)])
-                        for k in (n - 1, n, n + 1)),
-            rhos=tuple(float(seg.rhos[seg.index(k)])
-                       for k in (n - 1, n, n + 1)),
+            dists=tuple(seg.dist(k) for k in (n - 1, n, n + 1)),
+            rhos=tuple(seg.rho(k) for k in (n - 1, n, n + 1)),
             q=gq.q[i], p_s=gq.qs[i], p_u=gq.qu[i]))
     return out
 

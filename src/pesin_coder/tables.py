@@ -250,11 +250,12 @@ class BilliardTable:
             cpar.append(row)
         self.ctype = np.array(ctype, dtype=np.int64)
         self.cpar = np.array(cpar, dtype=np.float64)
-        if metric_scale is not None and not metric_scale > 0.0:
-            raise ValueError(f"metric_scale must be positive, got {metric_scale}")
+        if metric_scale is not None and not 0.0 < metric_scale < math.inf:
+            raise ValueError(f"metric_scale must be positive and finite, got {metric_scale}")
         self.lengths = np.array([c.length for c in self.components])
         self._validate_closure()
         self.corner_points = self._collect_corners()
+        self._polylines = {}  # lazy, filled by _polyline()
         self.boundary_diameter = self._boundary_diameter()
         raw_diam = math.hypot(self.boundary_diameter, math.pi)
         self.metric_scale = 0.95 / raw_diam if metric_scale is None else float(metric_scale)
@@ -284,17 +285,9 @@ class BilliardTable:
         return np.array(pts)
 
     def _boundary_diameter(self) -> float:
-        pts = self.sample_boundary()
+        pts = np.concatenate(self._polyline(BOUNDARY_SAMPLES))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         return math.sqrt(d2.max())
-
-    def sample_boundary(self) -> np.ndarray:
-        out = []
-        for i, comp in enumerate(self.components):
-            ss = np.linspace(0.0, comp.length, BOUNDARY_SAMPLES, endpoint=False)
-            for s in ss:
-                out.append(self.point_xy(i, s))
-        return np.array(out)
 
     # ------------------------------------------------------------ geometry
     def point_xy(self, component: int, s: float) -> np.ndarray:
@@ -315,19 +308,24 @@ class BilliardTable:
     def contains_point(self, xy, samples_per_component: int = 200) -> bool:
         """Winding-number test against the sampled boundary polyline."""
         total = 0.0
-        for loop in self.loops:
-            pts = []
-            for ci in loop:
-                ss = np.linspace(0.0, self.components[ci].length,
-                                 samples_per_component, endpoint=False)
-                for s in ss:
-                    pts.append(self.point_xy(ci, s))
-            poly = np.array(pts) - np.asarray(xy, dtype=float)
+        for loop_pts in self._polyline(samples_per_component):
+            poly = loop_pts - np.asarray(xy, dtype=float)
             ang = np.arctan2(poly[:, 1], poly[:, 0])
             dang = np.diff(np.concatenate([ang, ang[:1]]))
             dang = (dang + math.pi) % (2 * math.pi) - math.pi
             total += dang.sum() / (2 * math.pi)
         return abs(total - 1.0) < 0.5
+
+    def _polyline(self, samples_per_component: int) -> list[np.ndarray]:
+        """Boundary samples of each loop, built once per sample count."""
+        if samples_per_component not in self._polylines:
+            self._polylines[samples_per_component] = [
+                np.array([self.point_xy(ci, s) for ci in loop
+                          for s in np.linspace(0.0, self.components[ci].length,
+                                               samples_per_component,
+                                               endpoint=False)])
+                for loop in self.loops]
+        return self._polylines[samples_per_component]
 
     # ------------------------------------------------------------ phase metric
     def validate_point(self, p: PhasePoint):
@@ -646,10 +644,11 @@ class LinearFixtureMap:
 
     def __init__(self, lambda_u: float = math.e, lambda_s: float = 1.0 / math.e,
                  half_width: float = 0.3, metric_scale: float = 1.0):
-        if not (lambda_u > 1.0 > lambda_s > 0.0):
-            raise ValueError("need lambda_u > 1 > lambda_s > 0")
-        if not (half_width > 0.0 and metric_scale > 0.0):
-            raise ValueError("half_width and metric_scale must be positive")
+        # bounds written as "within" also refuse NaN
+        if not math.inf > lambda_u > 1.0 > lambda_s > 0.0:
+            raise ValueError("need finite lambda_u > 1 > lambda_s > 0")
+        if not (0.0 < half_width < math.inf and 0.0 < metric_scale < math.inf):
+            raise ValueError("half_width and metric_scale must be positive and finite")
         self.lambda_u = float(lambda_u)
         self.lambda_s = float(lambda_s)
         self.half_width = float(half_width)
@@ -726,8 +725,8 @@ class LinearFixtureMap:
 
 # ---------------------------------------------------------------- builders
 def make_circle(radius: float = 1.0, metric_scale: float | None = None) -> BilliardTable:
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     arc = Arc(center=(0.0, 0.0), radius=radius, a0=-math.pi,
               length=2 * math.pi * radius, orient=+1,
               start_corner=False, end_corner=False)
@@ -738,8 +737,8 @@ def make_circle(radius: float = 1.0, metric_scale: float | None = None) -> Billi
 def make_stadium(radius: float = 1.0, straight_half_length: float = 1.0,
                  metric_scale: float | None = None) -> BilliardTable:
     R, l = radius, straight_half_length
-    if not (R > 0.0 and l > 0.0):
-        raise ValueError("radius and straight_half_length must be positive")
+    if not (0.0 < R < math.inf and 0.0 < l < math.inf):
+        raise ValueError("radius and straight_half_length must be positive and finite")
     comps = [
         Segment((-l, -R), (l, -R)),
         Arc(center=(l, 0.0), radius=R, a0=-math.pi / 2, length=math.pi * R,
@@ -759,8 +758,8 @@ def make_stadium(radius: float = 1.0, straight_half_length: float = 1.0,
 def make_sinai(half_side: float = 1.0, scatterer_radius: float = 0.5,
                metric_scale: float | None = None) -> BilliardTable:
     a, rd = half_side, scatterer_radius
-    if not 0.0 < rd < a:
-        raise ValueError("need 0 < scatterer_radius < half_side")
+    if not 0.0 < rd < a < math.inf:
+        raise ValueError("need finite 0 < scatterer_radius < half_side")
     comps = [
         Segment((-a, -a), (a, -a)),
         Segment((a, -a), (a, a)),
@@ -782,10 +781,10 @@ def make_flower(arc_radius: float = 2.0, half_side: float = 1.0,
     tip-to-tip bouncing orbits bitwise periodic.
     """
     R, a = arc_radius, half_side
-    if not a > 0.0:
-        raise ValueError(f"half_side must be positive, got {a}")
-    if R <= a:
-        raise ValueError("arc_radius must exceed half_side")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"half_side must be positive and finite, got {a}")
+    if not a < R < math.inf:
+        raise ValueError("arc_radius must be finite and exceed half_side")
     d = math.sqrt(R * R - a * a)
     gamma = math.atan2(a, d)
     comps = []
@@ -832,25 +831,25 @@ _BUILDERS = {
 }
 
 
-def _finite_number(value) -> bool:
-    # json.loads parses Infinity and NaN, so a spec file can carry them
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) \
-        and -math.inf < value < math.inf
+def _real_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def make_table(kind: str, params: dict | None = None,
                metric_scale: float | None = None):
+    """Build a table from a spec: the names and types are checked here, the
+    values (positive, finite, ordered) by the builder."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown table kind {kind!r}; choose from {sorted(_BUILDERS)}")
     params = dict(params or {})
     names = set(inspect.signature(_BUILDERS[kind]).parameters) - {"metric_scale"}
     for name, value in params.items():
-        if name not in names or not _finite_number(value):
-            raise ValueError(f"{kind} parameters must be finite numbers named in "
+        if name not in names or not _real_number(value):
+            raise ValueError(f"{kind} parameters must be numbers named in "
                              f"{sorted(names)}, got {name}={value!r}")
     if metric_scale is not None:
-        if not _finite_number(metric_scale):
-            raise ValueError(f"metric_scale must be a finite number, got {metric_scale!r}")
+        if not _real_number(metric_scale):
+            raise ValueError(f"metric_scale must be a number, got {metric_scale!r}")
         params["metric_scale"] = metric_scale
     return _BUILDERS[kind](**params)
 

@@ -113,8 +113,8 @@ def tame_stadium_pair(seed: int = 11, c_inv_cap: float = 3.5,
             f1 = frame_at(seg, sp, chi, at=1)
         except (OrbitHitsDiscontinuity, SplittingNotConverged, SeriesDiverging):
             continue
-        r0 = float(seg.rhos[seg.index(0)])
-        r1 = float(seg.rhos[seg.index(1)])
+        r0 = seg.rho(0)
+        r1 = seg.rho(1)
         if max(f0.c_inv_frob, f1.c_inv_frob) < c_inv_cap and \
                 min(r0, r1) > rho_floor:
             cha = chart_from_segment(seg, sp, chi, CFG, CONSTS, at=0)
@@ -204,8 +204,7 @@ class TestSizeFunction:
 
         fx, seg, sp, ch0, ch1 = fixture_charts()
         bare = OrbitSegment(seg.table, seg.n_minus, seg.n_plus, seg.points,
-                            seg.derivs, np.full(len(seg), np.nan), seg.dists,
-                            seg.flights)
+                            seg.derivs, seg.flights)
         with pytest.raises(ValueError, match="rho"):
             chart_from_segment(bare, sp, CHI, CFG, CONSTS)
 
@@ -213,8 +212,7 @@ class TestSizeFunction:
         fx, seg, sp, ch0, ch1 = fixture_charts()
         f0 = frame_at(seg, sp, CHI, at=0)
         f1 = frame_at(seg, sp, CHI, at=1)
-        assert compute_Q(f0, f1, float(seg.rhos[seg.index(0)]), CFG,
-                         CONSTS) == ch0.Q
+        assert compute_Q(f0, f1, seg.rho(0), CFG, CONSTS) == ch0.Q
         assert np.array_equal(f0.C, ch0.frame.C)
 
 

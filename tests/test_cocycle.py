@@ -28,7 +28,11 @@ from pesin_coder.cocycle import (
     reduced_cocycle,
     s_u_parameters,
 )
-from pesin_coder.dynamics import dist_to_discontinuity
+from pesin_coder.dynamics import (
+    billiard_inverse,
+    billiard_map,
+    dist_to_discontinuity,
+)
 from pesin_coder.errors import (
     DegenerateAngle,
     InequalityViolated,
@@ -77,13 +81,14 @@ class TestOrbitSegment:
         assert len(seg) == 81
         assert seg.base == PhasePoint(0, 0.0, 0.0)
         assert all(p == seg.base for p in seg.points)
-        assert np.array_equal(seg.rhos, np.full(81, fx.half_width))
+        assert [seg.rho(n) for n in range(-40, 41)] == [fx.half_width] * 81
         expected = np.array([[fx.lambda_s, 0.0], [0.0, fx.lambda_u]])
         assert np.array_equal(seg.derivs, np.broadcast_to(expected, (81, 2, 2)))
         # without rho the fixture leaves the distances unset, like a billiard
         bare = orbit_segment(fx, seg.base, 40, 40, with_rho=False)
         assert bare.points == seg.points
-        assert np.isnan(bare.rhos).all() and np.isnan(bare.dists).all()
+        assert all(math.isnan(bare.rho(n)) and math.isnan(bare.dist(n))
+                   for n in range(-40, 41))
 
     def test_fixture_escape_indices_are_signed(self):
         fx = make_linear_fixture()
@@ -141,18 +146,36 @@ class TestOrbitSegment:
         for n in range(-4, 5):
             trip = [dist_to_discontinuity(st, seg.point(m))
                     for m in (n - 1, n, n + 1)]
-            i = seg.index(n)
-            assert seg.rhos[i] == pytest.approx(min(trip), rel=1e-12)
-            assert seg.dists[i] == pytest.approx(trip[1], rel=1e-12)
-            assert seg.rhos[i] <= seg.dists[i] + 1e-15
+            assert seg.rho(n) == min(trip)
+            assert seg.dist(n) == trip[1]
+            assert seg.rho(n) <= seg.dist(n)
+        # the padding points are f^-1 of the first point and f of the last
+        assert seg.dist(-6) == dist_to_discontinuity(
+            st, billiard_inverse(st, seg.point(-5)))
+        assert seg.dist(6) == dist_to_discontinuity(
+            st, billiard_map(st, seg.point(5)))
+        with pytest.raises(IndexError):
+            seg.rho(6)
+        with pytest.raises(IndexError):
+            seg.dist(7)
 
     def test_with_rho_false_fills_nan(self):
         st = make_stadium()
         rng = np.random.default_rng(4)
         p = st.liouville_sample(rng, 1)[0]
         seg = orbit_segment(st, p, 3, 3, with_rho=False)
-        assert np.all(np.isnan(seg.rhos))
-        assert np.all(np.isnan(seg.dists))
+        assert all(math.isnan(seg.rho(n)) for n in range(-3, 4))
+        assert all(math.isnan(seg.dist(n)) for n in range(-4, 5))
+
+    def test_padding_step_is_taken_at_build_time(self):
+        # distances are computed on request, but the preimage of the first
+        # point is not: a start whose f^-1 is undefined fails at once
+        st = make_stadium()
+        p = PhasePoint(1, 0.19634954084936185, 1.4726215563702156)
+        with pytest.raises(OrbitHitsDiscontinuity) as ei:
+            orbit_segment(st, p, 0, 3)
+        assert ei.value.n == -1
+        assert len(orbit_segment(st, p, 0, 3, with_rho=False)) == 4
 
     def test_grazing_start_raises_at_step_zero(self):
         st = make_stadium()
@@ -525,15 +548,19 @@ class TestDiagnostics:
         from pesin_coder.cocycle import nuh_diagnostics
 
         fx = make_linear_fixture()
-        center = PhasePoint(0, 0.0, 0.0)
-        ns = np.arange(-10, 11)
-        rhos = 0.3 * np.exp(-2.0 * np.abs(ns))
+        # points closing in on the domain boundary, the fixture's D:
+        # d(n) = 0.3 e^(-2 max(|n| - 1, 0)), so rho(n) = 0.3 e^(-2|n|)
+        ns = np.arange(-11, 12)
+        dists = 0.3 * np.exp(-2.0 * np.maximum(np.abs(ns) - 1, 0))
+        pts = [PhasePoint(0, fx.half_width - d, 0.0) for d in dists]
         seg = OrbitSegment(
             table=fx, n_minus=10, n_plus=10,
-            points=tuple(center for _ in ns),
+            points=tuple(pts[1:-1]),
             derivs=np.broadcast_to(np.diag([fx.lambda_s, fx.lambda_u]),
                                    (21, 2, 2)).copy(),
-            rhos=rhos, dists=rhos, flights=np.zeros(20))
+            flights=np.zeros(20), ends=(pts[0], pts[-1]))
+        assert [seg.rho(n) for n in range(-10, 11)] == pytest.approx(
+            0.3 * np.exp(-2.0 * np.abs(ns[1:-1])), rel=1e-6)
         fr = build_frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                          math.sqrt(2.0), math.sqrt(2.0), 0.5)
         rep = nuh_diagnostics(seg, [fr] * 21, -10)

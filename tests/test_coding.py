@@ -110,6 +110,31 @@ def fixture_alphabet(*x0s: float):
 H = 1e-170  # companion orbit: 390 backward steps stay inside the domain
 
 
+def test_gamma_window_reads_only_its_distances(monkeypatch):
+    # a window on [-6, 6] reads rho on [-7, 7], so distances on [-8, 8]:
+    # 17 of the 123 points (with padding) of a +-60 segment
+    import pesin_coder.cocycle as cocycle
+
+    calls = []
+    dist = cocycle.dist_to_discontinuity
+    monkeypatch.setattr(cocycle, "dist_to_discontinuity",
+                        lambda table, p: calls.append(p) or dist(table, p))
+    st = make_stadium()
+    for p in st.liouville_sample(np.random.default_rng(0), 20):
+        calls.clear()
+        try:
+            seg = orbit_segment(st, p, 60, 60)
+            sp = oseledets_splitting(seg)
+            gammas_from_segment(seg, sp, STADIUM_CHI, CFG, CONSTS, -6, 6)
+        except (OrbitHitsDiscontinuity, SplittingNotConverged,
+                SeriesDiverging):
+            continue
+        break
+    else:
+        raise AssertionError("no stadium sample gave a gamma window")
+    assert calls == [seg.point(n) for n in range(-8, 9)]
+
+
 def stadium_gammas():
     """Tame stadium window (seed 11 orbit), memoized across tests."""
     if "stadium" not in _CACHE:

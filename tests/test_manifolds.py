@@ -140,7 +140,7 @@ def stadium_path(lo: int = -6, hi: int = 6):
         except (OrbitHitsDiscontinuity, SplittingNotConverged,
                 SeriesDiverging):
             continue
-        rhos = [float(seg.rhos[seg.index(k)]) for k in range(lo, hi + 2)]
+        rhos = [seg.rho(k) for k in range(lo, hi + 2)]
         if max(f.c_inv_frob for f in frames) < 3.5 and min(rhos) > 1e-3:
             break
     else:

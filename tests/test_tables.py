@@ -116,6 +116,18 @@ def test_contains_point():
     assert not sn.contains_point((0.1, 0.0))  # inside the scatterer
 
 
+def test_contains_point_samples_the_boundary_once(monkeypatch):
+    st = make_stadium()  # its disc check already sampled the polyline
+    calls = []
+    sample = st.point_xy
+    monkeypatch.setattr(st, "point_xy", lambda c, s: calls.append(c) or sample(c, s))
+    assert st.contains_point((0.0, 0.0), samples_per_component=50)
+    assert len(calls) == 4 * 50
+    assert not st.contains_point((2.1, 0.0), samples_per_component=50)
+    assert st.contains_point((1.9, 0.0))
+    assert len(calls) == 4 * 50
+
+
 def test_wrap_r_walks_loop():
     st = make_stadium()
     # stepping past the end of the bottom segment lands on the right cap
@@ -288,3 +300,22 @@ def test_make_table_rejects_bad_specs(tmp_path, kind, params, metric_scale):
                              "metric_scale": metric_scale}))
     with pytest.raises(ValueError, match="must|need"):
         load_table(f)
+
+
+@pytest.mark.parametrize("build,kwargs", [
+    (make_circle, {"radius": math.inf}),
+    (make_circle, {"metric_scale": math.nan}),
+    (make_stadium, {"metric_scale": math.inf}),
+    (make_stadium, {"straight_half_length": math.inf}),
+    (make_sinai, {"half_side": math.inf}),
+    (make_flower, {"arc_radius": math.inf}),
+    (make_linear_fixture, {"half_width": math.inf}),
+    (make_linear_fixture, {"lambda_u": math.nan}),
+    (LinearFixtureMap, {"metric_scale": math.inf}),
+], ids=["circle-radius-inf", "circle-metric-scale-nan", "stadium-metric-scale-inf",
+        "stadium-straight-inf", "sinai-half-side-inf", "flower-arc-radius-inf",
+        "fixture-half-width-inf", "fixture-lambda-u-nan",
+        "fixture-map-metric-scale-inf"])
+def test_builders_reject_non_finite_numbers(build, kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        build(**kwargs)
