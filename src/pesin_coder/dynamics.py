@@ -165,7 +165,9 @@ def verify_assumptions(table, consts: RegularityConstants, sample,
         try:
             df = billiard_derivative(table, p)
             dfi = inverse_derivative(table, p)
-            rr = rho(table, p)
+            # rho(table, p), reusing the distance d of p itself
+            rr = min(d, dist_to_discontinuity(table, billiard_map(table, p)),
+                     dist_to_discontinuity(table, billiard_inverse(table, p)))
         except MapUndefined:
             continue
         cap = math.log(consts.K) - consts.b * math.log(d)

@@ -15,7 +15,7 @@ metric_scale makes diam(M) < 1, so chart exponentials are plain translations
 and parallel transport is the identity.
 
 A billiard table and the exactly solvable linear fixture are both maps f
-with a discontinuity set D, and both answer the same six methods; no other
+with a discontinuity set D, and both answer the same seven methods; no other
 module asks which of the two it holds:
   step(p, forward)           f(p) or f^-1(p), and the flight length;
   derivative(p, forward)     df at p, or d(f^-1) at p;
@@ -23,7 +23,9 @@ module asks which of the two it holds:
                              each point, the flights, and f of the last point;
   dist_to_D(p)               metric distance from p to D;
   embed(p, dr, dtheta)       the point at coordinate offset (dr, dtheta) from p;
-  offset(x, p)               the signed coordinate offset from x to p.
+  offset(x, p)               the signed coordinate offset from x to p;
+  step_many(x, d, forward, y)  offset(y, f^{+-1}(embed(x, d_k))) for N rows
+                             d_k, and the first row that fails.
 
 The discontinuity set D of a billiard map consists of the grazing fibers
 (|theta| = pi/2), the corner fibers (junction arclengths, all theta), and the
@@ -503,6 +505,25 @@ class BilliardTable:
             dr = (sp - sx + total / 2.0) % total - total / 2.0
         return np.array([dr, p.theta - x.theta])
 
+    def step_many(self, x: PhasePoint, d: np.ndarray, forward: bool,
+                  y: PhasePoint):
+        """Offsets from y of f^{+-1}(x + d_k) for the N rows of d (N x 2).
+
+        Returns (offsets, fail), where fail is (k, exception) for the first
+        row whose embed, step or offset raises, or None; rows k and later are
+        NaN.  Each row runs the scalar embed -> step -> offset, so
+        `run_orbit` stays the only ray kernel and every row is bitwise the
+        scalar path.
+        """
+        out = np.full((len(d), 2), np.nan)
+        for k, (dr, dtheta) in enumerate(d):
+            try:
+                img = self.step(self.embed(x, dr, dtheta), forward)[0]
+                out[k] = self.offset(y, img)
+            except (DomainEscape, MapUndefined, OutOfDomain) as e:
+                return out, (k, e)
+        return out, None
+
     # ------------------------------------------------- singularity distances
     def _trace_singular_source(self, kind: int, a: int, u: float):
         """Point of S+ generated by tangency (kind 0, component a, arclength
@@ -721,6 +742,21 @@ class LinearFixtureMap:
         if p.component != x.component:
             raise OutOfDomain("fixture points live on one component")
         return np.array([p.r - x.r, p.theta - x.theta])
+
+    def step_many(self, x: PhasePoint, d: np.ndarray, forward: bool,
+                  y: PhasePoint):
+        """BilliardTable.step_many in closed form: the same elementwise
+        operations as embed -> step -> offset, so bitwise the scalar rows."""
+        if y.component != 0:  # step writes component 0, offset refuses it
+            return (np.full((len(d), 2), np.nan),
+                    (0, OutOfDomain("fixture points live on one component")))
+        r = x.r + d[:, 0]
+        theta = x.theta + d[:, 1]
+        if forward:
+            r, theta = self.lambda_s * r, self.lambda_u * theta
+        else:
+            r, theta = r / self.lambda_s, theta / self.lambda_u
+        return np.stack([r - y.r, theta - y.theta], axis=1), None
 
 
 # ---------------------------------------------------------------- builders

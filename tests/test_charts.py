@@ -19,8 +19,12 @@ from pesin_coder.charts import (
     PROBE_FLOOR,
     PesinChart,
     _embed,
+    _fd_jacobian,
     _log_ratio_within,
+    _map_step,
+    _probe_halfwidth,
     _pullback,
+    _sample_grid,
     build_pesin_chart,
     change_of_coordinates,
     chart_apply,
@@ -46,6 +50,7 @@ from pesin_coder.dynamics import RegularityConstants, billiard_map
 from pesin_coder.errors import (
     BoundViolated,
     DomainEscape,
+    GrazingCollision,
     OrbitHitsDiscontinuity,
     OutOfDomain,
     OverlapMissing,
@@ -56,6 +61,7 @@ from pesin_coder.lattice import EpsilonConfig, LatticeSize
 from pesin_coder.tables import (
     PhasePoint,
     make_circle,
+    make_flower,
     make_linear_fixture,
     make_sinai,
     make_stadium,
@@ -411,6 +417,155 @@ class TestChartMapFxy:
         dec_edge = chart_map_fxy(cha, chb, CONSTS, True)
         assert abs(dec_edge.A - dec_fx.A) < 1e-12
         assert abs(dec_edge.B - dec_fx.B) < 1e-12
+
+
+# -------------------------------------------------------- batched map step
+def grid_rows(chart: PesinChart, probe: float) -> np.ndarray:
+    """Displacements C v of the probe grid of half-width probe, row by row."""
+    xs = np.linspace(-probe, probe, GRID_N)
+    V1, V2 = np.meshgrid(xs, xs, indexing="ij")
+    return np.stack([V1.ravel(), V2.ravel()], axis=1) @ chart.frame.C.T
+
+
+def scalar_rows(table, x: PhasePoint, d: np.ndarray, forward: bool,
+                y: PhasePoint) -> np.ndarray:
+    """offset(y, f^{+-1}(embed(x, d_k))), one scalar map step per row."""
+    return np.array([table.offset(y, table.step(table.embed(x, dr, dth),
+                                                forward)[0])
+                     for dr, dth in d])
+
+
+def reference_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
+                   forward: bool):
+    """The probe grid sampled one point at a time, in (i, j) order."""
+    xs = np.linspace(-probe, probe, GRID_N)
+    U = np.empty((GRID_N, GRID_N))
+    V = np.empty((GRID_N, GRID_N))
+    for i, v1 in enumerate(xs):
+        for j, v2 in enumerate(xs):
+            img = _map_step(chart_x.table, _embed(chart_x, np.array([v1, v2])),
+                            forward)
+            U[i, j], V[i, j] = _pullback(chart_to, img)
+    return U, V
+
+
+def reference_fd_jacobian(chart_x: PesinChart, chart_to: PesinChart,
+                          step: float, forward: bool) -> np.ndarray:
+    J = np.empty((2, 2))
+    for k, dv in enumerate((np.array([step, 0.0]), np.array([0.0, step]))):
+        wp = _pullback(chart_to, _map_step(chart_x.table, _embed(chart_x, dv),
+                                           forward))
+        wm = _pullback(chart_to, _map_step(chart_x.table, _embed(chart_x, -dv),
+                                           forward))
+        J[:, k] = (wp - wm) / (2.0 * step)
+    return J
+
+
+class RowFailTable:
+    """A map whose step_many reports fixed offsets and a fixed failure."""
+
+    def __init__(self, off: np.ndarray, fail):
+        self.off = off
+        self.fail = fail
+
+    def step_many(self, x, d, forward, y):
+        return self.off, self.fail
+
+
+def row_fail_charts(off: np.ndarray, fail):
+    table = RowFailTable(off, fail)
+    x = PhasePoint(0, 0.0, 0.0)
+    return synthetic_chart(table, x), synthetic_chart(table, x)
+
+
+class TestBatchedMapStep:
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_fixture_rows_match_scalar_path(self, forward):
+        fx, seg, sp, ch0, ch1 = off_center_charts()
+        cx, cy = (ch0, ch1) if forward else (ch1, ch0)
+        d = grid_rows(cx, 1e-3)
+        off, fail = fx.step_many(cx.x, d, forward, cy.x)
+        assert fail is None
+        assert off.shape == (GRID_N * GRID_N, 2)
+        assert off.tobytes() == scalar_rows(fx, cx.x, d, forward, cy.x).tobytes()
+
+    def test_fixture_other_component_fails_at_first_row(self):
+        fx = make_linear_fixture()
+        x = PhasePoint(0, 0.01, 0.01)
+        off, fail = fx.step_many(x, np.zeros((3, 2)), True, PhasePoint(1, 0.0, 0.0))
+        assert fail[0] == 0 and isinstance(fail[1], OutOfDomain)
+        assert np.isnan(off).all()
+        with pytest.raises(OutOfDomain):
+            scalar_rows(fx, x, np.zeros((1, 2)), True, PhasePoint(1, 0.0, 0.0))
+
+    @pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_billiard_rows_match_scalar_path(self, mk, forward):
+        tb = mk()
+        for x in tb.liouville_sample(np.random.default_rng(5), 50, theta_cap=1.0):
+            if tb.dist_to_D(x) > 0.05 * tb.metric_scale:
+                break
+        y = tb.step(x, forward)[0]
+        xs = np.linspace(-1e-3, 1e-3, 7)
+        d = np.stack([a.ravel() for a in np.meshgrid(xs, xs, indexing="ij")],
+                     axis=1)
+        off, fail = tb.step_many(x, d, forward, y)
+        assert fail is None
+        assert off.tobytes() == scalar_rows(tb, x, d, forward, y).tobytes()
+
+    def test_billiard_rows_stop_at_first_failure(self):
+        st = make_stadium()
+        x = PhasePoint(0, 0.5, 1.5)
+        d = np.array([[0.0, 0.0], [0.0, 0.1], [0.0, 0.0]])  # row 1: angle > pi/2
+        off, fail = st.step_many(x, d, True, st.step(x)[0])
+        assert fail[0] == 1 and isinstance(fail[1], DomainEscape)
+        assert off[0].tobytes() == scalar_rows(st, x, d[:1], True,
+                                               st.step(x)[0])[0].tobytes()
+        assert np.isnan(off[1:]).all()
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_stadium_grid_matches_scalar_loop(self, forward):
+        st, seg, sp, cha, chb = tame_stadium_pair()
+        cx, cy = (cha, chb) if forward else (chb, cha)
+        probe, _ = _probe_halfwidth(cx)
+        xs, U, V = _sample_grid(cx, cy, probe, math.inf, forward)
+        Ur, Vr = reference_grid(cx, cy, probe, forward)
+        assert U.tobytes() == Ur.tobytes()
+        assert V.tobytes() == Vr.tobytes()
+        J = _fd_jacobian(cx, cy, probe / 16.0, forward)
+        assert J.tobytes() == reference_fd_jacobian(cx, cy, probe / 16.0,
+                                                    forward).tobytes()
+
+    def test_square_escape_before_failing_row_wins(self):
+        n = GRID_N * GRID_N
+        off = np.zeros((n, 2))
+        off[40] = (1e6, 0.0)  # grid node (1, 7), before the failing row
+        cx, cy = row_fail_charts(off, (500, GrazingCollision("tangent")))
+        xs = np.linspace(-0.1, 0.1, GRID_N)
+        with pytest.raises(DomainEscape, match="leaves the target square") as ei:
+            _sample_grid(cx, cy, 0.1, 1.0, True)
+        assert f"at v = ({xs[1]:.3e}, {xs[7]:.3e})" in str(ei.value)
+
+    def test_failing_row_raises_when_earlier_rows_stay_inside(self):
+        n = GRID_N * GRID_N
+        off = np.zeros((n, 2))
+        off[501] = (1e6, 0.0)  # after the failing row: never read
+        err = GrazingCollision("tangent")
+        cx, cy = row_fail_charts(off, (500, err))
+        with pytest.raises(DomainEscape,
+                           match="map undefined inside probe square: tangent"
+                           ) as ei:
+            _sample_grid(cx, cy, 0.1, 1.0, True)
+        assert ei.value.__cause__ is err
+
+    @pytest.mark.parametrize("k", [0, 7])
+    @pytest.mark.parametrize("err", [OutOfDomain("across loops"),
+                                     DomainEscape("embedded angle")])
+    def test_failing_row_keeps_its_own_error(self, err, k):
+        cx, cy = row_fail_charts(np.zeros((GRID_N * GRID_N, 2)), (k, err))
+        with pytest.raises(type(err)) as ei:
+            _sample_grid(cx, cy, 0.1, 1.0, True)
+        assert ei.value is err
 
 
 # ------------------------------------------------------------------- overlap

@@ -325,3 +325,23 @@ def test_assumptions_violation_detected():
     rep = verify_assumptions(tb, RegularityConstants(a=1.01, beta=0.5, K=1.0),
                              sample, raise_on_violation=False)
     assert rep["A6"]["min_margin"] == pytest.approx(ei.value.margin)
+
+
+def test_assumptions_reuse_sample_distance(monkeypatch):
+    """The rho triple of a sample point reuses its own distance: three
+    distance calls per point (p, f(p), f^-1(p)), and the A7 margin is the
+    one computed from rho(table, p)."""
+    tb = make_stadium()
+    consts = RegularityConstants(a=1.5, beta=0.5, K=20.0)
+    sample = _sample(tb, 10, seed=1)
+    tb.derivative(sample[0])  # the first-call self-test makes its own calls
+    calls = []
+    inner = tb.dist_to_D
+    monkeypatch.setattr(tb, "dist_to_D", lambda p: calls.append(p) or inner(p))
+    rep = verify_assumptions(tb, consts, sample)
+    assert len(calls) == 3 * len(sample)
+    monkeypatch.undo()
+    a7 = min(math.log(smallest_singular_value(m)) - consts.a * math.log(rho(tb, p))
+             for p in sample
+             for m in (billiard_derivative(tb, p), inverse_derivative(tb, p)))
+    assert rep["A7"]["min_margin"] == a7

@@ -1,7 +1,8 @@
 """Size census of the package source, printed as one JSON line.
 
 Reports the line count of each module under ``src/pesin_coder`` and their
-total, and the number of defaulted parameters (positional and keyword-only)
+total, the total line count of the test files under ``tests``, and the
+number of defaulted parameters (positional and keyword-only)
 of the public functions and methods: every ``def`` whose name does not start
 with an underscore, ``__init__`` included, at any nesting depth. Dataclass
 fields are not parameters and are not counted.
@@ -31,17 +32,20 @@ def defaulted_parameters(tree: ast.AST) -> int:
     return n
 
 
-def census(src: Path) -> dict:
+def census(src: Path, tests: Path) -> dict:
     lines = {}
     defaults = 0
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         lines[path.name] = len(text.splitlines())
         defaults += defaulted_parameters(ast.parse(text))
+    test_lines = sum(len(path.read_text().splitlines())
+                     for path in tests.glob("*.py"))
     return {"src_lines": lines, "src_lines_total": sum(lines.values()),
-            "defaulted_parameters": defaults}
+            "test_lines_total": test_lines, "defaulted_parameters": defaults}
 
 
 if __name__ == "__main__":
-    src = Path(__file__).resolve().parent.parent / "src" / "pesin_coder"
-    print(json.dumps(census(src), sort_keys=True))
+    root = Path(__file__).resolve().parent.parent
+    print(json.dumps(census(root / "src" / "pesin_coder", root / "tests"),
+                     sort_keys=True))
