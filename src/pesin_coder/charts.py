@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import HyperbolicFrame, OrbitSegment, Splitting, frame_at, reduced_cocycle
-from .dynamics import (
-    RegularityConstants,
-    billiard_derivative,
-    billiard_inverse,
-    billiard_map,
-    inverse_derivative,
-)
+from .dynamics import RegularityConstants, billiard_inverse, billiard_map
 from .errors import (
     BoundViolated,
     DomainEscape,
@@ -397,7 +391,7 @@ def chart_map_fx(chart_x: PesinChart, chart_fx: PesinChart,
             "chart_fx is not at the image of chart_x (same-orbit charts "
             f"required; distance {table.distance(fx, chart_fx.x):.3e})")
     D = reduced_cocycle(chart_x.frame, chart_fx.frame,
-                        billiard_derivative(table, chart_x.x))
+                        table.derivative(chart_x.x, True))
     dec = _decompose(chart_x, chart_fx, float(D[0, 0]), float(D[1, 1]),
                      consts, consts.beta / 2.0, forward=True)
 
@@ -440,8 +434,7 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
             raise OverlapMissing(
                 f"target chart too far from the image: d = {d:.3e}, "
                 f"log bound {log_bound:.6g}")
-    df_x = (billiard_derivative(table, chart_x.x) if forward
-            else inverse_derivative(table, chart_x.x))
+    df_x = table.derivative(chart_x.x, forward)
     M = np.linalg.solve(chart_y.frame.C, df_x @ chart_x.frame.C)
     A, B = float(M[0, 0]), float(M[1, 1])
     chi = chart_x.frame.chi

@@ -79,7 +79,8 @@ class GridCover:
 
     Boxes have side ``COVER_SIDE``.  Box ids are assigned on first sight, so
     signatures are deterministic for a fixed insertion history; persistence
-    freezes the id map.
+    freezes the id map.  ``box_id`` registers an unseen box, ``find_box``
+    only looks one up.
     """
 
     def __init__(self):
@@ -94,6 +95,9 @@ class GridCover:
         if k not in self._ids:
             self._ids[k] = len(self._ids)
         return self._ids[k]
+
+    def find_box(self, p: PhasePoint) -> int | None:
+        return self._ids.get(self.box_key(p))
 
     @property
     def n_boxes(self) -> int:
@@ -196,11 +200,14 @@ def gammas_from_segment(seg: OrbitSegment, splitting: Splitting, chi: float,
 # ------------------------------------------------------------------ binning
 @dataclass(frozen=True)
 class BinSignature:
-    """Integer coarse data: distance, frame-norm, box, size and level bins."""
+    """Integer coarse data: distance, frame-norm, box, size and level bins.
+
+    A box the cover has never seen is None in a lookup signature.
+    """
 
     k: tuple[int, int, int]
     l: tuple[int, int, int]
-    a: tuple[int, int, int]
+    a: tuple[int | None, int | None, int | None]
     m: int
     j: int
 
@@ -210,7 +217,12 @@ class BinSignature:
 
 
 def bin_signature(gamma: GammaPoint, cover: GridCover) -> BinSignature:
-    """Bin data of one gamma point; distances must be in (0, 1)."""
+    """Bin data of one gamma point, registering its boxes in the cover;
+    distances must be in (0, 1)."""
+    return _signature(gamma, cover.box_id)
+
+
+def _signature(gamma: GammaPoint, box) -> BinSignature:
     ks, ls, as_ = [], [], []
     for d, fr, p in zip(gamma.dists, gamma.frames, gamma.points):
         if not 0.0 < d < 1.0:
@@ -218,7 +230,7 @@ def bin_signature(gamma: GammaPoint, cover: GridCover) -> BinSignature:
                 f"distance to the singular set must be in (0,1), got {d}")
         ks.append(math.floor(-math.log(d)))
         ls.append(math.floor(math.log(fr.c_inv_frob)))
-        as_.append(cover.box_id(p))
+        as_.append(box(p))
     m = math.floor(-gamma.Q.log_value)
     return BinSignature(tuple(ks), tuple(ls), tuple(as_), m, gamma.j)
 
@@ -470,8 +482,9 @@ class Alphabet:
         return self.graph.vertices
 
     def find_center(self, gamma: GammaPoint) -> int | None:
-        """Net center covering this gamma at its own level, if any."""
-        sig = bin_signature(gamma, self.cover)
+        """Net center covering this gamma at its own level, if any; the
+        lookup registers no box in the cover."""
+        sig = _signature(gamma, self.cover.find_box)
         return _first_close(gamma, self.nets.get((sig.base(), sig.j), ()),
                             self.centers, sig.j)
 
@@ -650,19 +663,22 @@ def assign_centers(alphabet: Alphabet, gammas, offset: int = 0) -> list[int]:
     for k, g in enumerate(gammas):
         cid = alphabet.find_center(g)
         if cid is None:
-            raise NoBinCenter(offset + k, bin_signature(g, alphabet.cover))
+            raise NoBinCenter(offset + k,
+                              _signature(g, alphabet.cover.find_box))
         out.append(cid)
     return out
 
 
-def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int,
-                          check_shadow: bool = True) -> Itinerary:
+def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int
+                          ) -> Itinerary:
     """Code one orbit window through the alphabet.
 
     Per step, finds a net center covering the sampled gamma, then re-runs
     the one-sided size recursions over the selected centers and assembles
-    the word; verifies the edges and (optionally) that the word's shadow
-    comes back to the window's base point within ``SHADOW_TOL``.
+    the word; verifies the edges and that the word's shadow comes back to
+    the window's base point within ``SHADOW_TOL``.  The shadow is the
+    word's projection: ``meta`` keeps it as ``shadow_point``/``shadow_w``
+    with its ``shadow_gap``, and `project_pi` reads it from there.
     """
     gammas = list(gammas)
     cfg, consts = alphabet.cfg, alphabet.consts
@@ -683,17 +699,14 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int,
     meta = {"center_ids": tuple(cids),
             "in_alphabet_fraction": float(np.mean(in_alpha))}
     it = make_itinerary(vertices, anchor, cfg, consts, in_alpha, meta)
-    if check_shadow:
-        if not 0 < anchor < len(vertices) - 1:
-            raise ValueError("shadow verification needs an interior anchor")
-        x_hat, info = shadow(it.path, consts)
-        gap = gammas[anchor].table.distance(x_hat, gammas[anchor].x)
-        if gap > SHADOW_TOL:
-            raise InequalityViolated(
-                f"shadow misses the coded point by {gap:.3e} > {SHADOW_TOL:.1e}")
-        it.meta["shadow_gap"] = gap
-        it.meta["shadow_point"] = x_hat
-        it.meta["shadow_w"] = info["w"]
+    x_hat, info = shadow(it.path, consts)
+    gap = gammas[anchor].table.distance(x_hat, gammas[anchor].x)
+    if gap > SHADOW_TOL:
+        raise InequalityViolated(
+            f"shadow misses the coded point by {gap:.3e} > {SHADOW_TOL:.1e}")
+    it.meta["shadow_gap"] = gap
+    it.meta["shadow_point"] = x_hat
+    it.meta["shadow_w"] = info["w"]
     return it
 
 
@@ -713,28 +726,26 @@ def sigma_sharp_filter(itinerary) -> bool:
     return has_repeat(syms[:third]) and has_repeat(syms[n - third:])
 
 
-def project_pi(itinerary: Itinerary, consts: RegularityConstants,
-               equivariance: bool = True) -> tuple[PhasePoint, dict]:
-    """Phase point shadowed by the word, with an anchor-shift consistency
-    check: projecting the shifted word must land within ``SHADOW_TOL`` of
-    the mapped point."""
+def project_pi(itinerary: Itinerary, consts: RegularityConstants
+               ) -> tuple[PhasePoint, dict]:
+    """Phase point shadowed by a word that `sufficiency_itinerary` coded,
+    with an anchor-shift consistency check: projecting the shifted word
+    must land within ``SHADOW_TOL`` of the mapped point."""
+    if "shadow_point" not in itinerary.meta:
+        raise ValueError("project_pi needs a word coded by "
+                         "sufficiency_itinerary, which stores its shadow")
+    x = itinerary.meta["shadow_point"]
     path = itinerary.path
-    x, info = shadow(path, consts)
-    report = {"w": info["w"], "equivariance_gap": None}
-    if equivariance:
-        k = itinerary.anchor + 1
-        if not 0 < k < len(path) - 1:
-            raise ValueError(
-                "equivariance check needs an interior shifted anchor")
-        shifted = GpoPath(path.vertices, path.fwd, path.bwd, k)
-        x1, _ = shadow(shifted, consts)
-        table = itinerary.vertices[0].gamma.table
-        gap = table.distance(billiard_map(table, x), x1)
-        if gap > SHADOW_TOL:
-            raise InequalityViolated(
-                f"shift/projection mismatch {gap:.3e} > {SHADOW_TOL:.1e}")
-        report["equivariance_gap"] = gap
-    return x, report
+    k = itinerary.anchor + 1
+    if k >= len(path) - 1:
+        raise ValueError("equivariance check needs an interior shifted anchor")
+    x1, _ = shadow(GpoPath(path.vertices, path.fwd, path.bwd, k), consts)
+    table = itinerary.vertices[0].gamma.table
+    gap = table.distance(billiard_map(table, x), x1)
+    if gap > SHADOW_TOL:
+        raise InequalityViolated(
+            f"shift/projection mismatch {gap:.3e} > {SHADOW_TOL:.1e}")
+    return x, {"w": itinerary.meta["shadow_w"], "equivariance_gap": gap}
 
 
 def detect_double_codings(points, table, tol: float = 1e-6
@@ -1002,13 +1013,22 @@ def load_alphabet(path) -> Alphabet:
     cover = GridCover.from_json(doc["cover"])
     centers = tuple(_gamma_from_json(obj, table, cfg)
                     for obj in doc["centers"])
+
+    def center_id(value, where: str) -> int:
+        if type(value) is not int or not 0 <= value < len(centers):
+            raise ValueError(f"{where} names center {value!r}; the file "
+                             f"has centers 0..{len(centers) - 1}")
+        return value
+
     nets = {}
-    for k3, l3, a3, m, j, cids in doc["nets"]:
+    for i, (k3, l3, a3, m, j, cids) in enumerate(doc["nets"]):
         base = (tuple(int(x) for x in k3), tuple(int(x) for x in l3),
                 tuple(int(x) for x in a3), int(m))
-        nets[(base, int(j))] = tuple(int(x) for x in cids)
-    rows = [(int(row["center"]), cfg.size(row["p_s"]), cfg.size(row["p_u"]),
-             int(row["j"])) for row in doc["vertices"]]
+        nets[(base, int(j))] = tuple(center_id(x, f"nets[{i}] center list")
+                                     for x in cids)
+    rows = [(center_id(row["center"], f"vertices[{i}].center"),
+             cfg.size(row["p_s"]), cfg.size(row["p_u"]), int(row["j"]))
+            for i, row in enumerate(doc["vertices"])]
     vlist = _emit_charts(rows, centers, cover, cfg, consts)
     graph = _alphabet_graph(vlist, [tuple(e) for e in doc["edges"]], cfg)
     return Alphabet(cfg, consts, cover, centers, nets, graph,

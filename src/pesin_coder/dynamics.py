@@ -18,7 +18,6 @@ from .tables import (
     MIN_FLIGHT,
     PhasePoint,
     derivative_along_orbit,
-    fd_derivative,
 )
 
 __all__ = [
@@ -30,10 +29,6 @@ __all__ = [
     "RegularityConstants",
     "billiard_map",
     "billiard_inverse",
-    "billiard_derivative",
-    "inverse_derivative",
-    "step_with_flight",
-    "fd_derivative",
     "derivative_along_orbit",
     "singularity_cloud",
     "dist_to_discontinuity",
@@ -79,11 +74,6 @@ class RegularityConstants:
 
 
 # ------------------------------------------------------------------ stepping
-def step_with_flight(table, p: PhasePoint) -> tuple[PhasePoint, float]:
-    """One forward step plus the flight length (fixture: flight 0)."""
-    return table.step(p, True)
-
-
 def billiard_map(table, p: PhasePoint) -> PhasePoint:
     """Next collision (specular reflection); fixture: the linear map."""
     return table.step(p, True)[0]
@@ -92,18 +82,6 @@ def billiard_map(table, p: PhasePoint) -> PhasePoint:
 def billiard_inverse(table, p: PhasePoint) -> PhasePoint:
     """Previous collision; billiards: via time reversal (r, theta) -> (r, -theta)."""
     return table.step(p, False)[0]
-
-
-# ---------------------------------------------------------------- derivative
-def billiard_derivative(table, p: PhasePoint) -> np.ndarray:
-    """df at p in (r, theta) coordinates (billiards: mirror equation,
-    cross-checked against finite differences on the first call)."""
-    return table.derivative(p, True)
-
-
-def inverse_derivative(table, p: PhasePoint) -> np.ndarray:
-    """d(f^-1) at p = inverse of df at f^-1(p)."""
-    return table.derivative(p, False)
 
 
 # ----------------------------------------------------- singularity distances
@@ -163,8 +141,8 @@ def verify_assumptions(table, consts: RegularityConstants, sample,
         if d <= 0:
             continue
         try:
-            df = billiard_derivative(table, p)
-            dfi = inverse_derivative(table, p)
+            df = table.derivative(p, True)
+            dfi = table.derivative(p, False)
             # rho(table, p), reusing the distance d of p itself
             rr = min(d, dist_to_discontinuity(table, billiard_map(table, p)),
                      dist_to_discontinuity(table, billiard_inverse(table, p)))
@@ -186,7 +164,7 @@ def verify_assumptions(table, consts: RegularityConstants, sample,
                     continue
                 y = table.embed(p, dr, dth)
                 try:
-                    dfy = billiard_derivative(table, y)
+                    dfy = table.derivative(y, True)
                 except MapUndefined:
                     continue
                 ys.append((y, dfy))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ import pytest
 import pesin_coder.coding as coding
 from pesin_coder.cocycle import (
     build_frame,
+    lyapunov_exponents,
     orbit_segment,
     oseledets_splitting,
 )
@@ -58,7 +60,7 @@ from pesin_coder.coding import (
     sigma_sharp_filter,
     sufficiency_itinerary,
 )
-from pesin_coder.dynamics import RegularityConstants
+from pesin_coder.dynamics import RegularityConstants, billiard_map
 from pesin_coder.errors import (
     DiagnosticFailed,
     EmptyAlphabet,
@@ -69,7 +71,13 @@ from pesin_coder.errors import (
     SplittingNotConverged,
 )
 from pesin_coder.lattice import EpsilonConfig, LatticeSize
-from pesin_coder.tables import PhasePoint, make_linear_fixture, make_stadium
+from pesin_coder.tables import (
+    PhasePoint,
+    make_flower,
+    make_linear_fixture,
+    make_sinai,
+    make_stadium,
+)
 
 CONSTS = RegularityConstants(a=1.5, beta=0.5, K=100.0)
 CFG = EpsilonConfig(0.01)
@@ -476,13 +484,32 @@ def test_no_bin_center_for_unsampled_orbit():
     assert ei.value.n == -4  # window-relative step
 
 
+def test_failed_lookup_leaves_the_alphabet_unchanged(tmp_path):
+    # a fresh alphabet: the cached one has already served other lookups
+    alpha = coarse_grain([fixture_gammas()[1]], CFG, CONSTS)
+    before = tmp_path / "before.json"
+    save_alphabet(alpha, before)
+    cover = json.dumps(alpha.cover.to_json())
+    assert alpha.cover.n_boxes == 1
+    # the companion orbit through -H crosses into the box r < 0
+    _, gam_neg = fixture_gammas(-H)
+    with pytest.raises(NoBinCenter) as ei:
+        sufficiency_itinerary(alpha, gam_neg, anchor=4)
+    assert ei.value.n == -4
+    assert json.dumps(alpha.cover.to_json()) == cover
+    after = tmp_path / "after.json"
+    save_alphabet(alpha, after)
+    assert after.read_bytes() == before.read_bytes()
+    assert None in ei.value.signature.a  # the unseen box has no id
+
+
 def test_mixed_window_fails_edge_relation():
     alpha = fixture_alphabet(0.0, H)
     _, gam = fixture_gammas()
     _, gam_h = fixture_gammas(H)
     mixed = [gam[0], gam_h[1], gam[2], gam_h[3], gam[4]]
     with pytest.raises(InequalityViolated, match="edge relation"):
-        sufficiency_itinerary(alpha, mixed, anchor=2, check_shadow=False)
+        sufficiency_itinerary(alpha, mixed, anchor=2)
 
 
 def test_make_itinerary_rejects_non_edge():
@@ -526,6 +553,25 @@ def test_stadium_itinerary_codes_and_shadows():
     assert (x.component, x.r, x.theta) == \
         (1, 2.481042998575038, -0.525515148130097)
     _CACHE["stadium_it"] = it
+
+
+def test_coding_and_projection_shadow_twice(monkeypatch):
+    # the base shadow once, in sufficiency_itinerary; project_pi adds only
+    # the shifted-anchor shadow
+    alpha = fixture_alphabet(0.0)
+    _, gam = fixture_gammas()
+    calls = []
+    real = coding.shadow
+
+    def counted(path, consts):
+        calls.append(path.base_index)
+        return real(path, consts)
+
+    monkeypatch.setattr(coding, "shadow", counted)
+    it = sufficiency_itinerary(alpha, gam, anchor=4)
+    x, _ = project_pi(it, CONSTS)
+    assert calls == [4, 5]
+    assert x is it.meta["shadow_point"]
 
 
 # ------------------------------------------------------- recurrence filter
@@ -572,8 +618,16 @@ def test_projection_needs_interior_shift():
     it = sufficiency_itinerary(alpha, gam, anchor=7)
     with pytest.raises(ValueError, match="interior shifted anchor"):
         project_pi(it, CONSTS)
-    x, rep = project_pi(it, CONSTS, equivariance=False)
-    assert x.r == 0.0 and rep["equivariance_gap"] is None
+    x = it.meta["shadow_point"]
+    assert (x.component, x.r, x.theta) == (0, 0.0, 0.0)
+
+
+def test_projection_refuses_an_unshadowed_word():
+    alpha = fixture_alphabet(0.0)
+    v = alpha.graph.vertices[0]
+    it = make_itinerary([v] * 5, 2, CFG, CONSTS)
+    with pytest.raises(ValueError, match="sufficiency_itinerary"):
+        project_pi(it, CONSTS)
 
 
 def test_stadium_projection_equivariant():
@@ -584,6 +638,43 @@ def test_stadium_projection_equivariant():
     x, rep = project_pi(it, CONSTS)
     assert (x.r, x.theta) == (2.481042998575038, -0.525515148130097)
     assert rep["equivariance_gap"] == 0.0
+
+
+# ------------------------------------------------- periodic-orbit oracle
+def _two_bounce(kind: str):
+    """The bitwise period-2 orbits of the billiard tables: the stadium's
+    cap-to-cap, sinai's wall-to-scatterer and the flower's tip-to-tip."""
+    if kind == "stadium":
+        return make_stadium(), PhasePoint(1, math.pi / 2, 0.0)
+    if kind == "sinai":
+        return make_sinai(), PhasePoint(1, 1.0, 0.0)
+    fl = make_flower()
+    return fl, PhasePoint(1, fl.components[1].length / 2, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["stadium", "sinai", "flower"])
+def test_periodic_orbit_codes_end_to_end(kind):
+    # a genuinely periodic orbit recurs bitwise, so its window's alphabet
+    # closes into a cycle, and the word projects back onto the orbit
+    table, p = _two_bounce(kind)
+    seg = orbit_segment(table, p, 60, 60)
+    sp = oseledets_splitting(seg)
+    gam = gammas_from_segment(seg, sp, 0.3, CFG, CONSTS, -6, 6)
+    alpha = coarse_grain([gam], CFG, CONSTS)
+    s = alpha.stats
+    assert (s["centers"], s["vertices"], s["edges"]) == (2, 2, 2)
+    assert alpha.core_kept == (0, 1)
+    assert alpha.core.edge_list() == [(0, 1), (1, 0)]
+    it = sufficiency_itinerary(alpha, gam, anchor=6)
+    assert all(it.in_alphabet)
+    x, rep = project_pi(it, CONSTS)
+    assert it.meta["shadow_gap"] == 0.0 and rep["equivariance_gap"] == 0.0
+    assert (x.component, x.r, x.theta) == (p.component, p.r, p.theta)
+    # Birkhoff lambda_2 against the period-2 product's expanding eigenvalue
+    M = table.derivative(billiard_map(table, p), True) \
+        @ table.derivative(p, True)
+    lam = 0.5 * math.log(max(abs(np.linalg.eigvals(M))))
+    assert abs(lyapunov_exponents(seg, sp).lambda2 - lam) < 1e-13
 
 
 # ----------------------------------------------------------- double codings
@@ -736,6 +827,24 @@ def test_load_refuses_other_cover_side(tmp_path):
     doc["cover"]["side"] = 0.5
     f.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="box side 0.5"):
+        load_alphabet(f)
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("vertices[0].center", lambda doc: doc["vertices"][0].update(center=-1)),
+    ("vertices[0].center", lambda doc: doc["vertices"][0].update(center=99)),
+    ("vertices[0].center", lambda doc: doc["vertices"][0].update(center=0.5)),
+    ("nets[0] center list", lambda doc: doc["nets"][0][5].append(13)),
+])
+def test_load_refuses_center_ids_outside_the_file(tmp_path, field, corrupt):
+    alpha = fixture_alphabet(0.0, H)
+    assert len(alpha.centers) == 10
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    corrupt(doc)
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(field)):
         load_alphabet(f)
 
 

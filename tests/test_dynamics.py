@@ -8,23 +8,20 @@ import pytest
 
 from pesin_coder.dynamics import (
     RegularityConstants,
-    billiard_derivative,
     billiard_inverse,
     billiard_map,
     derivative_along_orbit,
     dist_to_discontinuity,
-    fd_derivative,
-    inverse_derivative,
     operator_norm,
     rho,
     singularity_cloud,
     smallest_singular_value,
-    step_with_flight,
     verify_assumptions,
 )
 from pesin_coder.errors import AssumptionViolated, CornerHit, GrazingCollision
 from pesin_coder.tables import (
     PhasePoint,
+    fd_derivative,
     make_circle,
     make_flower,
     make_linear_fixture,
@@ -66,7 +63,7 @@ def test_circle_quarter_angle_example():
 
 def test_flight_length_is_chord():
     tb = make_circle(radius=2.0)
-    _, tau = step_with_flight(tb, PhasePoint(0, 0.3, 0.5))
+    _, tau = tb.step(PhasePoint(0, 0.3, 0.5))
     assert abs(tau - 2 * 2.0 * math.cos(0.5)) < 1e-12
 
 
@@ -130,7 +127,7 @@ def test_determinant_identity(mk):
     for p in _sample(tb, 300, seed=3):
         try:
             q = billiard_map(tb, p)
-            M = billiard_derivative(tb, p)
+            M = tb.derivative(p)
         except (GrazingCollision, CornerHit):
             continue
         resid = abs(np.linalg.det(M) * math.cos(q.theta) - math.cos(p.theta))
@@ -148,7 +145,7 @@ def test_derivative_matches_finite_differences(mk):
         if dist_to_discontinuity(tb, p) <= 0.05:
             continue
         try:
-            ana = billiard_derivative(tb, p)
+            ana = tb.derivative(p)
             num = fd_derivative(tb, p)
         except (GrazingCollision, CornerHit):
             continue
@@ -165,8 +162,8 @@ def test_inverse_derivative_is_matrix_inverse():
     for p in _sample(tb, 40, seed=5):
         try:
             q = billiard_map(tb, p)
-            M = billiard_derivative(tb, p)
-            Mi = inverse_derivative(tb, q)
+            M = tb.derivative(p)
+            Mi = tb.derivative(q, False)
         except (GrazingCollision, CornerHit):
             continue
         assert np.allclose(Mi @ M, np.eye(2), atol=1e-9)
@@ -184,15 +181,15 @@ def test_derivative_along_orbit_matches_pointwise():
     assert status == 0
     mats = derivative_along_orbit(tb, comps, rs, ths, taus)
     for i in range(25):
-        M = billiard_derivative(tb, PhasePoint(int(comps[i]), float(rs[i]), float(ths[i])))
+        M = tb.derivative(PhasePoint(int(comps[i]), float(rs[i]), float(ths[i])))
         assert np.allclose(mats[i], M, atol=1e-12)
 
 
 def test_fixture_derivative():
     fx = make_linear_fixture()
-    M = billiard_derivative(fx, PhasePoint(0, 0.1, 0.1))
+    M = fx.derivative(PhasePoint(0, 0.1, 0.1))
     assert np.array_equal(M, np.diag([1 / math.e, math.e]))
-    Mi = inverse_derivative(fx, PhasePoint(0, 0.1, 0.1))
+    Mi = fx.derivative(PhasePoint(0, 0.1, 0.1), False)
     assert np.array_equal(Mi, np.diag([math.e, 1 / math.e]))
 
 
@@ -343,5 +340,5 @@ def test_assumptions_reuse_sample_distance(monkeypatch):
     monkeypatch.undo()
     a7 = min(math.log(smallest_singular_value(m)) - consts.a * math.log(rho(tb, p))
              for p in sample
-             for m in (billiard_derivative(tb, p), inverse_derivative(tb, p)))
+             for m in (tb.derivative(p), tb.derivative(p, False)))
     assert rep["A7"]["min_margin"] == a7
