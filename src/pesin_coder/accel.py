@@ -1,7 +1,12 @@
 """Ray-tracing kernels for orbit generation.
 
-The boundary is packed into plain float arrays that the per-step loop (the
-hot path of simulation, Lyapunov and QR long runs) reads by index.
+The boundary is packed into rows that the per-step loop (the hot path of
+simulation, Lyapunov and QR long runs) reads by index: `ctype` is a tuple of
+int and `cpar` a tuple of float tuples, and callers pass points and
+directions as Python floats too.  Indexing a numpy array yields a numpy
+scalar, and arithmetic on those costs about three times the plain-Python
+float operation; the IEEE results are the same either way, so outputs do not
+depend on the row type, only the speed does.
 
 Component packing (one row of `cpar` per component, `ctype` 0=segment 1=arc):
   segment: p0x, p0y, ux, uy, length, -, -, -, startcorner, endcorner
@@ -72,7 +77,7 @@ def trace_ray(ctype, cpar, px, py, dx, dy, min_flight):
     best_t = 1e300
     best_i = -1
     best_s = 0.0
-    n = ctype.shape[0]
+    n = len(ctype)
     for i in range(n):
         par = cpar[i]
         if ctype[i] == 0:

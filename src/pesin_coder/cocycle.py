@@ -551,7 +551,8 @@ def adaptedness_estimate(table, n: int, seed: int = 0,
     Samples the invariant density directly (cos(theta) dr dtheta for
     billiards, area for the fixture); points that land exactly on the
     discontinuity set (rho = 0) or cannot complete the one-step triple are
-    skipped and counted.
+    skipped and counted.  Fewer than two usable samples give no standard
+    error and raise ValueError.
     """
     from .dynamics import rho as rho_fn
 
@@ -569,6 +570,9 @@ def adaptedness_estimate(table, n: int, seed: int = 0,
             skipped += 1
             continue
         vals.append(math.log(r))
+    if len(vals) < 2:
+        raise ValueError(f"adaptedness estimate needs 2 usable samples, got "
+                         f"n_used={len(vals)}, n_skipped={skipped}")
     vals = np.array(vals)
     marks = np.unique(np.linspace(1, len(vals), checkpoints).astype(int))
     running = [(int(m), float(vals[:m].mean())) for m in marks]

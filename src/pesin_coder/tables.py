@@ -244,14 +244,10 @@ class BilliardTable:
         self.loops = [list(lp) for lp in loops]
         self.kind = kind
         self.params = dict(params or {})
-        ctype = []
-        cpar = []
-        for comp in self.components:
-            t, row = comp.packed()
-            ctype.append(t)
-            cpar.append(row)
-        self.ctype = np.array(ctype, dtype=np.int64)
-        self.cpar = np.array(cpar, dtype=np.float64)
+        # plain Python numbers: the ray kernel reads them one at a time
+        packed = [comp.packed() for comp in self.components]
+        self.ctype = tuple(int(t) for t, _ in packed)
+        self.cpar = tuple(tuple(float(v) for v in row) for _, row in packed)
         if metric_scale is not None and not 0.0 < metric_scale < math.inf:
             raise ValueError(f"metric_scale must be positive and finite, got {metric_scale}")
         self.lengths = np.array([c.length for c in self.components])
@@ -281,10 +277,9 @@ class BilliardTable:
             for i, ci in enumerate(loop):
                 cj = loop[(i + 1) % len(loop)]
                 if self.components[ci].end_corner or self.components[cj].start_corner:
-                    pts.append(self.components[ci].end_point())
-        if not pts:
-            return np.zeros((0, 2))
-        return np.array(pts)
+                    x, y = self.components[ci].end_point()
+                    pts.append((float(x), float(y)))
+        return tuple(pts)
 
     def _boundary_diameter(self) -> float:
         pts = np.concatenate(self._polyline(BOUNDARY_SAMPLES))
@@ -516,7 +511,7 @@ class BilliardTable:
         scalar path.
         """
         out = np.full((len(d), 2), np.nan)
-        for k, (dr, dtheta) in enumerate(d):
+        for k, (dr, dtheta) in enumerate(d.tolist()):
             try:
                 img = self.step(self.embed(x, dr, dtheta), forward)[0]
                 out[k] = self.offset(y, img)
@@ -534,19 +529,19 @@ class BilliardTable:
         if kind == 0:
             s_src = abs(u)
             branch = 1.0 if u >= 0 else -1.0
-            src = self.point_xy(a, s_src)
-            t0 = self.tangent_xy(a, s_src)
-            w = branch * t0
+            src = comp_point(self.ctype[a], self.cpar[a], s_src)
+            tx, ty = comp_tangent(self.ctype[a], self.cpar[a], s_src)
+            w = (branch * tx, branch * ty)
         else:
             src = self.corner_points[a]
-            w = np.array([math.cos(u), math.sin(u)])
+            w = (math.cos(u), math.sin(u))
         ci, s, t = trace_ray(self.ctype, self.cpar, src[0], src[1], w[0], w[1], MIN_FLIGHT)
         if ci < 0 or t > 1e200:
             return None
-        t2 = self.tangent_xy(ci, s)
+        t2 = comp_tangent(self.ctype[ci], self.cpar[ci], s)
         cos0 = -(w[0] * -t2[1] + w[1] * t2[0])  # against the inward normal
         sin0 = -(w[0] * t2[0] + w[1] * t2[1])
-        ph = None if cos0 <= 1e-6 else PhasePoint(int(ci), float(s), math.atan2(sin0, cos0))
+        ph = None if cos0 <= 1e-6 else PhasePoint(ci, s, math.atan2(sin0, cos0))
         return ph, src, t, w
 
     def _segment_inside(self, src, w, t, checks: int = 4) -> bool:
@@ -572,10 +567,11 @@ class BilliardTable:
         # tangent rays of straight pieces lie inside the wall: arcs only
         sources = [(0, ci, branch * (s + 1e-12))
                    for ci, comp in enumerate(self.components) if self.ctype[ci] == 1
-                   for s in np.linspace(0.0, comp.length, n_tan, endpoint=False)
+                   for s in np.linspace(0.0, comp.length, n_tan, endpoint=False).tolist()
                    for branch in (1.0, -1.0)]
         sources += [(1, k, psi) for k in range(len(self.corner_points))
-                    for psi in np.linspace(0.0, 2 * math.pi, n_fan, endpoint=False)]
+                    for psi in np.linspace(0.0, 2 * math.pi, n_fan,
+                                           endpoint=False).tolist()]
         rows = []
         fams = []
         for fam in sources:
@@ -612,7 +608,7 @@ class BilliardTable:
             if got is None or got[0] is None:
                 return float("inf")
             ph = got[0]
-            Q = self.point_xy(ph.component, ph.r)
+            Q = comp_point(self.ctype[ph.component], self.cpar[ph.component], ph.r)
             return math.hypot(math.hypot(Q[0] - P[0], Q[1] - P[1]), ph.theta - th)
 
         lo, hi = u0 - span, u0 + span
@@ -635,7 +631,7 @@ class BilliardTable:
         """Estimated metric distance from p to D (0 on D; 1-Lipschitz in p)."""
         scale = self.metric_scale
         best_unscaled = math.pi / 2 - abs(p.theta)  # grazing fibers
-        P = self.point_xy(p.component, p.r)
+        P = comp_point(self.ctype[p.component], self.cpar[p.component], p.r)
         for C in self.corner_points:  # corner fibers (all theta)
             best_unscaled = min(best_unscaled, math.hypot(P[0] - C[0], P[1] - C[1]))
         cloud = self.singularity_cloud()

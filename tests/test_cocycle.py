@@ -628,3 +628,13 @@ class TestAdaptedness:
         assert marks[-1] == rep["n_used"]
         assert all(a < b for a, b in zip(marks, marks[1:]))
         assert rep["running"][-1][1] == pytest.approx(rep["value"], abs=1e-15)
+
+    @pytest.mark.parametrize("make, n", [
+        (make_circle, 0),
+        (make_circle, 1),
+        (make_linear_fixture, 2),  # fixture images leave the domain: all skipped
+        (make_linear_fixture, 5),
+    ])
+    def test_too_few_usable_samples_raise(self, make, n):
+        with pytest.raises(ValueError, match=r"n_used=\d+, n_skipped=\d+"):
+            adaptedness_estimate(make(), n)

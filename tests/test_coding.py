@@ -70,7 +70,7 @@ from pesin_coder.errors import (
     SeriesDiverging,
     SplittingNotConverged,
 )
-from pesin_coder.lattice import EpsilonConfig, LatticeSize
+from pesin_coder.lattice import EpsilonConfig
 from pesin_coder.tables import (
     PhasePoint,
     make_flower,

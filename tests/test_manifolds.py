@@ -19,7 +19,6 @@ from pesin_coder.charts import (
     ChartMapDecomposition,
     PesinChart,
     chart_from_segment,
-    chart_map_fxy,
     greedy_q,
     _embed,
 )

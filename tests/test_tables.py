@@ -105,6 +105,46 @@ def test_arc_axis_snaps_quarter_turns():
     assert (row[6], row[7]) == (0.0, -1.0)
 
 
+@pytest.mark.parametrize("mk", ALL_BUILDERS)
+def test_packed_rows_are_python_numbers(mk):
+    # the ray kernel reads these one entry at a time: numpy scalars there
+    # cost about three times the plain-Python arithmetic
+    tb = mk()
+    assert type(tb.ctype) is tuple and type(tb.cpar) is tuple
+    assert all(type(t) is int for t in tb.ctype)
+    assert all(type(row) is tuple and all(type(v) is float for v in row)
+               for row in tb.cpar)
+    assert type(tb.corner_points) is tuple
+    assert all(type(v) is float for xy in tb.corner_points for v in xy)
+
+
+# float.hex of d(p, D); each point runs at least one golden-section refinement
+DIST_PINS = {
+    make_stadium: ["0x1.99f0c99837413p-8", "0x1.11b54e5de8099p-6",
+                   "0x1.cb075dbaab0dep-5"],
+    make_sinai: ["0x1.cecc8eb93345ep-7", "0x1.3f251e86c6f96p-6",
+                 "0x1.c568dece5777fp-7"],
+    make_flower: ["0x1.4ced4269a8cc8p-6", "0x1.a1771fb52b895p-7",
+                  "0x1.13e483e8e3e52p-4"],
+}
+
+
+@pytest.mark.parametrize("mk", list(DIST_PINS))
+def test_dist_to_D_is_bitwise_pinned(mk):
+    tb = mk()
+    pts = [PhasePoint(0, 0.7, 0.3), PhasePoint(1, 1.0, -0.4), PhasePoint(2, 0.3, 1.1)]
+    assert [tb.dist_to_D(p).hex() for p in pts] == DIST_PINS[mk]
+
+
+@pytest.mark.parametrize("mk, last", [
+    (make_stadium, (0, "0x1.4c835ac27be03p-1", "0x1.2e01c3ed428e7p+0")),
+    (make_flower, (1, "0x1.2114a6b00ebdcp+0", "0x1.2f32552798fa7p+0")),
+])
+def test_long_orbit_is_bitwise_pinned(mk, last):
+    q = mk().orbit(PhasePoint(0, 0.5, 0.2), 0, 1000)[0][-1]
+    assert (q.component, q.r.hex(), q.theta.hex()) == last
+
+
 def test_contains_point():
     st = make_stadium()
     assert st.contains_point((0.0, 0.0))

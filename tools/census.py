@@ -7,14 +7,20 @@ of the public functions and methods: every ``def`` whose name does not start
 with an underscore, ``__init__`` included, at any nesting depth. Dataclass
 fields are not parameters and are not counted.
 
-Run it as ``python3 tools/census.py``; it counts the package of the checkout
-it sits in. Standard library only; the count is informational and gates
-nothing.
+It also lists ``unused_imports`` in ``src``, ``tests`` and ``tools``: names
+bound by an import and never read in that file, as ``path:line name``.
+``from __future__`` imports, ``__init__.py`` files (they re-export) and
+names listed in a module's ``__all__`` are not reported.
+
+Run it as ``python3 tools/census.py``; it counts the checkout it sits in.
+Standard library only.  The sizes are informational; the exit status is 1
+when any unused import is found, and 0 otherwise.
 """
 from __future__ import annotations
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 
@@ -32,6 +38,32 @@ def defaulted_parameters(tree: ast.AST) -> int:
     return n
 
 
+def _exported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each import binding that no expression reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    keep = read | _exported(tree)
+    return [(line, name) for line, name in bound if name not in keep]
+
+
 def census(src: Path, tests: Path) -> dict:
     lines = {}
     defaults = 0
@@ -41,11 +73,19 @@ def census(src: Path, tests: Path) -> dict:
         defaults += defaulted_parameters(ast.parse(text))
     test_lines = sum(len(path.read_text().splitlines())
                      for path in tests.glob("*.py"))
+    root = src.parent.parent
+    unused = [f"{path.relative_to(root)}:{line} {name}"
+              for path in sorted(p for d in (src, tests, root / "tools")
+                                 for p in d.rglob("*.py"))
+              if path.name != "__init__.py"
+              for line, name in unused_imports(ast.parse(path.read_text()))]
     return {"src_lines": lines, "src_lines_total": sum(lines.values()),
-            "test_lines_total": test_lines, "defaulted_parameters": defaults}
+            "test_lines_total": test_lines, "defaulted_parameters": defaults,
+            "unused_imports": unused}
 
 
 if __name__ == "__main__":
     root = Path(__file__).resolve().parent.parent
-    print(json.dumps(census(root / "src" / "pesin_coder", root / "tests"),
-                     sort_keys=True))
+    report = census(root / "src" / "pesin_coder", root / "tests")
+    print(json.dumps(report, sort_keys=True))
+    sys.exit(1 if report["unused_imports"] else 0)
