@@ -52,8 +52,6 @@ __all__ = [
     "overlap_test",
     "change_of_coordinates",
     "greedy_q",
-    "temperedness_slopes",
-    "epsilon_sweep",
 ]
 
 # smallest half-width at which chart-coordinate maps are grid-sampled; below
@@ -596,57 +594,3 @@ def greedy_q(Qs, cfg: EpsilonConfig) -> GreedyQ:
         edge = min(i, n - 1 - i)
         converged.append(max_expo + d - 3 * (edge + 1) <= q[i].expo)
     return GreedyQ(tuple(qs), tuple(qu), tuple(q), tuple(converged))
-
-
-# ------------------------------------------------------- temperedness proxy
-def temperedness_slopes(Qs, lo: int) -> dict:
-    """Fitted and worst-ratio slopes of log Q along the window.
-
-    Temperedness predicts (1/n) log Q(f^n x) -> 0; finite-window proxies are
-    the least-squares slope of log Q against n (drift rate) and the largest
-    |log Q(n) - log Q(0)| / |n| over the far half of the window.
-    """
-    logs = np.array([Q.log_value for Q in Qs])
-    ns = np.arange(lo, lo + len(logs), dtype=float)
-    if 0 not in ns:
-        raise ValueError("window must contain the base index 0")
-    base = logs[int(-lo)]
-    slope = float(np.polyfit(ns, logs, 1)[0])
-    far = np.abs(ns) >= len(logs) / 4.0
-    far &= ns != 0
-    ratio = float(np.max(np.abs(logs[far] - base) / np.abs(ns[far]))) \
-        if far.any() else 0.0
-    return {"fitted_slope": abs(slope), "far_ratio": ratio,
-            "log_q_min": float(np.min(logs)), "log_q_max": float(np.max(logs))}
-
-
-# ----------------------------------------------------------------- sweeps
-def epsilon_sweep(seg: OrbitSegment, splitting: Splitting, chi: float,
-                  consts: RegularityConstants, eps_values, lo: int, hi: int
-                  ) -> list[dict]:
-    """Chart-size statistics over a window for several coarseness values."""
-    from .cocycle import frames_along
-
-    frames = frames_along(seg, splitting, chi, lo, hi + 1)
-    rhos = [seg.rho(m) for m in range(lo, hi + 1)]
-    out = []
-    for eps in eps_values:
-        cfg = EpsilonConfig(eps)
-        Qs = [compute_Q(frames[k], frames[k + 1], rhos[k], cfg, consts)
-              for k in range(hi - lo + 1)]
-        gq = greedy_q(Qs, cfg)
-        expos = np.array([Q.expo for Q in Qs])
-        temper = temperedness_slopes(Qs, lo)
-        out.append({
-            "eps": eps,
-            "delta_exponent": cfg.delta_exponent,
-            "q_expo_min": int(np.min(expos)),
-            "q_expo_median": int(np.median(expos)),
-            "q_expo_max": int(np.max(expos)),
-            "probe_floored_fraction": float(np.mean(
-                [10.0 * Q.value < PROBE_FLOOR for Q in Qs])),
-            "greedy_converged_fraction": float(np.mean(gq.converged)),
-            "tempered_fitted_slope": temper["fitted_slope"],
-            "tempered_far_ratio": temper["far_ratio"],
-        })
-    return out

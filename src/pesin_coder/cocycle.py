@@ -45,7 +45,6 @@ __all__ = [
     "reduced_cocycle",
     "c_inverse_growth_check",
     "nuh_diagnostics",
-    "adaptedness_estimate",
 ]
 
 # series term below this fraction of the partial sum ends the truncation
@@ -542,44 +541,3 @@ def nuh_diagnostics(seg: OrbitSegment, frames: list[HyperbolicFrame],
         report["q_u_running_max"] = float(np.max(q_u))
         report["q_u_final_running_max"] = float(np.max(q_u[len(q_u) // 2:]))
     return report
-
-
-def adaptedness_estimate(table, n: int, seed: int = 0,
-                         checkpoints: int = 20) -> dict:
-    """Monte-Carlo estimate of the invariant-measure integral of log rho.
-
-    Samples the invariant density directly (cos(theta) dr dtheta for
-    billiards, area for the fixture); points that land exactly on the
-    discontinuity set (rho = 0) or cannot complete the one-step triple are
-    skipped and counted.  Fewer than two usable samples give no standard
-    error and raise ValueError.
-    """
-    from .dynamics import rho as rho_fn
-
-    rng = np.random.default_rng(seed)
-    pts = table.liouville_sample(rng, n)
-    vals = []
-    skipped = 0
-    for p in pts:
-        try:
-            r = rho_fn(table, p)
-        except MapUndefined:
-            skipped += 1
-            continue
-        if r <= 0:
-            skipped += 1
-            continue
-        vals.append(math.log(r))
-    if len(vals) < 2:
-        raise ValueError(f"adaptedness estimate needs 2 usable samples, got "
-                         f"n_used={len(vals)}, n_skipped={skipped}")
-    vals = np.array(vals)
-    marks = np.unique(np.linspace(1, len(vals), checkpoints).astype(int))
-    running = [(int(m), float(vals[:m].mean())) for m in marks]
-    return {
-        "value": float(vals.mean()),
-        "stderr": float(vals.std(ddof=1) / math.sqrt(len(vals))),
-        "n_used": int(len(vals)),
-        "n_skipped": int(skipped),
-        "running": running,
-    }

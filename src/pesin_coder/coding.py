@@ -45,7 +45,7 @@ __all__ = [
     "edge_report", "coarse_grain", "assign_centers", "sufficiency_itinerary",
     "make_itinerary", "sigma_sharp_filter", "project_pi",
     "detect_double_codings", "inverse_diagnostics",
-    "discreteness_certificate", "degree_report", "save_alphabet",
+    "discreteness_certificate", "save_alphabet",
     "load_alphabet", "COVER_SIDE", "NET_EXPONENT", "SHADOW_TOL",
 ]
 
@@ -333,15 +333,8 @@ class ShiftGraph:
     def n_edges(self) -> int:
         return sum(len(row) for row in self.out_edges)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.out_edges[i]
-
     def edge_list(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.out_edges) for j in row]
-
-    def walk_ok(self, ids) -> bool:
-        ids = list(ids)
-        return all(self.has_edge(a, b) for a, b in zip(ids, ids[1:]))
 
 
 def make_graph(vertices, edges, meta: dict | None = None) -> ShiftGraph:
@@ -393,19 +386,6 @@ def prune_graph(g: ShiftGraph) -> tuple[ShiftGraph, tuple[int, ...]]:
              if alive[i] and alive[j]]
     sub = make_graph(tuple(g.vertices[i] for i in kept), edges, g.meta)
     return sub, kept
-
-
-def degree_report(g: ShiftGraph) -> dict:
-    """Degree statistics; every vertex must have finite explicit lists."""
-    outs = [len(row) for row in g.out_edges]
-    ins = [len(row) for row in g.in_edges]
-    return {
-        "n_vertices": g.n_vertices,
-        "n_edges": g.n_edges,
-        "max_out": max(outs, default=0),
-        "max_in": max(ins, default=0),
-        "isolated": sum(1 for o, i in zip(outs, ins) if o == 0 and i == 0),
-    }
 
 
 # -------------------------------------------------------------- edge relation
@@ -1005,6 +985,8 @@ def load_alphabet(path) -> Alphabet:
         raise ValueError(
             f"alphabet built with net exponent {doc['stats']['net_exponent']}, "
             f"this code uses {NET_EXPONENT}")
+    if not doc["vertices"]:
+        raise EmptyAlphabet("alphabet file lists no vertices")
     cfg = EpsilonConfig(doc["eps"])
     c = doc["consts"]
     consts = RegularityConstants(a=c["a"], beta=c["beta"], K=c["K"])
@@ -1014,11 +996,14 @@ def load_alphabet(path) -> Alphabet:
     centers = tuple(_gamma_from_json(obj, table, cfg)
                     for obj in doc["centers"])
 
-    def center_id(value, where: str) -> int:
-        if type(value) is not int or not 0 <= value < len(centers):
-            raise ValueError(f"{where} names center {value!r}; the file "
-                             f"has centers 0..{len(centers) - 1}")
+    def file_id(value, n: int, where: str, what: str) -> int:
+        if type(value) is not int or not 0 <= value < n:
+            raise ValueError(f"{where} names {what} {value!r}; the file "
+                             f"has {what}s 0..{n - 1}")
         return value
+
+    def center_id(value, where: str) -> int:
+        return file_id(value, len(centers), where, "center")
 
     nets = {}
     for i, (k3, l3, a3, m, j, cids) in enumerate(doc["nets"]):
@@ -1029,7 +1014,13 @@ def load_alphabet(path) -> Alphabet:
     rows = [(center_id(row["center"], f"vertices[{i}].center"),
              cfg.size(row["p_s"]), cfg.size(row["p_u"]), int(row["j"]))
             for i, row in enumerate(doc["vertices"])]
+    edges = []
+    for k, e in enumerate(doc["edges"]):
+        if type(e) is not list or len(e) != 2:
+            raise ValueError(f"edges[{k}] = {e!r} is not a vertex pair")
+        edges.append(tuple(file_id(x, len(rows), f"edges[{k}]", "vertex")
+                           for x in e))
     vlist = _emit_charts(rows, centers, cover, cfg, consts)
-    graph = _alphabet_graph(vlist, [tuple(e) for e in doc["edges"]], cfg)
+    graph = _alphabet_graph(vlist, edges, cfg)
     return Alphabet(cfg, consts, cover, centers, nets, graph,
                     tuple(row[0] for row in rows), dict(doc["stats"]))

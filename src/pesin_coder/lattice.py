@@ -83,17 +83,9 @@ class LatticeSize:
         if abs(other.eps - self.eps) > 0.0:
             raise ValueError("lattice sizes from different eps configs")
 
-    def __mul__(self, other: "LatticeSize") -> "LatticeSize":
-        self._check(other)
-        return LatticeSize(self.expo + other.expo, self.eps)
-
     def min_with(self, other: "LatticeSize") -> "LatticeSize":
         self._check(other)
         return LatticeSize(max(self.expo, other.expo), self.eps)
-
-    def max_with(self, other: "LatticeSize") -> "LatticeSize":
-        self._check(other)
-        return LatticeSize(min(self.expo, other.expo), self.eps)
 
     def step(self, k: int) -> "LatticeSize":
         """Multiply by e^(-eps*k/3) (k may be negative; clamps at exponent 0)."""
@@ -102,10 +94,6 @@ class LatticeSize:
     def times_e_eps(self) -> "LatticeSize":
         """Multiply by e^(+eps) exactly (three lattice steps up)."""
         return self.step(-3)
-
-    def times_e_eps_pow(self, k: int) -> "LatticeSize":
-        """Multiply by e^(eps*k), k >= 0, exactly."""
-        return self.step(-3 * k)
 
     # ---------------------------------------------------------- comparisons
     def __le__(self, other: "LatticeSize") -> bool:

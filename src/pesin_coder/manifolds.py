@@ -71,7 +71,6 @@ __all__ = [
     "unstable_manifold",
     "intersect",
     "shadow",
-    "holder_dependence",
 ]
 
 # 65-point uniform grid on [-1, 1]; odd so tau = 0 is a node
@@ -686,23 +685,3 @@ def _check_window(vertex: PathVertex, p, n: int):
             raise ShadowEscape(
                 n, f"pullback |v|_inf = {w_inf:.3e} leaves R[{name}] "
                    f"= {size:.3e} at step {n}")
-
-
-# -------------------------------------------------------------- regression
-def holder_dependence(pairs) -> dict:
-    """Geometric-decay fit of C1 distances against agreement depth.
-
-    `pairs` holds (depth, d_C1) measurements; zero distances are kept out of
-    the fit but reported.  Returns K, theta with theta from the fitted slope.
-    """
-    pairs = [(int(n), float(d)) for n, d in pairs]
-    pos = [(n, d) for n, d in pairs if d > 0.0]
-    if len(pos) < 2:
-        return {"K": 0.0, "theta": 0.0, "n_used": len(pos),
-                "theta_below_one": True, "zeros": len(pairs) - len(pos)}
-    ns = np.array([n for n, _ in pos], dtype=float)
-    logs = np.log([d for _, d in pos])
-    slope, intercept = np.polyfit(ns, logs, 1)
-    theta = math.exp(slope)
-    return {"K": math.exp(intercept), "theta": theta, "n_used": len(pos),
-            "theta_below_one": theta < 1.0, "zeros": len(pairs) - len(pos)}

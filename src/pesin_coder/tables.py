@@ -252,6 +252,13 @@ class BilliardTable:
             raise ValueError(f"metric_scale must be positive and finite, got {metric_scale}")
         self.lengths = np.array([c.length for c in self.components])
         self._validate_closure()
+        # per component: its loop, its index there, the loop arclength
+        # before it and the loop total, for wrap_r and offset
+        self._loop_at = {}
+        for loop in self.loops:
+            lengths = [self.components[c].length for c in loop]
+            for ix, c in enumerate(loop):
+                self._loop_at[c] = (loop, ix, sum(lengths[:ix]), sum(lengths))
         self.corner_points = self._collect_corners()
         self._polylines = {}  # lazy, filled by _polyline()
         self.boundary_diameter = self._boundary_diameter()
@@ -339,11 +346,10 @@ class BilliardTable:
     def wrap_r(self, component: int, r: float) -> tuple[int, float]:
         """Arclength modulo component length (wraparound on closed loops)."""
         L = self.components[component].length
-        loop = next(lp for lp in self.loops if component in lp)
+        loop, idx, _, _ = self._loop_at[component]
         if len(loop) == 1:
             return component, r % L
         # walk to the neighbouring component when r leaves [0, L)
-        idx = loop.index(component)
         while r < 0.0:
             idx = (idx - 1) % len(loop)
             component = loop[idx]
@@ -480,7 +486,7 @@ class BilliardTable:
         one component it is folded into (-L/2, L/2] by adding or subtracting
         L, so that small offsets keep their full precision.
         """
-        loop = next(lp for lp in self.loops if x.component in lp)
+        loop, _, prefix_x, total = self._loop_at[x.component]
         if p.component == x.component:
             dr = p.r - x.r
             if len(loop) == 1:
@@ -489,14 +495,12 @@ class BilliardTable:
                     dr -= L
                 elif dr <= -L / 2.0:
                     dr += L
-        elif p.component not in loop:
-            raise OutOfDomain("points on different boundary loops")
         else:
-            lengths = [self.components[c].length for c in loop]
-            total = sum(lengths)
-            ix, ip = loop.index(x.component), loop.index(p.component)
-            sx = sum(lengths[:ix]) + x.r
-            sp = sum(lengths[:ip]) + p.r
+            loop_p, _, prefix_p, _ = self._loop_at[p.component]
+            if loop_p is not loop:
+                raise OutOfDomain("points on different boundary loops")
+            sx = prefix_x + x.r
+            sp = prefix_p + p.r
             dr = (sp - sx + total / 2.0) % total - total / 2.0
         return np.array([dr, p.theta - x.theta])
 

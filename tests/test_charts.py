@@ -33,16 +33,13 @@ from pesin_coder.charts import (
     chart_map_fx,
     chart_map_fxy,
     compute_Q,
-    epsilon_sweep,
     greedy_q,
     overlap_test,
     q_tilde_log,
-    temperedness_slopes,
 )
 from pesin_coder.cocycle import (
     build_frame,
     frame_at,
-    frames_along,
     orbit_segment,
     oseledets_splitting,
 )
@@ -695,43 +692,3 @@ class TestGreedyQ:
     def test_window_too_short(self):
         with pytest.raises(ValueError):
             greedy_q([LatticeSize(10, 0.01)], CFG)
-
-
-# ------------------------------------------------- temperedness, sweep, dump
-class TestTemperedness:
-    def test_fixture_slopes_vanish(self):
-        fx, seg, sp, ch0, ch1 = fixture_charts()
-        frames = frames_along(seg, sp, CHI, -5, 6)
-        Qs = [compute_Q(a, b, 0.3, CFG, CONSTS)
-              for a, b in zip(frames, frames[1:])]
-        t = temperedness_slopes(Qs, -5)
-        assert t["fitted_slope"] < 1e-12
-        assert t["far_ratio"] == 0.0
-        assert abs(t["log_q_min"] - (-309.83)) < 1e-12
-
-    def test_window_must_contain_base(self):
-        Qs = [LatticeSize(100, 0.01)] * 5
-        with pytest.raises(ValueError):
-            temperedness_slopes(Qs, 1)
-
-    def test_linear_drift_is_measured(self):
-        # log Q falling by exactly eps per step: slope and far ratio 1.0
-        Qs = [LatticeSize(1000 + 300 * i, 0.01) for i in range(11)]
-        t = temperedness_slopes(Qs, -5)
-        assert abs(t["fitted_slope"] - 1.0) < 1e-9
-        assert abs(t["far_ratio"] - 1.0) < 1e-9
-
-
-class TestSweepAndDump:
-    def test_epsilon_sweep_fixture(self):
-        fx, seg, sp, ch0, ch1 = fixture_charts()
-        rows = epsilon_sweep(seg, sp, CHI, CONSTS, [0.01, 0.05], -10, 10)
-        assert [r["eps"] for r in rows] == [0.01, 0.05]
-        assert rows[0]["delta_exponent"] == 1383
-        assert rows[1]["delta_exponent"] == 180
-        assert rows[0]["q_expo_min"] == rows[0]["q_expo_max"] == 92949
-        assert rows[1]["q_expo_median"] == 18011
-        for r in rows:
-            assert r["probe_floored_fraction"] == 1.0
-            assert r["greedy_converged_fraction"] == 1.0
-            assert r["tempered_fitted_slope"] < 1e-12

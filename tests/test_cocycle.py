@@ -13,11 +13,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from pesin_coder.cocycle import (
     OrbitSegment,
-    adaptedness_estimate,
     build_frame,
     c_inverse_growth_check,
     frame_at,
@@ -596,45 +594,3 @@ class TestDiagnostics:
         assert growth["min_margin"] > 0.0
         le = lyapunov_exponents(seg, sp)
         assert abs(le.lambda2 - le.qr_lambda2) / le.qr_lambda2 < 0.05
-
-
-# ------------------------------------------------------------- adaptedness
-class TestAdaptedness:
-    def test_fixture_estimate_matches_area_integral(self):
-        # E[log(h - max(|x|, |y|))] over the square = log h - 3/2
-        fx = make_linear_fixture()
-        rep = adaptedness_estimate(fx, 20000, seed=0)
-        exact = math.log(0.3) - 1.5
-        assert rep["n_used"] + rep["n_skipped"] == 20000
-        assert abs(rep["value"] - exact) < 4.0 * rep["stderr"]
-        # independent quadrature over the level-set density 8m/(4 h^2)
-        h = 0.3
-        val, _ = quad(lambda m: math.log(h - m) * 8.0 * m / (4.0 * h * h), 0, h)
-        assert val == pytest.approx(exact, abs=1e-9)
-
-    def test_circle_estimate_matches_quadrature(self):
-        ci = make_circle()
-        rep = adaptedness_estimate(ci, 2000, seed=1)
-        val, _ = quad(lambda t: math.log(math.pi / 2 - t) * math.cos(t),
-                      0, math.pi / 2)
-        exact = math.log(ci.metric_scale) + val
-        assert abs(rep["value"] - exact) < 4.0 * rep["stderr"]
-        assert rep["stderr"] < 0.1
-
-    def test_running_checkpoints_cover_the_sample(self):
-        fx = make_linear_fixture()
-        rep = adaptedness_estimate(fx, 500, seed=2, checkpoints=7)
-        marks = [m for m, _ in rep["running"]]
-        assert marks[-1] == rep["n_used"]
-        assert all(a < b for a, b in zip(marks, marks[1:]))
-        assert rep["running"][-1][1] == pytest.approx(rep["value"], abs=1e-15)
-
-    @pytest.mark.parametrize("make, n", [
-        (make_circle, 0),
-        (make_circle, 1),
-        (make_linear_fixture, 2),  # fixture images leave the domain: all skipped
-        (make_linear_fixture, 5),
-    ])
-    def test_too_few_usable_samples_raise(self, make, n):
-        with pytest.raises(ValueError, match=r"n_used=\d+, n_skipped=\d+"):
-            adaptedness_estimate(make(), n)

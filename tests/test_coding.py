@@ -42,7 +42,6 @@ from pesin_coder.coding import (
     assign_centers,
     bin_signature,
     coarse_grain,
-    degree_report,
     detect_double_codings,
     discreteness_certificate,
     double_chart,
@@ -369,8 +368,6 @@ def test_make_graph_dedup_and_validation():
     assert g.n_edges == 3
     assert g.out_edges[0] == (0, 1)
     assert g.in_edges[0] == (0, 1)
-    assert g.walk_ok([0, 1, 0, 0])
-    assert not g.walk_ok([1, 1])
     with pytest.raises(ValueError, match="outside vertex range"):
         make_graph(("a",), [(0, 1)])
 
@@ -384,24 +381,6 @@ def test_prune_removes_acyclic_parts():
     sub, kept = prune_graph(cycle_tail)
     assert kept == (0, 1)
     assert sub.edge_list() == [(0, 1), (1, 0)]
-
-
-def test_degree_report_matches_recount():
-    rng = np.random.default_rng(3)
-    n = 12
-    edges = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(40, 2))]
-    g = make_graph(tuple(range(n)), edges)
-    rep = degree_report(g)
-    outs = [0] * n
-    ins = [0] * n
-    for i, j in set(edges):
-        outs[i] += 1
-        ins[j] += 1
-    assert rep["max_out"] == max(outs)
-    assert rep["max_in"] == max(ins)
-    assert rep["n_edges"] == len(set(edges))
-    assert rep["isolated"] == sum(1 for o, i in zip(outs, ins)
-                                  if o == 0 and i == 0)
 
 
 # ------------------------------------------------------------ coarse grain
@@ -423,8 +402,6 @@ def test_two_orbit_alphabet_loop_plus_chain():
     assert alpha.graph.edge_list() == \
         [(0, 0)] + [(k, k + 1) for k in range(1, 9)]
     assert alpha.core_kept == (0,)  # only the genuine fixed point recurs
-    rep = degree_report(alpha.graph)
-    assert (rep["max_out"], rep["max_in"], rep["isolated"]) == (1, 1, 0)
 
 
 def test_duplicate_and_nested_windows_dedupe():
@@ -845,6 +822,33 @@ def test_load_refuses_center_ids_outside_the_file(tmp_path, field, corrupt):
     corrupt(doc)
     f.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(field)):
+        load_alphabet(f)
+
+
+@pytest.mark.parametrize("edge", [[0.0, 0], ["0", 0], [True, 0], [0, 10],
+                                  [-1, 0], [0], [0, 0, 0], "00"],
+                         ids=["float", "str", "bool", "past-end", "negative",
+                              "short", "long", "string"])
+def test_load_refuses_bad_edges(tmp_path, edge):
+    alpha = fixture_alphabet(0.0, H)
+    assert alpha.graph.n_vertices == 10
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    doc["edges"][3] = edge
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("edges[3]")):
+        load_alphabet(f)
+
+
+def test_load_refuses_empty_vertex_list(tmp_path):
+    alpha = fixture_alphabet(0.0)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    doc["vertices"], doc["edges"] = [], []
+    f.write_text(json.dumps(doc))
+    with pytest.raises(EmptyAlphabet):
         load_alphabet(f)
 
 

@@ -54,24 +54,16 @@ def test_delta_is_largest_power_below_eps():
     assert CFG.delta_exponent == 3 * n
 
 
-def test_product_adds_exponents():
-    a, b = CFG.size(7), CFG.size(10)
-    assert (a * b).expo == 17
-    assert math.isclose((a * b).log_value, a.log_value + b.log_value)
-
-
 def test_min_max_and_ordering():
     small, big = CFG.size(50), CFG.size(3)
     assert small < big and big > small
     assert small.min_with(big).expo == 50
-    assert small.max_with(big).expo == 3
     assert small <= CFG.size(50) and small >= CFG.size(50)
 
 
 def test_e_eps_steps_are_exact():
     s = CFG.size(30)
     assert s.times_e_eps().expo == 27
-    assert s.times_e_eps_pow(4).expo == 18
     # clamped at 1 (exponent 0)
     assert CFG.size(2).times_e_eps().expo == 0
     assert s.step(5).expo == 35
@@ -89,7 +81,9 @@ def test_ratio_predicates():
 
 def test_mixed_eps_rejected():
     with pytest.raises(ValueError):
-        CFG.size(1) * LatticeSize(1, 0.02)
+        CFG.size(1).min_with(LatticeSize(1, 0.02))
+    with pytest.raises(ValueError):
+        CFG.size(1) <= LatticeSize(1, 0.02)
 
 
 def test_negative_exponent_rejected():

@@ -56,7 +56,6 @@ from pesin_coder.manifolds import (
     constant_path,
     contraction_measurement,
     graph_transform,
-    holder_dependence,
     intersect,
     make_manifold,
     path_from_vertices,
@@ -450,29 +449,6 @@ def test_shadow_escape_on_corrupted_vertex():
     with pytest.raises(ShadowEscape) as ei:
         shadow(bad, CONSTS)
     assert ei.value.n == 2
-
-
-def test_holder_theta_matches_fixture_contraction():
-    _, v = fixture_vertex()
-    path = constant_path(v, 3, CONSTS)
-    limit = zero_manifold(v, "s")
-    m = const_manifold(v, "s", 2.0 ** -11)
-    pairs = []
-    for k in range(1, 21):
-        m = graph_transform(path.bwd[0], m, v)
-        pairs.append((k, c1_distance(m, limit, normalized=True)))
-    fit = holder_dependence(pairs)
-    assert abs(fit["theta"] - math.exp(-1.0)) < 1e-12
-    assert fit["theta"] < math.exp(-CHI / 2.0)
-    assert fit["theta_below_one"]
-    assert abs(fit["K"] - 2.0 ** -11) < 1e-10
-
-
-def test_holder_identical_paths_zero_distances():
-    fit = holder_dependence([(n, 0.0) for n in range(1, 8)])
-    assert fit["theta"] == 0.0
-    assert fit["zeros"] == 7
-    assert fit["theta_below_one"]
 
 
 # ----------------------------------- desk-scale hyperbolicity on graphs

@@ -1,6 +1,7 @@
 """Table construction, geometry conventions, metric, persistence."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -180,6 +181,36 @@ def test_wrap_r_walks_loop():
     cir = make_circle()
     c, r = cir.wrap_r(0, 2 * math.pi + 0.5)
     assert c == 0 and abs(r - 0.5) < 1e-12
+
+
+# sha256 of float.hex of each embed -> offset round trip across a junction
+# (the bits of the prefix-sum fold in offset, with its rounding at small dr)
+ROUND_TRIP_PINS = {
+    make_stadium: "2d8887f104f0c69a",
+    make_sinai: "3f2af3db6f964c7a",
+    make_flower: "bdbacccd2ed0ad33",
+}
+
+
+@pytest.mark.parametrize("mk", list(ROUND_TRIP_PINS))
+def test_junction_round_trips_are_bitwise_pinned(mk):
+    tb = mk()
+    out = []
+    for loop in tb.loops:
+        for i, c in enumerate(loop):
+            nxt = loop[(i + 1) % len(loop)]
+            L = tb.components[c].length
+            for d in (1e-6, 1e-4, 1e-2, 0.5):
+                # d/2 before the junction, forward by d; and back again
+                for x, dr, lands in ((PhasePoint(c, L - d / 2, 0.1), d, nxt),
+                                     (PhasePoint(nxt, d / 2, -0.2), -d, c)):
+                    p = tb.embed(x, dr, d / 3)
+                    assert p.component == lands
+                    back = tb.offset(x, p)
+                    out += [p.r.hex(), float(back[0]).hex(),
+                            float(back[1]).hex()]
+    digest = hashlib.sha256("|".join(out).encode()).hexdigest()[:16]
+    assert digest == ROUND_TRIP_PINS[mk]
 
 
 # -------------------------------------------------------------------- metric

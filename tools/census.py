@@ -12,9 +12,16 @@ bound by an import and never read in that file, as ``path:line name``.
 ``from __future__`` imports, ``__init__.py`` files (they re-export) and
 names listed in a module's ``__all__`` are not reported.
 
+It also lists ``test_only_public``: each public module-level function in
+``src`` whose name no code in ``src``, ``perfbench`` or ``tools`` reads, so
+only tests call it.  A read is a loaded name, an attribute name or a string
+constant outside ``__all__``; the match is by name alone, so a function that
+shares its name with a method or variable read elsewhere (``dynamics.rho``
+and ``OrbitSegment.rho``) is not listed.
+
 Run it as ``python3 tools/census.py``; it counts the checkout it sits in.
-Standard library only.  The sizes are informational; the exit status is 1
-when any unused import is found, and 0 otherwise.
+Standard library only.  The sizes and the test-only list are informational;
+the exit status is 1 when any unused import is found, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -38,13 +45,46 @@ def defaulted_parameters(tree: ast.AST) -> int:
     return n
 
 
+def _all_values(tree: ast.Module) -> list[ast.expr]:
+    """The value of each top-level ``__all__ = ...`` assignment."""
+    return [node.value for node in tree.body
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets)]
+
+
 def _exported(tree: ast.Module) -> set[str]:
-    names = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            names.update(ast.literal_eval(node.value))
-    return names
+    return {name for value in _all_values(tree)
+            for name in ast.literal_eval(value)}
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names the code reads: loaded names, attribute names, and string
+    constants (a table of names to wrap, say) outside ``__all__``."""
+    exports = {id(n) for value in _all_values(tree) for n in ast.walk(value)}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in exports:
+            read.add(node.value)
+    return read
+
+
+def test_only_public(src: Path, readers) -> list[str]:
+    """``module.name`` of each public module-level function in ``src`` whose
+    name no code under the ``readers`` directories reads."""
+    trees = {path: ast.parse(path.read_text())
+             for d in readers for path in sorted(d.rglob("*.py"))}
+    read = set().union(*map(names_read, trees.values()))
+    return [f"{path.stem}.{node.name}"
+            for path, tree in trees.items() if path.parent == src
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in read]
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -81,7 +121,9 @@ def census(src: Path, tests: Path) -> dict:
               for line, name in unused_imports(ast.parse(path.read_text()))]
     return {"src_lines": lines, "src_lines_total": sum(lines.values()),
             "test_lines_total": test_lines, "defaulted_parameters": defaults,
-            "unused_imports": unused}
+            "unused_imports": unused,
+            "test_only_public": test_only_public(
+                src, (src, root / "perfbench", root / "tools"))}
 
 
 if __name__ == "__main__":
