@@ -1005,14 +1005,22 @@ def load_alphabet(path) -> Alphabet:
     def center_id(value, where: str) -> int:
         return file_id(value, len(centers), where, "center")
 
+    def integer(value, where: str) -> int:
+        if type(value) is not int:
+            raise ValueError(f"{where} = {value!r} is not an integer")
+        return value
+
     nets = {}
     for i, (k3, l3, a3, m, j, cids) in enumerate(doc["nets"]):
-        base = (tuple(int(x) for x in k3), tuple(int(x) for x in l3),
-                tuple(int(x) for x in a3), int(m))
-        nets[(base, int(j))] = tuple(center_id(x, f"nets[{i}] center list")
-                                     for x in cids)
+        k, l, a = (tuple(integer(x, f"nets[{i}].{name}") for x in v3)
+                   for name, v3 in (("k", k3), ("l", l3), ("a", a3)))
+        base = (k, l, a, integer(m, f"nets[{i}].m"))
+        nets[(base, integer(j, f"nets[{i}].j"))] = tuple(
+            center_id(x, f"nets[{i}] center list") for x in cids)
     rows = [(center_id(row["center"], f"vertices[{i}].center"),
-             cfg.size(row["p_s"]), cfg.size(row["p_u"]), int(row["j"]))
+             cfg.size(integer(row["p_s"], f"vertices[{i}].p_s")),
+             cfg.size(integer(row["p_u"], f"vertices[{i}].p_u")),
+             integer(row["j"], f"vertices[{i}].j"))
             for i, row in enumerate(doc["vertices"])]
     edges = []
     for k, e in enumerate(doc["edges"]):

@@ -8,6 +8,12 @@ domain half-width p), because real chart sizes sit at e^-300: the values
 themselves stay representable, but only scale-free arithmetic keeps the
 estimators meaningful.  Slopes are invariant under this normalization.
 
+Between the nodes a graph is read by monotone cubic Hermite interpolation
+(PCHIP: Fritsch-Carlson, with Fritsch-Butland harmonic-mean node slopes and
+one-sided three-point end slopes); past [-1, 1] the end cubics extend, which
+`intersect` relies on.  The ends and the arithmetic are those of scipy's
+PchipInterpolator, step for step, so the values are bitwise scipy's.
+
 Graph transforms evaluate the edge map through its affine model
 w = (A v1, B v2) + h(0) + grad h(0) v, read from the chart-map decomposition.
 At real chart sizes this model is exact to float precision (higher-order
@@ -26,10 +32,10 @@ is below float-literal scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .charts import ChartMapDecomposition, PesinChart, chart_map_fxy, \
     _embed, _pullback
@@ -103,6 +109,56 @@ SEED_ENVELOPE = 1e-2
 # residue of a point that maps exactly onto the next center; above it they
 # are genuine offsets and enter the transform literally
 CENTER_OFFSET_NOISE = 1e-12
+
+
+# ----------------------------------------------------------- interpolation
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point end slope, zeroed or capped to stay monotone."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+def _pchip(x, y, derivative: bool = False) -> Callable:
+    """Monotone cubic through (x, y), or its derivative, as a function of t.
+
+    The arithmetic is scipy's PchipInterpolator step for step, so results
+    are bitwise equal; the end cubics extend past [x[0], x[-1]].
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("interpolation nodes and values must be finite")
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    keep = np.sign(m[1:]) * np.sign(m[:-1]) > 0  # same sign, neither zero
+    d = np.zeros_like(y)
+    d[1:-1][keep] = 1.0 / whmean[keep]
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    if not np.all(np.isfinite(d)):
+        raise ValueError("interpolation node slopes overflow")
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    rows = [t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]]
+    if derivative:
+        rows = [3.0 * rows[0], 2.0 * rows[1], rows[2]]
+
+    def evaluate(at):
+        at = np.asarray(at, dtype=float)
+        i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, len(x) - 2)
+        s = at - x[i]
+        res, z = 0.0, 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in reversed(rows):
+                res = res + c[i] * z
+                z = z * s
+        return res
+    return evaluate
 
 
 # ------------------------------------------------------------------- types
@@ -179,11 +235,11 @@ class AdmissibleManifold:
     def sup_slope(self) -> float:
         return float(np.max(np.abs(self.slopes)))
 
-    def value_fn(self) -> PchipInterpolator:
-        return PchipInterpolator(TAU, self.values)
+    def value_fn(self) -> Callable:
+        return _pchip(TAU, self.values)
 
-    def slope_fn(self) -> PchipInterpolator:
-        return PchipInterpolator(TAU, self.slopes)
+    def slope_fn(self) -> Callable:
+        return _pchip(TAU, self.slopes)
 
 
 # ----------------------------------------------------------- construction
@@ -211,7 +267,7 @@ def make_manifold(vertex: PathVertex, kind: str, values,
     if values.shape == ():
         values = np.full(MANIFOLD_GRID_N, float(values))
     if slopes is None:
-        slopes = PchipInterpolator(TAU, values).derivative()(TAU)
+        slopes = _pchip(TAU, values, derivative=True)(TAU)
     return AdmissibleManifold(vertex, kind, values,
                               np.asarray(slopes, dtype=float))
 
@@ -347,10 +403,9 @@ def _push_graph(A: float, B: float, H: np.ndarray, values: np.ndarray,
             f"the output window [-1, 1] (normalized)")
 
     # source parameter at each output node, then exact affine re-evaluation
-    src_of_param = PchipInterpolator(out_param[flip], TAU[flip])
-    src = src_of_param(TAU)
-    val_fn = PchipInterpolator(TAU, values)
-    slope_fn = PchipInterpolator(TAU, slopes)
+    src = _pchip(out_param[flip], TAU[flip])(TAU)
+    val_fn = _pchip(TAU, values)
+    slope_fn = _pchip(TAU, slopes)
     v_src = val_fn(src)
     g_src = slope_fn(src)
     out_vals = ratio * (a * v_src + H[0, 1] * src) + h0n[0]

@@ -187,19 +187,11 @@ def _kernel_error(status: int, p: PhasePoint) -> Exception:
     return NoIntersection(f"ray from {p} misses the boundary")
 
 
-def _mirror_jacobian(kappa0, kappa1, tau, th0, th1):
-    """d(r', theta')/d(r, theta) for one bounce (mirror-equation form)."""
-    c0 = math.cos(th0)
-    c1 = math.cos(th1)
-    return np.array([
-        [(kappa0 * tau - c0) / c1, -tau / c1],
-        [(kappa0 * c1 + kappa1 * c0 - kappa0 * kappa1 * tau) / c1,
-         (kappa1 * tau - c1) / c1],
-    ])
-
-
 def derivative_along_orbit(table, comps, rs, ths, taus) -> np.ndarray:
-    """Vectorized df at each of the n = len(taus) stored collisions."""
+    """Vectorized df at each of the n = len(taus) stored collisions.
+
+    Mirror-equation form: d(r', theta')/d(r, theta) of each bounce.
+    """
     kaps = np.array([table.curvature(int(c)) for c in comps])
     c_in = np.cos(ths[:-1])
     c_out = np.cos(ths[1:])
@@ -407,8 +399,9 @@ class BilliardTable:
             return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
         self._check_derivative()
         q, tau = self.step(p)
-        return _mirror_jacobian(self.curvature(p.component),
-                                self.curvature(q.component), tau, p.theta, q.theta)
+        return derivative_along_orbit(
+            self, (p.component, q.component), None,
+            np.array([p.theta, q.theta]), np.array([tau]))[0]
 
     def _check_derivative(self):
         if self._deriv_checked:

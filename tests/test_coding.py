@@ -841,6 +841,28 @@ def test_load_refuses_bad_edges(tmp_path, edge):
         load_alphabet(f)
 
 
+@pytest.mark.parametrize("field, corrupt", [
+    ("nets[0].k", lambda doc: doc["nets"][0][0].__setitem__(0, 1.5)),
+    ("nets[0].l", lambda doc: doc["nets"][0][1].__setitem__(1, "1")),
+    ("nets[0].a", lambda doc: doc["nets"][0][2].__setitem__(2, True)),
+    ("nets[0].m", lambda doc: doc["nets"][0].__setitem__(3, 309.0)),
+    ("nets[0].j", lambda doc: doc["nets"][0].__setitem__(4, "3")),
+    ("vertices[0].p_s", lambda doc: doc["vertices"][0].update(p_s=2.5)),
+    ("vertices[0].p_u", lambda doc: doc["vertices"][0].update(p_u=False)),
+    ("vertices[0].j", lambda doc: doc["vertices"][0].update(j=1.0)),
+], ids=["k-float", "l-str", "a-bool", "m-float", "j-str", "p_s-float",
+        "p_u-bool", "vertex-j-float"])
+def test_load_refuses_non_integer_fields(tmp_path, field, corrupt):
+    alpha = fixture_alphabet(0.0, H)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    corrupt(doc)
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(field)):
+        load_alphabet(f)
+
+
 def test_load_refuses_empty_vertex_list(tmp_path):
     alpha = fixture_alphabet(0.0)
     f = tmp_path / "alphabet.json"

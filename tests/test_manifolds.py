@@ -10,7 +10,9 @@ hand-built edge models, where every bound is asserted at its stated value.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -577,6 +579,53 @@ def test_intersect_input_checks():
         intersect(zero_manifold(v, "u"), zero_manifold(v, "u"), CONSTS)
     with pytest.raises(ValueError):
         intersect(zero_manifold(v, "s"), zero_manifold(vs, "u"), CONSTS)
+
+
+# ---------------------------------------------------------- interpolation
+# sha256 (first 16 hex digits) of the float.hex values below; computed with
+# scipy's PchipInterpolator and kept by the in-repo monotone cubic
+INTERPOLATION_PIN = "8a6d428e45ab8aa0"
+
+
+def test_interpolation_is_bitwise_pinned():
+    _, v = synthetic_vertex()
+    vs = PathVertex(v.chart, v.chart.Q.step(3), v.chart.Q)
+    bump = np.where(np.abs(TAU) < 0.2, 0.05 * (0.04 - TAU ** 2), 0.0)
+    shapes = (0.3 * np.sin(3.0 * math.pi * TAU) + 0.1 * TAU,  # wiggly
+              0.4 * TAU ** 3 + 0.1 * TAU,                     # monotone
+              0.2 + bump)                                     # flat, bump
+    t = np.concatenate([TAU, np.linspace(-3.0, 3.0, 97),
+                        np.nextafter([-1.0, 1.0], 0.0)])
+    out = []
+    for vals in shapes:
+        m = make_manifold(v, "u", vals)
+        out += list(m.slopes) + list(m.value_fn()(t)) + list(m.slope_fn()(t))
+    path = constant_path(v, 3, CONSTS)
+    img = graph_transform(path.fwd[0], make_manifold(v, "u", shapes[0]), v)
+    out += list(img.values) + list(img.slopes)
+    w, rep = intersect(make_manifold(vs, "s", 1e-4 + 0.2 * TAU ** 2),
+                       make_manifold(vs, "u", -2e-4 + 0.15 * TAU ** 3),
+                       CONSTS)
+    out += list(w) + list(rep["w_norm"]) + rep["residuals"]
+    text = "|".join(float(x).hex() for x in out)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == INTERPOLATION_PIN
+
+
+def test_interpolation_refuses_nan_and_extrapolates_quietly():
+    _, v = synthetic_vertex()
+    vals = 0.1 * TAU
+    vals[7] = math.nan
+    with pytest.raises(ValueError):
+        make_manifold(v, "u", vals)
+    with pytest.raises(ValueError):
+        make_manifold(v, "u", vals, np.zeros(MANIFOLD_GRID_N)).value_fn()
+    m = make_manifold(v, "u", 0.3 * np.sin(3.0 * math.pi * TAU))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = [float(m.value_fn()(x)) for x in (1e200, -1e200)]
+        far.append(float(m.slope_fn()(1e200)))
+    # the cubic and quadratic terms overflow with opposite signs, as in scipy
+    assert [x.hex() for x in far] == ["nan", "nan", "inf"]
 
 
 # --------------------------------------------------------------- stadium
