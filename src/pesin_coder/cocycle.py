@@ -193,7 +193,6 @@ class LyapunovEstimate:
     qr_lambda1: float
     qr_lambda2: float
     radius: float
-    birkhoff_available: bool
 
 
 # ------------------------------------------------------------ orbit segment
@@ -315,10 +314,10 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
 
 
 # ------------------------------------------------------------------ exponents
-def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting | None = None
+def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting
                        ) -> LyapunovEstimate:
-    """Finite-window exponents: QR cocycle, plus Birkhoff means when a
-    splitting is supplied.  The confidence radius is the larger of the
+    """Finite-window exponents: Birkhoff means along the splitting, checked
+    against the QR cocycle.  The confidence radius is the larger of the
     QR/Birkhoff discrepancy and the spread of LYAPUNOV_BLOCKS block means."""
     n = len(seg) - 1
     logs = np.zeros((n, 2))
@@ -334,9 +333,6 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting | None = None
         b.mean(axis=0) for b in np.array_split(logs, min(LYAPUNOV_BLOCKS, n)) if len(b)])
     spread = float(np.max(block_means.std(axis=0))) if len(block_means) > 1 else 0.0
 
-    if splitting is None:
-        return LyapunovEstimate(qr_l1, qr_l2, qr_l1, qr_l2, spread, False)
-
     # trim the seed-contaminated indices near each end: e_u is unreliable
     # close to the past end, e_s close to the future end
     trim = min(max(4, n // 10), max((n - 2) // 2, 0))
@@ -346,16 +342,16 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting | None = None
     l1 = float(np.mean(np.log(np.linalg.norm(gs, axis=1))))
     l2 = float(np.mean(np.log(np.linalg.norm(gu, axis=1))))
     radius = max(spread, abs(l1 - qr_l1), abs(l2 - qr_l2))
-    return LyapunovEstimate(l1, l2, qr_l1, qr_l2, radius, True)
+    return LyapunovEstimate(l1, l2, qr_l1, qr_l2, radius)
 
 
 # --------------------------------------------------------------- s, u series
-def _weighted_series(expansions, chi: float, cap_terms: int,
-                     sum_cap: float = SERIES_SUM_CAP):
+def _weighted_series(expansions, chi: float):
     """sum of e^(2 n chi) * (prod of expansion factors up to n)^2, n >= 0.
 
-    `expansions` yields per-step norms; the n=0 term is 1.  Returns
-    (partial, tail_bound, terms_used).
+    `expansions` yields per-step norms; the n=0 term is 1.  At most
+    SERIES_MAX_TERMS terms are summed, and a partial sum past SERIES_SUM_CAP
+    raises SeriesDiverging.  Returns (partial, tail_bound, terms_used).
     """
     partial = 1.0
     c = 1.0  # running ||df^n e||
@@ -368,13 +364,13 @@ def _weighted_series(expansions, chi: float, cap_terms: int,
         prev_term = term
         term = math.exp(2.0 * n * chi) * c * c
         partial += term
-        if partial > sum_cap:
+        if partial > SERIES_SUM_CAP:
             raise SeriesDiverging(
-                f"partial sum {partial:.3e} exceeds cap {sum_cap:.1e} "
+                f"partial sum {partial:.3e} exceeds cap {SERIES_SUM_CAP:.1e} "
                 f"after {n} terms (chi={chi} too large here)")
         if term < SERIES_TERM_CUTOFF * partial:
             break
-        if n >= cap_terms:
+        if n >= SERIES_MAX_TERMS:
             break
     ratio = term / prev_term if prev_term > 0 else 1.0
     tail = term * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else math.inf
@@ -382,8 +378,7 @@ def _weighted_series(expansions, chi: float, cap_terms: int,
 
 
 def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
-                   at: int = 0, n_trunc: int = SERIES_MAX_TERMS,
-                   sum_cap: float = SERIES_SUM_CAP) -> SUParams:
+                   at: int = 0) -> SUParams:
     """Truncated series parameters at relative step `at`:
     s^2 = 2 sum e^(2n chi) ||df^n e_s||^2 (forward),
     u^2 = 2 sum e^(2n chi) ||df^-n e_u||^2 (backward).
@@ -395,11 +390,9 @@ def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
     if chi <= 0:
         raise ValueError("chi must be positive")
     i = seg.index(at)
-    ssum, stail, sterms = _weighted_series(
-        splitting.factor_s[i:], chi, n_trunc, sum_cap)
+    ssum, stail, sterms = _weighted_series(splitting.factor_s[i:], chi)
     usum, utail, uterms = _weighted_series(
-        1.0 / splitting.factor_u[i - 1::-1] if i > 0 else (),
-        chi, n_trunc, sum_cap)
+        1.0 / splitting.factor_u[i - 1::-1] if i > 0 else (), chi)
     return SUParams(math.sqrt(2.0 * ssum), math.sqrt(2.0 * usum),
                     stail, utail, sterms, uterms)
 

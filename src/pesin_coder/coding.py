@@ -41,7 +41,7 @@ from .tables import PhasePoint, make_table
 __all__ = [
     "GridCover", "GammaPoint", "BinSignature", "DoubleChart", "ShiftGraph",
     "Alphabet", "Itinerary", "gammas_from_segment", "bin_signature",
-    "gamma_close", "double_chart", "make_graph", "prune_graph", "edge_test",
+    "gamma_close", "double_chart", "make_graph", "prune_graph",
     "edge_report", "coarse_grain", "assign_centers", "sufficiency_itinerary",
     "make_itinerary", "sigma_sharp_filter", "project_pi",
     "detect_double_codings", "inverse_diagnostics",
@@ -114,10 +114,14 @@ class GridCover:
             raise ValueError(f"cover built with box side {obj['side']}, "
                              f"this code uses {COVER_SIDE}")
         cover = cls()
-        for c, ir, it, i in obj["boxes"]:
-            if i != len(cover._ids):
+        for n, row in enumerate(obj["boxes"]):
+            c, ir, it, i = (_integer(x, f"cover.boxes[{n}]") for x in row)
+            if i != n:
                 raise ValueError("cover box ids must be dense and ordered")
-            cover._ids[(int(c), int(ir), int(it))] = int(i)
+            if (c, ir, it) in cover._ids:
+                raise ValueError(f"cover.boxes[{n}] repeats box "
+                                 f"{[c, ir, it]}")
+            cover._ids[(c, ir, it)] = i
         return cover
 
 
@@ -238,7 +242,7 @@ def _signature(gamma: GammaPoint, box) -> BinSignature:
 def gamma_close(g1: GammaPoint, g2: GammaPoint, j: int) -> bool:
     """Net-level closeness: triple distances below e^(-NET_EXPONENT*(j+2))
     and exact size ratio within one lattice third."""
-    if not g1.Q.ratio_within_e_eps_third(g2.Q, thirds=1):
+    if not g1.Q.ratio_within_e_eps_third(g2.Q):
         return False
     log_r = -NET_EXPONENT * (j + 2.0)
     for p1, f1, p2, f2 in zip(g1.points, g1.frames, g2.points, g2.frames):
@@ -279,18 +283,13 @@ class DoubleChart(PathVertex):
 
 
 def double_chart(gamma: GammaPoint, cover: GridCover, cfg: EpsilonConfig,
-                 consts: RegularityConstants,
-                 p_s: LatticeSize | None = None,
-                 p_u: LatticeSize | None = None,
-                 j: int | None = None) -> DoubleChart:
+                 consts: RegularityConstants, p_s: LatticeSize,
+                 p_u: LatticeSize, j: int) -> DoubleChart:
     """Build one alphabet element, checking the size conditions.
 
     Validates that both sizes stay below delta Q on the lattice and that
     their meet sits within e^(+-2) of the level scale e^(-j).
     """
-    p_s = gamma.p_s if p_s is None else p_s
-    p_u = gamma.p_u if p_u is None else p_u
-    j = gamma.j if j is None else j
     cap = gamma.Q.step(cfg.delta_exponent)
     for name, p in (("p_s", p_s), ("p_u", p_u)):
         if not p <= cap:
@@ -421,12 +420,6 @@ def edge_report(v: DoubleChart, w: DoubleChart, cfg: EpsilonConfig,
     return out
 
 
-def edge_test(v: DoubleChart, w: DoubleChart, cfg: EpsilonConfig,
-              consts: RegularityConstants) -> bool:
-    """True iff both size recursions hold exactly and both overlaps pass."""
-    return not edge_report(v, w, cfg, consts)
-
-
 # ----------------------------------------------------------------- alphabet
 @dataclass(eq=False)
 class Alphabet:
@@ -476,7 +469,7 @@ class Alphabet:
 def _emit_charts(rows, centers, cover: GridCover, cfg: EpsilonConfig,
                  consts: RegularityConstants) -> list[DoubleChart]:
     """Alphabet elements for (center id, p_s, p_u, level j) rows, in order."""
-    return [double_chart(centers[c], cover, cfg, consts, p_s, p_u, j=j)
+    return [double_chart(centers[c], cover, cfg, consts, p_s, p_u, j)
             for c, p_s, p_u, j in rows]
 
 
@@ -562,7 +555,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
         want_u = np.maximum(pu[cand] - 3, vlist[w_id].gamma.Q.expo + d)
         cand = cand[vlist[w_id].p_u.expo == want_u]
         for v_id in cand:
-            if edge_test(vlist[int(v_id)], vlist[w_id], cfg, consts):
+            if not edge_report(vlist[int(v_id)], vlist[w_id], cfg, consts):
                 edges.append((int(v_id), w_id))
 
     alphabet = Alphabet(cfg, consts, cover, tuple(centers), nets,
@@ -673,8 +666,7 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int
             in_alpha.append(True)
         else:
             vertices.append(double_chart(alphabet.centers[c], alphabet.cover,
-                                         cfg, consts, gq.qs[k], gq.qu[k],
-                                         j=g.j))
+                                         cfg, consts, gq.qs[k], gq.qu[k], g.j))
             in_alpha.append(False)
     meta = {"center_ids": tuple(cids),
             "in_alphabet_fraction": float(np.mean(in_alpha))}
@@ -940,17 +932,28 @@ def _gamma_to_json(g: GammaPoint) -> dict:
     }
 
 
-def _gamma_from_json(obj: dict, table, cfg: EpsilonConfig) -> GammaPoint:
+def _integer(value, where: str) -> int:
+    """A file's integer field: a JSON int, not a bool, a float or a string."""
+    if type(value) is not int:
+        raise ValueError(f"{where} = {value!r} is not an integer")
+    return value
+
+
+def _gamma_from_json(obj: dict, table, cfg: EpsilonConfig,
+                     where: str) -> GammaPoint:
+    def size(value, name: str) -> LatticeSize:
+        return cfg.size(_integer(value, f"{where}.{name}"))
+
     return GammaPoint(
         table=table,
-        points=tuple(PhasePoint(int(c), r, th)
+        points=tuple(PhasePoint(_integer(c, f"{where}.points"), r, th)
                      for c, r, th in obj["points"]),
         frames=tuple(_frame_from_json(row) for row in obj["frames"]),
-        Qs=tuple(cfg.size(e) for e in obj["Q_expos"]),
+        Qs=tuple(size(e, "Q_expos") for e in obj["Q_expos"]),
         dists=tuple(obj["dists"]),
         rhos=tuple(obj["rhos"]),
-        q=cfg.size(obj["q"]), p_s=cfg.size(obj["p_s"]),
-        p_u=cfg.size(obj["p_u"]))
+        q=size(obj["q"], "q"), p_s=size(obj["p_s"], "p_s"),
+        p_u=size(obj["p_u"], "p_u"))
 
 
 def save_alphabet(alphabet: Alphabet, path) -> None:
@@ -993,8 +996,8 @@ def load_alphabet(path) -> Alphabet:
     t = doc["table"]
     table = make_table(t["kind"], t["params"], t["metric_scale"])
     cover = GridCover.from_json(doc["cover"])
-    centers = tuple(_gamma_from_json(obj, table, cfg)
-                    for obj in doc["centers"])
+    centers = tuple(_gamma_from_json(obj, table, cfg, f"centers[{i}]")
+                    for i, obj in enumerate(doc["centers"]))
 
     def file_id(value, n: int, where: str, what: str) -> int:
         if type(value) is not int or not 0 <= value < n:
@@ -1005,22 +1008,17 @@ def load_alphabet(path) -> Alphabet:
     def center_id(value, where: str) -> int:
         return file_id(value, len(centers), where, "center")
 
-    def integer(value, where: str) -> int:
-        if type(value) is not int:
-            raise ValueError(f"{where} = {value!r} is not an integer")
-        return value
-
     nets = {}
     for i, (k3, l3, a3, m, j, cids) in enumerate(doc["nets"]):
-        k, l, a = (tuple(integer(x, f"nets[{i}].{name}") for x in v3)
+        k, l, a = (tuple(_integer(x, f"nets[{i}].{name}") for x in v3)
                    for name, v3 in (("k", k3), ("l", l3), ("a", a3)))
-        base = (k, l, a, integer(m, f"nets[{i}].m"))
-        nets[(base, integer(j, f"nets[{i}].j"))] = tuple(
+        base = (k, l, a, _integer(m, f"nets[{i}].m"))
+        nets[(base, _integer(j, f"nets[{i}].j"))] = tuple(
             center_id(x, f"nets[{i}] center list") for x in cids)
     rows = [(center_id(row["center"], f"vertices[{i}].center"),
-             cfg.size(integer(row["p_s"], f"vertices[{i}].p_s")),
-             cfg.size(integer(row["p_u"], f"vertices[{i}].p_u")),
-             integer(row["j"], f"vertices[{i}].j"))
+             cfg.size(_integer(row["p_s"], f"vertices[{i}].p_s")),
+             cfg.size(_integer(row["p_u"], f"vertices[{i}].p_u")),
+             _integer(row["j"], f"vertices[{i}].j"))
             for i, row in enumerate(doc["vertices"])]
     edges = []
     for k, e in enumerate(doc["edges"]):

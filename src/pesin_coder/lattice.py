@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["EpsilonConfig", "LatticeSize", "i_eps_floor", "i_eps_floor_log"]
+__all__ = ["EpsilonConfig", "LatticeSize"]
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,22 @@ class EpsilonConfig:
         return LatticeSize(expo, self.eps)
 
     def floor_log(self, log_value: float) -> "LatticeSize":
-        return i_eps_floor_log(log_value, self)
+        """Largest lattice element <= e^log_value (clamps to 1 above 1).
+
+        Takes the log, so it is safe where the value itself underflows.
+        Integer adjust loops pin the boundary behaviour, so float drift in
+        the initial estimate can never change the answer.
+        """
+        if log_value >= 0.0:
+            return LatticeSize(0, self.eps)
+        eps = self.eps
+        n = math.ceil(-3.0 * log_value / eps)
+        # exact floor semantics: e^(-eps*n/3) <= value < e^(-eps*(n-1)/3)
+        while -eps * n / 3.0 > log_value:
+            n += 1
+        while n >= 1 and -eps * (n - 1) / 3.0 <= log_value:
+            n -= 1
+        return LatticeSize(max(n, 0), eps)
 
 
 @dataclass(frozen=True, order=False)
@@ -110,39 +125,13 @@ class LatticeSize:
     def __gt__(self, other: "LatticeSize") -> bool:
         return other.__lt__(self)
 
-    def ratio_within_e_eps(self, other: "LatticeSize", steps: int = 1) -> bool:
-        """True iff self/other = e^(+-eps*steps) exactly on the lattice."""
+    def ratio_within_e_eps(self, other: "LatticeSize") -> bool:
+        """True iff self/other = e^(+-eps) exactly on the lattice."""
         self._check(other)
-        return abs(self.expo - other.expo) <= 3 * steps
+        return abs(self.expo - other.expo) <= 3
 
-    def ratio_within_e_eps_third(self, other: "LatticeSize", thirds: int = 1) -> bool:
-        """True iff self/other = e^(+-eps*thirds/3) exactly on the lattice."""
+    def ratio_within_e_eps_third(self, other: "LatticeSize") -> bool:
+        """True iff self/other = e^(+-eps/3) exactly on the lattice."""
         self._check(other)
-        return abs(self.expo - other.expo) <= thirds
+        return abs(self.expo - other.expo) <= 1
 
-
-def i_eps_floor(value: float, cfg: EpsilonConfig) -> LatticeSize:
-    """Largest lattice element <= value (exact floor; clamps to 1 above 1).
-
-    Boundary behaviour is pinned by integer adjust loops so float drift in the
-    initial estimate can never change the answer.
-    """
-    if not (value > 0.0):
-        raise ValueError(f"i_eps_floor needs a positive value, got {value}")
-    if value >= 1.0:
-        return LatticeSize(0, cfg.eps)
-    return i_eps_floor_log(math.log(value), cfg)
-
-
-def i_eps_floor_log(log_value: float, cfg: EpsilonConfig) -> LatticeSize:
-    """i_eps_floor taking log(value); safe when value itself underflows."""
-    if log_value >= 0.0:
-        return LatticeSize(0, cfg.eps)
-    eps = cfg.eps
-    n = math.ceil(-3.0 * log_value / eps)
-    # exact floor semantics: e^(-eps*n/3) <= value < e^(-eps*(n-1)/3)
-    while -eps * n / 3.0 > log_value:
-        n += 1
-    while n >= 1 and -eps * (n - 1) / 3.0 <= log_value:
-        n -= 1
-    return LatticeSize(max(n, 0), cfg.eps)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartMapDecomposition, PesinChart, chart_map_fxy, \
-    _embed, _pullback
+from .charts import ChartMapDecomposition, PesinChart, chart_apply, \
+    chart_invert, chart_map_fxy
 from .dynamics import RegularityConstants, billiard_inverse, billiard_map
 from .errors import (
     AdmissibilityViolated,
@@ -109,6 +109,8 @@ SEED_ENVELOPE = 1e-2
 # residue of a point that maps exactly onto the next center; above it they
 # are genuine offsets and enter the transform literally
 CENTER_OFFSET_NOISE = 1e-12
+# seed of the independent admissible seed that cross-checks each limit
+SEED_RNG = 0
 
 
 # ----------------------------------------------------------- interpolation
@@ -524,8 +526,8 @@ def _random_admissible_seed(vertex: PathVertex, kind: str,
                          np.zeros(MANIFOLD_GRID_N))
 
 
-def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
-                    rng_seed: int) -> tuple:
+def _manifold_limit(path: GpoPath, kind: str,
+                    consts: RegularityConstants) -> tuple:
     n_edges = len(path) - 1
     if n_edges < 1:
         raise ValueError("need at least one edge to iterate")
@@ -563,7 +565,7 @@ def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
     # path (a shallow sweep would not have contracted the seed away yet);
     # the enforceable agreement is what n contracting edges certify, and it
     # tightens to the hard tolerance once the envelope reaches it
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(SEED_RNG)
     alt = _sweep(path, 0, _random_admissible_seed(path.vertices[0], kind, rng))
     seed_gap = c1_distance(result, alt, normalized=True)
     chi = base.chart.frame.chi
@@ -580,21 +582,19 @@ def _manifold_limit(path: GpoPath, kind: str, consts: RegularityConstants,
     return result, log
 
 
-def stable_manifold(path: GpoPath, consts: RegularityConstants,
-                    rng_seed: int = 0):
+def stable_manifold(path: GpoPath, consts: RegularityConstants):
     """Limit of backward s-transform sweeps from ever-deeper zero seeds.
 
     Returns (manifold at the first vertex, convergence log).  Deepens until
     successive results differ by less than C1_CUTOFF or every edge of the
     path is used; the limit is cross-checked from an independent random seed.
     """
-    return _manifold_limit(path, "s", consts, rng_seed)
+    return _manifold_limit(path, "s", consts)
 
 
-def unstable_manifold(path: GpoPath, consts: RegularityConstants,
-                      rng_seed: int = 0):
+def unstable_manifold(path: GpoPath, consts: RegularityConstants):
     """Mirror of stable_manifold: forward u-sweeps ending at the last vertex."""
-    return _manifold_limit(path, "u", consts, rng_seed)
+    return _manifold_limit(path, "u", consts)
 
 
 # ------------------------------------------------------------ intersection
@@ -704,7 +704,7 @@ def shadow(path: GpoPath, consts: RegularityConstants):
 
     base = path.vertices[i0]
     table = base.chart.table
-    x = _embed(base.chart, w)
+    x = chart_apply(base.chart, w)
 
     # verify the window membership along the whole path
     p = x
@@ -729,7 +729,7 @@ def _advance(table, p, n: int, step):
 
 def _check_window(vertex: PathVertex, p, n: int):
     try:
-        v = _pullback(vertex.chart, p)
+        v = chart_invert(vertex.chart, p)
     except OutOfDomain as e:
         raise ShadowEscape(n, f"orbit leaves the chart component chain at "
                               f"step {n}: {e}") from e

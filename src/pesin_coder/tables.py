@@ -39,11 +39,9 @@ converges as the cloud refines, and it is exactly 1-Lipschitz in x.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -77,8 +75,6 @@ __all__ = [
     "make_sinai",
     "make_flower",
     "make_linear_fixture",
-    "load_table",
-    "save_table",
     "make_table",
 ]
 
@@ -187,7 +183,7 @@ def _kernel_error(status: int, p: PhasePoint) -> Exception:
     return NoIntersection(f"ray from {p} misses the boundary")
 
 
-def derivative_along_orbit(table, comps, rs, ths, taus) -> np.ndarray:
+def derivative_along_orbit(table, comps, ths, taus) -> np.ndarray:
     """Vectorized df at each of the n = len(taus) stored collisions.
 
     Mirror-equation form: d(r', theta')/d(r, theta) of each bounce.
@@ -400,7 +396,7 @@ class BilliardTable:
         self._check_derivative()
         q, tau = self.step(p)
         return derivative_along_orbit(
-            self, (p.component, q.component), None,
+            self, (p.component, q.component),
             np.array([p.theta, q.theta]), np.array([tau]))[0]
 
     def _check_derivative(self):
@@ -451,7 +447,7 @@ class BilliardTable:
         except MapUndefined as e:
             raise OrbitHitsDiscontinuity(n_plus, f"derivative probe: {e}") from e
         derivs = derivative_along_orbit(
-            self, np.concatenate([comps, [after.component]]), rs,
+            self, np.concatenate([comps, [after.component]]),
             np.concatenate([ths, [after.theta]]), np.concatenate([flights, [tau]]))
         return pts, derivs, flights, after
 
@@ -882,13 +878,3 @@ def make_table(kind: str, params: dict | None = None,
         params["metric_scale"] = metric_scale
     return _BUILDERS[kind](**params)
 
-
-def load_table(path) -> BilliardTable | LinearFixtureMap:
-    spec = json.loads(Path(path).read_text())
-    return make_table(spec["kind"], spec.get("params"), spec.get("metric_scale"))
-
-
-def save_table(table, path):
-    spec = {"kind": table.kind, "params": table.params,
-            "metric_scale": table.metric_scale}
-    Path(path).write_text(json.dumps(spec, indent=2, sort_keys=True) + "\n")

@@ -46,7 +46,6 @@ from pesin_coder.coding import (
     discreteness_certificate,
     double_chart,
     edge_report,
-    edge_test,
     gamma_close,
     gammas_from_segment,
     inverse_diagnostics,
@@ -317,21 +316,23 @@ def test_net_is_bitwise_at_real_levels():
 # ------------------------------------------------------------ double charts
 def test_double_chart_size_cap():
     _, gam = fixture_gammas()
+    g = gam[4]
     with pytest.raises(ValueError, match="exceeds delta Q"):
-        double_chart(gam[4], GridCover(), CFG, CONSTS,
-                     p_s=CFG.size(FIX_P_EXPO - 1))
+        double_chart(g, GridCover(), CFG, CONSTS, CFG.size(FIX_P_EXPO - 1),
+                     g.p_u, g.j)
 
 
 def test_double_chart_level_window():
     _, gam = fixture_gammas()
+    g = gam[4]
     with pytest.raises(ValueError, match="outside the level window"):
-        double_chart(gam[4], GridCover(), CFG, CONSTS, j=FIX_J + 6)
-    dc = double_chart(gam[4], GridCover(), CFG, CONSTS)
+        double_chart(g, GridCover(), CFG, CONSTS, g.p_s, g.p_u, FIX_J + 6)
+    dc = double_chart(g, GridCover(), CFG, CONSTS, g.p_s, g.p_u, g.j)
     assert dc.p_min.expo == FIX_P_EXPO
     assert dc.signature.j == FIX_J
     assert dc.chart.eta.expo == FIX_P_EXPO
     # identity semantics: a chart built again from equal data is another symbol
-    twin = double_chart(gam[4], GridCover(), CFG, CONSTS)
+    twin = double_chart(g, GridCover(), CFG, CONSTS, g.p_s, g.p_u, g.j)
     assert dc != twin and len({dc, twin, dc}) == 2
 
 
@@ -339,16 +340,15 @@ def test_double_chart_level_window():
 def test_fixture_self_edge():
     alpha = fixture_alphabet(0.0)
     v = alpha.graph.vertices[0]
-    assert edge_test(v, v, CFG, CONSTS)
     assert edge_report(v, v, CFG, CONSTS) == []
 
 
 def test_edge_rejects_one_lattice_step():
     alpha = fixture_alphabet(0.0)
     v = alpha.graph.vertices[0]
-    mod = double_chart(alpha.centers[0], alpha.cover, CFG, CONSTS,
-                       p_s=CFG.size(FIX_P_EXPO + 1))
-    assert not edge_test(mod, v, CFG, CONSTS)
+    c = alpha.centers[0]
+    mod = double_chart(c, alpha.cover, CFG, CONSTS, CFG.size(FIX_P_EXPO + 1),
+                       c.p_u, c.j)
     assert "stable size recursion broken" in edge_report(mod, v, CFG, CONSTS)
 
 
@@ -356,7 +356,6 @@ def test_edge_fails_across_orbits():
     alpha = fixture_alphabet(0.0, H)
     v_fix = alpha.graph.vertices[0]
     v_h = alpha.graph.vertices[1]
-    assert not edge_test(v_fix, v_h, CFG, CONSTS)
     reasons = edge_report(v_fix, v_h, CFG, CONSTS)
     assert "forward overlap fails" in reasons
     assert "backward overlap fails" in reasons
@@ -863,6 +862,39 @@ def test_load_refuses_non_integer_fields(tmp_path, field, corrupt):
         load_alphabet(f)
 
 
+def _set_box(n, k, value):
+    return lambda doc: doc["cover"]["boxes"][n].__setitem__(k, value)
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("cover.boxes[0]", _set_box(0, 1, 0.5)),
+    ("cover.boxes[0]", _set_box(0, 0, True)),
+    ("cover.boxes[0]", _set_box(0, 2, "0")),
+    ("cover.boxes[1] repeats", lambda doc: doc["cover"].update(
+        boxes=[[0, 0, 0, 0], [0, 0, 0, 1]])),
+    ("centers[0].p_s", lambda doc: doc["centers"][0].update(p_s=94332.5)),
+    ("centers[0].p_u", lambda doc: doc["centers"][0].update(p_u="1")),
+    ("centers[0].q", lambda doc: doc["centers"][0].update(q=False)),
+    ("centers[0].Q_expos",
+     lambda doc: doc["centers"][0]["Q_expos"].__setitem__(1, 92949.0)),
+    ("centers[0].points",
+     lambda doc: doc["centers"][0]["points"][1].__setitem__(0, True)),
+], ids=["box-float", "box-bool", "box-str", "box-repeated", "center-p_s-float",
+        "center-p_u-str", "center-q-bool", "center-Q-float",
+        "center-component-bool"])
+def test_load_refuses_coerced_cover_and_center_fields(tmp_path, field,
+                                                       corrupt):
+    alpha = fixture_alphabet(0.0, H)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    assert doc["cover"]["boxes"] == [[0, 0, 0, 0]]
+    corrupt(doc)
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(field)):
+        load_alphabet(f)
+
+
 def test_load_refuses_empty_vertex_list(tmp_path):
     alpha = fixture_alphabet(0.0)
     f = tmp_path / "alphabet.json"
@@ -884,7 +916,7 @@ def test_loaded_alphabet_still_codes(tmp_path):
     assert all(it.in_alphabet)
     assert it.meta["shadow_gap"] == 0.0
     v0 = back.graph.vertices[0]
-    assert edge_test(v0, v0, CFG, CONSTS)
+    assert edge_report(v0, v0, CFG, CONSTS) == []
 
 
 def test_saved_file_is_plain_json(tmp_path):

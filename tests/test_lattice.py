@@ -5,46 +5,39 @@ import math
 
 import pytest
 
-from pesin_coder.lattice import EpsilonConfig, LatticeSize, i_eps_floor, i_eps_floor_log
+from pesin_coder.lattice import EpsilonConfig, LatticeSize
 
 EPS = 0.01
 CFG = EpsilonConfig(EPS)
 
 
 def test_floor_at_one():
-    assert i_eps_floor(1.0, CFG).expo == 0
-    assert i_eps_floor(5.0, CFG).expo == 0
+    assert CFG.floor_log(math.log(1.0)).expo == 0
+    assert CFG.floor_log(math.log(5.0)).expo == 0
 
 
 def test_floor_just_below_first_step():
     # a value a hair above e^(-eps/3) floors to exponent 1
     v = math.exp(-EPS / 3.0) * 1.0000001
-    assert i_eps_floor(v, CFG).expo == 1
+    assert CFG.floor_log(math.log(v)).expo == 1
     # a hair below e^(-eps/3) floors to exponent 2
     w = math.exp(-EPS / 3.0) * 0.9999999
-    assert i_eps_floor(w, CFG).expo == 2
+    assert CFG.floor_log(math.log(w)).expo == 2
 
 
 def test_floor_exact_lattice_points():
     # floor is idempotent on lattice values: e^(-eps*n/3) -> exponent n
     for n in (0, 1, 2, 3, 17, 300, 9999):
         size = CFG.size(n)
-        assert i_eps_floor_log(size.log_value, CFG).expo == n
+        assert CFG.floor_log(size.log_value).expo == n
 
 
 def test_floor_log_handles_underflow():
     # value e^-5000 underflows float64 but the log-space floor is exact
-    got = i_eps_floor_log(-5000.0, CFG)
+    got = CFG.floor_log(-5000.0)
     assert got.expo == math.ceil(3 * 5000.0 / EPS)
     assert got.value == 0.0  # underflow is fine; log_value carries the size
     assert got.log_value == -EPS * got.expo / 3.0
-
-
-def test_floor_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        i_eps_floor(0.0, CFG)
-    with pytest.raises(ValueError):
-        i_eps_floor(-1.0, CFG)
 
 
 def test_delta_is_largest_power_below_eps():
@@ -74,7 +67,6 @@ def test_ratio_predicates():
     assert s.ratio_within_e_eps(CFG.size(33))
     assert s.ratio_within_e_eps(CFG.size(27))
     assert not s.ratio_within_e_eps(CFG.size(34))
-    assert s.ratio_within_e_eps(CFG.size(36), steps=2)
     assert s.ratio_within_e_eps_third(CFG.size(31))
     assert not s.ratio_within_e_eps_third(CFG.size(32))
 
@@ -98,7 +90,7 @@ def test_floor_monotone_near_boundaries():
     for n in range(200, 0, -1):
         for bump in (-1e-12, 0.0, 1e-12):
             v = -EPS * n / 3.0 + bump
-            e = i_eps_floor_log(v, CFG).expo
+            e = CFG.floor_log(v).expo
             assert math.exp(-EPS * e / 3.0) <= math.exp(v) * (1 + 1e-15)
             if prev_expo is not None:
                 assert e <= prev_expo

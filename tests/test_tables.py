@@ -1,8 +1,7 @@
-"""Table construction, geometry conventions, metric, persistence."""
+"""Table construction, geometry conventions, metric, table specs."""
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -14,14 +13,12 @@ from pesin_coder.tables import (
     LinearFixtureMap,
     PhasePoint,
     Segment,
-    load_table,
     make_circle,
     make_flower,
     make_linear_fixture,
     make_sinai,
     make_stadium,
     make_table,
-    save_table,
 )
 
 ALL_BUILDERS = [make_circle, make_stadium, make_sinai, make_flower]
@@ -308,30 +305,7 @@ def test_fixture_sampling_in_domain():
         assert max(abs(p.r), abs(p.theta)) <= fx.half_width
 
 
-# --------------------------------------------------------------- persistence
-def test_save_load_round_trip(tmp_path):
-    for mk, kind in [(make_stadium, "stadium"), (make_sinai, "sinai"),
-                     (make_flower, "flower"), (make_circle, "circle")]:
-        tb = mk()
-        f = tmp_path / f"{kind}.json"
-        save_table(tb, f)
-        blob = json.loads(f.read_text())
-        assert blob["kind"] == kind
-        tb2 = load_table(f)
-        assert np.array_equal(tb.cpar, tb2.cpar)
-        assert np.array_equal(tb.ctype, tb2.ctype)
-        assert tb.metric_scale == tb2.metric_scale
-
-
-def test_save_load_fixture(tmp_path):
-    fx = make_linear_fixture(half_width=0.25)
-    f = tmp_path / "fx.json"
-    save_table(fx, f)
-    fx2 = load_table(f)
-    assert isinstance(fx2, LinearFixtureMap)
-    assert fx2.half_width == 0.25 and fx2.lambda_u == fx.lambda_u
-
-
+# --------------------------------------------------------------- table specs
 def test_make_table_dispatch():
     tb = make_table("stadium", {"radius": 1.0, "straight_half_length": 2.0})
     assert tb.kind == "stadium"
@@ -363,14 +337,9 @@ def test_make_table_dispatch():
         "circle-radius-string", "circle-metric-scale-string",
         "stadium-metric-scale-bool", "circle-radius-inf",
         "stadium-metric-scale-inf", "fixture-half-width-inf"])
-def test_make_table_rejects_bad_specs(tmp_path, kind, params, metric_scale):
+def test_make_table_rejects_bad_specs(kind, params, metric_scale):
     with pytest.raises(ValueError, match="must|need"):
         make_table(kind, params, metric_scale)
-    f = tmp_path / "spec.json"
-    f.write_text(json.dumps({"kind": kind, "params": params,
-                             "metric_scale": metric_scale}))
-    with pytest.raises(ValueError, match="must|need"):
-        load_table(f)
 
 
 @pytest.mark.parametrize("build,kwargs", [

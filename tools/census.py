@@ -19,9 +19,16 @@ constant outside ``__all__``; the match is by name alone, so a function that
 shares its name with a method or variable read elsewhere (``dynamics.rho``
 and ``OrbitSegment.rho``) is not listed.
 
+Each name left on ``test_only_public`` must be in ``TEST_ONLY_ALLOWED``
+below, with its one-line reason, and each allowed name must still be on the
+list: a new function that only tests call is used, allowed with a reason, or
+deleted, and a stale allowance is removed.
+
 Run it as ``python3 tools/census.py``; it counts the checkout it sits in.
-Standard library only.  The sizes and the test-only list are informational;
-the exit status is 1 when any unused import is found, and 0 otherwise.
+Standard library only.  The sizes are informational; the exit status is 1
+when any unused import is found or when ``test_only_public`` and
+``TEST_ONLY_ALLOWED`` differ (the names on only one side are printed as
+``test_only_mismatch``), and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -29,6 +36,25 @@ import ast
 import json
 import sys
 from pathlib import Path
+
+# each public function that only tests call, with the reason it stays
+_REPORT = "diagnostic for the run report (ROADMAP items 5 and 6)"
+TEST_ONLY_ALLOWED = {
+    "charts.chart_map_fx": _REPORT,
+    "charts.change_of_coordinates": _REPORT,
+    "cocycle.c_inverse_growth_check": _REPORT,
+    "cocycle.nuh_diagnostics": _REPORT,
+    "coding.sigma_sharp_filter": _REPORT,
+    "coding.detect_double_codings": _REPORT,
+    "coding.discreteness_certificate": _REPORT,
+    "dynamics.verify_assumptions": _REPORT,
+    "manifolds.contraction_measurement": _REPORT,
+    "charts.chart_from_segment": "the one-chart constructor; coding shares "
+                                 "frames between neighbours instead",
+    "cocycle.frames_along": "builds the frames the window diagnostics read",
+    "manifolds.constant_path": "the fixed-point path, its edges computed once "
+                               "rather than once per vertex pair",
+}
 
 
 def _public(name: str) -> bool:
@@ -129,5 +155,8 @@ def census(src: Path, tests: Path) -> dict:
 if __name__ == "__main__":
     root = Path(__file__).resolve().parent.parent
     report = census(root / "src" / "pesin_coder", root / "tests")
+    report["test_only_mismatch"] = sorted(
+        set(report["test_only_public"]) ^ set(TEST_ONLY_ALLOWED))
     print(json.dumps(report, sort_keys=True))
-    sys.exit(1 if report["unused_imports"] else 0)
+    sys.exit(1 if report["unused_imports"] or report["test_only_mismatch"]
+             else 0)
