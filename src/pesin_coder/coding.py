@@ -912,7 +912,8 @@ def _frame_to_json(fr: HyperbolicFrame) -> list:
             float(fr.e_u[1]), fr.s_param, fr.u_param, fr.chi]
 
 
-def _frame_from_json(row) -> HyperbolicFrame:
+def _frame_from_json(row, where: str) -> HyperbolicFrame:
+    row = [_real(v, where) for v in row]
     return build_frame(np.array(row[0:2]), np.array(row[2:4]), row[4],
                        row[5], row[6])
 
@@ -939,6 +940,13 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _real(value, where: str) -> float:
+    """A file's real field: a JSON int or float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} = {value!r} is not a number")
+    return value
+
+
 def _gamma_from_json(obj: dict, table, cfg: EpsilonConfig,
                      where: str) -> GammaPoint:
     def size(value, name: str) -> LatticeSize:
@@ -946,12 +954,15 @@ def _gamma_from_json(obj: dict, table, cfg: EpsilonConfig,
 
     return GammaPoint(
         table=table,
-        points=tuple(PhasePoint(_integer(c, f"{where}.points"), r, th)
+        points=tuple(PhasePoint(_integer(c, f"{where}.points"),
+                                _real(r, f"{where}.points"),
+                                _real(th, f"{where}.points"))
                      for c, r, th in obj["points"]),
-        frames=tuple(_frame_from_json(row) for row in obj["frames"]),
+        frames=tuple(_frame_from_json(row, f"{where}.frames")
+                     for row in obj["frames"]),
         Qs=tuple(size(e, "Q_expos") for e in obj["Q_expos"]),
-        dists=tuple(obj["dists"]),
-        rhos=tuple(obj["rhos"]),
+        dists=tuple(_real(v, f"{where}.dists") for v in obj["dists"]),
+        rhos=tuple(_real(v, f"{where}.rhos") for v in obj["rhos"]),
         q=size(obj["q"], "q"), p_s=size(obj["p_s"], "p_s"),
         p_u=size(obj["p_u"], "p_u"))
 
@@ -990,9 +1001,10 @@ def load_alphabet(path) -> Alphabet:
             f"this code uses {NET_EXPONENT}")
     if not doc["vertices"]:
         raise EmptyAlphabet("alphabet file lists no vertices")
-    cfg = EpsilonConfig(doc["eps"])
+    cfg = EpsilonConfig(_real(doc["eps"], "eps"))
     c = doc["consts"]
-    consts = RegularityConstants(a=c["a"], beta=c["beta"], K=c["K"])
+    consts = RegularityConstants(
+        **{name: _real(c[name], f"consts.{name}") for name in ("a", "beta", "K")})
     t = doc["table"]
     table = make_table(t["kind"], t["params"], t["metric_scale"])
     cover = GridCover.from_json(doc["cover"])

@@ -27,6 +27,13 @@ module asks which of the two it holds:
   step_many(x, d, forward, y)  offset(y, f^{+-1}(embed(x, d_k))) for N rows
                              d_k, and the first row that fails.
 
+A billiard table's step, embed and offset have a scalar form (one point; the
+sequential orbits run it) and an array form (N rows at once; step_many runs
+it, with `accel.run_step_many` for the step).  They are one geometry: the
+same IEEE operations in the same order, pinned bitwise to each other by a
+test on every row of full grids.  See `accel` for why cos, sin and atan2
+stay scalar `math` calls in both.
+
 The discontinuity set D of a billiard map consists of the grazing fibers
 (|theta| = pi/2), the corner fibers (junction arclengths, all theta), and the
 one-step forward/backward preimages of tangencies and corners (first
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import (CORNER, GRAZING, OK, comp_curvature, comp_point, comp_tangent,
-                    run_orbit, trace_ray)
+                    run_orbit, run_step_many, trace_ray)
 from .errors import (
     CornerHit,
     DomainEscape,
@@ -183,6 +190,12 @@ def _kernel_error(status: int, p: PhasePoint) -> Exception:
     return NoIntersection(f"ray from {p} misses the boundary")
 
 
+def _first_true(mask: np.ndarray, n: int) -> int:
+    """The index of the first True among mask[:n], else n."""
+    hits = np.flatnonzero(mask[:n])
+    return int(hits[0]) if hits.size else n
+
+
 def derivative_along_orbit(table, comps, ths, taus) -> np.ndarray:
     """Vectorized df at each of the n = len(taus) stored collisions.
 
@@ -243,10 +256,15 @@ class BilliardTable:
         # per component: its loop, its index there, the loop arclength
         # before it and the loop total, for wrap_r and offset
         self._loop_at = {}
-        for loop in self.loops:
+        # the loop number and prefix arclength again as arrays, for step_many
+        self._loop_index = np.full(len(self.components), -1)
+        self._prefix = np.zeros(len(self.components))
+        for k, loop in enumerate(self.loops):
             lengths = [self.components[c].length for c in loop]
             for ix, c in enumerate(loop):
                 self._loop_at[c] = (loop, ix, sum(lengths[:ix]), sum(lengths))
+                self._loop_index[c] = k
+                self._prefix[c] = self._loop_at[c][2]
         self.corner_points = self._collect_corners()
         self._polylines = {}  # lazy, filled by _polyline()
         self.boundary_diameter = self._boundary_diameter()
@@ -464,9 +482,13 @@ class BilliardTable:
     def embed(self, p: PhasePoint, dr: float, dtheta: float) -> PhasePoint:
         """The phase point at offset (dr, dtheta) from p, walking the loop."""
         theta = p.theta + dtheta
-        if abs(theta) >= math.pi / 2:
+        # written as "not within" so that NaN is refused too
+        if not abs(theta) < math.pi / 2:
             raise DomainEscape(f"embedded angle {theta} leaves (-pi/2, pi/2)")
-        return PhasePoint(*self.wrap_r(p.component, p.r + dr), theta)
+        r = p.r + dr
+        if not math.isfinite(r):  # wrap_r would never finish walking it
+            raise DomainEscape(f"embedded arclength {r} is not finite")
+        return PhasePoint(*self.wrap_r(p.component, r), theta)
 
     def offset(self, x: PhasePoint, p: PhasePoint) -> np.ndarray:
         """Signed (arclength, angle) offset from x to p along x's loop.
@@ -499,18 +521,72 @@ class BilliardTable:
 
         Returns (offsets, fail), where fail is (k, exception) for the first
         row whose embed, step or offset raises, or None; rows k and later are
-        NaN.  Each row runs the scalar embed -> step -> offset, so
-        `run_orbit` stays the only ray kernel and every row is bitwise the
-        scalar path.
+        NaN.  The rows run through the array form of embed -> step -> offset
+        (`accel.run_step_many` for the step), which a test pins bitwise to
+        the scalar form on every row of full grids.  Row k alone is rerun in
+        the scalar form to raise its exception, so its class and message are
+        the scalar ones.
         """
-        out = np.full((len(d), 2), np.nan)
-        for k, (dr, dtheta) in enumerate(d.tolist()):
-            try:
-                img = self.step(self.embed(x, dr, dtheta), forward)[0]
-                out[k] = self.offset(y, img)
-            except (DomainEscape, MapUndefined, OutOfDomain) as e:
-                return out, (k, e)
-        return out, None
+        n = len(d)
+        out = np.full((n, 2), np.nan)
+        sign = 1 if forward else -1
+        theta = x.theta + d[:, 1]
+        r = x.r + d[:, 0]
+        n = _first_true(~(np.abs(theta) < math.pi / 2) | ~np.isfinite(r), n)
+        comps, r = self._wrap_many(x.component, r[:n])
+        comps, r, th, status = run_step_many(
+            self.ctype, self.cpar, comps, r, sign * theta[:n],
+            GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+        n = _first_true(status != OK, n)
+        dr, on_loop = self._offset_many(y, comps[:n], r[:n])
+        n = _first_true(~on_loop, n)
+        out[:n, 0] = dr[:n]
+        out[:n, 1] = sign * th[:n] - y.theta
+        if n == len(d):
+            return out, None
+        try:
+            self.offset(y, self.step(self.embed(x, *d[n].tolist()), forward)[0])
+        except (DomainEscape, MapUndefined, OutOfDomain) as e:
+            return out, (n, e)
+        raise AssertionError(f"row {n} fails in the array form only")
+
+    def _wrap_many(self, component: int, r: np.ndarray):
+        """wrap_r(component, r_k) for finite r_k, as (components, r); the
+        walk updates r in place."""
+        loop, idx0, _, _ = self._loop_at[component]
+        if len(loop) == 1:
+            return np.full(len(r), component), r % self.lengths[component]
+        order = np.array(loop)
+        idx = np.full(len(r), idx0)
+        back = r < 0.0
+        while back.any():
+            idx[back] = (idx[back] - 1) % len(loop)
+            r[back] += self.lengths[order[idx[back]]]
+            back = r < 0.0
+        comps = order[idx]
+        ahead = r >= self.lengths[comps]
+        while ahead.any():
+            r[ahead] -= self.lengths[comps[ahead]]
+            idx[ahead] = (idx[ahead] + 1) % len(loop)
+            comps = order[idx]
+            ahead = r >= self.lengths[comps]
+        return comps, r
+
+    def _offset_many(self, x: PhasePoint, comps: np.ndarray, r: np.ndarray):
+        """The arclength part of offset(x, p) for the points p = (comps, r),
+        and where p is on x's loop (offset raises OutOfDomain elsewhere)."""
+        loop, _, prefix_x, total = self._loop_at[x.component]
+        dr = r - x.r
+        same = comps == x.component
+        if len(loop) == 1:
+            L = self.lengths[x.component]
+            return np.where(dr > L / 2.0, dr - L,
+                            np.where(dr <= -L / 2.0, dr + L, dr)), same
+        sx = prefix_x + x.r
+        sp = self._prefix[comps] + r
+        across = (sp - sx + total / 2.0) % total - total / 2.0
+        on_loop = self._loop_index[comps] == self._loop_index[x.component]
+        return np.where(same, dr, across), on_loop
 
     # ------------------------------------------------- singularity distances
     def _trace_singular_source(self, kind: int, a: int, u: float):

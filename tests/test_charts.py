@@ -44,8 +44,10 @@ from pesin_coder.cocycle import (
 from pesin_coder.dynamics import RegularityConstants, billiard_map
 from pesin_coder.errors import (
     BoundViolated,
+    CornerHit,
     DomainEscape,
     GrazingCollision,
+    MapUndefined,
     OrbitHitsDiscontinuity,
     OutOfDomain,
     OverlapMissing,
@@ -420,6 +422,58 @@ def scalar_rows(table, x: PhasePoint, d: np.ndarray, forward: bool,
                      for dr, dth in d])
 
 
+def full_grid(h: float) -> np.ndarray:
+    """The GRID_N x GRID_N rows (dr, dtheta) of half-width h, row by row."""
+    xs = np.linspace(-h, h, GRID_N)
+    return np.stack([a.ravel() for a in np.meshgrid(xs, xs, indexing="ij")],
+                    axis=1)
+
+
+def first_scalar_failure(table, x: PhasePoint, d: np.ndarray, forward: bool,
+                         y: PhasePoint):
+    """(k, exception) of the first row whose scalar embed -> step -> offset
+    raises, or None."""
+    for k, (dr, dth) in enumerate(d.tolist()):
+        try:
+            table.offset(y, table.step(table.embed(x, dr, dth), forward)[0])
+        except (DomainEscape, MapUndefined, OutOfDomain) as e:
+            return k, e
+    return None
+
+
+def seam_sides(table, pts) -> set:
+    """Which side of a junction or loop seam each point is on: (component,
+    r in the first half of it)."""
+    return {(p.component, p.r < table.lengths[p.component] / 2) for p in pts}
+
+
+# points z 1e-4 from a junction, or from the seam r = 0 of a one-component
+# loop, so that a grid of half-width 1e-3 around z straddles it
+JUNCTION_GRIDS = [
+    ("circle", PhasePoint(0, 1e-4, 0.3)),
+    ("stadium", PhasePoint(0, 1e-4, 0.3)),
+    ("stadium", PhasePoint(1, math.pi - 1e-4, -0.4)),
+    ("sinai", PhasePoint(4, 1e-4, 0.2)),
+    ("sinai", PhasePoint(1, 2.0 - 1e-4, 0.3)),
+    ("flower", PhasePoint(0, 1e-4, 0.3)),
+    ("flower", PhasePoint(2, make_flower().lengths[2] - 1e-4, -0.3)),
+]
+
+
+def angle_sweep(lo: float, hi: float) -> np.ndarray:
+    """GRID_N rows (0, dtheta), dtheta from lo to hi."""
+    return np.stack([np.zeros(GRID_N), np.linspace(lo, hi, GRID_N)], axis=1)
+
+
+def rows_with(bad: tuple) -> np.ndarray:
+    """Three rows, the middle one `bad`."""
+    return np.array([(0.0, 0.0), bad, (0.0, 0.0)])
+
+
+MAKERS = {"circle": make_circle, "stadium": make_stadium, "sinai": make_sinai,
+          "flower": make_flower}
+
+
 def reference_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
                    forward: bool):
     """The probe grid sampled one point at a time, in (i, j) order."""
@@ -483,7 +537,8 @@ class TestBatchedMapStep:
         with pytest.raises(OutOfDomain):
             scalar_rows(fx, x, np.zeros((1, 2)), True, PhasePoint(1, 0.0, 0.0))
 
-    @pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower])
+    @pytest.mark.parametrize("mk", [make_circle, make_stadium, make_sinai,
+                                    make_flower])
     @pytest.mark.parametrize("forward", [True, False])
     def test_billiard_rows_match_scalar_path(self, mk, forward):
         tb = mk()
@@ -491,12 +546,77 @@ class TestBatchedMapStep:
             if tb.dist_to_D(x) > 0.05 * tb.metric_scale:
                 break
         y = tb.step(x, forward)[0]
-        xs = np.linspace(-1e-3, 1e-3, 7)
-        d = np.stack([a.ravel() for a in np.meshgrid(xs, xs, indexing="ij")],
-                     axis=1)
+        d = full_grid(1e-3)
         off, fail = tb.step_many(x, d, forward, y)
         assert fail is None
         assert off.tobytes() == scalar_rows(tb, x, d, forward, y).tobytes()
+
+    @pytest.mark.parametrize("kind, z", JUNCTION_GRIDS)
+    def test_rows_across_a_junction_match_scalar_path(self, kind, z):
+        # backward from z: the grid around z straddles the junction, so the
+        # loop walk (or the one-component wrap) runs; forward to z: the
+        # images straddle it, so offset folds across components
+        tb = MAKERS[kind]()
+        w = tb.step(z, False)[0]
+        d = full_grid(1e-3)
+        rows = d.tolist()
+        assert len(seam_sides(tb, [tb.embed(z, *v) for v in rows])) == 2
+        imgs = [tb.step(tb.embed(w, *v))[0] for v in rows]
+        assert len(seam_sides(tb, imgs)) == 2
+        for x, forward, y in ((z, False, w), (w, True, z)):
+            off, fail = tb.step_many(x, d, forward, y)
+            assert fail is None
+            assert off.tobytes() == scalar_rows(tb, x, d, forward, y).tobytes()
+
+    def test_numpy_remainder_is_python_remainder(self):
+        # the wrap and the offset fold take % in numpy, the scalar form in
+        # Python: both keep fmod's sign fix and return +0.0 on exact multiples
+        for tb in (make_circle(), make_stadium(), make_sinai(), make_flower()):
+            for loop in tb.loops:
+                total = tb._loop_at[loop[0]][3]
+                vals = [0.0, -0.0, total, -total, 2 * total, -3 * total,
+                        total / 2.0, -total / 2.0, 1e-300, -1e-300, 5e-324,
+                        -5e-324, math.nextafter(total, 0.0),
+                        -math.nextafter(total, 0.0), 0.3, -0.3, 7.25, -7.25]
+                vals += np.random.default_rng(1).normal(0, total, 200).tolist()
+                got = np.array(vals) % total
+                want = np.array([v % total for v in vals])
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, x, d, y, cls", [
+        # the embedded angle passes pi/2
+        ("stadium", PhasePoint(0, 0.5, 1.5), angle_sweep(0.0, 0.2),
+         PhasePoint(2, 1.0, 0.0), DomainEscape),
+        # a non-finite offset: an infinite dr walked the loop forever
+        ("stadium", PhasePoint(0, 0.5, 0.1), rows_with((math.inf, 0.0)),
+         PhasePoint(2, 1.0, 0.0), DomainEscape),
+        ("stadium", PhasePoint(0, 0.5, 0.1), rows_with((math.nan, 0.0)),
+         PhasePoint(2, 1.0, 0.0), DomainEscape),
+        ("circle", PhasePoint(0, 0.5, 0.1), rows_with((0.0, math.nan)),
+         PhasePoint(0, 1.0, 0.0), DomainEscape),
+        # |cos theta| below GRAZING_COS_TOL at the start
+        ("stadium", PhasePoint(0, 0.5, math.pi / 2 - 4e-8),
+         angle_sweep(0.0, 6e-8), PhasePoint(2, 1.0, 0.0), GrazingCollision),
+        # a near-tangent ray off the cap reaches the bottom wall tangentially
+        ("stadium", PhasePoint(1, 1e-5, -math.pi / 2 + 1e-5),
+         angle_sweep(-1e-7, 1e-7), PhasePoint(3, 1.5, 0.0), GrazingCollision),
+        # the ray from (0.9, -1) sweeps over the square's corner (1, 1)
+        ("sinai", PhasePoint(0, 1.9, math.atan(0.05)),
+         angle_sweep(-2e-12, 2e-12), PhasePoint(1, 1.9, 0.0), CornerHit),
+        # the sweep moves the image from the left wall onto the scatterer
+        ("sinai", PhasePoint(0, 1.0, -0.6), angle_sweep(0.0, 0.4),
+         PhasePoint(2, 1.0, 0.0), OutOfDomain),
+    ], ids=["embed-angle", "inf-dr", "nan-dr", "nan-dtheta", "grazing-start",
+            "grazing-out", "corner", "other-loop"])
+    def test_failing_row_matches_scalar_row(self, kind, x, d, y, cls):
+        tb = MAKERS[kind]()
+        off, fail = tb.step_many(x, d, True, y)
+        k, err = first_scalar_failure(tb, x, d, True, y)
+        assert 0 < k and type(err) is cls
+        assert fail[0] == k and type(fail[1]) is cls
+        assert str(fail[1]) == str(err)
+        assert off[:k].tobytes() == scalar_rows(tb, x, d[:k], True, y).tobytes()
+        assert np.isnan(off[k:]).all()
 
     def test_billiard_rows_stop_at_first_failure(self):
         st = make_stadium()

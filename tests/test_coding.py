@@ -895,6 +895,40 @@ def test_load_refuses_coerced_cover_and_center_fields(tmp_path, field,
         load_alphabet(f)
 
 
+def _set_center(key, value, *index):
+    def corrupt(doc):
+        obj = doc["centers"][0][key]
+        for i in index[:-1]:
+            obj = obj[i]
+        obj[index[-1]] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("centers[0].points", _set_center("points", "0.0", 1, 1)),
+    ("centers[0].points", _set_center("points", True, 1, 2)),
+    ("centers[0].dists", _set_center("dists", "0.3", 0)),
+    ("centers[0].rhos", _set_center("rhos", "0.5", 2)),
+    ("centers[0].frames", _set_center("frames", "1.0", 1, 0)),
+    ("centers[0].frames", _set_center("frames", False, 0, 6)),
+    ("eps", lambda doc: doc.update(eps="0.01")),
+    ("consts.a", lambda doc: doc["consts"].update(a="1.5")),
+    ("consts.beta", lambda doc: doc["consts"].update(beta="0.5")),
+    ("consts.K", lambda doc: doc["consts"].update(K=True)),
+], ids=["point-r-str", "point-theta-bool", "dist-str", "rho-str", "frame-str",
+        "frame-chi-bool", "eps-str", "a-str", "beta-str", "K-bool"])
+def test_load_refuses_non_number_real_fields(tmp_path, field, corrupt):
+    alpha = fixture_alphabet(0.0, H)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    corrupt(doc)
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError,
+                       match=re.escape(field) + " = .* is not a number"):
+        load_alphabet(f)
+
+
 def test_load_refuses_empty_vertex_list(tmp_path):
     alpha = fixture_alphabet(0.0)
     f = tmp_path / "alphabet.json"

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from pesin_coder.errors import DomainEscape
 from pesin_coder.tables import (
     Arc,
     BilliardTable,
@@ -178,6 +179,17 @@ def test_wrap_r_walks_loop():
     cir = make_circle()
     c, r = cir.wrap_r(0, 2 * math.pi + 0.5)
     assert c == 0 and abs(r - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("mk", [make_circle, make_stadium])
+@pytest.mark.parametrize("dr, dtheta", [
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (-math.inf, 0.0),
+    (0.0, math.inf)], ids=["nan-dr", "nan-dtheta", "inf-dr", "-inf-dr",
+                           "inf-dtheta"])
+def test_embed_refuses_non_finite_offsets(mk, dr, dtheta):
+    # an infinite dr walked the stadium loop forever; NaN came back as a point
+    with pytest.raises(DomainEscape, match="not finite|leaves"):
+        mk().embed(PhasePoint(0, 0.5, 0.1), dr, dtheta)
 
 
 # sha256 of float.hex of each embed -> offset round trip across a junction
