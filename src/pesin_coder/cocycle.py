@@ -8,6 +8,15 @@ the standard basis to e_s/s and e_u/u, and conjugating df by consecutive
 frames reduces the dynamics to a diagonal hyperbolic cocycle.  All limits are
 replaced by finite-window proxies: fitted slopes, running extrema, and best
 return distances.
+
+The cocycle is 2x2, so the per-step loops avoid numpy calls where the bits
+allow it.  The exponents push one vector on Python floats and take the
+second QR diagonal entry from the determinant, with no QR per step.  The
+splitting pushes keep numpy's product and solve, whose bits come from the
+host's BLAS/LAPACK kernels (ROADMAP item 10), but take the norm as
+sqrt(w.w), which is what `np.linalg.norm` computes for a real vector.  The
+s/u series run over Python floats.  The splitting, the series and the
+frames keep every bit; the QR means move in their last bits only.
 """
 from __future__ import annotations
 
@@ -188,6 +197,10 @@ class HyperbolicFrame:
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
+    """Birkhoff means of log||df e|| along e_s (lambda1) and e_u (lambda2),
+    the sorted means of the QR diagonal's log|R_ii| (computed without a QR,
+    see `lyapunov_exponents`) and the confidence radius."""
+
     lambda1: float
     lambda2: float
     qr_lambda1: float
@@ -197,10 +210,11 @@ class LyapunovEstimate:
 
 # ------------------------------------------------------------ orbit segment
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Deterministic orientation: first nonzero coordinate positive."""
-    if v[0] != 0.0:
-        return v if v[0] > 0 else -v
-    return v if v[1] > 0 else -v
+    """Deterministic orientation of each row of v (N x 2): the first
+    coordinate decides its sign, and the second where the first is 0.0.
+    A row whose deciding coordinate is not > 0 (NaN included) is negated."""
+    keep = np.where(v[:, 0] != 0.0, v[:, 0] > 0.0, v[:, 1] > 0.0)
+    return np.where(keep[:, None], v, -v)
 
 
 def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
@@ -230,13 +244,16 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
 # ------------------------------------------------------------- splitting
 def _push_forward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
                   out: np.ndarray | None = None):
-    """Multiply v by derivs[start..stop-1], renormalizing; store at [i+1]."""
-    w = v / np.linalg.norm(v)
+    """Multiply v by derivs[start..stop-1], renormalizing; store at [i+1].
+
+    The norm is sqrt(w.w), bit for bit what `np.linalg.norm` returns for a
+    real vector, without its wrapper; the product stays numpy's `@`."""
+    w = v / math.sqrt(v.dot(v))
     if out is not None:
         out[start] = w
     for i in range(start, stop):
         w = derivs[i] @ w
-        w /= np.linalg.norm(w)
+        w /= math.sqrt(w.dot(w))
         if out is not None:
             out[i + 1] = w
     return w
@@ -244,13 +261,15 @@ def _push_forward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
 
 def _push_backward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
                    out: np.ndarray | None = None):
-    """Multiply v by inverse derivatives from index start down to stop."""
-    w = v / np.linalg.norm(v)
+    """Multiply v by inverse derivatives from index start down to stop.
+
+    Each step is `np.linalg.solve`, then the norm as in `_push_forward`."""
+    w = v / math.sqrt(v.dot(v))
     if out is not None:
         out[start] = w
     for i in range(start - 1, stop - 1, -1):
         w = np.linalg.solve(derivs[i], w)
-        w /= np.linalg.norm(w)
+        w /= math.sqrt(w.dot(w))
         if out is not None:
             out[i] = w
     return w
@@ -304,8 +323,8 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     if sep < DEGENERATE_SIN:
         raise SplittingNotConverged(
             f"stable and unstable directions collapse (angle {sep:.3e})")
-    e_u = np.array([_fix_sign(v) for v in e_u])
-    e_s = np.array([_fix_sign(v) for v in e_s])
+    e_u = _fix_sign(e_u)
+    e_s = _fix_sign(e_s)
     factor_s = np.linalg.norm(
         np.einsum("nij,nj->ni", seg.derivs[:-1], e_s[:-1]), axis=1)
     factor_u = np.linalg.norm(
@@ -318,14 +337,27 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting
                        ) -> LyapunovEstimate:
     """Finite-window exponents: Birkhoff means along the splitting, checked
     against the QR cocycle.  The confidence radius is the larger of the
-    QR/Birkhoff discrepancy and the spread of LYAPUNOV_BLOCKS block means."""
+    QR/Birkhoff discrepancy and the spread of LYAPUNOV_BLOCKS block means.
+
+    `qr_lambda1`/`qr_lambda2` are the means of log|R_11| and log|R_22| of
+    the QR iteration D_i Q_(i-1) = Q_i R_i started at Q_0 = I, computed
+    without a QR: in 2x2, |R_11| is the growth g_i of the first column of
+    Q pushed by D_i, and |R_11 R_22| = |det D_i|.  So one unit vector
+    starting at e_1 is pushed on Python floats, and log|R_22| is
+    log|det D_i| - log g_i.  Unlike the Birkhoff means this push is not
+    trimmed, which keeps the cross-check independent."""
     n = len(seg) - 1
-    logs = np.zeros((n, 2))
-    Q = np.eye(2)
-    for i in range(n):
-        A = seg.derivs[i] @ Q
-        Q, R = np.linalg.qr(A)
-        logs[i] = np.log(np.abs(np.diag(R)))
+    D = seg.derivs[:n]
+    growth = []
+    x, y = 1.0, 0.0
+    for a, b, c, d in D.reshape(n, 4).tolist():
+        x, y = a * x + b * y, c * x + d * y
+        g = math.sqrt(x * x + y * y)
+        x, y = x / g, y / g
+        growth.append(g)
+    log_g = np.log(growth)
+    log_det = np.log(np.abs(D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]))
+    logs = np.column_stack([log_g, log_det - log_g])
     qr_means = np.sort(logs.mean(axis=0))
     qr_l1, qr_l2 = float(qr_means[0]), float(qr_means[1])
 
@@ -377,6 +409,16 @@ def _weighted_series(expansions, chi: float):
     return partial, tail, n
 
 
+def _as_floats(a: np.ndarray):
+    """The entries of a 1-D array as Python floats, converted in slices of
+    doubling length: a series cut short after n terms converts fewer than
+    2n + 16 entries, however long the segment."""
+    lo, size = 0, 16
+    while lo < len(a):
+        yield from a[lo:lo + size].tolist()
+        lo, size = lo + size, 2 * size
+
+
 def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
                    at: int = 0) -> SUParams:
     """Truncated series parameters at relative step `at`:
@@ -390,9 +432,10 @@ def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
     if chi <= 0:
         raise ValueError("chi must be positive")
     i = seg.index(at)
-    ssum, stail, sterms = _weighted_series(splitting.factor_s[i:], chi)
+    ssum, stail, sterms = _weighted_series(_as_floats(splitting.factor_s[i:]), chi)
     usum, utail, uterms = _weighted_series(
-        1.0 / splitting.factor_u[i - 1::-1] if i > 0 else (), chi)
+        (1.0 / g for g in _as_floats(splitting.factor_u[i - 1::-1])) if i > 0 else (),
+        chi)
     return SUParams(math.sqrt(2.0 * ssum), math.sqrt(2.0 * usum),
                     stail, utail, sterms, uterms)
 
@@ -400,11 +443,16 @@ def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
 # -------------------------------------------------------------------- frames
 def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
                 u_param: float, chi: float) -> HyperbolicFrame:
-    """Assemble C with columns e_s/s and e_u/u; assert the frame identities."""
+    """Assemble C with columns e_s/s and e_u/u; assert the frame identities.
+
+    The closed form ||C^-1||_F = sqrt(s^2+u^2)/|sin alpha| (`c_inv_frob`) is
+    checked against the 2x2 inverse written out: for C = [[p, q], [r, t]],
+    ||C^-1||_F = sqrt(p^2+q^2+r^2+t^2)/|pt - qr|.  alpha keeps numpy's
+    `np.dot`, because it reaches `c_inv_frob` and the outputs."""
     e_s = np.asarray(e_s, dtype=float)
     e_u = np.asarray(e_u, dtype=float)
     for v in (e_s, e_u):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if abs(math.hypot(*v.tolist()) - 1.0) > 1e-9:
             raise ValueError("frame directions must be unit vectors")
     if not (s_param >= math.sqrt(2.0) - 1e-12 and u_param >= math.sqrt(2.0) - 1e-12):
         raise ValueError("s and u parameters must be >= sqrt(2)")
@@ -415,9 +463,9 @@ def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
     C = np.column_stack([e_s / s_param, e_u / u_param])
     frame = HyperbolicFrame(e_s, e_u, alpha, float(s_param), float(u_param),
                             C, float(chi))
-    # closed-form ||C^-1||_F must match direct inversion (consistency check)
-    Ci = np.linalg.inv(C)
-    direct = float(np.sqrt(np.sum(Ci * Ci)))
+    # closed-form ||C^-1||_F must match the inverse's own (consistency check)
+    (p, q), (r, t) = C.tolist()
+    direct = math.sqrt(p * p + q * q + r * r + t * t) / abs(p * t - q * r)
     if abs(direct - frame.c_inv_frob) > 1e-10 * max(1.0, direct):
         raise AssertionError(
             f"frame inverse-norm identity broke: {direct} vs {frame.c_inv_frob}")

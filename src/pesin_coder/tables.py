@@ -485,10 +485,14 @@ class BilliardTable:
         # written as "not within" so that NaN is refused too
         if not abs(theta) < math.pi / 2:
             raise DomainEscape(f"embedded angle {theta} leaves (-pi/2, pi/2)")
-        r = p.r + dr
-        if not math.isfinite(r):  # wrap_r would never finish walking it
-            raise DomainEscape(f"embedded arclength {r} is not finite")
-        return PhasePoint(*self.wrap_r(p.component, r), theta)
+        # wrap_r walks one component per pass, so the offset must be shorter
+        # than the loop (this also refuses NaN and inf)
+        total = self._loop_at[p.component][3]
+        if not abs(dr) < total:
+            raise DomainEscape(
+                f"embedded arclength offset {dr} leaves (-{total}, {total}), "
+                f"the loop length")
+        return PhasePoint(*self.wrap_r(p.component, p.r + dr), theta)
 
     def offset(self, x: PhasePoint, p: PhasePoint) -> np.ndarray:
         """Signed (arclength, angle) offset from x to p along x's loop.
@@ -532,7 +536,9 @@ class BilliardTable:
         sign = 1 if forward else -1
         theta = x.theta + d[:, 1]
         r = x.r + d[:, 0]
-        n = _first_true(~(np.abs(theta) < math.pi / 2) | ~np.isfinite(r), n)
+        total = self._loop_at[x.component][3]
+        n = _first_true(~(np.abs(theta) < math.pi / 2)
+                        | ~(np.abs(d[:, 0]) < total), n)
         comps, r = self._wrap_many(x.component, r[:n])
         comps, r, th, status = run_step_many(
             self.ctype, self.cpar, comps, r, sign * theta[:n],
@@ -551,8 +557,9 @@ class BilliardTable:
         raise AssertionError(f"row {n} fails in the array form only")
 
     def _wrap_many(self, component: int, r: np.ndarray):
-        """wrap_r(component, r_k) for finite r_k, as (components, r); the
-        walk updates r in place."""
+        """wrap_r(component, r_k) for the r_k that embed admits (less than a
+        loop length from the start), as (components, r); the walk updates r
+        in place."""
         loop, idx0, _, _ = self._loop_at[component]
         if len(loop) == 1:
             return np.full(len(r), component), r % self.lengths[component]

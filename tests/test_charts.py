@@ -594,6 +594,11 @@ class TestBatchedMapStep:
          PhasePoint(2, 1.0, 0.0), DomainEscape),
         ("circle", PhasePoint(0, 0.5, 0.1), rows_with((0.0, math.nan)),
          PhasePoint(0, 1.0, 0.0), DomainEscape),
+        # a finite dr longer than the loop: the walk never ended at 1e300
+        ("stadium", PhasePoint(0, 0.5, 0.1), rows_with((1e300, 0.0)),
+         PhasePoint(2, 1.0, 0.0), DomainEscape),
+        ("flower", PhasePoint(0, 0.5, 0.1), rows_with((-1e300, 0.0)),
+         PhasePoint(0, 1.0, 0.0), DomainEscape),
         # |cos theta| below GRAZING_COS_TOL at the start
         ("stadium", PhasePoint(0, 0.5, math.pi / 2 - 4e-8),
          angle_sweep(0.0, 6e-8), PhasePoint(2, 1.0, 0.0), GrazingCollision),
@@ -606,8 +611,9 @@ class TestBatchedMapStep:
         # the sweep moves the image from the left wall onto the scatterer
         ("sinai", PhasePoint(0, 1.0, -0.6), angle_sweep(0.0, 0.4),
          PhasePoint(2, 1.0, 0.0), OutOfDomain),
-    ], ids=["embed-angle", "inf-dr", "nan-dr", "nan-dtheta", "grazing-start",
-            "grazing-out", "corner", "other-loop"])
+    ], ids=["embed-angle", "inf-dr", "nan-dr", "nan-dtheta", "huge-dr",
+            "huge-negative-dr", "grazing-start", "grazing-out", "corner",
+            "other-loop"])
     def test_failing_row_matches_scalar_row(self, kind, x, d, y, cls):
         tb = MAKERS[kind]()
         off, fail = tb.step_many(x, d, True, y)

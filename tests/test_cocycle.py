@@ -253,8 +253,107 @@ class TestSplitting:
             assert math.asin(min(1.0, cross)) < 1e-9
 
 
+    @pytest.mark.parametrize("kind, side", [("stadium", 200), ("flower", 1000)])
+    def test_pushes_are_bitwise_the_linalg_norm_pushes(self, kind, side):
+        # the pushes take the norm as sqrt(w.w) and fix signs in one np.where;
+        # the reference below is the np.linalg.norm push with a per-row sign
+        table = {"stadium": make_stadium, "flower": make_flower}[kind]()
+        seg, sp = first_admitted(table, 3, side)
+        ref = reference_splitting(seg)
+        for got, want in zip((sp.e_s, sp.e_u, sp.factor_s, sp.factor_u), ref):
+            assert got.tobytes() == want.tobytes()
+
+    def test_fix_sign_rule(self):
+        rows = [(0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0),
+                (0.5, -0.3), (-0.5, 0.3), (-0.5, -0.3), (5e-324, -1.0),
+                (-5e-324, 1.0), (0.0, 0.0), (-0.0, -0.0), (math.nan, 1.0),
+                (-math.nan, 1.0), (0.0, math.nan), (-0.0, math.nan),
+                (1.0, math.nan), (-1.0, math.nan), (math.nan, math.nan)]
+        v = np.array(rows)
+        got = cocycle._fix_sign(v)
+        assert got.tobytes() == np.array([fix_sign_row(r) for r in v]).tobytes()
+        # the first coordinate decides; at +-0.0 the second one does
+        assert got[0].tobytes() == np.array([0.0, 1.0]).tobytes()
+        assert got[1].tobytes() == np.array([-0.0, 1.0]).tobytes()
+        assert got[2].tobytes() == np.array([-0.0, 1.0]).tobytes()
+        assert got[3].tobytes() == np.array([0.0, 1.0]).tobytes()
+        assert got[5].tolist() == [0.5, -0.3]
+        assert got[8].tolist() == [5e-324, -1.0]
+        # a NaN deciding coordinate is not > 0, so the row is negated
+        assert np.signbit(got[11]).tolist() == [True, True]
+        assert np.signbit(got[13]).tolist() == [True, True]
+        assert got[15].tolist()[0] == 1.0 and math.isnan(got[15, 1])
+
+
+def fix_sign_row(v: np.ndarray) -> np.ndarray:
+    """The orientation rule one row at a time: first nonzero coordinate
+    positive."""
+    if v[0] != 0.0:
+        return v if v[0] > 0 else -v
+    return v if v[1] > 0 else -v
+
+
+def reference_splitting(seg: OrbitSegment):
+    """(e_s, e_u, factor_s, factor_u) from pushes normalised with
+    np.linalg.norm and a per-row sign fix."""
+    n = len(seg)
+    derivs = seg.derivs
+    e_u = np.empty((n, 2))
+    e_s = np.empty((n, 2))
+    w = cocycle._SEED / np.linalg.norm(cocycle._SEED)
+    e_u[0] = w
+    for i in range(n - 1):
+        w = derivs[i] @ w
+        w /= np.linalg.norm(w)
+        e_u[i + 1] = w
+    w = cocycle._SEED / np.linalg.norm(cocycle._SEED)
+    e_s[n - 1] = w
+    for i in range(n - 2, -1, -1):
+        w = np.linalg.solve(derivs[i], w)
+        w /= np.linalg.norm(w)
+        e_s[i] = w
+    e_s = np.array([fix_sign_row(v) for v in e_s])
+    e_u = np.array([fix_sign_row(v) for v in e_u])
+    factor_s = np.linalg.norm(np.einsum("nij,nj->ni", derivs[:-1], e_s[:-1]), axis=1)
+    factor_u = np.linalg.norm(np.einsum("nij,nj->ni", derivs[:-1], e_u[:-1]), axis=1)
+    return e_s, e_u, factor_s, factor_u
+
+
+def qr_exponent_means(derivs: np.ndarray) -> np.ndarray:
+    """Sorted means of log|diag R| over the QR iteration D_i Q = Q' R',
+    one np.linalg.qr per step."""
+    logs = np.zeros((len(derivs), 2))
+    Q = np.eye(2)
+    for i, D in enumerate(derivs):
+        Q, R = np.linalg.qr(D @ Q)
+        logs[i] = np.log(np.abs(np.diag(R)))
+    return np.sort(logs.mean(axis=0))
+
+
 # ---------------------------------------------------------------- exponents
 class TestLyapunovExponents:
+    @pytest.mark.parametrize("kind", ["stadium", "flower", "random"])
+    def test_qr_means_match_a_qr_loop(self, kind):
+        # the QR diagonal from one pushed vector and det, against real QRs
+        if kind == "random":
+            rng = np.random.default_rng(7)
+            derivs = rng.normal(size=(401, 2, 2))
+            n = len(derivs)
+            seg = OrbitSegment(None, n // 2, n - 1 - n // 2,
+                               (PhasePoint(0, 0.0, 0.0),) * n, derivs,
+                               np.zeros(n - 1))
+            e = np.tile([0.6, 0.8], (n, 1))
+            sp = cocycle.Splitting(e, e, np.ones(n - 1), np.ones(n - 1), 0.0, 0.0)
+        else:
+            table = {"stadium": make_stadium, "flower": make_flower}[kind]()
+            seg, sp = first_admitted(table, 3, {"stadium": 200, "flower": 1000}[kind])
+        le = lyapunov_exponents(seg, sp)
+        want = qr_exponent_means(seg.derivs[:-1])
+        assert abs(le.qr_lambda1 - want[0]) < 1e-12
+        assert abs(le.qr_lambda2 - want[1]) < 1e-12
+        if kind == "random":  # a cocycle no billiard gives: no symmetry
+            assert abs(want[0] + want[1]) > 0.1
+
     def test_fixture_exponents_are_exact(self):
         _, seg = fixture_segment()
         sp = oseledets_splitting(seg)

@@ -192,6 +192,22 @@ def test_embed_refuses_non_finite_offsets(mk, dr, dtheta):
         mk().embed(PhasePoint(0, 0.5, 0.1), dr, dtheta)
 
 
+@pytest.mark.parametrize("mk", [make_circle, make_stadium, make_flower])
+def test_embed_refuses_offsets_as_long_as_the_loop(mk):
+    # wrap_r walks one component per pass: at dr = 1e300 the stadium walk
+    # never ended, since r - L rounds back to r
+    tb = mk()
+    p = PhasePoint(0, 0.5, 0.1)
+    total = tb._loop_at[0][3]
+    for dr in (1e300, -1e300, total, -total):
+        with pytest.raises(DomainEscape, match="leaves"):
+            tb.embed(p, dr, 0.0)
+    # just inside the loop length the walk still wraps, in at most two passes
+    for dr in (math.nextafter(total, 0.0), -math.nextafter(total, 0.0)):
+        q = tb.embed(p, dr, 0.0)
+        assert 0.0 <= q.r < tb.components[q.component].length
+
+
 # sha256 of float.hex of each embed -> offset round trip across a junction
 # (the bits of the prefix-sum fold in offset, with its rounding at small dr)
 ROUND_TRIP_PINS = {

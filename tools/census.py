@@ -24,11 +24,17 @@ below, with its one-line reason, and each allowed name must still be on the
 list: a new function that only tests call is used, allowed with a reason, or
 deleted, and a stale allowance is removed.
 
+It also lists ``blas_sites``: each expression in ``src`` that can reach
+BLAS or LAPACK, as ``module.py:line what``.  These are the ``@`` operator
+and calls of ``matmul``, ``dot`` (as ``np.dot`` or a ``.dot`` method),
+``einsum`` and anything under ``np.linalg``.  Their bits depend on the
+host's kernels, not on IEEE arithmetic alone (ROADMAP item 10).
+
 Run it as ``python3 tools/census.py``; it counts the checkout it sits in.
-Standard library only.  The sizes are informational; the exit status is 1
-when any unused import is found or when ``test_only_public`` and
-``TEST_ONLY_ALLOWED`` differ (the names on only one side are printed as
-``test_only_mismatch``), and 0 otherwise.
+Standard library only.  The sizes and the BLAS sites are informational;
+the exit status is 1 when any unused import is found or when
+``test_only_public`` and ``TEST_ONLY_ALLOWED`` differ (the names on only
+one side are printed as ``test_only_mismatch``), and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -113,6 +119,23 @@ def test_only_public(src: Path, readers) -> list[str]:
             and not node.name.startswith("_") and node.name not in read]
 
 
+def blas_sites(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, what) of each ``@``, ``matmul``, ``dot``, ``einsum`` and
+    ``np.linalg`` call in the tree, in line order."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            sites.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr in ("matmul", "dot", "einsum") or (
+                    isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "linalg"):
+                sites.append((node.lineno, ast.unparse(func)))
+    return sorted(sites)
+
+
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, name) of each import binding that no expression reads."""
     bound = []
@@ -133,10 +156,13 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
 def census(src: Path, tests: Path) -> dict:
     lines = {}
     defaults = 0
+    blas = []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
+        tree = ast.parse(text)
         lines[path.name] = len(text.splitlines())
-        defaults += defaulted_parameters(ast.parse(text))
+        defaults += defaulted_parameters(tree)
+        blas += [f"{path.name}:{line} {what}" for line, what in blas_sites(tree)]
     test_lines = sum(len(path.read_text().splitlines())
                      for path in tests.glob("*.py"))
     root = src.parent.parent
@@ -147,7 +173,7 @@ def census(src: Path, tests: Path) -> dict:
               for line, name in unused_imports(ast.parse(path.read_text()))]
     return {"src_lines": lines, "src_lines_total": sum(lines.values()),
             "test_lines_total": test_lines, "defaulted_parameters": defaults,
-            "unused_imports": unused,
+            "unused_imports": unused, "blas_sites": blas,
             "test_only_public": test_only_public(
                 src, (src, root / "perfbench", root / "tools"))}
 
