@@ -46,10 +46,8 @@ __all__ = [
     "chart_from_segment",
     "chart_apply",
     "chart_invert",
-    "chart_map_fx",
     "chart_map_fxy",
     "overlap_test",
-    "change_of_coordinates",
     "greedy_q",
 ]
 
@@ -95,7 +93,9 @@ class ChartMapDecomposition:
     records that the probe exceeds 10 Q (always, at realistic chart sizes)
     and `fd_checked` that the finite-difference derivative at 0 was clean
     enough (noise below a tenth of the hyperbolicity gap) to cross-check the
-    analytic A, B.
+    analytic A, B.  `holder_const` and `holder_exponent` are the Holder
+    quotients of grad h at exponents beta/3 (the edge bound) and beta/2
+    (the one-step bound), both read from one pass over the grid.
     """
 
     A: float
@@ -280,27 +280,27 @@ def _grad_fields(F: np.ndarray, spacing: float):
     return g1, g2
 
 
-def _holder_of_gradient(g1: np.ndarray, g2: np.ndarray, spacing: float,
-                        exponent: float) -> float:
-    """Max difference quotient of (g1, g2) over dyadic grid separations."""
-    worst = 0.0
+def _holder_of_gradient(grads, spacing: float, exponents) -> list[float]:
+    """Max difference quotient of the gradient fields over dyadic grid
+    separations, one per exponent.
+
+    Each separation's largest jump is taken once and then divided by
+    (k spacing)^e: division by a positive number rounds monotonically, so
+    this has the bits of the max over every per-pair quotient.
+    """
+    jumps = []
     for k in DYADIC_SEPARATIONS:
-        if k >= g1.shape[0]:
-            break
-        dist = (k * spacing) ** exponent
-        for g in (g1, g2):
-            worst = max(worst,
-                        float(np.max(np.abs(g[k:, :] - g[:-k, :]))) / dist,
-                        float(np.max(np.abs(g[:, k:] - g[:, :-k]))) / dist)
-    return worst
+        jump = max(float(np.max(np.abs(diff))) for g in grads
+                   for diff in (g[k:, :] - g[:-k, :], g[:, k:] - g[:, :-k]))
+        jumps.append((k * spacing, jump))
+    return [max(jump / dist ** e for dist, jump in jumps) for e in exponents]
 
 
-def _field_norms(h: np.ndarray, spacing: float, exponent: float):
+def _field_norms(h: np.ndarray, spacing: float):
     g1, g2 = _grad_fields(h, spacing)
     sup_h = float(np.max(np.abs(h)))
     grad_sup = float(np.max(np.hypot(g1, g2)))
-    holder = _holder_of_gradient(g1, g2, spacing, exponent)
-    return sup_h, grad_sup, holder, (g1, g2)
+    return sup_h, grad_sup, (g1, g2)
 
 
 def _df_sup(gU, gV) -> float:
@@ -314,8 +314,8 @@ def _df_sup(gU, gV) -> float:
 
 
 def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
-               consts: RegularityConstants, holder_exponent: float,
-               forward: bool) -> ChartMapDecomposition:
+               consts: RegularityConstants, forward: bool
+               ) -> ChartMapDecomposition:
     probe, floored = _probe_halfwidth(chart_x)
     chi = chart_x.frame.chi
     headroom = 4.0 * (1.0 + math.exp(2.0 * chi)) / chart_x.rho_x ** consts.a
@@ -343,53 +343,19 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
     grad0 = J0 - np.diag([A, B])
     grad_h0 = float(np.max(np.abs(grad0)))
 
-    s1, g1_sup, hol1, gH1 = _field_norms(h1, spacing, holder_exponent)
-    s2, g2_sup, hol2, gH2 = _field_norms(h2, spacing, holder_exponent)
+    s1, g1_sup, gH1 = _field_norms(h1, spacing)
+    s2, g2_sup, gH2 = _field_norms(h2, spacing)
+    hol3, hol2 = _holder_of_gradient(gH1 + gH2, spacing,
+                                     (consts.beta / 3.0, consts.beta / 2.0))
     gU = _grad_fields(U, spacing)
     gV = _grad_fields(V, spacing)
     return ChartMapDecomposition(
         A=A, B=B, h1=h1, h2=h2, probe=probe, probe_floored=floored, h0=h0,
         grad0=grad0, grad_h0=grad_h0, sup_h=max(s1, s2),
         grad_sup=max(g1_sup, g2_sup),
-        holder_const=max(hol1, hol2), holder_exponent=holder_exponent,
+        holder_const=hol3, holder_exponent=hol2,
         df_sup=_df_sup(gU, gV), a_fd=float(J0[0, 0]), b_fd=float(J0[1, 1]),
         fd_checked=fd_checked)
-
-
-def chart_map_fx(chart_x: PesinChart, chart_fx: PesinChart,
-                 consts: RegularityConstants) -> ChartMapDecomposition:
-    """The map in chart coordinates along one orbit step.
-
-    A, B come from the exact frame reduction of df; the grid supplies the
-    nonlinear remainders h_i and their norms, asserted below eps at the probe
-    scale.  Requires chart_fx to sit at the image point of chart_x.
-    """
-    table = chart_x.table
-    fx = billiard_map(table, chart_x.x)
-    if table.distance(fx, chart_fx.x) > 1e-9:
-        raise ValueError(
-            "chart_fx is not at the image of chart_x (same-orbit charts "
-            f"required; distance {table.distance(fx, chart_fx.x):.3e})")
-    D = reduced_cocycle(chart_x.frame, chart_fx.frame,
-                        table.derivative(chart_x.x, True))
-    dec = _decompose(chart_x, chart_fx, float(D[0, 0]), float(D[1, 1]),
-                     consts, consts.beta / 2.0, forward=True)
-
-    eps = chart_x.eps
-    if max(abs(dec.h0[0]), abs(dec.h0[1])) > 1e-12:
-        raise BoundViolated("h(0) = 0 for the one-step chart map",
-                            max(abs(dec.h0[0]), abs(dec.h0[1])), 1e-12)
-    for name, measured in (("sup|h|", dec.sup_h),
-                           ("sup|grad h|", dec.grad_sup),
-                           ("Holder(grad h)", dec.holder_const)):
-        if measured >= eps:
-            raise BoundViolated(name + " below eps", measured, eps)
-    df_bound = 2.0 * (1.0 + math.exp(2.0 * chart_x.frame.chi)) \
-        / chart_x.rho_x ** consts.a
-    if dec.df_sup >= df_bound:
-        raise BoundViolated("sup||d(f_x)|| within the blowup bound",
-                            dec.df_sup, df_bound)
-    return dec
 
 
 def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
@@ -400,8 +366,16 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
 
     The linear part is read from the frame reduction across the two charts;
     frame mismatch lands in grad h(0), bounded by eps eta^(beta/3); the
-    offset of y from the true image lands in h(0), bounded by eps eta.  At
-    underflowed eta the bounds are asserted at the realized probe scale.
+    offset of y from the true image lands in h(0), bounded by eps eta; the
+    Holder quotient of grad h at beta/3 stays below eps.  At underflowed eta
+    the bounds are asserted at the realized probe scale.
+
+    When forward and y sits at the measured image of x (distance at most
+    OVERLAP_DISTANCE_FLOOR), the map is the one-step map f_x, and it also
+    carries the one-step bounds, checked after the edge bounds: a diagonal
+    `reduced_cocycle` (NotDiagonal otherwise), |h(0)| <= 1e-12, sup|h|,
+    sup|grad h| and the beta/2 Holder quotient of grad h below eps, and
+    sup||df_x|| below 2 (1 + e^(2 chi)) / rho(x)^a.
     """
     table = chart_x.table
     img = _map_step(table, chart_x.x, forward)
@@ -418,19 +392,16 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
     M = np.linalg.solve(chart_y.frame.C, df_x @ chart_x.frame.C)
     A, B = float(M[0, 0]), float(M[1, 1])
     chi = chart_x.frame.chi
-    if forward:
-        if not (abs(A) < math.exp(-chi) < math.exp(chi) < abs(B)):
-            raise BoundViolated("edge-map hyperbolicity |A| < e^-chi < e^chi "
-                                "< |B|", max(abs(A), 1.0 / max(abs(B), 1e-300)),
-                                math.exp(-chi))
-    else:
-        if not (abs(B) < math.exp(-chi) < math.exp(chi) < abs(A)):
-            raise BoundViolated("inverse edge-map hyperbolicity |B| < e^-chi "
-                                "< e^chi < |A|",
-                                max(abs(B), 1.0 / max(abs(A), 1e-300)),
-                                math.exp(-chi))
-    dec = _decompose(chart_x, chart_y, A, B, consts, consts.beta / 3.0,
-                     forward)
+    (contracting, expanding), gate = (
+        ((A, B), "edge-map hyperbolicity |A| < e^-chi < e^chi < |B|")
+        if forward else
+        ((B, A), "inverse edge-map hyperbolicity |B| < e^-chi < e^chi < |A|"))
+    if not (abs(contracting) < math.exp(-chi) < math.exp(chi)
+            < abs(expanding)):
+        raise BoundViolated(gate, max(abs(contracting),
+                                      1.0 / max(abs(expanding), 1e-300)),
+                            math.exp(-chi))
+    dec = _decompose(chart_x, chart_y, A, B, consts, forward)
 
     eps = chart_x.eps
     # assert at the realized scale: eta when representable, else the probe
@@ -443,6 +414,24 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
                             eps * eta_eff ** (consts.beta / 3.0))
     if dec.holder_const >= eps:
         raise BoundViolated("Holder(grad h) below eps", dec.holder_const, eps)
+    if forward and d <= OVERLAP_DISTANCE_FLOOR:
+        # y is the measured image f(x): the map is the one-step f_x
+        reduced_cocycle(chart_x.frame, chart_y.frame, df_x)
+        h0_inf = max(abs(dec.h0[0]), abs(dec.h0[1]))
+        if h0_inf > 1e-12:
+            raise BoundViolated("h(0) = 0 for the one-step chart map",
+                                h0_inf, 1e-12)
+        for name, measured in (("sup|h|", dec.sup_h),
+                               ("sup|grad h|", dec.grad_sup),
+                               ("Holder_(beta/2)(grad h)",
+                                dec.holder_exponent)):
+            if measured >= eps:
+                raise BoundViolated(name + " below eps", measured, eps)
+        df_bound = 2.0 * (1.0 + math.exp(2.0 * chi)) \
+            / chart_x.rho_x ** consts.a
+        if dec.df_sup >= df_bound:
+            raise BoundViolated("sup||d(f_x)|| within the blowup bound",
+                                dec.df_sup, df_bound)
     return dec
 
 
@@ -462,74 +451,6 @@ def overlap_test(chart1: PesinChart, chart2: PesinChart) -> bool:
         return True
     log_bound = 4.0 * (chart1.eta.log_value + chart2.eta.log_value)
     return math.log(total) < log_bound
-
-
-def _log_ratio_within(v1: float, v2: float, log_bound: float) -> bool:
-    """|log(v1/v2)| <= e^log_bound, safe when the bound underflows."""
-    r = math.log(v1 / v2)
-    if r == 0.0:
-        return True
-    return math.log(abs(r)) <= log_bound
-
-
-def change_of_coordinates(chart1: PesinChart, chart2: PesinChart) -> dict:
-    """Affine interchange map of overlapping charts with its norm report.
-
-    The flat chart realization makes g = Psi2^-1 Psi1 exactly affine:
-    g(v) = C2^-1 (x1 - x2) + C2^-1 C1 v, so deviation norms are closed-form.
-    Asserts the interchange bound eps (eta1 eta2)^2, the inclusion of the
-    e^(-2 eps)-shrunk domain, and the s/u/angle ratio controls (eta1 eta2)^3.
-    """
-    if not overlap_test(chart1, chart2):
-        raise OverlapMissing("charts fail the overlap test")
-    if chart1.x.component != chart2.x.component:
-        raise OverlapMissing("overlapping charts on different components")
-    if chart1.x == chart2.x and np.array_equal(chart1.frame.C, chart2.frame.C):
-        # equal chart data: the interchange map is the identity by
-        # definition; solving C against itself would only inject noise
-        return {"offset": np.zeros(2), "linear": np.eye(2),
-                "offset_norm": 0.0, "linear_deviation": 0.0,
-                "measured": 0.0, "identity": True}
-    t = np.linalg.solve(chart2.frame.C, chart1.table.offset(chart2.x, chart1.x))
-    L = np.linalg.solve(chart2.frame.C, chart1.frame.C)
-    offset = float(np.linalg.norm(t))
-    lin_dev = float(np.sqrt(np.sum((L - np.eye(2)) ** 2)))
-    measured = offset + lin_dev  # Holder part of an affine map is zero
-
-    eps = chart1.eps
-    log_e1, log_e2 = chart1.eta.log_value, chart2.eta.log_value
-    if measured > 0.0 and \
-            math.log(measured) >= math.log(eps) + 2.0 * (log_e1 + log_e2):
-        raise BoundViolated("interchange map within eps (eta1 eta2)^2",
-                            measured, eps * math.exp(2.0 * (log_e1 + log_e2)))
-
-    # inclusion: image of R[e^(-2 eps) eta1] under g inside R[eta2]; the
-    # infinity operator norm maps sup-squares to sup-squares tightly
-    lin_gain = float(np.max(np.sum(np.abs(L), axis=1)))
-    t_inf = float(np.max(np.abs(t)))
-    lhs = math.log(lin_gain) - 2.0 * eps + log_e1
-    if t_inf > 0.0:
-        lhs = float(np.logaddexp(lhs, math.log(t_inf)))
-    if lhs > log_e2:
-        raise BoundViolated("shrunk domain inclusion", math.exp(lhs),
-                            math.exp(log_e2))
-
-    log_cube = 3.0 * (log_e1 + log_e2)
-    f1, f2 = chart1.frame, chart2.frame
-    for name, v1, v2 in (("s", f1.s_param, f2.s_param),
-                         ("u", f1.u_param, f2.u_param),
-                         ("angle", f1.alpha, f2.alpha)):
-        if not _log_ratio_within(v1, v2, log_cube):
-            raise BoundViolated(f"{name}-ratio within e^(+-(eta1 eta2)^3)",
-                                abs(math.log(v1 / v2)), math.exp(log_cube))
-    return {
-        "offset": t,
-        "linear": L,
-        "offset_norm": offset,
-        "linear_deviation": lin_dev,
-        "measured": measured,
-        "identity": measured == 0.0,
-    }
 
 
 # ------------------------------------------------------------------ greedy q

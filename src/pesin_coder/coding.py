@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .charts import build_pesin_chart, compute_Q, greedy_q, overlap_test
+from .charts import (build_pesin_chart, chart_invert, compute_Q, greedy_q,
+                     overlap_test)
 from .cocycle import (HyperbolicFrame, OrbitSegment, Splitting, build_frame,
                       frame_at)
 from .dynamics import RegularityConstants, billiard_map, operator_norm
@@ -819,7 +820,7 @@ def inverse_diagnostics(it1: Itinerary, it2: Itinerary, cfg: EpsilonConfig,
         if x.component != y.component:
             raise DiagnosticFailed(
                 6, n, f"centers on different components at step {n}")
-        t = np.linalg.solve(fw.C, table.offset(y, x))
+        t = chart_invert(w.chart, x)
         L = np.linalg.solve(fw.C, fv.C)
         sigma = 0 if float(np.trace(L)) > 0.0 else 1
         sigmas.append(sigma)

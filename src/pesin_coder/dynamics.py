@@ -32,7 +32,6 @@ __all__ = [
     "derivative_along_orbit",
     "singularity_cloud",
     "dist_to_discontinuity",
-    "rho",
     "verify_assumptions",
     "operator_norm",
     "smallest_singular_value",
@@ -96,12 +95,6 @@ def dist_to_discontinuity(table, p: PhasePoint) -> float:
     return table.dist_to_D(p)
 
 
-def rho(table, p: PhasePoint) -> float:
-    """min distance to D over the triple {f^-1(p), p, f(p)}."""
-    pts = [p, billiard_map(table, p), billiard_inverse(table, p)]
-    return min(dist_to_discontinuity(table, q) for q in pts)
-
-
 # ---------------------------------------------------------------- spectral
 def operator_norm(M: np.ndarray) -> float:
     """Largest singular value of a 2x2 matrix, closed form."""
@@ -143,7 +136,7 @@ def verify_assumptions(table, consts: RegularityConstants, sample,
         try:
             df = table.derivative(p, True)
             dfi = table.derivative(p, False)
-            # rho(table, p), reusing the distance d of p itself
+            # rho: min distance over f^-1(p), p and f(p), reusing d
             rr = min(d, dist_to_discontinuity(table, billiard_map(table, p)),
                      dist_to_discontinuity(table, billiard_inverse(table, p)))
         except MapUndefined:

@@ -81,7 +81,10 @@ class InequalityViolated(PesinCoderError):
 
 # ---------------------------------------------------------------- charts
 class OutOfDomain(PesinCoderError):
-    """Chart argument outside R[eta] or point outside the chart image."""
+    """Offset asked between points that share no coordinates: points on
+    different boundary loops of a billiard table, or on different components
+    of the linear fixture (`offset` and `step_many`; `chart_invert` passes
+    it on)."""
 
 
 class DomainEscape(PesinCoderError):

@@ -13,12 +13,13 @@ from pesin_coder.dynamics import (
     derivative_along_orbit,
     dist_to_discontinuity,
     operator_norm,
-    rho,
     singularity_cloud,
     smallest_singular_value,
     verify_assumptions,
 )
-from pesin_coder.errors import AssumptionViolated, CornerHit, GrazingCollision
+from pesin_coder.cocycle import orbit_segment
+from pesin_coder.errors import (AssumptionViolated, CornerHit, GrazingCollision,
+                               OrbitHitsDiscontinuity)
 from pesin_coder.tables import (
     PhasePoint,
     fd_derivative,
@@ -257,6 +258,11 @@ def test_dispersing_tables_have_tangency_preimages():
     assert kinds <= {1}  # only corner-generated rays
 
 
+def rho(table, p: PhasePoint) -> float:
+    """min distance to D over f^-1(p), p and f(p)."""
+    return orbit_segment(table, p, 0, 0).rho(0)
+
+
 def test_rho_is_min_over_triple():
     fx = make_linear_fixture()  # metric_scale 1, half_width 0.3
     p = PhasePoint(0, 0.1, 0.05)
@@ -271,7 +277,7 @@ def test_rho_below_dist():
     for p in _sample(st, 40, seed=11):
         try:
             r = rho(st, p)
-        except (GrazingCollision, CornerHit):
+        except OrbitHitsDiscontinuity:  # f(p) or f^-1(p) undefined
             continue
         assert r <= dist_to_discontinuity(st, p) + 1e-12
 

@@ -13,11 +13,14 @@ bound by an import and never read in that file, as ``path:line name``.
 names listed in a module's ``__all__`` are not reported.
 
 It also lists ``test_only_public``: each public module-level function in
-``src`` whose name no code in ``src``, ``perfbench`` or ``tools`` reads, so
-only tests call it.  A read is a loaded name, an attribute name or a string
-constant outside ``__all__``; the match is by name alone, so a function that
-shares its name with a method or variable read elsewhere (``dynamics.rho``
-and ``OrbitSegment.rho``) is not listed.
+``src`` that no code in ``src``, ``perfbench`` or ``tools`` reads, so only
+tests call it.  A read of ``name`` from module ``mod`` must name ``mod``:
+``from ...mod import name`` followed by a load of that binding, ``m.name``
+where ``m`` is bound to ``mod`` by an import, or a load of the bare ``name``
+inside ``mod.py`` itself.  A string constant outside ``__all__`` (a table
+of names to wrap, say) counts as a read of that name from any module.  So a
+method or variable that shares a function's name (``OrbitSegment.rho``
+beside a module-level ``rho``) hides nothing.
 
 Each name left on ``test_only_public`` must be in ``TEST_ONLY_ALLOWED``
 below, with its one-line reason, and each allowed name must still be on the
@@ -46,8 +49,6 @@ from pathlib import Path
 # each public function that only tests call, with the reason it stays
 _REPORT = "diagnostic for the run report (ROADMAP items 5 and 6)"
 TEST_ONLY_ALLOWED = {
-    "charts.chart_map_fx": _REPORT,
-    "charts.change_of_coordinates": _REPORT,
     "cocycle.c_inverse_growth_check": _REPORT,
     "cocycle.nuh_diagnostics": _REPORT,
     "coding.sigma_sharp_filter": _REPORT,
@@ -90,33 +91,52 @@ def _exported(tree: ast.Module) -> set[str]:
             for name in ast.literal_eval(value)}
 
 
-def names_read(tree: ast.Module) -> set[str]:
-    """Names the code reads: loaded names, attribute names, and string
-    constants (a table of names to wrap, say) outside ``__all__``."""
+def names_read(path: Path, tree: ast.Module) -> tuple[set[str], set[str]]:
+    """``mod.name`` of each module-level name the file reads through its
+    module (see the module docstring), and the string constants it holds
+    outside ``__all__``."""
     exports = {id(n) for value in _all_values(tree) for n in ast.walk(value)}
-    read = set()
+    funcs = {}  # local name -> "mod.name" it was imported as
+    mods = {}  # local name or dotted path -> module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                mods[local] = alias.name
+                if node.module:
+                    funcs[local] = f"{node.module.split('.')[-1]}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                mods[alias.asname or alias.name] = alias.name.split(".")[-1]
+    read, strings = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            read.add(funcs.get(node.id, f"{path.stem}.{node.id}"))
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+            owner = mods.get(ast.unparse(node.value))
+            if owner is not None:
+                read.add(f"{owner}.{node.attr}")
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and id(node) not in exports:
-            read.add(node.value)
-    return read
+            strings.add(node.value)
+    return read, strings
 
 
 def test_only_public(src: Path, readers) -> list[str]:
-    """``module.name`` of each public module-level function in ``src`` whose
-    name no code under the ``readers`` directories reads."""
+    """``module.name`` of each public module-level function in ``src`` that
+    no code under the ``readers`` directories reads."""
     trees = {path: ast.parse(path.read_text())
              for d in readers for path in sorted(d.rglob("*.py"))}
-    read = set().union(*map(names_read, trees.values()))
+    pairs = [names_read(path, tree) for path, tree in trees.items()]
+    read = set().union(*(r for r, _ in pairs))
+    strings = set().union(*(s for _, s in pairs))
     return [f"{path.stem}.{node.name}"
             for path, tree in trees.items() if path.parent == src
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not node.name.startswith("_") and node.name not in read]
+            and not node.name.startswith("_")
+            and f"{path.stem}.{node.name}" not in read
+            and node.name not in strings]
 
 
 def blas_sites(tree: ast.Module) -> list[tuple[int, str]]:
