@@ -93,7 +93,7 @@ class ChartMapDecomposition:
     records that the probe exceeds 10 Q (always, at realistic chart sizes)
     and `fd_checked` that the finite-difference derivative at 0 was clean
     enough (noise below a tenth of the hyperbolicity gap) to cross-check the
-    analytic A, B.  `holder_const` and `holder_exponent` are the Holder
+    analytic A, B.  `holder_const` and `holder_half` are the Holder
     quotients of grad h at exponents beta/3 (the edge bound) and beta/2
     (the one-step bound), both read from one pass over the grid.
     """
@@ -110,7 +110,7 @@ class ChartMapDecomposition:
     sup_h: float
     grad_sup: float
     holder_const: float
-    holder_exponent: float
+    holder_half: float
     df_sup: float
     a_fd: float
     b_fd: float
@@ -226,14 +226,23 @@ def _map_step(table, p: PhasePoint, forward: bool) -> PhasePoint:
         raise DomainEscape(f"map undefined inside probe square: {e}") from e
 
 
-def _map_rows(chart_x: PesinChart, chart_to: PesinChart, vs: np.ndarray,
-              allow: float, forward: bool) -> np.ndarray:
-    """w_k = pullback(f(embed(v_k))) for the N rows of vs, in one batch.
+def _sample_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
+                 fd_step: float, allow: float, forward: bool):
+    """Sample w(v) = pullback(f(embed(v))) on the probe grid, and its
+    central-difference Jacobian at v = 0 with step fd_step, in one batch.
 
-    Raises what a row-by-row loop would raise first: DomainEscape for the
-    first row whose image leaves R[allow] or whose map step is undefined,
-    else the embed or offset error of the first failing row.
+    Returns (xs, U, V, J0).  The four Jacobian rows follow the grid rows in
+    one `step_many` call; each row maps on its own, so the bits are those of
+    two separate calls.  Raises what sampling the grid, then the Jacobian,
+    would raise first: DomainEscape for the first grid row whose image
+    leaves R[allow] (Jacobian rows are not bounded) or whose map step is
+    undefined, else the embed or offset error of the first failing row.
     """
+    xs = np.linspace(-probe, probe, GRID_N)
+    V1, V2 = np.meshgrid(xs, xs, indexing="ij")
+    e = fd_step * np.eye(2)
+    vs = np.concatenate([np.stack([V1.ravel(), V2.ravel()], axis=1),
+                         np.stack([e[0], -e[0], e[1], -e[1]])])
     # matmul over (N, 2, 1) makes the same per-row gemv as C @ v
     d = np.matmul(chart_x.frame.C, vs[:, :, None])[:, :, 0]
     off, fail = chart_x.table.step_many(chart_x.x, d, forward, chart_to.x)
@@ -242,7 +251,8 @@ def _map_rows(chart_x: PesinChart, chart_to: PesinChart, vs: np.ndarray,
     # solving all rows as one (2, N) block differs in the last bits on more
     # than half of them (20 000 random rows, a fixture and a stadium frame)
     w = np.linalg.solve(chart_to.frame.C, off[:n, :, None])[:, :, 0]
-    w_inf = np.max(np.abs(w), axis=1)
+    n_grid = GRID_N * GRID_N
+    w_inf = np.max(np.abs(w[:n_grid]), axis=1)
     escaped = np.flatnonzero(w_inf > allow)
     if escaped.size:
         k = escaped[0]
@@ -250,29 +260,14 @@ def _map_rows(chart_x: PesinChart, chart_to: PesinChart, vs: np.ndarray,
             f"image |w|_inf = {w_inf[k]:.3e} leaves the target square of "
             f"half-width {allow:.3e} at v = ({vs[k, 0]:.3e}, {vs[k, 1]:.3e})")
     if fail is not None:
-        e = fail[1]
-        if isinstance(e, MapUndefined):
-            raise DomainEscape(f"map undefined inside probe square: {e}") from e
-        raise e
-    return w
-
-
-def _sample_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
-                 allow: float, forward: bool):
-    """Sample w(v) = pullback(f(embed(v))) on the probe grid."""
-    xs = np.linspace(-probe, probe, GRID_N)
-    V1, V2 = np.meshgrid(xs, xs, indexing="ij")
-    w = _map_rows(chart_x, chart_to, np.stack([V1.ravel(), V2.ravel()], axis=1),
-                  allow, forward)
-    return xs, w[:, 0].reshape(V1.shape), w[:, 1].reshape(V1.shape)
-
-
-def _fd_jacobian(chart_x: PesinChart, chart_to: PesinChart, step: float,
-                 forward: bool) -> np.ndarray:
-    e = step * np.eye(2)
-    w = _map_rows(chart_x, chart_to, np.stack([e[0], -e[0], e[1], -e[1]]),
-                  math.inf, forward)
-    return np.stack([w[0] - w[1], w[2] - w[3]], axis=1) / (2.0 * step)
+        err = fail[1]
+        if isinstance(err, MapUndefined):
+            raise DomainEscape(f"map undefined inside probe square: {err}") from err
+        raise err
+    jac = w[n_grid:]
+    J0 = np.stack([jac[0] - jac[1], jac[2] - jac[3]], axis=1) / (2.0 * fd_step)
+    return (xs, w[:n_grid, 0].reshape(V1.shape), w[:n_grid, 1].reshape(V1.shape),
+            J0)
 
 
 def _grad_fields(F: np.ndarray, spacing: float):
@@ -320,7 +315,9 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
     chi = chart_x.frame.chi
     headroom = 4.0 * (1.0 + math.exp(2.0 * chi)) / chart_x.rho_x ** consts.a
     allow = max(10.0 * chart_to.Q.value, headroom * probe)
-    xs, U, V = _sample_grid(chart_x, chart_to, probe, allow, forward)
+    fd_step = probe / 16.0
+    xs, U, V, J0 = _sample_grid(chart_x, chart_to, probe, fd_step, allow,
+                                forward)
     spacing = xs[1] - xs[0]
     c = GRID_N // 2  # v = 0 node
 
@@ -329,8 +326,6 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
     h2 = V - B * V2
     h0 = (float(h1[c, c]), float(h2[c, c]))
 
-    fd_step = probe / 16.0
-    J0 = _fd_jacobian(chart_x, chart_to, fd_step, forward)
     noise = 2e-15 * chart_to.frame.c_inv_frob / fd_step
     gap = min(abs(A), abs(B), math.exp(-chi))
     fd_checked = noise <= 0.1 * gap
@@ -353,7 +348,7 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
         A=A, B=B, h1=h1, h2=h2, probe=probe, probe_floored=floored, h0=h0,
         grad0=grad0, grad_h0=grad_h0, sup_h=max(s1, s2),
         grad_sup=max(g1_sup, g2_sup),
-        holder_const=hol3, holder_exponent=hol2,
+        holder_const=hol3, holder_half=hol2,
         df_sup=_df_sup(gU, gV), a_fd=float(J0[0, 0]), b_fd=float(J0[1, 1]),
         fd_checked=fd_checked)
 
@@ -424,7 +419,7 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
         for name, measured in (("sup|h|", dec.sup_h),
                                ("sup|grad h|", dec.grad_sup),
                                ("Holder_(beta/2)(grad h)",
-                                dec.holder_exponent)):
+                                dec.holder_half)):
             if measured >= eps:
                 raise BoundViolated(name + " below eps", measured, eps)
         df_bound = 2.0 * (1.0 + math.exp(2.0 * chi)) \

@@ -15,7 +15,10 @@ second QR diagonal entry from the determinant, with no QR per step.  The
 splitting pushes keep numpy's product and solve, whose bits come from the
 host's BLAS/LAPACK kernels (ROADMAP item 10), but take the norm as
 sqrt(w.w), which is what `np.linalg.norm` computes for a real vector.  The
-s/u series run over Python floats.  The splitting, the series and the
+backward push calls LAPACK's solve gufunc, the one `np.linalg.solve`
+dispatches to for a vector right-hand side, without numpy's per-call
+wrapper: the same LAPACK call on the same float64 data, so the same bits.
+The s/u series run over Python floats.  The splitting, the series and the
 frames keep every bit; the QR means move in their last bits only.
 """
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .dynamics import billiard_inverse, dist_to_discontinuity
 from .errors import (
@@ -247,31 +251,43 @@ def _push_forward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
     """Multiply v by derivs[start..stop-1], renormalizing; store at [i+1].
 
     The norm is sqrt(w.w), bit for bit what `np.linalg.norm` returns for a
-    real vector, without its wrapper; the product stays numpy's `@`."""
+    real vector, without its wrapper; the product is `np.matmul` (numpy's
+    `@`), written straight into its row of `out`."""
     w = v / math.sqrt(v.dot(v))
     if out is not None:
         out[start] = w
     for i in range(start, stop):
-        w = derivs[i] @ w
+        w = np.matmul(derivs[i], w, out=None if out is None else out[i + 1])
         w /= math.sqrt(w.dot(w))
-        if out is not None:
-            out[i + 1] = w
     return w
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
 
 
 def _push_backward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
                    out: np.ndarray | None = None):
     """Multiply v by inverse derivatives from index start down to stop.
 
-    Each step is `np.linalg.solve`, then the norm as in `_push_forward`."""
+    Each step solves with `_umath_linalg.solve1`, the LAPACK gufunc that
+    `np.linalg.solve` calls for a 1-D right-hand side, on the same float64
+    data, so its bits are `np.linalg.solve`'s; the wrapper's conversions
+    and its error settings per call are skipped.  The settings are
+    `np.linalg.solve`'s, entered once per push: a singular step raises
+    LinAlgError("Singular matrix").  The norm is as in `_push_forward` but
+    runs under these settings too, so a solve that overflows (inverse
+    entries near 1e308, far from any table's derivatives) gives a zero row
+    or raises that error instead of a RuntimeWarning."""
     w = v / math.sqrt(v.dot(v))
     if out is not None:
         out[start] = w
-    for i in range(start - 1, stop - 1, -1):
-        w = np.linalg.solve(derivs[i], w)
-        w /= math.sqrt(w.dot(w))
-        if out is not None:
-            out[i] = w
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        for i in range(start - 1, stop - 1, -1):
+            w = _umath_linalg.solve1(derivs[i], w, signature="dd->d",
+                                     out=None if out is None else out[i])
+            w /= math.sqrt(w.dot(w))
     return w
 
 

@@ -19,7 +19,6 @@ from pesin_coder.charts import (
     GRID_N,
     PROBE_FLOOR,
     PesinChart,
-    _fd_jacobian,
     _map_step,
     _probe_halfwidth,
     _sample_grid,
@@ -296,7 +295,7 @@ class TestChartMapFx:
         assert dec.sup_h < 1e-18
         assert dec.grad_sup < 1e-12
         assert dec.holder_const < 1e-9
-        assert dec.holder_exponent < 1e-9
+        assert dec.holder_half < 1e-9
         assert dec.grad_h0 < 1e-14
         assert dec.h1.shape == (GRID_N, GRID_N)
 
@@ -338,7 +337,7 @@ class TestChartMapFx:
         assert dec.sup_h < 1e-10
         assert dec.grad_sup < 1e-4
         assert dec.holder_const < 5e-3
-        assert dec.holder_exponent < 5e-3
+        assert dec.holder_half < 5e-3
         assert dec.probe == PROBE_FLOOR
         assert dec.fd_checked
         bound = 2.0 * (1.0 + math.exp(2.0 * chi)) / cha.rho_x ** CONSTS.a
@@ -368,8 +367,8 @@ class TestChartMapFx:
         xs = np.linspace(-dec.probe, dec.probe, GRID_N)
         assert dec.holder_const == per_pair_holder(dec, xs[1] - xs[0],
                                                    CONSTS.beta / 3.0)
-        assert dec.holder_exponent == per_pair_holder(dec, xs[1] - xs[0],
-                                                      CONSTS.beta / 2.0)
+        assert dec.holder_half == per_pair_holder(dec, xs[1] - xs[0],
+                                                  CONSTS.beta / 2.0)
 
 
 def per_pair_holder(dec, spacing: float, exponent: float) -> float:
@@ -672,26 +671,26 @@ class TestBatchedMapStep:
         st, seg, sp, cha, chb = tame_stadium_pair()
         cx, cy = (cha, chb) if forward else (chb, cha)
         probe, _ = _probe_halfwidth(cx)
-        xs, U, V = _sample_grid(cx, cy, probe, math.inf, forward)
+        xs, U, V, J = _sample_grid(cx, cy, probe, probe / 16.0, math.inf,
+                                   forward)
         Ur, Vr = reference_grid(cx, cy, probe, forward)
         assert U.tobytes() == Ur.tobytes()
         assert V.tobytes() == Vr.tobytes()
-        J = _fd_jacobian(cx, cy, probe / 16.0, forward)
         assert J.tobytes() == reference_fd_jacobian(cx, cy, probe / 16.0,
                                                     forward).tobytes()
 
     def test_square_escape_before_failing_row_wins(self):
-        n = GRID_N * GRID_N
+        n = GRID_N * GRID_N + 4
         off = np.zeros((n, 2))
         off[40] = (1e6, 0.0)  # grid node (1, 7), before the failing row
         cx, cy = row_fail_charts(off, (500, GrazingCollision("tangent")))
         xs = np.linspace(-0.1, 0.1, GRID_N)
         with pytest.raises(DomainEscape, match="leaves the target square") as ei:
-            _sample_grid(cx, cy, 0.1, 1.0, True)
+            _sample_grid(cx, cy, 0.1, 0.01, 1.0, True)
         assert f"at v = ({xs[1]:.3e}, {xs[7]:.3e})" in str(ei.value)
 
     def test_failing_row_raises_when_earlier_rows_stay_inside(self):
-        n = GRID_N * GRID_N
+        n = GRID_N * GRID_N + 4
         off = np.zeros((n, 2))
         off[501] = (1e6, 0.0)  # after the failing row: never read
         err = GrazingCollision("tangent")
@@ -699,17 +698,39 @@ class TestBatchedMapStep:
         with pytest.raises(DomainEscape,
                            match="map undefined inside probe square: tangent"
                            ) as ei:
-            _sample_grid(cx, cy, 0.1, 1.0, True)
+            _sample_grid(cx, cy, 0.1, 0.01, 1.0, True)
         assert ei.value.__cause__ is err
 
     @pytest.mark.parametrize("k", [0, 7])
     @pytest.mark.parametrize("err", [OutOfDomain("across loops"),
                                      DomainEscape("embedded angle")])
     def test_failing_row_keeps_its_own_error(self, err, k):
-        cx, cy = row_fail_charts(np.zeros((GRID_N * GRID_N, 2)), (k, err))
+        cx, cy = row_fail_charts(np.zeros((GRID_N * GRID_N + 4, 2)), (k, err))
         with pytest.raises(type(err)) as ei:
-            _sample_grid(cx, cy, 0.1, 1.0, True)
+            _sample_grid(cx, cy, 0.1, 0.01, 1.0, True)
         assert ei.value is err
+
+    def test_jacobian_rows_fail_after_the_grid_check(self):
+        # the four Jacobian rows follow the grid in one batch: a failing
+        # Jacobian row raises only when every grid row stays inside R[allow],
+        # and the Jacobian rows themselves are not bounded by allow
+        n_grid = GRID_N * GRID_N
+        err = GrazingCollision("tangent")
+        off = np.zeros((n_grid + 4, 2))
+        off[40] = (1e6, 0.0)
+        cx, cy = row_fail_charts(off, (n_grid + 1, err))
+        with pytest.raises(DomainEscape, match="leaves the target square"):
+            _sample_grid(cx, cy, 0.1, 0.01, 1.0, True)
+        off[40] = (0.0, 0.0)
+        with pytest.raises(DomainEscape,
+                           match="map undefined inside probe square: tangent"
+                           ) as ei:
+            _sample_grid(cx, cy, 0.1, 0.01, 1.0, True)
+        assert ei.value.__cause__ is err
+        off[n_grid] = (1e6, 0.0)
+        cx, cy = row_fail_charts(off, None)
+        *_, J = _sample_grid(cx, cy, 0.1, 0.01, 1.0, True)
+        assert J[0, 0] >= 1e6 / 0.02  # w = C^-1 off, and C shrinks
 
 
 # ------------------------------------------------------------------- overlap
@@ -745,14 +766,14 @@ class TestOverlap:
         with pytest.raises(ValueError, match="eta"):
             overlap_test(bad, bad)
 
-    def test_synthetic_interchange_is_translation(self):
+    def test_overlap_gate_admits_small_offset(self):
         # d = 0.05 passes the overlap gate
         fx = make_linear_fixture()
         a = synthetic_chart(fx, PhasePoint(0, 0.0, 0.0))
         b = synthetic_chart(fx, PhasePoint(0, 0.05, 0.0), rho=0.25)
         assert overlap_test(a, b)
 
-    def test_interchange_bound_violated_on_wide_offset(self):
+    def test_overlap_gate_admits_wide_offset(self):
         # d = 0.2 still passes the overlap gate (< e^(-4/3))
         fx = make_linear_fixture()
         a = synthetic_chart(fx, PhasePoint(0, 0.0, 0.0))

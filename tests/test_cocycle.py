@@ -263,6 +263,20 @@ class TestSplitting:
         for got, want in zip((sp.e_s, sp.e_u, sp.factor_s, sp.factor_u), ref):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_singular_backward_step_raises_like_linalg_solve(self, with_out):
+        # the backward push solves through LAPACK's gufunc under the error
+        # settings of np.linalg.solve, so a singular step raises its error
+        derivs = np.array([np.diag([2.0, 0.5])] * 6)
+        derivs[2] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            np.linalg.solve(derivs[2], cocycle._SEED)
+        before = np.geterr()
+        out = np.empty((7, 2)) if with_out else None
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            cocycle._push_backward(derivs, 6, 0, cocycle._SEED, out=out)
+        assert np.geterr() == before
+
     def test_fix_sign_rule(self):
         rows = [(0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0),
                 (0.5, -0.3), (-0.5, 0.3), (-0.5, -0.3), (5e-324, -1.0),

@@ -30,8 +30,10 @@ deleted, and a stale allowance is removed.
 It also lists ``blas_sites``: each expression in ``src`` that can reach
 BLAS or LAPACK, as ``module.py:line what``.  These are the ``@`` operator
 and calls of ``matmul``, ``dot`` (as ``np.dot`` or a ``.dot`` method),
-``einsum`` and anything under ``np.linalg``.  Their bits depend on the
-host's kernels, not on IEEE arithmetic alone (ROADMAP item 10).
+``einsum``, anything under ``np.linalg`` and anything under numpy's
+LAPACK gufunc module ``_umath_linalg``, which ``np.linalg`` wraps.  Their
+bits depend on the host's kernels, not on IEEE arithmetic alone (ROADMAP
+item 10).
 
 Run it as ``python3 tools/census.py``; it counts the checkout it sits in.
 Standard library only.  The sizes and the BLAS sites are informational;
@@ -140,8 +142,8 @@ def test_only_public(src: Path, readers) -> list[str]:
 
 
 def blas_sites(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, what) of each ``@``, ``matmul``, ``dot``, ``einsum`` and
-    ``np.linalg`` call in the tree, in line order."""
+    """(line, what) of each ``@``, ``matmul``, ``dot``, ``einsum``,
+    ``np.linalg`` and ``_umath_linalg`` call in the tree, in line order."""
     sites = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) \
@@ -149,9 +151,9 @@ def blas_sites(tree: ast.Module) -> list[tuple[int, str]]:
             sites.append((node.lineno, "@"))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             func = node.func
-            if func.attr in ("matmul", "dot", "einsum") or (
-                    isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "linalg"):
+            owner = getattr(func.value, "attr", getattr(func.value, "id", None))
+            if func.attr in ("matmul", "dot", "einsum") \
+                    or owner in ("linalg", "_umath_linalg"):
                 sites.append((node.lineno, ast.unparse(func)))
     return sorted(sites)
 
