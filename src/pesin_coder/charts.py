@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import HyperbolicFrame, OrbitSegment, Splitting, frame_at, reduced_cocycle
-from .dynamics import RegularityConstants, billiard_inverse, billiard_map
+from .dynamics import (RegularityConstants, billiard_inverse, billiard_map,
+                       operator_norm)
 from .errors import (
     BoundViolated,
     DomainEscape,
@@ -49,6 +50,7 @@ __all__ = [
     "chart_map_fxy",
     "overlap_test",
     "greedy_q",
+    "holder_quotients",
 ]
 
 # smallest half-width at which chart-coordinate maps are grid-sampled; below
@@ -59,8 +61,6 @@ PROBE_FLOOR = 1e-6
 PROBE_RHO_FRACTION = 1e-2
 # grid resolution for h-field sampling (odd, so v = 0 is a grid node)
 GRID_N = 33
-# dyadic grid-cell separations for Holder difference quotients
-DYADIC_SEPARATIONS = (1, 2, 4, 8, 16)
 # resolution of the overlap precondition between a mapped center and the
 # next chart center: one map/inverse-map float round trip leaves ~1e-16 of
 # displacement, so distances below this floor are measured zeros, while any
@@ -270,42 +270,29 @@ def _sample_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
             J0)
 
 
-def _grad_fields(F: np.ndarray, spacing: float):
-    g1, g2 = np.gradient(F, spacing, edge_order=2)
-    return g1, g2
+def holder_quotients(fields, spacing: float, exponents) -> list[float]:
+    """Holder quotients of sampled fields along their first axis, one per
+    exponent e: the largest jump at grid separation k, over k = 1, 2, 4, ...
+    with 2k below the field length, divided by (k spacing)^e.
 
-
-def _holder_of_gradient(grads, spacing: float, exponents) -> list[float]:
-    """Max difference quotient of the gradient fields over dyadic grid
-    separations, one per exponent.
-
-    Each separation's largest jump is taken once and then divided by
-    (k spacing)^e: division by a positive number rounds monotonically, so
-    this has the bits of the max over every per-pair quotient.
+    Each separation's largest jump over all fields is taken once and then
+    divided: division by a positive number rounds monotonically, so this
+    has the bits of the max over every per-pair quotient.
     """
     jumps = []
-    for k in DYADIC_SEPARATIONS:
-        jump = max(float(np.max(np.abs(diff))) for g in grads
-                   for diff in (g[k:, :] - g[:-k, :], g[:, k:] - g[:, :-k]))
+    k = 1
+    while 2 * k < len(fields[0]):
+        jump = max(float(np.max(np.abs(f[k:] - f[:-k]))) for f in fields)
         jumps.append((k * spacing, jump))
+        k *= 2
     return [max(jump / dist ** e for dist, jump in jumps) for e in exponents]
 
 
 def _field_norms(h: np.ndarray, spacing: float):
-    g1, g2 = _grad_fields(h, spacing)
+    g1, g2 = np.gradient(h, spacing, edge_order=2)
     sup_h = float(np.max(np.abs(h)))
     grad_sup = float(np.max(np.hypot(g1, g2)))
     return sup_h, grad_sup, (g1, g2)
-
-
-def _df_sup(gU, gV) -> float:
-    """Max operator norm of the sampled Jacobian fields."""
-    a, b = gU
-    c, d = gV
-    fro2 = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    inner = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
-    return float(np.sqrt(np.max((fro2 + np.sqrt(inner)) / 2.0)))
 
 
 def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
@@ -340,16 +327,19 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
 
     s1, g1_sup, gH1 = _field_norms(h1, spacing)
     s2, g2_sup, gH2 = _field_norms(h2, spacing)
-    hol3, hol2 = _holder_of_gradient(gH1 + gH2, spacing,
-                                     (consts.beta / 3.0, consts.beta / 2.0))
-    gU = _grad_fields(U, spacing)
-    gV = _grad_fields(V, spacing)
+    # each gradient field along both grid axes
+    hol3, hol2 = holder_quotients([f for g in gH1 + gH2 for f in (g, g.T)],
+                                  spacing,
+                                  (consts.beta / 3.0, consts.beta / 2.0))
+    gU = np.gradient(U, spacing, edge_order=2)
+    gV = np.gradient(V, spacing, edge_order=2)
     return ChartMapDecomposition(
         A=A, B=B, h1=h1, h2=h2, probe=probe, probe_floored=floored, h0=h0,
         grad0=grad0, grad_h0=grad_h0, sup_h=max(s1, s2),
         grad_sup=max(g1_sup, g2_sup),
         holder_const=hol3, holder_half=hol2,
-        df_sup=_df_sup(gU, gV), a_fd=float(J0[0, 0]), b_fd=float(J0[1, 1]),
+        df_sup=float(np.max(operator_norm((gU, gV)))),
+        a_fd=float(J0[0, 0]), b_fd=float(J0[1, 1]),
         fd_checked=fd_checked)
 
 
@@ -440,8 +430,7 @@ def overlap_test(chart1: PesinChart, chart2: PesinChart) -> bool:
     if not chart1.eta.ratio_within_e_eps(chart2.eta):
         return False
     d = chart1.table.distance(chart1.x, chart2.x)
-    dC = float(np.sqrt(np.sum((chart1.frame.C - chart2.frame.C) ** 2)))
-    total = d + dC
+    total = d + chart1.frame.distance(chart2.frame)
     if total == 0.0:
         return True
     log_bound = 4.0 * (chart1.eta.log_value + chart2.eta.log_value)

@@ -198,6 +198,10 @@ class HyperbolicFrame:
     def c_frob(self) -> float:
         return float(np.sqrt(np.sum(self.C * self.C)))
 
+    def distance(self, other: HyperbolicFrame) -> float:
+        """Frobenius distance ||C - C'||_F between two frames."""
+        return float(np.sqrt(np.sum((self.C - other.C) ** 2)))
+
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -385,10 +389,8 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting
     # close to the past end, e_s close to the future end
     trim = min(max(4, n // 10), max((n - 2) // 2, 0))
     sl = slice(trim, n - trim)
-    gs = np.einsum("nij,nj->ni", seg.derivs[sl], splitting.e_s[sl])
-    gu = np.einsum("nij,nj->ni", seg.derivs[sl], splitting.e_u[sl])
-    l1 = float(np.mean(np.log(np.linalg.norm(gs, axis=1))))
-    l2 = float(np.mean(np.log(np.linalg.norm(gu, axis=1))))
+    l1 = float(np.mean(np.log(splitting.factor_s[sl])))
+    l2 = float(np.mean(np.log(splitting.factor_u[sl])))
     radius = max(spread, abs(l1 - qr_l1), abs(l2 - qr_l2))
     return LyapunovEstimate(l1, l2, qr_l1, qr_l2, radius)
 
@@ -580,8 +582,7 @@ def nuh_diagnostics(seg: OrbitSegment, frames: list[HyperbolicFrame],
     c_inv = np.array([f.c_inv_frob for f in frames])
     c_slope = float(np.max(np.abs(np.log(c_inv[far])) / np.abs(ns[far])))
 
-    C0 = frames[base_k].C
-    dC = np.array([np.sqrt(np.sum((f.C - C0) ** 2)) for f in frames])
+    dC = np.array([f.distance(frames[base_k]) for f in frames])
     fwd = dC[base_k + 1:]
     bwd = dC[:base_k]
     report = {

@@ -70,10 +70,6 @@ def _lt_log(value: float, log_bound: float) -> bool:
     return math.log(value) < log_bound
 
 
-def _frame_distance(f1: HyperbolicFrame, f2: HyperbolicFrame) -> float:
-    return float(np.sqrt(np.sum((f1.C - f2.C) ** 2)))
-
-
 # ------------------------------------------------------------------- cover
 class GridCover:
     """Countable cover of phase space by half-open coordinate boxes.
@@ -111,12 +107,15 @@ class GridCover:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridCover":
-        if obj["side"] != COVER_SIDE:
-            raise ValueError(f"cover built with box side {obj['side']}, "
+        side = _get(obj, "side", "cover")
+        if side != COVER_SIDE:
+            raise ValueError(f"cover built with box side {side}, "
                              f"this code uses {COVER_SIDE}")
         cover = cls()
-        for n, row in enumerate(obj["boxes"]):
-            c, ir, it, i = (_integer(x, f"cover.boxes[{n}]") for x in row)
+        for n, row in enumerate(_list(_get(obj, "boxes", "cover"),
+                                      "cover.boxes")):
+            c, ir, it, i = (_integer(x, f"cover.boxes[{n}]")
+                            for x in _list(row, f"cover.boxes[{n}]", 4))
             if i != n:
                 raise ValueError("cover box ids must be dense and ordered")
             if (c, ir, it) in cover._ids:
@@ -247,7 +246,7 @@ def gamma_close(g1: GammaPoint, g2: GammaPoint, j: int) -> bool:
         return False
     log_r = -NET_EXPONENT * (j + 2.0)
     for p1, f1, p2, f2 in zip(g1.points, g1.frames, g2.points, g2.frames):
-        d = g1.table.distance(p1, p2) + _frame_distance(f1, f2)
+        d = g1.table.distance(p1, p2) + f1.distance(f2)
         if not _lt_log(d, log_r):
             return False
     return True
@@ -318,7 +317,6 @@ class ShiftGraph:
     vertices: tuple
     out_edges: tuple[tuple[int, ...], ...]
     in_edges: tuple[tuple[int, ...], ...]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.vertices)
@@ -337,7 +335,7 @@ class ShiftGraph:
         return [(i, j) for i, row in enumerate(self.out_edges) for j in row]
 
 
-def make_graph(vertices, edges, meta: dict | None = None) -> ShiftGraph:
+def make_graph(vertices, edges) -> ShiftGraph:
     """Graph from an edge list; adjacency rows are sorted and deduplicated."""
     vertices = tuple(vertices)
     n = len(vertices)
@@ -350,8 +348,7 @@ def make_graph(vertices, edges, meta: dict | None = None) -> ShiftGraph:
         ins[j].add(i)
     return ShiftGraph(vertices,
                       tuple(tuple(sorted(s)) for s in outs),
-                      tuple(tuple(sorted(s)) for s in ins),
-                      dict(meta or {}))
+                      tuple(tuple(sorted(s)) for s in ins))
 
 
 def prune_graph(g: ShiftGraph) -> tuple[ShiftGraph, tuple[int, ...]]:
@@ -384,7 +381,7 @@ def prune_graph(g: ShiftGraph) -> tuple[ShiftGraph, tuple[int, ...]]:
     remap = {old: new for new, old in enumerate(kept)}
     edges = [(remap[i], remap[j]) for i, j in g.edge_list()
              if alive[i] and alive[j]]
-    sub = make_graph(tuple(g.vertices[i] for i in kept), edges, g.meta)
+    sub = make_graph(tuple(g.vertices[i] for i in kept), edges)
     return sub, kept
 
 
@@ -474,11 +471,6 @@ def _emit_charts(rows, centers, cover: GridCover, cfg: EpsilonConfig,
             for c, p_s, p_u, j in rows]
 
 
-def _alphabet_graph(vertices, edges, cfg: EpsilonConfig) -> ShiftGraph:
-    return make_graph(vertices, edges, {"eps": cfg.eps,
-                                        "net_exponent": NET_EXPONENT})
-
-
 def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
                  ) -> Alphabet:
     """Bin sampled gammas, select net centers, emit charts, build edges.
@@ -560,7 +552,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
                 edges.append((int(v_id), w_id))
 
     alphabet = Alphabet(cfg, consts, cover, tuple(centers), nets,
-                        _alphabet_graph(vlist, edges, cfg),
+                        make_graph(vlist, edges),
                         tuple(row[0] for row in rows), stats={})
     graph, core = alphabet.graph, alphabet.core
     alphabet.stats.update({
@@ -858,11 +850,11 @@ def inverse_diagnostics(it1: Itinerary, it2: Itinerary, cfg: EpsilonConfig,
 # ---------------------------------------------------------- certificates
 def discreteness_certificate(alphabet: Alphabet,
                              t_log: float | None = None) -> dict:
-    """Count charts with both sizes above a threshold, two ways.
+    """Count charts with both sizes above a threshold, and the bin groups
+    they fall in.
 
-    The direct scan must agree with the count accumulated through the bin
-    grouping, and every passing chart's integer bin data must respect the
-    a-priori bounds implied by sizes above t (all finite).
+    Every passing chart's integer bin data must respect the a-priori bounds
+    implied by sizes above t (all finite).
     """
     verts = alphabet.graph.vertices
     if t_log is None:
@@ -870,15 +862,7 @@ def discreteness_certificate(alphabet: Alphabet,
         t_log = logs[len(logs) // 2]
     direct = [v for v in verts
               if v.p_s.log_value > t_log and v.p_u.log_value > t_log]
-
-    by_group: dict[tuple, int] = {}
-    for v in direct:
-        key = (v.signature.base(), v.signature.j)
-        by_group[key] = by_group.get(key, 0) + 1
-    grouped = sum(by_group.values())
-    if grouped != len(direct):
-        raise AssertionError(
-            f"grouped count {grouped} != direct count {len(direct)}")
+    groups = {(v.signature.base(), v.signature.j) for v in direct}
 
     abs_log_t = -t_log
     max_k = max_l = max_m = max_j = 0
@@ -903,7 +887,7 @@ def discreteness_certificate(alphabet: Alphabet,
         max_l = max(max_l, *sig.l)
         max_m = max(max_m, sig.m)
         max_j = max(max_j, sig.j)
-    return {"t_log": t_log, "count": len(direct), "groups": len(by_group),
+    return {"t_log": t_log, "count": len(direct), "groups": len(groups),
             "max_k": max_k, "max_l": max_l, "max_m": max_m, "max_j": max_j}
 
 
@@ -934,6 +918,23 @@ def _gamma_to_json(g: GammaPoint) -> dict:
     }
 
 
+def _get(obj, key: str, where: str):
+    """Member ``key`` of the file's object at ``where`` ("" at the top)."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where or 'the file'} is not an object with {key}")
+    if key not in obj:
+        raise ValueError(f"{where + '.' if where else ''}{key} is missing")
+    return obj[key]
+
+
+def _list(value, where: str, n: int | None = None) -> list:
+    """A file's list field, of exactly ``n`` entries when ``n`` is given."""
+    if type(value) is not list or n is not None and len(value) != n:
+        raise ValueError(f"{where} is not a list"
+                         + ("" if n is None else f" of {n} entries"))
+    return value
+
+
 def _integer(value, where: str) -> int:
     """A file's integer field: a JSON int, not a bool, a float or a string."""
     if type(value) is not int:
@@ -948,8 +949,15 @@ def _real(value, where: str) -> float:
     return value
 
 
-def _gamma_from_json(obj: dict, table, cfg: EpsilonConfig,
+def _gamma_from_json(obj, table, cfg: EpsilonConfig,
                      where: str) -> GammaPoint:
+    def triple(name: str) -> list:
+        return _list(_get(obj, name, where), f"{where}.{name}", 3)
+
+    def rows(name: str, n: int) -> list:
+        return [_list(row, f"{where}.{name}[{i}]", n)
+                for i, row in enumerate(triple(name))]
+
     def size(value, name: str) -> LatticeSize:
         return cfg.size(_integer(value, f"{where}.{name}"))
 
@@ -958,14 +966,15 @@ def _gamma_from_json(obj: dict, table, cfg: EpsilonConfig,
         points=tuple(PhasePoint(_integer(c, f"{where}.points"),
                                 _real(r, f"{where}.points"),
                                 _real(th, f"{where}.points"))
-                     for c, r, th in obj["points"]),
+                     for c, r, th in rows("points", 3)),
         frames=tuple(_frame_from_json(row, f"{where}.frames")
-                     for row in obj["frames"]),
-        Qs=tuple(size(e, "Q_expos") for e in obj["Q_expos"]),
-        dists=tuple(_real(v, f"{where}.dists") for v in obj["dists"]),
-        rhos=tuple(_real(v, f"{where}.rhos") for v in obj["rhos"]),
-        q=size(obj["q"], "q"), p_s=size(obj["p_s"], "p_s"),
-        p_u=size(obj["p_u"], "p_u"))
+                     for row in rows("frames", 7)),
+        Qs=tuple(size(e, "Q_expos") for e in triple("Q_expos")),
+        dists=tuple(_real(v, f"{where}.dists") for v in triple("dists")),
+        rhos=tuple(_real(v, f"{where}.rhos") for v in triple("rhos")),
+        q=size(_get(obj, "q", where), "q"),
+        p_s=size(_get(obj, "p_s", where), "p_s"),
+        p_u=size(_get(obj, "p_u", where), "p_u"))
 
 
 def save_alphabet(alphabet: Alphabet, path) -> None:
@@ -994,23 +1003,31 @@ def save_alphabet(alphabet: Alphabet, path) -> None:
 
 
 def load_alphabet(path) -> Alphabet:
-    """Rebuild an alphabet from its JSON file; charts are revalidated."""
+    """Rebuild an alphabet from its JSON file; charts are revalidated.
+
+    A malformed file raises ValueError naming the field: a missing one, a
+    list of the wrong length, or a value of the wrong type."""
     doc = json.loads(Path(path).read_text())
-    if doc["stats"]["net_exponent"] != NET_EXPONENT:
+
+    def top(key: str):
+        return _get(doc, key, "")
+
+    net_exponent = _get(top("stats"), "net_exponent", "stats")
+    if net_exponent != NET_EXPONENT:
         raise ValueError(
-            f"alphabet built with net exponent {doc['stats']['net_exponent']}, "
+            f"alphabet built with net exponent {net_exponent}, "
             f"this code uses {NET_EXPONENT}")
-    if not doc["vertices"]:
+    if not _list(top("vertices"), "vertices"):
         raise EmptyAlphabet("alphabet file lists no vertices")
-    cfg = EpsilonConfig(_real(doc["eps"], "eps"))
-    c = doc["consts"]
-    consts = RegularityConstants(
-        **{name: _real(c[name], f"consts.{name}") for name in ("a", "beta", "K")})
-    t = doc["table"]
-    table = make_table(t["kind"], t["params"], t["metric_scale"])
-    cover = GridCover.from_json(doc["cover"])
+    cfg = EpsilonConfig(_real(top("eps"), "eps"))
+    consts = RegularityConstants(**{
+        name: _real(_get(top("consts"), name, "consts"), f"consts.{name}")
+        for name in ("a", "beta", "K")})
+    table = make_table(*(_get(top("table"), name, "table")
+                         for name in ("kind", "params", "metric_scale")))
+    cover = GridCover.from_json(top("cover"))
     centers = tuple(_gamma_from_json(obj, table, cfg, f"centers[{i}]")
-                    for i, obj in enumerate(doc["centers"]))
+                    for i, obj in enumerate(_list(top("centers"), "centers")))
 
     def file_id(value, n: int, where: str, what: str) -> int:
         if type(value) is not int or not 0 <= value < n:
@@ -1022,24 +1039,28 @@ def load_alphabet(path) -> Alphabet:
         return file_id(value, len(centers), where, "center")
 
     nets = {}
-    for i, (k3, l3, a3, m, j, cids) in enumerate(doc["nets"]):
-        k, l, a = (tuple(_integer(x, f"nets[{i}].{name}") for x in v3)
+    for i, row in enumerate(_list(top("nets"), "nets")):
+        k3, l3, a3, m, j, cids = _list(row, f"nets[{i}]", 6)
+        k, l, a = (tuple(_integer(x, f"nets[{i}].{name}")
+                         for x in _list(v3, f"nets[{i}].{name}", 3))
                    for name, v3 in (("k", k3), ("l", l3), ("a", a3)))
         base = (k, l, a, _integer(m, f"nets[{i}].m"))
         nets[(base, _integer(j, f"nets[{i}].j"))] = tuple(
-            center_id(x, f"nets[{i}] center list") for x in cids)
-    rows = [(center_id(row["center"], f"vertices[{i}].center"),
-             cfg.size(_integer(row["p_s"], f"vertices[{i}].p_s")),
-             cfg.size(_integer(row["p_u"], f"vertices[{i}].p_u")),
-             _integer(row["j"], f"vertices[{i}].j"))
-            for i, row in enumerate(doc["vertices"])]
-    edges = []
-    for k, e in enumerate(doc["edges"]):
-        if type(e) is not list or len(e) != 2:
-            raise ValueError(f"edges[{k}] = {e!r} is not a vertex pair")
-        edges.append(tuple(file_id(x, len(rows), f"edges[{k}]", "vertex")
-                           for x in e))
+            center_id(x, f"nets[{i}] center list")
+            for x in _list(cids, f"nets[{i}] center list"))
+
+    rows = []
+    for i, row in enumerate(top("vertices")):
+        where = f"vertices[{i}]"
+        c, p_s, p_u, j = (_get(row, key, where)
+                          for key in ("center", "p_s", "p_u", "j"))
+        rows.append((center_id(c, f"{where}.center"),
+                     cfg.size(_integer(p_s, f"{where}.p_s")),
+                     cfg.size(_integer(p_u, f"{where}.p_u")),
+                     _integer(j, f"{where}.j")))
+    edges = [tuple(file_id(x, len(rows), f"edges[{k}]", "vertex")
+                   for x in _list(e, f"edges[{k}]", 2))
+             for k, e in enumerate(_list(top("edges"), "edges"))]
     vlist = _emit_charts(rows, centers, cover, cfg, consts)
-    graph = _alphabet_graph(vlist, edges, cfg)
-    return Alphabet(cfg, consts, cover, centers, nets, graph,
-                    tuple(row[0] for row in rows), dict(doc["stats"]))
+    return Alphabet(cfg, consts, cover, centers, nets, make_graph(vlist, edges),
+                    tuple(row[0] for row in rows), dict(top("stats")))

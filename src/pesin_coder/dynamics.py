@@ -96,12 +96,15 @@ def dist_to_discontinuity(table, p: PhasePoint) -> float:
 
 
 # ---------------------------------------------------------------- spectral
-def operator_norm(M: np.ndarray) -> float:
-    """Largest singular value of a 2x2 matrix, closed form."""
-    T = float(np.sum(M * M))
-    det = abs(float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]))
-    rad = max(T * T - 4.0 * det * det, 0.0)
-    return math.sqrt((T + math.sqrt(rad)) / 2.0)
+def operator_norm(M):
+    """Largest singular value of a 2x2 matrix ((a, b), (c, d)), closed
+    form; elementwise when the entries are equal-shape arrays."""
+    (a, b), (c, d) = M
+    fro2 = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    rad = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
+    norm = np.sqrt((fro2 + np.sqrt(rad)) / 2.0)
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
 def smallest_singular_value(M: np.ndarray) -> float:

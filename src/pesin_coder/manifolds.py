@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ChartMapDecomposition, PesinChart, chart_apply, \
-    chart_invert, chart_map_fxy
+    chart_invert, chart_map_fxy, holder_quotients
 from .dynamics import RegularityConstants, billiard_inverse, billiard_map
 from .errors import (
     AdmissibilityViolated,
@@ -68,7 +68,6 @@ __all__ = [
     "zero_manifold",
     "validate_admissible",
     "path_from_vertices",
-    "constant_path",
     "graph_transform",
     "c0_distance",
     "c1_distance",
@@ -95,8 +94,6 @@ SLOPE_NOISE_FLOOR = 1e-3
 ANGLE_NOISE_FLOOR = 1e-8
 # domains at least this wide use literal (true-separation) Holder quotients
 LITERAL_SCALE_FLOOR = 1e-12
-# dyadic grid-cell separations for the slope Holder estimator
-DYADIC_SEPARATIONS = (1, 2, 4, 8, 16, 32)
 # back-mapping residual allowance for the containment check, relative to the
 # input domain half-width
 CONTAINMENT_RTOL = 1e-8
@@ -245,20 +242,6 @@ class AdmissibleManifold:
 
 
 # ----------------------------------------------------------- construction
-def _slope_holder(slopes: np.ndarray, exponent: float) -> float:
-    """Max difference quotient of the slope samples over dyadic separations,
-    in normalized parameter units."""
-    spacing = TAU[1] - TAU[0]
-    worst = 0.0
-    for k in DYADIC_SEPARATIONS:
-        if k >= slopes.shape[0]:
-            break
-        dist = (k * spacing) ** exponent
-        worst = max(worst,
-                    float(np.max(np.abs(slopes[k:] - slopes[:-k]))) / dist)
-    return worst
-
-
 def make_manifold(vertex: PathVertex, kind: str, values,
                   slopes=None) -> AdmissibleManifold:
     """Assemble a manifold from normalized samples; slopes fitted if absent.
@@ -307,7 +290,7 @@ def validate_admissible(m: AdmissibleManifold,
         raise AdmissibilityViolated("AM2", s0, allowed2)
 
     literal = p.value >= LITERAL_SCALE_FLOOR
-    hol = _slope_holder(m.slopes, b3)
+    [hol] = holder_quotients([m.slopes], TAU[1] - TAU[0], (b3,))
     if literal:
         hol = hol / p.value ** b3
     am3 = m.sup_slope + hol
@@ -328,28 +311,21 @@ def validate_admissible(m: AdmissibleManifold,
 # ------------------------------------------------------------------ paths
 def path_from_vertices(vertices, consts: RegularityConstants,
                        base_index: int = 0) -> GpoPath:
-    """Precompute both edge decompositions along a chart path."""
+    """Precompute both edge decompositions along a chart path, once per
+    distinct (chart, chart) edge by identity; a repeated edge reuses them."""
     vertices = tuple(vertices)
     if len(vertices) < 2:
         raise ValueError("a path needs at least two vertices")
-    fwd = []
-    bwd = []
+    maps = {}
+    edges = []
     for a, b in zip(vertices, vertices[1:]):
-        fwd.append(chart_map_fxy(a.chart, b.chart, consts, True))
-        bwd.append(chart_map_fxy(b.chart, a.chart, consts, False))
-    return GpoPath(vertices, tuple(fwd), tuple(bwd), base_index)
-
-
-def constant_path(vertex: PathVertex, length: int,
-                  consts: RegularityConstants,
-                  base_index: int = 0) -> GpoPath:
-    """Path repeating one vertex (fixed-point gpo); edges computed once."""
-    if length < 2:
-        raise ValueError("a path needs at least two vertices")
-    f = chart_map_fxy(vertex.chart, vertex.chart, consts, True)
-    b = chart_map_fxy(vertex.chart, vertex.chart, consts, False)
-    return GpoPath((vertex,) * length, (f,) * (length - 1), (b,) * (length - 1),
-                   base_index)
+        key = (id(a.chart), id(b.chart))
+        if key not in maps:
+            maps[key] = (chart_map_fxy(a.chart, b.chart, consts, True),
+                         chart_map_fxy(b.chart, a.chart, consts, False))
+        edges.append(maps[key])
+    fwd, bwd = zip(*edges)
+    return GpoPath(vertices, fwd, bwd, base_index)
 
 
 # -------------------------------------------------------------- transforms

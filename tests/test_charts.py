@@ -370,6 +370,27 @@ class TestChartMapFx:
         assert dec.holder_half == per_pair_holder(dec, xs[1] - xs[0],
                                                   CONSTS.beta / 2.0)
 
+    @pytest.mark.parametrize("charts", [fixture_charts, tame_stadium_pair],
+                             ids=["fixture", "stadium"])
+    def test_df_sup_matches_per_point_closed_form(self, charts):
+        *_, ch0, ch1 = charts()
+        dec = chart_map_fxy(ch0, ch1, CONSTS, True)
+        xs, U, V, _ = _sample_grid(ch0, ch1, dec.probe, dec.probe / 16.0,
+                                   math.inf, True)
+        fields = [g for F in (U, V)
+                  for g in np.gradient(F, xs[1] - xs[0], edge_order=2)]
+        # the largest singular value of each sampled Jacobian, one grid
+        # point at a time on Python floats
+        worst = 0.0
+        for i in range(GRID_N):
+            for j in range(GRID_N):
+                a, b, c, d = (float(g[i, j]) for g in fields)
+                fro2 = a * a + b * b + c * c + d * d
+                det = a * d - b * c
+                inner = max(fro2 * fro2 - 4.0 * det * det, 0.0)
+                worst = max(worst, math.sqrt((fro2 + math.sqrt(inner)) / 2.0))
+        assert dec.df_sup == worst
+
 
 def per_pair_holder(dec, spacing: float, exponent: float) -> float:
     """Holder quotient of grad h divided per pair and then maximized, one

@@ -929,6 +929,67 @@ def test_load_refuses_non_number_real_fields(tmp_path, field, corrupt):
         load_alphabet(f)
 
 
+def _drop(*keys):
+    def corrupt(doc):
+        obj = doc
+        for key in keys[:-1]:
+            obj = obj[key]
+        del obj[keys[-1]]
+        return doc
+    return corrupt
+
+
+def _shorten(*keys):
+    def corrupt(doc):
+        obj = doc
+        for key in keys:
+            obj = obj[key]
+        obj.pop()
+        return doc
+    return corrupt
+
+
+@pytest.mark.parametrize("message, corrupt", [
+    ("stats is missing", _drop("stats")),
+    ("vertices is missing", _drop("vertices")),
+    ("vertices[0].p_s is missing", _drop("vertices", 0, "p_s")),
+    ("centers[0].p_s is missing", _drop("centers", 0, "p_s")),
+    ("table.metric_scale is missing", _drop("table", "metric_scale")),
+    ("cover.boxes is missing", _drop("cover", "boxes")),
+    ("the file is not an object", lambda doc: [doc]),
+    ("stats is not an object", lambda doc: {**doc, "stats": []}),
+    ("centers[0].frames[1] is not a list of 7 entries",
+     _shorten("centers", 0, "frames", 1)),
+    ("centers[0].points[2] is not a list of 3 entries",
+     _shorten("centers", 0, "points", 2)),
+    ("centers[0].points is not a list of 3 entries",
+     _shorten("centers", 0, "points")),
+    ("centers[0].frames is not a list of 3 entries",
+     _shorten("centers", 0, "frames")),
+    ("centers[0].Q_expos is not a list of 3 entries",
+     _shorten("centers", 0, "Q_expos")),
+    ("centers[0].dists is not a list of 3 entries",
+     _shorten("centers", 0, "dists")),
+    ("centers[0].rhos is not a list of 3 entries",
+     _shorten("centers", 0, "rhos")),
+    ("nets[0] is not a list of 6 entries", _shorten("nets", 0)),
+    ("nets[0].k is not a list of 3 entries", _shorten("nets", 0, 0)),
+    ("cover.boxes[0] is not a list of 4 entries",
+     _shorten("cover", "boxes", 0)),
+], ids=["no-stats", "no-vertices", "no-vertex-p_s", "no-center-p_s",
+        "no-metric-scale", "no-boxes", "top-level-list", "stats-list",
+        "short-frame-row", "short-point-row", "two-points", "two-frames",
+        "two-Q", "two-dists", "two-rhos", "short-net-row", "short-net-k",
+        "short-box-row"])
+def test_load_refuses_malformed_files(tmp_path, message, corrupt):
+    alpha = fixture_alphabet(0.0, H)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    f.write_text(json.dumps(corrupt(json.loads(f.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_alphabet(f)
+
+
 def test_load_refuses_empty_vertex_list(tmp_path):
     alpha = fixture_alphabet(0.0)
     f = tmp_path / "alphabet.json"

@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pesin_coder.manifolds as manifolds
 from pesin_coder.charts import (
     ChartMapDecomposition,
     PesinChart,
@@ -55,7 +56,6 @@ from pesin_coder.manifolds import (
     PathVertex,
     c0_distance,
     c1_distance,
-    constant_path,
     contraction_measurement,
     graph_transform,
     intersect,
@@ -191,6 +191,34 @@ def test_am3_violation():
         validate_admissible(m, CONSTS)
 
 
+def per_pair_slope_holder(slopes: np.ndarray, exponent: float) -> float:
+    """Holder quotient of the slope samples divided per pair and then
+    maximized over separations 1..32: the loop `validate_admissible` must
+    match bitwise."""
+    spacing = TAU[1] - TAU[0]
+    worst = 0.0
+    for k in (1, 2, 4, 8, 16, 32):
+        dist = (k * spacing) ** exponent
+        for i in range(MANIFOLD_GRID_N - k):
+            worst = max(worst, float(abs(slopes[i + k] - slopes[i])) / dist)
+    return worst
+
+
+@pytest.mark.parametrize("vertex", [fixture_vertex, synthetic_vertex],
+                         ids=["normalized", "literal"])
+def test_slope_holder_matches_per_pair_loop(vertex):
+    _, v = vertex()
+    slopes = 1e-3 * np.random.default_rng(3).normal(size=MANIFOLD_GRID_N)
+    slopes[MANIFOLD_GRID_N // 2] = 0.0
+    rep = validate_admissible(const_manifold(v, "u", 0.0, slopes), CONSTS)
+    b3 = CONSTS.beta / 3.0
+    want = per_pair_slope_holder(slopes, b3)
+    if rep["holder_literal_scale"]:
+        want = want / v.p_u.value ** b3
+    assert rep["holder_literal_scale"] == (vertex is synthetic_vertex)
+    assert rep["slope_holder"] == want > 0.0
+
+
 def test_diagonal_graph_fails_admissibility():
     _, v = synthetic_vertex()
     m = make_manifold(v, "s", TAU.copy(), np.ones(MANIFOLD_GRID_N))
@@ -231,7 +259,7 @@ def test_path_vertex_rejects_oversized_window():
 # ------------------------------------------- transforms at literal scale
 def test_u_transform_constant_literal():
     _, v = synthetic_vertex()
-    path = constant_path(v, 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS)
     c = 2.0 ** -11
     out = graph_transform(path.fwd[0], const_manifold(v, "u", c), v)
     validate_admissible(out, CONSTS)
@@ -243,7 +271,7 @@ def test_u_transform_constant_literal():
 
 def test_s_transform_constant_literal():
     _, v = synthetic_vertex()
-    path = constant_path(v, 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS)
     c = 2.0 ** -11
     out = graph_transform(path.bwd[0], const_manifold(v, "s", c), v)
     validate_admissible(out, CONSTS)
@@ -252,7 +280,7 @@ def test_s_transform_constant_literal():
 
 def test_u_transform_linear_slope_literal():
     _, v = synthetic_vertex()
-    path = constant_path(v, 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS)
     a = 0.3
     m = make_manifold(v, "u", a * TAU, np.full(MANIFOLD_GRID_N, a))
     out = graph_transform(path.fwd[0], m, v)
@@ -265,7 +293,7 @@ def test_u_transform_linear_slope_literal():
 
 def test_coverage_escape_when_window_grows_too_fast():
     _, v = synthetic_vertex()
-    path = constant_path(v, 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS)
     # shrink the input window by e^(-7/6): e * e^(-7/6) < 1 kills coverage
     small = PathVertex(v.chart, v.chart.Q.step(7), v.chart.Q.step(7))
     m = zero_manifold(small, "u")
@@ -328,7 +356,7 @@ def test_genuine_offset_dwarfs_subfloat_window():
 # --------------------------------------------------- real-scale fixture
 def test_fixture_edge_decomposition_exact():
     _, v = fixture_vertex()
-    path = constant_path(v, 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS)
     assert abs(path.fwd[0].A - math.exp(-1.0)) < 1e-12
     assert abs(path.fwd[0].B - math.exp(1.0)) < 1e-12
     assert path.fwd[0].h0 == (0.0, 0.0)
@@ -338,7 +366,7 @@ def test_fixture_edge_decomposition_exact():
 
 def test_fixture_contraction_factor_exact():
     _, v = fixture_vertex()
-    path = constant_path(v, 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS)
     m1 = const_manifold(v, "u", 2.0 ** -11)
     m2 = const_manifold(v, "u", 2.0 ** -12)
     rep = contraction_measurement(path.fwd[0], m1, m2, v, CONSTS)
@@ -362,7 +390,7 @@ def test_contraction_violated_on_expanding_edge():
 
 def test_fixture_stable_limit_is_zero_graph():
     _, v = fixture_vertex()
-    path = constant_path(v, 61, CONSTS)
+    path = path_from_vertices((v,) * 61, CONSTS)
     m, log = stable_manifold(path, consts=CONSTS)
     assert log["converged"]
     assert log["depth_used"] == 2
@@ -372,7 +400,7 @@ def test_fixture_stable_limit_is_zero_graph():
 
 def test_fixture_unstable_limit_is_zero_graph():
     _, v = fixture_vertex()
-    path = constant_path(v, 61, CONSTS)
+    path = path_from_vertices((v,) * 61, CONSTS)
     m, log = unstable_manifold(path, consts=CONSTS)
     assert log["converged"]
     assert float(np.max(np.abs(m.values))) < 1e-50
@@ -399,7 +427,7 @@ def test_intersect_constants_closed_form():
 
 def test_shadow_fixed_point_bitwise():
     _, v = fixture_vertex()
-    path = constant_path(v, 41, CONSTS, base_index=20)
+    path = path_from_vertices((v,) * 41, CONSTS, base_index=20)
     x, log = shadow(path, CONSTS)
     assert x == v.chart.x
     assert log["w"][0] == 0.0 and log["w"][1] == 0.0
@@ -408,7 +436,7 @@ def test_shadow_fixed_point_bitwise():
 def test_shadow_needs_two_sided_path():
     _, v = fixture_vertex()
     with pytest.raises(ValueError):
-        shadow(constant_path(v, 41, CONSTS, base_index=0), CONSTS)
+        shadow(path_from_vertices((v,) * 41, CONSTS, base_index=0), CONSTS)
 
 
 def test_shadow_moving_fixture_orbit():
@@ -591,7 +619,7 @@ def test_interpolation_is_bitwise_pinned():
     for vals in shapes:
         m = make_manifold(v, "u", vals)
         out += list(m.slopes) + list(m.value_fn()(t)) + list(m.slope_fn()(t))
-    path = constant_path(v, 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS)
     img = graph_transform(path.fwd[0], make_manifold(v, "u", shapes[0]), v)
     out += list(img.values) + list(img.slopes)
     w, rep = intersect(make_manifold(vs, "s", 1e-4 + 0.2 * TAU ** 2),
@@ -711,9 +739,54 @@ def test_stadium_long_path_two_seed_agreement():
 def test_paths_require_two_vertices():
     _, v = fixture_vertex()
     with pytest.raises(ValueError):
-        constant_path(v, 1, CONSTS)
+        path_from_vertices((), CONSTS)
     with pytest.raises(ValueError):
         path_from_vertices([v], CONSTS)
+
+
+def test_each_distinct_edge_is_mapped_once(monkeypatch):
+    _, v = fixture_vertex()
+    calls = []
+    real = manifolds.chart_map_fxy
+
+    def counted(chart_x, chart_y, consts, forward):
+        calls.append((id(chart_x), id(chart_y), forward))
+        return real(chart_x, chart_y, consts, forward)
+
+    monkeypatch.setattr(manifolds, "chart_map_fxy", counted)
+    path = path_from_vertices((v,) * 61, CONSTS)
+    vi = id(v.chart)
+    assert calls == [(vi, vi, True), (vi, vi, False)]
+    assert len(path.fwd) == len(path.bwd) == 60
+    assert all(d is path.fwd[0] for d in path.fwd)
+    assert all(d is path.bwd[0] for d in path.bwd)
+
+    # a 2-cycle word maps its two edges once each way; an edge's error
+    # is raised at its first occurrence
+    _, w = synthetic_vertex()
+    wi = id(w.chart)
+    refused = set()
+
+    def stub(chart_x, chart_y, consts, forward):
+        key = (id(chart_x), id(chart_y), forward)
+        calls.append(key)
+        if key in refused:
+            raise DomainEscape("refused")
+        return key
+
+    monkeypatch.setattr(manifolds, "chart_map_fxy", stub)
+    calls.clear()
+    path = path_from_vertices((v, w) * 5, CONSTS)
+    assert calls == [(vi, wi, True), (wi, vi, False), (wi, vi, True),
+                     (vi, wi, False)]
+    assert path.fwd == ((vi, wi, True), (wi, vi, True)) * 4 + ((vi, wi, True),)
+    assert path.bwd == ((wi, vi, False), (vi, wi, False)) * 4 \
+        + ((wi, vi, False),)
+    calls.clear()
+    refused.add((wi, vi, True))
+    with pytest.raises(DomainEscape, match="refused"):
+        path_from_vertices((v, w) * 5, CONSTS)
+    assert calls == [(vi, wi, True), (wi, vi, False), (wi, vi, True)]
 
 
 def test_distance_requires_matching_windows():

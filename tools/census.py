@@ -61,8 +61,6 @@ TEST_ONLY_ALLOWED = {
     "charts.chart_from_segment": "the one-chart constructor; coding shares "
                                  "frames between neighbours instead",
     "cocycle.frames_along": "builds the frames the window diagnostics read",
-    "manifolds.constant_path": "the fixed-point path, its edges computed once "
-                               "rather than once per vertex pair",
 }
 
 
