@@ -357,8 +357,9 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
 
     When forward and y sits at the measured image of x (distance at most
     OVERLAP_DISTANCE_FLOOR), the map is the one-step map f_x, and it also
-    carries the one-step bounds, checked after the edge bounds: a diagonal
-    `reduced_cocycle` (NotDiagonal otherwise), |h(0)| <= 1e-12, sup|h|,
+    carries the one-step bounds, checked after the edge bounds: the edge
+    map's M = C(y)^-1 df C(x) passes `reduced_cocycle` (NotDiagonal when it
+    is not diagonal), |h(0)| <= 1e-12, sup|h|,
     sup|grad h| and the beta/2 Holder quotient of grad h below eps, and
     sup||df_x|| below 2 (1 + e^(2 chi)) / rho(x)^a.
     """
@@ -401,7 +402,7 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
         raise BoundViolated("Holder(grad h) below eps", dec.holder_const, eps)
     if forward and d <= OVERLAP_DISTANCE_FLOOR:
         # y is the measured image f(x): the map is the one-step f_x
-        reduced_cocycle(chart_x.frame, chart_y.frame, df_x)
+        reduced_cocycle(M, chi)
         h0_inf = max(abs(dec.h0[0]), abs(dec.h0[1]))
         if h0_inf > 1e-12:
             raise BoundViolated("h(0) = 0 for the one-step chart map",

@@ -505,10 +505,9 @@ def frames_along(seg: OrbitSegment, splitting: Splitting, chi: float,
     return [frame_at(seg, splitting, chi, at=m) for m in range(lo, hi + 1)]
 
 
-def reduced_cocycle(frame_x: HyperbolicFrame, frame_fx: HyperbolicFrame,
-                    df_x: np.ndarray) -> np.ndarray:
-    """D = C(fx)^-1 df C(x); must be diagonal with |A| < e^-chi < e^chi < |B|."""
-    D = np.linalg.solve(frame_fx.C, df_x @ frame_x.C)
+def reduced_cocycle(D: np.ndarray, chi: float) -> None:
+    """Check the reduced cocycle D = C(fx)^-1 df C(x) of frames at level chi:
+    it must be diagonal with |A| < e^-chi < e^chi < |B|."""
     scale = float(np.max(np.abs(D)))
     off = max(abs(D[0, 1]), abs(D[1, 0]))
     if off > OFFDIAG_REL_TOL * scale:
@@ -516,12 +515,10 @@ def reduced_cocycle(frame_x: HyperbolicFrame, frame_fx: HyperbolicFrame,
             f"off-diagonal mass {off:.3e} vs scale {scale:.3e} "
             f"(frames not from one splitting?)")
     A, B = float(D[0, 0]), float(D[1, 1])
-    chi = frame_x.chi
     if not (abs(A) < math.exp(-chi) and abs(B) > math.exp(chi)):
         raise NotHyperbolic(
             f"diagonal ({A:.6f}, {B:.6f}) fails |A| < e^-chi < e^chi < |B| "
             f"for chi={chi}")
-    return D
 
 
 # ------------------------------------------------------------------- checks

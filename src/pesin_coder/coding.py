@@ -1024,7 +1024,11 @@ def load_alphabet(path) -> Alphabet:
         name: _real(_get(top("consts"), name, "consts"), f"consts.{name}")
         for name in ("a", "beta", "K")})
     table = make_table(*(_get(top("table"), name, "table")
-                         for name in ("kind", "params", "metric_scale")))
+                         for name in ("kind", "params")))
+    scale = _get(top("table"), "metric_scale", "table")
+    if scale != table.metric_scale:
+        raise ValueError(f"table.metric_scale = {scale!r} is not the rebuilt "
+                         f"table's {table.metric_scale!r}")
     cover = GridCover.from_json(top("cover"))
     centers = tuple(_gamma_from_json(obj, table, cfg, f"centers[{i}]")
                     for i, obj in enumerate(_list(top("centers"), "centers")))

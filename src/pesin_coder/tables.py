@@ -10,8 +10,8 @@ BilliardTable.derivative):
   * a phase point (component, r, theta) flies along cos(theta)*n + sin(theta)*t.
 
 The metric on phase space is the flat product metric: d(x,y) =
-metric_scale * hypot(|P(x)-P(y)|_2, theta_x - theta_y).  The default
-metric_scale makes diam(M) < 1, so chart exponentials are plain translations
+metric_scale * hypot(|P(x)-P(y)|_2, theta_x - theta_y).  The metric scale
+is derived so that diam(M) = 0.95: chart exponentials are plain translations
 and parallel transport is the identity.
 
 A billiard table and the exactly solvable linear fixture are both maps f
@@ -125,12 +125,6 @@ class Segment:
         return 0, [self.p0[0], self.p0[1], ux, uy, L, 0.0, 0.0, 0.0,
                    1.0 if self.start_corner else 0.0, 1.0 if self.end_corner else 0.0]
 
-    def start_point(self):
-        return np.array(self.p0, dtype=float)
-
-    def end_point(self):
-        return np.array(self.p1, dtype=float)
-
 
 def _axis_cos_sin(axis: float) -> tuple[float, float]:
     """cos/sin of the axis angle, exact for multiples of pi/2.
@@ -165,19 +159,6 @@ class Arc:
         return 1, [self.center[0], self.center[1], self.radius, self.a0,
                    float(self.orient), self.length, axc, axs,
                    1.0 if self.start_corner else 0.0, 1.0 if self.end_corner else 0.0]
-
-    def _pt(self, s: float) -> np.ndarray:
-        phi = self.a0 + self.orient * s / self.radius
-        axc, axs = _axis_cos_sin(self.axis)
-        lx, ly = math.cos(phi), math.sin(phi)
-        return np.array([self.center[0] + self.radius * (axc * lx - axs * ly),
-                         self.center[1] + self.radius * (axs * lx + axc * ly)])
-
-    def start_point(self):
-        return self._pt(0.0)
-
-    def end_point(self):
-        return self._pt(self.length)
 
 
 # ------------------------------------------------------------ map helpers
@@ -235,32 +216,34 @@ def fd_derivative(table, p: PhasePoint) -> np.ndarray:
 
 
 class BilliardTable:
-    """A billiard table: packed components, loops, corners, metric."""
+    """A billiard table: packed components, loops, corners, metric.
 
-    kind = "custom"
+    Every boundary fact is read from the packed rows `ctype`/`cpar` that the
+    kernels use; the `Segment`/`Arc` objects are not kept.
+    """
 
-    def __init__(self, components, loops, metric_scale: float | None = None,
-                 kind: str = "custom", params: dict | None = None):
-        self.components = list(components)
+    def __init__(self, components, loops, kind: str, params: dict):
         self.loops = [list(lp) for lp in loops]
         self.kind = kind
-        self.params = dict(params or {})
+        self.params = dict(params)
         # plain Python numbers: the ray kernel reads them one at a time
-        packed = [comp.packed() for comp in self.components]
+        packed = [comp.packed() for comp in components]
         self.ctype = tuple(int(t) for t, _ in packed)
         self.cpar = tuple(tuple(float(v) for v in row) for _, row in packed)
-        if metric_scale is not None and not 0.0 < metric_scale < math.inf:
-            raise ValueError(f"metric_scale must be positive and finite, got {metric_scale}")
-        self.lengths = np.array([c.length for c in self.components])
+        # arclengths as Python floats for the scalar paths (row entry 4 of a
+        # segment, 5 of an arc), and as an array for step_many
+        self.lengths = tuple(row[4] if t == 0 else row[5]
+                             for t, row in zip(self.ctype, self.cpar))
+        self._length_array = np.array(self.lengths)
         self._validate_closure()
         # per component: its loop, its index there, the loop arclength
         # before it and the loop total, for wrap_r and offset
         self._loop_at = {}
         # the loop number and prefix arclength again as arrays, for step_many
-        self._loop_index = np.full(len(self.components), -1)
-        self._prefix = np.zeros(len(self.components))
+        self._loop_index = np.full(len(self.ctype), -1)
+        self._prefix = np.zeros(len(self.ctype))
         for k, loop in enumerate(self.loops):
-            lengths = [self.components[c].length for c in loop]
+            lengths = [self.lengths[c] for c in loop]
             for ix, c in enumerate(loop):
                 self._loop_at[c] = (loop, ix, sum(lengths[:ix]), sum(lengths))
                 self._loop_index[c] = k
@@ -268,31 +251,32 @@ class BilliardTable:
         self.corner_points = self._collect_corners()
         self._polylines = {}  # lazy, filled by _polyline()
         self.boundary_diameter = self._boundary_diameter()
-        raw_diam = math.hypot(self.boundary_diameter, math.pi)
-        self.metric_scale = 0.95 / raw_diam if metric_scale is None else float(metric_scale)
+        # diam(M) = 0.95 < 1
+        self.metric_scale = 0.95 / math.hypot(self.boundary_diameter, math.pi)
         self._singular_cloud = None  # lazy, filled by singularity_cloud()
         self._deriv_checked = False  # set by the first derivative() call
 
     # ------------------------------------------------------------ validation
+    def _end_point(self, c: int) -> tuple[float, float]:
+        return comp_point(self.ctype[c], self.cpar[c], self.lengths[c])
+
     def _validate_closure(self):
         for loop in self.loops:
-            for i, ci in enumerate(loop):
-                cj = loop[(i + 1) % len(loop)]
-                gap = np.linalg.norm(self.components[ci].end_point()
-                                     - self.components[cj].start_point())
+            for ci, cj in zip(loop, loop[1:] + loop[:1]):
+                ex, ey = self._end_point(ci)
+                sx, sy = comp_point(self.ctype[cj], self.cpar[cj], 0.0)
+                gap = math.hypot(ex - sx, ey - sy)
                 if gap > CLOSURE_TOL:
                     raise ValueError(
                         f"loop not closed: component {ci} end to {cj} start gap {gap:.3e}")
 
     def _collect_corners(self):
-        pts = []
-        for loop in self.loops:
-            for i, ci in enumerate(loop):
-                cj = loop[(i + 1) % len(loop)]
-                if self.components[ci].end_corner or self.components[cj].start_corner:
-                    x, y = self.components[ci].end_point()
-                    pts.append((float(x), float(y)))
-        return tuple(pts)
+        # a junction is a corner when the end flag (row entry 9) of the
+        # component before it or the start flag (entry 8) of the one after it
+        # is set
+        return tuple(self._end_point(ci) for loop in self.loops
+                     for ci, cj in zip(loop, loop[1:] + loop[:1])
+                     if self.cpar[ci][9] or self.cpar[cj][8])
 
     def _boundary_diameter(self) -> float:
         pts = np.concatenate(self._polyline(BOUNDARY_SAMPLES))
@@ -331,7 +315,7 @@ class BilliardTable:
         if samples_per_component not in self._polylines:
             self._polylines[samples_per_component] = [
                 np.array([self.point_xy(ci, s) for ci in loop
-                          for s in np.linspace(0.0, self.components[ci].length,
+                          for s in np.linspace(0.0, self.lengths[ci],
                                                samples_per_component,
                                                endpoint=False)])
                 for loop in self.loops]
@@ -339,10 +323,10 @@ class BilliardTable:
 
     # ------------------------------------------------------------ phase metric
     def validate_point(self, p: PhasePoint):
-        if not 0 <= p.component < len(self.components):
+        if not 0 <= p.component < len(self.ctype):
             raise ValueError(f"component {p.component} outside "
-                             f"[0, {len(self.components)})")
-        L = self.components[p.component].length
+                             f"[0, {len(self.ctype)})")
+        L = self.lengths[p.component]
         if not (0.0 <= p.r < L + 1e-12):
             raise ValueError(f"r={p.r} outside [0,{L}) on component {p.component}")
         # bounds written as "not within" also refuse NaN
@@ -351,7 +335,7 @@ class BilliardTable:
 
     def wrap_r(self, component: int, r: float) -> tuple[int, float]:
         """Arclength modulo component length (wraparound on closed loops)."""
-        L = self.components[component].length
+        L = self.lengths[component]
         loop, idx, _, _ = self._loop_at[component]
         if len(loop) == 1:
             return component, r % L
@@ -359,9 +343,9 @@ class BilliardTable:
         while r < 0.0:
             idx = (idx - 1) % len(loop)
             component = loop[idx]
-            r += self.components[component].length
-        while r >= self.components[component].length:
-            r -= self.components[component].length
+            r += self.lengths[component]
+        while r >= self.lengths[component]:
+            r -= self.lengths[component]
             idx = (idx + 1) % len(loop)
             component = loop[idx]
         return component, r
@@ -378,11 +362,11 @@ class BilliardTable:
     def liouville_sample(self, rng: np.random.Generator, n: int,
                          theta_cap: float = math.pi / 2) -> list[PhasePoint]:
         """Sample cos(theta) dr dtheta, rejecting |theta| >= theta_cap."""
-        weights = self.lengths / self.lengths.sum()
+        weights = self._length_array / self._length_array.sum()
         out = []
         while len(out) < n:
-            c = int(rng.choice(len(self.components), p=weights))
-            r = float(rng.uniform(0.0, self.components[c].length))
+            c = int(rng.choice(len(self.ctype), p=weights))
+            r = float(rng.uniform(0.0, self.lengths[c]))
             th = float(math.asin(rng.uniform(-1.0, 1.0)))
             if abs(th) < theta_cap:
                 out.append(PhasePoint(c, r, th))
@@ -505,7 +489,7 @@ class BilliardTable:
         if p.component == x.component:
             dr = p.r - x.r
             if len(loop) == 1:
-                L = self.components[x.component].length
+                L = self.lengths[x.component]
                 if dr > L / 2.0:
                     dr -= L
                 elif dr <= -L / 2.0:
@@ -562,21 +546,21 @@ class BilliardTable:
         in place."""
         loop, idx0, _, _ = self._loop_at[component]
         if len(loop) == 1:
-            return np.full(len(r), component), r % self.lengths[component]
+            return np.full(len(r), component), r % self._length_array[component]
         order = np.array(loop)
         idx = np.full(len(r), idx0)
         back = r < 0.0
         while back.any():
             idx[back] = (idx[back] - 1) % len(loop)
-            r[back] += self.lengths[order[idx[back]]]
+            r[back] += self._length_array[order[idx[back]]]
             back = r < 0.0
         comps = order[idx]
-        ahead = r >= self.lengths[comps]
+        ahead = r >= self._length_array[comps]
         while ahead.any():
-            r[ahead] -= self.lengths[comps[ahead]]
+            r[ahead] -= self._length_array[comps[ahead]]
             idx[ahead] = (idx[ahead] + 1) % len(loop)
             comps = order[idx]
-            ahead = r >= self.lengths[comps]
+            ahead = r >= self._length_array[comps]
         return comps, r
 
     def _offset_many(self, x: PhasePoint, comps: np.ndarray, r: np.ndarray):
@@ -586,7 +570,7 @@ class BilliardTable:
         dr = r - x.r
         same = comps == x.component
         if len(loop) == 1:
-            L = self.lengths[x.component]
+            L = self._length_array[x.component]
             return np.where(dr > L / 2.0, dr - L,
                             np.where(dr <= -L / 2.0, dr + L, dr)), same
         sx = prefix_x + x.r
@@ -642,8 +626,8 @@ class BilliardTable:
         n_fan = 64
         # tangent rays of straight pieces lie inside the wall: arcs only
         sources = [(0, ci, branch * (s + 1e-12))
-                   for ci, comp in enumerate(self.components) if self.ctype[ci] == 1
-                   for s in np.linspace(0.0, comp.length, n_tan, endpoint=False).tolist()
+                   for ci, L in enumerate(self.lengths) if self.ctype[ci] == 1
+                   for s in np.linspace(0.0, L, n_tan, endpoint=False).tolist()
                    for branch in (1.0, -1.0)]
         sources += [(1, k, psi) for k in range(len(self.corner_points))
                     for psi in np.linspace(0.0, 2 * math.pi, n_fan,
@@ -675,7 +659,7 @@ class BilliardTable:
         """Golden-section over the generating curve parameter near cloud row idx."""
         kind, a, u0 = cloud["fam"][idx]
         if kind == 0:
-            span = self.components[a].length / 48.0
+            span = self.lengths[a] / 48.0
         else:
             span = 2 * math.pi / 64.0
 
@@ -728,24 +712,26 @@ class LinearFixtureMap:
     """Exactly solvable hyperbolic fixture: (x, y) -> (lambda_s x, lambda_u y).
 
     The artificial discontinuity set D is the DOMAIN BOUNDARY (the square of
-    given half-width) — nothing dynamical is added to it.  Default half-width
-    0.3 keeps diam(M) < 1 at metric_scale 1, so distances are unscaled and
-    rho(center) equals the half-width exactly.
+    given half-width) — nothing dynamical is added to it.  The metric scale
+    is 1, so distances are unscaled and rho(center) equals the half-width
+    exactly; diam(M) = 2 sqrt(2) half_width < 1 for half_width < 1/(2 sqrt(2)).
     """
 
     kind = "linear-fixture"
+    metric_scale = 1.0
 
-    def __init__(self, lambda_u: float = math.e, lambda_s: float = 1.0 / math.e,
-                 half_width: float = 0.3, metric_scale: float = 1.0):
+    def __init__(self, lambda_u: float, lambda_s: float, half_width: float):
         # bounds written as "within" also refuse NaN
         if not math.inf > lambda_u > 1.0 > lambda_s > 0.0:
             raise ValueError("need finite lambda_u > 1 > lambda_s > 0")
-        if not (0.0 < half_width < math.inf and 0.0 < metric_scale < math.inf):
-            raise ValueError("half_width and metric_scale must be positive and finite")
+        # the diameter() product, so that every accepted fixture has diam < 1
+        if not 0.0 < 2.0 * math.sqrt(2.0) * half_width < 1.0:
+            raise ValueError(f"half_width must be positive and finite with "
+                             f"diam(M) = 2 sqrt(2) half_width below 1, "
+                             f"got {half_width}")
         self.lambda_u = float(lambda_u)
         self.lambda_s = float(lambda_s)
         self.half_width = float(half_width)
-        self.metric_scale = float(metric_scale)
         self.params = {"lambda_u": self.lambda_u, "lambda_s": self.lambda_s,
                        "half_width": self.half_width}
 
@@ -753,10 +739,10 @@ class LinearFixtureMap:
         raise TypeError("linear fixture states are planar, not boundary-parametrized")
 
     def distance(self, p: PhasePoint, q: PhasePoint) -> float:
-        return self.metric_scale * math.hypot(p.r - q.r, p.theta - q.theta)
+        return math.hypot(p.r - q.r, p.theta - q.theta)
 
     def diameter(self) -> float:
-        return self.metric_scale * 2.0 * math.sqrt(2.0) * self.half_width
+        return 2.0 * math.sqrt(2.0) * self.half_width
 
     def validate_point(self, p: PhasePoint):
         if p.component != 0:
@@ -803,8 +789,7 @@ class LinearFixtureMap:
         return pts
 
     def dist_to_D(self, p: PhasePoint) -> float:
-        return self.metric_scale * max(
-            0.0, self.half_width - max(abs(p.r), abs(p.theta)))
+        return max(0.0, self.half_width - max(abs(p.r), abs(p.theta)))
 
     def embed(self, p: PhasePoint, dr: float, dtheta: float) -> PhasePoint:
         """Plain translation: the linear map is defined on the whole plane."""
@@ -832,18 +817,17 @@ class LinearFixtureMap:
 
 
 # ---------------------------------------------------------------- builders
-def make_circle(radius: float = 1.0, metric_scale: float | None = None) -> BilliardTable:
+def make_circle(radius: float = 1.0) -> BilliardTable:
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     arc = Arc(center=(0.0, 0.0), radius=radius, a0=-math.pi,
               length=2 * math.pi * radius, orient=+1,
               start_corner=False, end_corner=False)
-    return BilliardTable([arc], [[0]], metric_scale, kind="circle",
-                         params={"radius": radius})
+    return BilliardTable([arc], [[0]], "circle", {"radius": radius})
 
 
-def make_stadium(radius: float = 1.0, straight_half_length: float = 1.0,
-                 metric_scale: float | None = None) -> BilliardTable:
+def make_stadium(radius: float = 1.0,
+                 straight_half_length: float = 1.0) -> BilliardTable:
     R, l = radius, straight_half_length
     if not (0.0 < R < math.inf and 0.0 < l < math.inf):
         raise ValueError("radius and straight_half_length must be positive and finite")
@@ -857,14 +841,14 @@ def make_stadium(radius: float = 1.0, straight_half_length: float = 1.0,
         Arc(center=(-l, 0.0), radius=R, a0=-math.pi / 2, length=math.pi * R,
             orient=+1, disc_inside=True, axis=math.pi),
     ]
-    table = BilliardTable(comps, [[0, 1, 2, 3]], metric_scale, kind="stadium",
-                          params={"radius": R, "straight_half_length": l})
-    _validate_disc_inside(table)
+    table = BilliardTable(comps, [[0, 1, 2, 3]], "stadium",
+                          {"radius": R, "straight_half_length": l})
+    _validate_disc_inside(table, comps)
     return table
 
 
-def make_sinai(half_side: float = 1.0, scatterer_radius: float = 0.5,
-               metric_scale: float | None = None) -> BilliardTable:
+def make_sinai(half_side: float = 1.0,
+               scatterer_radius: float = 0.5) -> BilliardTable:
     a, rd = half_side, scatterer_radius
     if not 0.0 < rd < a < math.inf:
         raise ValueError("need finite 0 < scatterer_radius < half_side")
@@ -876,12 +860,11 @@ def make_sinai(half_side: float = 1.0, scatterer_radius: float = 0.5,
         Arc(center=(0.0, 0.0), radius=rd, a0=math.pi, length=2 * math.pi * rd,
             orient=-1, start_corner=False, end_corner=False),
     ]
-    return BilliardTable(comps, [[0, 1, 2, 3], [4]], metric_scale, kind="sinai",
-                         params={"half_side": a, "scatterer_radius": rd})
+    return BilliardTable(comps, [[0, 1, 2, 3], [4]], "sinai",
+                         {"half_side": a, "scatterer_radius": rd})
 
 
-def make_flower(arc_radius: float = 2.0, half_side: float = 1.0,
-                metric_scale: float | None = None) -> BilliardTable:
+def make_flower(arc_radius: float = 2.0, half_side: float = 1.0) -> BilliardTable:
     """Dispersing table: four inward-bulging arcs through the square corners.
 
     The default radius is a power of two so the arc-angle/arclength conversion
@@ -905,19 +888,18 @@ def make_flower(arc_radius: float = 2.0, half_side: float = 1.0,
         comps.append(Arc(center=((a + d) * rc, (a + d) * rs), radius=R,
                          a0=gamma, length=2 * gamma * R, orient=-1,
                          axis=rot + math.pi))
-    return BilliardTable(comps, [[0, 1, 2, 3]], metric_scale, kind="flower",
-                         params={"arc_radius": R, "half_side": a})
+    return BilliardTable(comps, [[0, 1, 2, 3]], "flower",
+                         {"arc_radius": R, "half_side": a})
 
 
 def make_linear_fixture(lambda_u: float = math.e, lambda_s: float = 1.0 / math.e,
-                        half_width: float = 0.3,
-                        metric_scale: float = 1.0) -> LinearFixtureMap:
-    return LinearFixtureMap(lambda_u, lambda_s, half_width, metric_scale)
+                        half_width: float = 0.3) -> LinearFixtureMap:
+    return LinearFixtureMap(lambda_u, lambda_s, half_width)
 
 
-def _validate_disc_inside(table: BilliardTable, n_samples: int = 48):
+def _validate_disc_inside(table: BilliardTable, components, n_samples: int = 48):
     """Check the flagged arcs' full discs lie inside the table (by sampling)."""
-    for comp in table.components:
+    for comp in components:
         if isinstance(comp, Arc) and comp.disc_inside:
             angs = np.linspace(0.0, 2 * math.pi, n_samples, endpoint=False)
             # stay above the sag of the sampled winding polyline
@@ -943,21 +925,19 @@ def _real_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
-def make_table(kind: str, params: dict | None = None,
-               metric_scale: float | None = None):
+def make_table(kind: str, params: dict | None = None):
     """Build a table from a spec: the names and types are checked here, the
     values (positive, finite, ordered) by the builder."""
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown table kind {kind!r}; choose from {sorted(_BUILDERS)}")
-    params = dict(params or {})
-    names = set(inspect.signature(_BUILDERS[kind]).parameters) - {"metric_scale"}
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ValueError(f"unknown table kind {kind!r}: the kind must be a "
+                         f"str from {sorted(_BUILDERS)}")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValueError(f"table params must be a dict, got {params!r}")
+    names = set(inspect.signature(_BUILDERS[kind]).parameters)
     for name, value in params.items():
         if name not in names or not _real_number(value):
             raise ValueError(f"{kind} parameters must be numbers named in "
                              f"{sorted(names)}, got {name}={value!r}")
-    if metric_scale is not None:
-        if not _real_number(metric_scale):
-            raise ValueError(f"metric_scale must be a number, got {metric_scale!r}")
-        params["metric_scale"] = metric_scale
     return _BUILDERS[kind](**params)
 

@@ -532,13 +532,19 @@ class TestFrames:
 
 
 # --------------------------------------------------------- reduced cocycle
+def conjugated(frame_x, frame_fx, df_x):
+    """The reduced cocycle C(fx)^-1 df C(x) of two frames."""
+    return np.linalg.solve(frame_fx.C, df_x @ frame_x.C)
+
+
 class TestReducedCocycle:
     def test_fixture_reduction_is_exact_diagonal(self):
         fx, seg = fixture_segment()
         sp = oseledets_splitting(seg)
         f0 = frame_at(seg, sp, 0.5, 0)
         f1 = frame_at(seg, sp, 0.5, 1)
-        D = reduced_cocycle(f0, f1, seg.derivs[seg.index(0)])
+        D = conjugated(f0, f1, seg.derivs[seg.index(0)])
+        reduced_cocycle(D, f0.chi)
         assert D[0, 0] == pytest.approx(fx.lambda_s, abs=1e-14)
         assert D[1, 1] == pytest.approx(fx.lambda_u, abs=1e-13)
         assert abs(D[0, 1]) < 1e-15 and abs(D[1, 0]) < 1e-15
@@ -552,7 +558,8 @@ class TestReducedCocycle:
             f0 = frame_at(seg, sp, chi, at)
             f1 = frame_at(seg, sp, chi, at + 1)
             i = seg.index(at)
-            D = reduced_cocycle(f0, f1, seg.derivs[i])
+            D = conjugated(f0, f1, seg.derivs[i])
+            reduced_cocycle(D, chi)
             assert abs(D[0, 0]) == pytest.approx(
                 sp.factor_s[i] * f1.s_param / f0.s_param, rel=1e-9)
             assert abs(D[1, 1]) == pytest.approx(
@@ -564,7 +571,7 @@ class TestReducedCocycle:
         fr = build_frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                          math.sqrt(2.0), math.sqrt(2.0), 0.5)
         with pytest.raises(NotHyperbolic):
-            reduced_cocycle(fr, fr, np.eye(2))
+            reduced_cocycle(conjugated(fr, fr, np.eye(2)), fr.chi)
 
     def test_mismatched_frames_are_not_diagonal(self):
         fr_x = build_frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
@@ -573,7 +580,8 @@ class TestReducedCocycle:
         fr_fx = build_frame(np.array([c, s]), np.array([0.0, 1.0]),
                             2.0, 2.0, 0.5)
         with pytest.raises(NotDiagonal):
-            reduced_cocycle(fr_x, fr_fx, np.diag([0.1, 10.0]))
+            reduced_cocycle(conjugated(fr_x, fr_fx, np.diag([0.1, 10.0])),
+                            fr_x.chi)
 
 
 # ----------------------------------------------------- inequality and proxies

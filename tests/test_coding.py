@@ -625,7 +625,7 @@ def _two_bounce(kind: str):
     if kind == "sinai":
         return make_sinai(), PhasePoint(1, 1.0, 0.0)
     fl = make_flower()
-    return fl, PhasePoint(1, fl.components[1].length / 2, 0.0)
+    return fl, PhasePoint(1, fl.lengths[1] / 2, 0.0)
 
 
 @pytest.mark.parametrize("kind", ["stadium", "sinai", "flower"])
@@ -806,6 +806,19 @@ def test_load_refuses_other_cover_side(tmp_path):
         load_alphabet(f)
 
 
+def test_load_refuses_other_metric_scale(tmp_path):
+    # the scale is derived from the table, so the file can only repeat it
+    alpha = fixture_alphabet(0.0)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    assert doc["table"]["metric_scale"] == 1.0
+    doc["table"]["metric_scale"] = 0.5
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("table.metric_scale = 0.5")):
+        load_alphabet(f)
+
+
 @pytest.mark.parametrize("field, corrupt", [
     ("vertices[0].center", lambda doc: doc["vertices"][0].update(center=-1)),
     ("vertices[0].center", lambda doc: doc["vertices"][0].update(center=99)),
@@ -949,6 +962,16 @@ def _shorten(*keys):
     return corrupt
 
 
+def _as_list(*keys):
+    def corrupt(doc):
+        obj = doc
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = [obj[keys[-1]]]
+        return doc
+    return corrupt
+
+
 @pytest.mark.parametrize("message, corrupt", [
     ("stats is missing", _drop("stats")),
     ("vertices is missing", _drop("vertices")),
@@ -976,11 +999,14 @@ def _shorten(*keys):
     ("nets[0].k is not a list of 3 entries", _shorten("nets", 0, 0)),
     ("cover.boxes[0] is not a list of 4 entries",
      _shorten("cover", "boxes", 0)),
+    ("unknown table kind ['linear-fixture']",
+     _as_list("table", "kind")),
+    ("table params must be a dict", _as_list("table", "params")),
 ], ids=["no-stats", "no-vertices", "no-vertex-p_s", "no-center-p_s",
         "no-metric-scale", "no-boxes", "top-level-list", "stats-list",
         "short-frame-row", "short-point-row", "two-points", "two-frames",
         "two-Q", "two-dists", "two-rhos", "short-net-row", "short-net-k",
-        "short-box-row"])
+        "short-box-row", "table-kind-list", "table-params-list"])
 def test_load_refuses_malformed_files(tmp_path, message, corrupt):
     alpha = fixture_alphabet(0.0, H)
     f = tmp_path / "alphabet.json"

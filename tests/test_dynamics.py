@@ -76,7 +76,7 @@ def test_bitwise_periodic_two_bounce():
     cases = [
         (st, PhasePoint(1, math.pi / 2, 0.0)),       # cap-to-cap horizontal
         (sn, PhasePoint(1, 1.0, 0.0)),               # wall-to-scatterer
-        (fl, PhasePoint(1, fl.components[1].length / 2, 0.0)),  # tip-to-tip
+        (fl, PhasePoint(1, fl.lengths[1] / 2, 0.0)),  # tip-to-tip
     ]
     for tb, p0 in cases:
         p1 = billiard_map(tb, p0)
@@ -220,21 +220,24 @@ def test_corner_hit_raises():
 
 # ------------------------------------------------- discontinuity distances
 def test_dist_grazing_fiber_circle():
-    tb = make_circle(metric_scale=1.0)
+    tb = make_circle()
     # the circle has no corners and no interior tangency preimages:
-    # distance is purely the grazing-fiber gap pi/2 - |theta|
-    assert abs(dist_to_discontinuity(tb, PhasePoint(0, 1.0, 0.0)) - math.pi / 2) < 1e-12
+    # distance is purely the grazing-fiber gap pi/2 - |theta|, in the
+    # unscaled metric
+    def unscaled(p):
+        return dist_to_discontinuity(tb, p) / tb.metric_scale
+
+    assert abs(unscaled(PhasePoint(0, 1.0, 0.0)) - math.pi / 2) < 1e-12
     for t in (0.3, 1.0, 1.5):
-        p = PhasePoint(0, 2.0, math.pi / 2 - t)
-        assert abs(dist_to_discontinuity(tb, p) - t) < 1e-12
+        assert abs(unscaled(PhasePoint(0, 2.0, math.pi / 2 - t)) - t) < 1e-12
     assert singularity_cloud(tb)["px"].size == 0
 
 
 def test_dist_corner_fiber_stadium():
-    st = make_stadium(metric_scale=1.0)
+    st = make_stadium()
     # sitting exactly on the junction between bottom segment and right cap
     p = PhasePoint(0, 2.0, 0.0)
-    assert dist_to_discontinuity(st, p) < 1e-9
+    assert dist_to_discontinuity(st, p) / st.metric_scale < 1e-9
 
 
 def test_dist_is_one_lipschitz():

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from pesin_coder.accel import comp_point
 from pesin_coder.errors import DomainEscape
 from pesin_coder.tables import (
     Arc,
     BilliardTable,
-    LinearFixtureMap,
     PhasePoint,
     Segment,
     make_circle,
@@ -23,6 +23,8 @@ from pesin_coder.tables import (
 )
 
 ALL_BUILDERS = [make_circle, make_stadium, make_sinai, make_flower]
+# the fixture's half-width at diam(M) = 2 sqrt(2) half_width = 1
+FIXTURE_DIAM_ONE = 1.0 / (2.0 * math.sqrt(2.0))
 
 
 # ------------------------------------------------------------- construction
@@ -32,16 +34,16 @@ def test_loops_close_all_tables():
         for loop in tb.loops:
             for i, ci in enumerate(loop):
                 cj = loop[(i + 1) % len(loop)]
-                gap = np.linalg.norm(tb.components[ci].end_point()
-                                     - tb.components[cj].start_point())
-                assert gap < 1e-12
+                ex, ey = comp_point(tb.ctype[ci], tb.cpar[ci], tb.lengths[ci])
+                sx, sy = comp_point(tb.ctype[cj], tb.cpar[cj], 0.0)
+                assert math.hypot(ex - sx, ey - sy) < 1e-12
 
 
 def test_open_loop_rejected():
     seg1 = Segment((0.0, 0.0), (1.0, 0.0))
     seg2 = Segment((1.0, 0.0), (2.0, 1.0))  # does not return to the start
     with pytest.raises(ValueError, match="not closed"):
-        BilliardTable([seg1, seg2], [[0, 1]])
+        BilliardTable([seg1, seg2], [[0, 1]], "open", {})
 
 
 def test_corner_collection():
@@ -89,7 +91,8 @@ def test_arc_axis_rotation_consistency():
         rot = Arc(center=(0.0, 0.0), radius=1.0, a0=0.2 - axis, length=1.0,
                   orient=+1, axis=axis)
         for t in (0.0, 0.31, 0.99):
-            assert np.allclose(rot._pt(t), base._pt(t), atol=1e-12)
+            assert np.allclose(comp_point(*rot.packed(), t),
+                               comp_point(*base.packed(), t), atol=1e-12)
 
 
 def test_arc_axis_snaps_quarter_turns():
@@ -115,6 +118,25 @@ def test_packed_rows_are_python_numbers(mk):
                for row in tb.cpar)
     assert type(tb.corner_points) is tuple
     assert all(type(v) is float for xy in tb.corner_points for v in xy)
+
+
+# sha256 of float.hex of the corner points, the component lengths, the
+# boundary diameter and the metric scale, all read from the packed rows
+BOUNDARY_PINS = {
+    make_circle: "280913b6b3465255",
+    make_stadium: "ca24e9b2b8ba600c",
+    make_sinai: "756428b460fe16f3",
+    make_flower: "f12d01af4174bb49",
+}
+
+
+@pytest.mark.parametrize("mk", list(BOUNDARY_PINS))
+def test_boundary_facts_are_bitwise_pinned(mk):
+    tb = mk()
+    values = ([v for xy in tb.corner_points for v in xy] + list(tb.lengths)
+              + [tb.boundary_diameter, tb.metric_scale])
+    text = "|".join(float(v).hex() for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == BOUNDARY_PINS[mk]
 
 
 # float.hex of d(p, D); each point runs at least one golden-section refinement
@@ -205,7 +227,7 @@ def test_embed_refuses_offsets_as_long_as_the_loop(mk):
     # just inside the loop length the walk still wraps, in at most two passes
     for dr in (math.nextafter(total, 0.0), -math.nextafter(total, 0.0)):
         q = tb.embed(p, dr, 0.0)
-        assert 0.0 <= q.r < tb.components[q.component].length
+        assert 0.0 <= q.r < tb.lengths[q.component]
 
 
 # sha256 of float.hex of each embed -> offset round trip across a junction
@@ -224,7 +246,7 @@ def test_junction_round_trips_are_bitwise_pinned(mk):
     for loop in tb.loops:
         for i, c in enumerate(loop):
             nxt = loop[(i + 1) % len(loop)]
-            L = tb.components[c].length
+            L = tb.lengths[c]
             for d in (1e-6, 1e-4, 1e-2, 0.5):
                 # d/2 before the junction, forward by d; and back again
                 for x, dr, lands in ((PhasePoint(c, L - d / 2, 0.1), d, nxt),
@@ -264,14 +286,9 @@ def test_diameter_below_one():
         assert tb.diameter() < 1.0
     fx = make_linear_fixture()
     assert fx.diameter() < 1.0
-
-
-def test_metric_scale_override():
-    tb = make_stadium(metric_scale=0.125)
-    assert tb.metric_scale == 0.125
-    p = PhasePoint(0, 0.0, 0.0)
-    q = PhasePoint(0, 1.0, 0.0)
-    assert abs(tb.distance(p, q) - 0.125) < 1e-15
+    # the widest fixture accepted; one ulp wider is refused (bad specs)
+    widest = math.nextafter(FIXTURE_DIAM_ONE, 0.0)
+    assert make_linear_fixture(half_width=widest).diameter() < 1.0
 
 
 def test_validate_point():
@@ -337,53 +354,49 @@ def test_fixture_sampling_in_domain():
 def test_make_table_dispatch():
     tb = make_table("stadium", {"radius": 1.0, "straight_half_length": 2.0})
     assert tb.kind == "stadium"
-    assert tb.components[0].length == 4.0
+    assert tb.lengths[0] == 4.0
     with pytest.raises(ValueError, match="unknown table kind"):
         make_table("pentagon")
 
 
-@pytest.mark.parametrize("kind,params,metric_scale", [
-    ("circle", {"radius": 0.0}, None),
-    ("circle", {"radius": -1.0}, None),
-    ("sinai", {"scatterer_radius": 2.0}, None),
-    ("sinai", {"scatterer_radius": 0.0}, None),
-    ("sinai", {"half_side": -1.0}, None),
-    ("linear-fixture", {"half_width": -0.3}, None),
-    ("stadium", {}, 0.0),
-    ("stadium", {}, -1.0),
-    ("circle", {"radius": 1.0, "colour": 2}, None),
-    ("circle", {"radius": "1"}, None),
-    ("circle", {}, "1"),
-    ("stadium", {}, True),
-    ("circle", {"radius": math.inf}, None),
-    ("stadium", {}, math.inf),
-    ("linear-fixture", {"half_width": math.inf}, None),
+@pytest.mark.parametrize("kind,params", [
+    ("circle", {"radius": 0.0}),
+    ("circle", {"radius": -1.0}),
+    ("sinai", {"scatterer_radius": 2.0}),
+    ("sinai", {"scatterer_radius": 0.0}),
+    ("sinai", {"half_side": -1.0}),
+    ("linear-fixture", {"half_width": -0.3}),
+    ("circle", {"radius": 1.0, "colour": 2}),
+    ("circle", {"radius": "1"}),
+    ("circle", {"radius": math.inf}),
+    ("linear-fixture", {"half_width": math.inf}),
+    ("linear-fixture", {"half_width": 0.5}),
+    ("linear-fixture", {"half_width": FIXTURE_DIAM_ONE}),
+    ("linear-fixture", {"half_width": math.nan}),
+    (["stadium"], {}),
+    ("stadium", [1, 2]),
+    ("stadium", "ab"),
 ], ids=["circle-radius-0", "circle-radius-negative", "sinai-scatterer-too-big",
         "sinai-scatterer-0", "sinai-half-side-negative",
-        "fixture-half-width-negative", "stadium-metric-scale-0",
-        "stadium-metric-scale-negative", "circle-unknown-parameter",
-        "circle-radius-string", "circle-metric-scale-string",
-        "stadium-metric-scale-bool", "circle-radius-inf",
-        "stadium-metric-scale-inf", "fixture-half-width-inf"])
-def test_make_table_rejects_bad_specs(kind, params, metric_scale):
+        "fixture-half-width-negative", "circle-unknown-parameter",
+        "circle-radius-string", "circle-radius-inf", "fixture-half-width-inf",
+        "fixture-wider-than-diam-1", "fixture-diam-1",
+        "fixture-half-width-nan", "kind-list", "params-list", "params-string"])
+def test_make_table_rejects_bad_specs(kind, params):
     with pytest.raises(ValueError, match="must|need"):
-        make_table(kind, params, metric_scale)
+        make_table(kind, params)
 
 
 @pytest.mark.parametrize("build,kwargs", [
     (make_circle, {"radius": math.inf}),
-    (make_circle, {"metric_scale": math.nan}),
-    (make_stadium, {"metric_scale": math.inf}),
     (make_stadium, {"straight_half_length": math.inf}),
     (make_sinai, {"half_side": math.inf}),
     (make_flower, {"arc_radius": math.inf}),
     (make_linear_fixture, {"half_width": math.inf}),
     (make_linear_fixture, {"lambda_u": math.nan}),
-    (LinearFixtureMap, {"metric_scale": math.inf}),
-], ids=["circle-radius-inf", "circle-metric-scale-nan", "stadium-metric-scale-inf",
-        "stadium-straight-inf", "sinai-half-side-inf", "flower-arc-radius-inf",
-        "fixture-half-width-inf", "fixture-lambda-u-nan",
-        "fixture-map-metric-scale-inf"])
+], ids=["circle-radius-inf", "stadium-straight-inf", "sinai-half-side-inf",
+        "flower-arc-radius-inf", "fixture-half-width-inf",
+        "fixture-lambda-u-nan"])
 def test_builders_reject_non_finite_numbers(build, kwargs):
     with pytest.raises(ValueError, match="finite"):
         build(**kwargs)

@@ -5,7 +5,9 @@ total, the total line count of the test files under ``tests``, and the
 number of defaulted parameters (positional and keyword-only)
 of the public functions and methods: every ``def`` whose name does not start
 with an underscore, ``__init__`` included, at any nesting depth. Dataclass
-fields are not parameters and are not counted.
+fields are not parameters and are not counted.  ``defaulted_parameter_names``
+lists them, one ``module.function(parameter)`` each, where ``function`` is
+the dotted path of the ``def`` through its enclosing classes and functions.
 
 It also lists ``unused_imports`` in ``src``, ``tests`` and ``tools``: names
 bound by an import and never read in that file, as ``path:line name``.
@@ -68,14 +70,32 @@ def _public(name: str) -> bool:
     return name == "__init__" or not name.startswith("_")
 
 
-def defaulted_parameters(tree: ast.AST) -> int:
-    n = 0
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and _public(node.name):
-            n += len(node.args.defaults)
-            n += sum(d is not None for d in node.args.kw_defaults)
-    return n
+def defaulted_parameters(tree: ast.AST, module: str) -> list[str]:
+    """``module.function(parameter)`` of each defaulted parameter of the
+    public functions and methods in the tree, in source order."""
+    names = []
+
+    def visit(node: ast.AST, path: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{module}.{path}{child.name}"
+                args = child.args
+                positional = args.posonlyargs + args.args
+                if _public(child.name):
+                    names.extend(
+                        f"{where}({a.arg})" for a in
+                        positional[len(positional) - len(args.defaults):])
+                    names.extend(
+                        f"{where}({a.arg})" for a, d in
+                        zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(child, f"{path}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{path}{child.name}.")
+            else:
+                visit(child, path)
+
+    visit(tree, "")
+    return names
 
 
 def _all_values(tree: ast.Module) -> list[ast.expr]:
@@ -175,13 +195,13 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
 
 def census(src: Path, tests: Path) -> dict:
     lines = {}
-    defaults = 0
+    defaults = []
     blas = []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
         lines[path.name] = len(text.splitlines())
-        defaults += defaulted_parameters(tree)
+        defaults += defaulted_parameters(tree, path.stem)
         blas += [f"{path.name}:{line} {what}" for line, what in blas_sites(tree)]
     test_lines = sum(len(path.read_text().splitlines())
                      for path in tests.glob("*.py"))
@@ -192,7 +212,9 @@ def census(src: Path, tests: Path) -> dict:
               if path.name != "__init__.py"
               for line, name in unused_imports(ast.parse(path.read_text()))]
     return {"src_lines": lines, "src_lines_total": sum(lines.values()),
-            "test_lines_total": test_lines, "defaulted_parameters": defaults,
+            "test_lines_total": test_lines,
+            "defaulted_parameters": len(defaults),
+            "defaulted_parameter_names": defaults,
             "unused_imports": unused, "blas_sites": blas,
             "test_only_public": test_only_public(
                 src, (src, root / "perfbench", root / "tools"))}
