@@ -102,7 +102,6 @@ class OrbitSegment:
     n_plus: int
     points: tuple[PhasePoint, ...]
     derivs: np.ndarray  # (len, 2, 2)
-    flights: np.ndarray  # (len-1,)
     ends: tuple[PhasePoint, PhasePoint] | None = None  # f^-1 of first, f of last
     _dists: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -239,14 +238,14 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
     """
     if n_minus < 0 or n_plus < 0:
         raise ValueError("window lengths must be nonnegative")
-    pts, derivs, flights, after = table.orbit(x, n_minus, n_plus)
+    pts, derivs, after = table.orbit(x, n_minus, n_plus)
     ends = None
     if with_rho:
         try:
             ends = (billiard_inverse(table, pts[0]), after)
         except MapUndefined as e:
             raise OrbitHitsDiscontinuity(-n_minus - 1, str(e)) from e
-    return OrbitSegment(table, n_minus, n_plus, pts, derivs, flights, ends)
+    return OrbitSegment(table, n_minus, n_plus, pts, derivs, ends)
 
 
 # ------------------------------------------------------------- splitting
@@ -438,7 +437,7 @@ def _as_floats(a: np.ndarray):
 
 
 def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
-                   at: int = 0) -> SUParams:
+                   at: int) -> SUParams:
     """Truncated series parameters at relative step `at`:
     s^2 = 2 sum e^(2n chi) ||df^n e_s||^2 (forward),
     u^2 = 2 sum e^(2n chi) ||df^-n e_u||^2 (backward).
@@ -493,7 +492,7 @@ def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
 
 
 def frame_at(seg: OrbitSegment, splitting: Splitting, chi: float,
-             at: int = 0) -> HyperbolicFrame:
+             at: int) -> HyperbolicFrame:
     i = seg.index(at)
     su = s_u_parameters(seg, splitting, chi, at=at)
     return build_frame(splitting.e_s[i], splitting.e_u[i], su.s, su.u, chi)

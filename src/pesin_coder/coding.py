@@ -581,7 +581,7 @@ class Itinerary:
     anchor: int
     in_alphabet: tuple[bool, ...]
     path: GpoPath
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def __post_init__(self):
         if not 0 <= self.anchor < len(self.vertices):
@@ -595,8 +595,8 @@ class Itinerary:
 
 
 def make_itinerary(vertices, anchor: int, cfg: EpsilonConfig,
-                   consts: RegularityConstants,
-                   in_alphabet=None, meta: dict | None = None) -> Itinerary:
+                   consts: RegularityConstants, in_alphabet,
+                   meta: dict) -> Itinerary:
     """Assemble a word, verifying every consecutive pair and building the
     chart path used for projection.
 
@@ -613,17 +613,14 @@ def make_itinerary(vertices, anchor: int, cfg: EpsilonConfig,
                 f"coded charts fail the edge relation at step {k}: "
                 + "; ".join(reasons), witness=k)
     path = path_from_vertices(vertices, consts, base_index=anchor)
-    if in_alphabet is None:
-        in_alphabet = (True,) * len(vertices)
-    return Itinerary(vertices, anchor, tuple(in_alphabet), path,
-                     dict(meta or {}))
+    return Itinerary(vertices, anchor, tuple(in_alphabet), path, dict(meta))
 
 
-def assign_centers(alphabet: Alphabet, gammas, offset: int = 0) -> list[int]:
+def assign_centers(alphabet: Alphabet, gammas, offset: int) -> list[int]:
     """Net center ids covering each window step, or NoBinCenter.
 
-    ``offset`` shifts the step index reported on failure (pass the
-    negated anchor to report window-relative steps).
+    ``offset`` shifts the step index reported on failure (the negated
+    anchor reports window-relative steps).
     """
     out = []
     for k, g in enumerate(gammas):
@@ -668,7 +665,8 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int
     gap = gammas[anchor].table.distance(x_hat, gammas[anchor].x)
     if gap > SHADOW_TOL:
         raise InequalityViolated(
-            f"shadow misses the coded point by {gap:.3e} > {SHADOW_TOL:.1e}")
+            f"shadow misses the coded point by {gap:.3e} > {SHADOW_TOL:.1e}",
+            witness=anchor)
     it.meta["shadow_gap"] = gap
     it.meta["shadow_point"] = x_hat
     it.meta["shadow_w"] = info["w"]
@@ -709,7 +707,8 @@ def project_pi(itinerary: Itinerary, consts: RegularityConstants
     gap = table.distance(billiard_map(table, x), x1)
     if gap > SHADOW_TOL:
         raise InequalityViolated(
-            f"shift/projection mismatch {gap:.3e} > {SHADOW_TOL:.1e}")
+            f"shift/projection mismatch {gap:.3e} > {SHADOW_TOL:.1e}",
+            witness=k)
     return x, {"w": itinerary.meta["shadow_w"], "equivariance_gap": gap}
 
 

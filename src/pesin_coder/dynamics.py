@@ -3,6 +3,12 @@
 The functions here are the entry points for any map of module `tables`: a
 billiard table or the linear fixture.  Each one calls the map's own method
 (step, derivative, dist_to_D, embed), so none of them asks which map it holds.
+
+`billiard_map`, `billiard_inverse`, `singularity_cloud`,
+`dist_to_discontinuity` and `derivative_along_orbit` only forward to the map
+or to `tables`.  They stay because the benchmark's tracer wraps these names
+to time the layers under them; they go once the benchmark no longer needs
+them (ROADMAP aim 2).
 """
 from __future__ import annotations
 
@@ -75,12 +81,12 @@ class RegularityConstants:
 # ------------------------------------------------------------------ stepping
 def billiard_map(table, p: PhasePoint) -> PhasePoint:
     """Next collision (specular reflection); fixture: the linear map."""
-    return table.step(p, True)[0]
+    return table.step(p, True)
 
 
 def billiard_inverse(table, p: PhasePoint) -> PhasePoint:
     """Previous collision; billiards: via time reversal (r, theta) -> (r, -theta)."""
-    return table.step(p, False)[0]
+    return table.step(p, False)
 
 
 # ----------------------------------------------------- singularity distances

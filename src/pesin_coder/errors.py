@@ -45,7 +45,7 @@ class AssumptionViolated(PesinCoderError):
 class OrbitHitsDiscontinuity(PesinCoderError):
     """Orbit generation failed at step n (grazing/corner/escape)."""
 
-    def __init__(self, n: int, reason: str = ""):
+    def __init__(self, n: int, reason: str):
         self.n = n
         self.reason = reason
         super().__init__(f"orbit hits discontinuity at step {n}: {reason}")
@@ -74,7 +74,7 @@ class NotHyperbolic(PesinCoderError):
 class InequalityViolated(PesinCoderError):
     """A per-point inequality check failed (carries the witness index)."""
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witness):
         self.witness = witness
         super().__init__(message)
 
@@ -144,9 +144,9 @@ class ShadowEscape(PesinCoderError):
     Attribute: n (first violating index).
     """
 
-    def __init__(self, n: int, message: str = ""):
+    def __init__(self, n: int, message: str):
         self.n = n
-        super().__init__(message or f"shadowed orbit escapes chart window at index {n}")
+        super().__init__(message)
 
 
 # ---------------------------------------------------------------- coding
@@ -156,7 +156,7 @@ class NoBinCenter(PesinCoderError):
     Attributes: n (orbit index), signature (the missing bin signature).
     """
 
-    def __init__(self, n: int, signature=None):
+    def __init__(self, n: int, signature):
         self.n = n
         self.signature = signature
         super().__init__(f"no alphabet center covers orbit index {n} (bin {signature})")
@@ -172,7 +172,7 @@ class DiagnosticFailed(PesinCoderError):
     Attributes: item (int 1..6 or str), n (index).
     """
 
-    def __init__(self, item, n: int, message: str = ""):
+    def __init__(self, item, n: int, message: str):
         self.item = item
         self.n = n
-        super().__init__(message or f"double-coding diagnostic item {item} failed at index {n}")
+        super().__init__(message)

@@ -46,10 +46,6 @@ class EpsilonConfig:
         """Exponent of delta on the third-lattice (value e^(-eps*expo/3))."""
         return 3 * self.delta_double_exponent
 
-    @property
-    def delta(self) -> float:
-        return math.exp(-self.eps * self.delta_double_exponent)
-
     def size(self, expo: int) -> "LatticeSize":
         return LatticeSize(expo, self.eps)
 
@@ -118,12 +114,6 @@ class LatticeSize:
     def __lt__(self, other: "LatticeSize") -> bool:
         self._check(other)
         return self.expo > other.expo
-
-    def __ge__(self, other: "LatticeSize") -> bool:
-        return other.__le__(self)
-
-    def __gt__(self, other: "LatticeSize") -> bool:
-        return other.__lt__(self)
 
     def ratio_within_e_eps(self, other: "LatticeSize") -> bool:
         """True iff self/other = e^(+-eps) exactly on the lattice."""

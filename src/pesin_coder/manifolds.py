@@ -310,7 +310,7 @@ def validate_admissible(m: AdmissibleManifold,
 
 # ------------------------------------------------------------------ paths
 def path_from_vertices(vertices, consts: RegularityConstants,
-                       base_index: int = 0) -> GpoPath:
+                       base_index: int) -> GpoPath:
     """Precompute both edge decompositions along a chart path, once per
     distinct (chart, chart) edge by identity; a repeated edge reuses them."""
     vertices = tuple(vertices)

@@ -17,10 +17,10 @@ and parallel transport is the identity.
 A billiard table and the exactly solvable linear fixture are both maps f
 with a discontinuity set D, and both answer the same seven methods; no other
 module asks which of the two it holds:
-  step(p, forward)           f(p) or f^-1(p), and the flight length;
+  step(p, forward)           f(p) or f^-1(p);
   derivative(p, forward)     df at p, or d(f^-1) at p;
   orbit(x, n_minus, n_plus)  f^n(x) for n in [-n_minus, n_plus] with df at
-                             each point, the flights, and f of the last point;
+                             each point, and f of the last point;
   dist_to_D(p)               metric distance from p to D;
   embed(p, dr, dtheta)       the point at coordinate offset (dr, dtheta) from p;
   offset(x, p)               the signed coordinate offset from x to p;
@@ -161,6 +161,19 @@ class Arc:
                    1.0 if self.start_corner else 0.0, 1.0 if self.end_corner else 0.0]
 
 
+def _packed(c: int, comp) -> tuple[int, list[float]]:
+    """comp.packed(), refused unless comp has a positive length (and
+    radius) and its packed row is finite; c names it in the error."""
+    size = comp.length if isinstance(comp, Segment) \
+        else min(comp.radius, comp.length)
+    if size > 0.0:  # false for NaN too; packed() divides by the length
+        t, row = comp.packed()
+        if all(map(math.isfinite, row)):
+            return t, row
+    raise ValueError(f"component {c} needs a positive length and radius "
+                     f"and finite coordinates, got {comp}")
+
+
 # ------------------------------------------------------------ map helpers
 def _kernel_error(status: int, p: PhasePoint) -> Exception:
     """The geometry error for a failed orbit-kernel status, started at p."""
@@ -199,7 +212,7 @@ def fd_derivative(table, p: PhasePoint) -> np.ndarray:
     """Central finite differences of the map in (r, theta), step FD_STEP."""
     def image(dr, dth):
         try:
-            return table.step(table.embed(p, dr, dth))[0]
+            return table.step(table.embed(p, dr, dth), True)
         except DomainEscape as e:  # the probe angle passes grazing
             raise GrazingCollision(str(e)) from e
 
@@ -227,9 +240,10 @@ class BilliardTable:
         self.kind = kind
         self.params = dict(params)
         # plain Python numbers: the ray kernel reads them one at a time
-        packed = [comp.packed() for comp in components]
+        packed = [_packed(c, comp) for c, comp in enumerate(components)]
         self.ctype = tuple(int(t) for t, _ in packed)
         self.cpar = tuple(tuple(float(v) for v in row) for _, row in packed)
+        self._validate_loops()
         # arclengths as Python floats for the scalar paths (row entry 4 of a
         # segment, 5 of an arc), and as an array for step_many
         self.lengths = tuple(row[4] if t == 0 else row[5]
@@ -257,6 +271,21 @@ class BilliardTable:
         self._deriv_checked = False  # set by the first derivative() call
 
     # ------------------------------------------------------------ validation
+    def _validate_loops(self):
+        n = len(self.ctype)
+        for k, loop in enumerate(self.loops):
+            if not loop:
+                raise ValueError(f"loop {k} is empty")
+            for c in loop:
+                if not (isinstance(c, numbers.Integral) and 0 <= c < n):
+                    raise ValueError(f"loop {k} names {c!r}, not a component "
+                                     f"index in [0, {n})")
+        named = [c for loop in self.loops for c in loop]
+        for c in range(n):
+            if named.count(c) != 1:
+                raise ValueError(f"component {c} is named {named.count(c)} "
+                                 f"times by the loops, not once")
+
     def _end_point(self, c: int) -> tuple[float, float]:
         return comp_point(self.ctype[c], self.cpar[c], self.lengths[c])
 
@@ -287,14 +316,6 @@ class BilliardTable:
     def point_xy(self, component: int, s: float) -> np.ndarray:
         x, y = comp_point(self.ctype[component], self.cpar[component], s)
         return np.array([x, y])
-
-    def tangent_xy(self, component: int, s: float) -> np.ndarray:
-        tx, ty = comp_tangent(self.ctype[component], self.cpar[component], s)
-        return np.array([tx, ty])
-
-    def normal_xy(self, component: int, s: float) -> np.ndarray:
-        tx, ty = comp_tangent(self.ctype[component], self.cpar[component], s)
-        return np.array([-ty, tx])
 
     def curvature(self, component: int) -> float:
         return comp_curvature(self.ctype[component], self.cpar[component])
@@ -373,9 +394,12 @@ class BilliardTable:
         return out
 
     # ------------------------------------------------------------ the map
-    def step(self, p: PhasePoint, forward: bool = True) -> tuple[PhasePoint, float]:
-        """f(p), or f^-1(p) via time reversal (r, theta) -> (r, -theta), and
-        the flight length between the two collisions."""
+    def step(self, p: PhasePoint, forward: bool) -> PhasePoint:
+        """f(p), or f^-1(p) via time reversal (r, theta) -> (r, -theta)."""
+        return self._step(p, forward)[0]
+
+    def _step(self, p: PhasePoint, forward: bool) -> tuple[PhasePoint, float]:
+        """step(p, forward) and the flight to it, for the mirror equation."""
         sign = 1 if forward else -1
         comps, rs, ths, taus, status, _ = run_orbit(
             self.ctype, self.cpar, p.component, p.r, sign * p.theta, 1,
@@ -384,7 +408,7 @@ class BilliardTable:
             raise _kernel_error(status, PhasePoint(p.component, p.r, sign * p.theta))
         return PhasePoint(int(comps[1]), float(rs[1]), sign * float(ths[1])), float(taus[0])
 
-    def derivative(self, p: PhasePoint, forward: bool = True) -> np.ndarray:
+    def derivative(self, p: PhasePoint, forward: bool) -> np.ndarray:
         """df at p in (r, theta) coordinates, or d(f^-1) at p = (df at f^-1 p)^-1.
 
         Analytic mirror-equation formula; the first call on each table
@@ -392,11 +416,11 @@ class BilliardTable:
         differ across the literature, the oracle removes the ambiguity).
         """
         if not forward:
-            M = self.derivative(self.step(p, False)[0])
+            M = self.derivative(self.step(p, False), True)
             det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
             return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
         self._check_derivative()
-        q, tau = self.step(p)
+        q, tau = self._step(p, True)
         return derivative_along_orbit(
             self, (p.component, q.component),
             np.array([p.theta, q.theta]), np.array([tau]))[0]
@@ -413,7 +437,7 @@ class BilliardTable:
             try:
                 if self.dist_to_D(p) < 0.05 * self.metric_scale:
                     continue
-                ana = self.derivative(p)
+                ana = self.derivative(p, True)
                 num = fd_derivative(self, p)
             except MapUndefined:
                 continue
@@ -428,7 +452,7 @@ class BilliardTable:
             raise AssertionError("derivative self-test found no valid sample points")
 
     def orbit(self, x: PhasePoint, n_minus: int, n_plus: int):
-        """f^n(x) for n in [-n_minus, n_plus]: (points, derivs, flights, after).
+        """f^n(x) for n in [-n_minus, n_plus]: (points, derivs, after).
 
         derivs[i] is df at points[i]; for the last point it needs the
         collision after it, `after` = f(points[-1]), which is not part of the
@@ -445,13 +469,13 @@ class BilliardTable:
         pts = tuple(PhasePoint(int(c), float(r), float(t))
                     for c, r, t in zip(comps, rs, ths))
         try:
-            after, tau = self.step(pts[-1])
+            after, tau = self._step(pts[-1], True)
         except MapUndefined as e:
             raise OrbitHitsDiscontinuity(n_plus, f"derivative probe: {e}") from e
         derivs = derivative_along_orbit(
             self, np.concatenate([comps, [after.component]]),
             np.concatenate([ths, [after.theta]]), np.concatenate([flights, [tau]]))
-        return pts, derivs, flights, after
+        return pts, derivs, after
 
     def _kernel_orbit(self, p: PhasePoint, n: int, sign: int):
         """Kernel orbit of n steps; sign=-1 runs the time-reversed map."""
@@ -535,7 +559,7 @@ class BilliardTable:
         if n == len(d):
             return out, None
         try:
-            self.offset(y, self.step(self.embed(x, *d[n].tolist()), forward)[0])
+            self.offset(y, self.step(self.embed(x, *d[n].tolist()), forward))
         except (DomainEscape, MapUndefined, OutOfDomain) as e:
             return out, (n, e)
         raise AssertionError(f"row {n} fails in the array form only")
@@ -688,7 +712,12 @@ class BilliardTable:
         return min(d0, f1, f2)
 
     def dist_to_D(self, p: PhasePoint) -> float:
-        """Estimated metric distance from p to D (0 on D; 1-Lipschitz in p)."""
+        """Estimated metric distance from p to D (0 on D; 1-Lipschitz in p).
+
+        An upper bound: the golden-section search refines only near the
+        nearest cloud row, so it misses a branch of S+ or S- with no row
+        nearby; on 400 stadium Liouville samples it ran up to 3.5 times the
+        nearest row of a 40 times denser cloud (ROADMAP item 11)."""
         scale = self.metric_scale
         best_unscaled = math.pi / 2 - abs(p.theta)  # grazing fibers
         P = comp_point(self.ctype[p.component], self.cpar[p.component], p.r)
@@ -753,18 +782,20 @@ class LinearFixtureMap:
 
     def liouville_sample(self, rng: np.random.Generator, n: int,
                          theta_cap: float = None) -> list[PhasePoint]:
-        # the fixture's invariant reference measure is plain area
+        """n points of the square, uniform in area: the fixture's invariant
+        reference measure.  theta_cap is ignored; it is accepted so that one
+        call samples every map."""
         xs = rng.uniform(-self.half_width, self.half_width, size=(n, 2))
         return [PhasePoint(0, float(a), float(b)) for a, b in xs]
 
     # ------------------------------------------------------------ the map
-    def step(self, p: PhasePoint, forward: bool = True) -> tuple[PhasePoint, float]:
-        """The linear map or its inverse; the fixture has no flights."""
+    def step(self, p: PhasePoint, forward: bool) -> PhasePoint:
+        """The linear map or its inverse."""
         if forward:
-            return PhasePoint(0, self.lambda_s * p.r, self.lambda_u * p.theta), 0.0
-        return PhasePoint(0, p.r / self.lambda_s, p.theta / self.lambda_u), 0.0
+            return PhasePoint(0, self.lambda_s * p.r, self.lambda_u * p.theta)
+        return PhasePoint(0, p.r / self.lambda_s, p.theta / self.lambda_u)
 
-    def derivative(self, p: PhasePoint, forward: bool = True) -> np.ndarray:
+    def derivative(self, p: PhasePoint, forward: bool) -> np.ndarray:
         if forward:
             return np.array([[self.lambda_s, 0.0], [0.0, self.lambda_u]])
         return np.array([[1.0 / self.lambda_s, 0.0], [0.0, 1.0 / self.lambda_u]])
@@ -775,13 +806,13 @@ class LinearFixtureMap:
         self.validate_point(x)
         tail = self._walk(x, n_plus, True)
         pts = tuple(self._walk(x, n_minus, False)[:0:-1] + tail)
-        derivs = np.broadcast_to(self.derivative(x), (len(pts), 2, 2)).copy()
-        return pts, derivs, np.zeros(len(pts) - 1), self.step(pts[-1])[0]
+        derivs = np.broadcast_to(self.derivative(x, True), (len(pts), 2, 2)).copy()
+        return pts, derivs, self.step(pts[-1], True)
 
     def _walk(self, x: PhasePoint, n: int, forward: bool) -> list[PhasePoint]:
         pts = [x]
         for k in range(1, n + 1):
-            pts.append(self.step(pts[-1], forward)[0])
+            pts.append(self.step(pts[-1], forward))
             try:
                 self.validate_point(pts[-1])
             except ValueError as e:

@@ -205,7 +205,7 @@ class TestSizeFunction:
 
         fx, seg, sp, ch0, ch1 = fixture_charts()
         bare = OrbitSegment(seg.table, seg.n_minus, seg.n_plus, seg.points,
-                            seg.derivs, seg.flights)
+                            seg.derivs)
         with pytest.raises(ValueError, match="rho"):
             chart_from_segment(bare, sp, CHI, CFG, CONSTS)
 
@@ -471,7 +471,7 @@ def scalar_rows(table, x: PhasePoint, d: np.ndarray, forward: bool,
                 y: PhasePoint) -> np.ndarray:
     """offset(y, f^{+-1}(embed(x, d_k))), one scalar map step per row."""
     return np.array([table.offset(y, table.step(table.embed(x, dr, dth),
-                                                forward)[0])
+                                                forward))
                      for dr, dth in d])
 
 
@@ -488,7 +488,7 @@ def first_scalar_failure(table, x: PhasePoint, d: np.ndarray, forward: bool,
     raises, or None."""
     for k, (dr, dth) in enumerate(d.tolist()):
         try:
-            table.offset(y, table.step(table.embed(x, dr, dth), forward)[0])
+            table.offset(y, table.step(table.embed(x, dr, dth), forward))
         except (DomainEscape, MapUndefined, OutOfDomain) as e:
             return k, e
     return None
@@ -598,7 +598,7 @@ class TestBatchedMapStep:
         for x in tb.liouville_sample(np.random.default_rng(5), 50, theta_cap=1.0):
             if tb.dist_to_D(x) > 0.05 * tb.metric_scale:
                 break
-        y = tb.step(x, forward)[0]
+        y = tb.step(x, forward)
         d = full_grid(1e-3)
         off, fail = tb.step_many(x, d, forward, y)
         assert fail is None
@@ -610,11 +610,11 @@ class TestBatchedMapStep:
         # loop walk (or the one-component wrap) runs; forward to z: the
         # images straddle it, so offset folds across components
         tb = MAKERS[kind]()
-        w = tb.step(z, False)[0]
+        w = tb.step(z, False)
         d = full_grid(1e-3)
         rows = d.tolist()
         assert len(seam_sides(tb, [tb.embed(z, *v) for v in rows])) == 2
-        imgs = [tb.step(tb.embed(w, *v))[0] for v in rows]
+        imgs = [tb.step(tb.embed(w, *v), True) for v in rows]
         assert len(seam_sides(tb, imgs)) == 2
         for x, forward, y in ((z, False, w), (w, True, z)):
             off, fail = tb.step_many(x, d, forward, y)
@@ -681,10 +681,10 @@ class TestBatchedMapStep:
         st = make_stadium()
         x = PhasePoint(0, 0.5, 1.5)
         d = np.array([[0.0, 0.0], [0.0, 0.1], [0.0, 0.0]])  # row 1: angle > pi/2
-        off, fail = st.step_many(x, d, True, st.step(x)[0])
+        off, fail = st.step_many(x, d, True, st.step(x, True))
         assert fail[0] == 1 and isinstance(fail[1], DomainEscape)
         assert off[0].tobytes() == scalar_rows(st, x, d[:1], True,
-                                               st.step(x)[0])[0].tobytes()
+                                               st.step(x, True))[0].tobytes()
         assert np.isnan(off[1:]).all()
 
     @pytest.mark.parametrize("forward", [True, False])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from pesin_coder import cocycle
+from pesin_coder.accel import OK, run_orbit
 from pesin_coder.cocycle import (
     OrbitSegment,
     build_frame,
@@ -42,6 +43,9 @@ from pesin_coder.errors import (
     SplittingNotConverged,
 )
 from pesin_coder.tables import (
+    CORNER_TOL,
+    GRAZING_COS_TOL,
+    MIN_FLIGHT,
     PhasePoint,
     make_circle,
     make_flower,
@@ -59,6 +63,17 @@ def fixture_segment(n: int = 40, x: float = 0.0, y: float = 0.0):
 def s_closed_form(chi: float) -> float:
     """Exact series value on the fixture: 2 sum e^(2n(chi-1)) = 2/(1-q)."""
     return math.sqrt(2.0 / (1.0 - math.exp(2.0 * (chi - 1.0))))
+
+
+def kernel_flights(table, seg) -> np.ndarray:
+    """The flight lengths between the segment's collisions, from the orbit
+    kernel run forward from its first point."""
+    p = seg.points[0]
+    _, _, _, taus, status, _ = run_orbit(
+        table.ctype, table.cpar, p.component, p.r, p.theta, len(seg) - 1,
+        GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+    assert status == OK
+    return taus
 
 
 def first_admitted(table, rng_seed: int, side: int, tries: int = 40):
@@ -110,7 +125,7 @@ class TestOrbitSegment:
             want = (0.3 + n * advance) % (2.0 * math.pi * R)
             assert p.r == pytest.approx(want, abs=1e-9)
         # constant angle means constant flight 2 R cos(theta)
-        assert seg.flights == pytest.approx(
+        assert kernel_flights(ci, seg) == pytest.approx(
             np.full(6, 2.0 * R * math.cos(theta)), abs=1e-9)
 
     def test_index_and_point_addressing(self):
@@ -135,7 +150,7 @@ class TestOrbitSegment:
             assert img.component == nxt.component
             assert img.r == pytest.approx(nxt.r, abs=1e-9)
             assert img.theta == pytest.approx(nxt.theta, abs=1e-9)
-        assert np.all(seg.flights > 0)
+        assert np.all(kernel_flights(st, seg) > 0)
 
     def test_rho_is_min_over_neighbour_triple(self):
         st = make_stadium()
@@ -354,8 +369,7 @@ class TestLyapunovExponents:
             derivs = rng.normal(size=(401, 2, 2))
             n = len(derivs)
             seg = OrbitSegment(None, n // 2, n - 1 - n // 2,
-                               (PhasePoint(0, 0.0, 0.0),) * n, derivs,
-                               np.zeros(n - 1))
+                               (PhasePoint(0, 0.0, 0.0),) * n, derivs)
             e = np.tile([0.6, 0.8], (n, 1))
             sp = cocycle.Splitting(e, e, np.ones(n - 1), np.ones(n - 1), 0.0, 0.0)
         else:
@@ -395,7 +409,7 @@ class TestSUSeries:
         _, seg = fixture_segment(n=200)
         sp = oseledets_splitting(seg)
         for chi in (0.3, 0.5, 0.9):
-            su = s_u_parameters(seg, sp, chi)
+            su = s_u_parameters(seg, sp, chi, at=0)
             exact = s_closed_form(chi)
             assert su.s == pytest.approx(exact, abs=1e-12)
             assert su.u == pytest.approx(exact, abs=1e-12)
@@ -416,7 +430,7 @@ class TestSUSeries:
         sp = oseledets_splitting(seg)
         # the series reads its term cap at call time
         monkeypatch.setattr(cocycle, "SERIES_MAX_TERMS", 5)
-        su = s_u_parameters(seg, sp, 0.9)
+        su = s_u_parameters(seg, sp, 0.9, at=0)
         assert su.s_terms == 5
         q = math.exp(2.0 * (0.9 - 1.0))
         partial = (1.0 - q ** 6) / (1.0 - q)
@@ -447,13 +461,13 @@ class TestSUSeries:
         _, seg = fixture_segment(n=200)
         sp = oseledets_splitting(seg)
         with pytest.raises(SeriesDiverging):
-            s_u_parameters(seg, sp, 2.0)
+            s_u_parameters(seg, sp, 2.0, at=0)
 
     def test_nonpositive_chi_rejected(self):
         _, seg = fixture_segment(n=20)
         sp = oseledets_splitting(seg)
         with pytest.raises(ValueError):
-            s_u_parameters(seg, sp, 0.0)
+            s_u_parameters(seg, sp, 0.0, at=0)
 
     def test_s_recursion_identity_on_fixture(self):
         # s(fx)^2 e^(2 chi) ||df e_s||^2 = s(x)^2 - 2 for the exact series
@@ -662,7 +676,7 @@ class TestDiagnostics:
             points=tuple(pts[1:-1]),
             derivs=np.broadcast_to(np.diag([fx.lambda_s, fx.lambda_u]),
                                    (21, 2, 2)).copy(),
-            flights=np.zeros(20), ends=(pts[0], pts[-1]))
+            ends=(pts[0], pts[-1]))
         assert [seg.rho(n) for n in range(-10, 11)] == pytest.approx(
             0.3 * np.exp(-2.0 * np.abs(ns[1:-1])), rel=1e-6)
         fr = build_frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]),

@@ -452,7 +452,7 @@ def test_no_bin_center_for_unsampled_orbit():
     alpha = fixture_alphabet(0.0)
     _, gam_h = fixture_gammas(H)
     with pytest.raises(NoBinCenter) as ei:
-        assign_centers(alpha, gam_h)
+        assign_centers(alpha, gam_h, 0)
     assert ei.value.n == 0
     assert ei.value.signature.j == FIX_J
     with pytest.raises(NoBinCenter) as ei:
@@ -492,14 +492,14 @@ def test_make_itinerary_rejects_non_edge():
     alpha = fixture_alphabet(0.0, H)
     v_fix, v_h = alpha.graph.vertices[0], alpha.graph.vertices[1]
     with pytest.raises(InequalityViolated, match="edge relation at step 0"):
-        make_itinerary([v_fix, v_h], 0, CFG, CONSTS)
+        make_itinerary([v_fix, v_h], 0, CFG, CONSTS, [True] * 2, {})
 
 
 def test_make_itinerary_names_the_failing_pair():
     alpha = fixture_alphabet(0.0, H)
     v_fix, v_h = alpha.graph.vertices[0], alpha.graph.vertices[1]
     with pytest.raises(InequalityViolated, match="overlap fails") as ei:
-        make_itinerary([v_fix, v_fix, v_h], 0, CFG, CONSTS)
+        make_itinerary([v_fix, v_fix, v_h], 0, CFG, CONSTS, [True] * 3, {})
     assert ei.value.witness == 1
 
 
@@ -548,6 +548,30 @@ def test_coding_and_projection_shadow_twice(monkeypatch):
     x, _ = project_pi(it, CONSTS)
     assert calls == [4, 5]
     assert x is it.meta["shadow_point"]
+
+
+def far_shadow(path, consts):
+    """A shadow that lands far from every coded point of the fixture."""
+    return PhasePoint(0, 0.1, 0.1), {"w": None}
+
+
+def test_shadow_miss_names_the_anchor(monkeypatch):
+    alpha = fixture_alphabet(0.0)
+    _, gam = fixture_gammas()
+    monkeypatch.setattr(coding, "shadow", far_shadow)
+    with pytest.raises(InequalityViolated, match="shadow misses") as e:
+        sufficiency_itinerary(alpha, gam, anchor=4)
+    assert e.value.witness == 4
+
+
+def test_shift_mismatch_names_the_shifted_anchor(monkeypatch):
+    alpha = fixture_alphabet(0.0)
+    _, gam = fixture_gammas()
+    it = sufficiency_itinerary(alpha, gam, anchor=4)
+    monkeypatch.setattr(coding, "shadow", far_shadow)
+    with pytest.raises(InequalityViolated, match="shift/projection") as e:
+        project_pi(it, CONSTS)
+    assert e.value.witness == 5
 
 
 # ------------------------------------------------------- recurrence filter
@@ -601,7 +625,7 @@ def test_projection_needs_interior_shift():
 def test_projection_refuses_an_unshadowed_word():
     alpha = fixture_alphabet(0.0)
     v = alpha.graph.vertices[0]
-    it = make_itinerary([v] * 5, 2, CFG, CONSTS)
+    it = make_itinerary([v] * 5, 2, CFG, CONSTS, [True] * 5, {})
     with pytest.raises(ValueError, match="sufficiency_itinerary"):
         project_pi(it, CONSTS)
 
@@ -695,7 +719,8 @@ def test_diagnostics_self_comparison_zero_slack_consumed():
 
 def test_diagnostics_shape_mismatch():
     it_fix, it_h = _CACHE["pair"]
-    short = make_itinerary(it_h.vertices[1:], 3, CFG, CONSTS)
+    short = make_itinerary(it_h.vertices[1:], 3, CFG, CONSTS,
+                           it_h.in_alphabet[1:], {})
     with pytest.raises(ValueError, match="shape and anchor"):
         inverse_diagnostics(it_fix, short, CFG, CONSTS)
 
@@ -720,7 +745,8 @@ def test_maximality_proxy_fails_on_sliced_word():
     _, gam = stadium_gammas()
     it = _CACHE.get("stadium_it") or sufficiency_itinerary(alpha, gam,
                                                            anchor=6)
-    inner = make_itinerary(it.vertices[1:12], 5, CFG, CONSTS)
+    inner = make_itinerary(it.vertices[1:12], 5, CFG, CONSTS,
+                           it.in_alphabet[1:12], {})
     with pytest.raises(DiagnosticFailed) as ei:
         inverse_diagnostics(inner, inner, CFG, CONSTS)
     assert ei.value.item == "maximality"

@@ -63,9 +63,13 @@ def test_circle_quarter_angle_example():
 
 
 def test_flight_length_is_chord():
+    from pesin_coder.accel import run_orbit
+    from pesin_coder.dynamics import CORNER_TOL, GRAZING_COS_TOL, MIN_FLIGHT
+
     tb = make_circle(radius=2.0)
-    _, tau = tb.step(PhasePoint(0, 0.3, 0.5))
-    assert abs(tau - 2 * 2.0 * math.cos(0.5)) < 1e-12
+    taus = run_orbit(tb.ctype, tb.cpar, 0, 0.3, 0.5, 1,
+                     GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)[3]
+    assert abs(taus[0] - 2 * 2.0 * math.cos(0.5)) < 1e-12
 
 
 # ------------------------------------------------------ exact periodic spine
@@ -128,7 +132,7 @@ def test_determinant_identity(mk):
     for p in _sample(tb, 300, seed=3):
         try:
             q = billiard_map(tb, p)
-            M = tb.derivative(p)
+            M = tb.derivative(p, True)
         except (GrazingCollision, CornerHit):
             continue
         resid = abs(np.linalg.det(M) * math.cos(q.theta) - math.cos(p.theta))
@@ -146,7 +150,7 @@ def test_derivative_matches_finite_differences(mk):
         if dist_to_discontinuity(tb, p) <= 0.05:
             continue
         try:
-            ana = tb.derivative(p)
+            ana = tb.derivative(p, True)
             num = fd_derivative(tb, p)
         except (GrazingCollision, CornerHit):
             continue
@@ -163,7 +167,7 @@ def test_inverse_derivative_is_matrix_inverse():
     for p in _sample(tb, 40, seed=5):
         try:
             q = billiard_map(tb, p)
-            M = tb.derivative(p)
+            M = tb.derivative(p, True)
             Mi = tb.derivative(q, False)
         except (GrazingCollision, CornerHit):
             continue
@@ -182,13 +186,14 @@ def test_derivative_along_orbit_matches_pointwise():
     assert status == 0
     mats = derivative_along_orbit(tb, comps, ths, taus)
     for i in range(25):
-        M = tb.derivative(PhasePoint(int(comps[i]), float(rs[i]), float(ths[i])))
+        M = tb.derivative(PhasePoint(int(comps[i]), float(rs[i]), float(ths[i])),
+                          True)
         assert np.allclose(mats[i], M, atol=1e-12)
 
 
 def test_fixture_derivative():
     fx = make_linear_fixture()
-    M = fx.derivative(PhasePoint(0, 0.1, 0.1))
+    M = fx.derivative(PhasePoint(0, 0.1, 0.1), True)
     assert np.array_equal(M, np.diag([1 / math.e, math.e]))
     Mi = fx.derivative(PhasePoint(0, 0.1, 0.1), False)
     assert np.array_equal(Mi, np.diag([math.e, 1 / math.e]))
@@ -340,7 +345,7 @@ def test_assumptions_reuse_sample_distance(monkeypatch):
     tb = make_stadium()
     consts = RegularityConstants(a=1.5, beta=0.5, K=20.0)
     sample = _sample(tb, 10, seed=1)
-    tb.derivative(sample[0])  # the first-call self-test makes its own calls
+    tb.derivative(sample[0], True)  # the first-call self-test makes its own calls
     calls = []
     inner = tb.dist_to_D
     monkeypatch.setattr(tb, "dist_to_D", lambda p: calls.append(p) or inner(p))
@@ -349,5 +354,5 @@ def test_assumptions_reuse_sample_distance(monkeypatch):
     monkeypatch.undo()
     a7 = min(math.log(smallest_singular_value(m)) - consts.a * math.log(rho(tb, p))
              for p in sample
-             for m in (tb.derivative(p), tb.derivative(p, False)))
+             for m in (tb.derivative(p, True), tb.derivative(p, False)))
     assert rep["A7"]["min_margin"] == a7

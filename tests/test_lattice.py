@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import pytest
 
@@ -41,8 +42,8 @@ def test_floor_log_handles_underflow():
 
 
 def test_delta_is_largest_power_below_eps():
-    d = CFG.delta
     n = CFG.delta_double_exponent
+    d = math.exp(-EPS * n)
     assert d < EPS <= math.exp(-EPS * (n - 1))
     assert CFG.delta_exponent == 3 * n
 
@@ -52,6 +53,8 @@ def test_min_max_and_ordering():
     assert small < big and big > small
     assert small.min_with(big).expo == 50
     assert small <= CFG.size(50) and small >= CFG.size(50)
+    # >= and > are the reflected <= and <
+    assert big >= small and not small >= big and not small > big
 
 
 def test_e_eps_steps_are_exact():
@@ -74,8 +77,9 @@ def test_ratio_predicates():
 def test_mixed_eps_rejected():
     with pytest.raises(ValueError):
         CFG.size(1).min_with(LatticeSize(1, 0.02))
-    with pytest.raises(ValueError):
-        CFG.size(1) <= LatticeSize(1, 0.02)
+    for cmp in (operator.le, operator.lt, operator.ge, operator.gt):
+        with pytest.raises(ValueError):
+            cmp(CFG.size(1), LatticeSize(1, 0.02))
 
 
 def test_negative_exponent_rejected():

@@ -259,7 +259,7 @@ def test_path_vertex_rejects_oversized_window():
 # ------------------------------------------- transforms at literal scale
 def test_u_transform_constant_literal():
     _, v = synthetic_vertex()
-    path = path_from_vertices((v,) * 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS, 0)
     c = 2.0 ** -11
     out = graph_transform(path.fwd[0], const_manifold(v, "u", c), v)
     validate_admissible(out, CONSTS)
@@ -271,7 +271,7 @@ def test_u_transform_constant_literal():
 
 def test_s_transform_constant_literal():
     _, v = synthetic_vertex()
-    path = path_from_vertices((v,) * 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS, 0)
     c = 2.0 ** -11
     out = graph_transform(path.bwd[0], const_manifold(v, "s", c), v)
     validate_admissible(out, CONSTS)
@@ -280,7 +280,7 @@ def test_s_transform_constant_literal():
 
 def test_u_transform_linear_slope_literal():
     _, v = synthetic_vertex()
-    path = path_from_vertices((v,) * 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS, 0)
     a = 0.3
     m = make_manifold(v, "u", a * TAU, np.full(MANIFOLD_GRID_N, a))
     out = graph_transform(path.fwd[0], m, v)
@@ -293,7 +293,7 @@ def test_u_transform_linear_slope_literal():
 
 def test_coverage_escape_when_window_grows_too_fast():
     _, v = synthetic_vertex()
-    path = path_from_vertices((v,) * 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS, 0)
     # shrink the input window by e^(-7/6): e * e^(-7/6) < 1 kills coverage
     small = PathVertex(v.chart, v.chart.Q.step(7), v.chart.Q.step(7))
     m = zero_manifold(small, "u")
@@ -356,7 +356,7 @@ def test_genuine_offset_dwarfs_subfloat_window():
 # --------------------------------------------------- real-scale fixture
 def test_fixture_edge_decomposition_exact():
     _, v = fixture_vertex()
-    path = path_from_vertices((v,) * 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS, 0)
     assert abs(path.fwd[0].A - math.exp(-1.0)) < 1e-12
     assert abs(path.fwd[0].B - math.exp(1.0)) < 1e-12
     assert path.fwd[0].h0 == (0.0, 0.0)
@@ -366,7 +366,7 @@ def test_fixture_edge_decomposition_exact():
 
 def test_fixture_contraction_factor_exact():
     _, v = fixture_vertex()
-    path = path_from_vertices((v,) * 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS, 0)
     m1 = const_manifold(v, "u", 2.0 ** -11)
     m2 = const_manifold(v, "u", 2.0 ** -12)
     rep = contraction_measurement(path.fwd[0], m1, m2, v, CONSTS)
@@ -390,7 +390,7 @@ def test_contraction_violated_on_expanding_edge():
 
 def test_fixture_stable_limit_is_zero_graph():
     _, v = fixture_vertex()
-    path = path_from_vertices((v,) * 61, CONSTS)
+    path = path_from_vertices((v,) * 61, CONSTS, 0)
     m, log = stable_manifold(path, consts=CONSTS)
     assert log["converged"]
     assert log["depth_used"] == 2
@@ -400,7 +400,7 @@ def test_fixture_stable_limit_is_zero_graph():
 
 def test_fixture_unstable_limit_is_zero_graph():
     _, v = fixture_vertex()
-    path = path_from_vertices((v,) * 61, CONSTS)
+    path = path_from_vertices((v,) * 61, CONSTS, 0)
     m, log = unstable_manifold(path, consts=CONSTS)
     assert log["converged"]
     assert float(np.max(np.abs(m.values))) < 1e-50
@@ -503,8 +503,8 @@ def test_window_derivative_spread_vanishes():
     wy = e_s.copy()
     wz = e_s.copy()
     for _ in range(8):
-        wy = fx.derivative(y) @ wy
-        wz = fx.derivative(z) @ wz
+        wy = fx.derivative(y, True) @ wy
+        wz = fx.derivative(z, True) @ wz
         spread = max(spread, abs(math.log(np.linalg.norm(wy))
                                  - math.log(np.linalg.norm(wz))))
     assert spread == 0.0
@@ -619,7 +619,7 @@ def test_interpolation_is_bitwise_pinned():
     for vals in shapes:
         m = make_manifold(v, "u", vals)
         out += list(m.slopes) + list(m.value_fn()(t)) + list(m.slope_fn()(t))
-    path = path_from_vertices((v,) * 3, CONSTS)
+    path = path_from_vertices((v,) * 3, CONSTS, 0)
     img = graph_transform(path.fwd[0], make_manifold(v, "u", shapes[0]), v)
     out += list(img.values) + list(img.slopes)
     w, rep = intersect(make_manifold(vs, "s", 1e-4 + 0.2 * TAU ** 2),
@@ -687,7 +687,7 @@ def test_stadium_contraction_random_pairs():
 def test_stadium_stable_limit_and_seed_envelope():
     _, path = stadium_path()
     i0 = path.base_index
-    fwd = path_from_vertices(path.vertices[i0:], CONSTS)
+    fwd = path_from_vertices(path.vertices[i0:], CONSTS, 0)
     m, log = stable_manifold(fwd, consts=CONSTS)
     assert log["converged"]
     assert float(np.max(np.abs(m.values))) < 1e-8
@@ -709,8 +709,8 @@ def test_stadium_invariance_fixed_point_property():
     _, path = stadium_path()
     i0 = path.base_index
     verts = path.vertices[i0:]
-    full = path_from_vertices(verts, CONSTS)
-    tail = path_from_vertices(verts[1:], CONSTS)
+    full = path_from_vertices(verts, CONSTS, 0)
+    tail = path_from_vertices(verts[1:], CONSTS, 0)
     m_full, _ = stable_manifold(full, consts=CONSTS)
     m_tail, _ = stable_manifold(tail, consts=CONSTS)
     pushed = graph_transform(full.bwd[0], m_tail, verts[0])
@@ -727,7 +727,7 @@ def test_stadium_long_path_two_seed_agreement():
               for k in range(0, 61)]
     qs = greedy_q([c.Q for c in charts], CFG)
     verts = [PathVertex(c, q, q) for c, q in zip(charts, qs.q)]
-    path = path_from_vertices(verts, CONSTS)
+    path = path_from_vertices(verts, CONSTS, 0)
     _, slog = stable_manifold(path, consts=CONSTS)
     assert slog["converged"]
     assert slog["seed_gap"] < 1e-8
@@ -739,9 +739,9 @@ def test_stadium_long_path_two_seed_agreement():
 def test_paths_require_two_vertices():
     _, v = fixture_vertex()
     with pytest.raises(ValueError):
-        path_from_vertices((), CONSTS)
+        path_from_vertices((), CONSTS, 0)
     with pytest.raises(ValueError):
-        path_from_vertices([v], CONSTS)
+        path_from_vertices([v], CONSTS, 0)
 
 
 def test_each_distinct_edge_is_mapped_once(monkeypatch):
@@ -754,7 +754,7 @@ def test_each_distinct_edge_is_mapped_once(monkeypatch):
         return real(chart_x, chart_y, consts, forward)
 
     monkeypatch.setattr(manifolds, "chart_map_fxy", counted)
-    path = path_from_vertices((v,) * 61, CONSTS)
+    path = path_from_vertices((v,) * 61, CONSTS, 0)
     vi = id(v.chart)
     assert calls == [(vi, vi, True), (vi, vi, False)]
     assert len(path.fwd) == len(path.bwd) == 60
@@ -776,7 +776,7 @@ def test_each_distinct_edge_is_mapped_once(monkeypatch):
 
     monkeypatch.setattr(manifolds, "chart_map_fxy", stub)
     calls.clear()
-    path = path_from_vertices((v, w) * 5, CONSTS)
+    path = path_from_vertices((v, w) * 5, CONSTS, 0)
     assert calls == [(vi, wi, True), (wi, vi, False), (wi, vi, True),
                      (vi, wi, False)]
     assert path.fwd == ((vi, wi, True), (wi, vi, True)) * 4 + ((vi, wi, True),)
@@ -785,7 +785,7 @@ def test_each_distinct_edge_is_mapped_once(monkeypatch):
     calls.clear()
     refused.add((wi, vi, True))
     with pytest.raises(DomainEscape, match="refused"):
-        path_from_vertices((v, w) * 5, CONSTS)
+        path_from_vertices((v, w) * 5, CONSTS, 0)
     assert calls == [(vi, wi, True), (wi, vi, False), (wi, vi, True)]
 
 

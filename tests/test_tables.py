@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pesin_coder.accel import comp_point
+from pesin_coder.accel import comp_point, comp_tangent
 from pesin_coder.errors import DomainEscape
 from pesin_coder.tables import (
     Arc,
@@ -46,6 +46,36 @@ def test_open_loop_rejected():
         BilliardTable([seg1, seg2], [[0, 1]], "open", {})
 
 
+UNIT_SQUARE = [Segment((0.0, 0.0), (1.0, 0.0)), Segment((1.0, 0.0), (1.0, 1.0)),
+               Segment((1.0, 1.0), (0.0, 1.0)), Segment((0.0, 1.0), (0.0, 0.0))]
+UNIT_CIRCLE = Arc(center=(0.0, 0.0), radius=1.0, a0=-math.pi,
+                  length=2 * math.pi, orient=+1, start_corner=False,
+                  end_corner=False)
+
+
+@pytest.mark.parametrize("components, loops, names", [
+    ([Segment((0.0, 0.0), (0.0, 0.0))], [[0]], "component 0"),
+    ([Arc(center=(0.0, 0.0), radius=0.0, a0=0.0, length=1.0, orient=+1)],
+     [[0]], "component 0"),
+    ([Arc(center=(0.0, 0.0), radius=1.0, a0=0.0, length=0.0, orient=+1)],
+     [[0]], "component 0"),
+    (UNIT_SQUARE[:1] + [Segment((1.0, 0.0), (1.0, math.nan))]
+     + UNIT_SQUARE[2:], [[0, 1, 2, 3]], "component 1"),
+    ([UNIT_CIRCLE], [[0, 1]], "loop 0"),
+    ([UNIT_CIRCLE], [[]], "loop 0"),
+    ([UNIT_CIRCLE], [[0], [0.0]], "loop 1"),
+    (UNIT_SQUARE, [[0, 1, 2]], "component 3"),
+    (UNIT_SQUARE, [[0, 1, 2, 3], [0, 1, 2, 3]], "component 0"),
+    (UNIT_SQUARE, [[0, 1, 2, 3, 0, 1, 2, 3]], "component 0"),
+], ids=["zero-segment", "zero-radius", "zero-arc-length", "nan-endpoint",
+        "index-out-of-range", "empty-loop", "float-index", "unlooped",
+        "two-loops", "named-twice"])
+def test_hand_built_boundary_refused(components, loops, names):
+    # each once escaped as ZeroDivisionError, IndexError or KeyError, or built
+    with pytest.raises(ValueError, match=names):
+        BilliardTable(components, loops, "hand-built", {})
+
+
 def test_corner_collection():
     st = make_stadium()
     # stadium: four smooth segment/arc junctions
@@ -59,13 +89,19 @@ def test_corner_collection():
     assert len(make_flower().corner_points) == 4
 
 
+def inward_normal(tb, component: int, s: float) -> np.ndarray:
+    """The unit tangent rotated by 90 degrees: (-ty, tx)."""
+    tx, ty = comp_tangent(tb.ctype[component], tb.cpar[component], s)
+    return np.array([-ty, tx])
+
+
 def test_tangent_normal_curvature_conventions():
     # circle of radius 2: tangent ccw, inward normal toward center, kappa=+1/2
     tb = make_circle(radius=2.0)
     s = 1.3
     P = tb.point_xy(0, s)
-    T = tb.tangent_xy(0, s)
-    N = tb.normal_xy(0, s)
+    T = np.array(comp_tangent(tb.ctype[0], tb.cpar[0], s))
+    N = inward_normal(tb, 0, s)
     assert abs(np.dot(T, T) - 1.0) < 1e-12
     assert np.dot(N, -P) > 0  # inward = toward the center
     assert abs(T[0] * N[1] - T[1] * N[0] - 1.0) < 1e-12  # N = rot90(T)
@@ -75,7 +111,7 @@ def test_tangent_normal_curvature_conventions():
     sn = make_sinai()
     s = 0.7
     P = sn.point_xy(4, s)
-    N = sn.normal_xy(4, s)
+    N = inward_normal(sn, 4, s)
     assert np.dot(N, P) > 0  # away from origin = into the table
     assert sn.curvature(4) == -1.0 / 0.5
 
@@ -164,6 +200,25 @@ def test_dist_to_D_is_bitwise_pinned(mk):
 def test_long_orbit_is_bitwise_pinned(mk, last):
     q = mk().orbit(PhasePoint(0, 0.5, 0.2), 0, 1000)[0][-1]
     assert (q.component, q.r.hex(), q.theta.hex()) == last
+
+
+# sha256 of float.hex of the derivatives of a +-200 orbit and of the point
+# after it: the mirror equation reads each flight length, so this pins the
+# flights that the orbit no longer returns
+ORBIT_DERIV_PINS = {
+    make_stadium: "b968dc8ef0df79db",
+    make_flower: "fe9cc8c0d2b9fc78",
+}
+
+
+@pytest.mark.parametrize("mk", list(ORBIT_DERIV_PINS))
+def test_orbit_derivatives_are_bitwise_pinned(mk):
+    pts, derivs, after = mk().orbit(PhasePoint(0, 0.5, 0.2), 200, 200)
+    assert len(pts) == len(derivs) == 401
+    out = [float(v).hex() for v in derivs.ravel()]
+    out += [str(after.component), after.r.hex(), after.theta.hex()]
+    digest = hashlib.sha256("|".join(out).encode()).hexdigest()[:16]
+    assert digest == ORBIT_DERIV_PINS[mk]
 
 
 def test_contains_point():

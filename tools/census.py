@@ -24,10 +24,17 @@ of names to wrap, say) counts as a read of that name from any module.  So a
 method or variable that shares a function's name (``OrbitSegment.rho``
 beside a module-level ``rho``) hides nothing.
 
+``test_only_public`` also lists, as ``module.Class.member``, each public
+method or property defined in the body of a module-level class in ``src``
+that no code in ``src``, ``perfbench`` or ``tools`` reads as an attribute:
+no expression there loads ``.member`` on any object.  Matching by the
+member's name alone errs towards reads, so a member listed here is read by
+tests alone.
+
 Each name left on ``test_only_public`` must be in ``TEST_ONLY_ALLOWED``
 below, with its one-line reason, and each allowed name must still be on the
-list: a new function that only tests call is used, allowed with a reason, or
-deleted, and a stale allowance is removed.
+list: a new function or member that only tests reach is used, allowed with
+a reason, or deleted, and a stale allowance is removed.
 
 It also lists ``blas_sites``: each expression in ``src`` that can reach
 BLAS or LAPACK, as ``module.py:line what``.  These are the ``@`` operator
@@ -50,8 +57,10 @@ import json
 import sys
 from pathlib import Path
 
-# each public function that only tests call, with the reason it stays
+# each public function or member that only tests reach, with the reason it stays
 _REPORT = "diagnostic for the run report (ROADMAP items 5 and 6)"
+_DIAMETER = ("the diam(M) < 1 hypothesis, which tests assert and the run "
+             "report is to read (ROADMAP item 6)")
 TEST_ONLY_ALLOWED = {
     "cocycle.c_inverse_growth_check": _REPORT,
     "cocycle.nuh_diagnostics": _REPORT,
@@ -63,6 +72,8 @@ TEST_ONLY_ALLOWED = {
     "charts.chart_from_segment": "the one-chart constructor; coding shares "
                                  "frames between neighbours instead",
     "cocycle.frames_along": "builds the frames the window diagnostics read",
+    "tables.BilliardTable.diameter": _DIAMETER,
+    "tables.LinearFixtureMap.diameter": _DIAMETER,
 }
 
 
@@ -111,10 +122,11 @@ def _exported(tree: ast.Module) -> set[str]:
             for name in ast.literal_eval(value)}
 
 
-def names_read(path: Path, tree: ast.Module) -> tuple[set[str], set[str]]:
+def names_read(path: Path, tree: ast.Module
+               ) -> tuple[set[str], set[str], set[str]]:
     """``mod.name`` of each module-level name the file reads through its
-    module (see the module docstring), and the string constants it holds
-    outside ``__all__``."""
+    module (see the module docstring), the string constants it holds
+    outside ``__all__``, and the attribute names it loads."""
     exports = {id(n) for value in _all_values(tree) for n in ast.walk(value)}
     funcs = {}  # local name -> "mod.name" it was imported as
     mods = {}  # local name or dotted path -> module it is bound to
@@ -128,7 +140,7 @@ def names_read(path: Path, tree: ast.Module) -> tuple[set[str], set[str]]:
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 mods[alias.asname or alias.name] = alias.name.split(".")[-1]
-    read, strings = set(), set()
+    read, strings, attrs = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(funcs.get(node.id, f"{path.stem}.{node.id}"))
@@ -136,27 +148,39 @@ def names_read(path: Path, tree: ast.Module) -> tuple[set[str], set[str]]:
             owner = mods.get(ast.unparse(node.value))
             if owner is not None:
                 read.add(f"{owner}.{node.attr}")
+            if isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and id(node) not in exports:
             strings.add(node.value)
-    return read, strings
+    return read, strings, attrs
+
+
+def _public_defs(body: list[ast.stmt]) -> list[ast.FunctionDef]:
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
 
 
 def test_only_public(src: Path, readers) -> list[str]:
     """``module.name`` of each public module-level function in ``src`` that
-    no code under the ``readers`` directories reads."""
+    no code under the ``readers`` directories reads, then
+    ``module.Class.member`` of each public method or property that no code
+    there loads as an attribute."""
     trees = {path: ast.parse(path.read_text())
              for d in readers for path in sorted(d.rglob("*.py"))}
-    pairs = [names_read(path, tree) for path, tree in trees.items()]
-    read = set().union(*(r for r, _ in pairs))
-    strings = set().union(*(s for _, s in pairs))
-    return [f"{path.stem}.{node.name}"
-            for path, tree in trees.items() if path.parent == src
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not node.name.startswith("_")
-            and f"{path.stem}.{node.name}" not in read
-            and node.name not in strings]
+    found = [names_read(path, tree) for path, tree in trees.items()]
+    read, strings, attrs = (set().union(*part) for part in zip(*found))
+    mods = {path.stem: tree for path, tree in trees.items()
+            if path.parent == src}
+    functions = [f"{mod}.{node.name}" for mod, tree in mods.items()
+                 for node in _public_defs(tree.body)
+                 if f"{mod}.{node.name}" not in read
+                 and node.name not in strings]
+    members = [f"{mod}.{cls.name}.{node.name}" for mod, tree in mods.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in _public_defs(cls.body) if node.name not in attrs]
+    return functions + members
 
 
 def blas_sites(tree: ast.Module) -> list[tuple[int, str]]:
