@@ -89,21 +89,18 @@ class PesinChart:
 class ChartMapDecomposition:
     """Sampled chart-coordinate map w = (A v1 + h1(v), B v2 + h2(v)).
 
-    All norms are measured on the probe square R[probe]; `probe_floored`
-    records that the probe exceeds 10 Q (always, at realistic chart sizes)
-    and `fd_checked` that the finite-difference derivative at 0 was clean
-    enough (noise below a tenth of the hyperbolicity gap) to cross-check the
-    analytic A, B.  `holder_const` and `holder_half` are the Holder
-    quotients of grad h at exponents beta/3 (the edge bound) and beta/2
-    (the one-step bound), both read from one pass over the grid.
+    All norms are measured on the probe square R[probe].  The analytic A, B
+    (from df and the frames) are checked against the finite-difference
+    derivative at 0 whenever its noise is below a tenth of the
+    hyperbolicity gap, to catch a linear part the sampled map lacks.
+    `holder_const` and `holder_half` are the Holder quotients of grad h at
+    exponents beta/3 (the edge bound) and beta/2 (the one-step bound), both
+    read from one pass over the grid.
     """
 
     A: float
     B: float
-    h1: np.ndarray
-    h2: np.ndarray
     probe: float
-    probe_floored: bool
     h0: tuple[float, float]
     grad0: np.ndarray
     grad_h0: float
@@ -112,19 +109,15 @@ class ChartMapDecomposition:
     holder_const: float
     holder_half: float
     df_sup: float
-    a_fd: float
-    b_fd: float
-    fd_checked: bool
 
 
 @dataclass(frozen=True)
 class GreedyQ:
-    """Windowed size sequences: one-sided mins, their meet, and certificates."""
+    """Windowed size sequences: the one-sided mins and their meet."""
 
     qs: tuple[LatticeSize, ...]
     qu: tuple[LatticeSize, ...]
     q: tuple[LatticeSize, ...]
-    converged: tuple[bool, ...]
 
 
 # ------------------------------------------------------------ size function
@@ -207,7 +200,7 @@ def chart_invert(chart: PesinChart, p: PhasePoint) -> np.ndarray:
 
 
 # ----------------------------------------------------------- map sampling
-def _probe_halfwidth(chart: PesinChart) -> tuple[float, bool]:
+def _probe_halfwidth(chart: PesinChart) -> float:
     want = 10.0 * chart.Q.value
     cap = PROBE_RHO_FRACTION * chart.rho_x
     if cap < PROBE_FLOOR:
@@ -215,8 +208,7 @@ def _probe_halfwidth(chart: PesinChart) -> tuple[float, bool]:
             f"cannot probe: {PROBE_RHO_FRACTION:g} of the singularity "
             f"distance {chart.rho_x:.3e} is below the float floor "
             f"{PROBE_FLOOR:g}")
-    probe = min(max(want, PROBE_FLOOR), cap)
-    return probe, probe != want
+    return min(max(want, PROBE_FLOOR), cap)
 
 
 def _map_step(table, p: PhasePoint, forward: bool) -> PhasePoint:
@@ -298,7 +290,7 @@ def _field_norms(h: np.ndarray, spacing: float):
 def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
                consts: RegularityConstants, forward: bool
                ) -> ChartMapDecomposition:
-    probe, floored = _probe_halfwidth(chart_x)
+    probe = _probe_halfwidth(chart_x)
     chi = chart_x.frame.chi
     headroom = 4.0 * (1.0 + math.exp(2.0 * chi)) / chart_x.rho_x ** consts.a
     allow = max(10.0 * chart_to.Q.value, headroom * probe)
@@ -315,8 +307,7 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
 
     noise = 2e-15 * chart_to.frame.c_inv_frob / fd_step
     gap = min(abs(A), abs(B), math.exp(-chi))
-    fd_checked = noise <= 0.1 * gap
-    if fd_checked:
+    if noise <= 0.1 * gap:
         tol = max(1e-6, 10.0 * noise)
         if abs(J0[0, 0] - A) > tol or abs(J0[1, 1] - B) > tol:
             raise BoundViolated(
@@ -334,13 +325,11 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
     gU = np.gradient(U, spacing, edge_order=2)
     gV = np.gradient(V, spacing, edge_order=2)
     return ChartMapDecomposition(
-        A=A, B=B, h1=h1, h2=h2, probe=probe, probe_floored=floored, h0=h0,
+        A=A, B=B, probe=probe, h0=h0,
         grad0=grad0, grad_h0=grad_h0, sup_h=max(s1, s2),
         grad_sup=max(g1_sup, g2_sup),
         holder_const=hol3, holder_half=hol2,
-        df_sup=float(np.max(operator_norm((gU, gV)))),
-        a_fd=float(J0[0, 0]), b_fd=float(J0[1, 1]),
-        fd_checked=fd_checked)
+        df_sup=float(np.max(operator_norm((gU, gV)))))
 
 
 def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
@@ -445,8 +434,6 @@ def greedy_q(Qs, cfg: EpsilonConfig) -> GreedyQ:
     Backward pass: qs[i] = min(e^eps qs[i+1], delta Q[i]); forward pass
     symmetric for qu; q = qs min qu.  Also asserts the one-step ratio
     q[i+1]/q[i] = e^(+-eps) on interior indices and q <= delta Q < eps Q.
-    Convergence certificates assume unseen sizes are no smaller than the
-    window minimum.
     """
     Qs = list(Qs)
     n = len(Qs)
@@ -471,14 +458,4 @@ def greedy_q(Qs, cfg: EpsilonConfig) -> GreedyQ:
     for i in range(n):
         if not q[i] <= Qs[i].step(d):
             raise AssertionError(f"q exceeds delta Q at index {i}")
-
-    max_expo = max(Q.expo for Q in Qs)  # exponent of the smallest window size
-    converged = []
-    for i in range(n):
-        # a beyond-edge candidate at distance m >= 1 has exponent at most
-        # max_expo + d - 3 (edge_dist + m), assuming unseen sizes are no
-        # smaller than the window minimum; q[i] is final once even the
-        # nearest such candidate cannot raise its exponent
-        edge = min(i, n - 1 - i)
-        converged.append(max_expo + d - 3 * (edge + 1) <= q[i].expo)
-    return GreedyQ(tuple(qs), tuple(qu), tuple(q), tuple(converged))
+    return GreedyQ(tuple(qs), tuple(qu), tuple(q))

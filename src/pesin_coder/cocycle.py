@@ -18,6 +18,8 @@ sqrt(w.w), which is what `np.linalg.norm` computes for a real vector.  The
 backward push calls LAPACK's solve gufunc, the one `np.linalg.solve`
 dispatches to for a vector right-hand side, without numpy's per-call
 wrapper: the same LAPACK call on the same float64 data, so the same bits.
+The one-step norms along the fields are elementwise, with no BLAS call;
+a test pins them bitwise to the norm of numpy's einsum product.
 The s/u series run over Python floats.  The splitting, the series and the
 frames keep every bit; the QR means move in their last bits only.
 """
@@ -170,10 +172,6 @@ class SUParams:
 
     s: float
     u: float
-    s_tail: float
-    u_tail: float
-    s_terms: int
-    u_terms: int
 
 
 @dataclass(frozen=True)
@@ -344,11 +342,15 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
             f"stable and unstable directions collapse (angle {sep:.3e})")
     e_u = _fix_sign(e_u)
     e_s = _fix_sign(e_s)
-    factor_s = np.linalg.norm(
-        np.einsum("nij,nj->ni", seg.derivs[:-1], e_s[:-1]), axis=1)
-    factor_u = np.linalg.norm(
-        np.einsum("nij,nj->ni", seg.derivs[:-1], e_u[:-1]), axis=1)
-    return Splitting(e_s, e_u, factor_s, factor_u, ang_s, ang_u)
+    return Splitting(e_s, e_u, _one_step_norms(seg.derivs[:-1], e_s[:-1]),
+                     _one_step_norms(seg.derivs[:-1], e_u[:-1]), ang_s, ang_u)
+
+
+def _one_step_norms(derivs: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """||D_j e_j|| for each row j, elementwise: no BLAS call."""
+    x = derivs[:, 0, 0] * e[:, 0] + derivs[:, 0, 1] * e[:, 1]
+    y = derivs[:, 1, 0] * e[:, 0] + derivs[:, 1, 1] * e[:, 1]
+    return np.sqrt(x * x + y * y)
 
 
 # ------------------------------------------------------------------ exponents
@@ -395,22 +397,19 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting
 
 
 # --------------------------------------------------------------- s, u series
-def _weighted_series(expansions, chi: float):
+def _weighted_series(expansions, chi: float) -> float:
     """sum of e^(2 n chi) * (prod of expansion factors up to n)^2, n >= 0.
 
     `expansions` yields per-step norms; the n=0 term is 1.  At most
     SERIES_MAX_TERMS terms are summed, and a partial sum past SERIES_SUM_CAP
-    raises SeriesDiverging.  Returns (partial, tail_bound, terms_used).
+    raises SeriesDiverging.  Returns the partial sum.
     """
     partial = 1.0
     c = 1.0  # running ||df^n e||
-    term = 1.0
-    prev_term = 1.0
     n = 0
     for g in expansions:
         n += 1
         c *= g
-        prev_term = term
         term = math.exp(2.0 * n * chi) * c * c
         partial += term
         if partial > SERIES_SUM_CAP:
@@ -421,9 +420,7 @@ def _weighted_series(expansions, chi: float):
             break
         if n >= SERIES_MAX_TERMS:
             break
-    ratio = term / prev_term if prev_term > 0 else 1.0
-    tail = term * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else math.inf
-    return partial, tail, n
+    return partial
 
 
 def _as_floats(a: np.ndarray):
@@ -449,12 +446,11 @@ def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
     if chi <= 0:
         raise ValueError("chi must be positive")
     i = seg.index(at)
-    ssum, stail, sterms = _weighted_series(_as_floats(splitting.factor_s[i:]), chi)
-    usum, utail, uterms = _weighted_series(
+    ssum = _weighted_series(_as_floats(splitting.factor_s[i:]), chi)
+    usum = _weighted_series(
         (1.0 / g for g in _as_floats(splitting.factor_u[i - 1::-1])) if i > 0 else (),
         chi)
-    return SUParams(math.sqrt(2.0 * ssum), math.sqrt(2.0 * usum),
-                    stail, utail, sterms, uterms)
+    return SUParams(math.sqrt(2.0 * ssum), math.sqrt(2.0 * usum))
 
 
 # -------------------------------------------------------------------- frames

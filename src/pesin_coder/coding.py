@@ -351,11 +351,11 @@ def make_graph(vertices, edges) -> ShiftGraph:
                       tuple(tuple(sorted(s)) for s in ins))
 
 
-def prune_graph(g: ShiftGraph) -> tuple[ShiftGraph, tuple[int, ...]]:
+def prune_graph(g: ShiftGraph) -> ShiftGraph:
     """Iteratively drop vertices with zero in- or out-degree.
 
     Returns the maximal subgraph in which every vertex has both an
-    incoming and an outgoing edge, plus the kept original indices.
+    incoming and an outgoing edge.
     """
     n = g.n_vertices
     alive = [True] * n
@@ -381,8 +381,7 @@ def prune_graph(g: ShiftGraph) -> tuple[ShiftGraph, tuple[int, ...]]:
     remap = {old: new for new, old in enumerate(kept)}
     edges = [(remap[i], remap[j]) for i, j in g.edge_list()
              if alive[i] and alive[j]]
-    sub = make_graph(tuple(g.vertices[i] for i in kept), edges)
-    return sub, kept
+    return make_graph(tuple(g.vertices[i] for i in kept), edges)
 
 
 # -------------------------------------------------------------- edge relation
@@ -425,9 +424,8 @@ class Alphabet:
 
     ``graph`` holds every emitted chart and every passing edge; ``core``
     is the recurrent part (both degrees positive after trimming), which a
-    finite aperiodic corpus legitimately leaves empty.  ``core``,
-    ``core_kept`` and ``vertex_index`` are derived from the graph and
-    ``center_of_vertex``.
+    finite aperiodic corpus legitimately leaves empty.  ``core`` and
+    ``vertex_index`` are derived from the graph and ``center_of_vertex``.
     """
 
     cfg: EpsilonConfig
@@ -439,11 +437,10 @@ class Alphabet:
     center_of_vertex: tuple[int, ...]
     stats: dict
     core: ShiftGraph = field(init=False)
-    core_kept: tuple[int, ...] = field(init=False)
     vertex_index: dict = field(init=False)
 
     def __post_init__(self):
-        self.core, self.core_kept = prune_graph(self.graph)
+        self.core = prune_graph(self.graph)
         self.vertex_index = {
             (c, v.p_s.expo, v.p_u.expo): i for i, (c, v)
             in enumerate(zip(self.center_of_vertex, self.graph.vertices))}
@@ -601,11 +598,16 @@ def make_itinerary(vertices, anchor: int, cfg: EpsilonConfig,
     chart path used for projection.
 
     The first pair that fails the edge relation raises InequalityViolated
-    with the pair's index as witness.
+    with the pair's index as witness.  `in_alphabet` holds one flag per
+    chart.
     """
     vertices = tuple(vertices)
+    in_alphabet = tuple(in_alphabet)
     if len(vertices) < 2:
         raise ValueError("a word needs at least two charts")
+    if len(in_alphabet) != len(vertices):
+        raise ValueError(f"in_alphabet has {len(in_alphabet)} flags for "
+                         f"{len(vertices)} charts")
     for k, (a, b) in enumerate(zip(vertices, vertices[1:])):
         reasons = edge_report(a, b, cfg, consts)
         if reasons:
@@ -613,7 +615,7 @@ def make_itinerary(vertices, anchor: int, cfg: EpsilonConfig,
                 f"coded charts fail the edge relation at step {k}: "
                 + "; ".join(reasons), witness=k)
     path = path_from_vertices(vertices, consts, base_index=anchor)
-    return Itinerary(vertices, anchor, tuple(in_alphabet), path, dict(meta))
+    return Itinerary(vertices, anchor, in_alphabet, path, dict(meta))
 
 
 def assign_centers(alphabet: Alphabet, gammas, offset: int) -> list[int]:
@@ -658,9 +660,7 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int
             vertices.append(double_chart(alphabet.centers[c], alphabet.cover,
                                          cfg, consts, gq.qs[k], gq.qu[k], g.j))
             in_alpha.append(False)
-    meta = {"center_ids": tuple(cids),
-            "in_alphabet_fraction": float(np.mean(in_alpha))}
-    it = make_itinerary(vertices, anchor, cfg, consts, in_alpha, meta)
+    it = make_itinerary(vertices, anchor, cfg, consts, in_alpha, {})
     x_hat, info = shadow(it.path, consts)
     gap = gammas[anchor].table.distance(x_hat, gammas[anchor].x)
     if gap > SHADOW_TOL:

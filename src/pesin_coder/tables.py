@@ -70,6 +70,7 @@ __all__ = [
     "CORNER_TOL",
     "FD_STEP",
     "BOUNDARY_SAMPLES",
+    "WINDING_SAMPLES",
     "PhasePoint",
     "Segment",
     "Arc",
@@ -91,6 +92,7 @@ CORNER_TOL = 1e-12  # arclength proximity to a flagged junction
 CLOSURE_TOL = 1e-12
 FD_STEP = 1e-6  # coordinate step of the central finite differences
 BOUNDARY_SAMPLES = 64  # boundary points per component for the table diameter
+WINDING_SAMPLES = 100  # boundary points per component for contains_point
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,6 @@ class Arc:
     orient: int  # +1 ccw (focusing side), -1 cw (dispersing side)
     start_corner: bool = True
     end_corner: bool = True
-    disc_inside: bool = False  # flag: the arc's full disc lies inside the table
     axis: float = 0.0  # arc coordinates are rotated by this angle
 
     def packed(self) -> tuple[int, list[float]]:
@@ -163,7 +164,10 @@ class Arc:
 
 def _packed(c: int, comp) -> tuple[int, list[float]]:
     """comp.packed(), refused unless comp has a positive length (and
-    radius) and its packed row is finite; c names it in the error."""
+    radius), an arc's orient is +1 or -1, and its packed row is finite; c
+    names it in the error."""
+    if isinstance(comp, Arc) and comp.orient not in (1, -1):
+        raise ValueError(f"component {c} needs orient +1 or -1, got {comp}")
     size = comp.length if isinstance(comp, Segment) \
         else min(comp.radius, comp.length)
     if size > 0.0:  # false for NaN too; packed() divides by the length
@@ -265,6 +269,9 @@ class BilliardTable:
         self.corner_points = self._collect_corners()
         self._polylines = {}  # lazy, filled by _polyline()
         self.boundary_diameter = self._boundary_diameter()
+        if not math.isfinite(self.boundary_diameter):
+            raise ValueError(f"boundary diameter {self.boundary_diameter} "
+                             f"is not finite")
         # diam(M) = 0.95 < 1
         self.metric_scale = 0.95 / math.hypot(self.boundary_diameter, math.pi)
         self._singular_cloud = None  # lazy, filled by singularity_cloud()
@@ -309,7 +316,8 @@ class BilliardTable:
 
     def _boundary_diameter(self) -> float:
         pts = np.concatenate(self._polyline(BOUNDARY_SAMPLES))
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        with np.errstate(over="ignore"):  # an overflow gives inf, refused
+            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         return math.sqrt(d2.max())
 
     # ------------------------------------------------------------ geometry
@@ -320,10 +328,11 @@ class BilliardTable:
     def curvature(self, component: int) -> float:
         return comp_curvature(self.ctype[component], self.cpar[component])
 
-    def contains_point(self, xy, samples_per_component: int = 200) -> bool:
-        """Winding-number test against the sampled boundary polyline."""
+    def contains_point(self, xy) -> bool:
+        """Winding-number test against the boundary polyline sampled at
+        WINDING_SAMPLES points per component."""
         total = 0.0
-        for loop_pts in self._polyline(samples_per_component):
+        for loop_pts in self._polyline(WINDING_SAMPLES):
             poly = loop_pts - np.asarray(xy, dtype=float)
             ang = np.arctan2(poly[:, 1], poly[:, 0])
             dang = np.diff(np.concatenate([ang, ang[:1]]))
@@ -631,8 +640,7 @@ class BilliardTable:
     def _segment_inside(self, src, w, t, checks: int = 4) -> bool:
         for k in range(1, checks + 1):
             lam = t * k / (checks + 1.0)
-            if not self.contains_point((src[0] + lam * w[0], src[1] + lam * w[1]),
-                                       samples_per_component=100):
+            if not self.contains_point((src[0] + lam * w[0], src[1] + lam * w[1])):
                 return False
         return True
 
@@ -865,17 +873,15 @@ def make_stadium(radius: float = 1.0,
     comps = [
         Segment((-l, -R), (l, -R)),
         Arc(center=(l, 0.0), radius=R, a0=-math.pi / 2, length=math.pi * R,
-            orient=+1, disc_inside=True),
+            orient=+1),
         Segment((l, R), (-l, R)),
         # axis pi puts the leftmost point at arc angle 0, so the horizontal
         # cap-to-cap orbit evaluates trig exactly and is bitwise 2-periodic
         Arc(center=(-l, 0.0), radius=R, a0=-math.pi / 2, length=math.pi * R,
-            orient=+1, disc_inside=True, axis=math.pi),
+            orient=+1, axis=math.pi),
     ]
-    table = BilliardTable(comps, [[0, 1, 2, 3]], "stadium",
-                          {"radius": R, "straight_half_length": l})
-    _validate_disc_inside(table, comps)
-    return table
+    return BilliardTable(comps, [[0, 1, 2, 3]], "stadium",
+                         {"radius": R, "straight_half_length": l})
 
 
 def make_sinai(half_side: float = 1.0,
@@ -926,20 +932,6 @@ def make_flower(arc_radius: float = 2.0, half_side: float = 1.0) -> BilliardTabl
 def make_linear_fixture(lambda_u: float = math.e, lambda_s: float = 1.0 / math.e,
                         half_width: float = 0.3) -> LinearFixtureMap:
     return LinearFixtureMap(lambda_u, lambda_s, half_width)
-
-
-def _validate_disc_inside(table: BilliardTable, components, n_samples: int = 48):
-    """Check the flagged arcs' full discs lie inside the table (by sampling)."""
-    for comp in components:
-        if isinstance(comp, Arc) and comp.disc_inside:
-            angs = np.linspace(0.0, 2 * math.pi, n_samples, endpoint=False)
-            # stay above the sag of the sampled winding polyline
-            shrink = comp.radius * (1.0 - 1e-3)
-            for ang in angs:
-                xy = (comp.center[0] + shrink * math.cos(ang),
-                      comp.center[1] + shrink * math.sin(ang))
-                if not table.contains_point(xy):
-                    raise ValueError(f"disc of arc at {comp.center} leaves the table")
 
 
 # ---------------------------------------------------------------- file IO

@@ -373,13 +373,18 @@ def test_make_graph_dedup_and_validation():
 
 def test_prune_removes_acyclic_parts():
     chain = make_graph((0, 1, 2), [(0, 1), (1, 2)])
-    sub, kept = prune_graph(chain)
-    assert sub.n_vertices == 0 and kept == ()
+    sub = prune_graph(chain)
+    assert sub.n_vertices == 0 and sub.vertices == ()
     cycle_tail = make_graph((0, 1, 2, 3),
                             [(0, 1), (1, 0), (1, 2), (2, 3)])
-    sub, kept = prune_graph(cycle_tail)
-    assert kept == (0, 1)
+    sub = prune_graph(cycle_tail)
+    assert sub.vertices == (0, 1)
     assert sub.edge_list() == [(0, 1), (1, 0)]
+
+
+def core_indices(alpha) -> tuple[int, ...]:
+    """The graph index of each vertex of the alphabet's core."""
+    return tuple(alpha.graph.vertices.index(v) for v in alpha.core.vertices)
 
 
 # ------------------------------------------------------------ coarse grain
@@ -390,7 +395,7 @@ def test_fixture_alphabet_is_one_self_loop():
     assert (s["centers"], s["vertices"], s["edges"]) == (1, 1, 1)
     assert (s["core_vertices"], s["core_edges"]) == (1, 1)
     assert alpha.graph.edge_list() == [(0, 0)]
-    assert alpha.core_kept == (0,)
+    assert core_indices(alpha) == (0,)
     assert alpha.cover.n_boxes == 1
 
 
@@ -400,7 +405,7 @@ def test_two_orbit_alphabet_loop_plus_chain():
     assert (s["centers"], s["vertices"], s["edges"]) == (10, 10, 9)
     assert alpha.graph.edge_list() == \
         [(0, 0)] + [(k, k + 1) for k in range(1, 9)]
-    assert alpha.core_kept == (0,)  # only the genuine fixed point recurs
+    assert core_indices(alpha) == (0,)  # only the genuine fixed point recurs
 
 
 def test_duplicate_and_nested_windows_dedupe():
@@ -426,7 +431,7 @@ def test_stadium_alphabet_is_a_chain():
     assert (s["vertices"], s["edges"]) == (13, 12)
     assert (s["core_vertices"], s["core_edges"]) == (0, 0)
     assert alpha.graph.edge_list() == [(k, k + 1) for k in range(12)]
-    assert alpha.core_kept == ()
+    assert core_indices(alpha) == ()
     ps = [v.p_s.expo for v in alpha.graph.vertices]
     assert ps == [415164 + 3 * k for k in range(13)]
     assert alpha.graph.vertices[0].p_u.expo == 322111
@@ -442,7 +447,6 @@ def test_fixture_itinerary_codes_and_shadows():
     it = sufficiency_itinerary(alpha, gam, anchor=4)
     assert len(it) == 9
     assert all(it.in_alphabet)
-    assert it.meta["in_alphabet_fraction"] == 1.0
     assert it.meta["shadow_gap"] == 0.0
     assert np.array_equal(it.meta["shadow_w"], [0.0, 0.0])
     assert len(set(it.symbols())) == 1
@@ -493,6 +497,14 @@ def test_make_itinerary_rejects_non_edge():
     v_fix, v_h = alpha.graph.vertices[0], alpha.graph.vertices[1]
     with pytest.raises(InequalityViolated, match="edge relation at step 0"):
         make_itinerary([v_fix, v_h], 0, CFG, CONSTS, [True] * 2, {})
+
+
+@pytest.mark.parametrize("n_flags", [1, 4, 6])
+def test_make_itinerary_counts_its_flags(n_flags):
+    # one in_alphabet flag per chart; a 5-chart word kept one flag before
+    v = fixture_alphabet(0.0).graph.vertices[0]
+    with pytest.raises(ValueError, match=f"{n_flags} flags for 5 charts"):
+        make_itinerary([v] * 5, 2, CFG, CONSTS, [True] * n_flags, {})
 
 
 def test_make_itinerary_names_the_failing_pair():
@@ -663,7 +675,7 @@ def test_periodic_orbit_codes_end_to_end(kind):
     alpha = coarse_grain([gam], CFG, CONSTS)
     s = alpha.stats
     assert (s["centers"], s["vertices"], s["edges"]) == (2, 2, 2)
-    assert alpha.core_kept == (0, 1)
+    assert core_indices(alpha) == (0, 1)
     assert alpha.core.edge_list() == [(0, 1), (1, 0)]
     it = sufficiency_itinerary(alpha, gam, anchor=6)
     assert all(it.in_alphabet)
@@ -793,7 +805,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
     back = load_alphabet(f1)
     assert back.graph.n_vertices == alpha.graph.n_vertices
     assert back.graph.edge_list() == alpha.graph.edge_list()
-    assert back.core_kept == alpha.core_kept
+    assert core_indices(back) == core_indices(alpha)
     assert back.stats == alpha.stats
     for c1, c2 in zip(alpha.centers, back.centers):
         assert c1.x.r == c2.x.r and c1.x.theta == c2.x.theta

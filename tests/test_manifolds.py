@@ -112,11 +112,9 @@ def manual_edge(A: float, B: float, h0=(0.0, 0.0),
     """Hand-built affine edge model for targeted transform behaviour."""
     g = np.zeros((2, 2)) if grad0 is None else np.asarray(grad0, float)
     return ChartMapDecomposition(
-        A=A, B=B, h1=lambda v: 0.0, h2=lambda v: 0.0, probe=1e-2,
-        probe_floored=False, h0=tuple(h0), grad0=g,
+        A=A, B=B, probe=1e-2, h0=tuple(h0), grad0=g,
         grad_h0=float(np.max(np.abs(g))), sup_h=0.0, grad_sup=0.0,
-        holder_const=0.0, holder_half=0.0, df_sup=abs(B),
-        a_fd=A, b_fd=B, fd_checked=True)
+        holder_const=0.0, holder_half=0.0, df_sup=abs(B))
 
 
 _STADIUM_CACHE: dict = {}

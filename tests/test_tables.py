@@ -3,15 +3,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pesin_coder.accel import comp_point, comp_tangent
-from pesin_coder.errors import DomainEscape
+from pesin_coder.errors import DomainEscape, OrbitHitsDiscontinuity
 from pesin_coder.tables import (
     Arc,
     BilliardTable,
+    WINDING_SAMPLES,
     PhasePoint,
     Segment,
     make_circle,
@@ -67,13 +70,46 @@ UNIT_CIRCLE = Arc(center=(0.0, 0.0), radius=1.0, a0=-math.pi,
     (UNIT_SQUARE, [[0, 1, 2]], "component 3"),
     (UNIT_SQUARE, [[0, 1, 2, 3], [0, 1, 2, 3]], "component 0"),
     (UNIT_SQUARE, [[0, 1, 2, 3, 0, 1, 2, 3]], "component 0"),
+    ([replace(UNIT_CIRCLE, orient=0)], [[0]], "component 0 needs orient"),
+    ([replace(UNIT_CIRCLE, orient=2)], [[0]], "component 0 needs orient"),
+    (UNIT_SQUARE + [replace(UNIT_CIRCLE, center=(0.5, 0.5), radius=0.25,
+                            length=0.5 * math.pi, orient=-2)],
+     [[0, 1, 2, 3], [4]], "component 4 needs orient"),
 ], ids=["zero-segment", "zero-radius", "zero-arc-length", "nan-endpoint",
         "index-out-of-range", "empty-loop", "float-index", "unlooped",
-        "two-loops", "named-twice"])
+        "two-loops", "named-twice", "orient-0", "orient-2", "orient-minus-2"])
 def test_hand_built_boundary_refused(components, loops, names):
     # each once escaped as ZeroDivisionError, IndexError or KeyError, or built
     with pytest.raises(ValueError, match=names):
         BilliardTable(components, loops, "hand-built", {})
+
+
+HUGE = 1e300
+HUGE_SQUARE = [Segment((-HUGE, -HUGE), (HUGE, -HUGE)),
+               Segment((HUGE, -HUGE), (HUGE, HUGE)),
+               Segment((HUGE, HUGE), (-HUGE, HUGE)),
+               Segment((-HUGE, HUGE), (-HUGE, -HUGE))]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BilliardTable(HUGE_SQUARE, [[0, 1, 2, 3]], "hand-built", {}),
+    lambda: make_stadium(1.0, HUGE)], ids=["square", "stadium"])
+def test_overflowing_boundary_diameter_refused(build):
+    # the square once built with metric scale 0.0 after an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="boundary diameter inf"):
+            build()
+
+
+@pytest.mark.parametrize("radius", [1e-15, 1e-20])
+def test_thin_stadium_builds_and_every_orbit_hits_D(radius):
+    # a cap arc below the ulp of the straight half-length: the table
+    # builds, and no sampled orbit gets past its first collision
+    st = make_stadium(radius, 1.0)
+    for p in st.liouville_sample(np.random.default_rng(0), 5):
+        with pytest.raises(OrbitHitsDiscontinuity):
+            st.orbit(p, 20, 20)
 
 
 def test_corner_collection():
@@ -233,15 +269,15 @@ def test_contains_point():
 
 
 def test_contains_point_samples_the_boundary_once(monkeypatch):
-    st = make_stadium()  # its disc check already sampled the polyline
+    st = make_stadium()
     calls = []
     sample = st.point_xy
     monkeypatch.setattr(st, "point_xy", lambda c, s: calls.append(c) or sample(c, s))
-    assert st.contains_point((0.0, 0.0), samples_per_component=50)
-    assert len(calls) == 4 * 50
-    assert not st.contains_point((2.1, 0.0), samples_per_component=50)
+    assert st.contains_point((0.0, 0.0))
+    assert len(calls) == 4 * WINDING_SAMPLES
+    assert not st.contains_point((2.1, 0.0))
     assert st.contains_point((1.9, 0.0))
-    assert len(calls) == 4 * 50
+    assert len(calls) == 4 * WINDING_SAMPLES
 
 
 def test_wrap_r_walks_loop():

@@ -25,11 +25,12 @@ method or variable that shares a function's name (``OrbitSegment.rho``
 beside a module-level ``rho``) hides nothing.
 
 ``test_only_public`` also lists, as ``module.Class.member``, each public
-method or property defined in the body of a module-level class in ``src``
-that no code in ``src``, ``perfbench`` or ``tools`` reads as an attribute:
-no expression there loads ``.member`` on any object.  Matching by the
-member's name alone errs towards reads, so a member listed here is read by
-tests alone.
+method, property or annotated field (a dataclass field, say) defined in the
+body of a module-level class in ``src`` that no code in ``src``,
+``perfbench`` or ``tools`` reads as an attribute: no expression there loads
+``.member`` on any object.  Building the class with ``member=...`` is not a
+read.  Matching by the member's name alone errs towards reads, so a member
+listed here is read by tests alone.
 
 Each name left on ``test_only_public`` must be in ``TEST_ONLY_ALLOWED``
 below, with its one-line reason, and each allowed name must still be on the
@@ -61,6 +62,9 @@ from pathlib import Path
 _REPORT = "diagnostic for the run report (ROADMAP items 5 and 6)"
 _DIAMETER = ("the diam(M) < 1 hypothesis, which tests assert and the run "
              "report is to read (ROADMAP item 6)")
+_ANGLE = ("the splitting's margin against CONVERGENCE_TOL, which the run "
+          "report is to read (ROADMAP aim 4)")
+_QR = "the independent QR estimate that the confidence radius is taken against"
 TEST_ONLY_ALLOWED = {
     "cocycle.c_inverse_growth_check": _REPORT,
     "cocycle.nuh_diagnostics": _REPORT,
@@ -74,6 +78,12 @@ TEST_ONLY_ALLOWED = {
     "cocycle.frames_along": "builds the frames the window diagnostics read",
     "tables.BilliardTable.diameter": _DIAMETER,
     "tables.LinearFixtureMap.diameter": _DIAMETER,
+    "cocycle.Splitting.convergence_angle_s": _ANGLE,
+    "cocycle.Splitting.convergence_angle_u": _ANGLE,
+    "cocycle.LyapunovEstimate.qr_lambda1": _QR,
+    "cocycle.LyapunovEstimate.qr_lambda2": _QR,
+    "coding.Itinerary.in_alphabet": "which steps of a coded word left the "
+                                    "alphabet (ROADMAP item 3(c))",
 }
 
 
@@ -162,11 +172,20 @@ def _public_defs(body: list[ast.stmt]) -> list[ast.FunctionDef]:
             and not node.name.startswith("_")]
 
 
+def _public_members(body: list[ast.stmt]) -> list[str]:
+    """The public methods, properties and annotated fields of a class body."""
+    fields = [node.target.id for node in body
+              if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)
+              and not node.target.id.startswith("_")]
+    return [node.name for node in _public_defs(body)] + fields
+
+
 def test_only_public(src: Path, readers) -> list[str]:
     """``module.name`` of each public module-level function in ``src`` that
     no code under the ``readers`` directories reads, then
-    ``module.Class.member`` of each public method or property that no code
-    there loads as an attribute."""
+    ``module.Class.member`` of each public method, property or annotated
+    field that no code there loads as an attribute."""
     trees = {path: ast.parse(path.read_text())
              for d in readers for path in sorted(d.rglob("*.py"))}
     found = [names_read(path, tree) for path, tree in trees.items()]
@@ -177,9 +196,9 @@ def test_only_public(src: Path, readers) -> list[str]:
                  for node in _public_defs(tree.body)
                  if f"{mod}.{node.name}" not in read
                  and node.name not in strings]
-    members = [f"{mod}.{cls.name}.{node.name}" for mod, tree in mods.items()
+    members = [f"{mod}.{cls.name}.{name}" for mod, tree in mods.items()
                for cls in tree.body if isinstance(cls, ast.ClassDef)
-               for node in _public_defs(cls.body) if node.name not in attrs]
+               for name in _public_members(cls.body) if name not in attrs]
     return functions + members
 
 
