@@ -21,6 +21,11 @@ scalar, and arithmetic on those costs about three times the plain-Python
 float operation; the IEEE results are the same either way, so outputs do not
 depend on the row type, only the speed does.
 
+`comp_frame` gives the point and unit tangent at an arclength from one
+cos/sin pair.  `run_orbit` takes the frame of each hit once, reads the
+outgoing angle from its tangent and carries it into the next step as that
+step's start point and tangent, so a step on an arc evaluates one pair.
+
 Component packing (one row of `cpar` per component, `ctype` 0=segment 1=arc):
   segment: p0x, p0y, ux, uy, length, -, -, -, startcorner, endcorner
   arc:     cx,  cy,  R,  a0, orient, length, axc, axs, startcorner, endcorner
@@ -51,27 +56,28 @@ NO_INTERSECTION = 3
 
 
 def comp_point(ct, par, s):
+    """The point at arclength s: the first two entries of comp_frame."""
+    return comp_frame(ct, par, s)[:2]
+
+
+def comp_frame(ct, par, s):
+    """The point and unit tangent at arclength s, as (px, py, tx, ty), from
+    one cos/sin of the arc angle."""
     if ct == 0:
-        return par[0] + s * par[2], par[1] + s * par[3]
+        return par[0] + s * par[2], par[1] + s * par[3], par[2], par[3]
     phi = par[3] + par[4] * s / par[2]
     lx = math.cos(phi)
     ly = math.sin(phi)
     axc, axs = par[6], par[7]
+    # d/ds of R*(cos phi, sin phi) with dphi/ds = orient/R, then axis rotation
+    tlx = -par[4] * ly
+    tly = par[4] * lx
     return (
         par[0] + par[2] * (axc * lx - axs * ly),
         par[1] + par[2] * (axs * lx + axc * ly),
+        axc * tlx - axs * tly,
+        axs * tlx + axc * tly,
     )
-
-
-def comp_tangent(ct, par, s):
-    if ct == 0:
-        return par[2], par[3]
-    phi = par[3] + par[4] * s / par[2]
-    # d/ds of R*(cos phi, sin phi) with dphi/ds = orient/R, then axis rotation
-    lx = -par[4] * math.sin(phi)
-    ly = par[4] * math.cos(phi)
-    axc, axs = par[6], par[7]
-    return axc * lx - axs * ly, axs * lx + axc * ly
 
 
 def comp_curvature(ct, par):
@@ -117,8 +123,8 @@ def trace_ray(ctype, cpar, px, py, dx, dy, min_flight):
             if disc < 0.0:
                 continue
             sq = math.sqrt(disc)
-            for sign in (-1.0, 1.0):
-                t = -b + sign * sq
+            # both roots, -1 first; -b - sq is exactly -b + (-1.0) * sq
+            for t in (-b - sq, -b + sq):
                 if t <= min_flight or t >= best_t:
                     continue
                 hx = px + t * dx - cx
@@ -137,51 +143,49 @@ def trace_ray(ctype, cpar, px, py, dx, dy, min_flight):
 def run_orbit(ctype, cpar, comp0, r0, th0, n_steps, grazing_tol, min_flight, corner_tol):
     """Iterate the billiard map n_steps times from (comp0, r0, th0).
 
-    Returns (comps, rs, thetas, taus, status, fail_k): state arrays hold
-    n_steps+1 entries and taus the n_steps flight lengths; on failure, status
-    says why and fail_k at which step (entries with index <= fail_k valid).
+    Returns (comps, rs, thetas, taus, status, k): k is the number of
+    completed steps, n_steps unless status says why step k failed; the
+    state arrays hold the k+1 states reached and taus the k flight lengths.
     """
-    comps = np.empty(n_steps + 1, dtype=np.int64)
-    rs = np.empty(n_steps + 1, dtype=np.float64)
-    ths = np.empty(n_steps + 1, dtype=np.float64)
-    taus = np.zeros(n_steps, dtype=np.float64)
-    comps[0] = comp0
-    rs[0] = r0
-    ths[0] = th0
-    c = comp0
-    r = r0
+    comps = [comp0]
+    rs = [r0]
+    ths = [th0]
+    taus = []
+    status = OK
     th = th0
-    for k in range(n_steps):
-        if math.cos(th) < grazing_tol:
-            return comps, rs, ths, taus, GRAZING, k
-        par = cpar[c]
-        px, py = comp_point(ctype[c], par, r)
-        tx, ty = comp_tangent(ctype[c], par, r)
+    px, py, tx, ty = comp_frame(ctype[comp0], cpar[comp0], r0)
+    for _ in range(n_steps):
         ct_ = math.cos(th)
+        if ct_ < grazing_tol:
+            status = GRAZING
+            break
         st_ = math.sin(th)
         # inward normal is rot90(tangent) = (-ty, tx)
         dx = ct_ * (-ty) + st_ * tx
         dy = ct_ * tx + st_ * ty
         ci, s, t = trace_ray(ctype, cpar, px, py, dx, dy, min_flight)
         if ci < 0:
-            return comps, rs, ths, taus, NO_INTERSECTION, k
+            status = NO_INTERSECTION
+            break
         par2 = cpar[ci]
-        tx2, ty2 = comp_tangent(ctype[ci], par2, s)
-        cos_out = -(dx * (-ty2) + dy * tx2)
-        sin_out = dx * tx2 + dy * ty2
+        px, py, tx, ty = comp_frame(ctype[ci], par2, s)
+        cos_out = -(dx * (-ty) + dy * tx)
+        sin_out = dx * tx + dy * ty
         if cos_out < grazing_tol:
-            return comps, rs, ths, taus, GRAZING, k
+            status = GRAZING
+            break
         length2 = par2[4] if ctype[ci] == 0 else par2[5]
         if (par2[8] > 0.5 and s < corner_tol) or (par2[9] > 0.5 and length2 - s < corner_tol):
-            return comps, rs, ths, taus, CORNER, k
+            status = CORNER
+            break
         th = math.atan2(sin_out, cos_out)
-        c = ci
-        r = s
-        comps[k + 1] = c
-        rs[k + 1] = r
-        ths[k + 1] = th
-        taus[k] = t
-    return comps, rs, ths, taus, OK, n_steps
+        comps.append(ci)
+        rs.append(s)
+        ths.append(th)
+        taus.append(t)
+    return (np.array(comps, dtype=np.int64), np.array(rs, dtype=np.float64),
+            np.array(ths, dtype=np.float64), np.array(taus, dtype=np.float64),
+            status, len(taus))
 
 
 # ------------------------------------------------------------- array form
@@ -193,9 +197,9 @@ def _math_map(f, *args):
 
 
 def comp_frames_many(ctype, cpar, comps, s):
-    """comp_point and comp_tangent at the N rows (comps, s), as the rows of
-    a 4 x N array (px, py, tx, ty); rows on component -1 (a ray that missed
-    the boundary) stay NaN."""
+    """comp_frame at the N rows (comps, s), as the rows of a 4 x N array
+    (px, py, tx, ty); rows on component -1 (a ray that missed the boundary)
+    stay NaN."""
     out = np.full((4, len(s)), np.nan)
     for c in range(len(ctype)):
         m = comps == c

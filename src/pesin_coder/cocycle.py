@@ -20,6 +20,14 @@ dispatches to for a vector right-hand side, without numpy's per-call
 wrapper: the same LAPACK call on the same float64 data, so the same bits.
 The one-step norms along the fields are elementwise, with no BLAS call;
 a test pins them bitwise to the norm of numpy's einsum product.
+The halved-window pushes that measure convergence stop at the first row
+where they equal the full push bitwise and take the full push's row at the
+base point.  Each push step is a function of its row and that step's matrix
+alone, so from an equal row on the two pushes compute the same bits; the
+exit returns what the whole halved push would.  On the flower a forward
+halved push locks after about 20 of its 500 steps; a backward one often
+converges onto the negated full push, which is no lock, and runs to the
+end.  On the linear fixture no halved push locks.
 The s/u series run over Python floats.  The splitting, the series and the
 frames keep every bit; the QR means move in their last bits only.
 """
@@ -248,19 +256,30 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
 
 # ------------------------------------------------------------- splitting
 def _push_forward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
-                  out: np.ndarray | None = None):
+                  out: np.ndarray | None = None, full: np.ndarray | None = None):
     """Multiply v by derivs[start..stop-1], renormalizing; store at [i+1].
 
     The norm is sqrt(w.w), bit for bit what `np.linalg.norm` returns for a
     real vector, without its wrapper; the product is `np.matmul` (numpy's
-    `@`), written straight into its row of `out`."""
+    `@`), written straight into its row of `out`.  `full` is an earlier
+    push over the same derivs, row i at index i: at the first row where w
+    equals it bitwise the push returns full[stop] (see `_locked`)."""
     w = v / math.sqrt(v.dot(v))
     if out is not None:
         out[start] = w
+    lock = None if full is None else full.tobytes()
     for i in range(start, stop):
         w = np.matmul(derivs[i], w, out=None if out is None else out[i + 1])
         w /= math.sqrt(w.dot(w))
+        if lock is not None and _locked(w, lock, i + 1):
+            return full[stop]
     return w
+
+
+def _locked(w: np.ndarray, lock: bytes, i: int) -> bool:
+    """Whether the 2-vector w is bitwise row i of the (N, 2) float64 array
+    whose bytes are `lock` (see the module docstring for why it suffices)."""
+    return w.tobytes() == lock[16 * i:16 * i + 16]
 
 
 def _raise_singular(err, flag):
@@ -268,7 +287,7 @@ def _raise_singular(err, flag):
 
 
 def _push_backward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
-                   out: np.ndarray | None = None):
+                   out: np.ndarray | None = None, full: np.ndarray | None = None):
     """Multiply v by inverse derivatives from index start down to stop.
 
     Each step solves with `_umath_linalg.solve1`, the LAPACK gufunc that
@@ -279,16 +298,20 @@ def _push_backward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
     LinAlgError("Singular matrix").  The norm is as in `_push_forward` but
     runs under these settings too, so a solve that overflows (inverse
     entries near 1e308, far from any table's derivatives) gives a zero row
-    or raises that error instead of a RuntimeWarning."""
+    or raises that error instead of a RuntimeWarning.  `full` stops the
+    push at a bitwise match as in `_push_forward`."""
     w = v / math.sqrt(v.dot(v))
     if out is not None:
         out[start] = w
+    lock = None if full is None else full.tobytes()
     with np.errstate(call=_raise_singular, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         for i in range(start - 1, stop - 1, -1):
             w = _umath_linalg.solve1(derivs[i], w, signature="dd->d",
                                      out=None if out is None else out[i])
             w /= math.sqrt(w.dot(w))
+            if lock is not None and _locked(w, lock, i):
+                return full[stop]
     return w
 
 
@@ -328,8 +351,10 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     _push_backward(seg.derivs, n - 1, 0, _SEED, out=e_s)
 
     # halved-window candidates at the base point
-    u_half = _push_forward(seg.derivs, base - seg.n_minus // 2, base, _SEED)
-    s_half = _push_backward(seg.derivs, base + seg.n_plus - seg.n_plus // 2, base, _SEED)
+    u_half = _push_forward(seg.derivs, base - seg.n_minus // 2, base, _SEED,
+                           full=e_u)
+    s_half = _push_backward(seg.derivs, base + seg.n_plus - seg.n_plus // 2,
+                            base, _SEED, full=e_s)
     ang_u = _angle_between(e_u[base], u_half)
     ang_s = _angle_between(e_s[base], s_half)
     if ang_u > CONVERGENCE_TOL or ang_s > CONVERGENCE_TOL:

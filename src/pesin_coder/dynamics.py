@@ -97,7 +97,8 @@ def singularity_cloud(table) -> dict:
 
 
 def dist_to_discontinuity(table, p: PhasePoint) -> float:
-    """Estimated metric distance from p to D (0 on D; 1-Lipschitz in p)."""
+    """Estimated metric distance from p to D (0 on D); on a billiard table
+    an upper bound that is not 1-Lipschitz (see BilliardTable.dist_to_D)."""
     return table.dist_to_D(p)
 
 

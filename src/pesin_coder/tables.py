@@ -41,7 +41,9 @@ generation only; deeper generations surface dynamically as errors).  The
 distance to the preimage curves is estimated from a precomputed point cloud on
 them plus local 1-D minimizations over the curve parameters; the estimate is a
 min over distances to points ON D, hence an upper bound on d(x, D) that
-converges as the cloud refines, and it is exactly 1-Lipschitz in x.
+converges as the cloud refines.  It is not 1-Lipschitz in x: the refinement
+runs only near the nearest cloud row, so the estimate jumps where that row
+changes (see `BilliardTable.dist_to_D`).
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import (CORNER, GRAZING, OK, comp_curvature, comp_point, comp_tangent,
+from .accel import (CORNER, GRAZING, OK, comp_curvature, comp_frame, comp_point,
                     run_orbit, run_step_many, trace_ray)
 from .errors import (
     CornerHit,
@@ -199,7 +201,7 @@ def derivative_along_orbit(table, comps, ths, taus) -> np.ndarray:
 
     Mirror-equation form: d(r', theta')/d(r, theta) of each bounce.
     """
-    kaps = np.array([table.curvature(int(c)) for c in comps])
+    kaps = table._curvatures[np.asarray(comps)]
     c_in = np.cos(ths[:-1])
     c_out = np.cos(ths[1:])
     k0 = kaps[:-1]
@@ -253,6 +255,9 @@ class BilliardTable:
         self.lengths = tuple(row[4] if t == 0 else row[5]
                              for t, row in zip(self.ctype, self.cpar))
         self._length_array = np.array(self.lengths)
+        # signed curvature per component, for derivative_along_orbit
+        self._curvatures = np.array([self.curvature(c)
+                                     for c in range(len(self.ctype))])
         self._validate_closure()
         # per component: its loop, its index there, the loop arclength
         # before it and the loop total, for wrap_r and offset
@@ -322,6 +327,7 @@ class BilliardTable:
 
     # ------------------------------------------------------------ geometry
     def point_xy(self, component: int, s: float) -> np.ndarray:
+        self._check_component(component)
         x, y = comp_point(self.ctype[component], self.cpar[component], s)
         return np.array([x, y])
 
@@ -352,10 +358,15 @@ class BilliardTable:
         return self._polylines[samples_per_component]
 
     # ------------------------------------------------------------ phase metric
-    def validate_point(self, p: PhasePoint):
-        if not 0 <= p.component < len(self.ctype):
-            raise ValueError(f"component {p.component} outside "
+    def _check_component(self, component: int):
+        """Refuse a component index outside [0, n): a negative one would
+        read another row of the packed tuples."""
+        if not 0 <= component < len(self.ctype):
+            raise ValueError(f"component {component} outside "
                              f"[0, {len(self.ctype)})")
+
+    def validate_point(self, p: PhasePoint):
+        self._check_component(p.component)
         L = self.lengths[p.component]
         if not (0.0 <= p.r < L + 1e-12):
             raise ValueError(f"r={p.r} outside [0,{L}) on component {p.component}")
@@ -409,6 +420,7 @@ class BilliardTable:
 
     def _step(self, p: PhasePoint, forward: bool) -> tuple[PhasePoint, float]:
         """step(p, forward) and the flight to it, for the mirror equation."""
+        self._check_component(p.component)
         sign = 1 if forward else -1
         comps, rs, ths, taus, status, _ = run_orbit(
             self.ctype, self.cpar, p.component, p.r, sign * p.theta, 1,
@@ -475,8 +487,7 @@ class BilliardTable:
         rs = np.concatenate([rs_b[::-1][:-1], rs_f])
         ths = np.concatenate([ths_b[::-1][:-1], ths_f])
         flights = np.concatenate([taus_b[::-1], taus_f])
-        pts = tuple(PhasePoint(int(c), float(r), float(t))
-                    for c, r, t in zip(comps, rs, ths))
+        pts = tuple(map(PhasePoint, comps.tolist(), rs.tolist(), ths.tolist()))
         try:
             after, tau = self._step(pts[-1], True)
         except MapUndefined as e:
@@ -498,6 +509,7 @@ class BilliardTable:
 
     def embed(self, p: PhasePoint, dr: float, dtheta: float) -> PhasePoint:
         """The phase point at offset (dr, dtheta) from p, walking the loop."""
+        self._check_component(p.component)
         theta = p.theta + dtheta
         # written as "not within" so that NaN is refused too
         if not abs(theta) < math.pi / 2:
@@ -618,12 +630,11 @@ class BilliardTable:
         |u|, branch sign(u)) or by a corner ray (kind 1, corner a, direction
         angle u): the phase point at the hit whose FORWARD ray runs along -w
         (None when that ray leaves the hit near-tangentially), the source, the
-        flight and w."""
+        flight, w and the hit's position."""
         if kind == 0:
-            s_src = abs(u)
             branch = 1.0 if u >= 0 else -1.0
-            src = comp_point(self.ctype[a], self.cpar[a], s_src)
-            tx, ty = comp_tangent(self.ctype[a], self.cpar[a], s_src)
+            sx, sy, tx, ty = comp_frame(self.ctype[a], self.cpar[a], abs(u))
+            src = (sx, sy)
             w = (branch * tx, branch * ty)
         else:
             src = self.corner_points[a]
@@ -631,11 +642,11 @@ class BilliardTable:
         ci, s, t = trace_ray(self.ctype, self.cpar, src[0], src[1], w[0], w[1], MIN_FLIGHT)
         if ci < 0 or t > 1e200:
             return None
-        t2 = comp_tangent(self.ctype[ci], self.cpar[ci], s)
-        cos0 = -(w[0] * -t2[1] + w[1] * t2[0])  # against the inward normal
-        sin0 = -(w[0] * t2[0] + w[1] * t2[1])
+        hx, hy, tx, ty = comp_frame(self.ctype[ci], self.cpar[ci], s)
+        cos0 = -(w[0] * -ty + w[1] * tx)  # against the inward normal
+        sin0 = -(w[0] * tx + w[1] * ty)
         ph = None if cos0 <= 1e-6 else PhasePoint(ci, s, math.atan2(sin0, cos0))
-        return ph, src, t, w
+        return ph, src, t, w, (hx, hy)
 
     def _segment_inside(self, src, w, t, checks: int = 4) -> bool:
         for k in range(1, checks + 1):
@@ -670,10 +681,10 @@ class BilliardTable:
             got = self._trace_singular_source(*fam)
             if got is None or got[0] is None:
                 continue
-            ph, src, t, w = got
+            ph, src, t, w, hit = got
             if not self._segment_inside(src, w, t):
                 continue
-            rows.append((self.point_xy(ph.component, ph.r), ph.theta))
+            rows.append((hit, ph.theta))
             fams.append(fam)
         if rows:
             cloud = {
@@ -699,8 +710,7 @@ class BilliardTable:
             got = self._trace_singular_source(kind, a, u)
             if got is None or got[0] is None:
                 return float("inf")
-            ph = got[0]
-            Q = comp_point(self.ctype[ph.component], self.cpar[ph.component], ph.r)
+            ph, Q = got[0], got[4]
             return math.hypot(math.hypot(Q[0] - P[0], Q[1] - P[1]), ph.theta - th)
 
         lo, hi = u0 - span, u0 + span
@@ -720,12 +730,16 @@ class BilliardTable:
         return min(d0, f1, f2)
 
     def dist_to_D(self, p: PhasePoint) -> float:
-        """Estimated metric distance from p to D (0 on D; 1-Lipschitz in p).
+        """Estimated metric distance from p to D (0 on D).
 
         An upper bound: the golden-section search refines only near the
         nearest cloud row, so it misses a branch of S+ or S- with no row
         nearby; on 400 stadium Liouville samples it ran up to 3.5 times the
-        nearest row of a 40 times denser cloud (ROADMAP item 11)."""
+        nearest row of a 40 times denser cloud (ROADMAP item 11).  For the
+        same reason it is not 1-Lipschitz, though d(p, D) is: it jumps where
+        the nearest row changes.  Two flower points on component 2 at
+        distance 3.1e-4 get 2.34e-2 and 1.62e-2, a ratio of 23 (item 11)."""
+        self._check_component(p.component)
         scale = self.metric_scale
         best_unscaled = math.pi / 2 - abs(p.theta)  # grazing fibers
         P = comp_point(self.ctype[p.component], self.cpar[p.component], p.r)

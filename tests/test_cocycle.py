@@ -50,6 +50,7 @@ from pesin_coder.tables import (
     make_circle,
     make_flower,
     make_linear_fixture,
+    make_sinai,
     make_stadium,
 )
 
@@ -277,6 +278,45 @@ class TestSplitting:
         ref = reference_splitting(seg)
         for got, want in zip((sp.e_s, sp.e_u, sp.factor_s, sp.factor_u), ref):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["flower", "stadium", "sinai", "fixture"])
+    def test_halved_push_lock_exit_is_bitwise_the_whole_push(self, kind):
+        # a halved push stops at its first row bitwise equal to the full
+        # push and returns the full push's row at the base point: the bytes
+        # the whole halved push ends on
+        if kind == "fixture":
+            _, seg = fixture_segment()
+        else:
+            table = {"flower": make_flower, "stadium": make_stadium,
+                     "sinai": make_sinai}[kind]()
+            seg, _ = first_admitted(table, 1, 200)
+        derivs, n, base = seg.derivs, len(seg), seg.n_minus
+        e_u = np.empty((n, 2))
+        e_s = np.empty((n, 2))
+        cocycle._push_forward(derivs, 0, n - 1, cocycle._SEED, out=e_u)
+        cocycle._push_backward(derivs, n - 1, 0, cocycle._SEED, out=e_s)
+        starts = (base - seg.n_minus // 2, base + seg.n_plus - seg.n_plus // 2)
+        locks = []
+        angles = []
+        for push, start, full in ((cocycle._push_forward, starts[0], e_u),
+                                  (cocycle._push_backward, starts[1], e_s)):
+            rows = np.full((n, 2), np.nan)
+            whole = push(derivs, start, base, cocycle._SEED, out=rows)
+            assert whole.tobytes() == push(derivs, start, base,
+                                           cocycle._SEED).tobytes()
+            got = push(derivs, start, base, cocycle._SEED, full=full)
+            assert got.tobytes() == whole.tobytes()
+            inner = range(start + 1, base + 1) if start < base \
+                else range(base, start)
+            locks.append(any(rows[i].tobytes() == full[i].tobytes()
+                             for i in inner))
+            angles.append(cocycle._angle_between(full[base], whole))
+        sp = oseledets_splitting(seg)
+        assert (sp.convergence_angle_u, sp.convergence_angle_s) == tuple(angles)
+        if kind == "flower":
+            assert locks == [True, True]  # both exits are taken
+        if kind == "fixture":
+            assert locks == [False, False]  # the whole push runs
 
     @pytest.mark.parametrize("rows", ["random", "stadium", "flower"])
     def test_one_step_norms_are_bitwise_the_einsum_norms(self, rows):

@@ -9,11 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pesin_coder.accel import comp_point, comp_tangent
+from pesin_coder.accel import comp_frame, comp_point, run_orbit
 from pesin_coder.errors import DomainEscape, OrbitHitsDiscontinuity
 from pesin_coder.tables import (
     Arc,
     BilliardTable,
+    CORNER_TOL,
+    GRAZING_COS_TOL,
+    MIN_FLIGHT,
     WINDING_SAMPLES,
     PhasePoint,
     Segment,
@@ -127,7 +130,7 @@ def test_corner_collection():
 
 def inward_normal(tb, component: int, s: float) -> np.ndarray:
     """The unit tangent rotated by 90 degrees: (-ty, tx)."""
-    tx, ty = comp_tangent(tb.ctype[component], tb.cpar[component], s)
+    _, _, tx, ty = comp_frame(tb.ctype[component], tb.cpar[component], s)
     return np.array([-ty, tx])
 
 
@@ -136,7 +139,7 @@ def test_tangent_normal_curvature_conventions():
     tb = make_circle(radius=2.0)
     s = 1.3
     P = tb.point_xy(0, s)
-    T = np.array(comp_tangent(tb.ctype[0], tb.cpar[0], s))
+    T = np.array(comp_frame(tb.ctype[0], tb.cpar[0], s)[2:])
     N = inward_normal(tb, 0, s)
     assert abs(np.dot(T, T) - 1.0) < 1e-12
     assert np.dot(N, -P) > 0  # inward = toward the center
@@ -255,6 +258,75 @@ def test_orbit_derivatives_are_bitwise_pinned(mk):
     out += [str(after.component), after.r.hex(), after.theta.hex()]
     digest = hashlib.sha256("|".join(out).encode()).hexdigest()[:16]
     assert digest == ORBIT_DERIV_PINS[mk]
+
+
+# sha256 of float.hex of comp_frame (px, py, tx, ty) at both ends and 16
+# seeded arclengths of every component: the values of the separate point
+# and tangent functions it replaced
+FRAME_PINS = {
+    make_circle: "0f17b06166c44309",
+    make_stadium: "9167690c88dea7d6",
+    make_sinai: "912884cfe703b4f8",
+    make_flower: "5acf9612cd072f5f",
+}
+
+
+@pytest.mark.parametrize("mk", list(FRAME_PINS))
+def test_comp_frame_is_bitwise_pinned(mk):
+    tb = mk()
+    rng = np.random.default_rng(3)
+    out = []
+    for c, L in enumerate(tb.lengths):
+        for s in [0.0, L] + rng.uniform(0.0, L, 16).tolist():
+            out += [v.hex() for v in comp_frame(tb.ctype[c], tb.cpar[c], s)]
+    digest = hashlib.sha256("|".join(out).encode()).hexdigest()[:16]
+    assert digest == FRAME_PINS[mk]
+
+
+def rectangle_3x1():
+    return BilliardTable([Segment((0.0, 0.0), (3.0, 0.0)),
+                          Segment((3.0, 0.0), (3.0, 1.0)),
+                          Segment((3.0, 1.0), (0.0, 1.0)),
+                          Segment((0.0, 1.0), (0.0, 0.0))],
+                         [[0, 1, 2, 3]], "rectangle", {})
+
+
+# sha256 of the states and flights run_orbit returns (components, then
+# float.hex of r, theta and tau), with its status and step count; the 45
+# degree ray in the 3 x 1 rectangle bounces once and lands on the corner
+RUN_ORBIT_PINS = {
+    "flower-forward": (make_flower, (0, 0.5, 0.2, 1000), "c390ea7ed4c94aa3", 0, 1000),
+    "flower-backward": (make_flower, (0, 0.5, -0.2, 1000), "632f28bd4155f98f", 0, 1000),
+    "stadium": (make_stadium, (1, 1.1, 0.4, 1000), "6ce540c4e17254a9", 0, 1000),
+    "rectangle-corner": (rectangle_3x1, (0, 1.0, math.pi / 4, 10),
+                         "f6e67f2a0115bac0", 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_ORBIT_PINS))
+def test_run_orbit_is_bitwise_pinned(case):
+    mk, (c, r, th, n), pin, want_status, want_k = RUN_ORBIT_PINS[case]
+    tb = mk()
+    comps, rs, ths, taus, status, k = run_orbit(
+        tb.ctype, tb.cpar, c, r, th, n, GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+    assert (status, k) == (want_status, want_k)
+    out = [str(int(v)) for v in comps[:k + 1]]
+    out += [float(v).hex() for a in (rs[:k + 1], ths[:k + 1], taus[:k]) for v in a]
+    assert hashlib.sha256("|".join(out).encode()).hexdigest()[:16] == pin
+
+
+@pytest.mark.parametrize("component", [-1, 4, 7])
+def test_component_outside_the_table_refused(component):
+    # -1 would read the last packed row, 4 and 7 are past it
+    st = make_stadium()
+    p = PhasePoint(component, 0.5, 0.1)
+    calls = [lambda: st.step(p, True), lambda: st.step(p, False),
+             lambda: st.derivative(p, True), lambda: st.derivative(p, False),
+             lambda: st.dist_to_D(p), lambda: st.embed(p, 0.1, 0.0),
+             lambda: st.point_xy(component, 0.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^component {component} outside \[0, 4\)$"):
+            call()
 
 
 def test_contains_point():
