@@ -24,10 +24,18 @@ The halved-window pushes that measure convergence stop at the first row
 where they equal the full push bitwise and take the full push's row at the
 base point.  Each push step is a function of its row and that step's matrix
 alone, so from an equal row on the two pushes compute the same bits; the
-exit returns what the whole halved push would.  On the flower a forward
-halved push locks after about 20 of its 500 steps; a backward one often
-converges onto the negated full push, which is no lock, and runs to the
-end.  On the linear fixture no halved push locks.
+exit returns what the whole halved push would.  They also stop at a row
+bitwise equal to the negated full push, and take the negated row at the
+base point.  Under round-to-nearest a push step is odd up to the sign of an
+exact zero: negating the row negates every product, sum and LAPACK
+substitution exactly (the LU pivots read the matrix alone), except that an
+exact cancellation gives +0 either way; the norm is even and the divide
+odd.  So the whole push would end on the negated row up to the signs of its
+zero entries, and the only reader, `_angle_between`, takes |cross|, which
+is the same for a vector and its negation and ignores the signs of zeros.
+On the flower a forward halved push locks after about 20 of its 500 steps,
+and a backward one often locks onto the negation.  On the linear fixture no
+halved push locks.
 The s/u series run over Python floats.  The splitting, the series and the
 frames keep every bit; the QR means move in their last bits only.
 """
@@ -263,23 +271,35 @@ def _push_forward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
     real vector, without its wrapper; the product is `np.matmul` (numpy's
     `@`), written straight into its row of `out`.  `full` is an earlier
     push over the same derivs, row i at index i: at the first row where w
-    equals it bitwise the push returns full[stop] (see `_locked`)."""
+    equals it or its negation bitwise the push returns full[stop] or
+    -full[stop] (see `_locked`)."""
     w = v / math.sqrt(v.dot(v))
     if out is not None:
         out[start] = w
-    lock = None if full is None else full.tobytes()
+    lock = None if full is None else _lock_rows(full)
     for i in range(start, stop):
         w = np.matmul(derivs[i], w, out=None if out is None else out[i + 1])
         w /= math.sqrt(w.dot(w))
-        if lock is not None and _locked(w, lock, i + 1):
-            return full[stop]
+        if lock is not None and (sign := _locked(w, lock, i + 1)):
+            return sign * full[stop]
     return w
 
 
-def _locked(w: np.ndarray, lock: bytes, i: int) -> bool:
-    """Whether the 2-vector w is bitwise row i of the (N, 2) float64 array
-    whose bytes are `lock` (see the module docstring for why it suffices)."""
-    return w.tobytes() == lock[16 * i:16 * i + 16]
+def _lock_rows(full: np.ndarray) -> tuple[bytes, bytes]:
+    """The bytes of the full push and of its negation, for `_locked`."""
+    return full.tobytes(), (-full).tobytes()
+
+
+def _locked(w: np.ndarray, lock: tuple[bytes, bytes], i: int) -> int:
+    """1 when the 2-vector w is bitwise row i of the (N, 2) float64 array
+    whose bytes and negation's bytes are `lock`, -1 when it is that row
+    negated, 0 otherwise (see the module docstring for why it suffices)."""
+    row = w.tobytes()
+    if row == lock[0][16 * i:16 * i + 16]:
+        return 1
+    if row == lock[1][16 * i:16 * i + 16]:
+        return -1
+    return 0
 
 
 def _raise_singular(err, flag):
@@ -299,19 +319,20 @@ def _push_backward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
     runs under these settings too, so a solve that overflows (inverse
     entries near 1e308, far from any table's derivatives) gives a zero row
     or raises that error instead of a RuntimeWarning.  `full` stops the
-    push at a bitwise match as in `_push_forward`."""
+    push at a bitwise match, or a match of the negation, as in
+    `_push_forward`."""
     w = v / math.sqrt(v.dot(v))
     if out is not None:
         out[start] = w
-    lock = None if full is None else full.tobytes()
+    lock = None if full is None else _lock_rows(full)
     with np.errstate(call=_raise_singular, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         for i in range(start - 1, stop - 1, -1):
             w = _umath_linalg.solve1(derivs[i], w, signature="dd->d",
                                      out=None if out is None else out[i])
             w /= math.sqrt(w.dot(w))
-            if lock is not None and _locked(w, lock, i):
-                return full[stop]
+            if lock is not None and (sign := _locked(w, lock, i)):
+                return sign * full[stop]
     return w
 
 

@@ -39,7 +39,9 @@ The discontinuity set D of a billiard map consists of the grazing fibers
 one-step forward/backward preimages of tangencies and corners (first
 generation only; deeper generations surface dynamically as errors).  The
 distance to the preimage curves is estimated from a precomputed point cloud on
-them plus local 1-D minimizations over the curve parameters; the estimate is a
+them plus local 1-D minimizations over the curve parameters.  The traced
+points at the top of each minimization depend on the cloud row alone, so the
+table caches them per row and the estimate keeps its bits.  The estimate is a
 min over distances to points ON D, hence an upper bound on d(x, D) that
 converges as the cloud refines.  It is not 1-Lipschitz in x: the refinement
 runs only near the nearest cloud row, so the estimate jumps where that row
@@ -95,6 +97,15 @@ CLOSURE_TOL = 1e-12
 FD_STEP = 1e-6  # coordinate step of the central finite differences
 BOUNDARY_SAMPLES = 64  # boundary points per component for the table diameter
 WINDING_SAMPLES = 100  # boundary points per component for contains_point
+# evaluations at the top of each golden-section search of dist_to_D whose
+# traced point is cached per cloud row: at most 2**(depth - 1) entries a
+# row.  Over the 2459 dist_to_D calls of a seed-0 stadium-code benchmark
+# run (20 s), the share of evaluations read from the cache and the entries
+# stored were, by depth: 2: 9.6%, 248; 4: 18.6%, 968; 6: 26.8%, 2208;
+# 8: 33.3%, 4678; 12: 39.5%, 14 286; all 20: 41.2%, 40 987, which raised
+# the run's peak RSS by 6.7 MB (44.0 to 50.7 MB)
+_SEARCH_CACHE_DEPTH = 8
+_NO_POINT = (math.inf, math.inf, math.inf)  # a search point with no trace
 
 
 @dataclass(frozen=True)
@@ -280,6 +291,7 @@ class BilliardTable:
         # diam(M) = 0.95 < 1
         self.metric_scale = 0.95 / math.hypot(self.boundary_diameter, math.pi)
         self._singular_cloud = None  # lazy, filled by singularity_cloud()
+        self._search_tops = []  # per cloud row, filled with the cloud
         self._deriv_checked = False  # set by the first derivative() call
 
     # ------------------------------------------------------------ validation
@@ -376,6 +388,7 @@ class BilliardTable:
 
     def wrap_r(self, component: int, r: float) -> tuple[int, float]:
         """Arclength modulo component length (wraparound on closed loops)."""
+        self._check_component(component)
         L = self.lengths[component]
         loop, idx, _, _ = self._loop_at[component]
         if len(loop) == 1:
@@ -530,6 +543,8 @@ class BilliardTable:
         one component it is folded into (-L/2, L/2] by adding or subtracting
         L, so that small offsets keep their full precision.
         """
+        self._check_component(x.component)
+        self._check_component(p.component)
         loop, _, prefix_x, total = self._loop_at[x.component]
         if p.component == x.component:
             dr = p.r - x.r
@@ -560,6 +575,8 @@ class BilliardTable:
         the scalar form to raise its exception, so its class and message are
         the scalar ones.
         """
+        self._check_component(x.component)
+        self._check_component(y.component)
         n = len(d)
         out = np.full((n, 2), np.nan)
         sign = 1 if forward else -1
@@ -628,9 +645,10 @@ class BilliardTable:
     def _trace_singular_source(self, kind: int, a: int, u: float):
         """Point of S+ generated by tangency (kind 0, component a, arclength
         |u|, branch sign(u)) or by a corner ray (kind 1, corner a, direction
-        angle u): the phase point at the hit whose FORWARD ray runs along -w
-        (None when that ray leaves the hit near-tangentially), the source, the
-        flight, w and the hit's position."""
+        angle u), as plain floats: (x, y, theta, src, t, w), where (x, y) is
+        the hit, theta the angle there whose FORWARD ray runs along -w, src
+        the source, t the flight and w the direction.  None when the ray
+        hits nothing or that forward ray leaves the hit near-tangentially."""
         if kind == 0:
             branch = 1.0 if u >= 0 else -1.0
             sx, sy, tx, ty = comp_frame(self.ctype[a], self.cpar[a], abs(u))
@@ -645,8 +663,15 @@ class BilliardTable:
         hx, hy, tx, ty = comp_frame(self.ctype[ci], self.cpar[ci], s)
         cos0 = -(w[0] * -ty + w[1] * tx)  # against the inward normal
         sin0 = -(w[0] * tx + w[1] * ty)
-        ph = None if cos0 <= 1e-6 else PhasePoint(ci, s, math.atan2(sin0, cos0))
-        return ph, src, t, w, (hx, hy)
+        if cos0 <= 1e-6:
+            return None
+        return hx, hy, math.atan2(sin0, cos0), src, t, w
+
+    def _search_point(self, kind: int, a: int, u: float) -> tuple:
+        """(x, y, theta) of `_trace_singular_source`, or three infs where it
+        gives no point, so that the search's hypot is inf there."""
+        got = self._trace_singular_source(kind, a, u)
+        return _NO_POINT if got is None else got[:3]
 
     def _segment_inside(self, src, w, t, checks: int = 4) -> bool:
         for k in range(1, checks + 1):
@@ -679,39 +704,48 @@ class BilliardTable:
         fams = []
         for fam in sources:
             got = self._trace_singular_source(*fam)
-            if got is None or got[0] is None:
+            if got is None:
                 continue
-            ph, src, t, w, hit = got
+            hx, hy, th, src, t, w = got
             if not self._segment_inside(src, w, t):
                 continue
-            rows.append((hit, ph.theta))
+            rows.append((hx, hy, th))
             fams.append(fam)
-        if rows:
-            cloud = {
-                "px": np.array([xy[0] for xy, th in rows]),
-                "py": np.array([xy[1] for xy, th in rows]),
-                "theta": np.array([th for xy, th in rows]),
-                "fam": fams,
-            }
-        else:
-            cloud = {"px": np.zeros(0), "py": np.zeros(0), "theta": np.zeros(0), "fam": []}
+        cloud = {
+            "px": np.array([row[0] for row in rows]),
+            "py": np.array([row[1] for row in rows]),
+            "theta": np.array([row[2] for row in rows]),
+            "fam": fams,
+        }
+        self._search_tops = [{} for _ in fams]
         self._singular_cloud = cloud
         return cloud
 
-    def _refine_preimage_distance(self, cloud, idx, P, th, d0) -> float:
-        """Golden-section over the generating curve parameter near cloud row idx."""
-        kind, a, u0 = cloud["fam"][idx]
+    def _refine_preimage_distance(self, idx, P, th, d0) -> float:
+        """Golden-section over the generating curve parameter near cloud row
+        idx.  The first `_SEARCH_CACHE_DEPTH` evaluations read their traced
+        point from the row's cache in `_search_tops`, filling it on a miss.
+        The cache is keyed by u, which dict lookup compares with ==; that
+        equates only 0.0 with -0.0, and no search evaluates -0.0."""
+        kind, a, u0 = self._singular_cloud["fam"][idx]
         if kind == 0:
             span = self.lengths[a] / 48.0
         else:
             span = 2 * math.pi / 64.0
+        top = self._search_tops[idx]
+        px, py = P
+        evals = 0
 
         def g(u):
-            got = self._trace_singular_source(kind, a, u)
-            if got is None or got[0] is None:
-                return float("inf")
-            ph, Q = got[0], got[4]
-            return math.hypot(math.hypot(Q[0] - P[0], Q[1] - P[1]), ph.theta - th)
+            nonlocal evals
+            if evals < _SEARCH_CACHE_DEPTH:
+                q = top.get(u)
+                if q is None:
+                    q = top[u] = self._search_point(kind, a, u)
+            else:
+                q = self._search_point(kind, a, u)
+            evals += 1
+            return math.hypot(math.hypot(q[0] - px, q[1] - py), q[2] - th)
 
         lo, hi = u0 - span, u0 + span
         phi_r = (math.sqrt(5.0) - 1.0) / 2.0
@@ -732,6 +766,17 @@ class BilliardTable:
     def dist_to_D(self, p: PhasePoint) -> float:
         """Estimated metric distance from p to D (0 on D).
 
+        The nearest S+ row and the nearest S- row of the cloud each start a
+        golden-section search over their row's generating parameter u when
+        they lie within twice the distance to the fibers.  A search starts
+        from the same interval around the row's u whatever p is, so its
+        first evaluations fall on a binary tree of u values fixed per row,
+        and the point traced at u depends on (row, u) alone.  The table keeps
+        the traced (x, y, theta) of the first `_SEARCH_CACHE_DEPTH`
+        evaluations per row, filled lazily and at most 128 entries a row; a
+        cached point is the one the trace would return, so every value keeps
+        its bits, in any query order.
+
         An upper bound: the golden-section search refines only near the
         nearest cloud row, so it misses a branch of S+ or S- with no row
         nearby; on 400 stadium Liouville samples it ran up to 3.5 times the
@@ -747,14 +792,15 @@ class BilliardTable:
             best_unscaled = min(best_unscaled, math.hypot(P[0] - C[0], P[1] - C[1]))
         cloud = self.singularity_cloud()
         if cloud["px"].size:
+            # the positional term is the same for S+ and S-
+            pos = np.hypot(cloud["px"] - P[0], cloud["py"] - P[1])
             for th_sign in (1.0, -1.0):  # S+ rows, then S- via time reversal
-                d2 = np.hypot(np.hypot(cloud["px"] - P[0], cloud["py"] - P[1]),
-                              th_sign * cloud["theta"] - p.theta)
+                d2 = np.hypot(pos, th_sign * cloud["theta"] - p.theta)
                 i = int(np.argmin(d2))
                 d_best = float(d2[i])
                 if d_best < best_unscaled * 2.0:
-                    d_best = self._refine_preimage_distance(cloud, i, P,
-                                                            th_sign * p.theta, d_best)
+                    d_best = self._refine_preimage_distance(i, P, th_sign * p.theta,
+                                                            d_best)
                 best_unscaled = min(best_unscaled, d_best)
         return scale * max(0.0, best_unscaled)
 

@@ -318,6 +318,31 @@ class TestSplitting:
         if kind == "fixture":
             assert locks == [False, False]  # the whole push runs
 
+    @pytest.mark.parametrize("kind", ["flower", "stadium"])
+    def test_negated_lock_keeps_the_halved_angles(self, kind):
+        # a halved push also stops at a row bitwise equal to the negated
+        # full push; the angle at the base point reads |cross|, so it is
+        # the angle of the same push run without `full`
+        table = {"flower": make_flower, "stadium": make_stadium}[kind]()
+        negated = 0
+        for seed in range(8):
+            seg, _ = first_admitted(table, seed, 200)
+            derivs, n, base = seg.derivs, len(seg), seg.n_minus
+            e_u = np.empty((n, 2))
+            e_s = np.empty((n, 2))
+            cocycle._push_forward(derivs, 0, n - 1, cocycle._SEED, out=e_u)
+            cocycle._push_backward(derivs, n - 1, 0, cocycle._SEED, out=e_s)
+            starts = (base - seg.n_minus // 2, base + seg.n_plus - seg.n_plus // 2)
+            for push, start, full in ((cocycle._push_forward, starts[0], e_u),
+                                      (cocycle._push_backward, starts[1], e_s)):
+                whole = push(derivs, start, base, cocycle._SEED)
+                got = push(derivs, start, base, cocycle._SEED, full=full)
+                assert cocycle._angle_between(full[base], got).hex() \
+                    == cocycle._angle_between(full[base], whole).hex()
+                negated += got.tobytes() == (-full[base]).tobytes()
+        if kind == "flower":
+            assert negated > 0  # the negated exit is taken
+
     @pytest.mark.parametrize("rows", ["random", "stadium", "flower"])
     def test_one_step_norms_are_bitwise_the_einsum_norms(self, rows):
         # the elementwise sqrt(x*x + y*y) against the BLAS-reachable

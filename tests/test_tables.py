@@ -18,6 +18,7 @@ from pesin_coder.tables import (
     GRAZING_COS_TOL,
     MIN_FLIGHT,
     WINDING_SAMPLES,
+    _SEARCH_CACHE_DEPTH,
     PhasePoint,
     Segment,
     make_circle,
@@ -232,6 +233,59 @@ def test_dist_to_D_is_bitwise_pinned(mk):
     assert [tb.dist_to_D(p).hex() for p in pts] == DIST_PINS[mk]
 
 
+def orbit_neighbourhoods(tb, seed: int, n: int) -> list[PhasePoint]:
+    """n seeded Liouville points, each with its +-3 orbit neighbours (the
+    point alone when that orbit meets D)."""
+    out = []
+    for x in tb.liouville_sample(np.random.default_rng(seed), n):
+        try:
+            out += tb.orbit(x, 3, 3)[0]
+        except OrbitHitsDiscontinuity:
+            out.append(x)
+    return out
+
+
+# sha256 of float.hex of d(p, D) over 200 seeded Liouville points and their
+# +-3 orbit neighbours, pinned before the search tops were cached
+DIST_ORBIT_PINS = {
+    make_stadium: "9160dd694ccc2405",
+    make_sinai: "b3da8df66216a0dc",
+    make_flower: "2f3caffc18adc6f2",
+}
+
+
+@pytest.mark.parametrize("mk", list(DIST_ORBIT_PINS))
+def test_dist_to_D_on_orbits_is_bitwise_pinned(mk):
+    tb = mk()
+    pts = orbit_neighbourhoods(tb, 24, 200)
+    text = "|".join(tb.dist_to_D(p).hex() for p in pts)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DIST_ORBIT_PINS[mk]
+
+
+@pytest.mark.parametrize("mk", list(DIST_ORBIT_PINS))
+def test_dist_to_D_bits_do_not_depend_on_the_search_cache(mk):
+    # a fresh table, the same table warmed, and a fresh table queried in
+    # reversed order give the same bits
+    pts = orbit_neighbourhoods(mk(), 5, 30)
+    tb = mk()
+    fresh = [tb.dist_to_D(p).hex() for p in pts]
+    assert any(tb._search_tops)
+    warmed = [tb.dist_to_D(p).hex() for p in pts]
+    other = mk()
+    backwards = [other.dist_to_D(p).hex() for p in reversed(pts)][::-1]
+    assert fresh == warmed == backwards
+
+
+@pytest.mark.parametrize("mk", list(DIST_ORBIT_PINS))
+def test_search_cache_holds_at_most_128_points_a_row(mk):
+    tb = mk()
+    for p in tb.liouville_sample(np.random.default_rng(11), 500):
+        tb.dist_to_D(p)
+    sizes = [len(top) for top in tb._search_tops]
+    assert len(sizes) == len(tb.singularity_cloud()["fam"])
+    assert 0 < max(sizes) <= 2 ** (_SEARCH_CACHE_DEPTH - 1) == 128
+
+
 @pytest.mark.parametrize("mk, last", [
     (make_stadium, (0, "0x1.4c835ac27be03p-1", "0x1.2e01c3ed428e7p+0")),
     (make_flower, (1, "0x1.2114a6b00ebdcp+0", "0x1.2f32552798fa7p+0")),
@@ -320,10 +374,16 @@ def test_component_outside_the_table_refused(component):
     # -1 would read the last packed row, 4 and 7 are past it
     st = make_stadium()
     p = PhasePoint(component, 0.5, 0.1)
+    inside = PhasePoint(0, 0.5, 0.1)
+    rows = np.zeros((2, 2))
     calls = [lambda: st.step(p, True), lambda: st.step(p, False),
              lambda: st.derivative(p, True), lambda: st.derivative(p, False),
              lambda: st.dist_to_D(p), lambda: st.embed(p, 0.1, 0.0),
-             lambda: st.point_xy(component, 0.5)]
+             lambda: st.point_xy(component, 0.5),
+             lambda: st.offset(inside, p), lambda: st.offset(p, inside),
+             lambda: st.wrap_r(component, 0.3),
+             lambda: st.step_many(p, rows, True, inside),
+             lambda: st.step_many(inside, rows, True, p)]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^component {component} outside \[0, 4\)$"):
             call()
