@@ -12,30 +12,34 @@ return distances.
 The cocycle is 2x2, so the per-step loops avoid numpy calls where the bits
 allow it.  The exponents push one vector on Python floats and take the
 second QR diagonal entry from the determinant, with no QR per step.  The
-splitting pushes keep numpy's product and solve, whose bits come from the
-host's BLAS/LAPACK kernels (ROADMAP item 10), but take the norm as
+stable field of f is the unstable field of f^-1 run in reversed time, so
+one push function `_push` makes all four splitting pushes: the product
+through the derivatives in order, or LAPACK's solve through them in
+reversed order.  It keeps numpy's product and solve, whose bits come from
+the host's BLAS/LAPACK kernels (ROADMAP item 10), but takes the norm as
 sqrt(w.w), which is what `np.linalg.norm` computes for a real vector.  The
-backward push calls LAPACK's solve gufunc, the one `np.linalg.solve`
-dispatches to for a vector right-hand side, without numpy's per-call
-wrapper: the same LAPACK call on the same float64 data, so the same bits.
+solve is the gufunc `np.linalg.solve` dispatches to for a vector
+right-hand side, called without numpy's per-call wrapper: the same LAPACK
+call on the same float64 data, so the same bits.
 The one-step norms along the fields are elementwise, with no BLAS call;
 a test pins them bitwise to the norm of numpy's einsum product.
-The halved-window pushes that measure convergence stop at the first row
-where they equal the full push bitwise and take the full push's row at the
-base point.  Each push step is a function of its row and that step's matrix
-alone, so from an equal row on the two pushes compute the same bits; the
-exit returns what the whole halved push would.  They also stop at a row
-bitwise equal to the negated full push, and take the negated row at the
-base point.  Under round-to-nearest a push step is odd up to the sign of an
-exact zero: negating the row negates every product, sum and LAPACK
-substitution exactly (the LU pivots read the matrix alone), except that an
-exact cancellation gives +0 either way; the norm is even and the divide
-odd.  So the whole push would end on the negated row up to the signs of its
-zero entries, and the only reader, `_angle_between`, takes |cross|, which
-is the same for a vector and its negation and ignores the signs of zeros.
-On the flower a forward halved push locks after about 20 of its 500 steps,
-and a backward one often locks onto the negation.  On the linear fixture no
-halved push locks.
+A halved-window push, which measures convergence, is given the full push
+over the same matrices and stops at its first row bitwise equal to the
+full push's row at that step or to that row negated; it returns the full
+push's last row, negated in the second case.  Each push step is a
+function of its row and that step's matrix alone, so from an equal row on
+the two pushes compute the same bits, and the exit returns what the whole
+halved push would.
+Under round-to-nearest a push step is odd up to the sign of an exact zero:
+negating the row negates every product, sum and LAPACK substitution
+exactly (the LU pivots read the matrix alone), except that an exact
+cancellation gives +0 either way; the norm is even and the divide odd.  So
+from a negated row the whole push would end on the negated last row up to
+the signs of its zero entries, and the only reader, `_angle_between`,
+takes |cross|, which is the same for a vector and its negation and ignores
+the signs of zeros.  On the flower a halved push of the unstable field
+locks after about 20 of its 500 steps, and one of the stable field often
+locks onto the negation.  On the linear fixture no halved push locks.
 The s/u series run over Python floats.  The splitting, the series and the
 frames keep every bit; the QR means move in their last bits only.
 """
@@ -263,76 +267,45 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
 
 
 # ------------------------------------------------------------- splitting
-def _push_forward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
-                  out: np.ndarray | None = None, full: np.ndarray | None = None):
-    """Multiply v by derivs[start..stop-1], renormalizing; store at [i+1].
-
-    The norm is sqrt(w.w), bit for bit what `np.linalg.norm` returns for a
-    real vector, without its wrapper; the product is `np.matmul` (numpy's
-    `@`), written straight into its row of `out`.  `full` is an earlier
-    push over the same derivs, row i at index i: at the first row where w
-    equals it or its negation bitwise the push returns full[stop] or
-    -full[stop] (see `_locked`)."""
-    w = v / math.sqrt(v.dot(v))
-    if out is not None:
-        out[start] = w
-    lock = None if full is None else _lock_rows(full)
-    for i in range(start, stop):
-        w = np.matmul(derivs[i], w, out=None if out is None else out[i + 1])
-        w /= math.sqrt(w.dot(w))
-        if lock is not None and (sign := _locked(w, lock, i + 1)):
-            return sign * full[stop]
-    return w
-
-
-def _lock_rows(full: np.ndarray) -> tuple[bytes, bytes]:
-    """The bytes of the full push and of its negation, for `_locked`."""
-    return full.tobytes(), (-full).tobytes()
-
-
-def _locked(w: np.ndarray, lock: tuple[bytes, bytes], i: int) -> int:
-    """1 when the 2-vector w is bitwise row i of the (N, 2) float64 array
-    whose bytes and negation's bytes are `lock`, -1 when it is that row
-    negated, 0 otherwise (see the module docstring for why it suffices)."""
-    row = w.tobytes()
-    if row == lock[0][16 * i:16 * i + 16]:
-        return 1
-    if row == lock[1][16 * i:16 * i + 16]:
-        return -1
-    return 0
-
-
 def _raise_singular(err, flag):
     raise LinAlgError("Singular matrix")
 
 
-def _push_backward(derivs: np.ndarray, start: int, stop: int, v: np.ndarray,
-                   out: np.ndarray | None = None, full: np.ndarray | None = None):
-    """Multiply v by inverse derivatives from index start down to stop.
+# np.linalg.solve's error settings, entered once around the stable pushes: a
+# singular step raises its LinAlgError, and an overflowing solve (inverse
+# entries near 1e308, far from any table's derivatives) gives a zero row or
+# raises that error instead of a RuntimeWarning
+_SOLVE_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
-    Each step solves with `_umath_linalg.solve1`, the LAPACK gufunc that
-    `np.linalg.solve` calls for a 1-D right-hand side, on the same float64
-    data, so its bits are `np.linalg.solve`'s; the wrapper's conversions
-    and its error settings per call are skipped.  The settings are
-    `np.linalg.solve`'s, entered once per push: a singular step raises
-    LinAlgError("Singular matrix").  The norm is as in `_push_forward` but
-    runs under these settings too, so a solve that overflows (inverse
-    entries near 1e308, far from any table's derivatives) gives a zero row
-    or raises that error instead of a RuntimeWarning.  `full` stops the
-    push at a bitwise match, or a match of the negation, as in
-    `_push_forward`."""
+
+def _push(step, mats: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
+          full: np.ndarray | None = None) -> np.ndarray:
+    """Push the unit vector of v through `mats` in order; return the last row.
+
+    Row k+1 is step(mats[k], row k) divided by sqrt(w.w), which is bit for
+    bit what `np.linalg.norm` returns for a real vector.  `step` is
+    `np.matmul` for the cocycle or `_umath_linalg.solve1` for its inverse:
+    the LAPACK gufunc that `np.linalg.solve` calls for a 1-D right-hand side,
+    on the same float64 data, so the bits are `np.linalg.solve`'s without its
+    per-call wrapper.  With `out`, row k is written to out[k].  `full` is an
+    earlier push over the same matrices, aligned row for row: at the first
+    row bitwise equal to full[k] or to its negation the push returns
+    full[-1] or -full[-1] (see the module docstring for why that is exact)."""
     w = v / math.sqrt(v.dot(v))
     if out is not None:
-        out[start] = w
-    lock = None if full is None else _lock_rows(full)
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        for i in range(start - 1, stop - 1, -1):
-            w = _umath_linalg.solve1(derivs[i], w, signature="dd->d",
-                                     out=None if out is None else out[i])
-            w /= math.sqrt(w.dot(w))
-            if lock is not None and (sign := _locked(w, lock, i)):
-                return sign * full[stop]
+        out[0] = w
+    if full is not None:
+        same, negated = full.tobytes(), (-full).tobytes()
+    for k in range(len(mats)):
+        w = step(mats[k], w, out=None if out is None else out[k + 1])
+        w /= math.sqrt(w.dot(w))
+        if full is not None:
+            row = w.tobytes()
+            if row == same[16 * k + 16:16 * k + 32]:
+                return full[-1]
+            if row == negated[16 * k + 16:16 * k + 32]:
+                return -full[-1]
     return w
 
 
@@ -349,10 +322,10 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     """Stable/unstable directions by push-forward from the segment ends.
 
     The unstable direction at index i is the forward push of a generic seed
-    from the past end; the stable direction is the backward (inverse-cocycle)
-    push from the future end.  Convergence is measured by the angle change at
-    the base point when each push window is halved; above `CONVERGENCE_TOL`
-    the splitting is rejected.
+    from the past end; the stable direction is the same push of the inverse
+    cocycle in reversed time, from the future end.  Convergence is measured
+    by the angle change at the base point when each push window is halved;
+    above `CONVERGENCE_TOL` the splitting is rejected.
 
     `MIN_WINDOW` is only a burn-in floor: sides at or above it can still be
     rejected, because the halving check alone decides convergence.  The
@@ -366,16 +339,18 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
         raise ValueError(
             f"segment sides ({seg.n_minus}, {seg.n_plus}) below burn-in {MIN_WINDOW}")
     base = seg.n_minus
+    D = seg.derivs
     e_u = np.empty((n, 2))
     e_s = np.empty((n, 2))
-    _push_forward(seg.derivs, 0, n - 1, _SEED, out=e_u)
-    _push_backward(seg.derivs, n - 1, 0, _SEED, out=e_s)
-
-    # halved-window candidates at the base point
-    u_half = _push_forward(seg.derivs, base - seg.n_minus // 2, base, _SEED,
-                           full=e_u)
-    s_half = _push_backward(seg.derivs, base + seg.n_plus - seg.n_plus // 2,
-                            base, _SEED, full=e_s)
+    # each halved window ends at the base point
+    lo = base - seg.n_minus // 2
+    _push(np.matmul, D[:n - 1], _SEED, out=e_u)
+    u_half = _push(np.matmul, D[lo:base], _SEED, full=e_u[lo:base + 1])
+    hi = base + seg.n_plus - seg.n_plus // 2
+    with np.errstate(**_SOLVE_ERRSTATE):
+        _push(_umath_linalg.solve1, D[:n - 1][::-1], _SEED, out=e_s[::-1])
+        s_half = _push(_umath_linalg.solve1, D[base:hi][::-1], _SEED,
+                       full=e_s[base:hi + 1][::-1])
     ang_u = _angle_between(e_u[base], u_half)
     ang_s = _angle_between(e_s[base], s_half)
     if ang_u > CONVERGENCE_TOL or ang_s > CONVERGENCE_TOL:
@@ -388,8 +363,8 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
             f"stable and unstable directions collapse (angle {sep:.3e})")
     e_u = _fix_sign(e_u)
     e_s = _fix_sign(e_s)
-    return Splitting(e_s, e_u, _one_step_norms(seg.derivs[:-1], e_s[:-1]),
-                     _one_step_norms(seg.derivs[:-1], e_u[:-1]), ang_s, ang_u)
+    return Splitting(e_s, e_u, _one_step_norms(D[:-1], e_s[:-1]),
+                     _one_step_norms(D[:-1], e_u[:-1]), ang_s, ang_u)
 
 
 def _one_step_norms(derivs: np.ndarray, e: np.ndarray) -> np.ndarray:

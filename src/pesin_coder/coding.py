@@ -445,10 +445,6 @@ class Alphabet:
             (c, v.p_s.expo, v.p_u.expo): i for i, (c, v)
             in enumerate(zip(self.center_of_vertex, self.graph.vertices))}
 
-    @property
-    def vertices(self) -> tuple:
-        return self.graph.vertices
-
     def find_center(self, gamma: GammaPoint) -> int | None:
         """Net center covering this gamma at its own level, if any; the
         lookup registers no box in the cover."""
@@ -673,11 +669,10 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int
     return it
 
 
-def sigma_sharp_filter(itinerary) -> bool:
-    """Finite-horizon recurrence proxy: some symbol repeats in the forward
-    third and some symbol repeats in the backward third of the window."""
-    syms = itinerary.symbols() if hasattr(itinerary, "symbols") \
-        else tuple(itinerary)
+def sigma_sharp_filter(syms) -> bool:
+    """Finite-horizon recurrence proxy on a symbol sequence (an itinerary's
+    `symbols()`, say): some symbol repeats in the forward third and some
+    symbol repeats in the backward third of the window."""
     n = len(syms)
     if n < 2:
         return False

@@ -105,7 +105,9 @@ class BoundViolated(PesinCoderError):
 
 
 class OverlapMissing(PesinCoderError):
-    """chart_map_fxy called on charts that do not pass the overlap test."""
+    """chart_map_fxy's target chart is too far from the image of the source
+    chart's center: d(f x, y) >= (eta_x eta_y)^4, compared in log space and
+    only for d above OVERLAP_DISTANCE_FLOOR."""
 
 
 # ---------------------------------------------------------------- manifolds
@@ -131,7 +133,9 @@ class ContractionViolated(PesinCoderError):
 
 
 class NotConverged(PesinCoderError):
-    """Manifold iteration did not reach the convergence cutoff."""
+    """A manifold limit disagrees with the limit swept from an independent
+    admissible seed by more than the allowance.  A limit that misses the
+    C1 convergence cutoff is not an error: its log reads converged False."""
 
 
 class MultipleIntersections(PesinCoderError):

@@ -511,31 +511,19 @@ def _manifold_limit(path: GpoPath, kind: str,
         # time reversal: V^s of the path is V^u of the reversed path, whose
         # forward edge maps are the backward maps of the original
         path = GpoPath(path.vertices[::-1], path.bwd[::-1], path.fwd[::-1])
-    base = path.vertices[-1]
 
-    history = []
     prev = None
-    result = None
     converged = False
-    used = 0
-    for d in range(1, n_edges + 1):
-        cur = _sweep(path, n_edges - d,
-                     zero_manifold(path.vertices[n_edges - d], kind))
-        used = d
-        if prev is not None:
-            dc1 = c1_distance(cur, prev, normalized=True)
-            history.append(dc1)
-            if dc1 < C1_CUTOFF:
-                converged = True
-                result = cur
-                break
-        prev = cur
-        result = cur
+    for used in range(1, n_edges + 1):
+        result = _sweep(path, n_edges - used,
+                        zero_manifold(path.vertices[n_edges - used], kind))
+        if prev is not None and \
+                c1_distance(result, prev, normalized=True) < C1_CUTOFF:
+            converged = True
+            break
+        prev = result
 
     report = validate_admissible(result, consts)
-    rate = None
-    if len(history) >= 2 and history[-2] > 0.0 and history[-1] > 0.0:
-        rate = history[-1] / history[-2]
 
     # cross-check from an independent admissible seed, swept over the whole
     # path (a shallow sweep would not have contracted the seed away yet);
@@ -544,17 +532,15 @@ def _manifold_limit(path: GpoPath, kind: str,
     rng = np.random.default_rng(SEED_RNG)
     alt = _sweep(path, 0, _random_admissible_seed(path.vertices[0], kind, rng))
     seed_gap = c1_distance(result, alt, normalized=True)
-    chi = base.chart.frame.chi
+    chi = path.vertices[-1].chart.frame.chi
     seed_allow = max(SEED_AGREEMENT_TOL,
                      SEED_ENVELOPE * math.exp(-0.5 * chi * n_edges))
     if converged and seed_gap > seed_allow:
         raise NotConverged(
             f"limits from independent seeds differ by {seed_gap:.3e} "
             f"(> {seed_allow:.3e}) after {n_edges} edges")
-    log = {"converged": converged, "depth_used": used,
-           "c1_steps": history, "rate": rate, "seed_gap": seed_gap,
-           "seed_allowance": seed_allow, "admissibility": report,
-           "base": base}
+    log = {"converged": converged, "depth_used": used, "seed_gap": seed_gap,
+           "seed_allowance": seed_allow, "admissibility": report}
     return result, log
 
 
@@ -607,7 +593,6 @@ def intersect(ms: AdmissibleManifold, mu: AdmissibleManifold,
             "phi = t - G(F(t)) is not strictly increasing on the grid")
 
     t = 0.0
-    residual = math.inf
     residuals = []
     iters = 0
     for iters in range(1, 101):
@@ -650,10 +635,8 @@ def intersect(ms: AdmissibleManifold, mu: AdmissibleManifold,
         raise NoIntersection(
             f"tangent angle ratio e^{log_ratio:.3e} leaves the "
             f"e^(+-{angle_allow:.3e}) band")
-    return w, {"iterations": iters, "residual": residual,
-               "residuals": residuals, "w_norm": w_norm,
-               "log_scale": ms.p.log_value, "w_inf": w_inf,
-               "angle_log_ratio": log_ratio,
+    return w, {"iterations": iters, "residuals": residuals, "w_norm": w_norm,
+               "w_inf": w_inf, "angle_log_ratio": log_ratio,
                "angle_allowance": angle_allow}
 
 

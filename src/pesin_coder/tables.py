@@ -832,9 +832,6 @@ class LinearFixtureMap:
         self.params = {"lambda_u": self.lambda_u, "lambda_s": self.lambda_s,
                        "half_width": self.half_width}
 
-    def point_xy(self, component: int, s: float) -> np.ndarray:
-        raise TypeError("linear fixture states are planar, not boundary-parametrized")
-
     def distance(self, p: PhasePoint, q: PhasePoint) -> float:
         return math.hypot(p.r - q.r, p.theta - q.theta)
 

@@ -9,10 +9,12 @@ than orbit-specific numbers, because trajectories decorrelate across backends.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from pesin_coder import cocycle
 from pesin_coder.accel import OK, run_orbit
@@ -87,6 +89,24 @@ def first_admitted(table, rng_seed: int, side: int, tries: int = 40):
         except (OrbitHitsDiscontinuity, SplittingNotConverged, SeriesDiverging):
             continue
     raise AssertionError("no admissible sample point found")
+
+
+# sha256 (first 16 hex digits) of e_s, e_u and the two convergence angles of
+# the splittings of `pinned_segments`, pinned while the stable field was
+# still pushed by its own backward loop
+SPLITTING_PIN = "f92a90ee851a390a"
+
+
+def pinned_segments():
+    """Seeded segments of every table, with sides of both parities, and
+    fixture segments with unequal sides."""
+    for mk in (make_stadium, make_sinai, make_flower):
+        table = mk()
+        for seed, side in ((0, 200), (1, 201), (2, 60)):
+            yield first_admitted(table, seed, side)[0]
+    fx = make_linear_fixture()
+    for n_minus, n_plus in ((390, 390), (23, 390), (390, 17)):
+        yield orbit_segment(fx, PhasePoint(0, 1e-170, -1e-170), n_minus, n_plus)
 
 
 # ------------------------------------------------------------ orbit segments
@@ -228,6 +248,15 @@ class TestSplitting:
         assert np.allclose(sp.factor_s[:-25], fx.lambda_s, rtol=1e-14)
         assert np.allclose(sp.factor_u[25:], fx.lambda_u, rtol=1e-14)
 
+    def test_splitting_is_bitwise_pinned(self):
+        h = hashlib.sha256()
+        for seg in pinned_segments():
+            sp = oseledets_splitting(seg)
+            h.update(sp.e_s.tobytes() + sp.e_u.tobytes())
+            h.update((sp.convergence_angle_s.hex() + "|"
+                      + sp.convergence_angle_u.hex()).encode())
+        assert h.hexdigest()[:16] == SPLITTING_PIN
+
     def test_circle_has_no_splitting(self):
         ci = make_circle()
         seg = orbit_segment(ci, PhasePoint(0, 0.3, 0.7), 50, 50, with_rho=False)
@@ -290,27 +319,31 @@ class TestSplitting:
             table = {"flower": make_flower, "stadium": make_stadium,
                      "sinai": make_sinai}[kind]()
             seg, _ = first_admitted(table, 1, 200)
-        derivs, n, base = seg.derivs, len(seg), seg.n_minus
-        e_u = np.empty((n, 2))
-        e_s = np.empty((n, 2))
-        cocycle._push_forward(derivs, 0, n - 1, cocycle._SEED, out=e_u)
-        cocycle._push_backward(derivs, n - 1, 0, cocycle._SEED, out=e_s)
-        starts = (base - seg.n_minus // 2, base + seg.n_plus - seg.n_plus // 2)
         locks = []
         angles = []
-        for push, start, full in ((cocycle._push_forward, starts[0], e_u),
-                                  (cocycle._push_backward, starts[1], e_s)):
-            rows = np.full((n, 2), np.nan)
-            whole = push(derivs, start, base, cocycle._SEED, out=rows)
-            assert whole.tobytes() == push(derivs, start, base,
-                                           cocycle._SEED).tobytes()
-            got = push(derivs, start, base, cocycle._SEED, full=full)
-            assert got.tobytes() == whole.tobytes()
-            inner = range(start + 1, base + 1) if start < base \
-                else range(base, start)
-            locks.append(any(rows[i].tobytes() == full[i].tobytes()
-                             for i in inner))
-            angles.append(cocycle._angle_between(full[base], whole))
+        with np.errstate(**cocycle._SOLVE_ERRSTATE):
+            for step, mats, full in halved_pushes(seg):
+                rows = np.full((len(mats) + 1, 2), np.nan)
+                whole = cocycle._push(step, mats, cocycle._SEED, out=rows)
+                assert whole.tobytes() == cocycle._push(
+                    step, mats, cocycle._SEED).tobytes()
+                steps = []
+
+                def counted(M, w, out, step=step):
+                    steps.append(M)
+                    return step(M, w, out=out)
+
+                got = cocycle._push(counted, mats, cocycle._SEED, full=full)
+                assert got.tobytes() == whole.tobytes()
+                locks.append(any(rows[k].tobytes() == full[k].tobytes()
+                                 for k in range(1, len(rows))))
+                # the exit is taken at the first row equal up to sign
+                exit_row = next((k for k in range(1, len(rows))
+                                 if rows[k].tobytes() in (full[k].tobytes(),
+                                                          (-full[k]).tobytes())),
+                                len(mats))
+                assert len(steps) == exit_row
+                angles.append(cocycle._angle_between(full[-1], whole))
         sp = oseledets_splitting(seg)
         assert (sp.convergence_angle_u, sp.convergence_angle_s) == tuple(angles)
         if kind == "flower":
@@ -327,19 +360,13 @@ class TestSplitting:
         negated = 0
         for seed in range(8):
             seg, _ = first_admitted(table, seed, 200)
-            derivs, n, base = seg.derivs, len(seg), seg.n_minus
-            e_u = np.empty((n, 2))
-            e_s = np.empty((n, 2))
-            cocycle._push_forward(derivs, 0, n - 1, cocycle._SEED, out=e_u)
-            cocycle._push_backward(derivs, n - 1, 0, cocycle._SEED, out=e_s)
-            starts = (base - seg.n_minus // 2, base + seg.n_plus - seg.n_plus // 2)
-            for push, start, full in ((cocycle._push_forward, starts[0], e_u),
-                                      (cocycle._push_backward, starts[1], e_s)):
-                whole = push(derivs, start, base, cocycle._SEED)
-                got = push(derivs, start, base, cocycle._SEED, full=full)
-                assert cocycle._angle_between(full[base], got).hex() \
-                    == cocycle._angle_between(full[base], whole).hex()
-                negated += got.tobytes() == (-full[base]).tobytes()
+            with np.errstate(**cocycle._SOLVE_ERRSTATE):
+                for step, mats, full in halved_pushes(seg):
+                    whole = cocycle._push(step, mats, cocycle._SEED)
+                    got = cocycle._push(step, mats, cocycle._SEED, full=full)
+                    assert cocycle._angle_between(full[-1], got).hex() \
+                        == cocycle._angle_between(full[-1], whole).hex()
+                    negated += got.tobytes() == (-full[-1]).tobytes()
         if kind == "flower":
             assert negated > 0  # the negated exit is taken
 
@@ -366,17 +393,44 @@ class TestSplitting:
 
     @pytest.mark.parametrize("with_out", [False, True])
     def test_singular_backward_step_raises_like_linalg_solve(self, with_out):
-        # the backward push solves through LAPACK's gufunc under the error
+        # the stable push solves through LAPACK's gufunc under the error
         # settings of np.linalg.solve, so a singular step raises its error
         derivs = np.array([np.diag([2.0, 0.5])] * 6)
         derivs[2] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
             np.linalg.solve(derivs[2], cocycle._SEED)
         before = np.geterr()
-        out = np.empty((7, 2)) if with_out else None
+        out = np.empty((7, 2))[::-1] if with_out else None
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            cocycle._push_backward(derivs, 6, 0, cocycle._SEED, out=out)
+            with np.errstate(**cocycle._SOLVE_ERRSTATE):
+                cocycle._push(_umath_linalg.solve1, derivs[::-1],
+                              cocycle._SEED, out=out)
         assert np.geterr() == before
+
+    def test_singular_step_raises_from_the_splitting(self):
+        # oseledets_splitting enters those settings around the stable pushes
+        fx = make_linear_fixture()
+        derivs = np.array([np.diag([2.0, 0.5])] * 9)
+        derivs[2] = [[1.0, 2.0], [2.0, 4.0]]
+        seg = OrbitSegment(fx, 4, 4, (PhasePoint(0, 0.0, 0.0),) * 9, derivs)
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            oseledets_splitting(seg)
+        assert np.geterr() == before
+
+    def test_solve1_is_bitwise_linalg_solve(self):
+        # the stable push calls the gufunc without np.linalg.solve's wrapper
+        rng = np.random.default_rng(13)
+        n = 20000
+        mats = rng.standard_normal((n, 2, 2)) \
+            * np.exp(rng.uniform(-20.0, 20.0, (n, 1, 1)))
+        rows = rng.standard_normal((n, 2)) \
+            * np.exp(rng.uniform(-20.0, 20.0, (n, 1)))
+        want = np.array([np.linalg.solve(D, w) for D, w in zip(mats, rows)])
+        with np.errstate(**cocycle._SOLVE_ERRSTATE):
+            got = np.array([_umath_linalg.solve1(D, w)
+                            for D, w in zip(mats, rows)])
+        assert got.tobytes() == want.tobytes()
 
     def test_fix_sign_rule(self):
         rows = [(0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0),
@@ -406,6 +460,23 @@ def fix_sign_row(v: np.ndarray) -> np.ndarray:
     if v[0] != 0.0:
         return v if v[0] > 0 else -v
     return v if v[1] > 0 else -v
+
+
+def halved_pushes(seg: OrbitSegment):
+    """(step, matrices, full push aligned row for row) of the halved-window
+    pushes of the unstable and the stable field, as `oseledets_splitting`
+    runs them."""
+    D, n, base = seg.derivs, len(seg), seg.n_minus
+    e_u = np.empty((n, 2))
+    e_s = np.empty((n, 2))
+    lo = base - seg.n_minus // 2
+    hi = base + seg.n_plus - seg.n_plus // 2
+    solve = _umath_linalg.solve1
+    with np.errstate(**cocycle._SOLVE_ERRSTATE):
+        cocycle._push(np.matmul, D[:n - 1], cocycle._SEED, out=e_u)
+        cocycle._push(solve, D[:n - 1][::-1], cocycle._SEED, out=e_s[::-1])
+    return ((np.matmul, D[lo:base], e_u[lo:base + 1]),
+            (solve, D[base:hi][::-1], e_s[base:hi + 1][::-1]))
 
 
 def reference_splitting(seg: OrbitSegment):

@@ -594,14 +594,15 @@ def test_recurrence_filter_cases():
     assert not sigma_sharp_filter([7])
     alpha = fixture_alphabet(0.0)
     _, gam = fixture_gammas()
-    assert sigma_sharp_filter(sufficiency_itinerary(alpha, gam, anchor=4))
+    assert sigma_sharp_filter(
+        sufficiency_itinerary(alpha, gam, anchor=4).symbols())
 
 
 def test_recurrence_filter_rejects_chains():
     alpha = fixture_alphabet(0.0, H)
     _, gam_h = fixture_gammas(H)
     it_h = sufficiency_itinerary(alpha, gam_h, anchor=4)
-    assert not sigma_sharp_filter(it_h)
+    assert not sigma_sharp_filter(it_h.symbols())
     _CACHE["it_h"] = it_h
 
 

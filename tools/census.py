@@ -39,9 +39,11 @@ a reason, or deleted, and a stale allowance is removed.
 
 It also lists ``blas_sites``: each expression in ``src`` that can reach
 BLAS or LAPACK, as ``module.py:line what``.  These are the ``@`` operator
-and calls of ``matmul``, ``dot`` (as ``np.dot`` or a ``.dot`` method),
+and each load of ``matmul``, ``dot`` (as ``np.dot`` or a ``.dot`` method),
 ``einsum``, anything under ``np.linalg`` and anything under numpy's
-LAPACK gufunc module ``_umath_linalg``, which ``np.linalg`` wraps.  Their
+LAPACK gufunc module ``_umath_linalg``, which ``np.linalg`` wraps: a call,
+or a reference passed on as a value (``np.matmul`` given to a loop that
+calls it, say), which reaches the same kernel when it is called.  Their
 bits depend on the host's kernels, not on IEEE arithmetic alone (ROADMAP
 item 10).
 
@@ -84,6 +86,8 @@ TEST_ONLY_ALLOWED = {
     "cocycle.LyapunovEstimate.qr_lambda2": _QR,
     "coding.Itinerary.in_alphabet": "which steps of a coded word left the "
                                     "alphabet (ROADMAP item 3(c))",
+    "coding.Itinerary.symbols": "a coded word's symbol sequence, the input "
+                                "of sigma_sharp_filter",
 }
 
 
@@ -203,19 +207,19 @@ def test_only_public(src: Path, readers) -> list[str]:
 
 
 def blas_sites(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, what) of each ``@``, ``matmul``, ``dot``, ``einsum``,
-    ``np.linalg`` and ``_umath_linalg`` call in the tree, in line order."""
+    """(line, what) of each ``@`` and each load of a ``matmul``, ``dot``,
+    ``einsum``, ``np.linalg`` or ``_umath_linalg`` attribute in the tree,
+    called or passed on as a value, in line order."""
     sites = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) \
                 and isinstance(node.op, ast.MatMult):
             sites.append((node.lineno, "@"))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            func = node.func
-            owner = getattr(func.value, "attr", getattr(func.value, "id", None))
-            if func.attr in ("matmul", "dot", "einsum") \
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+            if node.attr in ("matmul", "dot", "einsum") \
                     or owner in ("linalg", "_umath_linalg"):
-                sites.append((node.lineno, ast.unparse(func)))
+                sites.append((node.lineno, ast.unparse(node)))
     return sorted(sites)
 
 
