@@ -9,37 +9,51 @@ frames reduces the dynamics to a diagonal hyperbolic cocycle.  All limits are
 replaced by finite-window proxies: fitted slopes, running extrema, and best
 return distances.
 
-The cocycle is 2x2, so the per-step loops avoid numpy calls where the bits
-allow it.  The exponents push one vector on Python floats and take the
-second QR diagonal entry from the determinant, with no QR per step.  The
-stable field of f is the unstable field of f^-1 run in reversed time, so
-one push function `_push` makes all four splitting pushes: the product
-through the derivatives in order, or LAPACK's solve through them in
-reversed order.  It keeps numpy's product and solve, whose bits come from
-the host's BLAS/LAPACK kernels (ROADMAP item 10), but takes the norm as
-sqrt(w.w), which is what `np.linalg.norm` computes for a real vector.  The
-solve is the gufunc `np.linalg.solve` dispatches to for a vector
-right-hand side, called without numpy's per-call wrapper: the same LAPACK
-call on the same float64 data, so the same bits.
+The cocycle is 2x2, so the per-step loops run on Python floats.  The
+exponents push one vector and take the second QR diagonal entry from the
+determinant, with no QR per step.  The stable field of f is the unstable
+field of f^-1 run in reversed time, so one push function `_push` makes all
+four splitting pushes: the product through the derivatives in order, or the
+solve through them in reversed order.  Each step gives the bits of the numpy
+kernels it replaces.  With numpy 2.4 and its OpenBLAS 0.3.31 on an x86-64
+Xeon with FMA, measured against exact rational arithmetic, they round as
+fused multiply-adds (fma, one rounding of a*x + p):
+- `np.matmul` of (a, b; c, d) with (x, y) is (fma(a, x, b*y),
+  fma(c, x, d*y)), with a zero result always +0.0;
+- `w.dot(w)`, whose square root `np.linalg.norm` takes, is fma(y, y, x*x);
+- `np.linalg.solve` is LAPACK's dgesv: the rows swap iff |c| > |a|, then
+  l = c * (1/a), u = d - l*b, y2 = fma(-l, p, q), x2 = y2/u and
+  x1 = fma(-b, x2, p)/a for the right-hand side (p, q).
+Python 3.11 has no `math.fma`, so fma(a, x, p) is Dekker's TwoProduct: with
+Veltkamp's halves of a and x, h = fl(a*x) and its error e are exact while
+nothing underflows or overflows, and `math.fsum((h, e, p))` rounds the exact
+sum h + e + p once, to nearest even.  A zero e gives h + p and a zero p
+gives h, with no fsum.  `_fma` takes every case outside that range exactly
+(a zero product, a product too small to move p, the rest in `Fraction`), and
+a step whose matrix is out of range, or whose row is not finite, calls the
+numpy kernel itself.  So the pushes are bitwise the numpy loops on that
+platform (a test pins them on 20 000 random rows), and their bits are those
+of IEEE arithmetic, not of whichever BLAS a host links (ROADMAP item 10).
 The one-step norms along the fields are elementwise, with no BLAS call;
 a test pins them bitwise to the norm of numpy's einsum product.
 A halved-window push, which measures convergence, is given the full push
-over the same matrices and stops at its first row bitwise equal to the
-full push's row at that step or to that row negated; it returns the full
+over the same matrices and stops at its first row with no zero entry that
+equals the full push's row at that step or that row negated (nonzero
+floats compare equal only when their bits are equal); it returns the full
 push's last row, negated in the second case.  Each push step is a
 function of its row and that step's matrix alone, so from an equal row on
 the two pushes compute the same bits, and the exit returns what the whole
 halved push would.
 Under round-to-nearest a push step is odd up to the sign of an exact zero:
-negating the row negates every product, sum and LAPACK substitution
-exactly (the LU pivots read the matrix alone), except that an exact
-cancellation gives +0 either way; the norm is even and the divide odd.  So
-from a negated row the whole push would end on the negated last row up to
-the signs of its zero entries, and the only reader, `_angle_between`,
-takes |cross|, which is the same for a vector and its negation and ignores
-the signs of zeros.  On the flower a halved push of the unstable field
-locks after about 20 of its 500 steps, and one of the stable field often
-locks onto the negation.  On the linear fixture no halved push locks.
+negating the row negates every product, fma and substitution exactly (the
+LU pivots read the matrix alone), except that an exact cancellation gives
++0 either way; the norm is even and the divide odd.  So from a negated row
+the whole push would end on the negated last row up to the signs of its
+zero entries, and the only reader, `_angle_between`, takes |cross|, which
+is the same for a vector and its negation and ignores the signs of zeros.
+On the flower a halved push of the unstable field locks after about 20 of
+its 500 steps, and one of the stable field often locks onto the negation.
+On the linear fixture no halved push locks.
 The s/u series run over Python floats.  The splitting, the series and the
 frames keep every bit; the QR means move in their last bits only.
 """
@@ -47,12 +61,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import fsum
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .dynamics import billiard_inverse, dist_to_discontinuity
 from .errors import (
+    BoundViolated,
     DegenerateAngle,
     InequalityViolated,
     MapUndefined,
@@ -278,35 +295,207 @@ def _raise_singular(err, flag):
 _SOLVE_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
 
+# Veltkamp's constant 2**27 + 1: t = _SPLIT*v, hi = t - (t - v), lo = v - hi
+# splits a double into halves of at most 26 bits, so hi*hi, hi*lo and lo*lo
+# are exact
+_SPLIT = 134217729.0
+# Dekker's product error e = a*x - h, h = fl(a*x), comes out exact when both
+# operands are normal, nothing overflows and their exponents sum to at least
+# -970.  A push step takes the float path only when every matrix-side operand
+# is 0 or within [1/_BOUND, _BOUND] (see `_in_range`), which keeps every row
+# operand below 2**303; a product h within [_LO, _HI] then meets those terms.
+# Other products go through `_fma`.
+_LO, _HI = 2.0 ** -900, 2.0 ** 1000
+_BOUND = 2.0 ** 100
 
-def _push(step, mats: np.ndarray, v: np.ndarray, out: np.ndarray | None = None,
+
+def _fma(a: float, x: float, p: float) -> float:
+    """a*x + p rounded once, as an FMA unit computes it, for any floats.
+
+    An exactly zero product gives a*x + p, with IEEE's signed zeros, and a
+    zero p the rounded product.  A product below 2**-57 |p| cannot move a
+    p of at least 2**-1017.  Operands within 2**+-450 take Dekker's
+    TwoProduct h + e = a*x, summed by `math.fsum`, which rounds the exact
+    sum once; the other finite cases are summed in `Fraction`, whose float
+    conversion rounds once too.  Non-finite operands follow IEEE."""
+    h = a * x
+    if a == 0.0 or x == 0.0:
+        return h + p
+    if p == 0.0:
+        return h
+    if not (math.isfinite(a) and math.isfinite(x)):
+        return h + p
+    if not math.isfinite(p):
+        return p
+    if abs(p) >= 2.0 ** -1017 and abs(h) * 2.0 ** 57 <= abs(p):
+        return p
+    if (2.0 ** -450 <= abs(a) <= 2.0 ** 450
+            and 2.0 ** -450 <= abs(x) <= 2.0 ** 450 and abs(p) <= _HI):
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * x
+        xh = t - (t - x)
+        xl = x - xh
+        e = ((ah * xh - h) + ah * xl + al * xh) + al * xl
+        return h + p if not e else fsum((h, e, p))
+    exact = Fraction(a) * Fraction(x) + Fraction(p)
+    try:
+        return float(exact)  # +0.0 for an exact cancellation, as in IEEE
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp halves of each entry: the float steps, elementwise."""
+    t = _SPLIT * v
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _in_range(v: np.ndarray) -> np.ndarray:
+    """Entries that are 0 or within [1/_BOUND, _BOUND] in magnitude."""
+    m = np.abs(v)
+    return (m == 0.0) | ((1.0 / _BOUND <= m) & (m <= _BOUND))
+
+
+def _product_steps(mats: np.ndarray) -> list[list]:
+    """Per-step columns of the product (a, b; c, d)(x, y): whether the
+    float path may take the step, a and its halves, b, c and its halves,
+    d."""
+    a, b, c, d = mats.reshape(len(mats), 4).T
+    ok = _in_range(mats).all(axis=(1, 2))
+    return [col.tolist() for col in (ok, a, *_halves(a), b, c, *_halves(c), d)]
+
+
+def _solve_steps(mats: np.ndarray) -> list[list]:
+    """Per-step columns of LAPACK's LU solve: whether the float path may take
+    the step, the row swap, -l and its halves, -b and its halves, and the
+    pivots a and u.  The rows swap iff |c| > |a|; then l = c * (1/a) and
+    u = d - l*b, as dgetrf factors a pivot above its safe minimum."""
+    a, b, c, d = mats.reshape(len(mats), 4).T
+    swap = np.abs(c) > np.abs(a)
+    a, b, c, d = (np.where(swap, c, a), np.where(swap, d, b),
+                  np.where(swap, a, c), np.where(swap, b, d))
+    l = c * (1.0 / a)
+    u = d - l * b
+    ok = (_in_range(a) & _in_range(b) & _in_range(l) & _in_range(u)
+          & (a != 0.0) & (u != 0.0))
+    return [col.tolist() for col in (ok, swap, -l, *_halves(-l), -b,
+                                     *_halves(-b), a, u)]
+
+
+def _unit(x: float, y: float) -> tuple[float, float]:
+    """(x, y) over sqrt(fma(y, y, x*x)), the `ndarray.dot` norm.  A norm
+    that is 0 or not finite divides in numpy, with numpy's warnings or
+    errors; only the overflow warning of `ndarray.dot` itself is not
+    repeated."""
+    s = math.sqrt(_fma(y, y, x * x))
+    if 0.0 < s < math.inf:
+        return x / s, y / s
+    return tuple((np.array((x, y)) / s).tolist())
+
+
+def _push(mats: np.ndarray, v: np.ndarray, inverse: bool = False,
+          out: np.ndarray | None = None,
           full: np.ndarray | None = None) -> np.ndarray:
     """Push the unit vector of v through `mats` in order; return the last row.
 
-    Row k+1 is step(mats[k], row k) divided by sqrt(w.w), which is bit for
-    bit what `np.linalg.norm` returns for a real vector.  `step` is
-    `np.matmul` for the cocycle or `_umath_linalg.solve1` for its inverse:
-    the LAPACK gufunc that `np.linalg.solve` calls for a 1-D right-hand side,
-    on the same float64 data, so the bits are `np.linalg.solve`'s without its
-    per-call wrapper.  With `out`, row k is written to out[k].  `full` is an
-    earlier push over the same matrices, aligned row for row: at the first
-    row bitwise equal to full[k] or to its negation the push returns
-    full[-1] or -full[-1] (see the module docstring for why that is exact)."""
-    w = v / math.sqrt(v.dot(v))
+    Row k+1 is `np.matmul(mats[k], row k)`, or with `inverse` the solve
+    `np.linalg.solve(mats[k], row k)`, divided by sqrt(w.dot(w)), all on
+    Python floats with the bits of those numpy kernels (see the module
+    docstring).  A step whose matrix `_product_steps`/`_solve_steps` mark as
+    out of range calls the numpy kernel itself, under the caller's error
+    state.  With `out`, the rows computed are written to out[0], out[1],
+    ... when the push returns.  `full` is an earlier push over the same
+    matrices, aligned row for row: at the first row with no zero entry that
+    equals full[k] or its negation the push returns full[-1] or -full[-1]
+    (see the module docstring for why that is exact)."""
+    with np.errstate(all="ignore"):  # out-of-range steps are only flagged
+        cols = (_solve_steps if inverse else _product_steps)(mats)
+    x, y = _unit(*v.tolist())
+    finite = math.isfinite(x) and math.isfinite(y)
+    xs, ys = [x], [y]
+    lock = None if full is None else np.abs(full[1:, 0]).tolist()
+    last = None
+    for k, step in enumerate(zip(*cols)):
+        if not (step[0] and finite):
+            kernel = _umath_linalg.solve1 if inverse else np.matmul
+            x, y = _unit(*kernel(mats[k], np.array((x, y))).tolist())
+            finite = math.isfinite(x) and math.isfinite(y)
+        else:
+            if inverse:
+                _, swap, nl, nlh, nll, nb, nbh, nbl, a, u = step
+                p, q = (y, x) if swap else (x, y)
+                # Y = fma(-l, p, q) / u
+                t = _SPLIT * p
+                ph = t - (t - p)
+                pl = p - ph
+                h = nl * p
+                if _LO <= abs(h) <= _HI:
+                    e = ((nlh * ph - h) + nlh * pl + nll * ph) + nll * pl
+                    Y = h + q if not e else h if not q else fsum((h, e, q))
+                else:
+                    Y = _fma(nl, p, q)
+                Y /= u
+                # X = fma(-b, Y, p) / a
+                t = _SPLIT * Y
+                yh = t - (t - Y)
+                yl = Y - yh
+                h = nb * Y
+                if _LO <= abs(h) <= _HI:
+                    e = ((nbh * yh - h) + nbh * yl + nbl * yh) + nbl * yl
+                    X = h + p if not e else h if not p else fsum((h, e, p))
+                else:
+                    X = _fma(nb, Y, p)
+                X /= a
+            else:
+                _, a, ah, al, b, c, ch, cl, d = step
+                t = _SPLIT * x
+                xh = t - (t - x)
+                xl = x - xh
+                # X = fma(a, x, b*y)
+                h, p = a * x, b * y
+                if _LO <= abs(h) <= _HI:
+                    e = ((ah * xh - h) + ah * xl + al * xh) + al * xl
+                    X = h + p if not e else h if not p else fsum((h, e, p))
+                else:
+                    X = _fma(a, x, p) + 0.0
+                # Y = fma(c, x, d*y)
+                h, p = c * x, d * y
+                if _LO <= abs(h) <= _HI:
+                    e = ((ch * xh - h) + ch * xl + cl * xh) + cl * xl
+                    Y = h + p if not e else h if not p else fsum((h, e, p))
+                else:
+                    Y = _fma(c, x, p) + 0.0
+                t = _SPLIT * Y
+                yh = t - (t - Y)
+                yl = Y - yh
+            # the norm sqrt(fma(Y, Y, X*X))
+            h = Y * Y
+            if _LO <= h <= _HI:
+                e = ((yh * yh - h) + 2.0 * yh * yl) + yl * yl
+                p = X * X
+                s = math.sqrt(h + p if not e else h if not p
+                              else fsum((h, e, p)))
+                x, y = X / s, Y / s
+            else:
+                x, y = _unit(X, Y)
+                finite = math.isfinite(x) and math.isfinite(y)
+        xs.append(x)
+        ys.append(y)
+        if lock is not None and abs(x) == lock[k] and x and y:
+            gx, gy = full[k + 1].tolist()
+            if x == gx and y == gy:
+                last = full[-1]
+                break
+            if x == -gx and y == -gy:
+                last = -full[-1]
+                break
     if out is not None:
-        out[0] = w
-    if full is not None:
-        same, negated = full.tobytes(), (-full).tobytes()
-    for k in range(len(mats)):
-        w = step(mats[k], w, out=None if out is None else out[k + 1])
-        w /= math.sqrt(w.dot(w))
-        if full is not None:
-            row = w.tobytes()
-            if row == same[16 * k + 16:16 * k + 32]:
-                return full[-1]
-            if row == negated[16 * k + 16:16 * k + 32]:
-                return -full[-1]
-    return w
+        out[:len(xs), 0] = xs
+        out[:len(ys), 1] = ys
+    return np.array((x, y)) if last is None else last
 
 
 def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
@@ -344,12 +533,12 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     e_s = np.empty((n, 2))
     # each halved window ends at the base point
     lo = base - seg.n_minus // 2
-    _push(np.matmul, D[:n - 1], _SEED, out=e_u)
-    u_half = _push(np.matmul, D[lo:base], _SEED, full=e_u[lo:base + 1])
+    _push(D[:n - 1], _SEED, out=e_u)
+    u_half = _push(D[lo:base], _SEED, full=e_u[lo:base + 1])
     hi = base + seg.n_plus - seg.n_plus // 2
     with np.errstate(**_SOLVE_ERRSTATE):
-        _push(_umath_linalg.solve1, D[:n - 1][::-1], _SEED, out=e_s[::-1])
-        s_half = _push(_umath_linalg.solve1, D[base:hi][::-1], _SEED,
+        _push(D[:n - 1][::-1], _SEED, inverse=True, out=e_s[::-1])
+        s_half = _push(D[base:hi][::-1], _SEED, inverse=True,
                        full=e_s[base:hi + 1][::-1])
     ang_u = _angle_between(e_u[base], u_half)
     ang_s = _angle_between(e_s[base], s_half)
@@ -477,12 +666,14 @@ def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
 # -------------------------------------------------------------------- frames
 def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
                 u_param: float, chi: float) -> HyperbolicFrame:
-    """Assemble C with columns e_s/s and e_u/u; assert the frame identities.
+    """Assemble C with columns e_s/s and e_u/u and check the frame identities.
 
     The closed form ||C^-1||_F = sqrt(s^2+u^2)/|sin alpha| (`c_inv_frob`) is
     checked against the 2x2 inverse written out: for C = [[p, q], [r, t]],
-    ||C^-1||_F = sqrt(p^2+q^2+r^2+t^2)/|pt - qr|.  alpha keeps numpy's
-    `np.dot`, because it reaches `c_inv_frob` and the outputs."""
+    ||C^-1||_F = sqrt(p^2+q^2+r^2+t^2)/|pt - qr|.  A gap above 1e-10 of the
+    direct value, or ||C||_F above 1, raises BoundViolated with the measured
+    and allowed values.  alpha keeps numpy's `np.dot`, because it reaches
+    `c_inv_frob` and the outputs."""
     e_s = np.asarray(e_s, dtype=float)
     e_u = np.asarray(e_u, dtype=float)
     for v in (e_s, e_u):
@@ -500,11 +691,12 @@ def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
     # closed-form ||C^-1||_F must match the inverse's own (consistency check)
     (p, q), (r, t) = C.tolist()
     direct = math.sqrt(p * p + q * q + r * r + t * t) / abs(p * t - q * r)
-    if abs(direct - frame.c_inv_frob) > 1e-10 * max(1.0, direct):
-        raise AssertionError(
-            f"frame inverse-norm identity broke: {direct} vs {frame.c_inv_frob}")
+    gap, allowed = abs(direct - frame.c_inv_frob), 1e-10 * max(1.0, direct)
+    if gap > allowed:
+        raise BoundViolated("||C^-1||_F closed form minus direct", gap,
+                            allowed)
     if frame.c_frob > 1.0 + 1e-12:
-        raise AssertionError(f"||C||_F = {frame.c_frob} exceeds 1")
+        raise BoundViolated("||C||_F - 1", frame.c_frob - 1.0, 1e-12)
     return frame
 
 

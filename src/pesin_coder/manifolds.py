@@ -133,7 +133,7 @@ def _pchip(x, y, derivative: bool = False) -> Callable:
     h = np.diff(x)
     m = np.diff(y) / h
     w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
     keep = np.sign(m[1:]) * np.sign(m[:-1]) > 0  # same sign, neither zero
     d = np.zeros_like(y)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,12 +31,15 @@ from pesin_coder.cocycle import (
     reduced_cocycle,
     s_u_parameters,
 )
+from pesin_coder.coding import gammas_from_segment
 from pesin_coder.dynamics import (
+    RegularityConstants,
     billiard_inverse,
     billiard_map,
     dist_to_discontinuity,
 )
 from pesin_coder.errors import (
+    BoundViolated,
     DegenerateAngle,
     InequalityViolated,
     NotDiagonal,
@@ -44,6 +48,7 @@ from pesin_coder.errors import (
     SeriesDiverging,
     SplittingNotConverged,
 )
+from pesin_coder.lattice import EpsilonConfig
 from pesin_coder.tables import (
     CORNER_TOL,
     GRAZING_COS_TOL,
@@ -308,13 +313,15 @@ class TestSplitting:
         for got, want in zip((sp.e_s, sp.e_u, sp.factor_s, sp.factor_u), ref):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("kind", ["flower", "stadium", "sinai", "fixture"])
+    @pytest.mark.parametrize("kind", ["flower", "stadium", "sinai", "fixture",
+                                      "fixture_long"])
     def test_halved_push_lock_exit_is_bitwise_the_whole_push(self, kind):
-        # a halved push stops at its first row bitwise equal to the full
-        # push and returns the full push's row at the base point: the bytes
-        # the whole halved push ends on
-        if kind == "fixture":
-            _, seg = fixture_segment()
+        # a halved push stops at its first row with no zero entry bitwise
+        # equal to the full push, up to sign, and returns the full push's
+        # row at the base point: the bytes the whole halved push ends on
+        if kind.startswith("fixture"):
+            # on the long fixture both pushes reach rows with a 0 entry
+            _, seg = fixture_segment(800 if kind == "fixture_long" else 40)
         else:
             table = {"flower": make_flower, "stadium": make_stadium,
                      "sinai": make_sinai}[kind]()
@@ -322,27 +329,26 @@ class TestSplitting:
         locks = []
         angles = []
         with np.errstate(**cocycle._SOLVE_ERRSTATE):
-            for step, mats, full in halved_pushes(seg):
+            for inverse, mats, full in halved_pushes(seg):
                 rows = np.full((len(mats) + 1, 2), np.nan)
-                whole = cocycle._push(step, mats, cocycle._SEED, out=rows)
+                whole = cocycle._push(mats, cocycle._SEED, inverse, out=rows)
                 assert whole.tobytes() == cocycle._push(
-                    step, mats, cocycle._SEED).tobytes()
-                steps = []
-
-                def counted(M, w, out, step=step):
-                    steps.append(M)
-                    return step(M, w, out=out)
-
-                got = cocycle._push(counted, mats, cocycle._SEED, full=full)
+                    mats, cocycle._SEED, inverse).tobytes()
+                taken = np.full((len(mats) + 1, 2), np.nan)
+                got = cocycle._push(mats, cocycle._SEED, inverse, out=taken,
+                                    full=full)
                 assert got.tobytes() == whole.tobytes()
                 locks.append(any(rows[k].tobytes() == full[k].tobytes()
                                  for k in range(1, len(rows))))
-                # the exit is taken at the first row equal up to sign
+                # the exit is taken at the first row with no zero entry
+                # equal up to sign, and the push writes the rows it computed
                 exit_row = next((k for k in range(1, len(rows))
-                                 if rows[k].tobytes() in (full[k].tobytes(),
-                                                          (-full[k]).tobytes())),
+                                 if rows[k].all() and rows[k].tobytes() in
+                                 (full[k].tobytes(), (-full[k]).tobytes())),
                                 len(mats))
-                assert len(steps) == exit_row
+                assert np.isnan(taken[exit_row + 1:]).all()
+                assert taken[:exit_row + 1].tobytes() \
+                    == rows[:exit_row + 1].tobytes()
                 angles.append(cocycle._angle_between(full[-1], whole))
         sp = oseledets_splitting(seg)
         assert (sp.convergence_angle_u, sp.convergence_angle_s) == tuple(angles)
@@ -350,6 +356,8 @@ class TestSplitting:
             assert locks == [True, True]  # both exits are taken
         if kind == "fixture":
             assert locks == [False, False]  # the whole push runs
+        if kind == "fixture_long":
+            assert locks == [True, True]  # equal rows, but with a 0 entry
 
     @pytest.mark.parametrize("kind", ["flower", "stadium"])
     def test_negated_lock_keeps_the_halved_angles(self, kind):
@@ -361,9 +369,10 @@ class TestSplitting:
         for seed in range(8):
             seg, _ = first_admitted(table, seed, 200)
             with np.errstate(**cocycle._SOLVE_ERRSTATE):
-                for step, mats, full in halved_pushes(seg):
-                    whole = cocycle._push(step, mats, cocycle._SEED)
-                    got = cocycle._push(step, mats, cocycle._SEED, full=full)
+                for inverse, mats, full in halved_pushes(seg):
+                    whole = cocycle._push(mats, cocycle._SEED, inverse)
+                    got = cocycle._push(mats, cocycle._SEED, inverse,
+                                        full=full)
                     assert cocycle._angle_between(full[-1], got).hex() \
                         == cocycle._angle_between(full[-1], whole).hex()
                     negated += got.tobytes() == (-full[-1]).tobytes()
@@ -393,8 +402,9 @@ class TestSplitting:
 
     @pytest.mark.parametrize("with_out", [False, True])
     def test_singular_backward_step_raises_like_linalg_solve(self, with_out):
-        # the stable push solves through LAPACK's gufunc under the error
-        # settings of np.linalg.solve, so a singular step raises its error
+        # a singular step is out of the float path's range: the stable push
+        # solves it through LAPACK's gufunc under the error settings of
+        # np.linalg.solve, so it raises that error
         derivs = np.array([np.diag([2.0, 0.5])] * 6)
         derivs[2] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
@@ -403,8 +413,8 @@ class TestSplitting:
         out = np.empty((7, 2))[::-1] if with_out else None
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
             with np.errstate(**cocycle._SOLVE_ERRSTATE):
-                cocycle._push(_umath_linalg.solve1, derivs[::-1],
-                              cocycle._SEED, out=out)
+                cocycle._push(derivs[::-1], cocycle._SEED, inverse=True,
+                              out=out)
         assert np.geterr() == before
 
     def test_singular_step_raises_from_the_splitting(self):
@@ -454,6 +464,147 @@ class TestSplitting:
         assert got[15].tolist()[0] == 1.0 and math.isnan(got[15, 1])
 
 
+# ------------------------------------------------------------ float pushes
+def exact_fma(a: float, x: float, p: float) -> float:
+    """a*x + p rounded once, from exact rationals: IEEE's fma on finite
+    floats.  An exactly zero product keeps IEEE's signed zeros, and an exact
+    cancellation is +0."""
+    if a == 0.0 or x == 0.0:
+        return a * x + p
+    total = Fraction(a) * Fraction(x) + Fraction(p)
+    try:
+        return float(total) if total else 0.0
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def exact_unit(x: float, y: float) -> tuple[float, float]:
+    s = math.sqrt(exact_fma(y, y, x * x))
+    return x / s, y / s
+
+
+def exact_step(m, x: float, y: float, inverse: bool) -> tuple[float, float]:
+    """One push step by the formulas of the cocycle docstring, each fma from
+    exact rationals."""
+    (a, b), (c, d) = m
+    if not inverse:
+        return exact_unit(exact_fma(a, x, b * y) + 0.0,
+                          exact_fma(c, x, d * y) + 0.0)
+    p, q = x, y
+    if abs(c) > abs(a):
+        a, b, c, d, p, q = c, d, a, b, q, p
+    l = c * (1.0 / a)
+    u = d - l * b
+    y2 = exact_fma(-l, p, q) / u
+    return exact_unit(exact_fma(-b, y2, p) / a, y2)
+
+
+def numpy_push(mats: np.ndarray, v: np.ndarray, inverse: bool) -> np.ndarray:
+    """Every row of the push as numpy computes it: `np.matmul` or the LAPACK
+    solve per step, over sqrt(w.dot(w))."""
+    step = _umath_linalg.solve1 if inverse else np.matmul
+    w = v / math.sqrt(v.dot(v))
+    rows = [w]
+    with np.errstate(**cocycle._SOLVE_ERRSTATE):
+        for M in mats:
+            w = step(M, w)
+            w /= math.sqrt(w.dot(w))
+            rows.append(w)
+    return np.array(rows)
+
+
+def push_rows(rng, kind: str, n: int) -> np.ndarray:
+    """n nonsingular 2x2 matrices of one kind."""
+    if kind == "random":
+        return rng.standard_normal((n, 2, 2)) \
+            * np.exp(rng.uniform(-20.0, 20.0, (n, 1, 1)))
+    if kind == "wide":  # past the float path's range: numpy and _fma steps
+        return rng.standard_normal((n, 2, 2)) \
+            * np.exp(rng.uniform(-300.0, 300.0, (n, 2, 2)))
+    if kind == "diagonal":  # the row's small entry goes subnormal, then 0
+        lam = math.exp(rng.uniform(0.5, 2.0))
+        mats = np.zeros((n, 2, 2))
+        mats[:, 0, 0], mats[:, 1, 1] = 1.0 / lam, lam
+        return mats[:, ::-1, ::-1].copy() if rng.random() < 0.5 else mats
+    if kind == "near_singular":  # second row nearly a multiple of the first
+        mats = rng.standard_normal((n, 2, 2))
+        mats[:, 1] = mats[:, 0] * rng.uniform(0.5, 2.0, (n, 1)) \
+            + rng.standard_normal((n, 2)) \
+            * np.exp(rng.uniform(-25.0, -10.0, (n, 1)))
+        return mats
+    mats = rng.standard_normal((n, 2, 2))  # "zeros"
+    mats[rng.random((n, 2, 2)) < 0.3] = 0.0
+    mats[np.linalg.det(mats) == 0.0] = np.eye(2)
+    return mats
+
+
+class TestFloatPush:
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "diagonal", "near_singular",
+                                      "zeros"])
+    def test_push_is_the_exact_fma_formulas(self, kind, inverse):
+        # portable: on any IEEE platform the float push computes the
+        # docstring's formulas with each fma rounded once
+        rng = np.random.default_rng(["random", "diagonal", "near_singular",
+                                     "zeros"].index(kind))
+        mats = push_rows(rng, kind, 800 if kind == "diagonal" else 300)
+        with np.errstate(all="ignore"):
+            steps = (cocycle._solve_steps if inverse
+                     else cocycle._product_steps)(mats)
+        assert all(steps[0])  # every step takes the float path
+        for v in (cocycle._SEED, -cocycle._SEED,
+                  rng.standard_normal(2) * 1e-30):
+            rows = np.empty((len(mats) + 1, 2))
+            cocycle._push(mats, v, inverse, out=rows)
+            x, y = exact_unit(*v.tolist())
+            want = [(x, y)]
+            for m in mats.tolist():
+                x, y = exact_step(m, x, y, inverse)
+                want.append((x, y))
+            assert rows.tobytes() == np.array(want).tobytes()
+        if kind == "diagonal":  # the tails went subnormal, then to 0
+            small = np.abs(rows).min(axis=1)
+            assert np.count_nonzero((0.0 < small) & (small < 2.0 ** -1022)) > 10
+            assert (small == 0.0).any()
+
+    def test_fma_is_exact(self):
+        edge = [0.0, -0.0, 1.5, -2.25, 0.1, 3.0 * 2.0 ** -1074, -5e-324,
+                -1e-310, 1e-200, -3e-170, 3.3e-160, 2.0 ** -1017, 1e150,
+                -1e300, 1.7e308]
+        triples = [(a, x, p) for a in edge for x in edge for p in edge]
+        rng = np.random.default_rng(2)
+        for top in (60, 1100):
+            triples += (rng.standard_normal((10000, 3)) * np.exp2(
+                rng.integers(-top, min(top, 1000), (10000, 3)))).tolist()
+        for a, x, p in triples:
+            assert cocycle._fma(a, x, p).hex() == exact_fma(a, x, p).hex(), \
+                (a, x, p)
+        # non-finite operands follow IEEE
+        inf = math.inf
+        assert cocycle._fma(inf, 2.0, 1.0) == inf
+        assert math.isnan(cocycle._fma(inf, 0.0, 1.0))
+        assert math.isnan(cocycle._fma(inf, 1.0, -inf))
+        assert cocycle._fma(1e300, 1e10, -inf) == -inf  # a*x alone overflows
+        assert cocycle._fma(1e300, 1e10, -1e308) == inf
+
+    def test_push_is_bitwise_the_numpy_loop(self):
+        # this pins the platform's kernels, not only the formulas: with
+        # numpy 2.4 and OpenBLAS 0.3.31 on x86-64 with FMA, np.matmul,
+        # ndarray.dot and the LAPACK solve round as the fma formulas do; a
+        # BLAS that rounds otherwise fails here and nowhere above
+        rng = np.random.default_rng(17)
+        pushes = [push_rows(rng, "random", 20000)]
+        pushes += [push_rows(rng, kind, 400) for kind in
+                   ("wide", "diagonal", "near_singular", "zeros")]
+        for mats in pushes:
+            for inverse in (False, True):
+                rows = np.empty((len(mats) + 1, 2))
+                with np.errstate(**cocycle._SOLVE_ERRSTATE):
+                    cocycle._push(mats, cocycle._SEED, inverse, out=rows)
+                want = numpy_push(mats, cocycle._SEED, inverse)
+                assert rows.tobytes() == want.tobytes()
+
+
 def fix_sign_row(v: np.ndarray) -> np.ndarray:
     """The orientation rule one row at a time: first nonzero coordinate
     positive."""
@@ -463,20 +614,20 @@ def fix_sign_row(v: np.ndarray) -> np.ndarray:
 
 
 def halved_pushes(seg: OrbitSegment):
-    """(step, matrices, full push aligned row for row) of the halved-window
-    pushes of the unstable and the stable field, as `oseledets_splitting`
-    runs them."""
+    """(inverse, matrices, full push aligned row for row) of the
+    halved-window pushes of the unstable and the stable field, as
+    `oseledets_splitting` runs them."""
     D, n, base = seg.derivs, len(seg), seg.n_minus
     e_u = np.empty((n, 2))
     e_s = np.empty((n, 2))
     lo = base - seg.n_minus // 2
     hi = base + seg.n_plus - seg.n_plus // 2
-    solve = _umath_linalg.solve1
     with np.errstate(**cocycle._SOLVE_ERRSTATE):
-        cocycle._push(np.matmul, D[:n - 1], cocycle._SEED, out=e_u)
-        cocycle._push(solve, D[:n - 1][::-1], cocycle._SEED, out=e_s[::-1])
-    return ((np.matmul, D[lo:base], e_u[lo:base + 1]),
-            (solve, D[base:hi][::-1], e_s[base:hi + 1][::-1]))
+        cocycle._push(D[:n - 1], cocycle._SEED, out=e_u)
+        cocycle._push(D[:n - 1][::-1], cocycle._SEED, inverse=True,
+                      out=e_s[::-1])
+    return ((False, D[lo:base], e_u[lo:base + 1]),
+            (True, D[base:hi][::-1], e_s[base:hi + 1][::-1]))
 
 
 def reference_splitting(seg: OrbitSegment):
@@ -683,6 +834,27 @@ class TestFrames:
             build_frame(2.0 * e1, e2, 2.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             build_frame(e1, e2, 1.0, 2.0, 0.5)
+
+    def test_frame_identity_breaks_raise_bound_violated(self):
+        # sinai witness: the closed form of ||C^-1||_F and the direct
+        # inverse differ by more than 1e-10 of it in the first frame of the
+        # window, at both chi
+        table = make_sinai(scatterer_radius=0.6364995317549043)
+        x = PhasePoint(1, float.fromhex("0x1.149c2807aa328p-3"),
+                       float.fromhex("0x1.5973a83c3968dp-7"))
+        seg = orbit_segment(table, x, 60, 60)
+        sp = oseledets_splitting(seg)
+        for chi in (0.3, 0.472):
+            with pytest.raises(BoundViolated, match="closed form") as err:
+                gammas_from_segment(seg, sp, chi, EpsilonConfig(0.01),
+                                    RegularityConstants(1.5, 0.5, 100), -6, 6)
+            assert err.value.measured > err.value.allowed > 1e-10
+        # directions pass as unit vectors to within 1e-9, so ||C||_F can
+        # exceed 1 while the identity holds
+        with pytest.raises(BoundViolated, match=r"^\|\|C\|\|_F - 1") as err:
+            build_frame(np.array([1.0 + 1e-10, 0.0]), np.array([0.0, 1.0]),
+                        math.sqrt(2.0), math.sqrt(2.0), 0.5)
+        assert err.value.measured > err.value.allowed == 1e-12
 
     def test_fixture_frames_are_constant_along_orbit(self):
         _, seg = fixture_segment(n=60)

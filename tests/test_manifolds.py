@@ -628,6 +628,21 @@ def test_interpolation_is_bitwise_pinned():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == INTERPOLATION_PIN
 
 
+def test_node_slope_overflow_is_quiet():
+    # on subnormal secants w1/m overflows: the harmonic mean is inf and the
+    # node slope 0, with no warning and the bits of the run with warnings off
+    x = [0.0, 1.0, 2.0, 3.0]
+    y = [0.0, 1e-310, 2e-310, 3e-310]
+    at = np.linspace(-0.5, 3.5, 9)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        want = [manifolds._pchip(x, y, d)(at) for d in (False, True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [manifolds._pchip(x, y, d)(at) for d in (False, True)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_interpolation_refuses_nan_and_extrapolates_quietly():
     _, v = synthetic_vertex()
     vals = 0.1 * TAU
