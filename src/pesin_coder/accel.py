@@ -13,33 +13,46 @@ not round like `math`: `np.arctan2` differed from `math.atan2` in the last
 bit on 7.8% of 200 000 random arguments (numpy 2.4 on an x86-64 Xeon), which
 would tie the bits to the numpy build and the CPU.
 
-The boundary is packed into rows that the per-step loop (the hot path of
-simulation, Lyapunov and QR long runs) reads by index: `ctype` is a tuple of
-int and `cpar` a tuple of float tuples, and callers pass points and
-directions as Python floats too.  Indexing a numpy array yields a numpy
-scalar, and arithmetic on those costs about three times the plain-Python
-float operation; the IEEE results are the same either way, so outputs do not
-depend on the row type, only the speed does.
+The boundary is packed into one row per component that the per-step loop
+(the hot path of simulation, Lyapunov and QR long runs) reads whole: each
+row is a tuple of Python numbers, unpacked into names in the `for` target
+of the component loop, and callers pass points and directions as Python
+floats too.  Indexing a numpy array yields a numpy scalar, and arithmetic
+on those costs about three times the plain-Python float operation; the IEEE
+results are the same either way, so outputs do not depend on the row type,
+only the speed does.  A row also holds the constants that the kernels
+derive from the geometry (the hit limits and R*R).  `segment_row`/`arc_row`
+compute them once per table with the IEEE expressions a per-step
+evaluation would use, so reading them gives the same bits and the loop
+does not recompute them at every component of every step.
 
 `comp_frame` gives the point and unit tangent at an arclength from one
 cos/sin pair.  `run_orbit` takes the frame of each hit once, reads the
 outgoing angle from its tangent and carries it into the next step as that
 step's start point and tangent, so a step on an arc evaluates one pair.
 
-Component packing (one row of `cpar` per component, `ctype` 0=segment 1=arc):
-  segment: p0x, p0y, ux, uy, length, -, -, -, startcorner, endcorner
-  arc:     cx,  cy,  R,  a0, orient, length, axc, axs, startcorner, endcorner
-where (ux,uy) is the unit tangent, orient +1 for counterclockwise traversal
-(focusing side, inward normal toward the arc center) and -1 for clockwise
-(dispersing side).  Arc angles are measured RELATIVE to a per-arc axis whose
-cos/sin (axc, axs) are stored exactly; quarter-turn axes are snapped to exact
-(+-1, 0)/(0, +-1) so that special orbits hitting an arc on its axis evaluate
-trig exactly (this makes the straight two-cap bounce of the stadium bitwise
-periodic).  Arclength s runs 0..length.
+Component rows (15 entries in one layout for both kinds, indices 0-14):
+  kind, x0, y0, length, hit,    both kinds
+  ux, uy,                       segments
+  R, a0, orient, axc, axs, RR,  arcs
+  startcorner, endcorner        both kinds
+kind is the int 0 for a segment and 1 for an arc.  A segment runs from
+(x0, y0) along the unit tangent (ux, uy); its arc-only entries are 0.0.  An
+arc has center (x0, y0), radius R, start angle a0 and orient +1 for
+counterclockwise traversal (focusing side, inward normal toward the arc
+center) or -1 for clockwise (dispersing side); its (ux, uy) are 0.0.  hit
+is the largest arclength that still counts as a hit: length + 1e-12 on a
+segment, length + 1e-9*R on an arc, and RR is R*R.  The corner flags are
+1.0 or 0.0.  Arc angles are measured RELATIVE to a per-arc axis whose
+cos/sin (axc, axs) are stored exactly; quarter-turn axes are snapped to
+exact (+-1, 0)/(0, +-1) so that special orbits hitting an arc on its axis
+evaluate trig exactly (this makes the straight two-cap bounce of the
+stadium bitwise periodic).  Arclength s runs 0..length.
 """
 from __future__ import annotations
 
 import math
+from math import atan2, cos, sin, sqrt
 
 import numpy as np
 
@@ -55,39 +68,56 @@ CORNER = 2
 NO_INTERSECTION = 3
 
 
-def comp_point(ct, par, s):
+def segment_row(x0, y0, ux, uy, length, start_corner, end_corner) -> tuple:
+    """The packed row of the segment from (x0, y0) along the unit tangent
+    (ux, uy)."""
+    x0, y0, ux, uy, length = map(float, (x0, y0, ux, uy, length))
+    return (0, x0, y0, length, length + 1e-12, ux, uy,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            1.0 if start_corner else 0.0, 1.0 if end_corner else 0.0)
+
+
+def arc_row(cx, cy, R, a0, orient, length, axc, axs, start_corner,
+            end_corner) -> tuple:
+    """The packed row of an arc of radius R about (cx, cy)."""
+    cx, cy, R, a0, orient, length, axc, axs = map(
+        float, (cx, cy, R, a0, orient, length, axc, axs))
+    return (1, cx, cy, length, length + 1e-9 * R, 0.0, 0.0,
+            R, a0, orient, axc, axs, R * R,
+            1.0 if start_corner else 0.0, 1.0 if end_corner else 0.0)
+
+
+def comp_point(row, s):
     """The point at arclength s: the first two entries of comp_frame."""
-    return comp_frame(ct, par, s)[:2]
+    return comp_frame(row, s)[:2]
 
 
-def comp_frame(ct, par, s):
+def comp_frame(row, s):
     """The point and unit tangent at arclength s, as (px, py, tx, ty), from
     one cos/sin of the arc angle."""
-    if ct == 0:
-        return par[0] + s * par[2], par[1] + s * par[3], par[2], par[3]
-    phi = par[3] + par[4] * s / par[2]
-    lx = math.cos(phi)
-    ly = math.sin(phi)
-    axc, axs = par[6], par[7]
+    arc, x0, y0, _, _, ux, uy, R, a0, orient, axc, axs, _, _, _ = row
+    if not arc:
+        return x0 + s * ux, y0 + s * uy, ux, uy
+    phi = a0 + orient * s / R
+    lx = cos(phi)
+    ly = sin(phi)
     # d/ds of R*(cos phi, sin phi) with dphi/ds = orient/R, then axis rotation
-    tlx = -par[4] * ly
-    tly = par[4] * lx
+    tlx = -orient * ly
+    tly = orient * lx
     return (
-        par[0] + par[2] * (axc * lx - axs * ly),
-        par[1] + par[2] * (axs * lx + axc * ly),
+        x0 + R * (axc * lx - axs * ly),
+        y0 + R * (axs * lx + axc * ly),
         axc * tlx - axs * tly,
         axs * tlx + axc * tly,
     )
 
 
-def comp_curvature(ct, par):
-    if ct == 0:
-        return 0.0
+def comp_curvature(row):
     # with inward normal = rot90(tangent): +1/R on ccw arcs, -1/R on cw arcs
-    return par[4] / par[2]
+    return row[9] / row[7] if row[0] else 0.0
 
 
-def trace_ray(ctype, cpar, px, py, dx, dy, min_flight):
+def trace_ray(rows, px, py, dx, dy, min_flight):
     """First boundary hit of the ray p + t*d, t > min_flight.
 
     Returns (component index, arclength on it, flight time); index -1 when the
@@ -96,56 +126,54 @@ def trace_ray(ctype, cpar, px, py, dx, dy, min_flight):
     best_t = 1e300
     best_i = -1
     best_s = 0.0
-    n = len(ctype)
-    for i in range(n):
-        par = cpar[i]
-        if ctype[i] == 0:
-            ux, uy = par[2], par[3]
+    for i, (arc, x0, y0, length, hit, ux, uy, R, a0, orient, axc, axs, RR,
+            _, _) in enumerate(rows):
+        if not arc:
             den = dx * uy - dy * ux
             if abs(den) < 1e-14:
                 continue
-            wx = par[0] - px
-            wy = par[1] - py
+            wx = x0 - px
+            wy = y0 - py
             t = (wx * uy - wy * ux) / den
-            s = (wx * dy - wy * dx) / den
-            if t > min_flight and -1e-12 <= s <= par[4] + 1e-12:
-                if t < best_t:
+            if t > min_flight and t < best_t:
+                s = (wx * dy - wy * dx) / den
+                if -1e-12 <= s <= hit:
                     best_t = t
                     best_i = i
-                    best_s = min(max(s, 0.0), par[4])
+                    # min(max(s, 0.0), length), with the builtins' tie rule
+                    best_s = length if length < s else 0.0 if 0.0 > s else s
         else:
-            cx, cy, R = par[0], par[1], par[2]
-            mx = px - cx
-            my = py - cy
+            mx = px - x0
+            my = py - y0
             b = mx * dx + my * dy
-            c0 = mx * mx + my * my - R * R
-            disc = b * b - c0
+            disc = b * b - (mx * mx + my * my - RR)
             if disc < 0.0:
                 continue
-            sq = math.sqrt(disc)
+            sq = sqrt(disc)
             # both roots, -1 first; -b - sq is exactly -b + (-1.0) * sq
             for t in (-b - sq, -b + sq):
                 if t <= min_flight or t >= best_t:
                     continue
-                hx = px + t * dx - cx
-                hy = py + t * dy - cy
+                hx = px + t * dx - x0
+                hy = py + t * dy - y0
                 # undo the axis rotation before reading off the angle
-                axc, axs = par[6], par[7]
-                phi = math.atan2(axc * hy - axs * hx, axc * hx + axs * hy)
-                s = R * ((par[4] * (phi - par[3])) % TWO_PI)
-                if s <= par[5] + 1e-9 * R:
+                phi = atan2(axc * hy - axs * hx, axc * hx + axs * hy)
+                s = R * ((orient * (phi - a0)) % TWO_PI)
+                if s <= hit:
                     best_t = t
                     best_i = i
-                    best_s = min(s, par[5])
+                    best_s = length if length < s else s
     return best_i, best_s, best_t
 
 
-def run_orbit(ctype, cpar, comp0, r0, th0, n_steps, grazing_tol, min_flight, corner_tol):
+def run_orbit(rows, comp0, r0, th0, n_steps, grazing_tol, min_flight,
+              corner_tol):
     """Iterate the billiard map n_steps times from (comp0, r0, th0).
 
-    Returns (comps, rs, thetas, taus, status, k): k is the number of
-    completed steps, n_steps unless status says why step k failed; the
-    state arrays hold the k+1 states reached and taus the k flight lengths.
+    Returns (comps, rs, thetas, taus, status, k) with four Python lists: k
+    is the number of completed steps, n_steps unless status says why step k
+    failed; the state lists hold the k+1 states reached and taus the k
+    flight lengths.
     """
     comps = [comp0]
     rs = [r0]
@@ -153,39 +181,36 @@ def run_orbit(ctype, cpar, comp0, r0, th0, n_steps, grazing_tol, min_flight, cor
     taus = []
     status = OK
     th = th0
-    px, py, tx, ty = comp_frame(ctype[comp0], cpar[comp0], r0)
+    px, py, tx, ty = comp_frame(rows[comp0], r0)
     for _ in range(n_steps):
-        ct_ = math.cos(th)
+        ct_ = cos(th)
         if ct_ < grazing_tol:
             status = GRAZING
             break
-        st_ = math.sin(th)
+        st_ = sin(th)
         # inward normal is rot90(tangent) = (-ty, tx)
         dx = ct_ * (-ty) + st_ * tx
         dy = ct_ * tx + st_ * ty
-        ci, s, t = trace_ray(ctype, cpar, px, py, dx, dy, min_flight)
+        ci, s, t = trace_ray(rows, px, py, dx, dy, min_flight)
         if ci < 0:
             status = NO_INTERSECTION
             break
-        par2 = cpar[ci]
-        px, py, tx, ty = comp_frame(ctype[ci], par2, s)
+        row = rows[ci]
+        px, py, tx, ty = comp_frame(row, s)
         cos_out = -(dx * (-ty) + dy * tx)
         sin_out = dx * tx + dy * ty
         if cos_out < grazing_tol:
             status = GRAZING
             break
-        length2 = par2[4] if ctype[ci] == 0 else par2[5]
-        if (par2[8] > 0.5 and s < corner_tol) or (par2[9] > 0.5 and length2 - s < corner_tol):
+        if (row[13] and s < corner_tol) or (row[14] and row[3] - s < corner_tol):
             status = CORNER
             break
-        th = math.atan2(sin_out, cos_out)
+        th = atan2(sin_out, cos_out)
         comps.append(ci)
         rs.append(s)
         ths.append(th)
         taus.append(t)
-    return (np.array(comps, dtype=np.int64), np.array(rs, dtype=np.float64),
-            np.array(ths, dtype=np.float64), np.array(taus, dtype=np.float64),
-            status, len(taus))
+    return comps, rs, ths, taus, status, len(taus)
 
 
 # ------------------------------------------------------------- array form
@@ -196,36 +221,35 @@ def _math_map(f, *args):
     return np.fromiter(map(f, *lists), dtype=np.float64, count=len(lists[0]))
 
 
-def comp_frames_many(ctype, cpar, comps, s):
+def comp_frames_many(rows, comps, s):
     """comp_frame at the N rows (comps, s), as the rows of a 4 x N array
     (px, py, tx, ty); rows on component -1 (a ray that missed the boundary)
     stay NaN."""
     out = np.full((4, len(s)), np.nan)
-    for c in range(len(ctype)):
+    for c, (arc, x0, y0, _, _, ux, uy, R, a0, orient, axc, axs, _, _,
+            _) in enumerate(rows):
         m = comps == c
         if not m.any():
             continue
-        par = cpar[c]
-        if ctype[c] == 0:
-            out[0, m] = par[0] + s[m] * par[2]
-            out[1, m] = par[1] + s[m] * par[3]
-            out[2, m] = par[2]
-            out[3, m] = par[3]
+        if not arc:
+            out[0, m] = x0 + s[m] * ux
+            out[1, m] = y0 + s[m] * uy
+            out[2, m] = ux
+            out[3, m] = uy
             continue
-        phi = par[3] + par[4] * s[m] / par[2]
+        phi = a0 + orient * s[m] / R
         lx = _math_map(math.cos, phi)
         ly = _math_map(math.sin, phi)
-        axc, axs = par[6], par[7]
-        out[0, m] = par[0] + par[2] * (axc * lx - axs * ly)
-        out[1, m] = par[1] + par[2] * (axs * lx + axc * ly)
-        tlx = -par[4] * ly
-        tly = par[4] * lx
+        out[0, m] = x0 + R * (axc * lx - axs * ly)
+        out[1, m] = y0 + R * (axs * lx + axc * ly)
+        tlx = -orient * ly
+        tly = orient * lx
         out[2, m] = axc * tlx - axs * tly
         out[3, m] = axs * tlx + axc * tly
     return out
 
 
-def trace_rays(ctype, cpar, px, py, dx, dy, min_flight):
+def trace_rays(rows, px, py, dx, dy, min_flight):
     """trace_ray for N rays at once, as arrays (index, arclength, flight).
 
     The components are visited in the scalar order, both arc roots in the
@@ -236,53 +260,49 @@ def trace_rays(ctype, cpar, px, py, dx, dy, min_flight):
     best_t = np.full(n, 1e300)
     best_i = np.full(n, -1)
     best_s = np.zeros(n)
-    for i in range(len(ctype)):
-        par = cpar[i]
-        if ctype[i] == 0:
-            ux, uy = par[2], par[3]
+    for i, (arc, x0, y0, length, hit, ux, uy, R, a0, orient, axc, axs, RR,
+            _, _) in enumerate(rows):
+        if not arc:
             den = dx * uy - dy * ux
-            wx = par[0] - px
-            wy = par[1] - py
+            wx = x0 - px
+            wy = y0 - py
             t = (wx * uy - wy * ux) / den
             s = (wx * dy - wy * dx) / den
-            hit = (~(np.abs(den) < 1e-14) & (t > min_flight)
-                   & (-1e-12 <= s) & (s <= par[4] + 1e-12) & (t < best_t))
-            # min(max(s, 0.0), L) with Python's tie rule
+            hit_here = (~(np.abs(den) < 1e-14) & (t > min_flight)
+                        & (-1e-12 <= s) & (s <= hit) & (t < best_t))
+            # min(max(s, 0.0), length) with Python's tie rule
             s = np.where(0.0 > s, 0.0, s)
-            s = np.where(par[4] < s, par[4], s)
-            best_t = np.where(hit, t, best_t)
-            best_i = np.where(hit, i, best_i)
-            best_s = np.where(hit, s, best_s)
+            s = np.where(length < s, length, s)
+            best_t = np.where(hit_here, t, best_t)
+            best_i = np.where(hit_here, i, best_i)
+            best_s = np.where(hit_here, s, best_s)
         else:
-            cx, cy, R = par[0], par[1], par[2]
-            mx = px - cx
-            my = py - cy
+            mx = px - x0
+            my = py - y0
             b = mx * dx + my * dy
-            c0 = mx * mx + my * my - R * R
-            disc = b * b - c0
+            disc = b * b - (mx * mx + my * my - RR)
             meets = ~(disc < 0.0)
             sq = np.sqrt(disc)
             for sign in (-1.0, 1.0):
                 t = -b + sign * sq
-                rows = np.flatnonzero(meets & (t > min_flight) & (t < best_t))
-                if not rows.size:
+                at = np.flatnonzero(meets & (t > min_flight) & (t < best_t))
+                if not at.size:
                     continue
-                tr = t[rows]
-                hx = px[rows] + tr * dx[rows] - cx
-                hy = py[rows] + tr * dy[rows] - cy
-                axc, axs = par[6], par[7]
+                tr = t[at]
+                hx = px[at] + tr * dx[at] - x0
+                hy = py[at] + tr * dy[at] - y0
                 phi = _math_map(math.atan2, axc * hy - axs * hx,
                                 axc * hx + axs * hy)
-                s = R * ((par[4] * (phi - par[3])) % TWO_PI)
-                on_arc = s <= par[5] + 1e-9 * R
-                rows = rows[on_arc]
-                best_t[rows] = tr[on_arc]
-                best_i[rows] = i
-                best_s[rows] = np.where(par[5] < s, par[5], s)[on_arc]
+                s = R * ((orient * (phi - a0)) % TWO_PI)
+                on_arc = s <= hit
+                at = at[on_arc]
+                best_t[at] = tr[on_arc]
+                best_i[at] = i
+                best_s[at] = np.where(length < s, length, s)[on_arc]
     return best_i, best_s, best_t
 
 
-def run_step_many(ctype, cpar, comps, rs, ths, grazing_tol, min_flight, corner_tol):
+def run_step_many(rows, comps, rs, ths, grazing_tol, min_flight, corner_tol):
     """One run_orbit step from each of N states (comps, rs, ths), as arrays.
 
     Returns (comps, rs, thetas, status) of the images.  A row whose status
@@ -292,19 +312,18 @@ def run_step_many(ctype, cpar, comps, rs, ths, grazing_tol, min_flight, corner_t
     # parallel rays divide by zero and missing circles take a root of a
     # negative number; those rows are masked, their NaN and inf are not read
     with np.errstate(divide="ignore", invalid="ignore"):
-        px, py, tx, ty = comp_frames_many(ctype, cpar, comps, rs)
+        px, py, tx, ty = comp_frames_many(rows, comps, rs)
         ct_ = _math_map(math.cos, ths)
         st_ = _math_map(math.sin, ths)
         dx = ct_ * (-ty) + st_ * tx
         dy = ct_ * tx + st_ * ty
-        ci, s, _ = trace_rays(ctype, cpar, px, py, dx, dy, min_flight)
-        _, _, tx2, ty2 = comp_frames_many(ctype, cpar, ci, s)
+        ci, s, _ = trace_rays(rows, px, py, dx, dy, min_flight)
+        _, _, tx2, ty2 = comp_frames_many(rows, ci, s)
         cos_out = -(dx * (-ty2) + dy * tx2)
         sin_out = dx * tx2 + dy * ty2
-    par2 = np.array(cpar)[ci]  # each row's hit component; garbage on a miss
-    length2 = np.where(np.array(ctype)[ci] == 0, par2[:, 4], par2[:, 5])
-    corner = (((par2[:, 8] > 0.5) & (s < corner_tol))
-              | ((par2[:, 9] > 0.5) & (length2 - s < corner_tol)))
+    row2 = np.array(rows)[ci]  # each row's hit component; garbage on a miss
+    corner = (((row2[:, 13] > 0.5) & (s < corner_tol))
+              | ((row2[:, 14] > 0.5) & (row2[:, 3] - s < corner_tol)))
     # run_orbit's checks in its order: the first that fires is the status
     status = np.select(
         [ct_ < grazing_tol, ci < 0, cos_out < grazing_tol, corner],

@@ -60,8 +60,10 @@ frames keep every bit; the QR means move in their last bits only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import fsum
 
 import numpy as np
@@ -125,9 +127,14 @@ LYAPUNOV_BLOCKS = 10
 class OrbitSegment:
     """Orbit points f^n(x) for n in [-n_minus, n_plus] with step data.
 
-    Index-0 of the arrays is n = -n_minus; the base point sits at array index
-    `n_minus`.  `derivs[i]` is df at point i (for the last point, computed
-    from a probe step that is not part of the segment).
+    The orbit is kept as three columns of Python numbers, `comps`, `rs` and
+    `thetas` (component, r and theta of each point), as the map's `orbit`
+    returns them.  Index 0 of the columns and of `derivs` is n = -n_minus;
+    the base point sits at index `n_minus`.  `derivs[i]` is df at point i
+    (for the last point, computed from a probe step that is not part of the
+    segment).  `point(n)` and `base` build the one `PhasePoint` they return,
+    and `points`, the tuple of every point, is built on its first read and
+    kept; a long orbit read only through its derivatives builds none.
 
     Distances to the discontinuity set are computed on first request and
     kept: `dist(n)` is d(f^n x, D), also at the two padding points
@@ -139,14 +146,26 @@ class OrbitSegment:
     table: object
     n_minus: int
     n_plus: int
-    points: tuple[PhasePoint, ...]
+    comps: list[int]
+    rs: list[float]
+    thetas: list[float]
     derivs: np.ndarray  # (len, 2, 2)
     ends: tuple[PhasePoint, PhasePoint] | None = None  # f^-1 of first, f of last
+    _points: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
     _dists: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rs)
+
+    @property
+    def points(self) -> tuple[PhasePoint, ...]:
+        """Every point of the segment, built on first read."""
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(
+                map(PhasePoint, self.comps, self.rs, self.thetas)))
+        return self._points
 
     def index(self, n: int) -> int:
         """Array index of relative step n in [-n_minus, n_plus]."""
@@ -155,11 +174,12 @@ class OrbitSegment:
         return n + self.n_minus
 
     def point(self, n: int) -> PhasePoint:
-        return self.points[self.index(n)]
+        i = self.index(n)
+        return PhasePoint(self.comps[i], self.rs[i], self.thetas[i])
 
     @property
     def base(self) -> PhasePoint:
-        return self.points[self.n_minus]
+        return self.point(0)
 
     def dist(self, n: int) -> float:
         """Distance of f^n x to D, for n in [-n_minus-1, n_plus+1]."""
@@ -269,18 +289,21 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
     undefined raises OrbitHitsDiscontinuity at step -n_minus-1.
     `with_rho=False` takes no padding step and its `dist`/`rho` are NaN —
     intended for long exponent runs where only the derivative cocycle
-    matters.
+    matters.  A window length that is not a nonnegative integer (a bool
+    included) raises ValueError naming `n_minus` or `n_plus`.
     """
-    if n_minus < 0 or n_plus < 0:
-        raise ValueError("window lengths must be nonnegative")
-    pts, derivs, after = table.orbit(x, n_minus, n_plus)
+    for name, n in (("n_minus", n_minus), ("n_plus", n_plus)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    (comps, rs, thetas), derivs, after = table.orbit(x, n_minus, n_plus)
     ends = None
     if with_rho:
+        first = PhasePoint(comps[0], rs[0], thetas[0])
         try:
-            ends = (billiard_inverse(table, pts[0]), after)
+            ends = (billiard_inverse(table, first), after)
         except MapUndefined as e:
             raise OrbitHitsDiscontinuity(-n_minus - 1, str(e)) from e
-    return OrbitSegment(table, n_minus, n_plus, pts, derivs, ends)
+    return OrbitSegment(table, n_minus, n_plus, comps, rs, thetas, derivs, ends)
 
 
 # ------------------------------------------------------------- splitting
@@ -307,6 +330,11 @@ _SPLIT = 134217729.0
 # Other products go through `_fma`.
 _LO, _HI = 2.0 ** -900, 2.0 ** 1000
 _BOUND = 2.0 ** 100
+# steps of a halved push whose columns are built before it can have locked.
+# On the flower the halved pushes lock after about 20 of their 500 steps;
+# building the columns of 500 steps took 104 + 164 us (product, solve), and
+# of 64 steps 36 + 46 us.  No fixture push locks, so those build twice.
+_LOCK_ROWS = 64
 
 
 def _fma(a: float, x: float, p: float) -> float:
@@ -385,6 +413,25 @@ def _solve_steps(mats: np.ndarray) -> list[list]:
                                      *_halves(-b), a, u)]
 
 
+def _numbered_steps(mats: np.ndarray, inverse: bool, first: int):
+    """(k, step) for each push step k over `mats`, where step is row k of
+    the `_product_steps`/`_solve_steps` columns.  The columns of the first
+    `first` matrices are built at once, and those of the rest only when the
+    iteration reaches them, so a push that stops early skips that build."""
+    build = _solve_steps if inverse else _product_steps
+    with np.errstate(all="ignore"):  # out-of-range steps are only flagged
+        head = enumerate(zip(*build(mats[:first])))
+    if first >= len(mats):
+        return head
+
+    def rest():
+        with np.errstate(all="ignore"):
+            cols = build(mats[first:])
+        yield from enumerate(zip(*cols), first)
+
+    return chain(head, rest())
+
+
 def _unit(x: float, y: float) -> tuple[float, float]:
     """(x, y) over sqrt(fma(y, y, x*x)), the `ndarray.dot` norm.  A norm
     that is 0 or not finite divides in numpy, with numpy's warnings or
@@ -410,15 +457,17 @@ def _push(mats: np.ndarray, v: np.ndarray, inverse: bool = False,
     ... when the push returns.  `full` is an earlier push over the same
     matrices, aligned row for row: at the first row with no zero entry that
     equals full[k] or its negation the push returns full[-1] or -full[-1]
-    (see the module docstring for why that is exact)."""
-    with np.errstate(all="ignore"):  # out-of-range steps are only flagged
-        cols = (_solve_steps if inverse else _product_steps)(mats)
+    (see the module docstring for why that is exact).  A full push builds
+    its columns for all of `mats` at once; a halved one builds them for its
+    first `_LOCK_ROWS` matrices, and for the rest only if it has not locked
+    by then."""
     x, y = _unit(*v.tolist())
     finite = math.isfinite(x) and math.isfinite(y)
     xs, ys = [x], [y]
     lock = None if full is None else np.abs(full[1:, 0]).tolist()
     last = None
-    for k, step in enumerate(zip(*cols)):
+    first = len(mats) if full is None else _LOCK_ROWS
+    for k, step in _numbered_steps(mats, inverse, first):
         if not (step[0] and finite):
             kernel = _umath_linalg.solve1 if inverse else np.matmul
             x, y = _unit(*kernel(mats[k], np.array((x, y))).tolist())

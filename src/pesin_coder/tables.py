@@ -19,8 +19,9 @@ with a discontinuity set D, and both answer the same seven methods; no other
 module asks which of the two it holds:
   step(p, forward)           f(p) or f^-1(p);
   derivative(p, forward)     df at p, or d(f^-1) at p;
-  orbit(x, n_minus, n_plus)  f^n(x) for n in [-n_minus, n_plus] with df at
-                             each point, and f of the last point;
+  orbit(x, n_minus, n_plus)  f^n(x) for n in [-n_minus, n_plus] as columns
+                             (components, r, theta), df at each point, and
+                             f of the last point;
   dist_to_D(p)               metric distance from p to D;
   embed(p, dr, dtheta)       the point at coordinate offset (dr, dtheta) from p;
   offset(x, p)               the signed coordinate offset from x to p;
@@ -56,8 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import (CORNER, GRAZING, OK, comp_curvature, comp_frame, comp_point,
-                    run_orbit, run_step_many, trace_ray)
+from .accel import (CORNER, GRAZING, OK, arc_row, comp_curvature, comp_frame,
+                    comp_point, run_orbit, run_step_many, segment_row,
+                    trace_ray)
 from .errors import (
     CornerHit,
     DomainEscape,
@@ -106,6 +108,7 @@ WINDING_SAMPLES = 100  # boundary points per component for contains_point
 # the run's peak RSS by 6.7 MB (44.0 to 50.7 MB)
 _SEARCH_CACHE_DEPTH = 8
 _NO_POINT = (math.inf, math.inf, math.inf)  # a search point with no trace
+_OUTSIDE_FIXTURE = "point outside fixture domain"
 
 
 @dataclass(frozen=True)
@@ -133,12 +136,13 @@ class Segment:
     def length(self) -> float:
         return math.hypot(self.p1[0] - self.p0[0], self.p1[1] - self.p0[1])
 
-    def packed(self) -> tuple[int, list[float]]:
+    def packed(self) -> tuple:
+        """The kernels' packed row (see `accel`)."""
         L = self.length
         ux = (self.p1[0] - self.p0[0]) / L
         uy = (self.p1[1] - self.p0[1]) / L
-        return 0, [self.p0[0], self.p0[1], ux, uy, L, 0.0, 0.0, 0.0,
-                   1.0 if self.start_corner else 0.0, 1.0 if self.end_corner else 0.0]
+        return segment_row(self.p0[0], self.p0[1], ux, uy, L,
+                           self.start_corner, self.end_corner)
 
 
 def _axis_cos_sin(axis: float) -> tuple[float, float]:
@@ -168,25 +172,26 @@ class Arc:
     end_corner: bool = True
     axis: float = 0.0  # arc coordinates are rotated by this angle
 
-    def packed(self) -> tuple[int, list[float]]:
+    def packed(self) -> tuple:
+        """The kernels' packed row (see `accel`)."""
         axc, axs = _axis_cos_sin(self.axis)
-        return 1, [self.center[0], self.center[1], self.radius, self.a0,
-                   float(self.orient), self.length, axc, axs,
-                   1.0 if self.start_corner else 0.0, 1.0 if self.end_corner else 0.0]
+        return arc_row(self.center[0], self.center[1], self.radius, self.a0,
+                       self.orient, self.length, axc, axs, self.start_corner,
+                       self.end_corner)
 
 
-def _packed(c: int, comp) -> tuple[int, list[float]]:
+def _packed(c: int, comp) -> tuple:
     """comp.packed(), refused unless comp has a positive length (and
-    radius), an arc's orient is +1 or -1, and its packed row is finite; c
-    names it in the error."""
+    radius), an arc's orient is +1 or -1, and its packed row, derived
+    constants included, is finite; c names it in the error."""
     if isinstance(comp, Arc) and comp.orient not in (1, -1):
         raise ValueError(f"component {c} needs orient +1 or -1, got {comp}")
     size = comp.length if isinstance(comp, Segment) \
         else min(comp.radius, comp.length)
     if size > 0.0:  # false for NaN too; packed() divides by the length
-        t, row = comp.packed()
+        row = comp.packed()
         if all(map(math.isfinite, row)):
-            return t, row
+            return row
     raise ValueError(f"component {c} needs a positive length and radius "
                      f"and finite coordinates, got {comp}")
 
@@ -208,11 +213,14 @@ def _first_true(mask: np.ndarray, n: int) -> int:
 
 
 def derivative_along_orbit(table, comps, ths, taus) -> np.ndarray:
-    """Vectorized df at each of the n = len(taus) stored collisions.
+    """Vectorized df at each of the n = len(taus) stored collisions, from
+    sequences (lists or arrays) of the n + 1 components and angles.
 
     Mirror-equation form: d(r', theta')/d(r, theta) of each bounce.
     """
     kaps = table._curvatures[np.asarray(comps)]
+    ths = np.asarray(ths, dtype=float)
+    taus = np.asarray(taus, dtype=float)
     c_in = np.cos(ths[:-1])
     c_out = np.cos(ths[1:])
     k0 = kaps[:-1]
@@ -248,34 +256,33 @@ def fd_derivative(table, p: PhasePoint) -> np.ndarray:
 class BilliardTable:
     """A billiard table: packed components, loops, corners, metric.
 
-    Every boundary fact is read from the packed rows `ctype`/`cpar` that the
-    kernels use; the `Segment`/`Arc` objects are not kept.
+    Every boundary fact is read from the packed rows `rows` that the
+    kernels use, one tuple per component (layout in `accel`); the
+    `Segment`/`Arc` objects are not kept.
     """
 
     def __init__(self, components, loops, kind: str, params: dict):
         self.loops = [list(lp) for lp in loops]
         self.kind = kind
         self.params = dict(params)
-        # plain Python numbers: the ray kernel reads them one at a time
-        packed = [_packed(c, comp) for c, comp in enumerate(components)]
-        self.ctype = tuple(int(t) for t, _ in packed)
-        self.cpar = tuple(tuple(float(v) for v in row) for _, row in packed)
+        # tuples of plain Python numbers, with the derived constants: the
+        # ray kernel unpacks a whole row at each component
+        self.rows = tuple(_packed(c, comp) for c, comp in enumerate(components))
         self._validate_loops()
-        # arclengths as Python floats for the scalar paths (row entry 4 of a
-        # segment, 5 of an arc), and as an array for step_many
-        self.lengths = tuple(row[4] if t == 0 else row[5]
-                             for t, row in zip(self.ctype, self.cpar))
+        # arclengths (row entry 3) as Python floats for the scalar paths, and
+        # as an array for step_many
+        self.lengths = tuple(row[3] for row in self.rows)
         self._length_array = np.array(self.lengths)
         # signed curvature per component, for derivative_along_orbit
         self._curvatures = np.array([self.curvature(c)
-                                     for c in range(len(self.ctype))])
+                                     for c in range(len(self.rows))])
         self._validate_closure()
         # per component: its loop, its index there, the loop arclength
         # before it and the loop total, for wrap_r and offset
         self._loop_at = {}
         # the loop number and prefix arclength again as arrays, for step_many
-        self._loop_index = np.full(len(self.ctype), -1)
-        self._prefix = np.zeros(len(self.ctype))
+        self._loop_index = np.full(len(self.rows), -1)
+        self._prefix = np.zeros(len(self.rows))
         for k, loop in enumerate(self.loops):
             lengths = [self.lengths[c] for c in loop]
             for ix, c in enumerate(loop):
@@ -296,7 +303,7 @@ class BilliardTable:
 
     # ------------------------------------------------------------ validation
     def _validate_loops(self):
-        n = len(self.ctype)
+        n = len(self.rows)
         for k, loop in enumerate(self.loops):
             if not loop:
                 raise ValueError(f"loop {k} is empty")
@@ -311,25 +318,25 @@ class BilliardTable:
                                  f"times by the loops, not once")
 
     def _end_point(self, c: int) -> tuple[float, float]:
-        return comp_point(self.ctype[c], self.cpar[c], self.lengths[c])
+        return comp_point(self.rows[c], self.lengths[c])
 
     def _validate_closure(self):
         for loop in self.loops:
             for ci, cj in zip(loop, loop[1:] + loop[:1]):
                 ex, ey = self._end_point(ci)
-                sx, sy = comp_point(self.ctype[cj], self.cpar[cj], 0.0)
+                sx, sy = comp_point(self.rows[cj], 0.0)
                 gap = math.hypot(ex - sx, ey - sy)
                 if gap > CLOSURE_TOL:
                     raise ValueError(
                         f"loop not closed: component {ci} end to {cj} start gap {gap:.3e}")
 
     def _collect_corners(self):
-        # a junction is a corner when the end flag (row entry 9) of the
-        # component before it or the start flag (entry 8) of the one after it
-        # is set
+        # a junction is a corner when the end flag (row entry 14) of the
+        # component before it or the start flag (entry 13) of the one after
+        # it is set
         return tuple(self._end_point(ci) for loop in self.loops
                      for ci, cj in zip(loop, loop[1:] + loop[:1])
-                     if self.cpar[ci][9] or self.cpar[cj][8])
+                     if self.rows[ci][14] or self.rows[cj][13])
 
     def _boundary_diameter(self) -> float:
         pts = np.concatenate(self._polyline(BOUNDARY_SAMPLES))
@@ -340,11 +347,11 @@ class BilliardTable:
     # ------------------------------------------------------------ geometry
     def point_xy(self, component: int, s: float) -> np.ndarray:
         self._check_component(component)
-        x, y = comp_point(self.ctype[component], self.cpar[component], s)
+        x, y = comp_point(self.rows[component], s)
         return np.array([x, y])
 
     def curvature(self, component: int) -> float:
-        return comp_curvature(self.ctype[component], self.cpar[component])
+        return comp_curvature(self.rows[component])
 
     def contains_point(self, xy) -> bool:
         """Winding-number test against the boundary polyline sampled at
@@ -373,9 +380,9 @@ class BilliardTable:
     def _check_component(self, component: int):
         """Refuse a component index outside [0, n): a negative one would
         read another row of the packed tuples."""
-        if not 0 <= component < len(self.ctype):
+        if not 0 <= component < len(self.rows):
             raise ValueError(f"component {component} outside "
-                             f"[0, {len(self.ctype)})")
+                             f"[0, {len(self.rows)})")
 
     def validate_point(self, p: PhasePoint):
         self._check_component(p.component)
@@ -419,7 +426,7 @@ class BilliardTable:
         weights = self._length_array / self._length_array.sum()
         out = []
         while len(out) < n:
-            c = int(rng.choice(len(self.ctype), p=weights))
+            c = int(rng.choice(len(self.rows), p=weights))
             r = float(rng.uniform(0.0, self.lengths[c]))
             th = float(math.asin(rng.uniform(-1.0, 1.0)))
             if abs(th) < theta_cap:
@@ -436,11 +443,11 @@ class BilliardTable:
         self._check_component(p.component)
         sign = 1 if forward else -1
         comps, rs, ths, taus, status, _ = run_orbit(
-            self.ctype, self.cpar, p.component, p.r, sign * p.theta, 1,
+            self.rows, p.component, p.r, sign * p.theta, 1,
             GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
         if status != OK:
             raise _kernel_error(status, PhasePoint(p.component, p.r, sign * p.theta))
-        return PhasePoint(int(comps[1]), float(rs[1]), sign * float(ths[1])), float(taus[0])
+        return PhasePoint(comps[1], rs[1], sign * ths[1]), taus[0]
 
     def derivative(self, p: PhasePoint, forward: bool) -> np.ndarray:
         """df at p in (r, theta) coordinates, or d(f^-1) at p = (df at f^-1 p)^-1.
@@ -486,39 +493,42 @@ class BilliardTable:
             raise AssertionError("derivative self-test found no valid sample points")
 
     def orbit(self, x: PhasePoint, n_minus: int, n_plus: int):
-        """f^n(x) for n in [-n_minus, n_plus]: (points, derivs, after).
+        """f^n(x) for n in [-n_minus, n_plus]: ((comps, rs, thetas), derivs,
+        after), the orbit as three lists of Python numbers.
 
-        derivs[i] is df at points[i]; for the last point it needs the
-        collision after it, `after` = f(points[-1]), which is not part of the
+        derivs[i] is df at point i; for the last point it needs the
+        collision after it, `after` = f(last point), which is not part of the
         orbit.  A start point outside phase space raises ValueError; a kernel
         failure raises OrbitHitsDiscontinuity at its step.
         """
         self.validate_point(x)
-        comps_f, rs_f, ths_f, taus_f = self._kernel_orbit(x, n_plus, +1)
+        comps, rs, ths, flights = self._kernel_orbit(x, n_plus, +1)
         comps_b, rs_b, ths_b, taus_b = self._kernel_orbit(x, n_minus, -1)
-        comps = np.concatenate([comps_b[::-1][:-1], comps_f])
-        rs = np.concatenate([rs_b[::-1][:-1], rs_f])
-        ths = np.concatenate([ths_b[::-1][:-1], ths_f])
-        flights = np.concatenate([taus_b[::-1], taus_f])
-        pts = tuple(map(PhasePoint, comps.tolist(), rs.tolist(), ths.tolist()))
+        # the backward half reversed, without its copy of x
+        comps = comps_b[:0:-1] + comps
+        rs = rs_b[:0:-1] + rs
+        ths = ths_b[:0:-1] + ths
+        flights = taus_b[::-1] + flights
         try:
-            after, tau = self._step(pts[-1], True)
+            after, tau = self._step(PhasePoint(comps[-1], rs[-1], ths[-1]), True)
         except MapUndefined as e:
             raise OrbitHitsDiscontinuity(n_plus, f"derivative probe: {e}") from e
-        derivs = derivative_along_orbit(
-            self, np.concatenate([comps, [after.component]]),
-            np.concatenate([ths, [after.theta]]), np.concatenate([flights, [tau]]))
-        return pts, derivs, after
+        derivs = derivative_along_orbit(self, comps + [after.component],
+                                        ths + [after.theta], flights + [tau])
+        return (comps, rs, ths), derivs, after
 
     def _kernel_orbit(self, p: PhasePoint, n: int, sign: int):
-        """Kernel orbit of n steps; sign=-1 runs the time-reversed map."""
+        """Kernel orbit of n steps as lists; sign=-1 runs the time-reversed
+        map, whose angles come back negated."""
         comps, rs, ths, taus, status, k = run_orbit(
-            self.ctype, self.cpar, p.component, p.r, sign * p.theta, n,
+            self.rows, p.component, p.r, sign * p.theta, n,
             GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
         if status != OK:
             err = _kernel_error(status, p)
             raise OrbitHitsDiscontinuity(k if sign > 0 else -k - 1, str(err)) from err
-        return comps, rs, sign * ths, taus
+        if sign < 0:
+            ths = [-th for th in ths]
+        return comps, rs, ths, taus
 
     def embed(self, p: PhasePoint, dr: float, dtheta: float) -> PhasePoint:
         """The phase point at offset (dr, dtheta) from p, walking the loop."""
@@ -587,7 +597,7 @@ class BilliardTable:
                         | ~(np.abs(d[:, 0]) < total), n)
         comps, r = self._wrap_many(x.component, r[:n])
         comps, r, th, status = run_step_many(
-            self.ctype, self.cpar, comps, r, sign * theta[:n],
+            self.rows, comps, r, sign * theta[:n],
             GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
         n = _first_true(status != OK, n)
         dr, on_loop = self._offset_many(y, comps[:n], r[:n])
@@ -651,16 +661,16 @@ class BilliardTable:
         hits nothing or that forward ray leaves the hit near-tangentially."""
         if kind == 0:
             branch = 1.0 if u >= 0 else -1.0
-            sx, sy, tx, ty = comp_frame(self.ctype[a], self.cpar[a], abs(u))
+            sx, sy, tx, ty = comp_frame(self.rows[a], abs(u))
             src = (sx, sy)
             w = (branch * tx, branch * ty)
         else:
             src = self.corner_points[a]
             w = (math.cos(u), math.sin(u))
-        ci, s, t = trace_ray(self.ctype, self.cpar, src[0], src[1], w[0], w[1], MIN_FLIGHT)
+        ci, s, t = trace_ray(self.rows, src[0], src[1], w[0], w[1], MIN_FLIGHT)
         if ci < 0 or t > 1e200:
             return None
-        hx, hy, tx, ty = comp_frame(self.ctype[ci], self.cpar[ci], s)
+        hx, hy, tx, ty = comp_frame(self.rows[ci], s)
         cos0 = -(w[0] * -ty + w[1] * tx)  # against the inward normal
         sin0 = -(w[0] * tx + w[1] * ty)
         if cos0 <= 1e-6:
@@ -694,7 +704,7 @@ class BilliardTable:
         n_fan = 64
         # tangent rays of straight pieces lie inside the wall: arcs only
         sources = [(0, ci, branch * (s + 1e-12))
-                   for ci, L in enumerate(self.lengths) if self.ctype[ci] == 1
+                   for ci, L in enumerate(self.lengths) if self.rows[ci][0] == 1
                    for s in np.linspace(0.0, L, n_tan, endpoint=False).tolist()
                    for branch in (1.0, -1.0)]
         sources += [(1, k, psi) for k in range(len(self.corner_points))
@@ -787,7 +797,7 @@ class BilliardTable:
         self._check_component(p.component)
         scale = self.metric_scale
         best_unscaled = math.pi / 2 - abs(p.theta)  # grazing fibers
-        P = comp_point(self.ctype[p.component], self.cpar[p.component], p.r)
+        P = comp_point(self.rows[p.component], p.r)
         for C in self.corner_points:  # corner fibers (all theta)
             best_unscaled = min(best_unscaled, math.hypot(P[0] - C[0], P[1] - C[1]))
         cloud = self.singularity_cloud()
@@ -843,7 +853,7 @@ class LinearFixtureMap:
             raise ValueError(f"component {p.component} outside the fixture's "
                              f"single component 0")
         if not (abs(p.r) <= self.half_width and abs(p.theta) <= self.half_width):
-            raise ValueError("point outside fixture domain")
+            raise ValueError(_OUTSIDE_FIXTURE)
 
     def liouville_sample(self, rng: np.random.Generator, n: int,
                          theta_cap: float = None) -> list[PhasePoint]:
@@ -867,22 +877,31 @@ class LinearFixtureMap:
 
     def orbit(self, x: PhasePoint, n_minus: int, n_plus: int):
         """Same contract as BilliardTable.orbit; a point leaving the domain
-        raises OrbitHitsDiscontinuity at its signed step."""
+        raises OrbitHitsDiscontinuity at its signed step, the forward half
+        first."""
         self.validate_point(x)
-        tail = self._walk(x, n_plus, True)
-        pts = tuple(self._walk(x, n_minus, False)[:0:-1] + tail)
-        derivs = np.broadcast_to(self.derivative(x, True), (len(pts), 2, 2)).copy()
-        return pts, derivs, self.step(pts[-1], True)
+        rs, ths = self._walk(x, n_plus, True)
+        rs_b, ths_b = self._walk(x, n_minus, False)
+        rs = rs_b[:0:-1] + rs
+        ths = ths_b[:0:-1] + ths
+        derivs = np.broadcast_to(self.derivative(x, True), (len(rs), 2, 2)).copy()
+        return (([0] * len(rs), rs, ths), derivs,
+                self.step(PhasePoint(0, rs[-1], ths[-1]), True))
 
-    def _walk(self, x: PhasePoint, n: int, forward: bool) -> list[PhasePoint]:
-        pts = [x]
+    def _walk(self, x: PhasePoint, n: int, forward: bool):
+        """n steps of step(., forward) from x on floats, as (rs, thetas),
+        with validate_point's domain test at each."""
+        r, th = x.r, x.theta
+        rs, ths = [r], [th]
+        ls, lu, hw = self.lambda_s, self.lambda_u, self.half_width
         for k in range(1, n + 1):
-            pts.append(self.step(pts[-1], forward))
-            try:
-                self.validate_point(pts[-1])
-            except ValueError as e:
-                raise OrbitHitsDiscontinuity(k if forward else -k, str(e)) from e
-        return pts
+            r, th = (ls * r, lu * th) if forward else (r / ls, th / lu)
+            if not (abs(r) <= hw and abs(th) <= hw):
+                raise OrbitHitsDiscontinuity(k if forward else -k,
+                                             _OUTSIDE_FIXTURE)
+            rs.append(r)
+            ths.append(th)
+        return rs, ths
 
     def dist_to_D(self, p: PhasePoint) -> float:
         return max(0.0, self.half_width - max(abs(p.r), abs(p.theta)))

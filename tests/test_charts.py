@@ -204,8 +204,8 @@ class TestSizeFunction:
         from pesin_coder.cocycle import OrbitSegment
 
         fx, seg, sp, ch0, ch1 = fixture_charts()
-        bare = OrbitSegment(seg.table, seg.n_minus, seg.n_plus, seg.points,
-                            seg.derivs)
+        bare = OrbitSegment(seg.table, seg.n_minus, seg.n_plus, seg.comps,
+                            seg.rs, seg.thetas, seg.derivs)
         with pytest.raises(ValueError, match="rho"):
             chart_from_segment(bare, sp, CHI, CFG, CONSTS)
 

@@ -78,10 +78,10 @@ def kernel_flights(table, seg) -> np.ndarray:
     kernel run forward from its first point."""
     p = seg.points[0]
     _, _, _, taus, status, _ = run_orbit(
-        table.ctype, table.cpar, p.component, p.r, p.theta, len(seg) - 1,
+        table.rows, p.component, p.r, p.theta, len(seg) - 1,
         GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
     assert status == OK
-    return taus
+    return np.array(taus)
 
 
 def first_admitted(table, rng_seed: int, side: int, tries: int = 40):
@@ -138,6 +138,45 @@ class TestOrbitSegment:
         with pytest.raises(OrbitHitsDiscontinuity) as ei:
             orbit_segment(fx, PhasePoint(0, 0.2, 0.0), 5, 0)
         assert ei.value.n == -1
+
+    @pytest.mark.parametrize("mk, x", [
+        (make_flower, PhasePoint(0, 0.5, 0.2)),
+        (make_linear_fixture, PhasePoint(0, 1e-4, -1e-5)),
+    ])
+    def test_columns_read_as_the_points(self, mk, x):
+        # the segment keeps columns; every way of reading a point gives the
+        # bits of the points tuple, which are those of single map steps
+        table = mk()
+        seg = orbit_segment(table, x, 7, 9, with_rho=False)
+        pts = seg.points
+        assert type(pts) is tuple and seg.points is pts
+        assert len(seg) == len(pts) == len(seg.comps) == 17
+
+        def bits(p):
+            return p.component, p.r.hex(), p.theta.hex()
+
+        assert [bits(seg.point(n)) for n in range(-7, 10)] == list(map(bits, pts))
+        assert bits(seg.base) == bits(pts[7]) == bits(x)
+        assert [(c, r.hex(), th.hex()) for c, r, th in
+                zip(seg.comps, seg.rs, seg.thetas)] == list(map(bits, pts))
+        assert all(type(c) is int and type(r) is float and type(th) is float
+                   for c, r, th in zip(seg.comps, seg.rs, seg.thetas))
+        walk = [x]
+        for _ in range(9):
+            walk.append(table.step(walk[-1], True))
+        back = [x]
+        for _ in range(7):
+            back.append(table.step(back[-1], False))
+        assert list(map(bits, back[:0:-1] + walk)) == list(map(bits, pts))
+
+    @pytest.mark.parametrize("window", [(2.5, 3), (3, math.nan), (3, math.inf),
+                                        ("3", 3), (True, 3), (3, -1)])
+    @pytest.mark.parametrize("mk", [make_flower, make_linear_fixture])
+    def test_window_lengths_must_be_nonnegative_integers(self, mk, window):
+        name = "n_plus" if window[0] == 3 else "n_minus"
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative "
+                                             f"integer, got "):
+            orbit_segment(mk(), PhasePoint(0, 0.01, 0.01), *window)
 
     def test_circle_segment_closed_form(self):
         ci = make_circle()
@@ -359,6 +398,26 @@ class TestSplitting:
         if kind == "fixture_long":
             assert locks == [True, True]  # equal rows, but with a 0 entry
 
+    @pytest.mark.parametrize("kind", ["flower", "fixture"])
+    def test_halved_push_builds_columns_until_it_locks(self, kind, monkeypatch):
+        # a full push builds its step columns once; a halved push builds
+        # them for _LOCK_ROWS steps, and for the rest only when it has not
+        # locked by then, as no fixture push does
+        if kind == "fixture":
+            _, seg = fixture_segment(200)
+        else:
+            seg, _ = first_admitted(make_flower(), 1, 200)
+        built = []
+        for name in ("_product_steps", "_solve_steps"):
+            build = getattr(cocycle, name)
+            monkeypatch.setattr(cocycle, name, lambda mats, build=build:
+                                built.append(len(mats)) or build(mats))
+        oseledets_splitting(seg)
+        rest = 100 - cocycle._LOCK_ROWS
+        halved = [cocycle._LOCK_ROWS] if kind == "flower" \
+            else [cocycle._LOCK_ROWS, rest]
+        assert built == [400] + halved + [400] + halved
+
     @pytest.mark.parametrize("kind", ["flower", "stadium"])
     def test_negated_lock_keeps_the_halved_angles(self, kind):
         # a halved push also stops at a row bitwise equal to the negated
@@ -422,7 +481,7 @@ class TestSplitting:
         fx = make_linear_fixture()
         derivs = np.array([np.diag([2.0, 0.5])] * 9)
         derivs[2] = [[1.0, 2.0], [2.0, 4.0]]
-        seg = OrbitSegment(fx, 4, 4, (PhasePoint(0, 0.0, 0.0),) * 9, derivs)
+        seg = OrbitSegment(fx, 4, 4, [0] * 9, [0.0] * 9, [0.0] * 9, derivs)
         before = np.geterr()
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
             oseledets_splitting(seg)
@@ -677,7 +736,7 @@ class TestLyapunovExponents:
             derivs = rng.normal(size=(401, 2, 2))
             n = len(derivs)
             seg = OrbitSegment(None, n // 2, n - 1 - n // 2,
-                               (PhasePoint(0, 0.0, 0.0),) * n, derivs)
+                               [0] * n, [0.0] * n, [0.0] * n, derivs)
             e = np.tile([0.6, 0.8], (n, 1))
             sp = cocycle.Splitting(e, e, np.ones(n - 1), np.ones(n - 1), 0.0, 0.0)
         else:
@@ -997,7 +1056,7 @@ class TestDiagnostics:
         pts = [PhasePoint(0, fx.half_width - d, 0.0) for d in dists]
         seg = OrbitSegment(
             table=fx, n_minus=10, n_plus=10,
-            points=tuple(pts[1:-1]),
+            comps=[0] * 21, rs=[p.r for p in pts[1:-1]], thetas=[0.0] * 21,
             derivs=np.broadcast_to(np.diag([fx.lambda_s, fx.lambda_u]),
                                    (21, 2, 2)).copy(),
             ends=(pts[0], pts[-1]))

@@ -67,7 +67,7 @@ def test_flight_length_is_chord():
     from pesin_coder.dynamics import CORNER_TOL, GRAZING_COS_TOL, MIN_FLIGHT
 
     tb = make_circle(radius=2.0)
-    taus = run_orbit(tb.ctype, tb.cpar, 0, 0.3, 0.5, 1,
+    taus = run_orbit(tb.rows, 0, 0.3, 0.5, 1,
                      GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)[3]
     assert abs(taus[0] - 2 * 2.0 * math.cos(0.5)) < 1e-12
 
@@ -181,7 +181,7 @@ def test_derivative_along_orbit_matches_pointwise():
     tb = make_flower()
     p = PhasePoint(0, 0.4, 0.23)
     comps, rs, ths, taus, status, k = run_orbit(
-        tb.ctype, tb.cpar, p.component, p.r, p.theta, 25,
+        tb.rows, p.component, p.r, p.theta, 25,
         GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
     assert status == 0
     mats = derivative_along_orbit(tb, comps, ths, taus)

@@ -41,8 +41,8 @@ def test_loops_close_all_tables():
         for loop in tb.loops:
             for i, ci in enumerate(loop):
                 cj = loop[(i + 1) % len(loop)]
-                ex, ey = comp_point(tb.ctype[ci], tb.cpar[ci], tb.lengths[ci])
-                sx, sy = comp_point(tb.ctype[cj], tb.cpar[cj], 0.0)
+                ex, ey = comp_point(tb.rows[ci], tb.lengths[ci])
+                sx, sy = comp_point(tb.rows[cj], 0.0)
                 assert math.hypot(ex - sx, ey - sy) < 1e-12
 
 
@@ -131,7 +131,7 @@ def test_corner_collection():
 
 def inward_normal(tb, component: int, s: float) -> np.ndarray:
     """The unit tangent rotated by 90 degrees: (-ty, tx)."""
-    _, _, tx, ty = comp_frame(tb.ctype[component], tb.cpar[component], s)
+    _, _, tx, ty = comp_frame(tb.rows[component], s)
     return np.array([-ty, tx])
 
 
@@ -140,7 +140,7 @@ def test_tangent_normal_curvature_conventions():
     tb = make_circle(radius=2.0)
     s = 1.3
     P = tb.point_xy(0, s)
-    T = np.array(comp_frame(tb.ctype[0], tb.cpar[0], s)[2:])
+    T = np.array(comp_frame(tb.rows[0], s)[2:])
     N = inward_normal(tb, 0, s)
     assert abs(np.dot(T, T) - 1.0) < 1e-12
     assert np.dot(N, -P) > 0  # inward = toward the center
@@ -167,31 +167,45 @@ def test_arc_axis_rotation_consistency():
         rot = Arc(center=(0.0, 0.0), radius=1.0, a0=0.2 - axis, length=1.0,
                   orient=+1, axis=axis)
         for t in (0.0, 0.31, 0.99):
-            assert np.allclose(comp_point(*rot.packed(), t),
-                               comp_point(*base.packed(), t), atol=1e-12)
+            assert np.allclose(comp_point(rot.packed(), t),
+                               comp_point(base.packed(), t), atol=1e-12)
 
 
 def test_arc_axis_snaps_quarter_turns():
     # rotation entries for k*pi/2 axes are exactly 0/±1
     arc = Arc(center=(0.0, 0.0), radius=1.0, a0=0.0, length=1.0, orient=+1,
               axis=math.pi)
-    _, row = arc.packed()
-    assert (row[6], row[7]) == (-1.0, 0.0)
+    row = arc.packed()
+    assert (row[10], row[11]) == (-1.0, 0.0)
     arc = Arc(center=(0.0, 0.0), radius=1.0, a0=0.0, length=1.0, orient=+1,
               axis=-math.pi / 2)
-    _, row = arc.packed()
-    assert (row[6], row[7]) == (0.0, -1.0)
+    row = arc.packed()
+    assert (row[10], row[11]) == (0.0, -1.0)
 
 
 @pytest.mark.parametrize("mk", ALL_BUILDERS)
 def test_packed_rows_are_python_numbers(mk):
-    # the ray kernel reads these one entry at a time: numpy scalars there
-    # cost about three times the plain-Python arithmetic
+    # the ray kernel unpacks a whole row at each component: numpy scalars
+    # there cost about three times the plain-Python arithmetic
     tb = mk()
-    assert type(tb.ctype) is tuple and type(tb.cpar) is tuple
-    assert all(type(t) is int for t in tb.ctype)
-    assert all(type(row) is tuple and all(type(v) is float for v in row)
-               for row in tb.cpar)
+    assert type(tb.rows) is tuple and len(tb.rows) == len(tb.lengths)
+    for c, row in enumerate(tb.rows):
+        assert type(row) is tuple and len(row) == 15
+        assert type(row[0]) is int and row[0] in (0, 1)
+        assert all(type(v) is float for v in row[1:])
+        # the derived constants are the expressions the per-step loop
+        # evaluated before they were packed, bit for bit
+        (arc, x0, y0, length, hit, ux, uy, R, a0, orient, axc, axs, RR,
+         start, end) = row
+        if arc:
+            assert hit.hex() == (length + 1e-9 * R).hex()
+            assert RR.hex() == (R * R).hex()
+            assert (ux, uy) == (0.0, 0.0)
+        else:
+            assert hit.hex() == (length + 1e-12).hex()
+            assert (R, a0, orient, axc, axs, RR) == (0.0,) * 6
+        assert length == tb.lengths[c]
+        assert start in (0.0, 1.0) and end in (0.0, 1.0)
     assert type(tb.corner_points) is tuple
     assert all(type(v) is float for xy in tb.corner_points for v in xy)
 
@@ -239,7 +253,7 @@ def orbit_neighbourhoods(tb, seed: int, n: int) -> list[PhasePoint]:
     out = []
     for x in tb.liouville_sample(np.random.default_rng(seed), n):
         try:
-            out += tb.orbit(x, 3, 3)[0]
+            out += map(PhasePoint, *tb.orbit(x, 3, 3)[0])
         except OrbitHitsDiscontinuity:
             out.append(x)
     return out
@@ -291,8 +305,8 @@ def test_search_cache_holds_at_most_128_points_a_row(mk):
     (make_flower, (1, "0x1.2114a6b00ebdcp+0", "0x1.2f32552798fa7p+0")),
 ])
 def test_long_orbit_is_bitwise_pinned(mk, last):
-    q = mk().orbit(PhasePoint(0, 0.5, 0.2), 0, 1000)[0][-1]
-    assert (q.component, q.r.hex(), q.theta.hex()) == last
+    comps, rs, ths = mk().orbit(PhasePoint(0, 0.5, 0.2), 0, 1000)[0]
+    assert (comps[-1], rs[-1].hex(), ths[-1].hex()) == last
 
 
 # sha256 of float.hex of the derivatives of a +-200 orbit and of the point
@@ -306,8 +320,8 @@ ORBIT_DERIV_PINS = {
 
 @pytest.mark.parametrize("mk", list(ORBIT_DERIV_PINS))
 def test_orbit_derivatives_are_bitwise_pinned(mk):
-    pts, derivs, after = mk().orbit(PhasePoint(0, 0.5, 0.2), 200, 200)
-    assert len(pts) == len(derivs) == 401
+    (comps, rs, ths), derivs, after = mk().orbit(PhasePoint(0, 0.5, 0.2), 200, 200)
+    assert len(comps) == len(rs) == len(ths) == len(derivs) == 401
     out = [float(v).hex() for v in derivs.ravel()]
     out += [str(after.component), after.r.hex(), after.theta.hex()]
     digest = hashlib.sha256("|".join(out).encode()).hexdigest()[:16]
@@ -332,7 +346,7 @@ def test_comp_frame_is_bitwise_pinned(mk):
     out = []
     for c, L in enumerate(tb.lengths):
         for s in [0.0, L] + rng.uniform(0.0, L, 16).tolist():
-            out += [v.hex() for v in comp_frame(tb.ctype[c], tb.cpar[c], s)]
+            out += [v.hex() for v in comp_frame(tb.rows[c], s)]
     digest = hashlib.sha256("|".join(out).encode()).hexdigest()[:16]
     assert digest == FRAME_PINS[mk]
 
@@ -362,7 +376,7 @@ def test_run_orbit_is_bitwise_pinned(case):
     mk, (c, r, th, n), pin, want_status, want_k = RUN_ORBIT_PINS[case]
     tb = mk()
     comps, rs, ths, taus, status, k = run_orbit(
-        tb.ctype, tb.cpar, c, r, th, n, GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+        tb.rows, c, r, th, n, GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
     assert (status, k) == (want_status, want_k)
     out = [str(int(v)) for v in comps[:k + 1]]
     out += [float(v).hex() for a in (rs[:k + 1], ths[:k + 1], taus[:k]) for v in a]
@@ -571,6 +585,30 @@ def test_fixture_sampling_in_domain():
     rng = np.random.default_rng(3)
     for p in fx.liouville_sample(rng, 200):
         assert max(abs(p.r), abs(p.theta)) <= fx.half_width
+
+
+# (r, theta, n_minus, n_plus) of a start and the signed step where its walk
+# leaves the square: the forward half is walked first, so it raises first
+# when both halves leave
+_E = math.e
+FIXTURE_ESCAPES = [
+    ((0.0, 0.3 / _E ** 3 * 1.01, 0, 10), 3),
+    ((0.3 / _E ** 4 * 1.01, 0.0, 10, 0), -4),
+    ((0.3 / _E ** 2 * 1.01, 0.3 / _E ** 5 * 1.01, 10, 10), 5),
+    ((0.3 / _E ** 6 * 1.01, 0.3 / _E ** 2 * 1.01, 10, 10), 2),
+    ((0.3, 0.0, 3, 3), -1),
+    ((-0.0, -0.3, 3, 3), 1),
+]
+
+
+@pytest.mark.parametrize("start, step", FIXTURE_ESCAPES)
+def test_fixture_walk_raises_at_its_signed_step(start, step):
+    r, theta, n_minus, n_plus = start
+    with pytest.raises(OrbitHitsDiscontinuity) as ei:
+        make_linear_fixture().orbit(PhasePoint(0, r, theta), n_minus, n_plus)
+    assert ei.value.n == step
+    assert str(ei.value) == (f"orbit hits discontinuity at step {step}: "
+                             f"point outside fixture domain")
 
 
 # --------------------------------------------------------------- table specs
