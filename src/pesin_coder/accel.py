@@ -5,13 +5,22 @@ There is one geometry in two forms.  The scalar form (`trace_ray`,
 `run_step_many`) takes one map step from N states at once and serves the
 chart-map grids.  The array form does the same IEEE operations in the same
 order as the scalar form, with numpy only for + - * /, sqrt, %, abs,
-comparisons and selections, whose results IEEE 754 fixes on every host; a
-test pins the two forms bitwise on every row of full grids.  Every cos, sin
+comparisons and selections, whose results IEEE 754 fixes on every host;
+tests pin the two forms bitwise, on every row of full grids and row by row
+against one `run_orbit` step in each status.  Every cos, sin
 and atan2 stays a scalar `math` call, over `.tolist()` in the array form,
 because numpy's vectorised transcendentals are its own (SIMD) code and need
 not round like `math`: `np.arctan2` differed from `math.atan2` in the last
 bit on 7.8% of 200 000 random arguments (numpy 2.4 on an x86-64 Xeon), which
 would tie the bits to the numpy build and the CPU.
+
+The array form computes only what a step reads.  `comp_frames_many` reads
+each row's component from its packed row gathered into a column, so a
+segment row costs no per-component pass, and takes one list of the angles
+for each cos/sin pair; the hit frames give tangents alone.  `trace_rays`
+takes a segment's arclength only on the rays whose flight passed the t
+tests, as it takes an arc's angle only there.  Work it skips has no effect
+on the rows it keeps, so the bits are those of the full evaluation.
 
 The boundary is packed into one row per component that the per-step loop
 (the hot path of simulation, Lyapunov and QR long runs) reads whole: each
@@ -66,6 +75,10 @@ OK = 0
 GRAZING = 1
 CORNER = 2
 NO_INTERSECTION = 3
+
+# the packed row the array form reads for component -1, a ray that missed
+# the boundary: its frame is NaN and its corner flags are off
+_MISSED_ROW = (math.nan,) * 15
 
 
 def segment_row(x0, y0, ux, uy, length, start_corner, end_corner) -> tuple:
@@ -221,31 +234,40 @@ def _math_map(f, *args):
     return np.fromiter(map(f, *lists), dtype=np.float64, count=len(lists[0]))
 
 
-def comp_frames_many(rows, comps, s):
-    """comp_frame at the N rows (comps, s), as the rows of a 4 x N array
-    (px, py, tx, ty); rows on component -1 (a ray that missed the boundary)
-    stay NaN."""
-    out = np.full((4, len(s)), np.nan)
-    for c, (arc, x0, y0, _, _, ux, uy, R, a0, orient, axc, axs, _, _,
-            _) in enumerate(rows):
-        m = comps == c
-        if not m.any():
-            continue
-        if not arc:
-            out[0, m] = x0 + s[m] * ux
-            out[1, m] = y0 + s[m] * uy
-            out[2, m] = ux
-            out[3, m] = uy
-            continue
-        phi = a0 + orient * s[m] / R
-        lx = _math_map(math.cos, phi)
-        ly = _math_map(math.sin, phi)
-        out[0, m] = x0 + R * (axc * lx - axs * ly)
-        out[1, m] = y0 + R * (axs * lx + axc * ly)
+def _cos_sin(phi):
+    """math.cos and math.sin over the array phi, from one list of it."""
+    vals = phi.tolist()
+    return (np.fromiter(map(cos, vals), dtype=np.float64, count=len(vals)),
+            np.fromiter(map(sin, vals), dtype=np.float64, count=len(vals)))
+
+
+def comp_frames_many(cols, s, points):
+    """comp_frame at N rows, as arrays (px, py, tx, ty), or the unit
+    tangents (tx, ty) alone when not `points`.  `cols` holds the packed row
+    of each row's component as a column (15 x N) and s the arclengths; a
+    column of NaN (a ray that missed the boundary) gives NaN.  The returned
+    tangents are cols' own ux, uy entries, overwritten on the arc rows.
+
+    A segment row costs no pass of its own, and the arc rows take one
+    cos/sin pair.
+    """
+    arc = cols[0] == 1
+    x0, y0, _, _, ux, uy, R, a0, orient, axc, axs = cols[1:12]
+    out = ([x0 + s * ux, y0 + s * uy] if points else []) + [ux, uy]
+    if arc.any():
+        if arc.all():
+            arc = slice(None)  # a view, not a gathered copy
+        sa = s[arc]
+        x0, y0, R, a0, orient, axc, axs = (
+            v[arc] for v in (x0, y0, R, a0, orient, axc, axs))
+        lx, ly = _cos_sin(a0 + orient * sa / R)
         tlx = -orient * ly
         tly = orient * lx
-        out[2, m] = axc * tlx - axs * tly
-        out[3, m] = axs * tlx + axc * tly
+        if points:
+            out[0][arc] = x0 + R * (axc * lx - axs * ly)
+            out[1][arc] = y0 + R * (axs * lx + axc * ly)
+        out[-2][arc] = axc * tlx - axs * tly
+        out[-1][arc] = axs * tlx + axc * tly
     return out
 
 
@@ -267,25 +289,32 @@ def trace_rays(rows, px, py, dx, dy, min_flight):
             wx = x0 - px
             wy = y0 - py
             t = (wx * uy - wy * ux) / den
-            s = (wx * dy - wy * dx) / den
-            hit_here = (~(np.abs(den) < 1e-14) & (t > min_flight)
-                        & (-1e-12 <= s) & (s <= hit) & (t < best_t))
+            # >= refuses a NaN den, which trace_ray lets through to a NaN t
+            # that its flight tests refuse
+            at = ((np.abs(den) >= 1e-14) & (t > min_flight)
+                  & (t < best_t)).nonzero()[0]
+            if not at.size:
+                continue
+            s = (wx[at] * dy[at] - wy[at] * dx[at]) / den[at]
+            on_seg = (-1e-12 <= s) & (s <= hit)
+            at = at[on_seg]
+            s = s[on_seg]
+            best_t[at] = t[at]
+            best_i[at] = i
             # min(max(s, 0.0), length) with Python's tie rule
             s = np.where(0.0 > s, 0.0, s)
-            s = np.where(length < s, length, s)
-            best_t = np.where(hit_here, t, best_t)
-            best_i = np.where(hit_here, i, best_i)
-            best_s = np.where(hit_here, s, best_s)
+            best_s[at] = np.where(length < s, length, s)
         else:
             mx = px - x0
             my = py - y0
             b = mx * dx + my * dy
             disc = b * b - (mx * mx + my * my - RR)
-            meets = ~(disc < 0.0)
+            # a circle the line misses has disc < 0, so NaN roots, which the
+            # flight tests refuse
             sq = np.sqrt(disc)
-            for sign in (-1.0, 1.0):
-                t = -b + sign * sq
-                at = np.flatnonzero(meets & (t > min_flight) & (t < best_t))
+            nb = -b
+            for t in (nb - sq, nb + sq):
+                at = ((t > min_flight) & (t < best_t)).nonzero()[0]
                 if not at.size:
                     continue
                 tr = t[at]
@@ -309,24 +338,26 @@ def run_step_many(rows, comps, rs, ths, grazing_tol, min_flight, corner_tol):
     is not OK holds no image; its status is the one run_orbit returns
     from that state.
     """
+    # the packed rows as columns, and a NaN column -1 for a missed ray
+    entries = np.array(rows + (_MISSED_ROW,)).T
     # parallel rays divide by zero and missing circles take a root of a
     # negative number; those rows are masked, their NaN and inf are not read
     with np.errstate(divide="ignore", invalid="ignore"):
-        px, py, tx, ty = comp_frames_many(rows, comps, rs)
-        ct_ = _math_map(math.cos, ths)
-        st_ = _math_map(math.sin, ths)
+        px, py, tx, ty = comp_frames_many(entries[:, comps], rs, True)
+        ct_, st_ = _cos_sin(ths)
         dx = ct_ * (-ty) + st_ * tx
         dy = ct_ * tx + st_ * ty
         ci, s, _ = trace_rays(rows, px, py, dx, dy, min_flight)
-        _, _, tx2, ty2 = comp_frames_many(rows, ci, s)
+        hit = entries[:, ci]
+        tx2, ty2 = comp_frames_many(hit, s, False)
         cos_out = -(dx * (-ty2) + dy * tx2)
         sin_out = dx * tx2 + dy * ty2
-    row2 = np.array(rows)[ci]  # each row's hit component; garbage on a miss
-    corner = (((row2[:, 13] > 0.5) & (s < corner_tol))
-              | ((row2[:, 14] > 0.5) & (row2[:, 3] - s < corner_tol)))
+    corner = (((hit[13] > 0.5) & (s < corner_tol))
+              | ((hit[14] > 0.5) & (hit[3] - s < corner_tol)))
     # run_orbit's checks in its order: the first that fires is the status
-    status = np.select(
-        [ct_ < grazing_tol, ci < 0, cos_out < grazing_tol, corner],
-        [GRAZING, NO_INTERSECTION, GRAZING, CORNER], OK)
+    status = np.where(
+        ct_ < grazing_tol, GRAZING, np.where(
+            ci < 0, NO_INTERSECTION, np.where(
+                cos_out < grazing_tol, GRAZING, np.where(corner, CORNER, OK))))
     th = _math_map(math.atan2, sin_out, cos_out)
     return ci, s, th, status

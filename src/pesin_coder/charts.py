@@ -94,8 +94,12 @@ class ChartMapDecomposition:
     derivative at 0 whenever its noise is below a tenth of the
     hyperbolicity gap, to catch a linear part the sampled map lacks.
     `holder_const` and `holder_half` are the Holder quotients of grad h at
-    exponents beta/3 (the edge bound) and beta/2 (the one-step bound), both
-    read from one pass over the grid.
+    exponents beta/3 (the edge bound) and beta/2 (the one-step bound), and
+    `df_sup` is the largest closed-form operator norm of the sampled
+    Jacobian (grad U, grad V).  `sup_h`, `grad_sup`, the Holder quotients
+    and `df_sup` are read from one stacked array of (h1, h2, U, V) and its
+    one gradient (`_decompose`); a NaN sample makes them NaN, which fails
+    every bound on them.
     """
 
     A: float
@@ -244,8 +248,8 @@ def _sample_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
     # than half of them (20 000 random rows, a fixture and a stadium frame)
     w = np.linalg.solve(chart_to.frame.C, off[:n, :, None])[:, :, 0]
     n_grid = GRID_N * GRID_N
-    w_inf = np.max(np.abs(w[:n_grid]), axis=1)
-    escaped = np.flatnonzero(w_inf > allow)
+    w_inf = np.maximum(np.abs(w[:n_grid, 0]), np.abs(w[:n_grid, 1]))
+    escaped = np.flatnonzero(~(w_inf <= allow))
     if escaped.size:
         k = escaped[0]
         raise DomainEscape(
@@ -262,34 +266,39 @@ def _sample_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
             J0)
 
 
-def holder_quotients(fields, spacing: float, exponents) -> list[float]:
-    """Holder quotients of sampled fields along their first axis, one per
-    exponent e: the largest jump at grid separation k, over k = 1, 2, 4, ...
-    with 2k below the field length, divided by (k spacing)^e.
+def holder_quotients(fields: np.ndarray, spacing: float,
+                     exponents) -> list[float]:
+    """Holder quotients of sampled fields along the last axis of `fields`
+    (any leading axes index the fields), one per exponent e: the largest
+    jump at grid separation k, over k = 1, 2, 4, ... with 2k below the
+    last axis's length, divided by (k spacing)^e.
 
     Each separation's largest jump over all fields is taken once and then
     divided: division by a positive number rounds monotonically, so this
-    has the bits of the max over every per-pair quotient.
+    has the bits of the max over every per-pair quotient.  A NaN anywhere
+    in the fields makes every quotient NaN.
     """
     jumps = []
     k = 1
-    while 2 * k < len(fields[0]):
-        jump = max(float(np.max(np.abs(f[k:] - f[:-k]))) for f in fields)
-        jumps.append((k * spacing, jump))
+    while 2 * k < fields.shape[-1]:
+        jump = abs(fields[..., k:] - fields[..., :-k]).max()
+        jumps.append((k * spacing, float(jump)))
         k *= 2
-    return [max(jump / dist ** e for dist, jump in jumps) for e in exponents]
-
-
-def _field_norms(h: np.ndarray, spacing: float):
-    g1, g2 = np.gradient(h, spacing, edge_order=2)
-    sup_h = float(np.max(np.abs(h)))
-    grad_sup = float(np.max(np.hypot(g1, g2)))
-    return sup_h, grad_sup, (g1, g2)
+    return [float(np.max([jump / dist ** e for dist, jump in jumps]))
+            for e in exponents]
 
 
 def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
                consts: RegularityConstants, forward: bool
                ) -> ChartMapDecomposition:
+    """Sample the chart map on the probe grid and measure its h fields.
+
+    h1 = U - A v1 and h2 = V - B v2 are stacked with U and V into one array,
+    whose gradient is taken once; sup|h|, sup|grad h|, the Holder quotients
+    of grad h (jumps along both grid axes) and the closed-form operator norm
+    of (grad U, grad V) are all read from these two arrays.  Every statistic
+    is a NaN when a sampled value is, so the bounds on them fail.
+    """
     probe = _probe_halfwidth(chart_x)
     chi = chart_x.frame.chi
     headroom = 4.0 * (1.0 + math.exp(2.0 * chi)) / chart_x.rho_x ** consts.a
@@ -300,36 +309,34 @@ def _decompose(chart_x: PesinChart, chart_to: PesinChart, A: float, B: float,
     spacing = xs[1] - xs[0]
     c = GRID_N // 2  # v = 0 node
 
-    V1, V2 = np.meshgrid(xs, xs, indexing="ij")
-    h1 = U - A * V1
-    h2 = V - B * V2
-    h0 = (float(h1[c, c]), float(h2[c, c]))
+    # (h1, h2, U, V) on the grid, v1 along axis 1 and v2 along axis 2
+    H = np.stack([U - A * xs[:, None], V - B * xs, U, V])
+    h0 = (float(H[0, c, c]), float(H[1, c, c]))
 
     noise = 2e-15 * chart_to.frame.c_inv_frob / fd_step
     gap = min(abs(A), abs(B), math.exp(-chi))
     if noise <= 0.1 * gap:
         tol = max(1e-6, 10.0 * noise)
-        if abs(J0[0, 0] - A) > tol or abs(J0[1, 1] - B) > tol:
-            raise BoundViolated(
-                "finite-difference check of the linear part",
-                float(max(abs(J0[0, 0] - A), abs(J0[1, 1] - B))), tol)
+        miss = (abs(J0[0, 0] - A), abs(J0[1, 1] - B))
+        if not (miss[0] <= tol and miss[1] <= tol):
+            raise BoundViolated("finite-difference check of the linear part",
+                                float(np.max(miss)), tol)
     grad0 = J0 - np.diag([A, B])
     grad_h0 = float(np.max(np.abs(grad0)))
 
-    s1, g1_sup, gH1 = _field_norms(h1, spacing)
-    s2, g2_sup, gH2 = _field_norms(h2, spacing)
-    # each gradient field along both grid axes
-    hol3, hol2 = holder_quotients([f for g in gH1 + gH2 for f in (g, g.T)],
-                                  spacing,
-                                  (consts.beta / 3.0, consts.beta / 2.0))
-    gU = np.gradient(U, spacing, edge_order=2)
-    gV = np.gradient(V, spacing, edge_order=2)
+    # G[a, f] is the derivative of field f along v_(a+1)
+    G = np.stack(np.gradient(H, spacing, axis=(1, 2), edge_order=2))
+    grad_h = G[:, :2]
+    # both grid axes made last in one contiguous array: one jump per k
+    hol3, hol2 = holder_quotients(
+        np.concatenate((grad_h, grad_h.swapaxes(-1, -2))), spacing,
+        (consts.beta / 3.0, consts.beta / 2.0))
     return ChartMapDecomposition(
         A=A, B=B, probe=probe, h0=h0,
-        grad0=grad0, grad_h0=grad_h0, sup_h=max(s1, s2),
-        grad_sup=max(g1_sup, g2_sup),
+        grad0=grad0, grad_h0=grad_h0, sup_h=float(np.max(np.abs(H[:2]))),
+        grad_sup=float(np.max(np.hypot(grad_h[0], grad_h[1]))),
         holder_const=hol3, holder_half=hol2,
-        df_sup=float(np.max(operator_norm((gU, gV)))))
+        df_sup=float(np.max(operator_norm(G[:, 2:].swapaxes(0, 1)))))
 
 
 def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
@@ -357,9 +364,9 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
     d = table.distance(img, chart_y.x)
     # overlap precondition in log space: d < (eta_x eta_y)^4, readable at
     # desk scale only down to the round-trip measurement floor
-    if d > OVERLAP_DISTANCE_FLOOR:
+    if not d <= OVERLAP_DISTANCE_FLOOR:
         log_bound = 4.0 * (chart_x.eta.log_value + chart_y.eta.log_value)
-        if math.log(d) >= log_bound:
+        if not math.log(d) < log_bound:
             raise OverlapMissing(
                 f"target chart too far from the image: d = {d:.3e}, "
                 f"log bound {log_bound:.6g}")
@@ -382,29 +389,29 @@ def chart_map_fxy(chart_x: PesinChart, chart_y: PesinChart,
     # assert at the realized scale: eta when representable, else the probe
     eta_eff = max(min(chart_x.eta.value, chart_y.eta.value), dec.probe)
     h0_norm = math.hypot(*dec.h0)
-    if h0_norm > eps * eta_eff:
+    if not h0_norm <= eps * eta_eff:
         raise BoundViolated("|h(0)| < eps eta", h0_norm, eps * eta_eff)
-    if dec.grad_h0 > eps * eta_eff ** (consts.beta / 3.0):
+    if not dec.grad_h0 <= eps * eta_eff ** (consts.beta / 3.0):
         raise BoundViolated("|grad h(0)| < eps eta^(beta/3)", dec.grad_h0,
                             eps * eta_eff ** (consts.beta / 3.0))
-    if dec.holder_const >= eps:
+    if not dec.holder_const < eps:
         raise BoundViolated("Holder(grad h) below eps", dec.holder_const, eps)
     if forward and d <= OVERLAP_DISTANCE_FLOOR:
         # y is the measured image f(x): the map is the one-step f_x
         reduced_cocycle(M, chi)
-        h0_inf = max(abs(dec.h0[0]), abs(dec.h0[1]))
-        if h0_inf > 1e-12:
+        h0_inf = float(np.max(np.abs(dec.h0)))
+        if not h0_inf <= 1e-12:
             raise BoundViolated("h(0) = 0 for the one-step chart map",
                                 h0_inf, 1e-12)
         for name, measured in (("sup|h|", dec.sup_h),
                                ("sup|grad h|", dec.grad_sup),
                                ("Holder_(beta/2)(grad h)",
                                 dec.holder_half)):
-            if measured >= eps:
+            if not measured < eps:
                 raise BoundViolated(name + " below eps", measured, eps)
         df_bound = 2.0 * (1.0 + math.exp(2.0 * chi)) \
             / chart_x.rho_x ** consts.a
-        if dec.df_sup >= df_bound:
+        if not dec.df_sup < df_bound:
             raise BoundViolated("sup||d(f_x)|| within the blowup bound",
                                 dec.df_sup, df_bound)
     return dec

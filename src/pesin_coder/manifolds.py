@@ -290,7 +290,7 @@ def validate_admissible(m: AdmissibleManifold,
         raise AdmissibilityViolated("AM2", s0, allowed2)
 
     literal = p.value >= LITERAL_SCALE_FLOOR
-    [hol] = holder_quotients([m.slopes], TAU[1] - TAU[0], (b3,))
+    [hol] = holder_quotients(m.slopes, TAU[1] - TAU[0], (b3,))
     if literal:
         hol = hol / p.value ** b3
     am3 = m.sup_slope + hol

@@ -9,12 +9,14 @@ validator) drive the non-vacuous bound paths.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pesin_coder import charts as charts_module
 from pesin_coder.charts import (
     GRID_N,
     PROBE_FLOOR,
@@ -409,6 +411,78 @@ def per_pair_holder(ch0, ch1, dec, exponent: float) -> float:
                         float(np.max(np.abs(g[:, k:] - g[:, :-k]))) / dist)
         worst.append(w)
     return max(worst)
+
+
+# sha256 (first 16 hex digits) of float.hex of every ChartMapDecomposition
+# field in order: A, B, probe, h0, grad0 row by row, grad_h0, sup_h,
+# grad_sup, holder_const, holder_half, df_sup
+CHART_MAP_PINS = {
+    ("fixture", True): "ca71e48af8ccfbbb",
+    ("fixture", False): "7051cbb0928d3cd4",
+    ("stadium", True): "e88fa32a44aaf2f5",
+    ("stadium", False): "979b895bcaf36aa9",
+}
+PAIRS = {"fixture": fixture_charts, "stadium": tame_stadium_pair}
+
+
+@pytest.mark.parametrize("pair, forward", list(CHART_MAP_PINS))
+def test_chart_map_is_bitwise_pinned(pair, forward):
+    *_, ch0, ch1 = PAIRS[pair]()
+    dec = (chart_map_fxy(ch0, ch1, CONSTS, True) if forward
+           else chart_map_fxy(ch1, ch0, CONSTS, False))
+    values = [dec.A, dec.B, dec.probe, *dec.h0, *dec.grad0.ravel().tolist(),
+              dec.grad_h0, dec.sup_h, dec.grad_sup, dec.holder_const,
+              dec.holder_half, dec.df_sup]
+    text = "|".join(float(v).hex() for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        CHART_MAP_PINS[pair, forward]
+
+
+@pytest.mark.parametrize("pair", list(PAIRS))
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("field, node, bound", [
+    ("U", (3, 5), "Holder"), ("U", (0, 0), "Holder"),
+    ("U", (32, 32), "Holder"), ("U", (16, 16), r"\|h\(0\)\|"),
+    ("V", (3, 5), "Holder"), ("V", (32, 0), "Holder"),
+    ("J0", (0, 0), "finite-difference"), ("J0", (1, 1), "finite-difference"),
+    ("J0", (0, 1), r"\|grad h\(0\)\|")],
+    ids=["U-3-5", "U-0-0", "U-32-32", "U-16-16", "V-3-5", "V-32-0",
+         "J0-0-0", "J0-1-1", "J0-0-1"])
+def test_nan_sample_fails_the_bounds(monkeypatch, pair, forward, field, node,
+                                     bound):
+    # one NaN in U, in V or in the finite-difference Jacobian fails the
+    # first bound it reaches, whatever its place in the grid
+    *_, ch0, ch1 = PAIRS[pair]()
+    cx, cy = (ch0, ch1) if forward else (ch1, ch0)
+    sample = charts_module._sample_grid
+
+    def with_nan(*args):
+        out = sample(*args)
+        out[("U", "V", "J0").index(field) + 1][node] = math.nan
+        return out
+
+    monkeypatch.setattr(charts_module, "_sample_grid", with_nan)
+    with pytest.raises(BoundViolated, match=bound):
+        chart_map_fxy(cx, cy, CONSTS, forward)
+
+
+@pytest.mark.parametrize("pair", list(PAIRS))
+@pytest.mark.parametrize("field", ["h0", "grad_h0", "holder_const", "sup_h",
+                                   "grad_sup", "holder_half", "df_sup"])
+def test_nan_statistic_fails_its_bound(monkeypatch, pair, field):
+    # the forward pairs are one-step maps, so every bound is checked; a NaN
+    # in any one statistic alone must fail
+    *_, ch0, ch1 = PAIRS[pair]()
+    decompose = charts_module._decompose
+
+    def with_nan(*args):
+        dec = decompose(*args)
+        value = (dec.h0[0], math.nan) if field == "h0" else math.nan
+        return replace(dec, **{field: value})
+
+    monkeypatch.setattr(charts_module, "_decompose", with_nan)
+    with pytest.raises(BoundViolated):
+        chart_map_fxy(ch0, ch1, CONSTS, True)
 
 
 class TestChartMapFxy:

@@ -9,7 +9,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pesin_coder.accel import comp_frame, comp_point, run_orbit
+from pesin_coder.accel import (
+    CORNER,
+    GRAZING,
+    NO_INTERSECTION,
+    OK,
+    comp_frame,
+    comp_point,
+    run_orbit,
+    run_step_many,
+    segment_row,
+)
 from pesin_coder.errors import DomainEscape, OrbitHitsDiscontinuity
 from pesin_coder.tables import (
     Arc,
@@ -381,6 +391,68 @@ def test_run_orbit_is_bitwise_pinned(case):
     out = [str(int(v)) for v in comps[:k + 1]]
     out += [float(v).hex() for a in (rs[:k + 1], ths[:k + 1], taus[:k]) for v in a]
     assert hashlib.sha256("|".join(out).encode()).hexdigest()[:16] == pin
+
+
+def step_many_against_run_orbit(rows, states) -> set:
+    """run_step_many over the states (component, r, theta), each row checked
+    against one run_orbit step from it: the same status and, when that is
+    OK, the same image bit for bit.  Returns the statuses seen."""
+    comps, rs, ths = (np.array(col) for col in zip(*states))
+    ci, s, th, status = run_step_many(rows, comps, rs, ths, GRAZING_COS_TOL,
+                                      MIN_FLIGHT, CORNER_TOL)
+    for k, (c, r, t) in enumerate(states):
+        cs, rs1, ths1, _, want, n = run_orbit(rows, c, r, t, 1,
+                                              GRAZING_COS_TOL, MIN_FLIGHT,
+                                              CORNER_TOL)
+        assert int(status[k]) == want, (k, c, r, t)
+        if want == OK:
+            assert n == 1
+            assert int(ci[k]) == cs[1]
+            assert float(s[k]).hex() == rs1[1].hex()
+            assert float(th[k]).hex() == ths1[1].hex()
+    return set(status.tolist())
+
+
+# states whose single step ends in a given status, by table: starts within
+# GRAZING_COS_TOL of tangency, the near-tangent sweep off the stadium cap
+# that reaches the bottom wall tangentially, and the sinai sweep over the
+# square's corner (1, 1)
+GRAZING_STARTS = [(0, 0.3, math.pi / 2 - 1e-9), (0, 0.3, -math.pi / 2 + 5e-9)]
+STEP_MANY_CASES = {
+    make_circle: ([], {OK, GRAZING}),
+    make_stadium: ([(1, 1e-5, -math.pi / 2 + 1e-5 + dt)
+                    for dt in np.linspace(-1e-7, 1e-7, 33).tolist()],
+                   {OK, GRAZING}),
+    make_sinai: ([(0, 1.9, math.atan(0.05) + dt)
+                  for dt in np.linspace(-2e-12, 2e-12, 33).tolist()],
+                 {OK, GRAZING, CORNER}),
+    make_flower: ([], {OK, GRAZING}),
+}
+
+
+@pytest.mark.parametrize("mk", list(STEP_MANY_CASES))
+def test_step_many_rows_are_run_orbit_steps(mk):
+    tb = mk()
+    extra, want = STEP_MANY_CASES[mk]
+    states = [(p.component, p.r, p.theta)
+              for p in tb.liouville_sample(np.random.default_rng(8), 150)]
+    seen = step_many_against_run_orbit(tb.rows, states + GRAZING_STARTS + extra)
+    assert want <= seen
+
+
+def test_step_many_reports_each_status_on_an_open_strip():
+    # two unit segments facing each other across the strip 0 <= y <= 1, not
+    # a closed table, the top one with corner flags at both ends: steep rays
+    # leave through the open ends and hit nothing, rays from (0.5, 0) at
+    # -+atan(1/2) meet the top's end and start, and a start within
+    # GRAZING_COS_TOL of tangency is grazing although its ray misses too
+    rows = (segment_row(0.0, 0.0, 1.0, 0.0, 1.0, False, False),
+            segment_row(1.0, 1.0, -1.0, 0.0, 1.0, True, True))
+    aims = [-1.2, -math.atan(0.5), -0.3, 0.0, 0.4, math.atan(0.5), 1.3,
+            math.pi / 2 - 1e-9]
+    states = [(c, 0.5, t) for c in (0, 1) for t in aims]
+    seen = step_many_against_run_orbit(rows, states)
+    assert seen == {OK, GRAZING, CORNER, NO_INTERSECTION}
 
 
 @pytest.mark.parametrize("component", [-1, 4, 7])
