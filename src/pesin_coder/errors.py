@@ -92,7 +92,9 @@ class DomainEscape(PesinCoderError):
 
 
 class BoundViolated(PesinCoderError):
-    """A measured norm exceeds its asserted bound.
+    """A measured value fails its asserted bound: it lies above the bound,
+    or at it for a strict bound, or it is NaN.  The message names the bound
+    and both values and claims no order between them.
 
     Attributes: bound_name, measured, allowed.
     """
@@ -101,7 +103,8 @@ class BoundViolated(PesinCoderError):
         self.bound_name = bound_name
         self.measured = measured
         self.allowed = allowed
-        super().__init__(f"{bound_name}: measured {measured:.6e} > allowed {allowed:.6e}")
+        super().__init__(f"{bound_name}: bound not met, measured "
+                         f"{measured:.6e}, allowed {allowed:.6e}")
 
 
 class OverlapMissing(PesinCoderError):

@@ -40,13 +40,17 @@ The discontinuity set D of a billiard map consists of the grazing fibers
 one-step forward/backward preimages of tangencies and corners (first
 generation only; deeper generations surface dynamically as errors).  The
 distance to the preimage curves is estimated from a precomputed point cloud on
-them plus local 1-D minimizations over the curve parameters.  The traced
-points at the top of each minimization depend on the cloud row alone, so the
-table caches them per row and the estimate keeps its bits.  The estimate is a
-min over distances to points ON D, hence an upper bound on d(x, D) that
-converges as the cloud refines.  It is not 1-Lipschitz in x: the refinement
-runs only near the nearest cloud row, so the estimate jumps where that row
-changes (see `BilliardTable.dist_to_D`).
+them plus local 1-D minimizations over the curve parameters.  The cloud is
+built in array form: every source ray in one `accel.trace_rays` pass, and
+every chord point that must lie inside the table in one `contains_point`
+winding test.  The minimizations trace one source at a time in the scalar
+form (`_trace_singular_source`); a test pins the two forms bitwise on every
+cloud row.  The traced points at the top of each minimization depend on the
+cloud row alone, so the table caches them per row and the estimate keeps its
+bits.  The estimate is a min over distances to points ON D, hence an upper
+bound on d(x, D) that converges as the cloud refines.  It is not 1-Lipschitz
+in x: the refinement runs only near the nearest cloud row, so the estimate
+jumps where that row changes (see `BilliardTable.dist_to_D`).
 """
 from __future__ import annotations
 
@@ -57,9 +61,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import (CORNER, GRAZING, OK, arc_row, comp_curvature, comp_frame,
-                    comp_point, run_orbit, run_step_many, segment_row,
-                    trace_ray)
+from .accel import (CORNER, GRAZING, OK, _cos_sin, _math_map, arc_row,
+                    comp_curvature, comp_frame, comp_frames_many, comp_point,
+                    run_orbit, run_step_many, segment_row, trace_ray,
+                    trace_rays)
 from .errors import (
     CornerHit,
     DomainEscape,
@@ -99,6 +104,12 @@ CLOSURE_TOL = 1e-12
 FD_STEP = 1e-6  # coordinate step of the central finite differences
 BOUNDARY_SAMPLES = 64  # boundary points per component for the table diameter
 WINDING_SAMPLES = 100  # boundary points per component for contains_point
+# (point, polyline vertex) pairs per chunk of contains_point: 256 kB for
+# each of its float temporaries
+_WINDING_CHUNK = 1 << 15
+# the chord points of each cloud row that contains_point tests, at
+# k / (_CHORD_CHECKS + 1) of the flight for k = 1 .. _CHORD_CHECKS
+_CHORD_CHECKS = 4
 # evaluations at the top of each golden-section search of dist_to_D whose
 # traced point is cached per cloud row: at most 2**(depth - 1) entries a
 # row.  Over the 2459 dist_to_D calls of a seed-0 stadium-code benchmark
@@ -268,6 +279,8 @@ class BilliardTable:
         # tuples of plain Python numbers, with the derived constants: the
         # ray kernel unpacks a whole row at each component
         self.rows = tuple(_packed(c, comp) for c, comp in enumerate(components))
+        # the packed rows as columns (15 x n), for the array form
+        self._columns = np.array(self.rows).T
         self._validate_loops()
         # arclengths (row entry 3) as Python floats for the scalar paths, and
         # as an array for step_many
@@ -353,27 +366,53 @@ class BilliardTable:
     def curvature(self, component: int) -> float:
         return comp_curvature(self.rows[component])
 
-    def contains_point(self, xy) -> bool:
-        """Winding-number test against the boundary polyline sampled at
-        WINDING_SAMPLES points per component."""
-        total = 0.0
-        for loop_pts in self._polyline(WINDING_SAMPLES):
-            poly = loop_pts - np.asarray(xy, dtype=float)
-            ang = np.arctan2(poly[:, 1], poly[:, 0])
-            dang = np.diff(np.concatenate([ang, ang[:1]]))
-            dang = (dang + math.pi) % (2 * math.pi) - math.pi
-            total += dang.sum() / (2 * math.pi)
-        return abs(total - 1.0) < 0.5
+    def contains_point(self, xy) -> np.ndarray:
+        """Winding-number test of the N points xy (N x 2) against the
+        boundary polyline sampled at WINDING_SAMPLES points per component,
+        as N booleans.
+
+        Per point and loop: the angles of the polyline vertices seen from
+        the point (`np.arctan2`), their successive differences wrapped into
+        [-pi, pi), summed and divided by 2 pi; a point is inside when the
+        loops' total is within 0.5 of 1.  Each row of the (points x
+        vertices) arrays holds the one-point arithmetic, so a point's
+        answer does not depend on the others.  The points go through in
+        chunks of at most `_WINDING_CHUNK` (point, vertex) pairs, so the
+        temporaries stay a few hundred kB whatever N is: the benchmark
+        bounds peak RSS at 10% over its parent, about 4 MB.
+        """
+        xy = np.asarray(xy, dtype=float)
+        loops = self._polyline(WINDING_SAMPLES)
+        chunk = max(1, _WINDING_CHUNK // max(len(lp) for lp in loops))
+        out = np.empty(len(xy), dtype=bool)
+        for k in range(0, len(xy), chunk):
+            px = xy[k:k + chunk, :1]
+            py = xy[k:k + chunk, 1:]
+            total = np.zeros(len(px))
+            for loop_pts in loops:
+                ang = np.arctan2(loop_pts[:, 1] - py, loop_pts[:, 0] - px)
+                dang = np.diff(np.concatenate([ang, ang[:, :1]], axis=1),
+                               axis=1)
+                dang = (dang + math.pi) % (2 * math.pi) - math.pi
+                total += dang.sum(axis=1) / (2 * math.pi)
+            out[k:k + chunk] = abs(total - 1.0) < 0.5
+        return out
 
     def _polyline(self, samples_per_component: int) -> list[np.ndarray]:
-        """Boundary samples of each loop, built once per sample count."""
+        """Boundary samples of each loop (M x 2), built once per sample
+        count: the `point_xy` values, from one `comp_frames_many` call per
+        loop."""
         if samples_per_component not in self._polylines:
-            self._polylines[samples_per_component] = [
-                np.array([self.point_xy(ci, s) for ci in loop
-                          for s in np.linspace(0.0, self.lengths[ci],
-                                               samples_per_component,
-                                               endpoint=False)])
-                for loop in self.loops]
+            polys = []
+            for loop in self.loops:
+                s = np.concatenate([
+                    np.linspace(0.0, self.lengths[ci], samples_per_component,
+                                endpoint=False) for ci in loop])
+                at = np.repeat(loop, samples_per_component)
+                px, py, _, _ = comp_frames_many(self._columns[:, at], s,
+                                                True)
+                polys.append(np.stack([px, py], axis=1))
+            self._polylines[samples_per_component] = polys
         return self._polylines[samples_per_component]
 
     # ------------------------------------------------------------ phase metric
@@ -683,12 +722,50 @@ class BilliardTable:
         got = self._trace_singular_source(kind, a, u)
         return _NO_POINT if got is None else got[:3]
 
-    def _segment_inside(self, src, w, t, checks: int = 4) -> bool:
-        for k in range(1, checks + 1):
-            lam = t * k / (checks + 1.0)
-            if not self.contains_point((src[0] + lam * w[0], src[1] + lam * w[1])):
-                return False
-        return True
+    def _trace_singular_sources(self, sources: list) -> tuple:
+        """`_trace_singular_source` over the list `sources` in array form.
+
+        Returns (at, hx, hy, theta, sx, sy, t, wx, wy): at indexes the
+        sources whose point the scalar form returns, in order, and the
+        arrays hold, on those rows, that point, the source, the flight and
+        the direction.  Every ray goes through one `trace_rays` call, the
+        frames come from `comp_frames_many`, and cos, sin and atan2 are
+        scalar `math` calls, so each row has the scalar form's bits (see
+        `accel`; a test pins the two forms bitwise).
+        """
+        kind, a, u = np.array(sources, dtype=float).reshape(-1, 3).T
+        a = a.astype(int)
+        sx, sy, wx, wy = (np.empty(len(u)) for _ in range(4))
+        cols = self._columns
+        tan = kind == 0
+        if tan.any():
+            ut = u[tan]
+            branch = np.where(ut >= 0, 1.0, -1.0)
+            sx[tan], sy[tan], tx, ty = comp_frames_many(cols[:, a[tan]],
+                                                        np.abs(ut), True)
+            wx[tan] = branch * tx
+            wy[tan] = branch * ty
+        fan = ~tan
+        if fan.any():
+            corners = np.array(self.corner_points)
+            sx[fan] = corners[a[fan], 0]
+            sy[fan] = corners[a[fan], 1]
+            wx[fan], wy[fan] = _cos_sin(u[fan])
+        # parallel rays divide by zero and missed circles take the root of
+        # a negative number; trace_rays masks those rows, as in run_step_many
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ci, s, t = trace_rays(self.rows, sx, sy, wx, wy, MIN_FLIGHT)
+        at = (~((ci < 0) | (t > 1e200))).nonzero()[0]
+        hx, hy, tx, ty = comp_frames_many(cols[:, ci[at]], s[at], True)
+        cos0 = -(wx[at] * -ty + wy[at] * tx)  # against the inward normal
+        sin0 = -(wx[at] * tx + wy[at] * ty)
+        # written as "not below" so that a NaN row is kept, as in the
+        # scalar form
+        fine = ~(cos0 <= 1e-6)
+        at = at[fine]
+        return (at, hx[fine], hy[fine],
+                _math_map(math.atan2, sin0[fine], cos0[fine]),
+                sx[at], sy[at], t[at], wx[at], wy[at])
 
     def singularity_cloud(self) -> dict:
         """Sampled points on the one-step singularity preimage curves S+ and S-.
@@ -697,6 +774,15 @@ class BilliardTable:
         each row (kind, index, parameter) for local 1-D refinement.  S- is
         obtained by time reversal (same positions, negated theta), so it is
         not stored.  Built once per table.
+
+        A source (a tangency on an arc, or a corner fan direction) gives a
+        row when `_trace_singular_source` returns its point and the
+        `_CHORD_CHECKS` points along its chord all lie inside the table.
+        The cloud is built in array form: every ray in one
+        `_trace_singular_sources` pass, every chord point in one
+        `contains_point` call.  `_trace_singular_source` stays the scalar
+        form that the golden-section searches of `dist_to_D` evaluate; a
+        test pins the two forms bitwise on every cloud row.
         """
         if self._singular_cloud is not None:
             return self._singular_cloud
@@ -710,24 +796,22 @@ class BilliardTable:
         sources += [(1, k, psi) for k in range(len(self.corner_points))
                     for psi in np.linspace(0.0, 2 * math.pi, n_fan,
                                            endpoint=False).tolist()]
-        rows = []
-        fams = []
-        for fam in sources:
-            got = self._trace_singular_source(*fam)
-            if got is None:
-                continue
-            hx, hy, th, src, t, w = got
-            if not self._segment_inside(src, w, t):
-                continue
-            rows.append((hx, hy, th))
-            fams.append(fam)
+        at, hx, hy, theta, sx, sy, t, wx, wy = \
+            self._trace_singular_sources(sources)
+        # the _CHORD_CHECKS chord points of each traced row, row by row
+        k = np.arange(1, _CHORD_CHECKS + 1, dtype=float)
+        lam = t[:, None] * k / (_CHORD_CHECKS + 1.0)
+        chords = np.stack([sx[:, None] + lam * wx[:, None],
+                           sy[:, None] + lam * wy[:, None]], axis=-1)
+        inside = self.contains_point(chords.reshape(-1, 2)).reshape(
+            -1, _CHORD_CHECKS).all(axis=1)
         cloud = {
-            "px": np.array([row[0] for row in rows]),
-            "py": np.array([row[1] for row in rows]),
-            "theta": np.array([row[2] for row in rows]),
-            "fam": fams,
+            "px": hx[inside],
+            "py": hy[inside],
+            "theta": theta[inside],
+            "fam": [sources[i] for i in at[inside].tolist()],
         }
-        self._search_tops = [{} for _ in fams]
+        self._search_tops = [{} for _ in cloud["fam"]]
         self._singular_cloud = cloud
         return cloud
 

@@ -1,0 +1,77 @@
+"""The benchmark-pair tool's schedule, file layout and summary, on canned
+run records (no benchmark run)."""
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def record(workload: str, seed: int, trace: int, **values) -> dict:
+    """A run record as run.py's result line gives it."""
+    return {"reference": "match", "seconds": 20, "seed": seed,
+            "trace": trace, "workload": workload,
+            "result": {"attempted": 10, "correct": True, "failed": 0,
+                       "metrics": {k.replace("__", "."): {"unit": "", "value": v}
+                                   for k, v in values.items()}}}
+
+
+def test_schedule_alternates_the_first_side():
+    plan = bench_pairs.schedule(["a", "b"], [0, 1], 0, "b", [10])
+    assert [(w, s, t) for w, s, t, _ in plan] == [
+        ("a", 0, 0), ("b", 0, 0), ("a", 1, 0), ("b", 1, 0),
+        ("a", 0, 1), ("b", 0, 1), ("b", 10, 0)]
+    assert [first for *_, first in plan] == [True, False] * 3 + [True]
+
+
+def test_bench_file_has_the_schema_of_earlier_files():
+    out = bench_pairs.bench_file([], {"nproc": 2}, "p", "w")
+    earlier = json.loads((ROOT / "BENCH_28_before.json").read_text())
+    assert set(out) == set(earlier)
+    assert out["command"] == earlier["command"]
+    assert set(record("x", 0, 0)) == set(earlier["runs"][0])
+
+
+def test_summary_on_canned_records():
+    # the change lowers setup_s on 9 of 10 stadium pairs by far more than
+    # the parent's spread, and raises orbit_steps_per_s on 3 of 10 flower
+    # pairs; traced runs are left out
+    before = [record("stadium-code", s, 0, setup_s=0.014 + 0.0002 * s)
+              for s in range(10)]
+    after = [record("stadium-code", s, 0,
+                    setup_s=0.0065 if s else 0.02) for s in range(10)]
+    before += [record("flower-chi", s, 0, orbit_steps_per_s=100.0)
+               for s in range(10)]
+    after += [record("flower-chi", s, 0,
+                     orbit_steps_per_s=101.0 if s < 3 else 99.0)
+              for s in range(10)]
+    before.append(record("stadium-code", 0, 1, setup_s=1.0))
+    after.append(record("stadium-code", 0, 1, setup_s=0.0))
+    lines = bench_pairs.summary(before, after, METRICS,
+                                ("stadium-code", "setup_s"))
+    rows = {tuple(line.split()[:2]): line.split() for line in lines[1:-1]}
+    assert set(rows) == {("flower-chi", "orbit_steps_per_s"),
+                         ("stadium-code", "setup_s")}
+    assert rows["stadium-code", "setup_s"][-1] == "9/10"
+    # parent quartiles of 0.014 + 0.0002 s over s = 0..9, then the change's
+    assert rows["stadium-code", "setup_s"][2:7:2] == ["0.01445", "0.0149",
+                                                      "0.01535"]
+    assert rows["stadium-code", "setup_s"][7:12:2] == ["0.0065"] * 3
+    assert rows["flower-chi", "orbit_steps_per_s"][-1] == "3/10"
+    assert lines[-1].startswith("claim stadium-code setup_s: won 9/10")
+    assert lines[-1].endswith(": holds")
+    # a 9/10 win inside the parent's spread is no gain
+    close = [record("stadium-code", s, 0,
+                    setup_s=0.0137 + 0.0002 * s if s else 0.02)
+             for s in range(10)]
+    verdict = bench_pairs.summary(before, close, METRICS,
+                                  ("stadium-code", "setup_s"))[-1]
+    assert "won 9/10" in verdict and verdict.endswith("does not hold")

@@ -485,6 +485,25 @@ def test_nan_statistic_fails_its_bound(monkeypatch, pair, field):
         chart_map_fxy(ch0, ch1, CONSTS, True)
 
 
+@pytest.mark.parametrize("value", ["nan", "eps"])
+def test_bound_violated_message_holds_for_every_failure(monkeypatch, value):
+    # "Holder(grad h) below eps" is strict, so a quotient equal to eps fails
+    # it, as a NaN does; the message claims neither is above eps
+    *_, ch0, ch1 = fixture_charts()
+    eps = ch0.eps
+    measured = math.nan if value == "nan" else eps
+    decompose = charts_module._decompose
+    monkeypatch.setattr(charts_module, "_decompose", lambda *args: replace(
+        decompose(*args), holder_const=measured))
+    with pytest.raises(BoundViolated) as err:
+        chart_map_fxy(ch0, ch1, CONSTS, True)
+    assert err.value.bound_name == "Holder(grad h) below eps"
+    assert str(err.value) == (
+        f"Holder(grad h) below eps: bound not met, measured "
+        f"{'nan' if value == 'nan' else f'{eps:.6e}'}, allowed {eps:.6e}")
+    assert ">" not in str(err.value)
+
+
 class TestChartMapFxy:
     def test_fixture_forward_edge(self):
         fx, seg, sp, ch0, ch1 = fixture_charts()

@@ -27,8 +27,10 @@ from pesin_coder.tables import (
     CORNER_TOL,
     GRAZING_COS_TOL,
     MIN_FLIGHT,
+    BOUNDARY_SAMPLES,
     WINDING_SAMPLES,
     _SEARCH_CACHE_DEPTH,
+    _WINDING_CHUNK,
     PhasePoint,
     Segment,
     make_circle,
@@ -475,27 +477,149 @@ def test_component_outside_the_table_refused(component):
             call()
 
 
+def winding_inside(tb, xy) -> bool:
+    """The one-point angle-sum winding test that contains_point batches."""
+    total = 0.0
+    for loop_pts in tb._polyline(WINDING_SAMPLES):
+        poly = loop_pts - np.asarray(xy, dtype=float)
+        ang = np.arctan2(poly[:, 1], poly[:, 0])
+        dang = np.diff(np.concatenate([ang, ang[:1]]))
+        dang = (dang + math.pi) % (2 * math.pi) - math.pi
+        total += dang.sum() / (2 * math.pi)
+    return abs(total - 1.0) < 0.5
+
+
 def test_contains_point():
+    # N points in, N booleans out, each the one-point winding test's answer
     st = make_stadium()
-    assert st.contains_point((0.0, 0.0))
-    assert st.contains_point((1.9, 0.0))
-    assert not st.contains_point((2.1, 0.0))
-    assert not st.contains_point((0.0, 1.1))
+    pts = [(0.0, 0.0), (1.9, 0.0), (2.1, 0.0), (0.0, 1.1)]
+    got = st.contains_point(np.array(pts))
+    assert got.dtype == bool and got.tolist() == [True, True, False, False]
     sn = make_sinai()
-    assert sn.contains_point((0.9, 0.9))
-    assert not sn.contains_point((0.1, 0.0))  # inside the scatterer
+    # the second point is inside the scatterer
+    assert sn.contains_point(np.array([(0.9, 0.9), (0.1, 0.0)])).tolist() == [
+        True, False]
+    assert st.contains_point(np.empty((0, 2))).shape == (0,)
+    # more points than one chunk holds: every answer is the one-point test's
+    rng = np.random.default_rng(4)
+    many = rng.uniform(-2.5, 2.5, (3 * _WINDING_CHUNK // (4 * WINDING_SAMPLES)
+                                   + 7, 2))
+    want = [winding_inside(st, xy) for xy in many]
+    assert st.contains_point(many).tolist() == want
+    assert st.contains_point(many[5:6]).tolist() == want[5:6]
 
 
 def test_contains_point_samples_the_boundary_once(monkeypatch):
-    st = make_stadium()
+    # each loop is sampled by one comp_frames_many call, on the first call
+    # only; later calls reuse the cached arrays
+    import pesin_coder.tables as tables
+
+    sn = make_sinai()
     calls = []
-    sample = st.point_xy
-    monkeypatch.setattr(st, "point_xy", lambda c, s: calls.append(c) or sample(c, s))
-    assert st.contains_point((0.0, 0.0))
-    assert len(calls) == 4 * WINDING_SAMPLES
-    assert not st.contains_point((2.1, 0.0))
-    assert st.contains_point((1.9, 0.0))
-    assert len(calls) == 4 * WINDING_SAMPLES
+    frames = tables.comp_frames_many
+    monkeypatch.setattr(tables, "comp_frames_many",
+                        lambda *args: calls.append(args) or frames(*args))
+    assert sn.contains_point(np.array([(0.9, 0.9)])).tolist() == [True]
+    assert len(calls) == len(sn.loops) == 2
+    assert [len(args[1]) for args in calls] == [4 * WINDING_SAMPLES,
+                                                 WINDING_SAMPLES]
+    cached = sn._polyline(WINDING_SAMPLES)
+    assert sn.contains_point(np.array([(0.1, 0.0), (0.9, 0.9)])).tolist() == [
+        False, True]
+    assert len(calls) == 2
+    assert all(a is b for a, b in zip(sn._polyline(WINDING_SAMPLES), cached))
+
+
+@pytest.mark.parametrize("mk", ALL_BUILDERS)
+@pytest.mark.parametrize("samples", [BOUNDARY_SAMPLES, WINDING_SAMPLES])
+def test_polyline_is_the_point_xy_samples(mk, samples):
+    # one comp_frames_many call per loop gives point_xy's bits
+    tb = mk()
+    for loop, got in zip(tb.loops, tb._polyline(samples), strict=True):
+        want = np.array([tb.point_xy(ci, s) for ci in loop
+                         for s in np.linspace(0.0, tb.lengths[ci], samples,
+                                              endpoint=False)])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def scalar_cloud(tb) -> dict:
+    """singularity_cloud the scalar way: one _trace_singular_source call per
+    source, and one one-point winding test per chord point."""
+    sources = [(0, ci, branch * (s + 1e-12))
+               for ci, L in enumerate(tb.lengths) if tb.rows[ci][0] == 1
+               for s in np.linspace(0.0, L, 48, endpoint=False).tolist()
+               for branch in (1.0, -1.0)]
+    sources += [(1, k, psi) for k in range(len(tb.corner_points))
+                for psi in np.linspace(0.0, 2 * math.pi, 64,
+                                       endpoint=False).tolist()]
+    rows, fams = [], []
+    for fam in sources:
+        got = tb._trace_singular_source(*fam)
+        if got is None:
+            continue
+        hx, hy, th, src, t, w = got
+        if all(winding_inside(tb, (src[0] + t * k / 5.0 * w[0],
+                                   src[1] + t * k / 5.0 * w[1]))
+               for k in range(1, 5)):
+            rows.append((hx, hy, th))
+            fams.append(fam)
+    return {"px": np.array([r[0] for r in rows]),
+            "py": np.array([r[1] for r in rows]),
+            "theta": np.array([r[2] for r in rows]), "fam": fams}
+
+
+def seeded_specs(seed: int, n: int) -> list:
+    """n seeded (kind, params) billiard specs inside make_table's ranges."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for kind in rng.choice(["circle", "stadium", "sinai", "flower"], n).tolist():
+        a, b = rng.uniform(0.2, 3.0, 2).tolist()
+        ratio = float(rng.uniform(0.05, 0.95))
+        specs.append((kind, {"circle": {"radius": a},
+                             "stadium": {"radius": a,
+                                         "straight_half_length": b},
+                             "sinai": {"half_side": a,
+                                       "scatterer_radius": ratio * a},
+                             "flower": {"half_side": a,
+                                        "arc_radius": a / ratio}}[kind]))
+    return specs
+
+
+CLOUD_SPECS = [("stadium", {}), ("sinai", {}), ("flower", {}), ("circle", {}),
+               ("stadium", {"radius": 1e-15, "straight_half_length": 1.0}),
+               ("sinai", {"scatterer_radius": 0.6364995317549043})
+               ] + seeded_specs(29, 6)
+
+
+@pytest.mark.parametrize("kind, params", CLOUD_SPECS)
+def test_singularity_cloud_is_the_scalar_build(kind, params):
+    # the array build keeps every bit and every row of the scalar one
+    want = scalar_cloud(make_table(kind, params))
+    got = make_table(kind, params).singularity_cloud()
+    for key in ("px", "py", "theta"):
+        assert got[key].dtype == want[key].dtype
+        assert got[key].tobytes() == want[key].tobytes(), key
+    assert got["fam"] == want["fam"]
+
+
+# sinai corner-fan rays that run along a wall: each traces to a point, and
+# the angle-sum winding test drops it, as the scalar build does (an even-odd
+# crossing-number test keeps all three, and the cloud has 146 rows, not 144)
+SINAI_WALL_RAYS = [(1, 0, math.pi), (1, 3, 0.0), (1, 3, math.pi / 2)]
+
+
+def test_sinai_wall_rays_stay_out_of_the_cloud():
+    sn = make_sinai()
+    cloud = sn.singularity_cloud()
+    assert len(cloud["fam"]) == 144
+    for fam in SINAI_WALL_RAYS:
+        hx, hy, th, src, t, w = sn._trace_singular_source(*fam)
+        chord = np.array([(src[0] + t * k / 5.0 * w[0],
+                           src[1] + t * k / 5.0 * w[1]) for k in range(1, 5)])
+        got = sn.contains_point(chord).tolist()
+        assert got == [winding_inside(sn, xy) for xy in chord]
+        assert not all(got)
+        assert fam not in cloud["fam"]
 
 
 def test_wrap_r_walks_loop():

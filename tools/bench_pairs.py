@@ -1,0 +1,202 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs of a parent revision and the working tree.
+
+    python3 tools/bench_pairs.py --parent HEAD --pr 29 \\
+        --claim stadium-code:setup_s --what "with ..."
+
+Exports the committed files of the parent revision with ``git archive``
+into a temporary directory, which is removed on exit, error included.  Then
+it runs ``perfbench/run.py --seconds 20`` there (the parent side) and in the
+working tree (the change side), always in the same order of work:
+
+  * for each of seeds 0-9 in turn, one pair of each workload of
+    ``BENCHMARK.json``;
+  * one traced seed-0 pair of each workload;
+  * one pair of the claimed workload for each of seeds 10-14, the seeds
+    not run while the change was written.
+
+Within a pair the two sides run one after the other, and the side that
+runs first switches from pair to pair, so a drift of the host's speed falls
+on both.  The run records go to ``BENCH_<pr>_before.json`` and
+``BENCH_<pr>_after.json`` at the root of the working tree, each a JSON
+object with ``command``, ``host`` (the fingerprint the runs report),
+``protocol``, ``runs`` (per run: ``reference``, ``result`` -- the last
+stdout line of ``run.py`` --, ``seconds``, ``seed``, ``trace`` and
+``workload``) and ``what``.
+
+Last, per workload and end-to-end metric of ``BENCHMARK.json``, it prints
+both sides' median and quartiles over the untraced pairs, and the pairs the
+change won.  For the claimed metric it also prints whether the change won
+at least 9 pairs in 10 and moved the median by more than the distance
+between the parent's quartiles.
+
+Standard library only; run it from anywhere inside the checkout.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = "perfbench/run.py"
+SECONDS = 20
+SEEDS = range(10)
+TRACED_SEED = 0
+EXTRA_SEEDS = range(10, 15)
+COMMAND = (f"python3 {RUN} --workload <w> --seed <s> --seconds {SECONDS} "
+           f"--trace <t>")
+# a claimed gain needs this share of pairs won
+WIN_SHARE = 0.9
+
+
+def schedule(workloads, seeds, traced_seed, claim_workload, extra_seeds):
+    """The runs of both sides, in order: (workload, seed, trace, parent
+    first) per pair, the first side switching from pair to pair."""
+    pairs = [(w, s, 0) for s in seeds for w in workloads]
+    pairs += [(w, traced_seed, 1) for w in workloads]
+    pairs += [(claim_workload, s, 0) for s in extra_seeds]
+    return [(w, s, t, k % 2 == 0) for k, (w, s, t) in enumerate(pairs)]
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             trace: int) -> tuple[dict, dict]:
+    """One run.py run in checkout: its run record and host fingerprint."""
+    proc = subprocess.run(
+        [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if len(lines) < 2:
+        raise RuntimeError(f"{RUN} in {checkout} printed no result "
+                           f"(exit {proc.returncode}): {proc.stderr[-2000:]}")
+    report = json.loads(lines[-2])["report"]
+    record = {"reference": report["reference"],
+              "result": json.loads(lines[-1]), "seconds": SECONDS,
+              "seed": seed, "trace": trace, "workload": workload}
+    return record, report["fingerprint"]
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def paired_values(before: list[dict], after: list[dict], workload: str,
+                  metric: str) -> list[tuple[float, float]]:
+    """(parent, change) values of metric over the untraced pairs of
+    workload, matched by seed."""
+    def values(runs):
+        return {r["seed"]: r["result"]["metrics"][metric]["value"]
+                for r in runs if r["workload"] == workload
+                and r["trace"] == 0 and metric in r["result"]["metrics"]}
+    b, a = values(before), values(after)
+    return [(b[s], a[s]) for s in sorted(b) if s in a]
+
+
+def summary(before: list[dict], after: list[dict], metrics: list[dict],
+            claim: tuple[str, str]) -> list[str]:
+    """The printed comparison: per workload and metric, both medians and
+    quartiles and the pairs the change won; then the claim's verdict."""
+    lines = [f"{'workload':<14}{'metric':<19}{'parent q1 / med / q3':>33}"
+             f"{'change q1 / med / q3':>33}{'won':>7}"]
+    verdict = None
+    workloads = sorted({r["workload"] for r in before + after})
+    for workload in workloads:
+        for m in metrics:
+            pairs = paired_values(before, after, workload, m["name"])
+            if not pairs:
+                continue
+            lower = m["better"] == "lower"
+            won = sum((a < b) if lower else (a > b) for b, a in pairs)
+            qb = quartiles([b for b, _ in pairs])
+            qa = quartiles([a for _, a in pairs])
+            lines.append(
+                f"{workload:<14}{m['name']:<19}"
+                f" {' / '.join(f'{v:.4g}' for v in qb):>32}"
+                f" {' / '.join(f'{v:.4g}' for v in qa):>32}"
+                f" {f'{won}/{len(pairs)}':>6}")
+            if claim == (workload, m["name"]):
+                gain = (qb[1] - qa[1]) if lower else (qa[1] - qb[1])
+                ok = won >= WIN_SHARE * len(pairs) and gain > qb[2] - qb[0]
+                verdict = (f"claim {workload} {m['name']}: won {won}/"
+                           f"{len(pairs)}, median moved {gain:.4g} "
+                           f"against the parent's quartile distance "
+                           f"{qb[2] - qb[0]:.4g}: "
+                           f"{'holds' if ok else 'does not hold'}")
+    lines.append(verdict or f"claim {claim[0]} {claim[1]}: no pairs")
+    return lines
+
+
+def bench_file(runs: list[dict], host: dict, protocol: str,
+               what: str) -> dict:
+    return {"command": COMMAND, "host": host, "protocol": protocol,
+            "runs": runs, "what": what}
+
+
+def export_revision(rev: str, dest: Path):
+    """The committed files of rev, written under dest by git archive."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True,
+                    help="the revision on the before side")
+    ap.add_argument("--pr", required=True,
+                    help="n of the BENCH_<n>_*.json files written")
+    ap.add_argument("--claim", required=True,
+                    help="workload:metric of the claimed gain")
+    ap.add_argument("--what", required=True,
+                    help="what the change side holds, for the after file")
+    args = ap.parse_args(argv)
+    claim = tuple(args.claim.split(":", 1))
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    plan = schedule(workloads, SEEDS, TRACED_SEED, claim[0], EXTRA_SEEDS)
+    protocol = (
+        f"parent ({args.parent}) and change run alternately, the first of "
+        f"each pair switching sides from pair to pair; for each seed 0-9 in "
+        f"turn one pair of each workload ({', '.join(workloads)}), then one "
+        f"traced seed-{TRACED_SEED} pair of each workload, then one "
+        f"{claim[0]} pair for each of seeds 10-14, seeds not run while the "
+        f"change was written; the claimed gain is {claim[0]} {claim[1]}")
+    runs = {True: [], False: []}  # parent side, change side
+    host = {}
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        export_revision(args.parent, tmp)
+        for k, (workload, seed, trace, parent_first) in enumerate(plan):
+            for parent in (parent_first, not parent_first):
+                record, host = run_once(tmp if parent else ROOT, workload,
+                                        seed, trace)
+                runs[parent].append(record)
+                print(f"[{k + 1}/{len(plan)}] "
+                      f"{'parent' if parent else 'change'} {workload} seed "
+                      f"{seed} trace {trace}: reference "
+                      f"{record['reference']}, correct "
+                      f"{record['result']['correct']}",
+                      file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    lines = "perfbench/run.py result lines (the last stdout line of each run)"
+    for parent, tag, what in ((True, "before", f"{lines} at the parent commit"),
+                              (False, "after", f"{lines} {args.what}")):
+        (ROOT / f"BENCH_{args.pr}_{tag}.json").write_text(json.dumps(
+            bench_file(runs[parent], host, protocol, what),
+            indent=1, sort_keys=True) + "\n")
+    print("\n".join(summary(runs[True], runs[False], bench["end_to_end"],
+                            claim)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
