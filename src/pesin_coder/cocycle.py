@@ -133,8 +133,7 @@ class OrbitSegment:
     the base point sits at index `n_minus`.  `derivs[i]` is df at point i
     (for the last point, computed from a probe step that is not part of the
     segment).  `point(n)` and `base` build the one `PhasePoint` they return,
-    and `points`, the tuple of every point, is built on its first read and
-    kept; a long orbit read only through its derivatives builds none.
+    so a long orbit read only through its derivatives builds none.
 
     Distances to the discontinuity set are computed on first request and
     kept: `dist(n)` is d(f^n x, D), also at the two padding points
@@ -151,21 +150,11 @@ class OrbitSegment:
     thetas: list[float]
     derivs: np.ndarray  # (len, 2, 2)
     ends: tuple[PhasePoint, PhasePoint] | None = None  # f^-1 of first, f of last
-    _points: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
     _dists: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __len__(self) -> int:
         return len(self.rs)
-
-    @property
-    def points(self) -> tuple[PhasePoint, ...]:
-        """Every point of the segment, built on first read."""
-        if self._points is None:
-            object.__setattr__(self, "_points", tuple(
-                map(PhasePoint, self.comps, self.rs, self.thetas)))
-        return self._points
 
     def index(self, n: int) -> int:
         """Array index of relative step n in [-n_minus, n_plus]."""
@@ -202,8 +191,8 @@ class OrbitSegment:
 class Splitting:
     """Unit stable/unstable directions at every segment point.
 
-    Rows i of e_s/e_u correspond to points[i]; the sign convention makes the
-    first nonzero coordinate positive.  The convergence fields record the
+    Rows i of e_s/e_u belong to the segment's point i; the sign convention
+    makes the first nonzero coordinate positive.  The convergence fields record the
     angle change when the push-forward window is halved (measured at the base
     point).
 

@@ -1,7 +1,7 @@
 """Billiard table geometry, phase points, metric, and the two maps.
 
-Conventions (fixed once, validated by the first-call derivative self-test of
-BilliardTable.derivative):
+Conventions (fixed once; the BilliardTable constructor checks the first on
+the signed areas of the boundary loops):
   * every boundary loop is traversed with the table's interior on the LEFT;
   * the unit tangent is t = dP/dr, the inward normal n = rot90(t) = (-ty, tx);
   * signed curvature kappa is defined by dt/dr = kappa * n, so focusing pieces
@@ -310,9 +310,9 @@ class BilliardTable:
                              f"is not finite")
         # diam(M) = 0.95 < 1
         self.metric_scale = 0.95 / math.hypot(self.boundary_diameter, math.pi)
+        self._validate_orientation()
         self._singular_cloud = None  # lazy, filled by singularity_cloud()
         self._search_tops = []  # per cloud row, filled with the cloud
-        self._deriv_checked = False  # set by the first derivative() call
 
     # ------------------------------------------------------------ validation
     def _validate_loops(self):
@@ -356,6 +356,25 @@ class BilliardTable:
         with np.errstate(over="ignore"):  # an overflow gives inf, refused
             d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         return math.sqrt(d2.max())
+
+    def _validate_orientation(self):
+        """Refuse a loop without the interior on its left: of the shoelace
+        areas of the BOUNDARY_SAMPLES polylines only the outer loop's (the
+        largest |area|) is positive, and so is their total.  The points are
+        offsets from one vertex over the largest, so no product overflows."""
+        loops = self._polyline(BOUNDARY_SAMPLES)
+        rel = [np.vstack([pts, pts[:1]]) - loops[0][0] for pts in loops]
+        scale = max(float(np.abs(d).max()) for d in rel) or 1.0
+        areas = [float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])) / 2.0
+                 for x, y in (d.T / scale for d in rel)]
+        outer = int(np.argmax(np.abs(areas)))
+        for k, area in enumerate(areas):
+            if (area > 0.0) != (k == outer):
+                raise ValueError(
+                    f"loop {k} runs {'counter' * (area > 0.0)}clockwise, but "
+                    f"{'the outer loop' if k == outer else 'a hole'} must not")
+        if not sum(areas) > 0.0:
+            raise ValueError(f"loop {outer} encloses less area than its holes")
 
     # ------------------------------------------------------------ geometry
     def point_xy(self, component: int, s: float) -> np.ndarray:
@@ -459,16 +478,16 @@ class BilliardTable:
         return self.metric_scale * math.hypot(self.boundary_diameter, math.pi)
 
     # ------------------------------------------------------------ sampling
-    def liouville_sample(self, rng: np.random.Generator, n: int,
-                         theta_cap: float = math.pi / 2) -> list[PhasePoint]:
-        """Sample cos(theta) dr dtheta, rejecting |theta| >= theta_cap."""
+    def liouville_sample(self, rng: np.random.Generator, n: int) -> list[PhasePoint]:
+        """n samples of cos(theta) dr dtheta, three draws a candidate; one
+        on the grazing fibers |theta| = pi/2 is dropped."""
         weights = self._length_array / self._length_array.sum()
         out = []
         while len(out) < n:
             c = int(rng.choice(len(self.rows), p=weights))
             r = float(rng.uniform(0.0, self.lengths[c]))
             th = float(math.asin(rng.uniform(-1.0, 1.0)))
-            if abs(th) < theta_cap:
+            if abs(th) < math.pi / 2:
                 out.append(PhasePoint(c, r, th))
         return out
 
@@ -491,45 +510,19 @@ class BilliardTable:
     def derivative(self, p: PhasePoint, forward: bool) -> np.ndarray:
         """df at p in (r, theta) coordinates, or d(f^-1) at p = (df at f^-1 p)^-1.
 
-        Analytic mirror-equation formula; the first call on each table
-        cross-validates it against central finite differences (sign conventions
-        differ across the literature, the oracle removes the ambiguity).
+        The mirror-equation formula (Chernov-Markarian 2006), whose signs
+        rest on every loop having the interior on its left, as the
+        constructor checks; the step's MapUndefined passes through.  A test
+        pins it against `fd_derivative` on every builder table.
         """
         if not forward:
             M = self.derivative(self.step(p, False), True)
             det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
             return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-        self._check_derivative()
         q, tau = self._step(p, True)
         return derivative_along_orbit(
             self, (p.component, q.component),
             np.array([p.theta, q.theta]), np.array([tau]))[0]
-
-    def _check_derivative(self):
-        if self._deriv_checked:
-            return
-        self._deriv_checked = True  # set first: the check calls derivative()
-        rng = np.random.default_rng(0)
-        checked = 0
-        for p in self.liouville_sample(rng, 200, theta_cap=1.2):
-            if checked >= 8:
-                break
-            try:
-                if self.dist_to_D(p) < 0.05 * self.metric_scale:
-                    continue
-                ana = self.derivative(p, True)
-                num = fd_derivative(self, p)
-            except MapUndefined:
-                continue
-            rel = np.abs(ana - num).max() / max(np.abs(num).max(), 1.0)
-            if rel > 1e-5:
-                self._deriv_checked = False
-                raise AssertionError(
-                    f"analytic billiard derivative mismatch vs finite differences: rel {rel:.2e}")
-            checked += 1
-        if checked == 0:
-            self._deriv_checked = False
-            raise AssertionError("derivative self-test found no valid sample points")
 
     def orbit(self, x: PhasePoint, n_minus: int, n_plus: int):
         """f^n(x) for n in [-n_minus, n_plus]: ((comps, rs, thetas), derivs,
@@ -939,11 +932,9 @@ class LinearFixtureMap:
         if not (abs(p.r) <= self.half_width and abs(p.theta) <= self.half_width):
             raise ValueError(_OUTSIDE_FIXTURE)
 
-    def liouville_sample(self, rng: np.random.Generator, n: int,
-                         theta_cap: float = None) -> list[PhasePoint]:
+    def liouville_sample(self, rng: np.random.Generator, n: int) -> list[PhasePoint]:
         """n points of the square, uniform in area: the fixture's invariant
-        reference measure.  theta_cap is ignored; it is accepted so that one
-        call samples every map."""
+        reference measure."""
         xs = rng.uniform(-self.half_width, self.half_width, size=(n, 2))
         return [PhasePoint(0, float(a), float(b)) for a, b in xs]
 
@@ -1016,18 +1007,31 @@ class LinearFixtureMap:
 
 
 # ---------------------------------------------------------------- builders
+def _float(name: str, value) -> float:
+    """float(value), so that no float32 reaches the geometry."""
+    if not _real_number(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int too large "
+                         f"for a float") from None
+
+
 def make_circle(radius: float = 1.0) -> BilliardTable:
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    arc = Arc(center=(0.0, 0.0), radius=radius, a0=-math.pi,
-              length=2 * math.pi * radius, orient=+1,
+    R = _float("radius", radius)
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {R}")
+    arc = Arc(center=(0.0, 0.0), radius=R, a0=-math.pi,
+              length=2 * math.pi * R, orient=+1,
               start_corner=False, end_corner=False)
-    return BilliardTable([arc], [[0]], "circle", {"radius": radius})
+    return BilliardTable([arc], [[0]], "circle", {"radius": R})
 
 
 def make_stadium(radius: float = 1.0,
                  straight_half_length: float = 1.0) -> BilliardTable:
-    R, l = radius, straight_half_length
+    R = _float("radius", radius)
+    l = _float("straight_half_length", straight_half_length)
     if not (0.0 < R < math.inf and 0.0 < l < math.inf):
         raise ValueError("radius and straight_half_length must be positive and finite")
     comps = [
@@ -1046,7 +1050,8 @@ def make_stadium(radius: float = 1.0,
 
 def make_sinai(half_side: float = 1.0,
                scatterer_radius: float = 0.5) -> BilliardTable:
-    a, rd = half_side, scatterer_radius
+    a = _float("half_side", half_side)
+    rd = _float("scatterer_radius", scatterer_radius)
     if not 0.0 < rd < a < math.inf:
         raise ValueError("need finite 0 < scatterer_radius < half_side")
     comps = [
@@ -1064,15 +1069,20 @@ def make_sinai(half_side: float = 1.0,
 def make_flower(arc_radius: float = 2.0, half_side: float = 1.0) -> BilliardTable:
     """Dispersing table: four inward-bulging arcs through the square corners.
 
+    Neighbouring arcs meet only at the corners when arc_radius exceeds
+    sqrt(2) * half_side; closer arcs cross inside the square, and are refused.
+
     The default radius is a power of two so the arc-angle/arclength conversion
     round-trips exactly at the inward tips, keeping the two straight
     tip-to-tip bouncing orbits bitwise periodic.
     """
-    R, a = arc_radius, half_side
+    R = _float("arc_radius", arc_radius)
+    a = _float("half_side", half_side)
     if not 0.0 < a < math.inf:
         raise ValueError(f"half_side must be positive and finite, got {a}")
-    if not a < R < math.inf:
-        raise ValueError("arc_radius must be finite and exceed half_side")
+    if not math.sqrt(2.0) * a < R < math.inf:  # "within" refuses NaN too
+        raise ValueError(f"arc_radius must be finite and exceed sqrt(2) * "
+                         f"half_side = {math.sqrt(2.0) * a}, got {R}")
     d = math.sqrt(R * R - a * a)
     gamma = math.atan2(a, d)
     comps = []

@@ -76,7 +76,7 @@ def s_closed_form(chi: float) -> float:
 def kernel_flights(table, seg) -> np.ndarray:
     """The flight lengths between the segment's collisions, from the orbit
     kernel run forward from its first point."""
-    p = seg.points[0]
+    p = seg.point(-seg.n_minus)
     _, _, _, taus, status, _ = run_orbit(
         table.rows, p.component, p.r, p.theta, len(seg) - 1,
         GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
@@ -120,13 +120,14 @@ class TestOrbitSegment:
         fx, seg = fixture_segment()
         assert len(seg) == 81
         assert seg.base == PhasePoint(0, 0.0, 0.0)
-        assert all(p == seg.base for p in seg.points)
+        assert all(seg.point(n) == seg.base for n in range(-40, 41))
         assert [seg.rho(n) for n in range(-40, 41)] == [fx.half_width] * 81
         expected = np.array([[fx.lambda_s, 0.0], [0.0, fx.lambda_u]])
         assert np.array_equal(seg.derivs, np.broadcast_to(expected, (81, 2, 2)))
         # without rho the fixture leaves the distances unset, like a billiard
         bare = orbit_segment(fx, seg.base, 40, 40, with_rho=False)
-        assert bare.points == seg.points
+        assert ((bare.comps, bare.rs, bare.thetas)
+                == (seg.comps, seg.rs, seg.thetas))
         assert all(math.isnan(bare.rho(n)) and math.isnan(bare.dist(n))
                    for n in range(-40, 41))
 
@@ -145,17 +146,15 @@ class TestOrbitSegment:
     ])
     def test_columns_read_as_the_points(self, mk, x):
         # the segment keeps columns; every way of reading a point gives the
-        # bits of the points tuple, which are those of single map steps
+        # bits of point(n), which are those of single map steps
         table = mk()
         seg = orbit_segment(table, x, 7, 9, with_rho=False)
-        pts = seg.points
-        assert type(pts) is tuple and seg.points is pts
-        assert len(seg) == len(pts) == len(seg.comps) == 17
+        pts = [seg.point(n) for n in range(-7, 10)]
+        assert len(seg) == len(seg.rs) == len(seg.thetas) == len(seg.comps) == 17
 
         def bits(p):
             return p.component, p.r.hex(), p.theta.hex()
 
-        assert [bits(seg.point(n)) for n in range(-7, 10)] == list(map(bits, pts))
         assert bits(seg.base) == bits(pts[7]) == bits(x)
         assert [(c, r.hex(), th.hex()) for c, r, th in
                 zip(seg.comps, seg.rs, seg.thetas)] == list(map(bits, pts))

@@ -19,7 +19,7 @@ from pesin_coder.dynamics import (
 )
 from pesin_coder.cocycle import orbit_segment
 from pesin_coder.errors import (AssumptionViolated, CornerHit, GrazingCollision,
-                               OrbitHitsDiscontinuity)
+                               MapUndefined, OrbitHitsDiscontinuity)
 from pesin_coder.tables import (
     PhasePoint,
     fd_derivative,
@@ -32,7 +32,15 @@ from pesin_coder.tables import (
 
 
 def _sample(table, n, seed=0, cap=1.45):
-    return table.liouville_sample(np.random.default_rng(seed), n, theta_cap=cap)
+    """The first n Liouville samples with |theta| < cap of one seeded
+    stream: each candidate takes the same three draws, kept or not."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        p, = table.liouville_sample(rng, 1)
+        if abs(p.theta) < cap:
+            out.append(p)
+    return out
 
 
 # ------------------------------------------------------------ circle oracle
@@ -141,8 +149,8 @@ def test_determinant_identity(mk):
     assert checked > 200
 
 
-@pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower,
-                                make_linear_fixture])
+@pytest.mark.parametrize("mk", [make_circle, make_stadium, make_sinai,
+                                make_flower, make_linear_fixture])
 def test_derivative_matches_finite_differences(mk):
     tb = mk()
     checked = 0
@@ -160,6 +168,29 @@ def test_derivative_matches_finite_differences(mk):
         if checked >= 25:
             break
     assert checked >= 10
+
+
+def test_derivative_makes_no_distance_call(monkeypatch):
+    # df is the mirror formula at p alone: the first call on a fresh table
+    # runs no self-test through the distance to D
+    tb = make_stadium()
+    calls = []
+    monkeypatch.setattr(tb, "dist_to_D", lambda p: calls.append(p))
+    for forward in (True, False):
+        tb.derivative(PhasePoint(0, 1.0, 0.3), forward)
+    assert calls == []
+
+
+def test_thin_stadium_derivative_raises_the_step_error():
+    # caps below the ulp of the straight half-length: no collision has a
+    # next one, and df raises the step's typed error either way
+    tb = make_stadium(1e-15, 1.0)
+    for p in _sample(tb, 5):
+        for forward in (True, False):
+            with pytest.raises(MapUndefined):
+                tb.step(p, forward)
+            with pytest.raises(MapUndefined):
+                tb.derivative(p, forward)
 
 
 def test_inverse_derivative_is_matrix_inverse():
@@ -345,7 +376,6 @@ def test_assumptions_reuse_sample_distance(monkeypatch):
     tb = make_stadium()
     consts = RegularityConstants(a=1.5, beta=0.5, K=20.0)
     sample = _sample(tb, 10, seed=1)
-    tb.derivative(sample[0], True)  # the first-call self-test makes its own calls
     calls = []
     inner = tb.dist_to_D
     monkeypatch.setattr(tb, "dist_to_D", lambda p: calls.append(p) or inner(p))

@@ -70,6 +70,17 @@ UNIT_SQUARE = [Segment((0.0, 0.0), (1.0, 0.0)), Segment((1.0, 0.0), (1.0, 1.0)),
 UNIT_CIRCLE = Arc(center=(0.0, 0.0), radius=1.0, a0=-math.pi,
                   length=2 * math.pi, orient=+1, start_corner=False,
                   end_corner=False)
+# each loop run the other way round: its interior is on the right
+CLOCKWISE_SQUARE = [Segment(s.p1, s.p0) for s in UNIT_SQUARE[::-1]]
+CLOCKWISE_CIRCLE = replace(UNIT_CIRCLE, a0=0.0, orient=-1)
+SINAI_SQUARE = [Segment((-1.0, -1.0), (1.0, -1.0)),
+                Segment((1.0, -1.0), (1.0, 1.0)),
+                Segment((1.0, 1.0), (-1.0, 1.0)),
+                Segment((-1.0, 1.0), (-1.0, -1.0))]
+CLOCKWISE_SINAI_SQUARE = [Segment(s.p1, s.p0) for s in SINAI_SQUARE[::-1]]
+SCATTERER = Arc(center=(0.0, 0.0), radius=0.5, a0=math.pi, length=math.pi,
+                orient=-1, start_corner=False, end_corner=False)
+COUNTERCLOCKWISE_SCATTERER = replace(SCATTERER, a0=-math.pi, orient=+1)
 
 
 @pytest.mark.parametrize("components, loops, names", [
@@ -91,11 +102,25 @@ UNIT_CIRCLE = Arc(center=(0.0, 0.0), radius=1.0, a0=-math.pi,
     (UNIT_SQUARE + [replace(UNIT_CIRCLE, center=(0.5, 0.5), radius=0.25,
                             length=0.5 * math.pi, orient=-2)],
      [[0, 1, 2, 3], [4]], "component 4 needs orient"),
+    (CLOCKWISE_SQUARE, [[0, 1, 2, 3]], "loop 0 runs clockwise"),
+    ([CLOCKWISE_CIRCLE], [[0]], "loop 0 runs clockwise"),
+    (SINAI_SQUARE + [COUNTERCLOCKWISE_SCATTERER], [[0, 1, 2, 3], [4]],
+     "loop 1 runs counterclockwise"),
+    (CLOCKWISE_SINAI_SQUARE + [COUNTERCLOCKWISE_SCATTERER],
+     [[0, 1, 2, 3], [4]], "loop 0 runs clockwise"),
+    (CLOCKWISE_SINAI_SQUARE + [SCATTERER], [[0, 1, 2, 3], [4]],
+     "loop 0 runs clockwise"),
+    (SINAI_SQUARE + [replace(SCATTERER, center=(x, 0.0), radius=0.9,
+                             length=1.8 * math.pi) for x in (-0.5, 0.5)],
+     [[0, 1, 2, 3], [4], [5]], "loop 0 encloses less area"),
 ], ids=["zero-segment", "zero-radius", "zero-arc-length", "nan-endpoint",
         "index-out-of-range", "empty-loop", "float-index", "unlooped",
-        "two-loops", "named-twice", "orient-0", "orient-2", "orient-minus-2"])
+        "two-loops", "named-twice", "orient-0", "orient-2", "orient-minus-2",
+        "clockwise-square", "clockwise-circle", "sinai-scatterer-reversed",
+        "sinai-both-reversed", "sinai-outer-reversed", "holes-outweigh-outer"])
 def test_hand_built_boundary_refused(components, loops, names):
-    # each once escaped as ZeroDivisionError, IndexError or KeyError, or built
+    # each once escaped as ZeroDivisionError, IndexError or KeyError, or
+    # built (a reversed loop raised only at the first derivative() call)
     with pytest.raises(ValueError, match=names):
         BilliardTable(components, loops, "hand-built", {})
 
@@ -569,7 +594,8 @@ def scalar_cloud(tb) -> dict:
 
 
 def seeded_specs(seed: int, n: int) -> list:
-    """n seeded (kind, params) billiard specs inside make_table's ranges."""
+    """n seeded (kind, params) billiard specs inside make_table's ranges
+    (a flower's arc_radius exceeds sqrt(2) half_side)."""
     rng = np.random.default_rng(seed)
     specs = []
     for kind in rng.choice(["circle", "stadium", "sinai", "flower"], n).tolist():
@@ -581,7 +607,8 @@ def seeded_specs(seed: int, n: int) -> list:
                              "sinai": {"half_side": a,
                                        "scatterer_radius": ratio * a},
                              "flower": {"half_side": a,
-                                        "arc_radius": a / ratio}}[kind]))
+                                        "arc_radius": math.sqrt(2.0) * a
+                                        / ratio}}[kind]))
     return specs
 
 
@@ -589,6 +616,12 @@ CLOUD_SPECS = [("stadium", {}), ("sinai", {}), ("flower", {}), ("circle", {}),
                ("stadium", {"radius": 1e-15, "straight_half_length": 1.0}),
                ("sinai", {"scatterer_radius": 0.6364995317549043})
                ] + seeded_specs(29, 6)
+
+
+@pytest.mark.parametrize("kind, params", CLOUD_SPECS + seeded_specs(30, 40))
+def test_builder_tables_pass_the_orientation_check(kind, params):
+    # every loop of a builder table runs with the interior on its left
+    assert make_table(kind, params).kind == kind
 
 
 @pytest.mark.parametrize("kind, params", CLOUD_SPECS)
@@ -751,12 +784,17 @@ def test_orbit_rejects_start_outside_phase_space(make, x):
         orbit_segment(make(), x, 3, 3)
 
 
-def test_liouville_sample_respects_cap_and_measure():
+def test_liouville_sample_measure():
     st = make_stadium()
     rng = np.random.default_rng(7)
-    pts = st.liouville_sample(rng, 4000, theta_cap=1.2)
+    # the first 4000 samples with |theta| < 1.2, each candidate taking its
+    # three draws whether it is kept or not
+    pts = []
+    while len(pts) < 4000:
+        p, = st.liouville_sample(rng, 1)
+        if abs(p.theta) < 1.2:
+            pts.append(p)
     ths = np.array([p.theta for p in pts])
-    assert np.max(np.abs(ths)) < 1.2
     # sin(theta) should be uniform: check mean and spread loosely
     s = np.sin(ths)
     assert abs(s.mean()) < 0.05
@@ -856,4 +894,55 @@ def test_make_table_rejects_bad_specs(kind, params):
         "fixture-lambda-u-nan"])
 def test_builders_reject_non_finite_numbers(build, kwargs):
     with pytest.raises(ValueError, match="finite"):
+        build(**kwargs)
+
+
+@pytest.mark.parametrize("arc_radius", [1.0636, 1.2, math.sqrt(2.0),
+                                        math.nan])
+def test_flower_with_crossing_arcs_refused(arc_radius):
+    # for arc_radius <= sqrt(2) half_side neighbouring arcs cross at (d, d)
+    # inside the square, d = sqrt(arc_radius**2 - 1); 1.0636 even ran
+    # clockwise, and 1.2 built
+    with pytest.raises(ValueError, match=r"exceed sqrt\(2\) \* half_side"):
+        make_flower(arc_radius, 1.0)
+
+
+@pytest.mark.parametrize("build, args, names", [
+    (make_circle, (np.float32(1.3),), ["radius"]),
+    (make_stadium, (np.float32(0.7), np.float32(1.3)),
+     ["radius", "straight_half_length"]),
+    (make_sinai, (np.float32(1.3), np.float32(0.4)),
+     ["half_side", "scatterer_radius"]),
+    (make_flower, (np.float32(2.3), np.float32(1.1)),
+     ["arc_radius", "half_side"]),
+    (make_stadium, (3, 2), ["radius", "straight_half_length"]),
+], ids=["circle-float32", "stadium-float32", "sinai-float32", "flower-float32",
+        "stadium-int"])
+def test_builders_take_their_parameters_as_floats(build, args, names):
+    # a float32 once kept the boundary arithmetic in float32 and failed as
+    # "loop not closed"
+    tb = build(*args)
+    assert tb.params == {n: float(v) for n, v in zip(names, args)}
+    assert all(type(v) is float for v in tb.params.values())
+
+
+@pytest.mark.parametrize("build, kwargs, message", [
+    (make_circle, {"radius": 10 ** 400}, "radius must be finite"),
+    (make_stadium, {"radius": 10 ** 400}, "radius must be finite"),
+    (make_stadium, {"straight_half_length": 10 ** 400},
+     "straight_half_length must be finite"),
+    (make_sinai, {"half_side": 10 ** 400}, "half_side must be finite"),
+    (make_flower, {"arc_radius": 10 ** 400}, "arc_radius must be finite"),
+    (make_circle, {"radius": "2"}, "radius must be a real number"),
+    (make_circle, {"radius": True}, "radius must be a real number"),
+    (make_sinai, {"scatterer_radius": None},
+     "scatterer_radius must be a real number"),
+    (make_flower, {"half_side": 1j}, "half_side must be a real number"),
+], ids=["circle-radius-huge", "stadium-radius-huge", "stadium-straight-huge",
+        "sinai-half-side-huge", "flower-arc-radius-huge", "circle-radius-str",
+        "circle-radius-bool", "sinai-scatterer-none", "flower-half-side-complex"])
+def test_builders_refuse_parameters_that_are_not_floats(build, kwargs, message):
+    # an int beyond the float range once escaped as a raw OverflowError;
+    # float() would take "2" and True, which once built or raised TypeError
+    with pytest.raises(ValueError, match=f"^{message}"):
         build(**kwargs)
