@@ -40,7 +40,9 @@ A halved-window push, which measures convergence, is given the full push
 over the same matrices and stops at its first row with no zero entry that
 equals the full push's row at that step or that row negated (nonzero
 floats compare equal only when their bits are equal); it returns the full
-push's last row, negated in the second case.  Each push step is a
+push's last row, negated in the second case.  (The full push's rows are
+kept sign-fixed, each the row or its negation; that moves neither the
+exit nor the angle below.)  Each push step is a
 function of its row and that step's matrix alone, so from an equal row on
 the two pushes compute the same bits, and the exit returns what the whole
 halved push would.
@@ -54,6 +56,24 @@ is the same for a vector and its negation and ignores the signs of zeros.
 On the flower a halved push of the unstable field locks after about 20 of
 its 500 steps, and one of the stable field often locks onto the negation.
 On the linear fixture no halved push locks.
+Each field is pushed only over the rows its readers read.  e_u at point i
+depends on the past of i alone and e_s on its future, and the series at i
+read factor_s from i on and factor_u below i.  So `oseledets_splitting`
+pushes e_u from row 0 and e_s from the last row to the base point, which
+is all that its convergence check reads, and past it only through the
+steps that call a numpy kernel (`_kernel_steps`), so that their errors and
+warnings are raised there.  The halved pushes run over tails of those two
+pushes and slice their step columns.  A frame or the series at point i
+extend e_u up to row i and e_s down to row i, the exponents extend both to
+their trimmed range, and the public arrays of `Splitting` finish both
+pushes.  An extension pushes the rows asked for, and at least a chunk of
+`_FIRST_CHUNK` rows that doubles with each extension of its field; it
+builds step columns for those rows alone, kept no longer than the push,
+and resumes from the field's last row as the push left it,
+without normalising it again, so every row keeps the bits of the whole
+push in any order of reads.  A gamma window of -4..4 on the
+fixture's +-390 segments pushes about half the rows of both whole pushes;
+the flower's exponents, which read rows 200..1800 of 2001, a tenth fewer.
 The s/u series run over Python floats.  The splitting, the series and the
 frames keep every bit; the QR means move in their last bits only.
 """
@@ -61,9 +81,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from math import fsum
 
 import numpy as np
@@ -187,7 +207,6 @@ class OrbitSegment:
         return min(self.dist(n - 1), self.dist(n), self.dist(n + 1))
 
 
-@dataclass(frozen=True)
 class Splitting:
     """Unit stable/unstable directions at every segment point.
 
@@ -202,14 +221,51 @@ class Splitting:
     true decay/growth with only linearly accumulating error, whereas pushing
     a single vector n steps lets the complementary component (present at
     machine epsilon) take over after ~|log eps|/(2 lambda) steps.
+
+    The fields are pushed on demand.  `oseledets_splitting` pushes e_u from
+    the past end and e_s from the future end to the base point; a reader in
+    this module extends them to the rows it reads (`_fields`): a frame or
+    the s/u series at point i reads e_s from i on and e_u up to i, the
+    exponents their trimmed range.  The public e_s, e_u, factor_s and
+    factor_u finish both pushes.  Every row has the bits of the whole push,
+    whatever the order of reads.
     """
 
-    e_s: np.ndarray  # (len, 2)
-    e_u: np.ndarray  # (len, 2)
-    factor_s: np.ndarray  # (len-1,)
-    factor_u: np.ndarray  # (len-1,)
     convergence_angle_s: float
     convergence_angle_u: float
+
+    def __init__(self, stable: _Field, unstable: _Field,
+                 convergence_angle_s: float, convergence_angle_u: float):
+        self._stable = stable
+        self._unstable = unstable
+        self.convergence_angle_s = convergence_angle_s
+        self.convergence_angle_u = convergence_angle_u
+
+    def _fields(self, lo: int, hi: int) -> tuple[_Field, _Field]:
+        """The stable field pushed down to row lo and the unstable one up
+        to row hi."""
+        self._stable.reach(lo)
+        self._unstable.reach(hi)
+        return self._stable, self._unstable
+
+    def _complete(self) -> tuple[_Field, _Field]:
+        return self._fields(0, len(self._unstable.e) - 1)
+
+    @property
+    def e_s(self) -> np.ndarray:  # (len, 2)
+        return self._complete()[0].e
+
+    @property
+    def e_u(self) -> np.ndarray:  # (len, 2)
+        return self._complete()[1].e
+
+    @property
+    def factor_s(self) -> np.ndarray:  # (len-1,)
+        return self._complete()[0].factor
+
+    @property
+    def factor_u(self) -> np.ndarray:  # (len-1,)
+        return self._complete()[1].factor
 
 
 @dataclass(frozen=True)
@@ -319,11 +375,9 @@ _SPLIT = 134217729.0
 # Other products go through `_fma`.
 _LO, _HI = 2.0 ** -900, 2.0 ** 1000
 _BOUND = 2.0 ** 100
-# steps of a halved push whose columns are built before it can have locked.
-# On the flower the halved pushes lock after about 20 of their 500 steps;
-# building the columns of 500 steps took 104 + 164 us (product, solve), and
-# of 64 steps 36 + 46 us.  No fixture push locks, so those build twice.
-_LOCK_ROWS = 64
+# rows that the first extension of a field pushes past the rows it holds;
+# each later extension of that field pushes twice as many
+_FIRST_CHUNK = 16
 
 
 def _fma(a: float, x: float, p: float) -> float:
@@ -385,40 +439,45 @@ def _product_steps(mats: np.ndarray) -> list[list]:
     return [col.tolist() for col in (ok, a, *_halves(a), b, c, *_halves(c), d)]
 
 
-def _solve_steps(mats: np.ndarray) -> list[list]:
-    """Per-step columns of LAPACK's LU solve: whether the float path may take
-    the step, the row swap, -l and its halves, -b and its halves, and the
-    pivots a and u.  The rows swap iff |c| > |a|; then l = c * (1/a) and
-    u = d - l*b, as dgetrf factors a pivot above its safe minimum."""
+def _lu(mats: np.ndarray):
+    """LAPACK's LU of each matrix: whether the float path may take the solve
+    step, the row swap, l, and the rows' b and pivots a and u.  The rows swap
+    iff |c| > |a|; then l = c * (1/a) and u = d - l*b, as dgetrf factors a
+    pivot above its safe minimum."""
     a, b, c, d = mats.reshape(len(mats), 4).T
     swap = np.abs(c) > np.abs(a)
     a, b, c, d = (np.where(swap, c, a), np.where(swap, d, b),
                   np.where(swap, a, c), np.where(swap, b, d))
     l = c * (1.0 / a)
     u = d - l * b
-    ok = (_in_range(a) & _in_range(b) & _in_range(l) & _in_range(u)
-          & (a != 0.0) & (u != 0.0))
+    ok = _in_range(np.stack((a, b, l, u))).all(axis=0) & (a != 0.0) & (u != 0.0)
+    return ok, swap, l, b, a, u
+
+
+def _solve_steps(mats: np.ndarray) -> list[list]:
+    """Per-step columns of LAPACK's LU solve (see `_lu`): whether the float
+    path may take the step, the row swap, -l and its halves, -b and its
+    halves, and the pivots a and u."""
+    ok, swap, l, b, a, u = _lu(mats)
     return [col.tolist() for col in (ok, swap, -l, *_halves(-l), -b,
                                      *_halves(-b), a, u)]
 
 
-def _numbered_steps(mats: np.ndarray, inverse: bool, first: int):
-    """(k, step) for each push step k over `mats`, where step is row k of
-    the `_product_steps`/`_solve_steps` columns.  The columns of the first
-    `first` matrices are built at once, and those of the rest only when the
-    iteration reaches them, so a push that stops early skips that build."""
-    build = _solve_steps if inverse else _product_steps
+def _steps(mats: np.ndarray, inverse: bool) -> list[list]:
+    """The step columns of a push through `mats`, the solves with `inverse`
+    and the products without; row k of the columns is push step k."""
     with np.errstate(all="ignore"):  # out-of-range steps are only flagged
-        head = enumerate(zip(*build(mats[:first])))
-    if first >= len(mats):
-        return head
+        return (_solve_steps if inverse else _product_steps)(mats)
 
-    def rest():
-        with np.errstate(all="ignore"):
-            cols = build(mats[first:])
-        yield from enumerate(zip(*cols), first)
 
-    return chain(head, rest())
+def _kernel_steps(mats: np.ndarray, inverse: bool) -> np.ndarray:
+    """The steps of a push through `mats` that call a numpy kernel, those
+    off the float path; a NaN row passes through the kernels without a
+    warning."""
+    with np.errstate(all="ignore"):
+        if inverse:
+            return ~_lu(mats)[0]
+        return ~_in_range(mats).all(axis=(1, 2))
 
 
 def _unit(x: float, y: float) -> tuple[float, float]:
@@ -432,31 +491,29 @@ def _unit(x: float, y: float) -> tuple[float, float]:
     return tuple((np.array((x, y)) / s).tolist())
 
 
-def _push(mats: np.ndarray, v: np.ndarray, inverse: bool = False,
-          out: np.ndarray | None = None,
-          full: np.ndarray | None = None) -> np.ndarray:
-    """Push the unit vector of v through `mats` in order; return the last row.
+def _push(mats: np.ndarray, cols: list[list], row: tuple[float, float],
+          inverse: bool = False, out: np.ndarray | None = None,
+          full: np.ndarray | None = None) -> tuple[float, float]:
+    """Push the unit row `row` through `mats` in order; return the last row.
 
     Row k+1 is `np.matmul(mats[k], row k)`, or with `inverse` the solve
     `np.linalg.solve(mats[k], row k)`, divided by sqrt(w.dot(w)), all on
     Python floats with the bits of those numpy kernels (see the module
-    docstring).  A step whose matrix `_product_steps`/`_solve_steps` mark as
-    out of range calls the numpy kernel itself, under the caller's error
-    state.  With `out`, the rows computed are written to out[0], out[1],
-    ... when the push returns.  `full` is an earlier push over the same
-    matrices, aligned row for row: at the first row with no zero entry that
-    equals full[k] or its negation the push returns full[-1] or -full[-1]
-    (see the module docstring for why that is exact).  A full push builds
-    its columns for all of `mats` at once; a halved one builds them for its
-    first `_LOCK_ROWS` matrices, and for the rest only if it has not locked
-    by then."""
-    x, y = _unit(*v.tolist())
+    docstring).  `cols` are the step columns of `mats` (`_steps`).  A step
+    that they mark as out of range calls the numpy kernel itself, under the
+    caller's error state.  `row` is not normalised again, so a push resumed
+    from its last row computes what the whole push would.  With `out`, the
+    rows computed, `row` first, are written to out[0], out[1], ... when the
+    push returns.  `full` is an earlier push over the same matrices, aligned
+    row for row, each row possibly negated: at the first row with no zero
+    entry that equals full[k] or its negation the push returns full[-1] or
+    -full[-1] (see the module docstring for why that is exact)."""
+    x, y = row
     finite = math.isfinite(x) and math.isfinite(y)
     xs, ys = [x], [y]
     lock = None if full is None else np.abs(full[1:, 0]).tolist()
     last = None
-    first = len(mats) if full is None else _LOCK_ROWS
-    for k, step in _numbered_steps(mats, inverse, first):
+    for k, step in enumerate(zip(*cols)):
         if not (step[0] and finite):
             kernel = _umath_linalg.solve1 if inverse else np.matmul
             x, y = _unit(*kernel(mats[k], np.array((x, y))).tolist())
@@ -533,16 +590,85 @@ def _push(mats: np.ndarray, v: np.ndarray, inverse: bool = False,
     if out is not None:
         out[:len(xs), 0] = xs
         out[:len(ys), 1] = ys
-    return np.array((x, y)) if last is None else last
+    return (x, y) if last is None else tuple(last.tolist())
 
 
-def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
+def _angle_between(a, b) -> float:
     return math.asin(min(1.0, abs(a[0] * b[1] - a[1] * b[0])))
 
 
 # generic seed: avoid axis directions so diagonal fixtures don't get stuck on
 # the wrong eigendirection
 _SEED = np.array([0.6, 0.8])
+
+
+class _Field:
+    """One field of a splitting, pushed from a segment end and extended on
+    demand: the unstable field forward from row 0 through the products of
+    `derivs`, the stable field backward from the last row through their
+    solves.
+
+    `e` holds the sign-fixed rows pushed so far, rows 0..`end` (unstable) or
+    `end`..n-1 (stable), and `factor[j]` = ||derivs[j] e[j]|| for each of
+    them below n-1 (the seed row `end` is stored by the first push); their
+    other rows are not yet written.  `row` is row
+    `end` as the push left it, before its sign fix, and an extension resumes
+    from it.  Each push step depends on its row and its matrix alone, so
+    every row keeps the bits of the whole push, however it is extended."""
+
+    def __init__(self, derivs: np.ndarray, stable: bool):
+        n = len(derivs)
+        self.derivs = derivs
+        self.stable = stable
+        self.e = np.empty((n, 2))
+        self.factor = np.empty(n - 1)
+        self.row = _unit(*_SEED.tolist())
+        self.end = n - 1 if stable else 0
+        self.chunk = _FIRST_CHUNK
+        self._skip = 0  # 1 once the seed row is stored, by the first push
+
+    def push_to(self, k: int) -> list[list]:
+        """Push from row `end` to row k; return the step columns, row j of
+        them the step that leaves the j-th row of the push."""
+        D = self.derivs
+        mats = D[k:self.end][::-1] if self.stable else D[self.end:k]
+        cols = _steps(mats, self.stable)
+        out = np.empty((len(mats) + 1, 2))
+        with np.errstate(**_SOLVE_ERRSTATE) if self.stable else nullcontext():
+            self.row = _push(mats, cols, self.row, self.stable, out=out)
+        rows = out[self._skip:]  # out[0] is row `end`, stored before
+        self._skip = 1
+        if self.stable:
+            lo, hi, rows = k, k + len(rows), rows[::-1]
+        else:
+            lo, hi = k + 1 - len(rows), k + 1
+        self.e[lo:hi] = _fix_sign(rows)
+        top = min(hi, len(self.factor))
+        self.factor[lo:top] = _one_step_norms(D[lo:top], self.e[lo:top])
+        self.end = k
+        return cols
+
+    def start(self, base: int) -> list[list]:
+        """Push to the base row, and past it through every step that calls
+        a numpy kernel, so that the kernel's errors and warnings are raised
+        in `oseledets_splitting`; return the step columns."""
+        D = self.derivs
+        if self.stable:
+            off = np.flatnonzero(_kernel_steps(D[:base], True))
+            return self.push_to(int(off[0]) if len(off) else base)
+        off = np.flatnonzero(_kernel_steps(D[base:-1], False))
+        return self.push_to(base + int(off[-1]) + 1 if len(off) else base)
+
+    def reach(self, k: int) -> None:
+        """Push to row k if the field does not hold it yet, and `chunk` rows
+        past `end` if that is further; each extension doubles `chunk`."""
+        if self.stable and k < self.end:
+            self.push_to(min(k, max(self.end - self.chunk, 0)))
+        elif not self.stable and k > self.end:
+            self.push_to(max(k, min(self.end + self.chunk, len(self.e) - 1)))
+        else:
+            return
+        self.chunk *= 2
 
 
 def oseledets_splitting(seg: OrbitSegment) -> Splitting:
@@ -554,6 +680,12 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     by the angle change at the base point when each push window is halved;
     above `CONVERGENCE_TOL` the splitting is rejected.
 
+    Each push runs here from its end to the base point, which is all that
+    the check reads, and on past it through every step that takes a numpy
+    kernel, so that a kernel's error or warning is raised here.  The halved
+    pushes run over the tails of those pushes and reuse their step columns.
+    The returned splitting pushes on to the rows that its readers read.
+
     `MIN_WINDOW` is only a burn-in floor: sides at or above it can still be
     rejected, because the halving check alone decides convergence.  The
     halved-window angle decays like exp(-gap * side / 2) for an exponent gap
@@ -561,44 +693,48 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     the default linear fixture (gap 2, tol 1e-6) 5-step sides leave an angle
     of ~1.4e-2 and 15 is the first side length that converges.
     """
-    n = len(seg)
     if seg.n_minus < MIN_WINDOW or seg.n_plus < MIN_WINDOW:
         raise ValueError(
             f"segment sides ({seg.n_minus}, {seg.n_plus}) below burn-in {MIN_WINDOW}")
     base = seg.n_minus
     D = seg.derivs
-    e_u = np.empty((n, 2))
-    e_s = np.empty((n, 2))
+    unstable, stable = _Field(D, False), _Field(D, True)
+    seed = _unit(*_SEED.tolist())
     # each halved window ends at the base point
     lo = base - seg.n_minus // 2
-    _push(D[:n - 1], _SEED, out=e_u)
-    u_half = _push(D[lo:base], _SEED, full=e_u[lo:base + 1])
+    cols = unstable.start(base)
+    u_half = _push(D[lo:base], [c[lo:base] for c in cols], seed,
+                   full=unstable.e[lo:base + 1])
     hi = base + seg.n_plus - seg.n_plus // 2
+    # step j of the stable push solves through D[n-2-j], so the halved
+    # window D[base:hi] is its steps n-1-hi .. n-2-base
+    top = len(seg) - 1 - base
     with np.errstate(**_SOLVE_ERRSTATE):
-        _push(D[:n - 1][::-1], _SEED, inverse=True, out=e_s[::-1])
-        s_half = _push(D[base:hi][::-1], _SEED, inverse=True,
-                       full=e_s[base:hi + 1][::-1])
-    ang_u = _angle_between(e_u[base], u_half)
-    ang_s = _angle_between(e_s[base], s_half)
+        cols = stable.start(base)
+        s_half = _push(D[base:hi][::-1],
+                       [c[top - (hi - base):top] for c in cols], seed,
+                       inverse=True, full=stable.e[base:hi + 1][::-1])
+    ang_u = _angle_between(unstable.e[base], u_half)
+    ang_s = _angle_between(stable.e[base], s_half)
     if ang_u > CONVERGENCE_TOL or ang_s > CONVERGENCE_TOL:
         raise SplittingNotConverged(
             f"angle change under window halving: unstable {ang_u:.3e}, "
             f"stable {ang_s:.3e} (tol {CONVERGENCE_TOL:.1e})")
-    sep = _angle_between(e_s[base], e_u[base])
+    sep = _angle_between(stable.e[base], unstable.e[base])
     if sep < DEGENERATE_SIN:
         raise SplittingNotConverged(
             f"stable and unstable directions collapse (angle {sep:.3e})")
-    e_u = _fix_sign(e_u)
-    e_s = _fix_sign(e_s)
-    return Splitting(e_s, e_u, _one_step_norms(D[:-1], e_s[:-1]),
-                     _one_step_norms(D[:-1], e_u[:-1]), ang_s, ang_u)
+    return Splitting(stable, unstable, ang_s, ang_u)
 
 
 def _one_step_norms(derivs: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """||D_j e_j|| for each row j, elementwise: no BLAS call."""
-    x = derivs[:, 0, 0] * e[:, 0] + derivs[:, 0, 1] * e[:, 1]
-    y = derivs[:, 1, 0] * e[:, 0] + derivs[:, 1, 1] * e[:, 1]
-    return np.sqrt(x * x + y * y)
+    """||D_j e_j|| for each row j, elementwise: no BLAS call.  Row j of w
+    is (x, y) = (a e0 + b e1, c e0 + d e1), each product and sum rounded
+    once, and the norm is sqrt(x*x + y*y)."""
+    p = derivs * e[:, None, :]
+    w = p[:, :, 0] + p[:, :, 1]
+    w *= w
+    return np.sqrt(w[:, 0] + w[:, 1])
 
 
 # ------------------------------------------------------------------ exponents
@@ -638,8 +774,9 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting
     # close to the past end, e_s close to the future end
     trim = min(max(4, n // 10), max((n - 2) // 2, 0))
     sl = slice(trim, n - trim)
-    l1 = float(np.mean(np.log(splitting.factor_s[sl])))
-    l2 = float(np.mean(np.log(splitting.factor_u[sl])))
+    stable, unstable = splitting._fields(trim, n - 1 - trim)
+    l1 = float(np.mean(np.log(stable.factor[sl])))
+    l2 = float(np.mean(np.log(unstable.factor[sl])))
     radius = max(spread, abs(l1 - qr_l1), abs(l2 - qr_l2))
     return LyapunovEstimate(l1, l2, qr_l1, qr_l2, radius)
 
@@ -691,12 +828,13 @@ def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
     backward unstable norm uses ||df^-1 e_u(x_j)|| = 1/factor_u[j-1] (df maps
     the unstable field to itself up to sign).
     """
-    if chi <= 0:
-        raise ValueError("chi must be positive")
+    if not chi > 0:
+        raise ValueError(f"chi must be positive, got chi={chi!r}")
     i = seg.index(at)
-    ssum = _weighted_series(_as_floats(splitting.factor_s[i:]), chi)
+    stable, unstable = splitting._fields(i, i)
+    ssum = _weighted_series(_as_floats(stable.factor[i:]), chi)
     usum = _weighted_series(
-        (1.0 / g for g in _as_floats(splitting.factor_u[i - 1::-1])) if i > 0 else (),
+        (1.0 / g for g in _as_floats(unstable.factor[i - 1::-1])) if i > 0 else (),
         chi)
     return SUParams(math.sqrt(2.0 * ssum), math.sqrt(2.0 * usum))
 
@@ -742,7 +880,8 @@ def frame_at(seg: OrbitSegment, splitting: Splitting, chi: float,
              at: int) -> HyperbolicFrame:
     i = seg.index(at)
     su = s_u_parameters(seg, splitting, chi, at=at)
-    return build_frame(splitting.e_s[i], splitting.e_u[i], su.s, su.u, chi)
+    stable, unstable = splitting._fields(i, i)
+    return build_frame(stable.e[i], unstable.e[i], su.s, su.u, chi)
 
 
 def frames_along(seg: OrbitSegment, splitting: Splitting, chi: float,

@@ -352,10 +352,18 @@ class BilliardTable:
                      if self.rows[ci][14] or self.rows[cj][13])
 
     def _boundary_diameter(self) -> float:
+        """The largest distance between two sampled boundary points.  When
+        every coordinate is below 2**-500, the squares of their differences
+        could underflow, so the points are scaled by an exact power of two
+        first and the distance scaled back."""
         pts = np.concatenate(self._polyline(BOUNDARY_SAMPLES))
+        top = float(np.abs(pts).max())
+        shift = -math.frexp(top)[1] if 0.0 < top < 2.0 ** -500 else 0
+        if shift:
+            pts = np.ldexp(pts, shift)
         with np.errstate(over="ignore"):  # an overflow gives inf, refused
             d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        return math.sqrt(d2.max())
+        return math.ldexp(math.sqrt(d2.max()), -shift)
 
     def _validate_orientation(self):
         """Refuse a loop without the interior on its left: of the shoelace

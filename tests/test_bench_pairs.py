@@ -57,7 +57,7 @@ def test_summary_on_canned_records():
     after.append(record("stadium-code", 0, 1, setup_s=0.0))
     lines = bench_pairs.summary(before, after, METRICS,
                                 ("stadium-code", "setup_s"))
-    rows = {tuple(line.split()[:2]): line.split() for line in lines[1:-1]}
+    rows = {tuple(line.split()[:2]): line.split() for line in lines[1:-2]}
     assert set(rows) == {("flower-chi", "orbit_steps_per_s"),
                          ("stadium-code", "setup_s")}
     assert rows["stadium-code", "setup_s"][-1] == "9/10"
@@ -66,12 +66,36 @@ def test_summary_on_canned_records():
                                                       "0.01535"]
     assert rows["stadium-code", "setup_s"][7:12:2] == ["0.0065"] * 3
     assert rows["flower-chi", "orbit_steps_per_s"][-1] == "3/10"
-    assert lines[-1].startswith("claim stadium-code setup_s: won 9/10")
-    assert lines[-1].endswith(": holds")
+    assert lines[-2].startswith("claim stadium-code setup_s: won 9/10")
+    assert lines[-2].endswith(": holds")
+    assert lines[-1] == "worse than the bound: none"
     # a 9/10 win inside the parent's spread is no gain
     close = [record("stadium-code", s, 0,
                     setup_s=0.0137 + 0.0002 * s if s else 0.02)
              for s in range(10)]
     verdict = bench_pairs.summary(before, close, METRICS,
-                                  ("stadium-code", "setup_s"))[-1]
+                                  ("stadium-code", "setup_s"))[-2]
     assert "won 9/10" in verdict and verdict.endswith("does not hold")
+
+
+def test_summary_marks_a_change_worse_than_the_bound():
+    # peak_rss_mb may grow by 10% of the parent median: 11.5 MB on a parent
+    # median of 10 MB is marked, 10.5 MB on fixture-code is not; a metric
+    # that is better higher is marked when it falls by more than its bound
+    before = [record(w, s, 0, peak_rss_mb=10.0, orbit_steps_per_s=100.0)
+              for w in ("flower-chi", "fixture-code") for s in range(10)]
+    after = [record("flower-chi", s, 0, peak_rss_mb=11.5,
+                    orbit_steps_per_s=70.0) for s in range(10)]
+    after += [record("fixture-code", s, 0, peak_rss_mb=10.5,
+                     orbit_steps_per_s=90.0) for s in range(10)]
+    lines = bench_pairs.summary(before, after, METRICS,
+                                ("flower-chi", "peak_rss_mb"))
+    rows = {tuple(line.split()[:2]): line for line in lines[1:-2]}
+    assert rows["flower-chi", "peak_rss_mb"].endswith(
+        " 0/10 worse by 15.0% > bound 10%")
+    assert rows["flower-chi", "orbit_steps_per_s"].endswith(
+        " 0/10 worse by 30.0% > bound 24%")
+    assert rows["fixture-code", "peak_rss_mb"].endswith(" 0/10")
+    assert rows["fixture-code", "orbit_steps_per_s"].endswith(" 0/10")
+    assert lines[-1] == ("worse than the bound: flower-chi orbit_steps_per_s "
+                         "(30.0% worse), flower-chi peak_rss_mb (15.0% worse)")

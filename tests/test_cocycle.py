@@ -96,6 +96,16 @@ def first_admitted(table, rng_seed: int, side: int, tries: int = 40):
     raise AssertionError("no admissible sample point found")
 
 
+def push(mats: np.ndarray, v: np.ndarray, inverse: bool = False,
+         out: np.ndarray | None = None,
+         full: np.ndarray | None = None) -> np.ndarray:
+    """The push of the unit vector of v through every matrix of `mats`,
+    with the step columns built for all of them; its last row."""
+    return np.array(cocycle._push(mats, cocycle._steps(mats, inverse),
+                                  cocycle._unit(*v.tolist()), inverse,
+                                  out=out, full=full))
+
+
 # sha256 (first 16 hex digits) of e_s, e_u and the two convergence angles of
 # the splittings of `pinned_segments`, pinned while the stable field was
 # still pushed by its own backward loop
@@ -369,12 +379,12 @@ class TestSplitting:
         with np.errstate(**cocycle._SOLVE_ERRSTATE):
             for inverse, mats, full in halved_pushes(seg):
                 rows = np.full((len(mats) + 1, 2), np.nan)
-                whole = cocycle._push(mats, cocycle._SEED, inverse, out=rows)
-                assert whole.tobytes() == cocycle._push(
+                whole = push(mats, cocycle._SEED, inverse, out=rows)
+                assert whole.tobytes() == push(
                     mats, cocycle._SEED, inverse).tobytes()
                 taken = np.full((len(mats) + 1, 2), np.nan)
-                got = cocycle._push(mats, cocycle._SEED, inverse, out=taken,
-                                    full=full)
+                got = push(mats, cocycle._SEED, inverse, out=taken,
+                           full=full)
                 assert got.tobytes() == whole.tobytes()
                 locks.append(any(rows[k].tobytes() == full[k].tobytes()
                                  for k in range(1, len(rows))))
@@ -397,25 +407,93 @@ class TestSplitting:
         if kind == "fixture_long":
             assert locks == [True, True]  # equal rows, but with a 0 entry
 
-    @pytest.mark.parametrize("kind", ["flower", "fixture"])
-    def test_halved_push_builds_columns_until_it_locks(self, kind, monkeypatch):
-        # a full push builds its step columns once; a halved push builds
-        # them for _LOCK_ROWS steps, and for the rest only when it has not
-        # locked by then, as no fixture push does
+    @pytest.mark.parametrize("order", ["window", "exponents", "descending"])
+    @pytest.mark.parametrize("kind", ["stadium", "sinai", "flower", "fixture"])
+    def test_any_order_of_reads_completes_to_the_eager_push(self, kind, order):
+        # the fields are pushed on demand: frames near the base first, the
+        # exponents' trimmed range first, or frames walking down from the
+        # future end; every order gives the same frames and exponents and
+        # completes to the bits of the eager numpy push
         if kind == "fixture":
-            _, seg = fixture_segment(200)
+            seg = orbit_segment(make_linear_fixture(),
+                                PhasePoint(0, 1e-170, -1e-170), 390, 390)
+            chi = 0.5
         else:
-            seg, _ = first_admitted(make_flower(), 1, 200)
+            table = {"stadium": make_stadium, "sinai": make_sinai,
+                     "flower": make_flower}[kind]()
+            seg = first_admitted(table, 4, 60)[0]
+            chi = 0.05
+        steps = {"window": range(-5, 7),
+                 "descending": range(seg.n_plus, -seg.n_minus - 1, -1)}
+        reads = {"window": ("window", "exponents", "descending"),
+                 "exponents": ("exponents", "window", "descending"),
+                 "descending": ("descending", "window", "exponents")}[order]
+        frames = {}
+        sp = oseledets_splitting(seg)
+        for read in reads:
+            if read == "exponents":
+                est = lyapunov_exponents(seg, sp)
+                continue
+            for k in steps[read]:
+                frames.setdefault(k, frame_at(seg, sp, chi, at=k))
+        for got, want in zip((sp.e_s, sp.e_u, sp.factor_s, sp.factor_u),
+                             reference_splitting(seg)):
+            assert got.tobytes() == want.tobytes()
+        eager = oseledets_splitting(seg)
+        eager.e_s  # complete both pushes before any read
+        assert est == lyapunov_exponents(seg, eager)
+        for k, fr in frames.items():
+            want = frame_at(seg, eager, chi, at=k)
+            assert fr.C.tobytes() == want.C.tobytes()
+            assert (fr.s_param, fr.u_param) == (want.s_param, want.u_param)
+
+    def test_gamma_window_pushes_half_the_rows(self, monkeypatch):
+        # a -4..4 window reads frames at -5..6 of a +-390 fixture segment:
+        # each push runs to the base point and one first chunk past it,
+        # about half of the 2 x 780 rows of two whole pushes, and the
+        # halved pushes slice the columns of the two pushes
+        seg = orbit_segment(make_linear_fixture(),
+                            PhasePoint(0, 1e-170, -1e-170), 390, 390)
         built = []
         for name in ("_product_steps", "_solve_steps"):
             build = getattr(cocycle, name)
             monkeypatch.setattr(cocycle, name, lambda mats, build=build:
                                 built.append(len(mats)) or build(mats))
-        oseledets_splitting(seg)
-        rest = 100 - cocycle._LOCK_ROWS
-        halved = [cocycle._LOCK_ROWS] if kind == "flower" \
-            else [cocycle._LOCK_ROWS, rest]
-        assert built == [400] + halved + [400] + halved
+        sp = oseledets_splitting(seg)
+        assert built == [390, 390]
+        gammas_from_segment(seg, sp, 0.5, EpsilonConfig(0.01),
+                            RegularityConstants(1.5, 0.5, 100), -4, 4)
+        chunk = cocycle._FIRST_CHUNK
+        assert built == [390, 390, chunk, chunk]
+        assert sum(built) <= 0.55 * 2 * (len(seg) - 1)
+        sp.e_u  # the public arrays finish both pushes
+        assert sum(built) == 2 * (len(seg) - 1)
+
+    @pytest.mark.parametrize("at, kernel", [(14, "matmul"), (2, "solve1")])
+    def test_kernel_steps_past_the_base_run_in_the_splitting(
+            self, at, kernel, monkeypatch):
+        # a step off the float path calls its numpy kernel while the
+        # splitting is built, even where no reader has asked for its rows
+        # yet (past the base point: forward for e_u, backward for e_s), so
+        # the kernel's errors and warnings come from oseledets_splitting
+        derivs = np.array([np.diag([1e3, 1e-3])] * 17)
+        derivs[at] = np.diag([2.0 ** 120, 2.0 ** -120])
+        seg = OrbitSegment(make_linear_fixture(), 8, 8, [0] * 17, [0.0] * 17,
+                           [0.0] * 17, derivs)
+        calls = []
+        if kernel == "matmul":
+            matmul = np.matmul
+            monkeypatch.setattr(np, "matmul", lambda *a: calls.append(a)
+                                or matmul(*a))
+        else:
+            solve1 = _umath_linalg.solve1
+            monkeypatch.setattr(cocycle, "_umath_linalg", type(
+                "Kernels", (), {"solve1": staticmethod(
+                    lambda *a: calls.append(a) or solve1(*a))}))
+        sp = oseledets_splitting(seg)
+        assert len(calls) == 1
+        sp.e_s  # the rest of both pushes takes the float path
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", ["flower", "stadium"])
     def test_negated_lock_keeps_the_halved_angles(self, kind):
@@ -428,9 +506,8 @@ class TestSplitting:
             seg, _ = first_admitted(table, seed, 200)
             with np.errstate(**cocycle._SOLVE_ERRSTATE):
                 for inverse, mats, full in halved_pushes(seg):
-                    whole = cocycle._push(mats, cocycle._SEED, inverse)
-                    got = cocycle._push(mats, cocycle._SEED, inverse,
-                                        full=full)
+                    whole = push(mats, cocycle._SEED, inverse)
+                    got = push(mats, cocycle._SEED, inverse, full=full)
                     assert cocycle._angle_between(full[-1], got).hex() \
                         == cocycle._angle_between(full[-1], whole).hex()
                     negated += got.tobytes() == (-full[-1]).tobytes()
@@ -471,8 +548,7 @@ class TestSplitting:
         out = np.empty((7, 2))[::-1] if with_out else None
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
             with np.errstate(**cocycle._SOLVE_ERRSTATE):
-                cocycle._push(derivs[::-1], cocycle._SEED, inverse=True,
-                              out=out)
+                push(derivs[::-1], cocycle._SEED, inverse=True, out=out)
         assert np.geterr() == before
 
     def test_singular_step_raises_from_the_splitting(self):
@@ -613,7 +689,7 @@ class TestFloatPush:
         for v in (cocycle._SEED, -cocycle._SEED,
                   rng.standard_normal(2) * 1e-30):
             rows = np.empty((len(mats) + 1, 2))
-            cocycle._push(mats, v, inverse, out=rows)
+            push(mats, v, inverse, out=rows)
             x, y = exact_unit(*v.tolist())
             want = [(x, y)]
             for m in mats.tolist():
@@ -658,7 +734,7 @@ class TestFloatPush:
             for inverse in (False, True):
                 rows = np.empty((len(mats) + 1, 2))
                 with np.errstate(**cocycle._SOLVE_ERRSTATE):
-                    cocycle._push(mats, cocycle._SEED, inverse, out=rows)
+                    push(mats, cocycle._SEED, inverse, out=rows)
                 want = numpy_push(mats, cocycle._SEED, inverse)
                 assert rows.tobytes() == want.tobytes()
 
@@ -681,9 +757,8 @@ def halved_pushes(seg: OrbitSegment):
     lo = base - seg.n_minus // 2
     hi = base + seg.n_plus - seg.n_plus // 2
     with np.errstate(**cocycle._SOLVE_ERRSTATE):
-        cocycle._push(D[:n - 1], cocycle._SEED, out=e_u)
-        cocycle._push(D[:n - 1][::-1], cocycle._SEED, inverse=True,
-                      out=e_s[::-1])
+        push(D[:n - 1], cocycle._SEED, out=e_u)
+        push(D[:n - 1][::-1], cocycle._SEED, inverse=True, out=e_s[::-1])
     return ((False, D[lo:base], e_u[lo:base + 1]),
             (True, D[base:hi][::-1], e_s[base:hi + 1][::-1]))
 
@@ -736,8 +811,9 @@ class TestLyapunovExponents:
             n = len(derivs)
             seg = OrbitSegment(None, n // 2, n - 1 - n // 2,
                                [0] * n, [0.0] * n, [0.0] * n, derivs)
-            e = np.tile([0.6, 0.8], (n, 1))
-            sp = cocycle.Splitting(e, e, np.ones(n - 1), np.ones(n - 1), 0.0, 0.0)
+            # fields pushed on demand, with no convergence check
+            sp = cocycle.Splitting(cocycle._Field(derivs, True),
+                                   cocycle._Field(derivs, False), 0.0, 0.0)
         else:
             table = {"stadium": make_stadium, "flower": make_flower}[kind]()
             seg, sp = first_admitted(table, 3, {"stadium": 200, "flower": 1000}[kind])
@@ -829,6 +905,16 @@ class TestSUSeries:
         sp = oseledets_splitting(seg)
         with pytest.raises(ValueError):
             s_u_parameters(seg, sp, 0.0, at=0)
+
+    @pytest.mark.parametrize("chi", [math.nan, 0.0, -1.0])
+    def test_chi_that_is_not_positive_is_named(self, chi):
+        # a NaN chi would sum the whole segment and fail in build_frame
+        _, seg = fixture_segment(n=20)
+        sp = oseledets_splitting(seg)
+        for read in (s_u_parameters, frame_at):
+            with pytest.raises(ValueError,
+                               match=rf"^chi must be positive, got chi={chi!r}$"):
+                read(seg, sp, chi, at=0)
 
     def test_s_recursion_identity_on_fixture(self):
         # s(fx)^2 e^(2 chi) ||df e_s||^2 = s(x)^2 - 2 for the exact series

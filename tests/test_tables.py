@@ -143,6 +143,34 @@ def test_overflowing_boundary_diameter_refused(build):
             build()
 
 
+# boundary_diameter and metric_scale of each builder's default table, as
+# float.hex, pinned before tiny tables were scaled up to sample theirs
+DEFAULT_SCALES = {
+    make_circle: ("0x1.0000000000000p+1", "0x1.05360695a3d0bp-2"),
+    make_stadium: ("0x1.0000000000000p+2", "0x1.7e862370e3e0dp-3"),
+    make_sinai: ("0x1.6a09e667f3bcdp+1", "0x1.cc409f23d5751p-3"),
+    make_flower: ("0x1.6a09e667f3bcdp+1", "0x1.cc409f23d5751p-3"),
+}
+
+
+def test_boundary_diameter_of_tiny_and_default_tables():
+    # a table of size 1e-200 has the diameter of its sampled points, not
+    # the 0.0 of underflowing squares; the default tables keep their bits
+    for table, size in ((make_circle(1e-200), 2e-200),
+                        (make_stadium(1e-200, 1e-200), 4e-200)):
+        pts = np.concatenate(table._polyline(BOUNDARY_SAMPLES)) * 2.0 ** 700
+        sampled = max(math.dist(p, q) for p in pts for q in pts) / 2.0 ** 700
+        assert table.boundary_diameter == pytest.approx(sampled, rel=5e-16)
+        assert table.boundary_diameter == pytest.approx(size, rel=1e-3)
+        assert table.metric_scale == 0.95 / math.hypot(
+            table.boundary_diameter, math.pi)
+    for build, (diameter, scale) in DEFAULT_SCALES.items():
+        table = build()
+        assert table.boundary_diameter.hex() == diameter
+        assert table.metric_scale.hex() == scale
+    assert make_linear_fixture().metric_scale == 1.0
+
+
 @pytest.mark.parametrize("radius", [1e-15, 1e-20])
 def test_thin_stadium_builds_and_every_orbit_hits_D(radius):
     # a cap arc below the ulp of the straight half-length: the table

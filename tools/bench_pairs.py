@@ -26,9 +26,12 @@ stdout line of ``run.py`` --, ``seconds``, ``seed``, ``trace`` and
 
 Last, per workload and end-to-end metric of ``BENCHMARK.json``, it prints
 both sides' median and quartiles over the untraced pairs, and the pairs the
-change won.  For the claimed metric it also prints whether the change won
-at least 9 pairs in 10 and moved the median by more than the distance
-between the parent's quartiles.
+change won.  A row whose change median is worse than the parent median by
+more than the metric's ``bound`` (a fraction of the parent median) ends in
+a mark with both numbers.  For the claimed metric it also prints whether
+the change won at least 9 pairs in 10 and moved the median by more than
+the distance between the parent's quartiles.  The last line names the
+marked rows, or says that there are none.
 
 Standard library only; run it from anywhere inside the checkout.
 """
@@ -103,10 +106,13 @@ def paired_values(before: list[dict], after: list[dict], workload: str,
 def summary(before: list[dict], after: list[dict], metrics: list[dict],
             claim: tuple[str, str]) -> list[str]:
     """The printed comparison: per workload and metric, both medians and
-    quartiles and the pairs the change won; then the claim's verdict."""
+    quartiles, the pairs the change won and, on a change median worse than
+    the parent's by more than the metric's bound, a mark; then the claim's
+    verdict, and last the marked rows."""
     lines = [f"{'workload':<14}{'metric':<19}{'parent q1 / med / q3':>33}"
              f"{'change q1 / med / q3':>33}{'won':>7}"]
     verdict = None
+    marked = []
     workloads = sorted({r["workload"] for r in before + after})
     for workload in workloads:
         for m in metrics:
@@ -117,11 +123,16 @@ def summary(before: list[dict], after: list[dict], metrics: list[dict],
             won = sum((a < b) if lower else (a > b) for b, a in pairs)
             qb = quartiles([b for b, _ in pairs])
             qa = quartiles([a for _, a in pairs])
+            worse = (qa[1] - qb[1] if lower else qb[1] - qa[1]) / qb[1]
+            mark = ""
+            if worse > m["bound"]:
+                mark = f" worse by {worse:.1%} > bound {m['bound']:.0%}"
+                marked.append(f"{workload} {m['name']} ({worse:.1%} worse)")
             lines.append(
                 f"{workload:<14}{m['name']:<19}"
                 f" {' / '.join(f'{v:.4g}' for v in qb):>32}"
                 f" {' / '.join(f'{v:.4g}' for v in qa):>32}"
-                f" {f'{won}/{len(pairs)}':>6}")
+                f" {f'{won}/{len(pairs)}':>6}{mark}")
             if claim == (workload, m["name"]):
                 gain = (qb[1] - qa[1]) if lower else (qa[1] - qb[1])
                 ok = won >= WIN_SHARE * len(pairs) and gain > qb[2] - qb[0]
@@ -131,6 +142,7 @@ def summary(before: list[dict], after: list[dict], metrics: list[dict],
                            f"{qb[2] - qb[0]:.4g}: "
                            f"{'holds' if ok else 'does not hold'}")
     lines.append(verdict or f"claim {claim[0]} {claim[1]}: no pairs")
+    lines.append("worse than the bound: " + (", ".join(marked) or "none"))
     return lines
 
 

@@ -69,6 +69,8 @@ _DIAMETER = ("the diam(M) < 1 hypothesis, which tests assert and the run "
 _ANGLE = ("the splitting's margin against CONVERGENCE_TOL, which the run "
           "report is to read (ROADMAP aim 4)")
 _QR = "the independent QR estimate that the confidence radius is taken against"
+_FACTOR = ("the completed one-step norms for callers outside cocycle, whose "
+           "own readers push only the rows they read")
 TEST_ONLY_ALLOWED = {
     "cocycle.c_inverse_growth_check": _REPORT,
     "cocycle.nuh_diagnostics": _REPORT,
@@ -86,6 +88,8 @@ TEST_ONLY_ALLOWED = {
     "tables.LinearFixtureMap.diameter": _DIAMETER,
     "cocycle.Splitting.convergence_angle_s": _ANGLE,
     "cocycle.Splitting.convergence_angle_u": _ANGLE,
+    "cocycle.Splitting.factor_s": _FACTOR,
+    "cocycle.Splitting.factor_u": _FACTOR,
     "cocycle.LyapunovEstimate.qr_lambda1": _QR,
     "cocycle.LyapunovEstimate.qr_lambda2": _QR,
     "coding.Itinerary.in_alphabet": "which steps of a coded word left the "
