@@ -59,22 +59,25 @@ On the linear fixture no halved push locks.
 Each field is pushed only over the rows its readers read.  e_u at point i
 depends on the past of i alone and e_s on its future, and the series at i
 read factor_s from i on and factor_u below i.  So `oseledets_splitting`
-pushes e_u from row 0 and e_s from the last row to the base point, which
-is all that its convergence check reads, and past it only through the
-steps that call a numpy kernel (`_kernel_steps`), so that their errors and
-warnings are raised there.  The halved pushes run over tails of those two
-pushes and slice their step columns.  A frame or the series at point i
-extend e_u up to row i and e_s down to row i, the exponents extend both to
-their trimmed range, and the public arrays of `Splitting` finish both
-pushes.  An extension pushes the rows asked for, and at least a chunk of
-`_FIRST_CHUNK` rows that doubles with each extension of its field; it
-builds step columns for those rows alone, kept no longer than the push,
-and resumes from the field's last row as the push left it,
-without normalising it again, so every row keeps the bits of the whole
-push in any order of reads.  A gamma window of -4..4 on the
-fixture's +-390 segments pushes about half the rows of both whole pushes;
-the flower's exponents, which read rows 200..1800 of 2001, a tenth fewer.
-The s/u series run over Python floats.  The splitting, the series and the
+pushes e_u from row 0 and e_s from the last row to `_FIRST_CHUNK` rows
+past the base point, which covers its convergence check and the frames
+of a gamma window, and further only through the steps that call a numpy
+kernel (`_kernel_steps`), so that their errors and warnings are raised
+there.  The halved pushes run over tails of those two pushes and slice
+their step columns.  A frame window extends e_u up to its last row and
+e_s down to its first, the exponents extend both to their trimmed range,
+and the public arrays of `Splitting` finish both pushes.  An extension
+pushes the rows asked for, and at least a chunk of `_FIRST_CHUNK` rows
+that doubles with each extension of its field; it builds step columns
+for those rows alone, kept no longer than the push, and resumes from the
+field's last row as the push left it, without normalising it again, so
+every row keeps the bits of the whole push in any order of reads.  A
+gamma window of -4..4 on the fixture's +-390 segments reads no extension:
+its pushes run 406 of the 780 rows of each whole push; the flower's
+exponents, which read rows 200..1800 of 2001, push a tenth fewer.
+The s/u series of all the points of a frame window are summed in one
+numpy pass with the bits of the scalar loop (`_series_sums`), and each
+frame is assembled on Python floats.  The splitting, the series and the
 frames keep every bit; the QR means move in their last bits only.
 """
 from __future__ import annotations
@@ -223,12 +226,12 @@ class Splitting:
     machine epsilon) take over after ~|log eps|/(2 lambda) steps.
 
     The fields are pushed on demand.  `oseledets_splitting` pushes e_u from
-    the past end and e_s from the future end to the base point; a reader in
-    this module extends them to the rows it reads (`_fields`): a frame or
-    the s/u series at point i reads e_s from i on and e_u up to i, the
-    exponents their trimmed range.  The public e_s, e_u, factor_s and
-    factor_u finish both pushes.  Every row has the bits of the whole push,
-    whatever the order of reads.
+    the past end and e_s from the future end to `_FIRST_CHUNK` rows past
+    the base point; a reader in this module extends them to the rows it
+    reads (`_fields`): the frames or the s/u series at points lo..hi read
+    e_s from lo on and e_u up to hi, the exponents their trimmed range.
+    The public e_s, e_u, factor_s and factor_u finish both pushes.  Every
+    row has the bits of the whole push, whatever the order of reads.
     """
 
     convergence_angle_s: float
@@ -292,10 +295,6 @@ class HyperbolicFrame:
     def c_inv_frob(self) -> float:
         """Frobenius norm of C^-1: sqrt(s^2+u^2)/|sin alpha| (closed form)."""
         return math.hypot(self.s_param, self.u_param) / abs(math.sin(self.alpha))
-
-    @property
-    def c_frob(self) -> float:
-        return float(np.sqrt(np.sum(self.C * self.C)))
 
     def distance(self, other: HyperbolicFrame) -> float:
         """Frobenius distance ||C - C'||_F between two frames."""
@@ -375,8 +374,10 @@ _SPLIT = 134217729.0
 # Other products go through `_fma`.
 _LO, _HI = 2.0 ** -900, 2.0 ** 1000
 _BOUND = 2.0 ** 100
-# rows that the first extension of a field pushes past the rows it holds;
-# each later extension of that field pushes twice as many
+# rows that the construction push of a field runs past the base row, so that
+# frames within that many steps of the base read no extension, and that the
+# first extension pushes past the rows the field holds; each later extension
+# of that field pushes twice as many
 _FIRST_CHUNK = 16
 
 
@@ -649,15 +650,18 @@ class _Field:
         return cols
 
     def start(self, base: int) -> list[list]:
-        """Push to the base row, and past it through every step that calls
-        a numpy kernel, so that the kernel's errors and warnings are raised
-        in `oseledets_splitting`; return the step columns."""
+        """Push to `chunk` rows past the base row, and further through every
+        step that calls a numpy kernel, so that the kernel's errors and
+        warnings are raised in `oseledets_splitting`; return the step
+        columns."""
         D = self.derivs
         if self.stable:
             off = np.flatnonzero(_kernel_steps(D[:base], True))
-            return self.push_to(int(off[0]) if len(off) else base)
+            k = max(base - self.chunk, 0)
+            return self.push_to(min(int(off[0]), k) if len(off) else k)
         off = np.flatnonzero(_kernel_steps(D[base:-1], False))
-        return self.push_to(base + int(off[-1]) + 1 if len(off) else base)
+        k = min(base + self.chunk, len(D) - 1)
+        return self.push_to(max(base + int(off[-1]) + 1, k) if len(off) else k)
 
     def reach(self, k: int) -> None:
         """Push to row k if the field does not hold it yet, and `chunk` rows
@@ -680,11 +684,12 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     by the angle change at the base point when each push window is halved;
     above `CONVERGENCE_TOL` the splitting is rejected.
 
-    Each push runs here from its end to the base point, which is all that
-    the check reads, and on past it through every step that takes a numpy
-    kernel, so that a kernel's error or warning is raised here.  The halved
-    pushes run over the tails of those pushes and reuse their step columns.
-    The returned splitting pushes on to the rows that its readers read.
+    Each push runs here from its end to `_FIRST_CHUNK` rows past the base
+    point, which covers the check and the frames of a gamma window, and on
+    through every step that takes a numpy kernel, so that a kernel's error
+    or warning is raised here.  The halved pushes run over the tails of
+    those pushes and reuse their step columns.  The returned splitting
+    pushes on to the rows that its readers read.
 
     `MIN_WINDOW` is only a burn-in floor: sides at or above it can still be
     rejected, because the halving check alone decides convergence.  The
@@ -782,40 +787,123 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting
 
 
 # --------------------------------------------------------------- s, u series
-def _weighted_series(expansions, chi: float) -> float:
-    """sum of e^(2 n chi) * (prod of expansion factors up to n)^2, n >= 0.
-
-    `expansions` yields per-step norms; the n=0 term is 1.  At most
-    SERIES_MAX_TERMS terms are summed, and a partial sum past SERIES_SUM_CAP
-    raises SeriesDiverging.  Returns the partial sum.
-    """
-    partial = 1.0
-    c = 1.0  # running ||df^n e||
-    n = 0
-    for g in expansions:
-        n += 1
-        c *= g
-        term = math.exp(2.0 * n * chi) * c * c
-        partial += term
-        if partial > SERIES_SUM_CAP:
-            raise SeriesDiverging(
-                f"partial sum {partial:.3e} exceeds cap {SERIES_SUM_CAP:.1e} "
-                f"after {n} terms (chi={chi} too large here)")
-        if term < SERIES_TERM_CUTOFF * partial:
-            break
-        if n >= SERIES_MAX_TERMS:
-            break
-    return partial
+# terms in the first block of a series pass (a stadium series stops after
+# 30 in the median); each later block doubles while its arrays hold at most
+# _SERIES_ENTRIES entries
+_SERIES_BLOCK = 64
+_SERIES_ENTRIES = 1 << 16
+# points of a frame window whose series one pass sums
+_SLAB = 512
 
 
-def _as_floats(a: np.ndarray):
-    """The entries of a 1-D array as Python floats, converted in slices of
-    doubling length: a series cut short after n terms converts fewer than
-    2n + 16 entries, however long the segment."""
-    lo, size = 0, 16
-    while lo < len(a):
-        yield from a[lo:lo + size].tolist()
-        lo, size = lo + size, 2 * size
+def _series_sums(stable: _Field, unstable: _Field, chi: float, lo: int,
+                 hi: int) -> list:
+    """The truncated s and u series of rows lo..hi in one numpy pass: the s
+    sum of each row, then the u sum of each.
+
+    The series at row i sums e^(2n chi) c_n^2 for n >= 0, where c_0 = 1
+    and c_n = c_(n-1) g_n: g_n = factor_s[i+n-1] for s, 1/factor_u[i-n] for
+    u (df maps the unstable field to itself up to sign, so that is
+    ||df^-1 e_u|| at row i-n+1).  Each row keeps the bits of the scalar
+    loop over its terms, which the tests keep as the reference: c_n by
+    `np.multiply.accumulate`, the term as e * c_n * c_n with
+    e = math.exp(2.0 * n * chi) from `math`, the partial sums by
+    `np.add.accumulate` from 1.0.  The loop stops at the first n where the
+    segment has no factor left (returning the partial sum), a factor_u is
+    0.0 (1.0/0.0 raises ZeroDivisionError), `math.exp` overflows
+    (OverflowError), the partial sum passes SERIES_SUM_CAP (SeriesDiverging),
+    the term is below SERIES_TERM_CUTOFF of it or n reaches SERIES_MAX_TERMS,
+    read at call time (both returning the partial sum); so does each row.
+    Rows still running after a block of terms go on from their n, c_n and
+    partial sum in a block twice as long.  An entry is the partial sum
+    where the loop returns, or the exception it raises, not raised."""
+    fs, fu = stable.factor, unstable.factor
+    pts = np.arange(lo, hi + 1)
+    sums = np.empty(2 * len(pts))
+    raised = {}  # entry: the exception the loop raises there
+    slot = np.arange(len(sums))  # the entry of each running row
+    pos = np.concatenate((pts, pts - 1))  # its next factor, up for s, down for u
+    left = np.concatenate((len(fs) - pts, pts))  # its factors not yet read
+    c, p = np.ones(len(sums)), np.ones(len(sums))
+    ns = len(pts)  # the running s rows come first
+    cap = max(SERIES_MAX_TERMS, 1)  # the loop stops after this term at most
+    weights = []  # math.exp(2.0 * n * chi) for n = 1, 2, ... until overflow
+    n0, size = 0, _SERIES_BLOCK
+    with np.errstate(all="ignore"):  # Python floats warn of nothing
+        while True:
+            size = max(min(size, cap - n0, int(left.max())), 1)
+            try:
+                for n in range(len(weights) + 1, n0 + size + 1):
+                    weights.append(math.exp(2.0 * n * chi))
+            except OverflowError:  # no row reads a weight past it
+                pass
+            w = np.array(weights[n0:] + [1.0] * (n0 + size - len(weights)))
+            # column j holds row j's terms, under its carried c and partial
+            ar = np.arange(size)[:, None]
+            g = np.empty((size + 1, len(slot)))
+            g[0] = c
+            g[1:, :ns] = fs.take(pos[:ns] + ar, mode="clip")
+            raw = fu.take(pos[ns:] - ar, mode="clip")
+            np.divide(1.0, raw, out=g[1:, ns:])
+            cs = np.multiply.accumulate(g, axis=0)
+            t = np.empty_like(g)
+            t[0] = p
+            np.multiply(w[:, None] * cs[1:], cs[1:], out=t[1:])
+            ps = np.add.accumulate(t, axis=0)
+            stop = (ps[1:] > SERIES_SUM_CAP) | (t[1:] < SERIES_TERM_CUTOFF * ps[1:])
+            if n0 + size == cap:
+                stop[-1] = True
+            # each row's terms before its first factor missing, zero or
+            # overflowing: the loop reaches none of them
+            hard = np.minimum(left, len(weights) - n0)
+            zeros = raw == 0.0
+            if zeros.any():
+                hard[ns:] = np.minimum(hard[ns:], np.where(
+                    zeros.any(axis=0), zeros.argmax(axis=0), size))
+            first = stop.argmax(axis=0)
+            rows = np.arange(len(slot))
+            hit = stop[first, rows] & (first < hard)
+            # a stop returns its partial sum, a missing factor the partial
+            # sum before it; a zero factor or an overflow raises, and a row
+            # with none of these in the block runs on
+            val = np.where(hit, ps[first + 1, rows], ps[hard, rows])
+            go = ~hit & (hard == size) & (left > size)
+            sums[slot[~go]] = val[~go]
+            bad = np.where(hit, val > SERIES_SUM_CAP, hard < left) & ~go
+            for j in np.flatnonzero(bad).tolist():
+                if hit[j]:
+                    raised[int(slot[j])] = SeriesDiverging(
+                        f"partial sum {val[j]:.3e} exceeds cap "
+                        f"{SERIES_SUM_CAP:.1e} after {n0 + first[j] + 1} "
+                        f"terms (chi={chi} too large here)")
+                elif j >= ns and raw[hard[j], j - ns] == 0.0:
+                    raised[int(slot[j])] = ZeroDivisionError(
+                        "float division by zero")
+                else:
+                    raised[int(slot[j])] = OverflowError("math range error")
+            if not go.any():
+                break
+            pos[:ns] += size
+            pos[ns:] -= size
+            ns = int(go[:ns].sum())
+            slot, pos, left = slot[go], pos[go], left[go] - size
+            c, p = cs[size, go], ps[size, go]
+            n0 += size
+            size = min(2 * size, max(_SERIES_BLOCK,
+                                     _SERIES_ENTRIES // len(slot)))
+    out = sums.tolist()
+    for k, err in raised.items():
+        out[k] = err
+    return out
+
+
+def _params(ssum, usum) -> tuple[float, float]:
+    """s = sqrt(2 ssum) and u = sqrt(2 usum); raises the exception that a
+    series entry holds instead of its sum, s first."""
+    for v in (ssum, usum):
+        if isinstance(v, Exception):
+            raise v
+    return math.sqrt(2.0 * ssum), math.sqrt(2.0 * usum)
 
 
 def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
@@ -826,17 +914,14 @@ def s_u_parameters(seg: OrbitSegment, splitting: Splitting, chi: float,
 
     The n-step norms are products of the splitting's one-step factors; the
     backward unstable norm uses ||df^-1 e_u(x_j)|| = 1/factor_u[j-1] (df maps
-    the unstable field to itself up to sign).
+    the unstable field to itself up to sign).  A one-point window of the
+    series pass that `frames_along` makes.
     """
     if not chi > 0:
         raise ValueError(f"chi must be positive, got chi={chi!r}")
     i = seg.index(at)
-    stable, unstable = splitting._fields(i, i)
-    ssum = _weighted_series(_as_floats(stable.factor[i:]), chi)
-    usum = _weighted_series(
-        (1.0 / g for g in _as_floats(unstable.factor[i - 1::-1])) if i > 0 else (),
-        chi)
-    return SUParams(math.sqrt(2.0 * ssum), math.sqrt(2.0 * usum))
+    sums = _series_sums(*splitting._fields(i, i), chi, i, i)
+    return SUParams(*_params(*sums))
 
 
 # -------------------------------------------------------------------- frames
@@ -844,50 +929,91 @@ def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
                 u_param: float, chi: float) -> HyperbolicFrame:
     """Assemble C with columns e_s/s and e_u/u and check the frame identities.
 
-    The closed form ||C^-1||_F = sqrt(s^2+u^2)/|sin alpha| (`c_inv_frob`) is
+    A direction, s or u that is not finite raises ValueError naming it.  The
+    closed form ||C^-1||_F = sqrt(s^2+u^2)/|sin alpha| (`c_inv_frob`) is
     checked against the 2x2 inverse written out: for C = [[p, q], [r, t]],
     ||C^-1||_F = sqrt(p^2+q^2+r^2+t^2)/|pt - qr|.  A gap above 1e-10 of the
     direct value, or ||C||_F above 1, raises BoundViolated with the measured
     and allowed values.  alpha keeps numpy's `np.dot`, because it reaches
-    `c_inv_frob` and the outputs."""
+    `c_inv_frob` and the outputs; an alpha that rounds to 0, below an angle
+    of about 1.5e-8, raises DegenerateAngle, as a |sin alpha| below
+    DEGENERATE_SIN does.
+
+    The frame is assembled on Python floats with the bits of the numpy
+    assembly: C's entries are the divides of `e_s / s` and `e_u / u`, and
+    ||C||_F = sqrt(((p^2 + q^2) + r^2) + t^2) is the sum that
+    `np.sum(C * C)` takes over four entries."""
     e_s = np.asarray(e_s, dtype=float)
     e_u = np.asarray(e_u, dtype=float)
-    for v in (e_s, e_u):
-        if abs(math.hypot(*v.tolist()) - 1.0) > 1e-9:
+    (a, b), (c, d) = e_s.tolist(), e_u.tolist()
+    for name, x, y in (("e_s", a, b), ("e_u", c, d)):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(
+                f"frame direction {name} must be finite, got ({x!r}, {y!r})")
+        if abs(math.hypot(x, y) - 1.0) > 1e-9:
             raise ValueError("frame directions must be unit vectors")
+    for name, v in (("s_param", s_param), ("u_param", u_param)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     if not (s_param >= math.sqrt(2.0) - 1e-12 and u_param >= math.sqrt(2.0) - 1e-12):
         raise ValueError("s and u parameters must be >= sqrt(2)")
-    cross = e_s[0] * e_u[1] - e_s[1] * e_u[0]
+    cross = a * d - b * c
     if abs(cross) < DEGENERATE_SIN:
         raise DegenerateAngle(f"|sin alpha| = {abs(cross):.3e}")
     alpha = math.acos(max(-1.0, min(1.0, float(np.dot(e_s, e_u)))))
-    C = np.column_stack([e_s / s_param, e_u / u_param])
-    frame = HyperbolicFrame(e_s, e_u, alpha, float(s_param), float(u_param),
-                            C, float(chi))
+    if alpha == 0.0:  # sin alpha = 0 would divide ||C^-1||_F by zero
+        raise DegenerateAngle(
+            f"alpha = acos(e_s . e_u) rounds to 0 at |sin alpha| = "
+            f"{abs(cross):.3e}")
+    s, u = float(s_param), float(u_param)
+    p, q, r, t = a / s, c / u, b / s, d / u
     # closed-form ||C^-1||_F must match the inverse's own (consistency check)
-    (p, q), (r, t) = C.tolist()
-    direct = math.sqrt(p * p + q * q + r * r + t * t) / abs(p * t - q * r)
-    gap, allowed = abs(direct - frame.c_inv_frob), 1e-10 * max(1.0, direct)
-    if gap > allowed:
+    norm = math.sqrt(p * p + q * q + r * r + t * t)
+    direct = norm / abs(p * t - q * r)
+    closed = math.hypot(s, u) / abs(math.sin(alpha))  # c_inv_frob
+    gap, allowed = abs(direct - closed), 1e-10 * max(1.0, direct)
+    if not gap <= allowed:
         raise BoundViolated("||C^-1||_F closed form minus direct", gap,
                             allowed)
-    if frame.c_frob > 1.0 + 1e-12:
-        raise BoundViolated("||C||_F - 1", frame.c_frob - 1.0, 1e-12)
-    return frame
+    if not norm <= 1.0 + 1e-12:
+        raise BoundViolated("||C||_F - 1", norm - 1.0, 1e-12)
+    return HyperbolicFrame(e_s, e_u, alpha, s, u, np.array(((p, q), (r, t))),
+                           float(chi))
 
 
 def frame_at(seg: OrbitSegment, splitting: Splitting, chi: float,
              at: int) -> HyperbolicFrame:
-    i = seg.index(at)
-    su = s_u_parameters(seg, splitting, chi, at=at)
-    stable, unstable = splitting._fields(i, i)
-    return build_frame(stable.e[i], unstable.e[i], su.s, su.u, chi)
+    """The frame at relative step `at`: a one-point window of
+    `frames_along`."""
+    return frames_along(seg, splitting, chi, at, at)[0]
 
 
 def frames_along(seg: OrbitSegment, splitting: Splitting, chi: float,
                  lo: int, hi: int) -> list[HyperbolicFrame]:
-    """Frames at relative steps lo..hi inclusive."""
-    return [frame_at(seg, splitting, chi, at=m) for m in range(lo, hi + 1)]
+    """Frames at relative steps lo..hi inclusive.
+
+    The fields are pushed over the window once, the s and u series of its
+    points are summed together (`_series_sums`), in slabs of `_SLAB`
+    points, and each frame is assembled on Python floats (`build_frame`).
+    Every frame has the bits, and every error the class, the message and
+    the point, of building the frames one step at a time in order: at each
+    step the s series, the u series, then `build_frame`."""
+    frames = []
+    if hi < lo:
+        return frames
+    if not chi > 0:
+        raise ValueError(f"chi must be positive, got chi={chi!r}")
+    first, last = seg.index(lo), seg.index(min(hi, seg.n_plus))
+    stable, unstable = splitting._fields(first, last)
+    for a in range(first, last + 1, _SLAB):
+        b = min(a + _SLAB, last + 1)
+        sums = _series_sums(stable, unstable, chi, a, b - 1)
+        for k, (e_s, e_u) in enumerate(zip(stable.e[a:b], unstable.e[a:b])):
+            s, u = _params(sums[k], sums[b - a + k])
+            frames.append(build_frame(e_s, e_u, s, u, chi))
+    if hi > seg.n_plus:
+        seg.index(seg.n_plus + 1)  # raises as the step after the last would
+    return frames
 
 
 def reduced_cocycle(D: np.ndarray, chi: float) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 from .charts import (build_pesin_chart, chart_invert, compute_Q, greedy_q,
                      overlap_test)
 from .cocycle import (HyperbolicFrame, OrbitSegment, Splitting, build_frame,
-                      frame_at)
+                      frames_along)
 from .dynamics import RegularityConstants, billiard_map, operator_norm
 from .errors import (DiagnosticFailed, EmptyAlphabet, InequalityViolated,
                      NoBinCenter)
@@ -182,8 +182,8 @@ def gammas_from_segment(seg: OrbitSegment, splitting: Splitting, chi: float,
         raise ValueError(
             f"segment [{-seg.n_minus}, {seg.n_plus}] too short for gammas on "
             f"[{lo}, {hi}] (needs [{lo - 1}, {hi + 2}])")
-    frames = {k: frame_at(seg, splitting, chi, at=k)
-              for k in range(lo - 1, hi + 3)}
+    frames = dict(zip(range(lo - 1, hi + 3),
+                      frames_along(seg, splitting, chi, lo - 1, hi + 2)))
     Qs = {k: compute_Q(frames[k], frames[k + 1], seg.rho(k), cfg, consts)
           for k in range(lo - 1, hi + 2)}
     gq = greedy_q([Qs[k] for k in range(lo, hi + 1)], cfg)

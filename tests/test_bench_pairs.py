@@ -1,9 +1,10 @@
-"""The benchmark-pair tool's schedule, file layout and summary, on canned
-run records (no benchmark run)."""
+"""The benchmark-pair tool's schedule, file layout, summary and exports,
+on canned run records and a scratch repository (no benchmark run)."""
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,3 +100,32 @@ def test_summary_marks_a_change_worse_than_the_bound():
     assert rows["fixture-code", "orbit_steps_per_s"].endswith(" 0/10")
     assert lines[-1] == ("worse than the bound: flower-chi orbit_steps_per_s "
                          "(30.0% worse), flower-chi peak_rss_mb (15.0% worse)")
+
+
+def test_both_sides_export_their_files(tmp_path):
+    # the parent side gets the committed files, the change side the working
+    # tree as git add -A would stage it: an edit, a new file, no ignored one
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "a.py").write_text("x = 1\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run(git[:-2] + ["init", "-q", str(repo)], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "c"], check=True)
+    (repo / "pkg" / "a.py").write_text("x = 2\n")
+    (repo / "pkg" / "new.py").write_text("y = 3\n")
+    (repo / "run.log").write_text("ignored\n")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    bench_pairs.export_revision(repo, "HEAD", parent)
+    bench_pairs.export_worktree(repo, change)
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_text()
+                for p in root.rglob("*") if p.is_file()}
+
+    assert files(parent) == {".gitignore": "*.log\n", "pkg/a.py": "x = 1\n"}
+    assert files(change) == {".gitignore": "*.log\n", "pkg/a.py": "x = 2\n",
+                             "pkg/new.py": "y = 3\n"}

@@ -448,10 +448,10 @@ class TestSplitting:
             assert (fr.s_param, fr.u_param) == (want.s_param, want.u_param)
 
     def test_gamma_window_pushes_half_the_rows(self, monkeypatch):
-        # a -4..4 window reads frames at -5..6 of a +-390 fixture segment:
-        # each push runs to the base point and one first chunk past it,
-        # about half of the 2 x 780 rows of two whole pushes, and the
-        # halved pushes slice the columns of the two pushes
+        # each construction push runs one first chunk past the base point,
+        # so a -4..4 window, which reads frames at -5..6 of a +-390 fixture
+        # segment, pushes no further: about half of the 2 x 780 rows of two
+        # whole pushes; the halved pushes slice the columns of the two pushes
         seg = orbit_segment(make_linear_fixture(),
                             PhasePoint(0, 1e-170, -1e-170), 390, 390)
         built = []
@@ -460,11 +460,11 @@ class TestSplitting:
             monkeypatch.setattr(cocycle, name, lambda mats, build=build:
                                 built.append(len(mats)) or build(mats))
         sp = oseledets_splitting(seg)
-        assert built == [390, 390]
+        chunk = cocycle._FIRST_CHUNK
+        assert built == [390 + chunk, 390 + chunk] == [406, 406]
         gammas_from_segment(seg, sp, 0.5, EpsilonConfig(0.01),
                             RegularityConstants(1.5, 0.5, 100), -4, 4)
-        chunk = cocycle._FIRST_CHUNK
-        assert built == [390, 390, chunk, chunk]
+        assert built == [406, 406]
         assert sum(built) <= 0.55 * 2 * (len(seg) - 1)
         sp.e_u  # the public arrays finish both pushes
         assert sum(built) == 2 * (len(seg) - 1)
@@ -946,7 +946,7 @@ class TestFrames:
         fr = build_frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                          math.sqrt(2.0), math.sqrt(2.0), 0.5)
         assert fr.alpha == pytest.approx(math.pi / 2, abs=1e-15)
-        assert fr.c_frob == pytest.approx(1.0, abs=1e-15)
+        assert math.sqrt(np.sum(fr.C * fr.C)) == pytest.approx(1.0, abs=1e-15)
         assert fr.c_inv_frob == pytest.approx(2.0, abs=1e-14)
         assert np.allclose(fr.C, np.eye(2) / math.sqrt(2.0))
 
@@ -962,7 +962,7 @@ class TestFrames:
             fr = build_frame(e_s, e_u, s, u, 0.5)
             direct = np.sqrt(np.sum(np.linalg.inv(fr.C) ** 2))
             assert fr.c_inv_frob == pytest.approx(direct, rel=1e-10)
-            assert fr.c_frob <= 1.0 + 1e-12
+            assert math.sqrt(np.sum(fr.C * fr.C)) <= 1.0 + 1e-12
 
     def test_degenerate_angle_raises(self):
         e = np.array([0.6, 0.8])
@@ -1011,6 +1011,216 @@ class TestFrames:
             assert np.allclose(fr.C, C0, atol=1e-13)
         one = frame_at(seg, sp, 0.5, at=3)
         assert np.allclose(one.C, frames[13].C, atol=1e-15)
+
+    def test_non_finite_inputs_are_named(self):
+        # a NaN direction passed the unit check and an infinite s or u the
+        # sqrt(2) floor; both then divided by zero inside build_frame
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        with pytest.raises(ValueError,
+                           match=r"^frame direction e_u must be finite, "
+                                 r"got \(0\.0, nan\)$"):
+            build_frame([1, 0], [0, math.nan], 2, 2, 0.5)
+        with pytest.raises(ValueError, match=r"^frame direction e_s must be "
+                                             r"finite, got \(inf, 0\.0\)$"):
+            build_frame([math.inf, 0.0], e2, 2.0, 2.0, 0.5)
+        for s, u, name in ((math.inf, 2.0, "s_param"), (2.0, -math.inf, "u_param"),
+                           (math.nan, 2.0, "s_param")):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, "):
+                build_frame(e1, e2, s, u, 0.5)
+
+    def test_alpha_that_rounds_to_zero_is_degenerate(self):
+        # |sin alpha| = 1e-10 passes DEGENERATE_SIN, but e_s . e_u rounds to
+        # 1, so alpha = 0 and the closed form of ||C^-1||_F divided by zero
+        e_u = np.array([math.cos(1e-10), math.sin(1e-10)])
+        with pytest.raises(DegenerateAngle, match="rounds to 0"):
+            build_frame(np.array([1.0, 0.0]), e_u, 2.0, 2.0, 0.5)
+
+
+# ------------------------------------------------------------- frame pass
+def weighted_series(expansions, chi: float) -> tuple[float, int]:
+    """The scalar loop of the s/u series that `frames_along` sums in one
+    pass: sum of e^(2 n chi) * (prod of expansion factors up to n)^2 for
+    n >= 0, the n = 0 term 1.  It stops after SERIES_MAX_TERMS terms, read
+    at call time, and raises SeriesDiverging on a partial sum past
+    SERIES_SUM_CAP.  Returns the partial sum and the number of terms."""
+    partial = 1.0
+    c = 1.0  # running ||df^n e||
+    n = 0
+    for g in expansions:
+        n += 1
+        c *= g
+        term = math.exp(2.0 * n * chi) * c * c
+        partial += term
+        if partial > cocycle.SERIES_SUM_CAP:
+            raise SeriesDiverging(
+                f"partial sum {partial:.3e} exceeds cap "
+                f"{cocycle.SERIES_SUM_CAP:.1e} after {n} terms "
+                f"(chi={chi} too large here)")
+        if term < cocycle.SERIES_TERM_CUTOFF * partial:
+            break
+        if n >= cocycle.SERIES_MAX_TERMS:
+            break
+    return partial, n
+
+
+def reference_frame(seg: OrbitSegment, sp, chi: float, at: int):
+    """The frame at `at` from the scalar series loop over the completed
+    one-step factors, then `build_frame`."""
+    i = seg.index(at)
+    ssum, _ = weighted_series(sp.factor_s[i:].tolist(), chi)
+    usum, _ = weighted_series(
+        (1.0 / g for g in sp.factor_u[i - 1::-1].tolist()) if i > 0 else (),
+        chi)
+    return build_frame(sp.e_s[i], sp.e_u[i], math.sqrt(2.0 * ssum),
+                       math.sqrt(2.0 * usum), chi)
+
+
+def frame_bits(fr) -> tuple:
+    return (fr.e_s.tobytes(), fr.e_u.tobytes(), fr.alpha, fr.s_param,
+            fr.u_param, fr.C.tobytes(), fr.chi)
+
+
+def reference_window(seg: OrbitSegment, sp, chi: float, lo: int, hi: int):
+    """(frame bits of lo..hi, None), or (frame bits before the first step
+    that raises, that step and the class and message it raises), frames
+    built one step at a time."""
+    bits = []
+    for m in range(lo, hi + 1):
+        try:
+            bits.append(frame_bits(reference_frame(seg, sp, chi, m)))
+        except Exception as err:  # each error is compared, not handled
+            return bits, (m, type(err), str(err))
+    return bits, None
+
+
+def assert_pass_is_the_reference(seg: OrbitSegment, chi: float, lo: int,
+                                 hi: int):
+    """frames_along on a fresh splitting gives the reference's frames, or
+    raises its error after passing every step before it; returns the
+    reference's error, if any."""
+    want, err = reference_window(seg, oseledets_splitting(seg), chi, lo, hi)
+    if err is None:
+        got = frames_along(seg, oseledets_splitting(seg), chi, lo, hi)
+        assert [frame_bits(fr) for fr in got] == want
+        return None
+    with pytest.raises(err[1]) as raised:
+        frames_along(seg, oseledets_splitting(seg), chi, lo, hi)
+    assert str(raised.value) == err[2]
+    if err[0] > lo:
+        got = frames_along(seg, oseledets_splitting(seg), chi, lo, err[0] - 1)
+        assert [frame_bits(fr) for fr in got] == want
+    return err
+
+
+class TestFramePass:
+    @pytest.mark.parametrize("kind", ["stadium", "sinai", "flower", "fixture"])
+    def test_frames_are_bitwise_the_scalar_reference(self, kind):
+        # seeded windows of every builder table with a splitting, and of
+        # the fixture, at chi below and above their exponents; each
+        # raises, if it does, as the steps one at a time would
+        rng = np.random.default_rng(11)
+        if kind == "fixture":
+            segs = [orbit_segment(make_linear_fixture(),
+                                  PhasePoint(0, 1e-170, -1e-170), n, n)
+                    for n in (40, 390)]
+        else:
+            table = {"stadium": make_stadium, "sinai": make_sinai,
+                     "flower": make_flower}[kind]()
+            segs = [first_admitted(table, seed, 60)[0] for seed in (0, 1)]
+        for seg in segs:
+            for chi in (0.05, 0.3, 0.472, 0.9):
+                lo = int(rng.integers(-seg.n_minus, 0))
+                hi = int(rng.integers(0, seg.n_plus + 1))
+                # the whole segment spans two slabs on the +-390 fixture
+                for window in ((lo, hi), (-7, 8), (-seg.n_minus, seg.n_plus)):
+                    assert_pass_is_the_reference(seg, chi, *window)
+
+    @pytest.mark.parametrize("kind", ["stadium", "sinai", "flower", "fixture"])
+    def test_gamma_window_frames_are_the_reference(self, kind):
+        # each gamma carries the frames at its step and both neighbours
+        if kind == "fixture":
+            seg = orbit_segment(make_linear_fixture(),
+                                PhasePoint(0, 1e-170, -1e-170), 390, 390)
+        else:
+            table = {"stadium": make_stadium, "sinai": make_sinai,
+                     "flower": make_flower}[kind]()
+            seg = orbit_segment(table, first_admitted(table, 0, 60)[0].base,
+                                60, 60)
+        gammas = gammas_from_segment(seg, oseledets_splitting(seg), 0.05,
+                                     EpsilonConfig(0.01),
+                                     RegularityConstants(1.5, 0.5, 100), -6, 6)
+        want, err = reference_window(seg, oseledets_splitting(seg), 0.05,
+                                     -7, 7)
+        assert err is None
+        assert [frame_bits(g.frame) for g in gammas] == want[1:-1]
+        assert [frame_bits(fr) for g in gammas for fr in g.frames[::2]] == [
+            b for k in range(1, 14) for b in (want[k - 1], want[k + 1])]
+
+    def test_long_series_runs_on_in_a_second_block(self):
+        # at chi = 0.9 the fixture's terms shrink by e^-0.2 a step, so each
+        # series runs about 160 terms, past the first block
+        seg = orbit_segment(make_linear_fixture(),
+                            PhasePoint(0, 1e-170, -1e-170), 390, 390)
+        sp = oseledets_splitting(seg)
+        _, terms = weighted_series(sp.factor_s[seg.index(0):].tolist(), 0.9)
+        assert terms > 2 * cocycle._SERIES_BLOCK
+        assert_pass_is_the_reference(seg, 0.9, -5, 6)
+
+    def test_term_cap_is_read_at_call_time(self, monkeypatch):
+        seg = orbit_segment(make_linear_fixture(),
+                            PhasePoint(0, 1e-170, -1e-170), 40, 40)
+        monkeypatch.setattr(cocycle, "SERIES_MAX_TERMS", 5)
+        assert_pass_is_the_reference(seg, 0.9, -40, 40)
+        # and so does the one-point window of s_u_parameters
+        sp = oseledets_splitting(seg)
+        for m in (-40, 36, 40):
+            want, terms = weighted_series(sp.factor_s[seg.index(m):].tolist(),
+                                          0.9)
+            assert terms == min(5, 40 - m)
+            assert s_u_parameters(seg, sp, 0.9, at=m).s == math.sqrt(2.0 * want)
+
+    @pytest.mark.parametrize("n_minus, n_plus, chi, lo, hi, error", [
+        (200, 200, 2.0, -10, 10, SeriesDiverging),  # at the first step
+        (60, 150, 2.0, 40, 80, SeriesDiverging),  # later, in a second block
+        (100, 390, 1.1, 215, 230, OverflowError),  # math.exp overflows
+        (40, 40, 400.0, -3, 3, OverflowError),  # at the first term
+        (40, 40, 0.5, 38, 45, IndexError),  # past the segment's end
+        (40, 40, 0.5, -45, -38, IndexError),  # before its start
+    ])
+    def test_first_error_is_the_reference_error(self, n_minus, n_plus, chi,
+                                                lo, hi, error):
+        seg = orbit_segment(make_linear_fixture(),
+                            PhasePoint(0, 1e-170, -1e-170), n_minus, n_plus)
+        err = assert_pass_is_the_reference(seg, chi, lo, hi)
+        assert err is not None and err[1] is error
+
+    def test_frame_error_comes_at_its_step(self):
+        # the sinai witness of test_frame_identity_breaks_raise_bound_violated
+        table = make_sinai(scatterer_radius=0.6364995317549043)
+        x = PhasePoint(1, float.fromhex("0x1.149c2807aa328p-3"),
+                       float.fromhex("0x1.5973a83c3968dp-7"))
+        seg = orbit_segment(table, x, 60, 60)
+        err = assert_pass_is_the_reference(seg, 0.3, -12, 8)
+        assert err[1] is BoundViolated and err[0] > -12
+
+    def test_zero_factor_raises_where_the_loop_divides(self):
+        # 1.0/0.0 raises in the loop at the first u term that reads it
+        seg = orbit_segment(make_linear_fixture(),
+                            PhasePoint(0, 1e-170, -1e-170), 40, 40)
+        want = oseledets_splitting(seg)
+        got = oseledets_splitting(seg)
+        for sp in (want, got):
+            sp.factor_u[seg.index(3)] = 0.0
+        bits, err = reference_window(seg, want, 0.5, -2, 8)
+        assert err[:2] == (4, ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            frames_along(seg, got, 0.5, -2, 8)
+        assert [frame_bits(fr) for fr in frames_along(seg, got, 0.5, -2, 3)] == bits
+
+    def test_empty_window_reads_nothing(self):
+        _, seg = fixture_segment(n=20)
+        sp = oseledets_splitting(seg)
+        assert frames_along(seg, sp, math.nan, 30, 29) == []
 
 
 # --------------------------------------------------------- reduced cocycle

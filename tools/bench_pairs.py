@@ -5,9 +5,15 @@
         --claim stadium-code:setup_s --what "with ..."
 
 Exports the committed files of the parent revision with ``git archive``
-into a temporary directory, which is removed on exit, error included.  Then
-it runs ``perfbench/run.py --seconds 20`` there (the parent side) and in the
-working tree (the change side), always in the same order of work:
+into ``parent`` and the working tree into ``change``, two directories of
+one temporary directory, which is removed on exit, error included.  The
+working tree's export holds what ``git add -A`` would stage: the tracked
+files as they are on disk, uncommitted edits included, and the untracked
+files that are not ignored.  Both sides so run from paths of one length,
+since ``peak_rss_mb`` has read up to 0.5 MB apart on copies of one tree
+under different directory names.  Then it runs
+``perfbench/run.py --seconds 20`` in each export, always in the same order
+of work:
 
   * for each of seeds 0-9 in turn, one pair of each workload of
     ``BENCHMARK.json``;
@@ -152,11 +158,27 @@ def bench_file(runs: list[dict], host: dict, protocol: str,
             "runs": runs, "what": what}
 
 
-def export_revision(rev: str, dest: Path):
-    """The committed files of rev, written under dest by git archive."""
+def export_revision(root: Path, rev: str, dest: Path):
+    """The committed files of rev in the repository at root, written under
+    dest by git archive."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
-                             cwd=ROOT, capture_output=True, check=True).stdout
+                             cwd=root, capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_worktree(root: Path, dest: Path):
+    """The files of the working tree at root that ``git add -A`` would
+    stage, copied under dest: tracked files as they are on disk (one
+    deleted from disk is left out) and untracked files that are not
+    ignored."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout.decode().split("\0")
+    for name in dict.fromkeys(filter(None, names)):
+        src = root / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def main(argv=None) -> int:
@@ -184,12 +206,16 @@ def main(argv=None) -> int:
     runs = {True: [], False: []}  # parent side, change side
     host = {}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    checkouts = {True: tmp / "parent", False: tmp / "change"}  # one length
     try:
-        export_revision(args.parent, tmp)
+        for checkout in checkouts.values():
+            checkout.mkdir()
+        export_revision(ROOT, args.parent, checkouts[True])
+        export_worktree(ROOT, checkouts[False])
         for k, (workload, seed, trace, parent_first) in enumerate(plan):
             for parent in (parent_first, not parent_first):
-                record, host = run_once(tmp if parent else ROOT, workload,
-                                        seed, trace)
+                record, host = run_once(checkouts[parent], workload, seed,
+                                        trace)
                 runs[parent].append(record)
                 print(f"[{k + 1}/{len(plan)}] "
                       f"{'parent' if parent else 'change'} {workload} seed "

@@ -71,6 +71,8 @@ _ANGLE = ("the splitting's margin against CONVERGENCE_TOL, which the run "
 _QR = "the independent QR estimate that the confidence radius is taken against"
 _FACTOR = ("the completed one-step norms for callers outside cocycle, whose "
            "own readers push only the rows they read")
+_SU = ("a point's s and u without its frame, a one-point window of the "
+       "series pass that frames_along makes, pinned by tests to closed forms")
 TEST_ONLY_ALLOWED = {
     "cocycle.c_inverse_growth_check": _REPORT,
     "cocycle.nuh_diagnostics": _REPORT,
@@ -81,7 +83,9 @@ TEST_ONLY_ALLOWED = {
     "manifolds.contraction_measurement": _REPORT,
     "charts.chart_from_segment": "the one-chart constructor; coding shares "
                                  "frames between neighbours instead",
-    "cocycle.frames_along": "builds the frames the window diagnostics read",
+    "cocycle.s_u_parameters": _SU,
+    "cocycle.SUParams.s": _SU,
+    "cocycle.SUParams.u": _SU,
     "tables.fd_derivative": "the finite-difference reference that tier-1 pins "
                             "the mirror formula against",
     "tables.BilliardTable.diameter": _DIAMETER,
