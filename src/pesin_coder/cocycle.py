@@ -14,26 +14,27 @@ exponents push one vector and take the second QR diagonal entry from the
 determinant, with no QR per step.  The stable field of f is the unstable
 field of f^-1 run in reversed time, so one push function `_push` makes all
 four splitting pushes: the product through the derivatives in order, or the
-solve through them in reversed order.  Each step gives the bits of the numpy
-kernels it replaces.  With numpy 2.4 and its OpenBLAS 0.3.31 on an x86-64
-Xeon with FMA, measured against exact rational arithmetic, they round as
-fused multiply-adds (fma, one rounding of a*x + p):
-- `np.matmul` of (a, b; c, d) with (x, y) is (fma(a, x, b*y),
-  fma(c, x, d*y)), with a zero result always +0.0;
+solve through them in reversed order.  Each step computes these formulas
+with fused multiply-adds (fma, one rounding of a*x + p), which numpy 2.4 and
+its OpenBLAS 0.3.31 on an x86-64 Xeon with FMA round the same way (measured
+against exact rational arithmetic):
+- the product of (a, b; c, d) with (x, y), numpy's matmul, is
+  (fma(a, x, b*y), fma(c, x, d*y)), with a zero result always +0.0;
 - `w.dot(w)`, whose square root `np.linalg.norm` takes, is fma(y, y, x*x);
-- `np.linalg.solve` is LAPACK's dgesv: the rows swap iff |c| > |a|, then
-  l = c * (1/a), u = d - l*b, y2 = fma(-l, p, q), x2 = y2/u and
-  x1 = fma(-b, x2, p)/a for the right-hand side (p, q).
+- the solve, LAPACK's dgesv under `np.linalg.solve`: the rows swap iff
+  |c| > |a|, then l = c * (1/a), u = d - l*b, y2 = fma(-l, p, q),
+  x2 = y2/u and x1 = fma(-b, x2, p)/a for the right-hand side (p, q).
 Python 3.11 has no `math.fma`, so fma(a, x, p) is Dekker's TwoProduct: with
 Veltkamp's halves of a and x, h = fl(a*x) and its error e are exact while
 nothing underflows or overflows, and `math.fsum((h, e, p))` rounds the exact
 sum h + e + p once, to nearest even.  A zero e gives h + p and a zero p
 gives h, with no fsum.  `_fma` takes every case outside that range exactly
 (a zero product, a product too small to move p, the rest in `Fraction`), and
-a step whose matrix is out of range, or whose row is not finite, calls the
-numpy kernel itself.  So the pushes are bitwise the numpy loops on that
-platform (a test pins them on 20 000 random rows), and their bits are those
-of IEEE arithmetic, not of whichever BLAS a host links (ROADMAP item 10).
+a step whose matrix is out of range takes every fma from `_fma`.  So the
+pushes are bitwise the numpy loops on that platform (a test pins them on
+20 000 random rows), and their bits are those of IEEE arithmetic, not of
+whichever BLAS a host links (ROADMAP item 10).  A zero LU pivot, or a row
+whose norm is 0 or not finite, raises SplittingNotConverged.
 The one-step norms along the fields are elementwise, with no BLAS call;
 a test pins them bitwise to the norm of numpy's einsum product.
 A halved-window push, which measures convergence, is given the full push
@@ -61,20 +62,18 @@ depends on the past of i alone and e_s on its future, and the series at i
 read factor_s from i on and factor_u below i.  So `oseledets_splitting`
 pushes e_u from row 0 and e_s from the last row to `_FIRST_CHUNK` rows
 past the base point, which covers its convergence check and the frames
-of a gamma window, and further only through the steps that call a numpy
-kernel (`_kernel_steps`), so that their errors and warnings are raised
-there.  The halved pushes run over tails of those two pushes and slice
-their step columns.  A frame window extends e_u up to its last row and
-e_s down to its first, the exponents extend both to their trimmed range,
-and the public arrays of `Splitting` finish both pushes.  An extension
-pushes the rows asked for, and at least a chunk of `_FIRST_CHUNK` rows
-that doubles with each extension of its field; it builds step columns
-for those rows alone, kept no longer than the push, and resumes from the
-field's last row as the push left it, without normalising it again, so
-every row keeps the bits of the whole push in any order of reads.  A
-gamma window of -4..4 on the fixture's +-390 segments reads no extension:
-its pushes run 406 of the 780 rows of each whole push; the flower's
-exponents, which read rows 200..1800 of 2001, push a tenth fewer.
+of a gamma window.  The halved pushes run over tails of those two pushes
+and slice their step columns.  A reader extends a field to exactly the
+row it reads, and each reader reaches once: a frame window extends e_u
+up to its last row and e_s down to its first, the exponents extend both
+to their trimmed range, and the public arrays of `Splitting` finish both
+pushes.  An extension builds step columns for its rows alone, kept no
+longer than the push, and resumes from the field's last row as the push
+left it, without normalising it again, so every row keeps the bits of
+the whole push in any order of reads.  A gamma window of -4..4 on the
+fixture's +-390 segments reads no extension: its pushes run 406 of the
+780 rows of each whole push; the flower's exponents, which read rows
+200..1800 of 2001, push a tenth fewer.
 The s/u series of all the points of a frame window are summed in one
 numpy pass with the bits of the scalar loop (`_series_sums`), and each
 frame is assembled on Python floats.  The splitting, the series and the
@@ -84,13 +83,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .dynamics import billiard_inverse, dist_to_discontinuity
 from .errors import (
@@ -227,11 +224,11 @@ class Splitting:
 
     The fields are pushed on demand.  `oseledets_splitting` pushes e_u from
     the past end and e_s from the future end to `_FIRST_CHUNK` rows past
-    the base point; a reader in this module extends them to the rows it
-    reads (`_fields`): the frames or the s/u series at points lo..hi read
-    e_s from lo on and e_u up to hi, the exponents their trimmed range.
-    The public e_s, e_u, factor_s and factor_u finish both pushes.  Every
-    row has the bits of the whole push, whatever the order of reads.
+    the base point; a reader in this module extends them to exactly the
+    rows it reads (`_fields`): the frames or the s/u series at points
+    lo..hi read e_s from lo on and e_u up to hi, the exponents their
+    trimmed range.  The public e_s, e_u, factor_s and factor_u finish both
+    pushes.  Every row has the bits of the whole push in any order of reads.
     """
 
     convergence_angle_s: float
@@ -351,17 +348,6 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
 
 
 # ------------------------------------------------------------- splitting
-def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
-# np.linalg.solve's error settings, entered once around the stable pushes: a
-# singular step raises its LinAlgError, and an overflowing solve (inverse
-# entries near 1e308, far from any table's derivatives) gives a zero row or
-# raises that error instead of a RuntimeWarning
-_SOLVE_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore",
-                       divide="ignore", under="ignore")
-
 # Veltkamp's constant 2**27 + 1: t = _SPLIT*v, hi = t - (t - v), lo = v - hi
 # splits a double into halves of at most 26 bits, so hi*hi, hi*lo and lo*lo
 # are exact
@@ -375,9 +361,7 @@ _SPLIT = 134217729.0
 _LO, _HI = 2.0 ** -900, 2.0 ** 1000
 _BOUND = 2.0 ** 100
 # rows that the construction push of a field runs past the base row, so that
-# frames within that many steps of the base read no extension, and that the
-# first extension pushes past the rows the field holds; each later extension
-# of that field pushes twice as many
+# frames within that many steps of the base read no extension
 _FIRST_CHUNK = 16
 
 
@@ -440,11 +424,11 @@ def _product_steps(mats: np.ndarray) -> list[list]:
     return [col.tolist() for col in (ok, a, *_halves(a), b, c, *_halves(c), d)]
 
 
-def _lu(mats: np.ndarray):
-    """LAPACK's LU of each matrix: whether the float path may take the solve
-    step, the row swap, l, and the rows' b and pivots a and u.  The rows swap
-    iff |c| > |a|; then l = c * (1/a) and u = d - l*b, as dgetrf factors a
-    pivot above its safe minimum."""
+def _solve_steps(mats: np.ndarray) -> list[list]:
+    """Per-step columns of LAPACK's LU solve: whether the float path may
+    take the step, the row swap, -l and its halves, -b and its halves, and
+    the pivots a and u.  The rows swap iff |c| > |a|; then l = c * (1/a)
+    and u = d - l*b, as dgetrf factors a pivot above its safe minimum."""
     a, b, c, d = mats.reshape(len(mats), 4).T
     swap = np.abs(c) > np.abs(a)
     a, b, c, d = (np.where(swap, c, a), np.where(swap, d, b),
@@ -452,14 +436,6 @@ def _lu(mats: np.ndarray):
     l = c * (1.0 / a)
     u = d - l * b
     ok = _in_range(np.stack((a, b, l, u))).all(axis=0) & (a != 0.0) & (u != 0.0)
-    return ok, swap, l, b, a, u
-
-
-def _solve_steps(mats: np.ndarray) -> list[list]:
-    """Per-step columns of LAPACK's LU solve (see `_lu`): whether the float
-    path may take the step, the row swap, -l and its halves, -b and its
-    halves, and the pivots a and u."""
-    ok, swap, l, b, a, u = _lu(mats)
     return [col.tolist() for col in (ok, swap, -l, *_halves(-l), -b,
                                      *_halves(-b), a, u)]
 
@@ -471,54 +447,56 @@ def _steps(mats: np.ndarray, inverse: bool) -> list[list]:
         return (_solve_steps if inverse else _product_steps)(mats)
 
 
-def _kernel_steps(mats: np.ndarray, inverse: bool) -> np.ndarray:
-    """The steps of a push through `mats` that call a numpy kernel, those
-    off the float path; a NaN row passes through the kernels without a
-    warning."""
-    with np.errstate(all="ignore"):
-        if inverse:
-            return ~_lu(mats)[0]
-        return ~_in_range(mats).all(axis=(1, 2))
-
-
 def _unit(x: float, y: float) -> tuple[float, float]:
     """(x, y) over sqrt(fma(y, y, x*x)), the `ndarray.dot` norm.  A norm
-    that is 0 or not finite divides in numpy, with numpy's warnings or
-    errors; only the overflow warning of `ndarray.dot` itself is not
-    repeated."""
+    that is 0 or not finite raises SplittingNotConverged."""
     s = math.sqrt(_fma(y, y, x * x))
-    if 0.0 < s < math.inf:
-        return x / s, y / s
-    return tuple((np.array((x, y)) / s).tolist())
+    if not 0.0 < s < math.inf:
+        raise SplittingNotConverged(
+            f"push row ({x!r}, {y!r}) has norm {s!r}: no direction")
+    return x / s, y / s
 
 
-def _push(mats: np.ndarray, cols: list[list], row: tuple[float, float],
-          inverse: bool = False, out: np.ndarray | None = None,
+def _exact_step(step: tuple, x: float, y: float,
+                inverse: bool) -> tuple[float, float]:
+    """One push step off the float path: every fma of it from `_fma`."""
+    if inverse:
+        _, swap, nl, _, _, nb, _, _, a, u = step
+        if not (a and u):
+            raise SplittingNotConverged(
+                f"singular push step: LU pivots {a!r} and {u!r}")
+        p, q = (y, x) if swap else (x, y)
+        Y = _fma(nl, p, q) / u
+        return _unit(_fma(nb, Y, p) / a, Y)
+    _, a, _, _, b, c, _, _, d = step
+    return _unit(_fma(a, x, b * y) + 0.0, _fma(c, x, d * y) + 0.0)
+
+
+def _push(cols: list[list], row: tuple[float, float], inverse: bool = False,
+          out: np.ndarray | None = None,
           full: np.ndarray | None = None) -> tuple[float, float]:
-    """Push the unit row `row` through `mats` in order; return the last row.
+    """Push the unit row `row` through the matrices of the step columns
+    `cols` (`_steps`) in order; return the last row.
 
-    Row k+1 is `np.matmul(mats[k], row k)`, or with `inverse` the solve
-    `np.linalg.solve(mats[k], row k)`, divided by sqrt(w.dot(w)), all on
-    Python floats with the bits of those numpy kernels (see the module
-    docstring).  `cols` are the step columns of `mats` (`_steps`).  A step
-    that they mark as out of range calls the numpy kernel itself, under the
-    caller's error state.  `row` is not normalised again, so a push resumed
-    from its last row computes what the whole push would.  With `out`, the
-    rows computed, `row` first, are written to out[0], out[1], ... when the
-    push returns.  `full` is an earlier push over the same matrices, aligned
-    row for row, each row possibly negated: at the first row with no zero
-    entry that equals full[k] or its negation the push returns full[-1] or
-    -full[-1] (see the module docstring for why that is exact)."""
+    Row k+1 is the product of matrix k and row k, or with `inverse` the
+    solve, over sqrt(w.dot(w)), by the module docstring's fma formulas on
+    Python floats; a step off the float path takes `_exact_step`.  A
+    singular step, or a row whose norm is 0 or not finite, raises
+    SplittingNotConverged.  `row` is not normalised again, so a push
+    resumed from its last row computes what the whole push would.  With
+    `out`, the rows computed, `row` first, are written to out[0], out[1],
+    ... when the push returns.
+    `full` is an earlier push over the same matrices, aligned row for row,
+    each row possibly negated: at the first row with no zero entry that
+    equals full[k] or its negation the push returns full[-1] or -full[-1]
+    (see the module docstring for why that is exact)."""
     x, y = row
-    finite = math.isfinite(x) and math.isfinite(y)
     xs, ys = [x], [y]
     lock = None if full is None else np.abs(full[1:, 0]).tolist()
     last = None
     for k, step in enumerate(zip(*cols)):
-        if not (step[0] and finite):
-            kernel = _umath_linalg.solve1 if inverse else np.matmul
-            x, y = _unit(*kernel(mats[k], np.array((x, y))).tolist())
-            finite = math.isfinite(x) and math.isfinite(y)
+        if not step[0]:
+            x, y = _exact_step(step, x, y, inverse)
         else:
             if inverse:
                 _, swap, nl, nlh, nll, nb, nbh, nbl, a, u = step
@@ -577,7 +555,6 @@ def _push(mats: np.ndarray, cols: list[list], row: tuple[float, float],
                 x, y = X / s, Y / s
             else:
                 x, y = _unit(X, Y)
-                finite = math.isfinite(x) and math.isfinite(y)
         xs.append(x)
         ys.append(y)
         if lock is not None and abs(x) == lock[k] and x and y:
@@ -612,10 +589,10 @@ class _Field:
     `e` holds the sign-fixed rows pushed so far, rows 0..`end` (unstable) or
     `end`..n-1 (stable), and `factor[j]` = ||derivs[j] e[j]|| for each of
     them below n-1 (the seed row `end` is stored by the first push); their
-    other rows are not yet written.  `row` is row
-    `end` as the push left it, before its sign fix, and an extension resumes
-    from it.  Each push step depends on its row and its matrix alone, so
-    every row keeps the bits of the whole push, however it is extended."""
+    other rows are not yet written.  `row` is row `end` as the push left
+    it, before its sign fix, and an extension resumes from it.  Each push
+    step depends on its row and its matrix alone, so every row keeps the
+    bits of the whole push, however it is extended."""
 
     def __init__(self, derivs: np.ndarray, stable: bool):
         n = len(derivs)
@@ -625,7 +602,6 @@ class _Field:
         self.factor = np.empty(n - 1)
         self.row = _unit(*_SEED.tolist())
         self.end = n - 1 if stable else 0
-        self.chunk = _FIRST_CHUNK
         self._skip = 0  # 1 once the seed row is stored, by the first push
 
     def push_to(self, k: int) -> list[list]:
@@ -635,8 +611,7 @@ class _Field:
         mats = D[k:self.end][::-1] if self.stable else D[self.end:k]
         cols = _steps(mats, self.stable)
         out = np.empty((len(mats) + 1, 2))
-        with np.errstate(**_SOLVE_ERRSTATE) if self.stable else nullcontext():
-            self.row = _push(mats, cols, self.row, self.stable, out=out)
+        self.row = _push(cols, self.row, self.stable, out=out)
         rows = out[self._skip:]  # out[0] is row `end`, stored before
         self._skip = 1
         if self.stable:
@@ -649,30 +624,10 @@ class _Field:
         self.end = k
         return cols
 
-    def start(self, base: int) -> list[list]:
-        """Push to `chunk` rows past the base row, and further through every
-        step that calls a numpy kernel, so that the kernel's errors and
-        warnings are raised in `oseledets_splitting`; return the step
-        columns."""
-        D = self.derivs
-        if self.stable:
-            off = np.flatnonzero(_kernel_steps(D[:base], True))
-            k = max(base - self.chunk, 0)
-            return self.push_to(min(int(off[0]), k) if len(off) else k)
-        off = np.flatnonzero(_kernel_steps(D[base:-1], False))
-        k = min(base + self.chunk, len(D) - 1)
-        return self.push_to(max(base + int(off[-1]) + 1, k) if len(off) else k)
-
     def reach(self, k: int) -> None:
-        """Push to row k if the field does not hold it yet, and `chunk` rows
-        past `end` if that is further; each extension doubles `chunk`."""
-        if self.stable and k < self.end:
-            self.push_to(min(k, max(self.end - self.chunk, 0)))
-        elif not self.stable and k > self.end:
-            self.push_to(max(k, min(self.end + self.chunk, len(self.e) - 1)))
-        else:
-            return
-        self.chunk *= 2
+        """Push to row k if the field does not hold it yet."""
+        if k < self.end if self.stable else k > self.end:
+            self.push_to(k)
 
 
 def oseledets_splitting(seg: OrbitSegment) -> Splitting:
@@ -685,11 +640,12 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
     above `CONVERGENCE_TOL` the splitting is rejected.
 
     Each push runs here from its end to `_FIRST_CHUNK` rows past the base
-    point, which covers the check and the frames of a gamma window, and on
-    through every step that takes a numpy kernel, so that a kernel's error
-    or warning is raised here.  The halved pushes run over the tails of
-    those pushes and reuse their step columns.  The returned splitting
-    pushes on to the rows that its readers read.
+    point, which covers the check and the frames of a gamma window.  The
+    halved pushes run over the tails of those pushes and reuse their step
+    columns.  The returned splitting pushes on to exactly the rows that its
+    readers read.  First, a derivative that a push or the exponents read
+    (all rows but the last) with a non-finite entry or a determinant of 0
+    raises SplittingNotConverged naming its segment row.
 
     `MIN_WINDOW` is only a burn-in floor: sides at or above it can still be
     rejected, because the halving check alone decides convergence.  The
@@ -703,22 +659,29 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
             f"segment sides ({seg.n_minus}, {seg.n_plus}) below burn-in {MIN_WINDOW}")
     base = seg.n_minus
     D = seg.derivs
+    M = D[:-1]
+    with np.errstate(all="ignore"):
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    bad = np.flatnonzero(~np.isfinite(M).all(axis=(1, 2)) | (det == 0.0))
+    if len(bad):
+        i = int(bad[0])
+        raise SplittingNotConverged(
+            f"derivative at segment row {i} (step {i - base}) is singular "
+            f"or not finite: {M[i].tolist()}, det {float(det[i])!r}")
     unstable, stable = _Field(D, False), _Field(D, True)
     seed = _unit(*_SEED.tolist())
     # each halved window ends at the base point
     lo = base - seg.n_minus // 2
-    cols = unstable.start(base)
-    u_half = _push(D[lo:base], [c[lo:base] for c in cols], seed,
+    cols = unstable.push_to(min(base + _FIRST_CHUNK, len(seg) - 1))
+    u_half = _push([c[lo:base] for c in cols], seed,
                    full=unstable.e[lo:base + 1])
     hi = base + seg.n_plus - seg.n_plus // 2
     # step j of the stable push solves through D[n-2-j], so the halved
     # window D[base:hi] is its steps n-1-hi .. n-2-base
     top = len(seg) - 1 - base
-    with np.errstate(**_SOLVE_ERRSTATE):
-        cols = stable.start(base)
-        s_half = _push(D[base:hi][::-1],
-                       [c[top - (hi - base):top] for c in cols], seed,
-                       inverse=True, full=stable.e[base:hi + 1][::-1])
+    cols = stable.push_to(max(base - _FIRST_CHUNK, 0))
+    s_half = _push([c[top - (hi - base):top] for c in cols], seed,
+                   inverse=True, full=stable.e[base:hi + 1][::-1])
     ang_u = _angle_between(unstable.e[base], u_half)
     ang_s = _angle_between(stable.e[base], s_half)
     if ang_u > CONVERGENCE_TOL or ang_s > CONVERGENCE_TOL:
@@ -934,7 +897,8 @@ def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
     checked against the 2x2 inverse written out: for C = [[p, q], [r, t]],
     ||C^-1||_F = sqrt(p^2+q^2+r^2+t^2)/|pt - qr|.  A gap above 1e-10 of the
     direct value, or ||C||_F above 1, raises BoundViolated with the measured
-    and allowed values.  alpha keeps numpy's `np.dot`, because it reaches
+    and allowed values, as does a det C = pt - qr that rounds to 0 (an
+    infinite gap).  alpha keeps numpy's `np.dot`, because it reaches
     `c_inv_frob` and the outputs; an alpha that rounds to 0, below an angle
     of about 1.5e-8, raises DegenerateAngle, as a |sin alpha| below
     DEGENERATE_SIN does.
@@ -969,8 +933,12 @@ def build_frame(e_s: np.ndarray, e_u: np.ndarray, s_param: float,
     p, q, r, t = a / s, c / u, b / s, d / u
     # closed-form ||C^-1||_F must match the inverse's own (consistency check)
     norm = math.sqrt(p * p + q * q + r * r + t * t)
-    direct = norm / abs(p * t - q * r)
+    det = p * t - q * r
     closed = math.hypot(s, u) / abs(math.sin(alpha))  # c_inv_frob
+    if not det:  # the direct norm is infinite
+        raise BoundViolated("||C^-1||_F closed form minus direct", math.inf,
+                            1e-10 * max(1.0, closed))
+    direct = norm / abs(det)
     gap, allowed = abs(direct - closed), 1e-10 * max(1.0, direct)
     if not gap <= allowed:
         raise BoundViolated("||C^-1||_F closed form minus direct", gap,

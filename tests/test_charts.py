@@ -40,7 +40,7 @@ from pesin_coder.cocycle import (
     orbit_segment,
     oseledets_splitting,
 )
-from pesin_coder.dynamics import RegularityConstants, billiard_map
+from pesin_coder.dynamics import billiard_map
 from pesin_coder.errors import (
     BoundViolated,
     CornerHit,
@@ -64,10 +64,15 @@ from pesin_coder.tables import (
     make_stadium,
 )
 
-CONSTS = RegularityConstants(a=1.5, beta=0.5, K=100.0)
-CFG = EpsilonConfig(0.01)
-CHI = 0.5
-
+from helpers import (
+    CFG,
+    CHI,
+    CONSTS,
+    STADIUM_CHI,
+    TAME_C_INV,
+    TAME_RHO,
+    minimal_frame,
+)
 
 def fixture_charts(n: int = 60):
     """Charts at steps 0 and 1 of the fixture fixed-point orbit."""
@@ -89,12 +94,6 @@ def off_center_charts():
     return fx, seg, sp, ch0, ch1
 
 
-def minimal_frame(chi: float = 0.5):
-    """Orthogonal axes with the smallest admissible stretch parameters."""
-    return build_frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                       math.sqrt(2.0), math.sqrt(2.0), chi)
-
-
 def synthetic_chart(table, x: PhasePoint, eta_expo: int = 1, eps: float = 0.5,
                     rho: float = 0.3, chi: float = 0.5) -> PesinChart:
     """Large-eta chart built directly (the size validator would reject it)."""
@@ -102,12 +101,12 @@ def synthetic_chart(table, x: PhasePoint, eta_expo: int = 1, eps: float = 0.5,
     return PesinChart(table, x, minimal_frame(chi), eta, eta, rho)
 
 
-def tame_stadium_pair(seed: int = 11, c_inv_cap: float = 3.5,
-                      rho_floor: float = 1e-3):
-    """First sampled stadium point with moderate frame norms at steps 0, 1."""
+def tame_stadium_pair():
+    """First seed-11 stadium sample with tame frames and rho at steps 0, 1
+    (an orbit on component 2, not the one of `tame_stadium_window`)."""
     st = make_stadium()
-    chi = 0.472
-    rng = np.random.default_rng(seed)
+    chi = STADIUM_CHI
+    rng = np.random.default_rng(11)
     for p in st.liouville_sample(rng, 60):
         try:
             seg = orbit_segment(st, p, 60, 60)
@@ -118,8 +117,8 @@ def tame_stadium_pair(seed: int = 11, c_inv_cap: float = 3.5,
             continue
         r0 = seg.rho(0)
         r1 = seg.rho(1)
-        if max(f0.c_inv_frob, f1.c_inv_frob) < c_inv_cap and \
-                min(r0, r1) > rho_floor:
+        if max(f0.c_inv_frob, f1.c_inv_frob) < TAME_C_INV and \
+                min(r0, r1) > TAME_RHO:
             cha = chart_from_segment(seg, sp, chi, CFG, CONSTS, at=0)
             chb = chart_from_segment(seg, sp, chi, CFG, CONSTS, at=1)
             return st, seg, sp, cha, chb

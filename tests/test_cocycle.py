@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 from pesin_coder import cocycle
 from pesin_coder.accel import OK, run_orbit
@@ -101,7 +101,7 @@ def push(mats: np.ndarray, v: np.ndarray, inverse: bool = False,
          full: np.ndarray | None = None) -> np.ndarray:
     """The push of the unit vector of v through every matrix of `mats`,
     with the step columns built for all of them; its last row."""
-    return np.array(cocycle._push(mats, cocycle._steps(mats, inverse),
+    return np.array(cocycle._push(cocycle._steps(mats, inverse),
                                   cocycle._unit(*v.tolist()), inverse,
                                   out=out, full=full))
 
@@ -376,28 +376,27 @@ class TestSplitting:
             seg, _ = first_admitted(table, 1, 200)
         locks = []
         angles = []
-        with np.errstate(**cocycle._SOLVE_ERRSTATE):
-            for inverse, mats, full in halved_pushes(seg):
-                rows = np.full((len(mats) + 1, 2), np.nan)
-                whole = push(mats, cocycle._SEED, inverse, out=rows)
-                assert whole.tobytes() == push(
-                    mats, cocycle._SEED, inverse).tobytes()
-                taken = np.full((len(mats) + 1, 2), np.nan)
-                got = push(mats, cocycle._SEED, inverse, out=taken,
-                           full=full)
-                assert got.tobytes() == whole.tobytes()
-                locks.append(any(rows[k].tobytes() == full[k].tobytes()
-                                 for k in range(1, len(rows))))
-                # the exit is taken at the first row with no zero entry
-                # equal up to sign, and the push writes the rows it computed
-                exit_row = next((k for k in range(1, len(rows))
-                                 if rows[k].all() and rows[k].tobytes() in
-                                 (full[k].tobytes(), (-full[k]).tobytes())),
-                                len(mats))
-                assert np.isnan(taken[exit_row + 1:]).all()
-                assert taken[:exit_row + 1].tobytes() \
-                    == rows[:exit_row + 1].tobytes()
-                angles.append(cocycle._angle_between(full[-1], whole))
+        for inverse, mats, full in halved_pushes(seg):
+            rows = np.full((len(mats) + 1, 2), np.nan)
+            whole = push(mats, cocycle._SEED, inverse, out=rows)
+            assert whole.tobytes() == push(
+                mats, cocycle._SEED, inverse).tobytes()
+            taken = np.full((len(mats) + 1, 2), np.nan)
+            got = push(mats, cocycle._SEED, inverse, out=taken,
+                       full=full)
+            assert got.tobytes() == whole.tobytes()
+            locks.append(any(rows[k].tobytes() == full[k].tobytes()
+                             for k in range(1, len(rows))))
+            # the exit is taken at the first row with no zero entry
+            # equal up to sign, and the push writes the rows it computed
+            exit_row = next((k for k in range(1, len(rows))
+                             if rows[k].all() and rows[k].tobytes() in
+                             (full[k].tobytes(), (-full[k]).tobytes())),
+                            len(mats))
+            assert np.isnan(taken[exit_row + 1:]).all()
+            assert taken[:exit_row + 1].tobytes() \
+                == rows[:exit_row + 1].tobytes()
+            angles.append(cocycle._angle_between(full[-1], whole))
         sp = oseledets_splitting(seg)
         assert (sp.convergence_angle_u, sp.convergence_angle_s) == tuple(angles)
         if kind == "flower":
@@ -448,10 +447,12 @@ class TestSplitting:
             assert (fr.s_param, fr.u_param) == (want.s_param, want.u_param)
 
     def test_gamma_window_pushes_half_the_rows(self, monkeypatch):
-        # each construction push runs one first chunk past the base point,
+        # each construction push runs _FIRST_CHUNK rows past the base point,
         # so a -4..4 window, which reads frames at -5..6 of a +-390 fixture
         # segment, pushes no further: about half of the 2 x 780 rows of two
-        # whole pushes; the halved pushes slice the columns of the two pushes
+        # whole pushes; the halved pushes slice the columns of the two
+        # pushes, and the exponents extend each field to exactly the end of
+        # their trimmed range, rows 78..701
         seg = orbit_segment(make_linear_fixture(),
                             PhasePoint(0, 1e-170, -1e-170), 390, 390)
         built = []
@@ -466,34 +467,12 @@ class TestSplitting:
                             RegularityConstants(1.5, 0.5, 100), -4, 4)
         assert built == [406, 406]
         assert sum(built) <= 0.55 * 2 * (len(seg) - 1)
+        lyapunov_exponents(seg, sp)
+        lo, hi = 78, 780 - 1 - 78  # the trimmed range of 780 steps
+        assert built == [406, 406, 374 - lo, hi - 406]
         sp.e_u  # the public arrays finish both pushes
+        assert built[4:] == [lo, 780 - hi]
         assert sum(built) == 2 * (len(seg) - 1)
-
-    @pytest.mark.parametrize("at, kernel", [(14, "matmul"), (2, "solve1")])
-    def test_kernel_steps_past_the_base_run_in_the_splitting(
-            self, at, kernel, monkeypatch):
-        # a step off the float path calls its numpy kernel while the
-        # splitting is built, even where no reader has asked for its rows
-        # yet (past the base point: forward for e_u, backward for e_s), so
-        # the kernel's errors and warnings come from oseledets_splitting
-        derivs = np.array([np.diag([1e3, 1e-3])] * 17)
-        derivs[at] = np.diag([2.0 ** 120, 2.0 ** -120])
-        seg = OrbitSegment(make_linear_fixture(), 8, 8, [0] * 17, [0.0] * 17,
-                           [0.0] * 17, derivs)
-        calls = []
-        if kernel == "matmul":
-            matmul = np.matmul
-            monkeypatch.setattr(np, "matmul", lambda *a: calls.append(a)
-                                or matmul(*a))
-        else:
-            solve1 = _umath_linalg.solve1
-            monkeypatch.setattr(cocycle, "_umath_linalg", type(
-                "Kernels", (), {"solve1": staticmethod(
-                    lambda *a: calls.append(a) or solve1(*a))}))
-        sp = oseledets_splitting(seg)
-        assert len(calls) == 1
-        sp.e_s  # the rest of both pushes takes the float path
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", ["flower", "stadium"])
     def test_negated_lock_keeps_the_halved_angles(self, kind):
@@ -504,13 +483,12 @@ class TestSplitting:
         negated = 0
         for seed in range(8):
             seg, _ = first_admitted(table, seed, 200)
-            with np.errstate(**cocycle._SOLVE_ERRSTATE):
-                for inverse, mats, full in halved_pushes(seg):
-                    whole = push(mats, cocycle._SEED, inverse)
-                    got = push(mats, cocycle._SEED, inverse, full=full)
-                    assert cocycle._angle_between(full[-1], got).hex() \
-                        == cocycle._angle_between(full[-1], whole).hex()
-                    negated += got.tobytes() == (-full[-1]).tobytes()
+            for inverse, mats, full in halved_pushes(seg):
+                whole = push(mats, cocycle._SEED, inverse)
+                got = push(mats, cocycle._SEED, inverse, full=full)
+                assert cocycle._angle_between(full[-1], got).hex() \
+                    == cocycle._angle_between(full[-1], whole).hex()
+                negated += got.tobytes() == (-full[-1]).tobytes()
         if kind == "flower":
             assert negated > 0  # the negated exit is taken
 
@@ -537,44 +515,67 @@ class TestSplitting:
 
     @pytest.mark.parametrize("with_out", [False, True])
     def test_singular_backward_step_raises_like_linalg_solve(self, with_out):
-        # a singular step is out of the float path's range: the stable push
-        # solves it through LAPACK's gufunc under the error settings of
-        # np.linalg.solve, so it raises that error
+        # a singular step is out of the float path's range: its LU pivot u
+        # is 0, so where np.linalg.solve raises LinAlgError the stable push
+        # raises the typed error, and changes no numpy error setting
         derivs = np.array([np.diag([2.0, 0.5])] * 6)
         derivs[2] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
             np.linalg.solve(derivs[2], cocycle._SEED)
         before = np.geterr()
         out = np.empty((7, 2))[::-1] if with_out else None
-        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            with np.errstate(**cocycle._SOLVE_ERRSTATE):
-                push(derivs[::-1], cocycle._SEED, inverse=True, out=out)
+        with pytest.raises(SplittingNotConverged,
+                           match="^singular push step: LU pivots "):
+            push(derivs[::-1], cocycle._SEED, inverse=True, out=out)
         assert np.geterr() == before
 
     def test_singular_step_raises_from_the_splitting(self):
-        # oseledets_splitting enters those settings around the stable pushes
+        # oseledets_splitting checks every derivative before it pushes
         fx = make_linear_fixture()
         derivs = np.array([np.diag([2.0, 0.5])] * 9)
         derivs[2] = [[1.0, 2.0], [2.0, 4.0]]
         seg = OrbitSegment(fx, 4, 4, [0] * 9, [0.0] * 9, [0.0] * 9, derivs)
         before = np.geterr()
-        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        with pytest.raises(SplittingNotConverged,
+                           match=r"^derivative at segment row 2 \(step -2\) is "
+                                 r"singular or not finite: \[\[1\.0, 2\.0\], "
+                                 r"\[2\.0, 4\.0\]\], det 0\.0$"):
             oseledets_splitting(seg)
         assert np.geterr() == before
 
-    def test_solve1_is_bitwise_linalg_solve(self):
-        # the stable push calls the gufunc without np.linalg.solve's wrapper
-        rng = np.random.default_rng(13)
-        n = 20000
-        mats = rng.standard_normal((n, 2, 2)) \
-            * np.exp(rng.uniform(-20.0, 20.0, (n, 1, 1)))
-        rows = rng.standard_normal((n, 2)) \
-            * np.exp(rng.uniform(-20.0, 20.0, (n, 1)))
-        want = np.array([np.linalg.solve(D, w) for D, w in zip(mats, rows)])
-        with np.errstate(**cocycle._SOLVE_ERRSTATE):
-            got = np.array([_umath_linalg.solve1(D, w)
-                            for D, w in zip(mats, rows)])
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("bad", ["singular", "inf", "nan"])
+    @pytest.mark.parametrize("side, row", [(8, 10), (40, 3)])
+    def test_bad_derivative_raises_naming_its_row(self, bad, side, row):
+        # a derivative that is singular or not finite, at a row that the
+        # construction pushes cross (of a +-8 segment) or at one that only
+        # the readers would reach (row 3 of a +-40 segment, below the
+        # stable construction push and first met by the exponents' own
+        # push), is refused by name before anything reads it; nothing raw
+        # comes out of the splitting or its readers, warnings as errors
+        n = 2 * side + 1
+        derivs = np.array([np.diag([1e3, 1e-3])] * n)
+        derivs[row] = {"singular": [[1.0, 2.0], [2.0, 4.0]],
+                       "inf": [[math.inf, 0.0], [0.0, 1.0]],
+                       "nan": [[1.0, math.nan], [0.0, 1.0]]}[bad]
+        seg = OrbitSegment(make_linear_fixture(), side, side, [0] * n,
+                           [0.0] * n, [0.0] * n, derivs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SplittingNotConverged,
+                               match=f"^derivative at segment row {row} "
+                                     f"\\(step {row - side}\\) "):
+                sp = oseledets_splitting(seg)
+                frames_along(seg, sp, 0.5, -side, side)
+                lyapunov_exponents(seg, sp)
+                sp.e_s
+            # the last row's derivative, from the probe step, is read by
+            # none of them
+            derivs[row] = derivs[0]
+            derivs[-1] = [[1.0, 2.0], [2.0, 4.0]]
+            sp = oseledets_splitting(seg)
+            frames_along(seg, sp, 0.5, -side, side)
+            lyapunov_exponents(seg, sp)
+            assert np.isfinite(sp.e_s).all()
 
     def test_fix_sign_rule(self):
         rows = [(0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0),
@@ -634,16 +635,16 @@ def exact_step(m, x: float, y: float, inverse: bool) -> tuple[float, float]:
 
 
 def numpy_push(mats: np.ndarray, v: np.ndarray, inverse: bool) -> np.ndarray:
-    """Every row of the push as numpy computes it: `np.matmul` or the LAPACK
-    solve per step, over sqrt(w.dot(w))."""
-    step = _umath_linalg.solve1 if inverse else np.matmul
+    """Every row of the push as numpy computes it: `np.matmul` or
+    `np.linalg.solve`, under its own error settings, per step, over
+    sqrt(w.dot(w))."""
+    step = np.linalg.solve if inverse else np.matmul
     w = v / math.sqrt(v.dot(v))
     rows = [w]
-    with np.errstate(**cocycle._SOLVE_ERRSTATE):
-        for M in mats:
-            w = step(M, w)
-            w /= math.sqrt(w.dot(w))
-            rows.append(w)
+    for M in mats:
+        w = step(M, w)
+        w /= math.sqrt(w.dot(w))
+        rows.append(w)
     return np.array(rows)
 
 
@@ -652,7 +653,7 @@ def push_rows(rng, kind: str, n: int) -> np.ndarray:
     if kind == "random":
         return rng.standard_normal((n, 2, 2)) \
             * np.exp(rng.uniform(-20.0, 20.0, (n, 1, 1)))
-    if kind == "wide":  # past the float path's range: numpy and _fma steps
+    if kind == "wide":  # past the float path's range: `_fma` steps
         return rng.standard_normal((n, 2, 2)) \
             * np.exp(rng.uniform(-300.0, 300.0, (n, 2, 2)))
     if kind == "diagonal":  # the row's small entry goes subnormal, then 0
@@ -675,17 +676,18 @@ def push_rows(rng, kind: str, n: int) -> np.ndarray:
 class TestFloatPush:
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("kind", ["random", "diagonal", "near_singular",
-                                      "zeros"])
+                                      "zeros", "wide"])
     def test_push_is_the_exact_fma_formulas(self, kind, inverse):
-        # portable: on any IEEE platform the float push computes the
-        # docstring's formulas with each fma rounded once
+        # portable: on any IEEE platform the push computes the docstring's
+        # formulas with each fma rounded once, on the float path and off it
         rng = np.random.default_rng(["random", "diagonal", "near_singular",
-                                     "zeros"].index(kind))
+                                     "zeros", "wide"].index(kind))
         mats = push_rows(rng, kind, 800 if kind == "diagonal" else 300)
-        with np.errstate(all="ignore"):
-            steps = (cocycle._solve_steps if inverse
-                     else cocycle._product_steps)(mats)
-        assert all(steps[0])  # every step takes the float path
+        on_path = cocycle._steps(mats, inverse)[0]
+        if kind == "wide":  # steps off the float path take `_fma` alone
+            assert not all(on_path)
+        else:
+            assert all(on_path)  # every step takes the float path
         for v in (cocycle._SEED, -cocycle._SEED,
                   rng.standard_normal(2) * 1e-30):
             rows = np.empty((len(mats) + 1, 2))
@@ -700,6 +702,28 @@ class TestFloatPush:
             small = np.abs(rows).min(axis=1)
             assert np.count_nonzero((0.0 < small) & (small < 2.0 ** -1022)) > 10
             assert (small == 0.0).any()
+
+    def test_singular_steps_and_zero_rows_raise(self):
+        # a singular solve step off the float path (a zero LU pivot), a
+        # product that maps the row to 0 and one whose norm overflows each
+        # raise the typed error, as does a row whose norm is 0 or not finite
+        pivot_zero = np.array([[[0.0, 1.0], [0.0, 1.0]]])
+        assert cocycle._steps(pivot_zero, True)[0] == [False]
+        with pytest.raises(SplittingNotConverged,
+                           match="^singular push step: LU pivots 0.0 and "):
+            push(pivot_zero, cocycle._SEED, inverse=True)
+        rank_one = np.array([[[1.0, -1.0], [2.0, -2.0]]])
+        assert cocycle._steps(rank_one, False)[0] == [True]
+        with pytest.raises(SplittingNotConverged,
+                           match=r"^push row \(0\.0, 0\.0\) has norm 0\.0"):
+            push(rank_one, np.array([1.0, 1.0]))
+        huge = np.full((1, 2, 2), 1e300)
+        assert cocycle._steps(huge, False)[0] == [False]
+        with pytest.raises(SplittingNotConverged, match="has norm inf"):
+            push(huge, cocycle._SEED)
+        for row in ((0.0, 0.0), (math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(SplittingNotConverged, match="has norm"):
+                cocycle._unit(*row)
 
     def test_fma_is_exact(self):
         edge = [0.0, -0.0, 1.5, -2.25, 0.1, 3.0 * 2.0 ** -1074, -5e-324,
@@ -733,8 +757,7 @@ class TestFloatPush:
         for mats in pushes:
             for inverse in (False, True):
                 rows = np.empty((len(mats) + 1, 2))
-                with np.errstate(**cocycle._SOLVE_ERRSTATE):
-                    push(mats, cocycle._SEED, inverse, out=rows)
+                push(mats, cocycle._SEED, inverse, out=rows)
                 want = numpy_push(mats, cocycle._SEED, inverse)
                 assert rows.tobytes() == want.tobytes()
 
@@ -756,9 +779,8 @@ def halved_pushes(seg: OrbitSegment):
     e_s = np.empty((n, 2))
     lo = base - seg.n_minus // 2
     hi = base + seg.n_plus - seg.n_plus // 2
-    with np.errstate(**cocycle._SOLVE_ERRSTATE):
-        push(D[:n - 1], cocycle._SEED, out=e_u)
-        push(D[:n - 1][::-1], cocycle._SEED, inverse=True, out=e_s[::-1])
+    push(D[:n - 1], cocycle._SEED, out=e_u)
+    push(D[:n - 1][::-1], cocycle._SEED, inverse=True, out=e_s[::-1])
     return ((False, D[lo:base], e_u[lo:base + 1]),
             (True, D[base:hi][::-1], e_s[base:hi + 1][::-1]))
 
@@ -1027,6 +1049,18 @@ class TestFrames:
                            (math.nan, 2.0, "s_param")):
             with pytest.raises(ValueError, match=rf"^{name} must be finite, "):
                 build_frame(e1, e2, s, u, 0.5)
+
+    def test_singular_c_is_a_bound_violation(self):
+        # s = u = 1e200 make det C = pt - qr underflow to 0, so the direct
+        # ||C^-1||_F divided by zero; at 1e160 the gap check already fails
+        e1, e2 = [1.0, 0.0], [0.0, 1.0]
+        with pytest.raises(BoundViolated, match="closed form") as err:
+            build_frame(e1, e2, 1e200, 1e200, 0.5)
+        assert err.value.measured == math.inf
+        assert err.value.allowed == 1e-10 * math.hypot(1e200, 1e200)
+        with pytest.raises(BoundViolated, match="closed form") as err:
+            build_frame(e1, e2, 1e160, 1e160, 0.5)
+        assert err.value.allowed < err.value.measured < math.inf
 
     def test_alpha_that_rounds_to_zero_is_degenerate(self):
         # |sin alpha| = 1e-10 passes DEGENERATE_SIN, but e_s . e_u rounds to

@@ -26,7 +26,6 @@ import pytest
 
 import pesin_coder.coding as coding
 from pesin_coder.cocycle import (
-    build_frame,
     lyapunov_exponents,
     orbit_segment,
     oseledets_splitting,
@@ -58,8 +57,9 @@ from pesin_coder.coding import (
     sigma_sharp_filter,
     sufficiency_itinerary,
 )
-from pesin_coder.dynamics import RegularityConstants, billiard_map
+from pesin_coder.dynamics import billiard_map
 from pesin_coder.errors import (
+    BoundViolated,
     DiagnosticFailed,
     EmptyAlphabet,
     InequalityViolated,
@@ -68,7 +68,6 @@ from pesin_coder.errors import (
     SeriesDiverging,
     SplittingNotConverged,
 )
-from pesin_coder.lattice import EpsilonConfig
 from pesin_coder.tables import (
     PhasePoint,
     make_flower,
@@ -77,10 +76,14 @@ from pesin_coder.tables import (
     make_stadium,
 )
 
-CONSTS = RegularityConstants(a=1.5, beta=0.5, K=100.0)
-CFG = EpsilonConfig(0.01)
-CHI = 0.5
-STADIUM_CHI = 0.472
+from helpers import (
+    CFG,
+    CHI,
+    CONSTS,
+    STADIUM_CHI,
+    minimal_frame,
+    tame_stadium_window,
+)
 
 # frozen fixture lattice data (eps = 0.01, fixed point of the linear map)
 FIX_Q_EXPO = 92949          # log Q = -309.83
@@ -143,25 +146,15 @@ def test_gamma_window_reads_only_its_distances(monkeypatch):
 
 def stadium_gammas():
     """Tame stadium window (seed 11 orbit), memoized across tests."""
-    if "stadium" not in _CACHE:
-        st = make_stadium()
-        rng = np.random.default_rng(11)
-        for p in st.liouville_sample(rng, 200):
-            try:
-                seg = orbit_segment(st, p, 60, 60)
-                sp = oseledets_splitting(seg)
-                gam = gammas_from_segment(seg, sp, STADIUM_CHI, CFG, CONSTS,
-                                          -6, 6)
-            except (OrbitHitsDiscontinuity, SplittingNotConverged,
-                    SeriesDiverging, ValueError):
-                continue
-            if max(g.frame.c_inv_frob for g in gam) < 3.5 and \
-                    min(g.rho for g in gam) > 1e-3:
-                break
-        else:
-            raise RuntimeError("no tame stadium window found")
-        _CACHE["stadium"] = (st, gam)
-    return _CACHE["stadium"]
+    st, _, _, gam = tame_stadium_window()
+    return st, gam
+
+
+def test_tame_stadium_window_is_the_pinned_orbit():
+    # the stadium windows of these tests and of the manifold tests build
+    # from one search, which lands on this orbit
+    _, seg, _, _ = tame_stadium_window()
+    assert seg.base == PhasePoint(1, 2.481042998575038, -0.525515148130097)
 
 
 def stadium_alphabet():
@@ -171,16 +164,11 @@ def stadium_alphabet():
     return _CACHE["stadium_alpha"]
 
 
-def diag_frame(chi: float = CHI):
-    return build_frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                       math.sqrt(2.0), math.sqrt(2.0), chi)
-
-
 def synthetic_gamma(x: float = 0.0, expo: int = FIX_Q_EXPO,
                     dist: float = 0.3):
     """Hand-built gamma (bypasses the orbit pipeline) for net geometry."""
     fx = make_linear_fixture()
-    fr = diag_frame()
+    fr = minimal_frame()
     Q = CFG.size(expo)
     pt = PhasePoint(0, x, 0.0)
     return GammaPoint(fx, (pt, pt, pt), (fr, fr, fr), (Q, Q, Q),
@@ -1052,6 +1040,19 @@ def test_load_refuses_malformed_files(tmp_path, message, corrupt):
     save_alphabet(alpha, f)
     f.write_text(json.dumps(corrupt(json.loads(f.read_text()))))
     with pytest.raises(ValueError, match=re.escape(message)):
+        load_alphabet(f)
+
+
+@pytest.mark.parametrize("stretch", [1e160, 1e200])
+def test_load_refuses_a_frame_that_breaks_its_bounds(tmp_path, stretch):
+    # s = u = 1e200 make det C underflow to 0; it raises as 1e160 does
+    alpha = fixture_alphabet(0.0, H)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    doc["centers"][0]["frames"][1][4:6] = [stretch, stretch]
+    f.write_text(json.dumps(doc))
+    with pytest.raises(BoundViolated, match="closed form"):
         load_alphabet(f)
 
 

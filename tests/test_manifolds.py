@@ -10,6 +10,7 @@ hand-built edge models, where every bound is asserted at its stated value.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
@@ -25,16 +26,8 @@ from pesin_coder.charts import (
     chart_from_segment,
     greedy_q,
 )
-from pesin_coder.cocycle import (
-    build_frame,
-    orbit_segment,
-    oseledets_splitting,
-)
-from pesin_coder.dynamics import (
-    RegularityConstants,
-    billiard_inverse,
-    billiard_map,
-)
+from pesin_coder.cocycle import orbit_segment, oseledets_splitting
+from pesin_coder.dynamics import billiard_inverse, billiard_map
 from pesin_coder.errors import (
     AdmissibilityViolated,
     ContractionViolated,
@@ -42,12 +35,9 @@ from pesin_coder.errors import (
     GraphFolded,
     MultipleIntersections,
     NoIntersection,
-    OrbitHitsDiscontinuity,
-    SeriesDiverging,
     ShadowEscape,
-    SplittingNotConverged,
 )
-from pesin_coder.lattice import EpsilonConfig, LatticeSize
+from pesin_coder.lattice import LatticeSize
 from pesin_coder.manifolds import (
     MANIFOLD_GRID_N,
     TAU,
@@ -69,10 +59,15 @@ from pesin_coder.manifolds import (
 )
 from pesin_coder.tables import PhasePoint, make_linear_fixture, make_stadium
 
-CONSTS = RegularityConstants(a=1.5, beta=0.5, K=100.0)
-CFG = EpsilonConfig(0.01)
-CHI = 0.5
-STADIUM_CHI = 0.472
+from helpers import (
+    CFG,
+    CHI,
+    CONSTS,
+    STADIUM_CHI,
+    minimal_frame,
+    tame_stadium_window,
+)
+
 
 
 def fixture_vertex(n: int = 60):
@@ -82,11 +77,6 @@ def fixture_vertex(n: int = 60):
     sp = oseledets_splitting(seg)
     ch = chart_from_segment(seg, sp, CHI, CFG, CONSTS, at=0)
     return fx, PathVertex(ch, ch.Q, ch.Q)
-
-
-def minimal_frame(chi: float = CHI):
-    return build_frame(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                       math.sqrt(2.0), math.sqrt(2.0), chi)
 
 
 def synthetic_vertex(eta_expo: int = 1, eps: float = 0.5, rho: float = 0.3,
@@ -117,38 +107,16 @@ def manual_edge(A: float, B: float, h0=(0.0, 0.0),
         holder_const=0.0, holder_half=0.0, df_sup=abs(B))
 
 
-_STADIUM_CACHE: dict = {}
-
-
-def stadium_path(lo: int = -6, hi: int = 6):
-    """Tame stadium chart path (seed 11 orbit), memoized across tests."""
-    key = (lo, hi)
-    if key in _STADIUM_CACHE:
-        return _STADIUM_CACHE[key]
-    st = make_stadium()
-    rng = np.random.default_rng(11)
-    from pesin_coder.cocycle import frame_at
-    for p in st.liouville_sample(rng, 200):
-        try:
-            seg = orbit_segment(st, p, 60, 60)
-            sp = oseledets_splitting(seg)
-            frames = [frame_at(seg, sp, STADIUM_CHI, at=k)
-                      for k in range(lo, hi + 2)]
-        except (OrbitHitsDiscontinuity, SplittingNotConverged,
-                SeriesDiverging):
-            continue
-        rhos = [seg.rho(k) for k in range(lo, hi + 2)]
-        if max(f.c_inv_frob for f in frames) < 3.5 and min(rhos) > 1e-3:
-            break
-    else:
-        raise RuntimeError("no tame stadium window found")
+@functools.cache
+def stadium_path():
+    """Chart path of the tame stadium window (seed 11 orbit), -6..6,
+    memoized across tests."""
+    st, seg, sp, _ = tame_stadium_window()
     charts = [chart_from_segment(seg, sp, STADIUM_CHI, CFG, CONSTS, at=k)
-              for k in range(lo, hi + 1)]
+              for k in range(-6, 7)]
     qs = greedy_q([c.Q for c in charts], CFG)
     verts = [PathVertex(c, q, q) for c, q in zip(charts, qs.q)]
-    path = path_from_vertices(verts, CONSTS, base_index=-lo)
-    _STADIUM_CACHE[key] = (st, path)
-    return st, path
+    return st, path_from_vertices(verts, CONSTS, base_index=6)
 
 
 # ------------------------------------------------------------- validation

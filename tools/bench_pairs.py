@@ -73,12 +73,12 @@ def schedule(workloads, seeds, traced_seed, claim_workload, extra_seeds):
     return [(w, s, t, k % 2 == 0) for k, (w, s, t) in enumerate(pairs)]
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             trace: int) -> tuple[dict, dict]:
+def run_once(checkout: Path, workload: str, seed: int, trace: int,
+             seconds) -> tuple[dict, dict]:
     """One run.py run in checkout: its run record and host fingerprint."""
     proc = subprocess.run(
         [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
@@ -86,7 +86,7 @@ def run_once(checkout: Path, workload: str, seed: int,
                            f"(exit {proc.returncode}): {proc.stderr[-2000:]}")
     report = json.loads(lines[-2])["report"]
     record = {"reference": report["reference"],
-              "result": json.loads(lines[-1]), "seconds": SECONDS,
+              "result": json.loads(lines[-1]), "seconds": seconds,
               "seed": seed, "trace": trace, "workload": workload}
     return record, report["fingerprint"]
 
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
         for k, (workload, seed, trace, parent_first) in enumerate(plan):
             for parent in (parent_first, not parent_first):
                 record, host = run_once(checkouts[parent], workload, seed,
-                                        trace)
+                                        trace, SECONDS)
                 runs[parent].append(record)
                 print(f"[{k + 1}/{len(plan)}] "
                       f"{'parent' if parent else 'change'} {workload} seed "
