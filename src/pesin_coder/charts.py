@@ -149,23 +149,23 @@ def build_pesin_chart(table, x: PhasePoint, frame: HyperbolicFrame,
                       Q: LatticeSize, rho_x: float, cfg: EpsilonConfig,
                       consts: RegularityConstants,
                       eta: LatticeSize) -> PesinChart:
-    """Assemble a chart and verify the size bounds (log-space, exact)."""
+    """Assemble a chart and check the size bounds, which a NaN fails."""
     if not eta <= Q:
         raise ValueError("chart half-width eta must not exceed Q")
     b = consts.beta
     log_eps = math.log(cfg.eps)
     slack = 1e-9
-    if Q.log_value > (3.0 / b) * log_eps + slack:
+    if not Q.log_value <= (3.0 / b) * log_eps + slack:
         raise ValueError(
             f"Q bound broken: log Q = {Q.log_value:.6g} exceeds "
             f"(3/beta) log eps = {(3.0 / b) * log_eps:.6g}")
     lhs = math.log(frame.c_inv_frob) + (b / 24.0) * Q.log_value
-    if lhs > log_eps / 8.0 + slack:
+    if not lhs <= log_eps / 8.0 + slack:
         raise ValueError(
             f"pinching bound broken: log(||C^-1|| Q^(beta/24)) = {lhs:.6g} "
             f"exceeds (1/8) log eps = {log_eps / 8.0:.6g}")
     lhs = -consts.a * math.log(rho_x) + (b / 72.0) * Q.log_value
-    if lhs >= log_eps / 24.0 + slack:
+    if not lhs < log_eps / 24.0 + slack:
         raise ValueError(
             f"singularity bound broken: log(rho^-a Q^(beta/72)) = {lhs:.6g} "
             f"not below (1/24) log eps = {log_eps / 24.0:.6g}")

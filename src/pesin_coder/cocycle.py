@@ -75,9 +75,13 @@ fixture's +-390 segments reads no extension: its pushes run 406 of the
 780 rows of each whole push; the flower's exponents, which read rows
 200..1800 of 2001, push a tenth fewer.
 The s/u series of all the points of a frame window are summed in one
-numpy pass with the bits of the scalar loop (`_series_sums`), and each
-frame is assembled on Python floats.  The splitting, the series and the
-frames keep every bit; the QR means move in their last bits only.
+numpy pass with the bits of the scalar loop (`_series_sums`), in blocks
+of terms whose size bounds its memory and moves no bit.  A series stops
+with SeriesDiverging wherever its partial sum is not <= SERIES_SUM_CAP,
+which also takes a weight past `math.exp`'s range and a zero factor (both
+enter as inf).  Each frame is assembled on Python floats.  The
+splitting, the series and the frames keep every bit; the QR means move in
+their last bits only.
 """
 from __future__ import annotations
 
@@ -152,8 +156,8 @@ class OrbitSegment:
     returns them.  Index 0 of the columns and of `derivs` is n = -n_minus;
     the base point sits at index `n_minus`.  `derivs[i]` is df at point i
     (for the last point, computed from a probe step that is not part of the
-    segment).  `point(n)` and `base` build the one `PhasePoint` they return,
-    so a long orbit read only through its derivatives builds none.
+    segment).  `point(n)` builds the one `PhasePoint` it returns, so a long
+    orbit read only through its derivatives builds none.
 
     Distances to the discontinuity set are computed on first request and
     kept: `dist(n)` is d(f^n x, D), also at the two padding points
@@ -185,10 +189,6 @@ class OrbitSegment:
     def point(self, n: int) -> PhasePoint:
         i = self.index(n)
         return PhasePoint(self.comps[i], self.rs[i], self.thetas[i])
-
-    @property
-    def base(self) -> PhasePoint:
-        return self.point(0)
 
     def dist(self, n: int) -> float:
         """Distance of f^n x to D, for n in [-n_minus-1, n_plus+1]."""
@@ -751,12 +751,18 @@ def lyapunov_exponents(seg: OrbitSegment, splitting: Splitting
 
 # --------------------------------------------------------------- s, u series
 # terms in the first block of a series pass (a stadium series stops after
-# 30 in the median); each later block doubles while its arrays hold at most
-# _SERIES_ENTRIES entries
+# 30 in the median); each later block doubles, and no block's arrays hold
+# more than _SERIES_ENTRIES entries
 _SERIES_BLOCK = 64
 _SERIES_ENTRIES = 1 << 16
-# points of a frame window whose series one pass sums
-_SLAB = 512
+
+
+def _weight(n: int, chi: float) -> float:
+    """e^(2n chi) from scalar `math`; inf past its range."""
+    try:
+        return math.exp(2.0 * n * chi)
+    except OverflowError:
+        return math.inf
 
 
 def _series_sums(stable: _Field, unstable: _Field, chi: float, lo: int,
@@ -769,81 +775,62 @@ def _series_sums(stable: _Field, unstable: _Field, chi: float, lo: int,
     u (df maps the unstable field to itself up to sign, so that is
     ||df^-1 e_u|| at row i-n+1).  Each row keeps the bits of the scalar
     loop over its terms, which the tests keep as the reference: c_n by
-    `np.multiply.accumulate`, the term as e * c_n * c_n with
-    e = math.exp(2.0 * n * chi) from `math`, the partial sums by
-    `np.add.accumulate` from 1.0.  The loop stops at the first n where the
-    segment has no factor left (returning the partial sum), a factor_u is
-    0.0 (1.0/0.0 raises ZeroDivisionError), `math.exp` overflows
-    (OverflowError), the partial sum passes SERIES_SUM_CAP (SeriesDiverging),
-    the term is below SERIES_TERM_CUTOFF of it or n reaches SERIES_MAX_TERMS,
-    read at call time (both returning the partial sum); so does each row.
-    Rows still running after a block of terms go on from their n, c_n and
-    partial sum in a block twice as long.  An entry is the partial sum
-    where the loop returns, or the exception it raises, not raised."""
+    `np.multiply.accumulate`, the term as e * c_n * c_n with e = `_weight`,
+    the partial sums by `np.add.accumulate` from 1.0.  A row's entry is its
+    partial sum at the first n where the segment has no factor left, the
+    term is below SERIES_TERM_CUTOFF of it or n reaches SERIES_MAX_TERMS,
+    read at call time; or a SeriesDiverging, not raised, at the first n
+    where it is not <= SERIES_SUM_CAP: growth, a weight past `math.exp`'s
+    range (inf), a zero factor_u (1/0 = inf) or a NaN.  Rows still running
+    after a block of terms go on from their n, c_n and partial sum in a
+    block twice as long, and no block holds more than `_SERIES_ENTRIES`
+    entries; the blocks move no bit."""
     fs, fu = stable.factor, unstable.factor
     pts = np.arange(lo, hi + 1)
-    sums = np.empty(2 * len(pts))
-    raised = {}  # entry: the exception the loop raises there
+    sums = np.empty(2 * len(pts), dtype=object)  # a float or the error
     slot = np.arange(len(sums))  # the entry of each running row
     pos = np.concatenate((pts, pts - 1))  # its next factor, up for s, down for u
     left = np.concatenate((len(fs) - pts, pts))  # its factors not yet read
     c, p = np.ones(len(sums)), np.ones(len(sums))
     ns = len(pts)  # the running s rows come first
     cap = max(SERIES_MAX_TERMS, 1)  # the loop stops after this term at most
-    weights = []  # math.exp(2.0 * n * chi) for n = 1, 2, ... until overflow
     n0, size = 0, _SERIES_BLOCK
     with np.errstate(all="ignore"):  # Python floats warn of nothing
         while True:
-            size = max(min(size, cap - n0, int(left.max())), 1)
-            try:
-                for n in range(len(weights) + 1, n0 + size + 1):
-                    weights.append(math.exp(2.0 * n * chi))
-            except OverflowError:  # no row reads a weight past it
-                pass
-            w = np.array(weights[n0:] + [1.0] * (n0 + size - len(weights)))
+            size = max(min(size, cap - n0, int(left.max()),
+                           _SERIES_ENTRIES // len(slot)), 1)
+            w = np.array([_weight(n, chi)
+                          for n in range(n0 + 1, n0 + size + 1)])
             # column j holds row j's terms, under its carried c and partial
             ar = np.arange(size)[:, None]
             g = np.empty((size + 1, len(slot)))
             g[0] = c
             g[1:, :ns] = fs.take(pos[:ns] + ar, mode="clip")
-            raw = fu.take(pos[ns:] - ar, mode="clip")
-            np.divide(1.0, raw, out=g[1:, ns:])
+            np.divide(1.0, fu.take(pos[ns:] - ar, mode="clip"),
+                      out=g[1:, ns:])
             cs = np.multiply.accumulate(g, axis=0)
             t = np.empty_like(g)
             t[0] = p
             np.multiply(w[:, None] * cs[1:], cs[1:], out=t[1:])
             ps = np.add.accumulate(t, axis=0)
-            stop = (ps[1:] > SERIES_SUM_CAP) | (t[1:] < SERIES_TERM_CUTOFF * ps[1:])
+            stop = (~(ps[1:] <= SERIES_SUM_CAP)
+                    | (t[1:] < SERIES_TERM_CUTOFF * ps[1:]))
             if n0 + size == cap:
                 stop[-1] = True
-            # each row's terms before its first factor missing, zero or
-            # overflowing: the loop reaches none of them
-            hard = np.minimum(left, len(weights) - n0)
-            zeros = raw == 0.0
-            if zeros.any():
-                hard[ns:] = np.minimum(hard[ns:], np.where(
-                    zeros.any(axis=0), zeros.argmax(axis=0), size))
+            # a row stops at its first stop before its factors run out,
+            # returns the partial sum where they run out, or runs on
             first = stop.argmax(axis=0)
             rows = np.arange(len(slot))
-            hit = stop[first, rows] & (first < hard)
-            # a stop returns its partial sum, a missing factor the partial
-            # sum before it; a zero factor or an overflow raises, and a row
-            # with none of these in the block runs on
-            val = np.where(hit, ps[first + 1, rows], ps[hard, rows])
-            go = ~hit & (hard == size) & (left > size)
+            hit = stop[first, rows] & (first < left)
+            val = np.where(hit, ps[first + 1, rows],
+                           ps[np.minimum(left, size), rows])
+            go = ~hit & (left > size)
             sums[slot[~go]] = val[~go]
-            bad = np.where(hit, val > SERIES_SUM_CAP, hard < left) & ~go
-            for j in np.flatnonzero(bad).tolist():
-                if hit[j]:
-                    raised[int(slot[j])] = SeriesDiverging(
-                        f"partial sum {val[j]:.3e} exceeds cap "
-                        f"{SERIES_SUM_CAP:.1e} after {n0 + first[j] + 1} "
-                        f"terms (chi={chi} too large here)")
-                elif j >= ns and raw[hard[j], j - ns] == 0.0:
-                    raised[int(slot[j])] = ZeroDivisionError(
-                        "float division by zero")
-                else:
-                    raised[int(slot[j])] = OverflowError("math range error")
+            for j in np.flatnonzero(hit & ~(val <= SERIES_SUM_CAP)).tolist():
+                sums[slot[j]] = SeriesDiverging(
+                    f"partial sum {val[j]:.3e} exceeds cap "
+                    f"{SERIES_SUM_CAP:.1e} after {n0 + first[j] + 1} "
+                    f"terms (chi={chi} too large here)")
             if not go.any():
                 break
             pos[:ns] += size
@@ -852,12 +839,8 @@ def _series_sums(stable: _Field, unstable: _Field, chi: float, lo: int,
             slot, pos, left = slot[go], pos[go], left[go] - size
             c, p = cs[size, go], ps[size, go]
             n0 += size
-            size = min(2 * size, max(_SERIES_BLOCK,
-                                     _SERIES_ENTRIES // len(slot)))
-    out = sums.tolist()
-    for k, err in raised.items():
-        out[k] = err
-    return out
+            size *= 2
+    return sums.tolist()
 
 
 def _params(ssum, usum) -> tuple[float, float]:
@@ -960,28 +943,25 @@ def frames_along(seg: OrbitSegment, splitting: Splitting, chi: float,
                  lo: int, hi: int) -> list[HyperbolicFrame]:
     """Frames at relative steps lo..hi inclusive.
 
-    The fields are pushed over the window once, the s and u series of its
-    points are summed together (`_series_sums`), in slabs of `_SLAB`
-    points, and each frame is assembled on Python floats (`build_frame`).
-    Every frame has the bits, and every error the class, the message and
-    the point, of building the frames one step at a time in order: at each
-    step the s series, the u series, then `build_frame`."""
-    frames = []
+    A step outside the segment raises IndexError before any work.  The
+    fields are pushed over the window once, the s and u series of all its
+    points are summed in one pass (`_series_sums`), and each frame is
+    assembled on Python floats (`build_frame`).  Every frame has the bits,
+    and every error the class, the message and the point, of building the
+    frames one step at a time in order: at each step the s series, the u
+    series, then `build_frame`."""
     if hi < lo:
-        return frames
+        return []
     if not chi > 0:
         raise ValueError(f"chi must be positive, got chi={chi!r}")
-    first, last = seg.index(lo), seg.index(min(hi, seg.n_plus))
+    first, last = seg.index(lo), seg.index(hi)
     stable, unstable = splitting._fields(first, last)
-    for a in range(first, last + 1, _SLAB):
-        b = min(a + _SLAB, last + 1)
-        sums = _series_sums(stable, unstable, chi, a, b - 1)
-        for k, (e_s, e_u) in enumerate(zip(stable.e[a:b], unstable.e[a:b])):
-            s, u = _params(sums[k], sums[b - a + k])
-            frames.append(build_frame(e_s, e_u, s, u, chi))
-    if hi > seg.n_plus:
-        seg.index(seg.n_plus + 1)  # raises as the step after the last would
-    return frames
+    sums = _series_sums(stable, unstable, chi, first, last)
+    n = last + 1 - first
+    rows = zip(stable.e[first:last + 1], unstable.e[first:last + 1],
+               sums[:n], sums[n:])
+    return [build_frame(e_s, e_u, *_params(ssum, usum), chi)
+            for e_s, e_u, ssum, usum in rows]
 
 
 def reduced_cocycle(D: np.ndarray, chi: float) -> None:

@@ -891,8 +891,10 @@ def _frame_to_json(fr: HyperbolicFrame) -> list:
             float(fr.e_u[1]), fr.s_param, fr.u_param, fr.chi]
 
 
-def _frame_from_json(row, where: str) -> HyperbolicFrame:
+def _frame_from_json(row, where: str, i: int) -> HyperbolicFrame:
     row = [_real(v, where) for v in row]
+    if not 0.0 < row[6] < math.inf:
+        raise ValueError(f"{where}[{i}] chi = {row[6]!r} is not in (0, inf)")
     return build_frame(np.array(row[0:2]), np.array(row[2:4]), row[4],
                        row[5], row[6])
 
@@ -955,17 +957,31 @@ def _gamma_from_json(obj, table, cfg: EpsilonConfig,
     def size(value, name: str) -> LatticeSize:
         return cfg.size(_integer(value, f"{where}.{name}"))
 
+    def point(row, i: int) -> PhasePoint:
+        c, r, th = row
+        name = f"{where}.points"
+        p = PhasePoint(_integer(c, name), _real(r, name), _real(th, name))
+        try:
+            table.validate_point(p)
+        except ValueError as err:
+            raise ValueError(f"{name}[{i}]: {err}") from None
+        return p
+
+    def distances(name: str) -> tuple[float, float, float]:
+        out = tuple(_real(v, f"{where}.{name}") for v in triple(name))
+        for i, v in enumerate(out):
+            if not 0.0 < v < 1.0:
+                raise ValueError(f"{where}.{name}[{i}] = {v!r} is not in (0, 1)")
+        return out
+
     return GammaPoint(
         table=table,
-        points=tuple(PhasePoint(_integer(c, f"{where}.points"),
-                                _real(r, f"{where}.points"),
-                                _real(th, f"{where}.points"))
-                     for c, r, th in rows("points", 3)),
-        frames=tuple(_frame_from_json(row, f"{where}.frames")
-                     for row in rows("frames", 7)),
+        points=tuple(point(row, i) for i, row in enumerate(rows("points", 3))),
+        frames=tuple(_frame_from_json(row, f"{where}.frames", i)
+                     for i, row in enumerate(rows("frames", 7))),
         Qs=tuple(size(e, "Q_expos") for e in triple("Q_expos")),
-        dists=tuple(_real(v, f"{where}.dists") for v in triple("dists")),
-        rhos=tuple(_real(v, f"{where}.rhos") for v in triple("rhos")),
+        dists=distances("dists"),
+        rhos=distances("rhos"),
         q=size(_get(obj, "q", where), "q"),
         p_s=size(_get(obj, "p_s", where), "p_s"),
         p_u=size(_get(obj, "p_u", where), "p_u"))
@@ -1000,7 +1016,7 @@ def load_alphabet(path) -> Alphabet:
     """Rebuild an alphabet from its JSON file; charts are revalidated.
 
     A malformed file raises ValueError naming the field: a missing one, a
-    list of the wrong length, or a value of the wrong type."""
+    list of the wrong length, or a value of the wrong type or range."""
     doc = json.loads(Path(path).read_text())
 
     def top(key: str):

@@ -56,7 +56,8 @@ class SplittingNotConverged(PesinCoderError):
 
 
 class SeriesDiverging(PesinCoderError):
-    """Partial sums of the s/u series grow past the configured cap."""
+    """A partial sum of the s/u series is not <= the configured cap: it
+    grew past it, a weight e^(2n chi) overflowed, or a factor was 0."""
 
 
 class DegenerateAngle(PesinCoderError):

@@ -33,6 +33,26 @@ def test_schedule_alternates_the_first_side():
     assert [first for *_, first in plan] == [True, False] * 3 + [True]
 
 
+def test_schedule_without_a_claim_runs_no_extra_seeds():
+    plan = bench_pairs.schedule(["a", "b"], [0, 1], 0, None, [10, 11])
+    assert [(w, s, t) for w, s, t, _ in plan] == [
+        ("a", 0, 0), ("b", 0, 0), ("a", 1, 0), ("b", 1, 0),
+        ("a", 0, 1), ("b", 0, 1)]
+
+
+def test_protocol_says_whether_a_gain_is_claimed():
+    earlier = json.loads((ROOT / "BENCH_32_before.json").read_text())
+    workloads = ["stadium-code", "fixture-code", "flower-chi"]
+    claimed = bench_pairs.protocol_text(
+        "ea76cd46afadf5a354303262095109f3f314774b", workloads,
+        ("stadium-code", "sample_ms.p50"))
+    assert claimed == earlier["protocol"]
+    plain = bench_pairs.protocol_text("HEAD", workloads, None)
+    assert plain.endswith("traced seed-0 pair of each workload; no gain is "
+                          "claimed")
+    assert "10-14" not in plain
+
+
 def test_bench_file_has_the_schema_of_earlier_files():
     out = bench_pairs.bench_file([], {"nproc": 2}, "p", "w")
     earlier = json.loads((ROOT / "BENCH_28_before.json").read_text())
@@ -77,6 +97,19 @@ def test_summary_on_canned_records():
     verdict = bench_pairs.summary(before, close, METRICS,
                                   ("stadium-code", "setup_s"))[-2]
     assert "won 9/10" in verdict and verdict.endswith("does not hold")
+
+
+def test_summary_without_a_claim_prints_no_verdict():
+    # the rows and the marks are those of a claimed run; no verdict line
+    before = [record("flower-chi", s, 0, peak_rss_mb=10.0) for s in range(10)]
+    after = [record("flower-chi", s, 0, peak_rss_mb=11.5) for s in range(10)]
+    claimed = bench_pairs.summary(before, after, METRICS,
+                                  ("flower-chi", "peak_rss_mb"))
+    lines = bench_pairs.summary(before, after, METRICS, None)
+    assert lines == claimed[:-2] + claimed[-1:]
+    assert not any(line.startswith("claim") for line in lines)
+    assert lines[-1] == ("worse than the bound: flower-chi peak_rss_mb "
+                         "(15.0% worse)")
 
 
 def test_summary_marks_a_change_worse_than_the_bound():

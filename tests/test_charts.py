@@ -201,6 +201,20 @@ class TestSizeFunction:
         with pytest.raises(ValueError, match="singularity"):
             build_pesin_chart(fx, ch0.x, ch0.frame, q, 0.3, CFG, CONSTS, q)
 
+    @pytest.mark.parametrize("bound", ["Q", "pinching", "singularity"])
+    def test_builder_refuses_a_nan_bound(self, bound):
+        # a NaN log Q, ||C^-1|| or rho makes that bound's measured side NaN
+        fx, seg, sp, ch0, ch1 = fixture_charts()
+        frame, q, rho = ch0.frame, ch0.Q, 0.3
+        if bound == "Q":
+            q = LatticeSize(ch0.Q.expo, math.nan)
+        elif bound == "pinching":
+            frame = replace(frame, s_param=math.nan)
+        else:
+            rho = math.nan
+        with pytest.raises(ValueError, match=f"^{bound} bound broken: .* nan "):
+            build_pesin_chart(fx, ch0.x, frame, q, rho, CFG, CONSTS, q)
+
     def test_chart_from_segment_requires_rho_data(self):
         from pesin_coder.cocycle import OrbitSegment
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -129,13 +130,13 @@ class TestOrbitSegment:
     def test_fixture_fixed_point_is_constant(self):
         fx, seg = fixture_segment()
         assert len(seg) == 81
-        assert seg.base == PhasePoint(0, 0.0, 0.0)
-        assert all(seg.point(n) == seg.base for n in range(-40, 41))
+        assert seg.point(0) == PhasePoint(0, 0.0, 0.0)
+        assert all(seg.point(n) == seg.point(0) for n in range(-40, 41))
         assert [seg.rho(n) for n in range(-40, 41)] == [fx.half_width] * 81
         expected = np.array([[fx.lambda_s, 0.0], [0.0, fx.lambda_u]])
         assert np.array_equal(seg.derivs, np.broadcast_to(expected, (81, 2, 2)))
         # without rho the fixture leaves the distances unset, like a billiard
-        bare = orbit_segment(fx, seg.base, 40, 40, with_rho=False)
+        bare = orbit_segment(fx, seg.point(0), 40, 40, with_rho=False)
         assert ((bare.comps, bare.rs, bare.thetas)
                 == (seg.comps, seg.rs, seg.thetas))
         assert all(math.isnan(bare.rho(n)) and math.isnan(bare.dist(n))
@@ -165,7 +166,7 @@ class TestOrbitSegment:
         def bits(p):
             return p.component, p.r.hex(), p.theta.hex()
 
-        assert bits(seg.base) == bits(pts[7]) == bits(x)
+        assert bits(seg.point(0)) == bits(pts[7]) == bits(x)
         assert [(c, r.hex(), th.hex()) for c, r, th in
                 zip(seg.comps, seg.rs, seg.thetas)] == list(map(bits, pts))
         assert all(type(c) is int and type(r) is float and type(th) is float
@@ -207,7 +208,7 @@ class TestOrbitSegment:
         assert seg.index(-4) == 0
         assert seg.index(0) == 4
         assert seg.index(4) == 8
-        assert seg.point(0) == seg.base
+        assert seg.point(0) == PhasePoint(0, 0.0, 0.0)
         with pytest.raises(IndexError):
             seg.index(5)
         with pytest.raises(IndexError):
@@ -1074,18 +1075,23 @@ class TestFrames:
 def weighted_series(expansions, chi: float) -> tuple[float, int]:
     """The scalar loop of the s/u series that `frames_along` sums in one
     pass: sum of e^(2 n chi) * (prod of expansion factors up to n)^2 for
-    n >= 0, the n = 0 term 1.  It stops after SERIES_MAX_TERMS terms, read
-    at call time, and raises SeriesDiverging on a partial sum past
-    SERIES_SUM_CAP.  Returns the partial sum and the number of terms."""
+    n >= 0, the n = 0 term 1, with a weight past `math.exp`'s range taken
+    as inf.  It stops after SERIES_MAX_TERMS terms, read at call time, and
+    raises SeriesDiverging on a partial sum that is not <= SERIES_SUM_CAP.
+    Returns the partial sum and the number of terms."""
     partial = 1.0
     c = 1.0  # running ||df^n e||
     n = 0
     for g in expansions:
         n += 1
         c *= g
-        term = math.exp(2.0 * n * chi) * c * c
+        try:
+            weight = math.exp(2.0 * n * chi)
+        except OverflowError:
+            weight = math.inf
+        term = weight * c * c
         partial += term
-        if partial > cocycle.SERIES_SUM_CAP:
+        if not partial <= cocycle.SERIES_SUM_CAP:
             raise SeriesDiverging(
                 f"partial sum {partial:.3e} exceeds cap "
                 f"{cocycle.SERIES_SUM_CAP:.1e} after {n} terms "
@@ -1099,12 +1105,12 @@ def weighted_series(expansions, chi: float) -> tuple[float, int]:
 
 def reference_frame(seg: OrbitSegment, sp, chi: float, at: int):
     """The frame at `at` from the scalar series loop over the completed
-    one-step factors, then `build_frame`."""
+    one-step factors, then `build_frame`; 1/0 is inf, as in numpy."""
     i = seg.index(at)
     ssum, _ = weighted_series(sp.factor_s[i:].tolist(), chi)
     usum, _ = weighted_series(
-        (1.0 / g for g in sp.factor_u[i - 1::-1].tolist()) if i > 0 else (),
-        chi)
+        (1.0 / g if g else math.inf for g in sp.factor_u[i - 1::-1].tolist())
+        if i > 0 else (), chi)
     return build_frame(sp.e_s[i], sp.e_u[i], math.sqrt(2.0 * ssum),
                        math.sqrt(2.0 * usum), chi)
 
@@ -1117,8 +1123,13 @@ def frame_bits(fr) -> tuple:
 def reference_window(seg: OrbitSegment, sp, chi: float, lo: int, hi: int):
     """(frame bits of lo..hi, None), or (frame bits before the first step
     that raises, that step and the class and message it raises), frames
-    built one step at a time."""
+    built one step at a time.  A window that leaves the segment raises
+    IndexError at lo, before any frame."""
     bits = []
+    try:
+        seg.index(lo), seg.index(hi)
+    except IndexError as err:
+        return bits, (lo, IndexError, str(err))
     for m in range(lo, hi + 1):
         try:
             bits.append(frame_bits(reference_frame(seg, sp, chi, m)))
@@ -1165,7 +1176,8 @@ class TestFramePass:
             for chi in (0.05, 0.3, 0.472, 0.9):
                 lo = int(rng.integers(-seg.n_minus, 0))
                 hi = int(rng.integers(0, seg.n_plus + 1))
-                # the whole segment spans two slabs on the +-390 fixture
+                # the whole +-390 fixture segment is 1562 series rows, so
+                # _SERIES_ENTRIES holds its first block to 41 terms
                 for window in ((lo, hi), (-7, 8), (-seg.n_minus, seg.n_plus)):
                     assert_pass_is_the_reference(seg, chi, *window)
 
@@ -1178,8 +1190,8 @@ class TestFramePass:
         else:
             table = {"stadium": make_stadium, "sinai": make_sinai,
                      "flower": make_flower}[kind]()
-            seg = orbit_segment(table, first_admitted(table, 0, 60)[0].base,
-                                60, 60)
+            x = first_admitted(table, 0, 60)[0].point(0)
+            seg = orbit_segment(table, x, 60, 60)
         gammas = gammas_from_segment(seg, oseledets_splitting(seg), 0.05,
                                      EpsilonConfig(0.01),
                                      RegularityConstants(1.5, 0.5, 100), -6, 6)
@@ -1216,8 +1228,8 @@ class TestFramePass:
     @pytest.mark.parametrize("n_minus, n_plus, chi, lo, hi, error", [
         (200, 200, 2.0, -10, 10, SeriesDiverging),  # at the first step
         (60, 150, 2.0, 40, 80, SeriesDiverging),  # later, in a second block
-        (100, 390, 1.1, 215, 230, OverflowError),  # math.exp overflows
-        (40, 40, 400.0, -3, 3, OverflowError),  # at the first term
+        (100, 390, 1.1, 215, 230, SeriesDiverging),  # math.exp overflows
+        (40, 40, 400.0, -3, 3, SeriesDiverging),  # at the first term
         (40, 40, 0.5, 38, 45, IndexError),  # past the segment's end
         (40, 40, 0.5, -45, -38, IndexError),  # before its start
     ])
@@ -1227,6 +1239,10 @@ class TestFramePass:
                             PhasePoint(0, 1e-170, -1e-170), n_minus, n_plus)
         err = assert_pass_is_the_reference(seg, chi, lo, hi)
         assert err is not None and err[1] is error
+        if error is IndexError:  # named up front, before any frame
+            assert err[0] == lo
+            named = hi if hi > n_plus else lo
+            assert err[2].startswith(f"step {named} outside")
 
     def test_frame_error_comes_at_its_step(self):
         # the sinai witness of test_frame_identity_breaks_raise_bound_violated
@@ -1238,7 +1254,8 @@ class TestFramePass:
         assert err[1] is BoundViolated and err[0] > -12
 
     def test_zero_factor_raises_where_the_loop_divides(self):
-        # 1.0/0.0 raises in the loop at the first u term that reads it
+        # 1/0 = inf at the first u term that reads the zero factor, so the
+        # partial sum is not <= the cap there
         seg = orbit_segment(make_linear_fixture(),
                             PhasePoint(0, 1e-170, -1e-170), 40, 40)
         want = oseledets_splitting(seg)
@@ -1246,10 +1263,72 @@ class TestFramePass:
         for sp in (want, got):
             sp.factor_u[seg.index(3)] = 0.0
         bits, err = reference_window(seg, want, 0.5, -2, 8)
-        assert err[:2] == (4, ZeroDivisionError)
-        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+        assert err == (4, SeriesDiverging, "partial sum inf exceeds cap "
+                       "1.0e+100 after 1 terms (chi=0.5 too large here)")
+        with pytest.raises(SeriesDiverging, match=f"^{re.escape(err[2])}$"):
             frames_along(seg, got, 0.5, -2, 8)
         assert [frame_bits(fr) for fr in frames_along(seg, got, 0.5, -2, 3)] == bits
+
+    def test_nan_factor_stops_where_the_loop_reads_it(self):
+        # a NaN partial sum is not <= the cap: the s series at step 2 reads
+        # the NaN factor at step 5 as its fourth term
+        seg = orbit_segment(make_linear_fixture(),
+                            PhasePoint(0, 1e-170, -1e-170), 40, 40)
+        want = oseledets_splitting(seg)
+        got = oseledets_splitting(seg)
+        for sp in (want, got):
+            sp.factor_s[seg.index(5)] = math.nan
+        bits, err = reference_window(seg, want, 0.5, 2, 8)
+        assert err == (2, SeriesDiverging, "partial sum nan exceeds cap "
+                       "1.0e+100 after 4 terms (chi=0.5 too large here)")
+        with pytest.raises(SeriesDiverging, match=f"^{re.escape(err[2])}$"):
+            frames_along(seg, got, 0.5, 2, 8)
+
+    def test_window_past_the_end_builds_nothing(self):
+        # the window is checked against the segment before any push
+        seg = orbit_segment(make_linear_fixture(),
+                            PhasePoint(0, 1e-170, -1e-170), 40, 40)
+        sp = oseledets_splitting(seg)
+        ends = sp._stable.end, sp._unstable.end
+        with pytest.raises(IndexError, match=r"^step 45 outside \[-40, 40\]$"):
+            frames_along(seg, sp, 0.5, -38, 45)
+        assert (sp._stable.end, sp._unstable.end) == ends
+
+    def test_weight_overflow_below_the_exponent_is_typed(self):
+        # chi = 0.99 is below the fixture's exponent 1, but e^(2n chi)
+        # leaves the float range at term 359, before the terms fall below
+        # the cutoff: every user path raises SeriesDiverging there
+        seg = orbit_segment(make_linear_fixture(), PhasePoint(0, 0.0, 0.0),
+                            400, 400)
+        msg = "^" + re.escape("partial sum inf exceeds cap 1.0e+100 after "
+                              "359 terms (chi=0.99 too large here)") + "$"
+        with pytest.raises(SeriesDiverging, match=msg):
+            frames_along(seg, oseledets_splitting(seg), 0.99, -4, 4)
+        with pytest.raises(SeriesDiverging, match=msg):
+            gammas_from_segment(seg, oseledets_splitting(seg), 0.99,
+                                EpsilonConfig(0.01),
+                                RegularityConstants(1.5, 0.5, 100), -4, 4)
+        with pytest.raises(SeriesDiverging, match=msg):
+            s_u_parameters(seg, oseledets_splitting(seg), 0.99, at=0)
+        assert_pass_is_the_reference(seg, 0.99, -4, 4)
+
+    @pytest.mark.parametrize("kind", ["stadium", "fixture"])
+    def test_blocks_move_no_bit(self, kind, monkeypatch):
+        # one-term first blocks and at most 8 entries a block: every block
+        # boundary falls somewhere else, and the bits stay the reference's
+        monkeypatch.setattr(cocycle, "_SERIES_BLOCK", 1)
+        monkeypatch.setattr(cocycle, "_SERIES_ENTRIES", 8)
+        if kind == "fixture":
+            seg = orbit_segment(make_linear_fixture(),
+                                PhasePoint(0, 1e-170, -1e-170), 60, 60)
+        else:
+            seg = first_admitted(make_stadium(), 0, 60)[0]
+        rng = np.random.default_rng(5)
+        for chi in (0.05, 0.3, 0.9):
+            lo = int(rng.integers(-seg.n_minus, 0))
+            hi = int(rng.integers(0, seg.n_plus + 1))
+            for window in ((lo, hi), (-seg.n_minus, seg.n_plus)):
+                assert_pass_is_the_reference(seg, chi, *window)
 
     def test_empty_window_reads_nothing(self):
         _, seg = fixture_segment(n=20)

@@ -154,7 +154,7 @@ def test_tame_stadium_window_is_the_pinned_orbit():
     # the stadium windows of these tests and of the manifold tests build
     # from one search, which lands on this orbit
     _, seg, _, _ = tame_stadium_window()
-    assert seg.base == PhasePoint(1, 2.481042998575038, -0.525515148130097)
+    assert seg.point(0) == PhasePoint(1, 2.481042998575038, -0.525515148130097)
 
 
 def stadium_alphabet():
@@ -1053,6 +1053,39 @@ def test_load_refuses_a_frame_that_breaks_its_bounds(tmp_path, stretch):
     doc["centers"][0]["frames"][1][4:6] = [stretch, stretch]
     f.write_text(json.dumps(doc))
     with pytest.raises(BoundViolated, match="closed form"):
+        load_alphabet(f)
+
+
+@pytest.mark.parametrize("message, corrupt", [
+    ("centers[0].points[1]: point outside fixture domain",
+     _set_center("points", math.inf, 1, 2)),
+    ("centers[0].points[1]: point outside fixture domain",
+     _set_center("points", math.nan, 1, 1)),
+    ("centers[0].points[1]: component 7 outside",
+     _set_center("points", 7, 1, 0)),
+    ("centers[0].rhos[1] = 0.0 is not in (0, 1)",
+     _set_center("rhos", 0.0, 1)),
+    ("centers[0].rhos[1] = nan is not in (0, 1)",
+     _set_center("rhos", math.nan, 1)),
+    ("centers[0].dists[2] = nan is not in (0, 1)",
+     _set_center("dists", math.nan, 2)),
+    ("centers[0].frames[1] chi = nan is not in (0, inf)",
+     _set_center("frames", math.nan, 1, 6)),
+    ("centers[0].frames[0] chi = -1.0 is not in (0, inf)",
+     _set_center("frames", -1.0, 0, 6)),
+], ids=["theta-inf", "r-nan", "component-7", "rho-0", "rho-nan", "dist-nan",
+        "chi-nan", "chi-negative"])
+def test_load_refuses_impossible_center_values(tmp_path, message, corrupt):
+    # each once escaped raw (OverflowError from the cover's box key,
+    # ValueError from int(nan) or log(0), an unnamed distance error) or
+    # loaded without complaint
+    alpha = fixture_alphabet(0.0, H)
+    f = tmp_path / "alphabet.json"
+    save_alphabet(alpha, f)
+    doc = json.loads(f.read_text())
+    corrupt(doc)
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         load_alphabet(f)
 
 

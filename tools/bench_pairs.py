@@ -2,7 +2,7 @@
 """Alternating benchmark pairs of a parent revision and the working tree.
 
     python3 tools/bench_pairs.py --parent HEAD --pr 29 \\
-        --claim stadium-code:setup_s --what "with ..."
+        [--claim stadium-code:setup_s] --what "with ..."
 
 Exports the committed files of the parent revision with ``git archive``
 into ``parent`` and the working tree into ``change``, two directories of
@@ -18,8 +18,10 @@ of work:
   * for each of seeds 0-9 in turn, one pair of each workload of
     ``BENCHMARK.json``;
   * one traced seed-0 pair of each workload;
-  * one pair of the claimed workload for each of seeds 10-14, the seeds
-    not run while the change was written.
+  * with ``--claim``, one pair of the claimed workload for each of seeds
+    10-14, the seeds not run while the change was written.
+
+Without ``--claim`` no gain is claimed, and the protocol text says so.
 
 Within a pair the two sides run one after the other, and the side that
 runs first switches from pair to pair, so a drift of the host's speed falls
@@ -34,10 +36,10 @@ Last, per workload and end-to-end metric of ``BENCHMARK.json``, it prints
 both sides' median and quartiles over the untraced pairs, and the pairs the
 change won.  A row whose change median is worse than the parent median by
 more than the metric's ``bound`` (a fraction of the parent median) ends in
-a mark with both numbers.  For the claimed metric it also prints whether
-the change won at least 9 pairs in 10 and moved the median by more than
-the distance between the parent's quartiles.  The last line names the
-marked rows, or says that there are none.
+a mark with both numbers.  With a claim it also prints whether the
+change won at least 9 pairs in 10 of the claimed metric and moved its
+median by more than the distance between the parent's quartiles.  The
+last line names the marked rows, or says that there are none.
 
 Standard library only; run it from anywhere inside the checkout.
 """
@@ -66,10 +68,12 @@ WIN_SHARE = 0.9
 
 def schedule(workloads, seeds, traced_seed, claim_workload, extra_seeds):
     """The runs of both sides, in order: (workload, seed, trace, parent
-    first) per pair, the first side switching from pair to pair."""
+    first) per pair, the first side switching from pair to pair.  The
+    extra seeds run only for a claimed workload (not None)."""
     pairs = [(w, s, 0) for s in seeds for w in workloads]
     pairs += [(w, traced_seed, 1) for w in workloads]
-    pairs += [(claim_workload, s, 0) for s in extra_seeds]
+    if claim_workload is not None:
+        pairs += [(claim_workload, s, 0) for s in extra_seeds]
     return [(w, s, t, k % 2 == 0) for k, (w, s, t) in enumerate(pairs)]
 
 
@@ -110,11 +114,11 @@ def paired_values(before: list[dict], after: list[dict], workload: str,
 
 
 def summary(before: list[dict], after: list[dict], metrics: list[dict],
-            claim: tuple[str, str]) -> list[str]:
+            claim: tuple[str, str] | None) -> list[str]:
     """The printed comparison: per workload and metric, both medians and
     quartiles, the pairs the change won and, on a change median worse than
     the parent's by more than the metric's bound, a mark; then the claim's
-    verdict, and last the marked rows."""
+    verdict, if there is a claim, and last the marked rows."""
     lines = [f"{'workload':<14}{'metric':<19}{'parent q1 / med / q3':>33}"
              f"{'change q1 / med / q3':>33}{'won':>7}"]
     verdict = None
@@ -147,9 +151,24 @@ def summary(before: list[dict], after: list[dict], metrics: list[dict],
                            f"against the parent's quartile distance "
                            f"{qb[2] - qb[0]:.4g}: "
                            f"{'holds' if ok else 'does not hold'}")
-    lines.append(verdict or f"claim {claim[0]} {claim[1]}: no pairs")
+    if claim is not None:
+        lines.append(verdict or f"claim {claim[0]} {claim[1]}: no pairs")
     lines.append("worse than the bound: " + (", ".join(marked) or "none"))
     return lines
+
+
+def protocol_text(parent: str, workloads: list[str],
+                  claim: tuple[str, str] | None) -> str:
+    """The protocol field of both run files."""
+    text = (f"parent ({parent}) and change run alternately, the first of "
+            f"each pair switching sides from pair to pair; for each seed 0-9 "
+            f"in turn one pair of each workload ({', '.join(workloads)}), "
+            f"then one traced seed-{TRACED_SEED} pair of each workload")
+    if claim is None:
+        return text + "; no gain is claimed"
+    return (text + f", then one {claim[0]} pair for each of seeds 10-14, "
+            f"seeds not run while the change was written; the claimed gain "
+            f"is {claim[0]} {claim[1]}")
 
 
 def bench_file(runs: list[dict], host: dict, protocol: str,
@@ -187,22 +206,17 @@ def main(argv=None) -> int:
                     help="the revision on the before side")
     ap.add_argument("--pr", required=True,
                     help="n of the BENCH_<n>_*.json files written")
-    ap.add_argument("--claim", required=True,
-                    help="workload:metric of the claimed gain")
+    ap.add_argument("--claim",
+                    help="workload:metric of the claimed gain, if any")
     ap.add_argument("--what", required=True,
                     help="what the change side holds, for the after file")
     args = ap.parse_args(argv)
-    claim = tuple(args.claim.split(":", 1))
+    claim = tuple(args.claim.split(":", 1)) if args.claim else None
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    plan = schedule(workloads, SEEDS, TRACED_SEED, claim[0], EXTRA_SEEDS)
-    protocol = (
-        f"parent ({args.parent}) and change run alternately, the first of "
-        f"each pair switching sides from pair to pair; for each seed 0-9 in "
-        f"turn one pair of each workload ({', '.join(workloads)}), then one "
-        f"traced seed-{TRACED_SEED} pair of each workload, then one "
-        f"{claim[0]} pair for each of seeds 10-14, seeds not run while the "
-        f"change was written; the claimed gain is {claim[0]} {claim[1]}")
+    plan = schedule(workloads, SEEDS, TRACED_SEED, claim and claim[0],
+                    EXTRA_SEEDS)
+    protocol = protocol_text(args.parent, workloads, claim)
     runs = {True: [], False: []}  # parent side, change side
     host = {}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
