@@ -987,12 +987,16 @@ def c_inverse_growth_check(seg: OrbitSegment, frames: list[HyperbolicFrame],
 
     frames[k] must be the frame at relative step lo+k.  At every consecutive
     pair, with x the later point: ||C(f^-1 x)^-1|| <= 2 rho(x)^(-2a) *
-    (1 + e^chi rho(x)^(-a)) * ||C(x)^-1||.  Log-space margins; raises on a
-    negative one.
+    (1 + e^chi rho(x)^(-a)) * ||C(x)^-1||.  Log-space margins; raises on
+    one that is not >= 0, a NaN included.  A segment built with
+    with_rho=False has no rho, which raises ValueError.
     """
     worst = (math.inf, None)
     for k in range(1, len(frames)):
         rho_x = seg.rho(lo + k)
+        if math.isnan(rho_x):
+            raise ValueError("segment built with with_rho=False has no rho "
+                             "data")
         if rho_x <= 0:
             raise InequalityViolated("rho = 0 at an interior point", lo + k)
         chi = frames[k].chi
@@ -1003,7 +1007,7 @@ def c_inverse_growth_check(seg: OrbitSegment, frames: list[HyperbolicFrame],
         margin = rhs - lhs
         if margin < worst[0]:
             worst = (margin, lo + k)
-        if margin < 0:
+        if not margin >= 0:
             raise InequalityViolated(
                 f"||C^-1|| backward growth bound fails at step {lo + k}: "
                 f"log-margin {margin:.3e}", lo + k)

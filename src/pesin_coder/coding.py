@@ -59,15 +59,11 @@ NET_EXPONENT = 8.0
 SHADOW_TOL = 1e-6
 
 
-def _lt_log(value: float, log_bound: float) -> bool:
-    """value < e^log_bound with an exact-zero short circuit.
-
-    The bound routinely underflows float64, so the comparison must happen
-    in log space; a measured zero passes every bound.
-    """
-    if value == 0.0:
-        return True
-    return math.log(value) < log_bound
+def _log0(value: float) -> float:
+    """log value with log 0 = -inf: the exact-zero short circuit of the
+    log-space bounds, which routinely underflow float64, so that a measured
+    zero passes every one of them."""
+    return -math.inf if value == 0.0 else math.log(value)
 
 
 # ------------------------------------------------------------------- cover
@@ -247,7 +243,7 @@ def gamma_close(g1: GammaPoint, g2: GammaPoint, j: int) -> bool:
     log_r = -NET_EXPONENT * (j + 2.0)
     for p1, f1, p2, f2 in zip(g1.points, g1.frames, g2.points, g2.frames):
         d = g1.table.distance(p1, p2) + f1.distance(f2)
-        if not _lt_log(d, log_r):
+        if not _log0(d) < log_r:
             return False
     return True
 
@@ -312,16 +308,11 @@ def double_chart(gamma: GammaPoint, cover: GridCover, cfg: EpsilonConfig,
 # -------------------------------------------------------------- shift graph
 @dataclass(frozen=True, eq=False)
 class ShiftGraph:
-    """Directed graph over alphabet elements with degree bookkeeping."""
+    """Directed graph over alphabet elements: its vertices and its distinct
+    edges (i, j), sorted.  Built by `make_graph`."""
 
     vertices: tuple
-    out_edges: tuple[tuple[int, ...], ...]
-    in_edges: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        if len(self.out_edges) != n or len(self.in_edges) != n:
-            raise ValueError("adjacency lists must match the vertex count")
+    edges: tuple[tuple[int, int], ...]
 
     @property
     def n_vertices(self) -> int:
@@ -329,57 +320,55 @@ class ShiftGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(row) for row in self.out_edges)
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.out_edges) for j in row]
+        return len(self.edges)
 
 
 def make_graph(vertices, edges) -> ShiftGraph:
-    """Graph from an edge list; adjacency rows are sorted and deduplicated."""
+    """Graph from an edge list, sorted and deduplicated; an edge must join
+    two of the vertices."""
     vertices = tuple(vertices)
     n = len(vertices)
-    outs: list[set] = [set() for _ in range(n)]
-    ins: list[set] = [set() for _ in range(n)]
+    edges = sorted({(i, j) for i, j in edges})
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) outside vertex range 0..{n - 1}")
-        outs[i].add(j)
-        ins[j].add(i)
-    return ShiftGraph(vertices,
-                      tuple(tuple(sorted(s)) for s in outs),
-                      tuple(tuple(sorted(s)) for s in ins))
+    return ShiftGraph(vertices, tuple(edges))
 
 
 def prune_graph(g: ShiftGraph) -> ShiftGraph:
     """Iteratively drop vertices with zero in- or out-degree.
 
     Returns the maximal subgraph in which every vertex has both an
-    incoming and an outgoing edge.
+    incoming and an outgoing edge, in time linear in vertices plus edges.
     """
     n = g.n_vertices
+    outs: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for i, j in g.edges:
+        outs[i].append(j)
+        ins[j].append(i)
     alive = [True] * n
-    out_deg = [len(row) for row in g.out_edges]
-    in_deg = [len(row) for row in g.in_edges]
+    out_deg = [len(row) for row in outs]
+    in_deg = [len(row) for row in ins]
     stack = [i for i in range(n) if out_deg[i] == 0 or in_deg[i] == 0]
     while stack:
         i = stack.pop()
         if not alive[i]:
             continue
         alive[i] = False
-        for j in g.out_edges[i]:
+        for j in outs[i]:
             if alive[j]:
                 in_deg[j] -= 1
                 if in_deg[j] == 0:
                     stack.append(j)
-        for j in g.in_edges[i]:
+        for j in ins[i]:
             if alive[j]:
                 out_deg[j] -= 1
                 if out_deg[j] == 0:
                     stack.append(j)
     kept = tuple(i for i in range(n) if alive[i])
     remap = {old: new for new, old in enumerate(kept)}
-    edges = [(remap[i], remap[j]) for i, j in g.edge_list()
+    edges = [(remap[i], remap[j]) for i, j in g.edges
              if alive[i] and alive[j]]
     return make_graph(tuple(g.vertices[i] for i in kept), edges)
 
@@ -722,14 +711,20 @@ def detect_double_codings(points, table, tol: float = 1e-6
 
 
 # ----------------------------------------------------- inverse diagnostics
-def _check_ratio(name: str, item, n: int, v1: float, v2: float,
-                 bound: float, slack: dict):
-    r = abs(math.log(v1 / v2))
-    if r > bound + 1e-12:
+def _bound(slack: dict, name: str, item, n: int, measured: float,
+           allowed: float, strict: bool, tol: float) -> None:
+    """One measured bound of a coding diagnostic: measured < allowed + tol
+    when strict, <= otherwise, written so that a NaN fails it.  A failure
+    raises DiagnosticFailed(item, n) naming the bound and both values; a
+    pass records allowed - measured as the bound's least slack (tol, which
+    forgives rounding, stays out of it)."""
+    if not (measured < allowed + tol if strict
+            else measured <= allowed + tol):
         raise DiagnosticFailed(
-            item, n, f"{name} ratio e^{r:.6g} exceeds e^{bound:.6g} "
-                     f"at step {n}")
-    slack[name] = min(slack.get(name, math.inf), bound - r)
+            item, n, f"{name} bound: measured {measured:.6g} is not "
+                     f"{'<' if strict else '<='} allowed {allowed:.6g} "
+                     f"(item {item} at {n})")
+    slack[name] = min(slack.get(name, math.inf), allowed - measured)
 
 
 def inverse_diagnostics(it1: Itinerary, it2: Itinerary, cfg: EpsilonConfig,
@@ -741,7 +736,7 @@ def inverse_diagnostics(it1: Itinerary, it2: Itinerary, cfg: EpsilonConfig,
     form of the chart interchange; also the finite-window maximality
     proxy (each word's forward sizes and backward sizes touch delta Q at
     least once).  Reports the orientation bit sequence and the minimum
-    slack consumed per item.
+    slack left per bound, in log units for the distance and the offset.
     """
     if len(it1) != len(it2) or it1.anchor != it2.anchor:
         raise ValueError("words must share window shape and anchor")
@@ -753,56 +748,40 @@ def inverse_diagnostics(it1: Itinerary, it2: Itinerary, cfg: EpsilonConfig,
     for i, (v, w) in enumerate(zip(it1.vertices, it2.vertices)):
         n = i - it1.anchor
         x, y = v.x, w.x
-        table = v.gamma.table
+        fv, fw = v.gamma.frame, w.gamma.frame
 
-        # (1) centers within a fraction of the larger window
-        dxy = table.distance(x, y)
-        bound1 = math.log(1.0 / 25.0) + max(v.p_min.log_value,
-                                            w.p_min.log_value)
-        if not _lt_log(dxy, bound1):
-            raise DiagnosticFailed(
-                1, n, f"center distance {dxy:.3e} not below "
-                      f"e^{bound1:.6g} at step {n}")
-        gap1 = bound1 - math.log(dxy) if dxy > 0.0 else math.inf
-        slack["distance"] = min(slack.get("distance", math.inf), gap1)
+        def check(name, item, measured, allowed, strict):
+            # a ratio or lattice bound forgives 1e-12 of rounding
+            _bound(slack, name, item, n, measured, allowed, strict,
+                   0.0 if strict else 1e-12)
+
+        # (1) centers within a fraction of the larger window (log space)
+        check("distance", 1, _log0(v.gamma.table.distance(x, y)),
+              math.log(1.0 / 25.0) + max(v.p_min.log_value,
+                                         w.p_min.log_value), strict=True)
 
         # (2) frame angles
-        fv, fw = v.gamma.frame, w.gamma.frame
-        _check_ratio("sin_alpha", 2, n, math.sin(fv.alpha),
-                     math.sin(fw.alpha), sqrt_e, slack)
-        dcos = abs(math.cos(fv.alpha) - math.cos(fw.alpha))
-        if dcos >= sqrt_e:
-            raise DiagnosticFailed(
-                2, n, f"|cos alpha difference| = {dcos:.6g} >= "
-                      f"{sqrt_e:.6g} at step {n}")
-        slack["cos_alpha"] = min(slack.get("cos_alpha", math.inf),
-                                 sqrt_e - dcos)
+        check("sin_alpha", 2,
+              abs(math.log(math.sin(fv.alpha) / math.sin(fw.alpha))), sqrt_e,
+              strict=False)
+        check("cos_alpha", 2, abs(math.cos(fv.alpha) - math.cos(fw.alpha)),
+              sqrt_e, strict=True)
 
         # (3) stretch parameters
-        _check_ratio("s_param", 3, n, fv.s_param, fw.s_param,
-                     4.0 * sqrt_e, slack)
-        _check_ratio("u_param", 3, n, fv.u_param, fw.u_param,
-                     4.0 * sqrt_e, slack)
+        check("s_param", 3, abs(math.log(fv.s_param / fw.s_param)),
+              4.0 * sqrt_e, strict=False)
+        check("u_param", 3, abs(math.log(fv.u_param / fw.u_param)),
+              4.0 * sqrt_e, strict=False)
 
-        # (4) chart sizes (exact lattice logs)
-        rq = abs(v.gamma.Q.log_value - w.gamma.Q.log_value)
-        if rq > cbrt_e + 1e-12:
-            raise DiagnosticFailed(
-                4, n, f"size ratio e^{rq:.6g} exceeds e^{cbrt_e:.6g} "
-                      f"at step {n}")
-        slack["Q"] = min(slack.get("Q", math.inf), cbrt_e - rq)
+        # (4) chart sizes, (5) window sizes (exact lattice logs)
+        for name, item, a, b in (("Q", 4, v.gamma.Q, w.gamma.Q),
+                                 ("p_s", 5, v.p_s, w.p_s),
+                                 ("p_u", 5, v.p_u, w.p_u)):
+            check(name, item, abs(a.log_value - b.log_value), cbrt_e,
+                  strict=False)
 
-        # (5) window sizes (exact lattice logs)
-        for name, a, b in (("p_s", v.p_s, w.p_s), ("p_u", v.p_u, w.p_u)):
-            r = abs(a.log_value - b.log_value)
-            if r > cbrt_e + 1e-12:
-                raise DiagnosticFailed(
-                    5, n, f"{name} ratio e^{r:.6g} exceeds "
-                          f"e^{cbrt_e:.6g} at step {n}")
-            slack[name] = min(slack.get(name, math.inf), cbrt_e - r)
-
-        # (6) interchange map: affine offset below a tenth of the window,
-        # linear part a near-identity up to orientation
+        # (6) interchange map: affine offset below a tenth of the window
+        # (log space), linear part a near-identity up to orientation
         if x.component != y.component:
             raise DiagnosticFailed(
                 6, n, f"centers on different components at step {n}")
@@ -810,19 +789,10 @@ def inverse_diagnostics(it1: Itinerary, it2: Itinerary, cfg: EpsilonConfig,
         L = np.linalg.solve(fw.C, fv.C)
         sigma = 0 if float(np.trace(L)) > 0.0 else 1
         sigmas.append(sigma)
-        t_norm = float(np.linalg.norm(t))
-        bound6 = math.log(0.1) + w.p_min.log_value
-        if not _lt_log(t_norm, bound6):
-            raise DiagnosticFailed(
-                6, n, f"interchange offset {t_norm:.3e} not below "
-                      f"e^{bound6:.6g} at step {n}")
-        d_delta = operator_norm(L - ((-1.0) ** sigma) * np.eye(2))
-        if d_delta >= cbrt_e:
-            raise DiagnosticFailed(
-                6, n, f"interchange derivative deviation {d_delta:.6g} "
-                      f">= {cbrt_e:.6g} at step {n}")
-        slack["d_delta"] = min(slack.get("d_delta", math.inf),
-                               cbrt_e - d_delta)
+        check("offset", 6, _log0(float(np.linalg.norm(t))),
+              math.log(0.1) + w.p_min.log_value, strict=True)
+        check("d_delta", 6, operator_norm(L - ((-1.0) ** sigma) * np.eye(2)),
+              cbrt_e, strict=True)
 
     # finite-window maximality proxy: the forward sizes and the backward
     # sizes each touch their cap delta Q somewhere in the window
@@ -848,41 +818,43 @@ def discreteness_certificate(alphabet: Alphabet,
     they fall in.
 
     Every passing chart's integer bin data must respect the a-priori bounds
-    implied by sizes above t (all finite).
+    implied by sizes above t (all finite): a bin that does not raises
+    DiagnosticFailed("discreteness", vertex index).  Reports the least
+    slack left per bound.
     """
     verts = alphabet.graph.vertices
     if t_log is None:
         logs = sorted(v.p_s.log_value for v in verts)
         t_log = logs[len(logs) // 2]
-    direct = [v for v in verts
+    direct = [(i, v) for i, v in enumerate(verts)
               if v.p_s.log_value > t_log and v.p_u.log_value > t_log]
-    groups = {(v.signature.base(), v.signature.j) for v in direct}
+    groups = {(v.signature.base(), v.signature.j) for _, v in direct}
 
     abs_log_t = -t_log
+    slack: dict[str, float] = {}
     max_k = max_l = max_m = max_j = 0
-    for v in direct:
+    for i, v in direct:
         sig = v.signature
-        chi = v.gamma.frame.chi
-        t_cap = math.log(4.0) + chi + 3.0 * abs_log_t
+        t_cap = math.log(4.0) + v.gamma.frame.chi + 3.0 * abs_log_t
+
+        def check(name, measured, allowed, strict):
+            _bound(slack, name, "discreteness", i, measured, allowed, strict,
+                   1e-9)
+
         for ki in sig.k:
-            if not ki < abs_log_t + 1e-9:
-                raise AssertionError(f"distance bin {ki} >= |log t| "
-                                     f"= {abs_log_t:.6g}")
+            check("distance bin", ki, abs_log_t, strict=True)
         # the past frame norm only admits the looser growth cap
-        caps = (t_cap, abs_log_t, abs_log_t)
-        for li, cap in zip(sig.l, caps):
-            if not li < cap + 1e-9:
-                raise AssertionError(f"frame bin {li} >= {cap:.6g}")
-        if not sig.m < abs_log_t + 1e-9:
-            raise AssertionError(f"size bin {sig.m} >= |log t|")
-        if not sig.j <= abs_log_t + 2.0 + 1e-9:
-            raise AssertionError(f"level {sig.j} > |log t| + 2")
+        for li, cap in zip(sig.l, (t_cap, abs_log_t, abs_log_t)):
+            check("frame bin", li, cap, strict=True)
+        check("size bin", sig.m, abs_log_t, strict=True)
+        check("level", sig.j, abs_log_t + 2.0, strict=False)
         max_k = max(max_k, *sig.k)
         max_l = max(max_l, *sig.l)
         max_m = max(max_m, sig.m)
         max_j = max(max_j, sig.j)
     return {"t_log": t_log, "count": len(direct), "groups": len(groups),
-            "max_k": max_k, "max_l": max_l, "max_m": max_m, "max_j": max_j}
+            "max_k": max_k, "max_l": max_l, "max_m": max_m, "max_j": max_j,
+            "slack": slack}
 
 
 # ------------------------------------------------------------- persistence
@@ -1006,7 +978,7 @@ def save_alphabet(alphabet: Alphabet, path) -> None:
             "center": alphabet.center_of_vertex[i],
             "p_s": v.p_s.expo, "p_u": v.p_u.expo, "j": v.signature.j,
         } for i, v in enumerate(g.vertices)],
-        "edges": g.edge_list(),
+        "edges": list(g.edges),
         "stats": alphabet.stats,
     }
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

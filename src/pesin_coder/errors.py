@@ -175,9 +175,11 @@ class EmptyAlphabet(PesinCoderError):
 
 
 class DiagnosticFailed(PesinCoderError):
-    """An inverse-theorem diagnostic item failed.
+    """A coding diagnostic failed: an inverse-theorem item or a
+    discreteness bound.
 
-    Attributes: item (int 1..6 or str), n (index).
+    Attributes: item (int 1..6, "maximality" or "discreteness"), n (the
+    step, or the vertex index of a discreteness bound).
     """
 
     def __init__(self, item, n: int, message: str):

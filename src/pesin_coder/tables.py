@@ -460,10 +460,20 @@ class BilliardTable:
             raise ValueError(f"|theta|={abs(p.theta)} exceeds pi/2")
 
     def wrap_r(self, component: int, r: float) -> tuple[int, float]:
-        """Arclength modulo component length (wraparound on closed loops)."""
+        """Arclength modulo component length (wraparound on closed loops).
+
+        The walk passes one component at a time, so r must lie within two
+        loop lengths of 0, as every r that `embed` makes does: at 1e18 the
+        walk would take ~1e17 passes, and once r - L rounds back to r it
+        would never end.  The bound is written as "not within" so that NaN
+        and inf are refused too.
+        """
         self._check_component(component)
         L = self.lengths[component]
-        loop, idx, _, _ = self._loop_at[component]
+        loop, idx, _, total = self._loop_at[component]
+        if not abs(r) <= 2.0 * total:
+            raise ValueError(f"arclength {r} on component {component} is not "
+                             f"within two loop lengths ({2.0 * total}) of 0")
         if len(loop) == 1:
             return component, r % L
         # walk to the neighbouring component when r leaves [0, L)

@@ -13,6 +13,7 @@ import hashlib
 import math
 import re
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -1412,6 +1413,25 @@ class TestGrowthCheck:
         with pytest.raises(InequalityViolated) as ei:
             c_inverse_growth_check(seg, frames, -10, a=1.5)
         assert ei.value.witness == -6
+
+    def test_refuses_a_segment_without_rho(self):
+        # every rho is NaN here: no margin could be taken
+        seg = orbit_segment(make_linear_fixture(), PhasePoint(0, 0.0, 0.0),
+                            40, 40, with_rho=False)
+        sp = oseledets_splitting(seg)
+        frames = frames_along(seg, sp, 0.5, -5, 5)
+        with pytest.raises(ValueError, match="with_rho=False has no rho"):
+            c_inverse_growth_check(seg, frames, -5, a=1.5)
+
+    def test_nan_margin_fails(self):
+        # a NaN ||C^-1|| makes the margin NaN, which fails the bound
+        _, seg = fixture_segment()
+        sp = oseledets_splitting(seg)
+        frames = frames_along(seg, sp, 0.5, -10, 10)
+        frames[3] = replace(frames[3], s_param=math.nan)
+        with pytest.raises(InequalityViolated, match="log-margin nan") as ei:
+            c_inverse_growth_check(seg, frames, -10, a=1.5)
+        assert ei.value.witness == -7
 
 
 class TestDiagnostics:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from pesin_coder.coding import (
     DoubleChart,
     GammaPoint,
     GridCover,
+    Itinerary,
     NET_EXPONENT,
     assign_centers,
     bin_signature,
@@ -353,8 +355,7 @@ def test_edge_fails_across_orbits():
 def test_make_graph_dedup_and_validation():
     g = make_graph(("a", "b"), [(0, 1), (0, 1), (1, 0), (0, 0)])
     assert g.n_edges == 3
-    assert g.out_edges[0] == (0, 1)
-    assert g.in_edges[0] == (0, 1)
+    assert g.edges == ((0, 0), (0, 1), (1, 0))
     with pytest.raises(ValueError, match="outside vertex range"):
         make_graph(("a",), [(0, 1)])
 
@@ -367,7 +368,16 @@ def test_prune_removes_acyclic_parts():
                             [(0, 1), (1, 0), (1, 2), (2, 3)])
     sub = prune_graph(cycle_tail)
     assert sub.vertices == (0, 1)
-    assert sub.edge_list() == [(0, 1), (1, 0)]
+    assert sub.edges == ((0, 1), (1, 0))
+
+
+def test_prune_walks_forward_from_a_source():
+    # dropping the source 0 leaves 1 with no in-edge, and dropping 1 takes
+    # one of 2's two in-edges: the self-loop at 2 stays
+    g = make_graph(("a", "b", "c"), [(0, 1), (1, 2), (2, 2)])
+    sub = prune_graph(g)
+    assert sub.vertices == ("c",)
+    assert sub.edges == ((0, 0),)
 
 
 def core_indices(alpha) -> tuple[int, ...]:
@@ -382,7 +392,7 @@ def test_fixture_alphabet_is_one_self_loop():
     assert (s["samples"], s["windows"], s["bins"]) == (9, 1, 1)
     assert (s["centers"], s["vertices"], s["edges"]) == (1, 1, 1)
     assert (s["core_vertices"], s["core_edges"]) == (1, 1)
-    assert alpha.graph.edge_list() == [(0, 0)]
+    assert alpha.graph.edges == ((0, 0),)
     assert core_indices(alpha) == (0,)
     assert alpha.cover.n_boxes == 1
 
@@ -391,8 +401,8 @@ def test_two_orbit_alphabet_loop_plus_chain():
     alpha = fixture_alphabet(0.0, H)
     s = alpha.stats
     assert (s["centers"], s["vertices"], s["edges"]) == (10, 10, 9)
-    assert alpha.graph.edge_list() == \
-        [(0, 0)] + [(k, k + 1) for k in range(1, 9)]
+    assert alpha.graph.edges == \
+        ((0, 0),) + tuple((k, k + 1) for k in range(1, 9))
     assert core_indices(alpha) == (0,)  # only the genuine fixed point recurs
 
 
@@ -418,7 +428,7 @@ def test_stadium_alphabet_is_a_chain():
     assert (s["samples"], s["bins"], s["centers"]) == (13, 13, 13)
     assert (s["vertices"], s["edges"]) == (13, 12)
     assert (s["core_vertices"], s["core_edges"]) == (0, 0)
-    assert alpha.graph.edge_list() == [(k, k + 1) for k in range(12)]
+    assert alpha.graph.edges == tuple((k, k + 1) for k in range(12))
     assert core_indices(alpha) == ()
     ps = [v.p_s.expo for v in alpha.graph.vertices]
     assert ps == [415164 + 3 * k for k in range(13)]
@@ -529,6 +539,27 @@ def test_stadium_itinerary_codes_and_shadows():
     assert (x.component, x.r, x.theta) == \
         (1, 2.481042998575038, -0.525515148130097)
     _CACHE["stadium_it"] = it
+
+
+def test_sub_window_codes_a_chart_off_the_alphabet():
+    # the sub-window starting at step 2 re-runs the unstable size recursion
+    # from there, so its first p_u touches the cap delta Q: no vertex has
+    # that pair, and the chart is built on the fly; the later steps meet
+    # the alphabet's sizes again
+    alpha = stadium_alphabet()
+    _, gam = stadium_gammas()
+    it = sufficiency_itinerary(alpha, gam[2:], anchor=4)
+    assert it.in_alphabet == (False,) + (True,) * 10
+    first = it.vertices[0]
+    assert all(first is not v for v in alpha.graph.vertices)
+    assert first.gamma is alpha.centers[2]
+    assert (first.p_s.expo, first.p_u.expo) == (415170, 319202)
+    assert alpha.graph.vertices[2].p_u.expo == 322105
+    assert first.p_u.expo == first.gamma.Q.expo + CFG.delta_exponent
+    assert it.vertices[1:] == alpha.graph.vertices[3:]
+    # the word still shadows the anchor's sampled point bitwise
+    assert it.meta["shadow_gap"] == 0.0
+    assert it.meta["shadow_point"] == gam[6].x
 
 
 def test_coding_and_projection_shadow_twice(monkeypatch):
@@ -665,7 +696,7 @@ def test_periodic_orbit_codes_end_to_end(kind):
     s = alpha.stats
     assert (s["centers"], s["vertices"], s["edges"]) == (2, 2, 2)
     assert core_indices(alpha) == (0, 1)
-    assert alpha.core.edge_list() == [(0, 1), (1, 0)]
+    assert alpha.core.edges == ((0, 1), (1, 0))
     it = sufficiency_itinerary(alpha, gam, anchor=6)
     assert all(it.in_alphabet)
     x, rep = project_pi(it, CONSTS)
@@ -679,22 +710,29 @@ def test_periodic_orbit_codes_end_to_end(kind):
 
 
 # ----------------------------------------------------------- double codings
+def coded_pair():
+    """The fixed point's word and its companion's, coded through the
+    alphabet of both windows."""
+    if "pair" not in _CACHE:
+        alpha2 = fixture_alphabet(0.0, H)
+        _CACHE["pair"] = tuple(
+            sufficiency_itinerary(alpha2, fixture_gammas(x0)[1], anchor=4)
+            for x0 in (0.0, H))
+    return _CACHE["pair"]
+
+
 def test_double_coding_detected_below_tolerance():
-    fx, gam = fixture_gammas()
-    alpha2 = fixture_alphabet(0.0, H)
-    it_fix = sufficiency_itinerary(alpha2, gam, anchor=4)
-    _, gam_h = fixture_gammas(H)
-    it_h = sufficiency_itinerary(alpha2, gam_h, anchor=4)
+    fx = make_linear_fixture()
+    it_fix, it_h = coded_pair()
     x1, _ = project_pi(it_fix, CONSTS)
     x2, _ = project_pi(it_h, CONSTS)
     assert detect_double_codings([x1, x2], tol=1e-6, table=fx) == \
         [(0, 1, 1e-170)]
     assert detect_double_codings([x1, x2], tol=1e-171, table=fx) == []
-    _CACHE["pair"] = (it_fix, it_h)
 
 
 def test_diagnostics_pass_on_real_double_coding():
-    it_fix, it_h = _CACHE["pair"]
+    it_fix, it_h = coded_pair()
     rep = inverse_diagnostics(it_fix, it_h, CFG, CONSTS)
     assert rep["checked"] == 9
     assert rep["sigma"] == (0,) * 9  # orientation bit constant
@@ -711,15 +749,62 @@ def test_diagnostics_pass_on_real_double_coding():
     assert 60.0 < sl["distance"] < 80.0
 
 
+def _with_frame(g: GammaPoint, **fields) -> GammaPoint:
+    """The gamma with fields of its own frame (step 0) replaced."""
+    return replace(g, frames=(g.frames[0], replace(g.frame, **fields),
+                              g.frames[2]))
+
+
+def _poisoned(it: Itinerary, k: int, poison) -> Itinerary:
+    """The word with vertex k's gamma replaced by poison(gamma), built
+    without the checks that would refuse it."""
+    v = it.vertices[k]
+    bad = DoubleChart(chart=v.chart, p_s=v.p_s, p_u=v.p_u,
+                      gamma=poison(v.gamma), signature=v.signature)
+    return Itinerary(it.vertices[:k] + (bad,) + it.vertices[k + 1:],
+                     it.anchor, it.in_alphabet, it.path, {})
+
+
+@pytest.mark.parametrize("name, item, poison", [
+    # log space: a NaN center makes the center distance NaN
+    ("distance", 1, lambda g: replace(g, points=(
+        g.points[0], PhasePoint(0, math.nan, 0.0), g.points[2]))),
+    # a ratio, a strict bound, and a lattice log
+    ("s_param", 3, lambda g: _with_frame(g, s_param=math.nan)),
+    ("d_delta", 6, lambda g: _with_frame(g, C=np.full((2, 2), math.nan))),
+    ("Q", 4, lambda g: replace(g, Qs=(g.Qs[0], replace(g.Q, eps=math.nan),
+                                      g.Qs[2]))),
+], ids=["log-space", "ratio", "strict", "lattice"])
+def test_diagnostics_fail_on_a_nan(name, item, poison):
+    # one bound of each kind, each with a NaN measured value
+    it_fix, it_h = coded_pair()
+    with pytest.raises(DiagnosticFailed,
+                       match=rf"^{name} bound: measured nan is not <=? "
+                             rf"allowed ") as ei:
+        inverse_diagnostics(_poisoned(it_fix, 6, poison), it_h, CFG, CONSTS)
+    assert (ei.value.item, ei.value.n) == (item, 2)
+
+
+def test_diagnostics_forgive_rounding_past_a_ratio_bound():
+    # 1e-12 past the bound e^(4 sqrt(eps)) of the s ratio passes, and the
+    # slack it records is negative: the tolerance stays out of it
+    it_fix, it_h = coded_pair()
+    s_h = it_h.vertices[6].gamma.frame.s_param
+    s_past = s_h * math.exp(4.0 * math.sqrt(CFG.eps) + 5e-13)
+    word = _poisoned(it_fix, 6, lambda g: _with_frame(g, s_param=s_past))
+    rep = inverse_diagnostics(word, it_h, CFG, CONSTS)
+    assert -1e-12 < rep["slack"]["s_param"] < 0.0
+
+
 def test_diagnostics_self_comparison_zero_slack_consumed():
-    it_fix, _ = _CACHE["pair"]
+    it_fix, _ = coded_pair()
     rep = inverse_diagnostics(it_fix, it_fix, CFG, CONSTS)
     assert rep["slack"]["distance"] == math.inf
     assert rep["sigma"] == (0,) * 9
 
 
 def test_diagnostics_shape_mismatch():
-    it_fix, it_h = _CACHE["pair"]
+    it_fix, it_h = coded_pair()
     short = make_itinerary(it_h.vertices[1:], 3, CFG, CONSTS,
                            it_h.in_alphabet[1:], {})
     with pytest.raises(ValueError, match="shape and anchor"):
@@ -732,7 +817,7 @@ def test_diagnostics_distance_violation():
     _, gam2 = fixture_gammas(h2, span=318)
     alpha2 = coarse_grain([gam2], CFG, CONSTS)
     it2 = sufficiency_itinerary(alpha2, gam2, anchor=4)
-    it_fix, _ = _CACHE["pair"]
+    it_fix, _ = coded_pair()
     with pytest.raises(DiagnosticFailed) as ei:
         inverse_diagnostics(it_fix, it2, CFG, CONSTS)
     assert ei.value.item == 1
@@ -760,6 +845,11 @@ def test_certificate_fixture_counts():
     assert cert["count"] == 1 and cert["groups"] == 1
     assert (cert["max_k"], cert["max_l"]) == (1, 0)
     assert (cert["max_m"], cert["max_j"]) == (FIX_M, FIX_J)
+    # allowed - measured, the 1e-9 tolerance left out: |log t| - k, the
+    # growth cap of the frame bins is the loosest, |log t| - m, and
+    # |log t| + 2 - j
+    assert cert["slack"] == {"distance bin": 314.0, "frame bin": 315.0,
+                             "size bin": 6.0, "level": 3.0}
     # the default threshold is the median size itself: strict > empties it
     assert discreteness_certificate(alpha)["count"] == 0
 
@@ -773,16 +863,36 @@ def test_certificate_stadium_counts():
     assert (cert["max_m"], cert["max_j"]) == (1139, 1383)
 
 
-def test_certificate_rejects_inconsistent_level():
+def _fixture_alphabet_with(gamma=None, signature=None) -> Alphabet:
+    """The fixed point's one-vertex alphabet with that vertex's gamma or
+    signature replaced."""
     alpha = fixture_alphabet(0.0)
     v = alpha.graph.vertices[0]
-    sig = v.signature
-    fake = DoubleChart(chart=v.chart, p_s=v.p_s, p_u=v.p_u, gamma=v.gamma,
-                       signature=BinSignature(sig.k, sig.l, sig.a, sig.m, 999))
-    g = make_graph((fake,), [(0, 0)])
-    bad = Alphabet(CFG, CONSTS, alpha.cover, alpha.centers, alpha.nets,
-                   graph=g, center_of_vertex=(0,), stats=dict(alpha.stats))
-    with pytest.raises(AssertionError, match="level 999"):
+    fake = DoubleChart(chart=v.chart, p_s=v.p_s, p_u=v.p_u,
+                       gamma=gamma or v.gamma,
+                       signature=signature or v.signature)
+    return Alphabet(CFG, CONSTS, alpha.cover, alpha.centers, alpha.nets,
+                    graph=make_graph((fake,), [(0, 0)]),
+                    center_of_vertex=(0,), stats=dict(alpha.stats))
+
+
+def test_certificate_rejects_inconsistent_level():
+    sig = fixture_alphabet(0.0).graph.vertices[0].signature
+    bad = _fixture_alphabet_with(
+        signature=BinSignature(sig.k, sig.l, sig.a, sig.m, 999))
+    with pytest.raises(DiagnosticFailed,
+                       match="level bound: measured 999 is not <=") as ei:
+        discreteness_certificate(bad, t_log=-315.0)
+    assert (ei.value.item, ei.value.n) == ("discreteness", 0)
+
+
+def test_certificate_fails_on_a_nan_cap():
+    # the growth cap of the first frame bin reads chi
+    g = fixture_alphabet(0.0).graph.vertices[0].gamma
+    bad = _fixture_alphabet_with(gamma=_with_frame(g, chi=math.nan))
+    with pytest.raises(DiagnosticFailed,
+                       match="frame bin bound: measured 0 is not < allowed "
+                             "nan"):
         discreteness_certificate(bad, t_log=-315.0)
 
 
@@ -793,7 +903,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
     save_alphabet(alpha, f1)
     back = load_alphabet(f1)
     assert back.graph.n_vertices == alpha.graph.n_vertices
-    assert back.graph.edge_list() == alpha.graph.edge_list()
+    assert back.graph.edges == alpha.graph.edges
     assert core_indices(back) == core_indices(alpha)
     assert back.stats == alpha.stats
     for c1, c2 in zip(alpha.centers, back.centers):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -695,6 +696,30 @@ def test_wrap_r_walks_loop():
     cir = make_circle()
     c, r = cir.wrap_r(0, 2 * math.pi + 0.5)
     assert c == 0 and abs(r - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("mk", [make_circle, make_stadium])
+@pytest.mark.parametrize("r", [-math.inf, math.inf, math.nan, 1e18, -1e18])
+def test_wrap_r_refuses_r_the_walk_cannot_finish(mk, r):
+    # at -inf or 1e18 the stadium walk would not end, and NaN is no arclength
+    with pytest.raises(ValueError,
+                       match=f"^arclength {re.escape(str(r))} on component 0 "):
+        mk().wrap_r(0, r)
+
+
+@pytest.mark.parametrize("mk", [make_circle, make_stadium, make_sinai,
+                                make_flower])
+def test_wrap_r_takes_every_r_embed_makes(mk):
+    # embed passes p.r + dr with p.r in [0, L] and |dr| below the loop
+    # length: the extremes of that range at every component
+    tb = mk()
+    for c, L in enumerate(tb.lengths):
+        total = tb._loop_at[c][3]
+        for r0 in (0.0, math.nextafter(L, 0.0), L):
+            for dr in (math.nextafter(total, 0.0),
+                       -math.nextafter(total, 0.0), 0.0):
+                q = tb.embed(PhasePoint(c, r0, 0.1), dr, 0.0)
+                assert 0.0 <= q.r <= tb.lengths[q.component]
 
 
 @pytest.mark.parametrize("mk", [make_circle, make_stadium])
