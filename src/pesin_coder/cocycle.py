@@ -43,10 +43,9 @@ equals the full push's row at that step or that row negated (nonzero
 floats compare equal only when their bits are equal); it returns the full
 push's last row, negated in the second case.  (The full push's rows are
 kept sign-fixed, each the row or its negation; that moves neither the
-exit nor the angle below.)  Each push step is a
-function of its row and that step's matrix alone, so from an equal row on
-the two pushes compute the same bits, and the exit returns what the whole
-halved push would.
+exit nor the angle below.)  Each push step is a function of its row and
+that step's matrix alone, so from an equal row on the two pushes compute
+the same bits, and the exit returns what the whole halved push would.
 Under round-to-nearest a push step is odd up to the sign of an exact zero:
 negating the row negates every product, fma and substitution exactly (the
 LU pivots read the matrix alone), except that an exact cancellation gives
@@ -70,10 +69,8 @@ to their trimmed range, and the public arrays of `Splitting` finish both
 pushes.  An extension builds step columns for its rows alone, kept no
 longer than the push, and resumes from the field's last row as the push
 left it, without normalising it again, so every row keeps the bits of
-the whole push in any order of reads.  A gamma window of -4..4 on the
-fixture's +-390 segments reads no extension: its pushes run 406 of the
-780 rows of each whole push; the flower's exponents, which read rows
-200..1800 of 2001, push a tenth fewer.
+the whole push in any order of reads; a -4..4 gamma window on the
+fixture's +-390 segments reads no extension.
 The s/u series of all the points of a frame window are summed in one
 numpy pass with the bits of the scalar loop (`_series_sums`), in blocks
 of terms whose size bounds its memory and moves no bit.  A series stops
@@ -163,7 +160,7 @@ class OrbitSegment:
     kept: `dist(n)` is d(f^n x, D), also at the two padding points
     n = -n_minus-1 and n_plus+1 held in `ends`, and `rho(n)` is the min of
     `dist` over n-1, n, n+1.  Without `ends` (a segment built with
-    `with_rho=False`) both return NaN.
+    `with_rho=False`) `dist`, and so `rho`, raises ValueError.
     """
 
     table: object
@@ -192,13 +189,15 @@ class OrbitSegment:
 
     def dist(self, n: int) -> float:
         """Distance of f^n x to D, for n in [-n_minus-1, n_plus+1]."""
+        if self.ends is None:
+            raise ValueError(f"segment built with with_rho=False has no rho "
+                             f"data: no distance to D at step {n}")
         if n not in self._dists:
             if n == -self.n_minus - 1 or n == self.n_plus + 1:
-                p = self.ends[n > 0] if self.ends else None
+                p = self.ends[n > 0]
             else:
                 p = self.point(n)
-            self._dists[n] = (math.nan if self.ends is None
-                              else dist_to_discontinuity(self.table, p))
+            self._dists[n] = dist_to_discontinuity(self.table, p)
         return self._dists[n]
 
     def rho(self, n: int) -> float:
@@ -328,8 +327,8 @@ def orbit_segment(table, x: PhasePoint, n_minus: int, n_plus: int,
     of the first point and f of the last, so that `seg.dist`/`seg.rho` can
     compute distances to D on request; a first point whose preimage is
     undefined raises OrbitHitsDiscontinuity at step -n_minus-1.
-    `with_rho=False` takes no padding step and its `dist`/`rho` are NaN —
-    intended for long exponent runs where only the derivative cocycle
+    `with_rho=False` takes no padding step and its `dist`/`rho` raise
+    ValueError — for long exponent runs where only the derivative cocycle
     matters.  A window length that is not a nonnegative integer (a bool
     included) raises ValueError naming `n_minus` or `n_plus`.
     """
@@ -366,35 +365,19 @@ _FIRST_CHUNK = 16
 
 
 def _fma(a: float, x: float, p: float) -> float:
-    """a*x + p rounded once, as an FMA unit computes it, for any floats.
-
-    An exactly zero product gives a*x + p, with IEEE's signed zeros, and a
-    zero p the rounded product.  A product below 2**-57 |p| cannot move a
-    p of at least 2**-1017.  Operands within 2**+-450 take Dekker's
-    TwoProduct h + e = a*x, summed by `math.fsum`, which rounds the exact
-    sum once; the other finite cases are summed in `Fraction`, whose float
-    conversion rounds once too.  Non-finite operands follow IEEE."""
+    """a*x + p rounded once, as an FMA unit computes it, for any floats: as
+    IEEE does for a zero product, a zero p or a non-finite operand, p for a
+    product below 2**-57 |p| if |p| >= 2**-1017, and else the exact sum in
+    `Fraction`, whose float conversion rounds once."""
     h = a * x
-    if a == 0.0 or x == 0.0:
+    if a == 0.0 or x == 0.0 or not (math.isfinite(a) and math.isfinite(x)):
         return h + p
     if p == 0.0:
         return h
-    if not (math.isfinite(a) and math.isfinite(x)):
-        return h + p
     if not math.isfinite(p):
         return p
     if abs(p) >= 2.0 ** -1017 and abs(h) * 2.0 ** 57 <= abs(p):
         return p
-    if (2.0 ** -450 <= abs(a) <= 2.0 ** 450
-            and 2.0 ** -450 <= abs(x) <= 2.0 ** 450 and abs(p) <= _HI):
-        t = _SPLIT * a
-        ah = t - (t - a)
-        al = a - ah
-        t = _SPLIT * x
-        xh = t - (t - x)
-        xl = x - xh
-        e = ((ah * xh - h) + ah * xl + al * xh) + al * xl
-        return h + p if not e else fsum((h, e, p))
     exact = Fraction(a) * Fraction(x) + Fraction(p)
     try:
         return float(exact)  # +0.0 for an exact cancellation, as in IEEE
@@ -576,8 +559,8 @@ def _angle_between(a, b) -> float:
 
 
 # generic seed: avoid axis directions so diagonal fixtures don't get stuck on
-# the wrong eigendirection
-_SEED = np.array([0.6, 0.8])
+# the wrong eigendirection; `_unit` returns it bitwise, so pushes start on it
+_SEED = (0.6, 0.8)
 
 
 class _Field:
@@ -600,7 +583,7 @@ class _Field:
         self.stable = stable
         self.e = np.empty((n, 2))
         self.factor = np.empty(n - 1)
-        self.row = _unit(*_SEED.tolist())
+        self.row = _SEED
         self.end = n - 1 if stable else 0
         self._skip = 0  # 1 once the seed row is stored, by the first push
 
@@ -669,18 +652,17 @@ def oseledets_splitting(seg: OrbitSegment) -> Splitting:
             f"derivative at segment row {i} (step {i - base}) is singular "
             f"or not finite: {M[i].tolist()}, det {float(det[i])!r}")
     unstable, stable = _Field(D, False), _Field(D, True)
-    seed = _unit(*_SEED.tolist())
     # each halved window ends at the base point
     lo = base - seg.n_minus // 2
     cols = unstable.push_to(min(base + _FIRST_CHUNK, len(seg) - 1))
-    u_half = _push([c[lo:base] for c in cols], seed,
+    u_half = _push([c[lo:base] for c in cols], _SEED,
                    full=unstable.e[lo:base + 1])
     hi = base + seg.n_plus - seg.n_plus // 2
     # step j of the stable push solves through D[n-2-j], so the halved
     # window D[base:hi] is its steps n-1-hi .. n-2-base
     top = len(seg) - 1 - base
     cols = stable.push_to(max(base - _FIRST_CHUNK, 0))
-    s_half = _push([c[top - (hi - base):top] for c in cols], seed,
+    s_half = _push([c[top - (hi - base):top] for c in cols], _SEED,
                    inverse=True, full=stable.e[base:hi + 1][::-1])
     ang_u = _angle_between(unstable.e[base], u_half)
     ang_s = _angle_between(stable.e[base], s_half)
@@ -988,15 +970,11 @@ def c_inverse_growth_check(seg: OrbitSegment, frames: list[HyperbolicFrame],
     frames[k] must be the frame at relative step lo+k.  At every consecutive
     pair, with x the later point: ||C(f^-1 x)^-1|| <= 2 rho(x)^(-2a) *
     (1 + e^chi rho(x)^(-a)) * ||C(x)^-1||.  Log-space margins; raises on
-    one that is not >= 0, a NaN included.  A segment built with
-    with_rho=False has no rho, which raises ValueError.
+    one that is not >= 0, a NaN included.
     """
     worst = (math.inf, None)
     for k in range(1, len(frames)):
         rho_x = seg.rho(lo + k)
-        if math.isnan(rho_x):
-            raise ValueError("segment built with with_rho=False has no rho "
-                             "data")
         if rho_x <= 0:
             raise InequalityViolated("rho = 0 at an interior point", lo + k)
         chi = frames[k].chi
@@ -1019,7 +997,7 @@ def nuh_diagnostics(seg: OrbitSegment, frames: list[HyperbolicFrame],
                     q_u: np.ndarray | None = None) -> dict:
     """Finite-window membership proxies for the hyperbolic regular set.
 
-    Reports (no raising): the large-|n| slope of |log rho|, the best return
+    Reports (no bounds): the large-|n| slope of |log rho|, the best return
     distance of C to its base value (forward and backward), the slope of
     |log ||C^-1|| |, and — when the caller supplies chart-size sequences —
     the running max of q_s forward / q_u backward.

@@ -278,6 +278,14 @@ class DoubleChart(PathVertex):
         return (id(self.gamma), self.p_s.expo, self.p_u.expo)
 
 
+def _level_window_miss(p_min: LatticeSize, j: int) -> str:
+    """'' if p_s^p_u = p_min is within e^(+-2) of e^-j, else why not."""
+    t = -p_min.log_value
+    return "" if j - 2.0 - 1e-9 <= t <= j + 2.0 + 1e-9 else (
+        f"p_s^p_u = e^-{t:.6g} outside the level window "
+        f"[e^-{j + 2}, e^-{j - 2}]")
+
+
 def double_chart(gamma: GammaPoint, cover: GridCover, cfg: EpsilonConfig,
                  consts: RegularityConstants, p_s: LatticeSize,
                  p_u: LatticeSize, j: int) -> DoubleChart:
@@ -293,11 +301,8 @@ def double_chart(gamma: GammaPoint, cover: GridCover, cfg: EpsilonConfig,
                 f"{name} = e^{p.log_value:.6g} exceeds delta Q = "
                 f"e^{cap.log_value:.6g}")
     p_min = p_s.min_with(p_u)
-    t = -p_min.log_value
-    if not (j - 2.0 - 1e-9 <= t <= j + 2.0 + 1e-9):
-        raise ValueError(
-            f"p_s^p_u = e^-{t:.6g} outside the level window "
-            f"[e^-{j + 2}, e^-{j - 2}]")
+    if miss := _level_window_miss(p_min, j):
+        raise ValueError(miss)
     sig = replace(bin_signature(gamma, cover), j=j)
     chart = build_pesin_chart(gamma.table, gamma.x, gamma.frame, gamma.Q,
                               gamma.rho, cfg, consts, eta=p_min)
@@ -628,7 +633,8 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int
     the word; verifies the edges and that the word's shadow comes back to
     the window's base point within ``SHADOW_TOL``.  The shadow is the
     word's projection: ``meta`` keeps it as ``shadow_point``/``shadow_w``
-    with its ``shadow_gap``, and `project_pi` reads it from there.
+    with its ``shadow_gap``, and `project_pi` reads it from there.  A
+    chart off its level window raises InequalityViolated at its step.
     """
     gammas = list(gammas)
     cfg, consts = alphabet.cfg, alphabet.consts
@@ -642,6 +648,10 @@ def sufficiency_itinerary(alphabet: Alphabet, gammas, anchor: int
             vertices.append(alphabet.graph.vertices[vid])
             in_alpha.append(True)
         else:
+            if miss := _level_window_miss(gq.qs[k].min_with(gq.qu[k]), g.j):
+                raise InequalityViolated(
+                    f"off-alphabet chart at step {k - anchor}: {miss}",
+                    witness=k - anchor)
             vertices.append(double_chart(alphabet.centers[c], alphabet.cover,
                                          cfg, consts, gq.qs[k], gq.qu[k], g.j))
             in_alpha.append(False)
@@ -789,7 +799,7 @@ def inverse_diagnostics(it1: Itinerary, it2: Itinerary, cfg: EpsilonConfig,
         L = np.linalg.solve(fw.C, fv.C)
         sigma = 0 if float(np.trace(L)) > 0.0 else 1
         sigmas.append(sigma)
-        check("offset", 6, _log0(float(np.linalg.norm(t))),
+        check("offset", 6, _log0(math.hypot(*t)),
               math.log(0.1) + w.p_min.log_value, strict=True)
         check("d_delta", 6, operator_norm(L - ((-1.0) ** sigma) * np.eye(2)),
               cbrt_e, strict=True)

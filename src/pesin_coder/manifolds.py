@@ -57,7 +57,6 @@ from .lattice import LatticeSize
 __all__ = [
     "MANIFOLD_GRID_N",
     "C1_CUTOFF",
-    "MAX_SWEEPS",
     "SLOPE_NOISE_FLOOR",
     "ANGLE_NOISE_FLOOR",
     "LITERAL_SCALE_FLOOR",
@@ -81,9 +80,8 @@ __all__ = [
 # 65-point uniform grid on [-1, 1]; odd so tau = 0 is a node
 MANIFOLD_GRID_N = 65
 TAU = np.linspace(-1.0, 1.0, MANIFOLD_GRID_N)
-# iteration cutoffs: e^(-chi/2) contraction reaches 1e-10 within ~100 sweeps
+# iteration cutoff: e^(-chi/2) contraction reaches 1e-10 within ~100 sweeps
 C1_CUTOFF = 1e-10
-MAX_SWEEPS = 200
 # measurement floors for bounds whose true right-hand sides underflow float
 # resolution at real chart sizes (documented desk-scale reading).  Slopes of
 # transformed graphs inherit the probe-scale curvature of the chart maps

@@ -385,11 +385,6 @@ class BilliardTable:
             raise ValueError(f"loop {outer} encloses less area than its holes")
 
     # ------------------------------------------------------------ geometry
-    def point_xy(self, component: int, s: float) -> np.ndarray:
-        self._check_component(component)
-        x, y = comp_point(self.rows[component], s)
-        return np.array([x, y])
-
     def curvature(self, component: int) -> float:
         return comp_curvature(self.rows[component])
 
@@ -427,8 +422,8 @@ class BilliardTable:
 
     def _polyline(self, samples_per_component: int) -> list[np.ndarray]:
         """Boundary samples of each loop (M x 2), built once per sample
-        count: the `point_xy` values, from one `comp_frames_many` call per
-        loop."""
+        count: the `comp_point` values, from one `comp_frames_many` call
+        per loop."""
         if samples_per_component not in self._polylines:
             polys = []
             for loop in self.loops:
@@ -488,8 +483,11 @@ class BilliardTable:
         return component, r
 
     def distance(self, p: PhasePoint, q: PhasePoint) -> float:
-        dp = self.point_xy(p.component, p.r) - self.point_xy(q.component, q.r)
-        return self.metric_scale * math.hypot(math.hypot(dp[0], dp[1]),
+        self._check_component(p.component)
+        self._check_component(q.component)
+        px, py = comp_point(self.rows[p.component], p.r)
+        qx, qy = comp_point(self.rows[q.component], q.r)
+        return self.metric_scale * math.hypot(math.hypot(px - qx, py - qy),
                                               p.theta - q.theta)
 
     def diameter(self) -> float:
@@ -1122,7 +1120,6 @@ def make_linear_fixture(lambda_u: float = math.e, lambda_s: float = 1.0 / math.e
     return LinearFixtureMap(lambda_u, lambda_s, half_width)
 
 
-# ---------------------------------------------------------------- file IO
 _BUILDERS = {
     "circle": make_circle,
     "stadium": make_stadium,

@@ -28,6 +28,7 @@ from pesin_coder.cocycle import (
     frame_at,
     frames_along,
     lyapunov_exponents,
+    nuh_diagnostics,
     orbit_segment,
     oseledets_splitting,
     reduced_cocycle,
@@ -98,6 +99,10 @@ def first_admitted(table, rng_seed: int, side: int, tries: int = 40):
     raise AssertionError("no admissible sample point found")
 
 
+# the splitting's seed row, as an array
+SEED = np.array(cocycle._SEED)
+
+
 def push(mats: np.ndarray, v: np.ndarray, inverse: bool = False,
          out: np.ndarray | None = None,
          full: np.ndarray | None = None) -> np.ndarray:
@@ -136,12 +141,15 @@ class TestOrbitSegment:
         assert [seg.rho(n) for n in range(-40, 41)] == [fx.half_width] * 81
         expected = np.array([[fx.lambda_s, 0.0], [0.0, fx.lambda_u]])
         assert np.array_equal(seg.derivs, np.broadcast_to(expected, (81, 2, 2)))
-        # without rho the fixture leaves the distances unset, like a billiard
+        # without rho the fixture refuses its distances, like a billiard
         bare = orbit_segment(fx, seg.point(0), 40, 40, with_rho=False)
         assert ((bare.comps, bare.rs, bare.thetas)
                 == (seg.comps, seg.rs, seg.thetas))
-        assert all(math.isnan(bare.rho(n)) and math.isnan(bare.dist(n))
-                   for n in range(-40, 41))
+        for n in (-40, 0, 40):
+            for read in (bare.rho, bare.dist):
+                with pytest.raises(ValueError,
+                                   match="with_rho=False has no rho data"):
+                    read(n)
 
     def test_fixture_escape_indices_are_signed(self):
         fx = make_linear_fixture()
@@ -249,13 +257,24 @@ class TestOrbitSegment:
         with pytest.raises(IndexError):
             seg.dist(7)
 
-    def test_with_rho_false_fills_nan(self):
+    def test_with_rho_false_refuses_distances(self):
+        # `dist` is the one refusal of a segment without rho: every step,
+        # the padding ones included, raises instead of returning NaN, and
+        # `rho` and its readers inherit it, warnings as errors
         st = make_stadium()
         rng = np.random.default_rng(4)
         p = st.liouville_sample(rng, 1)[0]
         seg = orbit_segment(st, p, 3, 3, with_rho=False)
-        assert all(math.isnan(seg.rho(n)) for n in range(-3, 4))
-        assert all(math.isnan(seg.dist(n)) for n in range(-4, 5))
+        for n in range(-4, 5):
+            with pytest.raises(ValueError, match=rf"^segment built with "
+                               rf"with_rho=False has no rho data: no "
+                               rf"distance to D at step {n}$"):
+                seg.dist(n)
+        for n in range(-3, 4):
+            with pytest.raises(ValueError, match="has no rho data"):
+                seg.rho(n)
+        with pytest.raises(IndexError):
+            seg.rho(4)  # a step off the segment is still an IndexError
 
     def test_padding_step_is_taken_at_build_time(self):
         # distances are computed on request, but the preimage of the first
@@ -380,11 +399,11 @@ class TestSplitting:
         angles = []
         for inverse, mats, full in halved_pushes(seg):
             rows = np.full((len(mats) + 1, 2), np.nan)
-            whole = push(mats, cocycle._SEED, inverse, out=rows)
+            whole = push(mats, SEED, inverse, out=rows)
             assert whole.tobytes() == push(
-                mats, cocycle._SEED, inverse).tobytes()
+                mats, SEED, inverse).tobytes()
             taken = np.full((len(mats) + 1, 2), np.nan)
-            got = push(mats, cocycle._SEED, inverse, out=taken,
+            got = push(mats, SEED, inverse, out=taken,
                        full=full)
             assert got.tobytes() == whole.tobytes()
             locks.append(any(rows[k].tobytes() == full[k].tobytes()
@@ -486,8 +505,8 @@ class TestSplitting:
         for seed in range(8):
             seg, _ = first_admitted(table, seed, 200)
             for inverse, mats, full in halved_pushes(seg):
-                whole = push(mats, cocycle._SEED, inverse)
-                got = push(mats, cocycle._SEED, inverse, full=full)
+                whole = push(mats, SEED, inverse)
+                got = push(mats, SEED, inverse, full=full)
                 assert cocycle._angle_between(full[-1], got).hex() \
                     == cocycle._angle_between(full[-1], whole).hex()
                 negated += got.tobytes() == (-full[-1]).tobytes()
@@ -523,12 +542,12 @@ class TestSplitting:
         derivs = np.array([np.diag([2.0, 0.5])] * 6)
         derivs[2] = [[1.0, 2.0], [2.0, 4.0]]
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            np.linalg.solve(derivs[2], cocycle._SEED)
+            np.linalg.solve(derivs[2], SEED)
         before = np.geterr()
         out = np.empty((7, 2))[::-1] if with_out else None
         with pytest.raises(SplittingNotConverged,
                            match="^singular push step: LU pivots "):
-            push(derivs[::-1], cocycle._SEED, inverse=True, out=out)
+            push(derivs[::-1], SEED, inverse=True, out=out)
         assert np.geterr() == before
 
     def test_singular_step_raises_from_the_splitting(self):
@@ -690,7 +709,7 @@ class TestFloatPush:
             assert not all(on_path)
         else:
             assert all(on_path)  # every step takes the float path
-        for v in (cocycle._SEED, -cocycle._SEED,
+        for v in (SEED, -SEED,
                   rng.standard_normal(2) * 1e-30):
             rows = np.empty((len(mats) + 1, 2))
             push(mats, v, inverse, out=rows)
@@ -713,7 +732,7 @@ class TestFloatPush:
         assert cocycle._steps(pivot_zero, True)[0] == [False]
         with pytest.raises(SplittingNotConverged,
                            match="^singular push step: LU pivots 0.0 and "):
-            push(pivot_zero, cocycle._SEED, inverse=True)
+            push(pivot_zero, SEED, inverse=True)
         rank_one = np.array([[[1.0, -1.0], [2.0, -2.0]]])
         assert cocycle._steps(rank_one, False)[0] == [True]
         with pytest.raises(SplittingNotConverged,
@@ -722,10 +741,14 @@ class TestFloatPush:
         huge = np.full((1, 2, 2), 1e300)
         assert cocycle._steps(huge, False)[0] == [False]
         with pytest.raises(SplittingNotConverged, match="has norm inf"):
-            push(huge, cocycle._SEED)
+            push(huge, SEED)
         for row in ((0.0, 0.0), (math.inf, 1.0), (math.nan, 1.0)):
             with pytest.raises(SplittingNotConverged, match="has norm"):
                 cocycle._unit(*row)
+
+    def test_seed_is_a_unit_row(self):
+        # the pushes start from the seed as it is: `_unit` keeps its bits
+        assert cocycle._unit(*cocycle._SEED) == cocycle._SEED == (0.6, 0.8)
 
     def test_fma_is_exact(self):
         edge = [0.0, -0.0, 1.5, -2.25, 0.1, 3.0 * 2.0 ** -1074, -5e-324,
@@ -759,8 +782,8 @@ class TestFloatPush:
         for mats in pushes:
             for inverse in (False, True):
                 rows = np.empty((len(mats) + 1, 2))
-                push(mats, cocycle._SEED, inverse, out=rows)
-                want = numpy_push(mats, cocycle._SEED, inverse)
+                push(mats, SEED, inverse, out=rows)
+                want = numpy_push(mats, SEED, inverse)
                 assert rows.tobytes() == want.tobytes()
 
 
@@ -781,8 +804,8 @@ def halved_pushes(seg: OrbitSegment):
     e_s = np.empty((n, 2))
     lo = base - seg.n_minus // 2
     hi = base + seg.n_plus - seg.n_plus // 2
-    push(D[:n - 1], cocycle._SEED, out=e_u)
-    push(D[:n - 1][::-1], cocycle._SEED, inverse=True, out=e_s[::-1])
+    push(D[:n - 1], SEED, out=e_u)
+    push(D[:n - 1][::-1], SEED, inverse=True, out=e_s[::-1])
     return ((False, D[lo:base], e_u[lo:base + 1]),
             (True, D[base:hi][::-1], e_s[base:hi + 1][::-1]))
 
@@ -794,13 +817,13 @@ def reference_splitting(seg: OrbitSegment):
     derivs = seg.derivs
     e_u = np.empty((n, 2))
     e_s = np.empty((n, 2))
-    w = cocycle._SEED / np.linalg.norm(cocycle._SEED)
+    w = SEED / np.linalg.norm(SEED)
     e_u[0] = w
     for i in range(n - 1):
         w = derivs[i] @ w
         w /= np.linalg.norm(w)
         e_u[i + 1] = w
-    w = cocycle._SEED / np.linalg.norm(cocycle._SEED)
+    w = SEED / np.linalg.norm(SEED)
     e_s[n - 1] = w
     for i in range(n - 2, -1, -1):
         w = np.linalg.solve(derivs[i], w)
@@ -1415,13 +1438,26 @@ class TestGrowthCheck:
         assert ei.value.witness == -6
 
     def test_refuses_a_segment_without_rho(self):
-        # every rho is NaN here: no margin could be taken
+        # the segment's rho refuses, so no margin could be taken
         seg = orbit_segment(make_linear_fixture(), PhasePoint(0, 0.0, 0.0),
                             40, 40, with_rho=False)
         sp = oseledets_splitting(seg)
         frames = frames_along(seg, sp, 0.5, -5, 5)
         with pytest.raises(ValueError, match="with_rho=False has no rho"):
             c_inverse_growth_check(seg, frames, -5, a=1.5)
+
+    def test_nuh_diagnostics_refuses_a_segment_without_rho(self):
+        # a segment without rho gives no reg_slope rather than a NaN one;
+        # with rho = 0.3 everywhere the slope is |log 0.3| over the nearest
+        # far step, |n| = 17 // 4 = 4
+        fx, seg = fixture_segment()
+        frames = frames_along(seg, oseledets_splitting(seg), 0.5, -8, 8)
+        rep = nuh_diagnostics(seg, frames, -8)
+        assert rep["reg_slope"] == pytest.approx(-math.log(0.3) / 4,
+                                                 rel=1e-15)
+        bare = orbit_segment(fx, seg.point(0), 40, 40, with_rho=False)
+        with pytest.raises(ValueError, match="with_rho=False has no rho"):
+            nuh_diagnostics(bare, frames, -8)
 
     def test_nan_margin_fails(self):
         # a NaN ||C^-1|| makes the margin NaN, which fails the bound

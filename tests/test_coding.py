@@ -490,6 +490,22 @@ def test_mixed_window_fails_edge_relation():
         sufficiency_itinerary(alpha, mixed, anchor=2)
 
 
+@pytest.mark.parametrize("lo", [0, 3])
+def test_sub_window_leaving_its_level_window_is_typed(lo):
+    # coding seven steps of the stadium window re-runs the size recursions
+    # on them alone, and the off-alphabet chart of the first step leaves its
+    # level window: a typed refusal whose witness is the window-relative
+    # step, as NoBinCenter counts it
+    alpha = stadium_alphabet()
+    _, gam = stadium_gammas()
+    with pytest.raises(InequalityViolated,
+                       match=r"^off-alphabet chart at step -3: p_s\^p_u = "
+                             r"e\^-12\d\d\.\d+ outside the level window "
+                             r"\[e\^-1385, e\^-1381\]$") as ei:
+        sufficiency_itinerary(alpha, gam[lo:lo + 7], anchor=3)
+    assert ei.value.witness == -3
+
+
 def test_make_itinerary_rejects_non_edge():
     alpha = fixture_alphabet(0.0, H)
     v_fix, v_h = alpha.graph.vertices[0], alpha.graph.vertices[1]
@@ -747,6 +763,15 @@ def test_diagnostics_pass_on_real_double_coding():
     assert sl["s_param"] == pytest.approx(0.4, abs=1e-12)
     assert sl["u_param"] == pytest.approx(0.4, abs=1e-12)
     assert 60.0 < sl["distance"] < 80.0
+
+
+def test_interchange_offset_is_measured_below_the_squares_range():
+    # the two codings' centers are 1e-170 apart, so the interchange offset
+    # is about 1e-169, whose square underflows: the offset is measured in
+    # log space and keeps a finite slack, not the exact-zero short circuit
+    it_fix, it_h = coded_pair()
+    sl = inverse_diagnostics(it_fix, it_h, CFG, CONSTS)["slack"]
+    assert 60.0 < sl["offset"] < 80.0
 
 
 def _with_frame(g: GammaPoint, **fields) -> GammaPoint:

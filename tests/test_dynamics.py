@@ -106,6 +106,22 @@ def test_stadium_flat_bounce():
 
 
 # ------------------------------------------------------------- inverse maps
+@pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower])
+def test_orbit_of_the_reversed_point_is_the_reversed_orbit(mk):
+    # time reversal I(c, r, theta) = (c, r, -theta) conjugates f to f^-1:
+    # step n of Ix is I of step -n of x, bitwise, on +-60 segments of 40
+    # seeded Liouville samples, every one of them defined (ROADMAP item 22)
+    tb = mk()
+    for x in tb.liouville_sample(np.random.default_rng(0), 40):
+        seg = orbit_segment(tb, x, 60, 60, with_rho=False)
+        rev = orbit_segment(tb, PhasePoint(x.component, x.r, -x.theta), 60,
+                            60, with_rho=False)
+        assert rev.comps == seg.comps[::-1]
+        assert [r.hex() for r in rev.rs] == [r.hex() for r in seg.rs[::-1]]
+        assert [t.hex() for t in rev.thetas] \
+            == [(-t).hex() for t in seg.thetas[::-1]]
+
+
 @pytest.mark.parametrize("mk", [make_stadium, make_sinai, make_flower,
                                 make_linear_fixture])
 def test_round_trip_inverse(mk):

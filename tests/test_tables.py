@@ -195,6 +195,11 @@ def test_corner_collection():
     assert len(make_flower().corner_points) == 4
 
 
+def point_xy(tb, component: int, s: float) -> np.ndarray:
+    """The boundary point at arclength s of a component, as an array."""
+    return np.array(comp_point(tb.rows[component], s))
+
+
 def inward_normal(tb, component: int, s: float) -> np.ndarray:
     """The unit tangent rotated by 90 degrees: (-ty, tx)."""
     _, _, tx, ty = comp_frame(tb.rows[component], s)
@@ -205,7 +210,7 @@ def test_tangent_normal_curvature_conventions():
     # circle of radius 2: tangent ccw, inward normal toward center, kappa=+1/2
     tb = make_circle(radius=2.0)
     s = 1.3
-    P = tb.point_xy(0, s)
+    P = point_xy(tb, 0, s)
     T = np.array(comp_frame(tb.rows[0], s)[2:])
     N = inward_normal(tb, 0, s)
     assert abs(np.dot(T, T) - 1.0) < 1e-12
@@ -216,7 +221,7 @@ def test_tangent_normal_curvature_conventions():
     # sinai scatterer: traversal cw, inward normal AWAY from scatterer center
     sn = make_sinai()
     s = 0.7
-    P = sn.point_xy(4, s)
+    P = point_xy(sn, 4, s)
     N = inward_normal(sn, 4, s)
     assert np.dot(N, P) > 0  # away from origin = into the table
     assert sn.curvature(4) == -1.0 / 0.5
@@ -521,7 +526,7 @@ def test_component_outside_the_table_refused(component):
     calls = [lambda: st.step(p, True), lambda: st.step(p, False),
              lambda: st.derivative(p, True), lambda: st.derivative(p, False),
              lambda: st.dist_to_D(p), lambda: st.embed(p, 0.1, 0.0),
-             lambda: st.point_xy(component, 0.5),
+             lambda: st.distance(p, inside), lambda: st.distance(inside, p),
              lambda: st.offset(inside, p), lambda: st.offset(p, inside),
              lambda: st.wrap_r(component, 0.3),
              lambda: st.step_many(p, rows, True, inside),
@@ -587,13 +592,26 @@ def test_contains_point_samples_the_boundary_once(monkeypatch):
 @pytest.mark.parametrize("mk", ALL_BUILDERS)
 @pytest.mark.parametrize("samples", [BOUNDARY_SAMPLES, WINDING_SAMPLES])
 def test_polyline_is_the_point_xy_samples(mk, samples):
-    # one comp_frames_many call per loop gives point_xy's bits
+    # one comp_frames_many call per loop gives comp_point's bits
     tb = mk()
     for loop, got in zip(tb.loops, tb._polyline(samples), strict=True):
-        want = np.array([tb.point_xy(ci, s) for ci in loop
+        want = np.array([point_xy(tb, ci, s) for ci in loop
                          for s in np.linspace(0.0, tb.lengths[ci], samples,
                                               endpoint=False)])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mk", ALL_BUILDERS)
+def test_distance_is_the_array_form(mk):
+    # distance reads comp_point on Python floats, with the bits of the
+    # difference of the two boundary points taken as numpy arrays
+    tb = mk()
+    pts = tb.liouville_sample(np.random.default_rng(3), 40)
+    for p, q in zip(pts, pts[1:]):
+        dp = point_xy(tb, p.component, p.r) - point_xy(tb, q.component, q.r)
+        want = tb.metric_scale * math.hypot(math.hypot(dp[0], dp[1]),
+                                            p.theta - q.theta)
+        assert tb.distance(p, q).hex() == want.hex()
 
 
 def scalar_cloud(tb) -> dict:

@@ -34,6 +34,13 @@ listed here is read by tests alone, but a member whose name another class
 shares can hide: a read of the other class's member counts for it too
 (``OrbitSegment.points`` hid behind ``GammaPoint.points`` that way).
 
+It also lists ``shared_members``: each public member name (method,
+property or annotated field, as above) that two or more module-level
+classes in ``src`` define, with those classes as ``module.Class``.  These
+are the members that ``test_only_public`` can miss, for a reader to check
+by hand (``Splitting.e_s`` and ``e_u`` count as read because
+``HyperbolicFrame``'s are).  The list is informational and gates nothing.
+
 Each name left on ``test_only_public`` must be in ``TEST_ONLY_ALLOWED``
 below, with its one-line reason, and each allowed name must still be on the
 list: a new function or member that only tests reach is used, allowed with
@@ -197,6 +204,23 @@ def _public_members(body: list[ast.stmt]) -> list[str]:
     return [node.name for node in _public_defs(body)] + fields
 
 
+def _classes(trees: dict) -> list[tuple[str, ast.ClassDef]]:
+    """(module, class) of each module-level class of the trees."""
+    return [(path.stem, cls) for path, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)]
+
+
+def shared_members(trees: dict) -> dict[str, list[str]]:
+    """Each public member name that two or more module-level classes of
+    the trees define, with ``module.Class`` of each of those classes."""
+    owners = {}
+    for mod, cls in _classes(trees):
+        for name in dict.fromkeys(_public_members(cls.body)):
+            owners.setdefault(name, []).append(f"{mod}.{cls.name}")
+    return {name: classes for name, classes in sorted(owners.items())
+            if len(classes) > 1}
+
+
 def test_only_public(src: Path, readers) -> list[str]:
     """``module.name`` of each public module-level function in ``src`` that
     no code under the ``readers`` directories reads, then
@@ -206,14 +230,12 @@ def test_only_public(src: Path, readers) -> list[str]:
              for d in readers for path in sorted(d.rglob("*.py"))}
     found = [names_read(path, tree) for path, tree in trees.items()]
     read, strings, attrs = (set().union(*part) for part in zip(*found))
-    mods = {path.stem: tree for path, tree in trees.items()
-            if path.parent == src}
-    functions = [f"{mod}.{node.name}" for mod, tree in mods.items()
+    mods = {path: tree for path, tree in trees.items() if path.parent == src}
+    functions = [f"{path.stem}.{node.name}" for path, tree in mods.items()
                  for node in _public_defs(tree.body)
-                 if f"{mod}.{node.name}" not in read
+                 if f"{path.stem}.{node.name}" not in read
                  and node.name not in strings]
-    members = [f"{mod}.{cls.name}.{name}" for mod, tree in mods.items()
-               for cls in tree.body if isinstance(cls, ast.ClassDef)
+    members = [f"{mod}.{cls.name}.{name}" for mod, cls in _classes(mods)
                for name in _public_members(cls.body) if name not in attrs]
     return functions + members
 
@@ -256,9 +278,10 @@ def census(src: Path, tests: Path) -> dict:
     lines = {}
     defaults = []
     blas = []
+    trees = {}
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        tree = ast.parse(text)
+        tree = trees[path] = ast.parse(text)
         lines[path.name] = len(text.splitlines())
         defaults += defaulted_parameters(tree, path.stem)
         blas += [f"{path.name}:{line} {what}" for line, what in blas_sites(tree)]
@@ -275,6 +298,7 @@ def census(src: Path, tests: Path) -> dict:
             "defaulted_parameters": len(defaults),
             "defaulted_parameter_names": defaults,
             "unused_imports": unused, "blas_sites": blas,
+            "shared_members": shared_members(trees),
             "test_only_public": test_only_public(
                 src, (src, root / "perfbench", root / "tools"))}
 
