@@ -293,8 +293,11 @@ class HyperbolicFrame:
         return math.hypot(self.s_param, self.u_param) / abs(math.sin(self.alpha))
 
     def distance(self, other: HyperbolicFrame) -> float:
-        """Frobenius distance ||C - C'||_F between two frames."""
-        return float(np.sqrt(np.sum((self.C - other.C) ** 2)))
+        """Frobenius distance ||C - C'||_F between two frames, by hypot,
+        which does not underflow where the squares of the entries would."""
+        a, b, c, d = self.C.ravel().tolist()
+        e, f, g, h = other.C.ravel().tolist()
+        return math.hypot(a - e, b - f, c - g, d - h)
 
 
 @dataclass(frozen=True)

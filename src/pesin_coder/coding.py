@@ -16,7 +16,15 @@ are "close" precisely when they are bitwise identical.  The code is honest
 about this — the inequality branches are real and take over whenever the
 radius is representable — but at realistic sizes the net is a bitwise
 dedup, itineraries exist exactly for sampled windows, and graph recurrence
-requires genuinely (bitwise) periodic orbits.
+requires genuinely (bitwise) periodic orbits.  The edge relation's overlap
+bound p_min^8 underflows the same way, so an edge v -> w needs f(x_v) = x_w
+up to the few denormals that the metric rounds to 0.0.  `coarse_grain`
+therefore does not scan all vertex pairs: it indexes the points f(x_v) by
+cells whose side covers the largest such bound in the alphabet (a normal
+double when it is representable), and sends `edge_report` only the pairs
+in neighbouring cells.  No pair that can pass lies outside them, so the
+choice is exact, and the work grows with the edges, not with the square
+of the vertices.
 """
 
 from __future__ import annotations
@@ -64,6 +72,71 @@ def _log0(value: float) -> float:
     log-space bounds, which routinely underflow float64, so that a measured
     zero passes every one of them."""
     return -math.inf if value == 0.0 else math.log(value)
+
+
+# -------------------------------------------------------------- point index
+def _metric_radius(table, bound: float) -> float:
+    """A radius r on the coordinates of ``table.metric_coords``: two points
+    whose computed ``table.distance`` d is below 2 bound + 2^-1074 differ by
+    less than r in every coordinate, exactly.
+
+    d = fl(metric_scale h), where h is the hypot of the computed coordinate
+    differences (the fixture has metric_scale 1 and takes h itself).  The
+    product rounds by at most d 2^-53 or 2^-1075, so h is below
+    (2 bound + 2^-1073)(1 + 2^-52) / metric_scale.  A faithful hypot is at
+    least each of its float arguments, and a difference fl(a - b) is
+    within 2^-53 of a - b relatively, so |a - b| < (2 bound + 2^-1073)
+    (1 + 2^-50) / metric_scale, which the value below exceeds after its
+    own rounding.  When bound underflows to 0, only d = 0.0 is below
+    2^-1074, and r is the few denormals that metric_scale h rounds to 0.0
+    from.
+    """
+    return 4.0 * (bound + 2.0 ** -1073) / table.metric_scale
+
+
+class _CellIndex:
+    """Points by the cell of their coordinates on a grid of side 2^e at
+    least the radius; an infinite radius puts every point in one cell.
+
+    Two points whose coordinates differ by at most the radius, exactly,
+    lie in the same or neighbouring cells: |a - b| <= 2^e gives
+    |floor(a / 2^e) - floor(b / 2^e)| <= 1.  A cell index is exact: a
+    float is n / 2^k (`float.as_integer_ratio`), so its floor over 2^e is
+    one integer division, with no overflow and no rounding across a cell
+    edge, and -0.0 lies in the cell of 0.0.  So `near` finds every point
+    within the radius of its key.
+    """
+
+    def __init__(self, keys, radius: float):
+        # 2^e > radius, from radius = m 2^e with 1/2 <= m < 1
+        self._e = math.frexp(radius)[1] if radius < math.inf else None
+        # cells nested by coordinate: cell[0] -> cell[1] -> ... -> ids
+        self._root: dict = {}
+        for i, key in enumerate(keys):
+            *head, last = self._cell(key)
+            node = self._root
+            for c in head:
+                node = node.setdefault(c, {})
+            node.setdefault(last, []).append(i)
+
+    def _cell(self, key) -> list[int]:
+        e = self._e
+        if e is None:
+            return [0] * len(key)
+        out = []
+        for c in key:
+            num, den = c.as_integer_ratio()
+            out.append(num // (den << e) if e >= 0 else (num << -e) // den)
+        return out
+
+    def near(self, key) -> list[int]:
+        """Ids of the points in the cells next to key's and in key's own,
+        ascending."""
+        nodes = [self._root]
+        for c in self._cell(key):
+            nodes = [child for node in nodes for k in (c - 1, c, c + 1)
+                     if (child := node.get(k)) is not None]
+        return sorted(i for ids in nodes for i in ids)
 
 
 # ------------------------------------------------------------------- cover
@@ -379,18 +452,23 @@ def prune_graph(g: ShiftGraph) -> ShiftGraph:
 
 
 # -------------------------------------------------------------- edge relation
+def _size_misses(v: DoubleChart, w: DoubleChart, d: int) -> list[str]:
+    """The greedy size equations of the pair v -> w that fail, in their
+    exact integer form (d is the delta exponent)."""
+    out = []
+    if v.p_s.expo != max(w.p_s.expo - 3, v.gamma.Q.expo + d):
+        out.append("stable size recursion broken")
+    if w.p_u.expo != max(v.p_u.expo - 3, w.gamma.Q.expo + d):
+        out.append("unstable size recursion broken")
+    return out
+
+
 def edge_report(v: DoubleChart, w: DoubleChart, cfg: EpsilonConfig,
                 consts: RegularityConstants) -> list[str]:
     """Reasons the pair fails the edge relation (empty list = edge): the
     exact integer forms of the two greedy size equations, then the forward
     and backward overlaps."""
-    out = []
-    d = cfg.delta_exponent
-    if v.p_s.expo != max(w.p_s.expo - 3, v.gamma.Q.expo + d):
-        out.append("stable size recursion broken")
-    if w.p_u.expo != max(v.p_u.expo - 3, w.gamma.Q.expo + d):
-        out.append("unstable size recursion broken")
-
+    out = _size_misses(v, w, cfg.delta_exponent)
     gv, gw = v.gamma, w.gamma
     qm = w.p_min
     if not qm <= gv.Qs[2]:
@@ -468,6 +546,21 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
     emitted pair is one a sampled orbit actually uses; the full admissible
     pair set per center is astronomically large and its unused part would
     be trimmed as non-relevant anyway.
+
+    Edge candidates come from a `_CellIndex` of the points f(x_v), and the
+    choice drops no edge.  The forward half of `edge_report` overlaps the
+    chart at f(x_v) with eta = p_min(w) against w's chart, whose eta is
+    also p_min(w), so it passes only when d(f(x_v), x_w) plus the frame
+    distance is 0.0 or has its log below 8 log p_min(w).  Both terms are
+    at least 0 and math.log is within an ulp, so the computed distance is
+    then below 2 e^(8 log p_min(w)) + 2^-1074 (only 0.0 when the bound
+    underflows).  `_metric_radius` turns the largest such bound of the
+    alphabet into a radius on the coordinates of `metric_coords`, and
+    `_CellIndex.near` returns every point within it.  The candidates of w
+    then meet the integer size equations and `edge_report`, the only
+    judge of an edge.  As `edge_report` sees only candidates, a forward
+    chart that its own size bounds refuse raises only for a pair that
+    could overlap.
     """
     windows = [list(w) for w in windows]
     flat: list[GammaPoint] = [g for w in windows for g in w]
@@ -519,24 +612,21 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
     rows = list(seen.values())
     vlist = _emit_charts(rows, centers, cover, cfg, consts)
 
-    # edges: integer prefilter over the exact size equations, then the
-    # overlap geometry on the few surviving pairs
-    n = len(vlist)
+    # edges: the candidates v of each w from an index of f(x_v), then the
+    # integer size equations, then edge_report
+    table = flat[0].table
+    index = _CellIndex(
+        [table.metric_coords(v.gamma.points[2]) for v in vlist],
+        _metric_radius(table, math.exp(
+            8.0 * max(w.p_min.log_value for w in vlist))))
     d = cfg.delta_exponent
-    ps = np.array([v.p_s.expo for v in vlist], dtype=np.int64)
-    pu = np.array([v.p_u.expo for v in vlist], dtype=np.int64)
-    Qx = np.array([v.gamma.Q.expo for v in vlist], dtype=np.int64)
     edges = []
-    for w_id in range(n):
-        want_s = np.maximum(vlist[w_id].p_s.expo - 3, Qx + d)
-        cand = np.nonzero(ps == want_s)[0]
-        if cand.size == 0:
-            continue
-        want_u = np.maximum(pu[cand] - 3, vlist[w_id].gamma.Q.expo + d)
-        cand = cand[vlist[w_id].p_u.expo == want_u]
-        for v_id in cand:
-            if not edge_report(vlist[int(v_id)], vlist[w_id], cfg, consts):
-                edges.append((int(v_id), w_id))
+    for w_id, w in enumerate(vlist):
+        for v_id in index.near(table.metric_coords(w.x)):
+            v = vlist[v_id]
+            if (not _size_misses(v, w, d)
+                    and not edge_report(v, w, cfg, consts)):
+                edges.append((v_id, w_id))
 
     alphabet = Alphabet(cfg, consts, cover, tuple(centers), nets,
                         make_graph(vlist, edges),
@@ -708,15 +798,20 @@ def project_pi(itinerary: Itinerary, consts: RegularityConstants
 
 def detect_double_codings(points, table, tol: float = 1e-6
                           ) -> list[tuple[int, int, float]]:
-    """Index pairs of projected points closer than ``tol`` in the table's
-    metric (i < j)."""
+    """Index pairs (i, j, distance) of projected points closer than
+    ``tol`` in the table's metric, i < j, sorted.  Each j looks up its
+    partners i in a `_CellIndex` whose radius covers ``tol``."""
     pts = list(points)
+    if not tol > 0.0:  # no distance is below it
+        return []
+    keys = [table.metric_coords(p) for p in pts]
+    index = _CellIndex(keys, _metric_radius(table, tol))
     out = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = table.distance(pts[i], pts[j])
-            if d < tol:
+    for j, key in enumerate(keys):
+        for i in index.near(key):
+            if i < j and (d := table.distance(pts[i], pts[j])) < tol:
                 out.append((i, j, d))
+    out.sort()
     return out
 
 

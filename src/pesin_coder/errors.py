@@ -41,6 +41,20 @@ class AssumptionViolated(PesinCoderError):
         super().__init__(f"{assumption_id} violated (margin {margin:.3e}) at {witness}")
 
 
+class FormsDisagree(PesinCoderError):
+    """A billiard table's array form refused a row of `step_many` that its
+    scalar form maps: the bitwise pin between the two forms is broken.
+
+    Attributes: row (the row's index), point (its embedded start point).
+    """
+
+    def __init__(self, row: int, point):
+        self.row = row
+        self.point = point
+        super().__init__(f"row {row} of step_many fails in the array form "
+                         f"only, from {point}")
+
+
 # ---------------------------------------------------------------- cocycle
 class OrbitHitsDiscontinuity(PesinCoderError):
     """Orbit generation failed at step n (grazing/corner/escape)."""

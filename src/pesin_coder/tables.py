@@ -12,7 +12,9 @@ the signed areas of the boundary loops):
 The metric on phase space is the flat product metric: d(x,y) =
 metric_scale * hypot(|P(x)-P(y)|_2, theta_x - theta_y).  The metric scale
 is derived so that diam(M) = 0.95: chart exponentials are plain translations
-and parallel transport is the identity.
+and parallel transport is the identity.  `metric_coords(p)` gives the
+coordinates that `distance` reads: (x, y, theta) on a billiard table,
+(r, theta) on the fixture, whose metric scale is 1.
 
 A billiard table and the exactly solvable linear fixture are both maps f
 with a discontinuity set D, and both answer the same seven methods; no other
@@ -68,6 +70,7 @@ from .accel import (CORNER, GRAZING, OK, _cos_sin, _math_map, arc_row,
 from .errors import (
     CornerHit,
     DomainEscape,
+    FormsDisagree,
     GrazingCollision,
     MapUndefined,
     NoIntersection,
@@ -482,13 +485,17 @@ class BilliardTable:
             component = loop[idx]
         return component, r
 
-    def distance(self, p: PhasePoint, q: PhasePoint) -> float:
+    def metric_coords(self, p: PhasePoint) -> tuple[float, float, float]:
+        """(x, y, theta) of p: `distance` is metric_scale times the
+        Euclidean distance of these."""
         self._check_component(p.component)
-        self._check_component(q.component)
-        px, py = comp_point(self.rows[p.component], p.r)
-        qx, qy = comp_point(self.rows[q.component], q.r)
+        return (*comp_point(self.rows[p.component], p.r), p.theta)
+
+    def distance(self, p: PhasePoint, q: PhasePoint) -> float:
+        px, py, pt = self.metric_coords(p)
+        qx, qy, qt = self.metric_coords(q)
         return self.metric_scale * math.hypot(math.hypot(px - qx, py - qy),
-                                              p.theta - q.theta)
+                                              pt - qt)
 
     def diameter(self) -> float:
         return self.metric_scale * math.hypot(self.boundary_diameter, math.pi)
@@ -631,7 +638,8 @@ class BilliardTable:
         (`accel.run_step_many` for the step), which a test pins bitwise to
         the scalar form on every row of full grids.  Row k alone is rerun in
         the scalar form to raise its exception, so its class and message are
-        the scalar ones.
+        the scalar ones.  A row that the scalar form maps raises
+        FormsDisagree with the row and its start point: that pin is broken.
         """
         self._check_component(x.component)
         self._check_component(y.component)
@@ -655,10 +663,11 @@ class BilliardTable:
         if n == len(d):
             return out, None
         try:
-            self.offset(y, self.step(self.embed(x, *d[n].tolist()), forward))
+            p = self.embed(x, *d[n].tolist())
+            self.offset(y, self.step(p, forward))
         except (DomainEscape, MapUndefined, OutOfDomain) as e:
             return out, (n, e)
-        raise AssertionError(f"row {n} fails in the array form only")
+        raise FormsDisagree(n, p)
 
     def _wrap_many(self, component: int, r: np.ndarray):
         """wrap_r(component, r_k) for the r_k that embed admits (less than a
@@ -934,6 +943,10 @@ class LinearFixtureMap:
         self.half_width = float(half_width)
         self.params = {"lambda_u": self.lambda_u, "lambda_s": self.lambda_s,
                        "half_width": self.half_width}
+
+    def metric_coords(self, p: PhasePoint) -> tuple[float, float]:
+        """(r, theta) of p: `distance` is the Euclidean distance of these."""
+        return p.r, p.theta
 
     def distance(self, p: PhasePoint, q: PhasePoint) -> float:
         return math.hypot(p.r - q.r, p.theta - q.theta)

@@ -885,6 +885,21 @@ class TestOverlap:
         fx, seg, sp, ch0, ch1 = fixture_charts()
         assert not overlap_test(ch0, ch1)
 
+    def test_frames_apart_below_the_squares_range_do_not_overlap(self):
+        # C differs in one entry by 1e-170, whose square underflows: the
+        # frame distance reads 1e-170, not 0.0, so the two real-size charts
+        # do not pass through the exact-zero short circuit
+        fx, seg, sp, ch0, ch1 = fixture_charts()
+        charts = []
+        for entry in (0.0, 1e-170):
+            C = ch0.frame.C.copy()
+            C[0, 1] = entry
+            charts.append(replace(ch0, frame=replace(ch0.frame, C=C)))
+        a, b = charts
+        assert a.frame.distance(b.frame) == b.frame.distance(a.frame) == 1e-170
+        assert overlap_test(a, a)
+        assert not overlap_test(a, b)
+
     def test_eta_ratio_gate(self):
         fx = make_linear_fixture()
         a = synthetic_chart(fx, PhasePoint(0, 0.0, 0.0), eta_expo=1)

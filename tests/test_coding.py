@@ -415,6 +415,151 @@ def test_duplicate_and_nested_windows_dedupe():
     assert alpha.stats["vertices"] == 1
 
 
+def all_pairs_edges(alpha) -> tuple:
+    """The edge list of the all-pairs scan: edge_report on every ordered
+    pair of the alphabet's vertices, sorted."""
+    vs = alpha.graph.vertices
+    return tuple((i, j) for i, v in enumerate(vs) for j, w in enumerate(vs)
+                 if not edge_report(v, w, CFG, CONSTS))
+
+
+def fixture_round(seed: int) -> list:
+    """The coded windows of a fixture-code round of the benchmark: the fixed
+    point, then the first three of thirteen seeded points of the 1e-170
+    box, on +-390 segments with gamma windows -4..4."""
+    key = ("round", seed)
+    if key not in _CACHE:
+        fx = make_linear_fixture()
+        rng = np.random.default_rng(seed)
+        xs = [(0.0, 0.0)] + rng.uniform(-H, H, size=(13, 2)).tolist()[:3]
+        windows = []
+        for a, b in xs:
+            seg = orbit_segment(fx, PhasePoint(0, a, b), 390, 390)
+            windows.append(gammas_from_segment(
+                seg, oseledets_splitting(seg), CHI, CFG, CONSTS, -4, 4))
+        _CACHE[key] = windows
+    return _CACHE[key]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fixture_round_edges_are_the_all_pairs_scan(seed):
+    alpha = coarse_grain(fixture_round(seed), CFG, CONSTS)
+    assert alpha.stats["vertices"] == 28
+    assert alpha.graph.n_edges > 0
+    assert alpha.graph.edges == all_pairs_edges(alpha)
+
+
+def test_stadium_and_nested_window_edges_are_the_all_pairs_scan():
+    _, gam = fixture_gammas()
+    _, inner = fixture_gammas(lo=-2, hi=2)
+    for alpha in (stadium_alphabet(),
+                  coarse_grain([gam, gam, inner], CFG, CONSTS)):
+        assert alpha.graph.n_edges > 0
+        assert alpha.graph.edges == all_pairs_edges(alpha)
+
+
+def test_fixture_round_reports_on_few_pairs(monkeypatch):
+    # the index hands edge_report only pairs whose forward overlap can
+    # pass; the all-pairs scan made 28^2 = 784 calls on this round
+    windows = fixture_round(0)
+    calls = []
+    real = coding.edge_report
+    monkeypatch.setattr(coding, "edge_report",
+                        lambda *args: calls.append(args) or real(*args))
+    alpha = coarse_grain(windows, CFG, CONSTS)
+    assert alpha.stats["vertices"] == 28
+    assert len(calls) <= alpha.stats["edges"] + len(windows)
+
+
+# log Q = -70: p_min = delta Q ~ e^-74.6, so the overlap bound p_min^8 is a
+# normal double and the edge index runs on cells of a normal side
+REP_Q_EXPO = 21000
+
+
+def chain_window(deltas) -> list:
+    """Hand-built fixture window at x_k = k 2^-830 (k >= 1): gamma i sits at
+    x_(i+1) between x_i and f(x_(i+1)) = x_(i+2) + deltas[i], with the
+    minimal frame and equal sizes throughout."""
+    fx = make_linear_fixture()
+    fr = minimal_frame()
+    Q = CFG.size(REP_Q_EXPO)
+    p = Q.step(CFG.delta_exponent)
+
+    def x(k: int, shift: float = 0.0) -> PhasePoint:
+        return PhasePoint(0, k * 2.0 ** -830 + shift, 0.0)
+
+    return [GammaPoint(fx, (x(i), x(i + 1), x(i + 2, dl)), (fr, fr, fr),
+                       (Q, Q, Q), (0.9, 0.9, 0.9), (0.9, 0.9, 0.9), p, p, p)
+            for i, dl in enumerate(deltas)]
+
+
+def test_representable_overlap_edges_are_the_all_pairs_scan():
+    p = CFG.size(REP_Q_EXPO).step(CFG.delta_exponent)
+    bound = math.exp(8.0 * p.log_value)
+    assert bound > 2.3e-308  # a normal double
+    # every x_k lies on a cell edge (the cell side is a power of two below
+    # 2^-830), so a negative shift puts f(x_v) in the cell below x_w's
+    deltas = [0.0, -bound / 2, bound / 2, -2 * bound, 3 * bound,
+              -bound * 1e-3, bound * 1e-3, 2.0 ** -831, -bound / 3, 0.0]
+    alpha = coarse_grain([chain_window(deltas)], CFG, CONSTS)
+    assert alpha.stats["centers"] == alpha.stats["vertices"] == len(deltas)
+    want = tuple((i, i + 1) for i, dl in enumerate(deltas[:-1])
+                 if abs(dl) < bound)
+    assert alpha.graph.edges == all_pairs_edges(alpha) == want
+    assert len(want) == 6
+
+
+def all_pairs_double_codings(points, table, tol: float) -> list:
+    """The all-pairs loop of double codings, for reference."""
+    return [(i, j, d) for i in range(len(points))
+            for j in range(i + 1, len(points))
+            if (d := table.distance(points[i], points[j])) < tol]
+
+
+def at_distance(tb, p: PhasePoint, target: float) -> PhasePoint:
+    """p moved in theta to a point exactly target from it, the shift
+    searched ulp by ulp from target / metric_scale."""
+    t = target / tb.metric_scale
+    for _ in range(64):
+        q = PhasePoint(p.component, p.r, p.theta + t)
+        d = tb.distance(p, q)
+        if d == target:
+            return q
+        t = math.nextafter(t, -math.inf if d > target else math.inf)
+    raise AssertionError(f"no point {target} from {p}")
+
+
+@pytest.mark.parametrize("kind", ["fixture", "stadium"])
+@pytest.mark.parametrize("tol", [1e-6, 0.05])
+def test_double_codings_are_the_all_pairs_scan(kind, tol):
+    tb = make_linear_fixture() if kind == "fixture" else make_stadium()
+    rng = np.random.default_rng(5)
+    pts = tb.liouville_sample(rng, 60)
+    # near copies, some closer than tol and some not
+    pts += [PhasePoint(p.component, p.r, p.theta + s * tol) for p, s in
+            zip(pts, [0.1, -0.3, 0.5, 0.9, -0.99, 1.01, 2.0, -3.5, 0.0,
+                      1e-3, 0.7, -0.7])]
+    # pairs across a cell edge (a multiple of 2^-10 is one, as the side is
+    # a power of two below it), a pair exactly tol apart and a point one
+    # ulp closer, and -0.0 against 0.0
+    c, r = pts[0].component, pts[0].r
+    for k in (1, -7, 64):
+        pts += [PhasePoint(c, r, k * 2.0 ** -10 - tol / 4),
+                PhasePoint(c, r, k * 2.0 ** -10 + tol / 8)]
+    base = PhasePoint(pts[1].component, pts[1].r, 0.0)
+    far = at_distance(tb, base, tol)
+    pts += [base, far, replace(far, theta=math.nextafter(far.theta, 0.0)),
+            PhasePoint(c, r, -0.0), PhasePoint(c, r, 0.0)]
+    pts = [pts[k] for k in rng.permutation(len(pts))]
+    want = all_pairs_double_codings(pts, tb, tol)
+    assert len(want) >= 8
+    assert detect_double_codings(pts, tb, tol) == want
+    assert any(d == 0.0 for _, _, d in want)
+    for wide in (math.inf, 0.0, -1.0, math.nan):
+        assert detect_double_codings(pts[:30], tb, wide) == \
+            all_pairs_double_codings(pts[:30], tb, wide)
+
+
 def test_empty_input_raises():
     with pytest.raises(EmptyAlphabet):
         coarse_grain([], CFG, CONSTS)

@@ -21,7 +21,11 @@ from pesin_coder.accel import (
     run_step_many,
     segment_row,
 )
-from pesin_coder.errors import DomainEscape, OrbitHitsDiscontinuity
+from pesin_coder.errors import (
+    DomainEscape,
+    FormsDisagree,
+    OrbitHitsDiscontinuity,
+)
 from pesin_coder.tables import (
     Arc,
     BilliardTable,
@@ -601,6 +605,33 @@ def test_polyline_is_the_point_xy_samples(mk, samples):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_a_row_only_the_array_form_refuses_is_typed(monkeypatch):
+    # run_step_many marks row 2 grazing although the scalar form maps it:
+    # step_many raises FormsDisagree with the row and its start point
+    import pesin_coder.tables as tables
+
+    st = make_stadium()
+    x = PhasePoint(1, 2.481042998575038, -0.525515148130097)
+    y = st.step(x, True)
+    d = np.array([[0.0, 0.0], [1e-6, 0.0], [0.0, 1e-6], [1e-6, 1e-6]])
+    assert st.step_many(x, d, True, y)[1] is None
+    real = tables.run_step_many
+
+    def forged(*args):
+        comps, r, th, status = real(*args)
+        status = status.copy()
+        status[2] = GRAZING
+        return comps, r, th, status
+
+    monkeypatch.setattr(tables, "run_step_many", forged)
+    with pytest.raises(FormsDisagree,
+                       match=r"^row 2 of step_many fails in the array form "
+                             r"only, from PhasePoint\(component=1") as ei:
+        st.step_many(x, d, True, y)
+    assert ei.value.row == 2
+    assert ei.value.point == st.embed(x, 0.0, 1e-6)
+
+
 @pytest.mark.parametrize("mk", ALL_BUILDERS)
 def test_distance_is_the_array_form(mk):
     # distance reads comp_point on Python floats, with the bits of the
@@ -608,6 +639,9 @@ def test_distance_is_the_array_form(mk):
     tb = mk()
     pts = tb.liouville_sample(np.random.default_rng(3), 40)
     for p, q in zip(pts, pts[1:]):
+        # metric_coords gives the coordinates that distance reads
+        assert tb.metric_coords(p) == (*point_xy(tb, p.component, p.r),
+                                       p.theta)
         dp = point_xy(tb, p.component, p.r) - point_xy(tb, q.component, q.r)
         want = tb.metric_scale * math.hypot(math.hypot(dp[0], dp[1]),
                                             p.theta - q.theta)
@@ -881,6 +915,7 @@ def test_fixture_basics():
         fx.validate_point(PhasePoint(0, 0.31, 0.0))
     p, q = PhasePoint(0, 0.1, 0.2), PhasePoint(0, 0.0, 0.0)
     assert abs(fx.distance(p, q) - math.hypot(0.1, 0.2)) < 1e-15
+    assert fx.metric_coords(p) == (0.1, 0.2) and fx.metric_scale == 1.0
     with pytest.raises(ValueError):
         make_linear_fixture(lambda_u=0.5)
 
