@@ -80,6 +80,14 @@ NO_INTERSECTION = 3
 # the boundary: its frame is NaN and its corner flags are off
 _MISSED_ROW = (math.nan,) * 15
 
+# trace_rays' cone test of arc roots (proof in its docstring): the angle
+# past an arc's ends at which a root is dropped before its atan2, the
+# floor that keeps every hit within about 2^-990 of the arc's center, and
+# the largest |a0| that the proof's rounding bounds allow
+_CONE_MARGIN = 1e-6
+_CONE_FLOOR = 2.0 ** -990
+_CONE_A0_MAX = 16.0
+
 
 def segment_row(x0, y0, ux, uy, length, start_corner, end_corner) -> tuple:
     """The packed row of the segment from (x0, y0) along the unit tangent
@@ -277,6 +285,35 @@ def trace_rays(rows, px, py, dx, dy, min_flight):
     The components are visited in the scalar order, both arc roots in the
     order -1, +1, each replacing the best hit only when strictly nearer, so
     every row is bitwise its trace_ray call.
+
+    An arc root whose hit lies well off the arc takes no atan2: with the
+    hit (v, u) in arc coordinates (the two floats that atan2 reads), the
+    arc's midpoint direction m = (cos, sin)(a0 + orient L/(2R)) and
+    delta = `_CONE_MARGIN`, the root is dropped when
+
+        (v m_x + u m_y + F) / hypot(u, v) <= cos(L/(2R) + delta),
+
+    F = `_CONE_FLOOR`, on an arc with L/(2R) + delta < pi and |a0| <=
+    `_CONE_A0_MAX`.  Such a root is one that `s <= hit` rejects, so each
+    row keeps its bits.  Proof: F > 0 only raises the left side, and as
+    the dot product rounds to at most 2 |(v, u)|, a hit with |(v, u)| <=
+    2^-992 makes it at least 4 - 2 > 1, so a dropped hit has |(v, u)| >
+    2^-992, and the left side without F is at least the cosine of the
+    angle psi between (v, u) and m.  Every rounding there (the dot
+    product, underflow included, the faithful hypot, the division, m's
+    cos and sin, the cone's cos) moves that cosine by at most 2^-47,
+    which moves psi by at most sqrt(2 * 2^-47) < delta / 8; so psi >
+    L/(2R) + 7 delta / 8, and m is within 2^-47 of the exact midpoint
+    as |a0| <= 16.  The exact angle of (v, u)
+    measured from the arc's start, orient (angle - a0) mod 2 pi, is then
+    in (L/R + 3 delta / 4, 2 pi - 3 delta / 4).  The computed one (atan2
+    within an ulp, the subtraction of a0, the remainder by TWO_PI) is
+    within 2^-40 of it, so it does not wrap, and s = R theta exceeds
+    L + 0.7 delta R, while hit = fl(L + 1e-9 R) and L < 2 pi R.  No
+    coordinate nears the overflow range: the constructor's finite
+    boundary diameter keeps every boundary point and arc center within
+    about 3e154 of each other.  A NaN or infinite hit gives a NaN left
+    side, and is kept.
     """
     n = len(px)
     best_t = np.full(n, 1e300)
@@ -313,6 +350,11 @@ def trace_rays(rows, px, py, dx, dy, min_flight):
             # flight tests refuse
             sq = np.sqrt(disc)
             nb = -b
+            half = 0.5 * length / R
+            cone = half + _CONE_MARGIN < math.pi and abs(a0) <= _CONE_A0_MAX
+            if cone:  # the arc's midpoint direction, and the cone's cos
+                mid = a0 + orient * half
+                mc, ms, cmax = cos(mid), sin(mid), cos(half + _CONE_MARGIN)
             for t in (nb - sq, nb + sq):
                 at = ((t > min_flight) & (t < best_t)).nonzero()[0]
                 if not at.size:
@@ -320,8 +362,16 @@ def trace_rays(rows, px, py, dx, dy, min_flight):
                 tr = t[at]
                 hx = px[at] + tr * dx[at] - x0
                 hy = py[at] + tr * dy[at] - y0
-                phi = _math_map(math.atan2, axc * hy - axs * hx,
-                                axc * hx + axs * hy)
+                # the hit in arc coordinates, (v, u) = (cos, sin) * |hit|
+                u = axc * hy - axs * hx
+                v = axc * hx + axs * hy
+                if cone:  # "not at most", so that a NaN row is kept
+                    near = (~((v * mc + u * ms + _CONE_FLOOR)
+                              / np.hypot(u, v) <= cmax)).nonzero()[0]
+                    if not near.size:
+                        continue
+                    at, tr, u, v = at[near], tr[near], u[near], v[near]
+                phi = _math_map(math.atan2, u, v)
                 s = R * ((orient * (phi - a0)) % TWO_PI)
                 on_arc = s <= hit
                 at = at[on_arc]

@@ -24,7 +24,8 @@ cells whose side covers the largest such bound in the alphabet (a normal
 double when it is representable), and sends `edge_report` only the pairs
 in neighbouring cells.  No pair that can pass lies outside them, so the
 choice is exact, and the work grows with the edges, not with the square
-of the vertices.
+of the vertices.  Net selection finds its candidate centers the same way,
+in an index per bin and level.
 """
 
 from __future__ import annotations
@@ -112,12 +113,18 @@ class _CellIndex:
         self._e = math.frexp(radius)[1] if radius < math.inf else None
         # cells nested by coordinate: cell[0] -> cell[1] -> ... -> ids
         self._root: dict = {}
-        for i, key in enumerate(keys):
-            *head, last = self._cell(key)
-            node = self._root
-            for c in head:
-                node = node.setdefault(c, {})
-            node.setdefault(last, []).append(i)
+        self._size = 0
+        for key in keys:
+            self.add(key)
+
+    def add(self, key) -> None:
+        """Index key as the next id, one past the last."""
+        *head, last = self._cell(key)
+        node = self._root
+        for c in head:
+            node = node.setdefault(c, {})
+        node.setdefault(last, []).append(self._size)
+        self._size += 1
 
     def _cell(self, key) -> list[int]:
         e = self._e
@@ -561,6 +568,16 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
     judge of an edge.  As `edge_report` sees only candidates, a forward
     chart that its own size bounds refuse raises only for a pair that
     could overlap.
+
+    Net selection takes its candidates from a `_CellIndex` too, one per
+    (bin, level j), of the middle points of the net's centers, and picks
+    the center that a scan of the whole net picks.  `gamma_close` passes
+    only when the middle points' distance plus the frame distance is 0.0
+    or has its log below -NET_EXPONENT (j + 2), so, as above, the
+    distance is below 2 e^(-NET_EXPONENT (j + 2)) + 2^-1074 and the
+    center lies in the cells that `near` looks up.  Its ids ascend in net
+    order, so the first candidate that `gamma_close` passes is the first
+    center of the net that it passes.
     """
     windows = [list(w) for w in windows]
     flat: list[GammaPoint] = [g for w in windows for g in w]
@@ -574,7 +591,9 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
         bins.setdefault(sig.base(), []).append(fi)
 
     # net selection: every bin member is net material at every level j the
-    # bin is queried at; a member is assigned a center at its own level
+    # bin is queried at; a member is assigned a center at its own level,
+    # the first close one of the candidates that its net's index gives
+    table = flat[0].table
     centers: list[GammaPoint] = []
     center_ids: dict[int, int] = {}
     nets: dict[tuple, tuple[int, ...]] = {}
@@ -583,9 +602,13 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
         levels = sorted({sigs[fi].j for fi in members})
         for j in levels:
             net: list[int] = []
+            index = _CellIndex((), _metric_radius(
+                table, math.exp(-NET_EXPONENT * (j + 2.0))))
             for fi in members:
                 g = flat[fi]
-                hit = _first_close(g, net, centers, j)
+                key = table.metric_coords(g.points[1])
+                hit = _first_close(g, [net[k] for k in index.near(key)],
+                                   centers, j)
                 if hit is None:
                     cid = center_ids.get(fi)
                     if cid is None:
@@ -593,6 +616,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
                         centers.append(g)
                         center_ids[fi] = cid
                     net.append(cid)
+                    index.add(key)
                     hit = cid
                 if sigs[fi].j == j:
                     assign[fi] = hit
@@ -614,7 +638,6 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
 
     # edges: the candidates v of each w from an index of f(x_v), then the
     # integer size equations, then edge_report
-    table = flat[0].table
     index = _CellIndex(
         [table.metric_coords(v.gamma.points[2]) for v in vlist],
         _metric_radius(table, math.exp(

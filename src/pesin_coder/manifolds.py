@@ -458,7 +458,8 @@ def contraction_measurement(dec: ChartMapDecomposition,
         c0 = 0.0 if d0_out == 0.0 else math.inf
     else:
         c0 = (d0_out / d0_in) * size_ratio
-    if c0 > bound:
+    # written "not at most" so that a NaN factor fails, as in chart_map_fxy
+    if not c0 <= bound:
         raise ContractionViolated(
             f"C0 factor {c0:.6f} exceeds e^(-chi/2) = {bound:.6f}")
 
@@ -466,11 +467,11 @@ def contraction_measurement(dec: ChartMapDecomposition,
     # is taken in log space so real chart sizes cannot underflow it
     d1_in = c1_distance(m1, m2)
     d1_out = c1_distance(o1, o2)
-    if d0_in > 0.0:
+    if d0_in != 0.0:  # a NaN distance takes the C1 test, and fails it
         holder_term = math.exp(
             (consts.beta / 3.0) * (math.log(d0_in) + p_in.log_value))
         c1_allowed = bound * (d1_in + holder_term)
-        if d1_out > c1_allowed and d1_out > 1e-14:
+        if not (d1_out <= c1_allowed or d1_out <= 1e-14):
             raise ContractionViolated(
                 f"C1 value {d1_out:.3e} exceeds the compound bound "
                 f"{c1_allowed:.3e}")

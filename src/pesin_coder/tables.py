@@ -358,14 +358,25 @@ class BilliardTable:
         """The largest distance between two sampled boundary points.  When
         every coordinate is below 2**-500, the squares of their differences
         could underflow, so the points are scaled by an exact power of two
-        first and the distance scaled back."""
+        first and the distance scaled back.
+
+        The squared distances are two flat (N, N) passes, dx*dx + dy*dy,
+        with the bits of the pairwise np.sum((p_i - p_j)**2, axis=-1): each
+        pair has the same two differences and squares, and numpy reduces a
+        length-2 axis as a0 + a1 (its first term plus the second, both
+        >= 0, so no -0.0 or order question arises)."""
         pts = np.concatenate(self._polyline(BOUNDARY_SAMPLES))
         top = float(np.abs(pts).max())
         shift = -math.frexp(top)[1] if 0.0 < top < 2.0 ** -500 else 0
         if shift:
             pts = np.ldexp(pts, shift)
+        x, y = pts.T
         with np.errstate(over="ignore"):  # an overflow gives inf, refused
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+            d2 = x[:, None] - x
+            dy = y[:, None] - y
+            d2 *= d2
+            dy *= dy
+            d2 += dy
         return math.ldexp(math.sqrt(d2.max()), -shift)
 
     def _validate_orientation(self):

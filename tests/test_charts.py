@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pesin_coder import accel
 from pesin_coder import charts as charts_module
 from pesin_coder.charts import (
     GRID_N,
@@ -811,6 +812,36 @@ class TestBatchedMapStep:
         assert V.tobytes() == Vr.tobytes()
         assert J.tobytes() == reference_fd_jacobian(cx, cy, probe / 16.0,
                                                     forward).tobytes()
+
+    def test_arc_roots_off_the_arc_take_no_atan2(self, monkeypatch):
+        # trace_rays drops the arc roots whose hit lies outside the cone
+        # about the arc's midpoint before their atan2; with the cone off
+        # (an infinite margin) every root takes one, and the grid's bits
+        # are the same either way
+        st, seg, sp, cha, chb = tame_stadium_pair()
+        probe = _probe_halfwidth(cha)
+        math_map = accel._math_map
+        rows = []
+
+        def counting(f, *args):
+            if f is math.atan2:
+                rows.append(len(args[0]))
+            return math_map(f, *args)
+
+        monkeypatch.setattr(accel, "_math_map", counting)
+        out = {}
+        for margin in (accel._CONE_MARGIN, math.inf):
+            monkeypatch.setattr(accel, "_CONE_MARGIN", margin)
+            rows.clear()
+            grids = [_sample_grid(cx, cy, probe, probe / 16.0, math.inf,
+                                  forward)[1:]
+                     for cx, cy, forward in ((cha, chb, True),
+                                             (chb, cha, False))]
+            out[margin] = (sum(rows), b"".join(a.tobytes() for g in grids
+                                               for a in g))
+        (cone_rows, cone_bytes), (all_rows, all_bytes) = out.values()
+        assert cone_rows < all_rows
+        assert cone_bytes == all_bytes
 
     def test_square_escape_before_failing_row_wins(self):
         n = GRID_N * GRID_N + 4

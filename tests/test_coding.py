@@ -509,6 +509,88 @@ def test_representable_overlap_edges_are_the_all_pairs_scan():
     assert len(want) == 6
 
 
+def all_centers_hits(windows) -> list:
+    """The result of each net lookup of coarse_grain's net selection, in
+    call order, with every member tested against every center of its
+    net, in net order."""
+    flat = [g for w in windows for g in w]
+    cover = GridCover()
+    sigs = [bin_signature(g, cover) for g in flat]
+    bins: dict = {}
+    for fi, sig in enumerate(sigs):
+        bins.setdefault(sig.base(), []).append(fi)
+    centers, center_ids, hits = [], {}, []
+    for members in bins.values():
+        for j in sorted({sigs[fi].j for fi in members}):
+            net = []
+            for fi in members:
+                hit = next((c for c in net
+                            if gamma_close(flat[fi], centers[c], j)), None)
+                hits.append(hit)
+                if hit is None:
+                    if fi not in center_ids:
+                        center_ids[fi] = len(centers)
+                        centers.append(flat[fi])
+                    net.append(center_ids[fi])
+    return hits
+
+
+def net_hits(monkeypatch, windows) -> tuple[list, Alphabet]:
+    """The results of coarse_grain's net lookups, in call order, and its
+    alphabet."""
+    hits = []
+    first_close = coding._first_close
+
+    def recording(*args):
+        hits.append(first_close(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(coding, "_first_close", recording)
+    alpha = coarse_grain(windows, CFG, CONSTS)
+    monkeypatch.undo()
+    return hits, alpha
+
+
+def net_gamma(shift: float) -> GammaPoint:
+    """Hand-built fixture gamma whose three points sit at shift from
+    (7, 8, 9) 2^-860, each a cell edge of the level's net index, with
+    the minimal frame and the sizes of `chain_window`."""
+    fx = make_linear_fixture()
+    fr = minimal_frame()
+    Q = CFG.size(REP_Q_EXPO)
+    p = Q.step(CFG.delta_exponent)
+    pts = tuple(PhasePoint(0, k * 2.0 ** -860 + shift, 0.0)
+                for k in (7, 8, 9))
+    return GammaPoint(fx, pts, (fr, fr, fr), (Q, Q, Q), (0.9, 0.9, 0.9),
+                      (0.9, 0.9, 0.9), p, p, p)
+
+
+@pytest.mark.parametrize("case", ["fixture-0", "fixture-1", "fixture-2",
+                                  "stadium", "cell-edge"])
+def test_net_selection_is_the_all_centers_scan(monkeypatch, case):
+    # the net index hands gamma_close only the centers whose middle point
+    # lies near the member's, in net order, so each lookup returns the
+    # center that the scan of the whole net returns
+    if case == "stadium":
+        windows = [stadium_gammas()[1]]
+    elif case == "cell-edge":
+        r = math.exp(-NET_EXPONENT * (net_gamma(0.0).j + 2.0))
+        assert r > 2.3e-308  # a normal double: the cell path
+        # centers at 0, -1.5 r (the cell below) and 1.5 r; -0.75 r and
+        # 0.75 r are close to two centers each and must take the first
+        shifts = [0.0, -1.5 * r, 1.5 * r, -0.75 * r, 0.5 * r, -1.2 * r,
+                  0.75 * r, 1.75 * r, -2.0 * r, r / 1e3]
+        windows = [[net_gamma(s) for s in shifts]]
+    else:
+        windows = fixture_round(int(case[-1]))
+    got, alpha = net_hits(monkeypatch, windows)
+    want = all_centers_hits(windows)
+    assert got == want
+    assert len(alpha.centers) == want.count(None)
+    if case == "cell-edge":
+        assert want == [None, None, None, 0, 0, 1, 0, 2, 1, 0]
+
+
 def all_pairs_double_codings(points, table, tol: float) -> list:
     """The all-pairs loop of double codings, for reference."""
     return [(i, j, d) for i in range(len(points))

@@ -354,6 +354,19 @@ def test_contraction_violated_on_expanding_edge():
         contraction_measurement(dec, m1, m2, v, CONSTS)
 
 
+@pytest.mark.parametrize("name", ["c0_distance", "c1_distance"])
+def test_contraction_fails_a_nan_distance(monkeypatch, name):
+    # a NaN C0 distance makes a NaN factor, a NaN C1 distance a NaN C1
+    # value; both compared false against their bounds and passed
+    _, v = fixture_vertex()
+    path = path_from_vertices((v,) * 3, CONSTS, 0)
+    m1 = const_manifold(v, "u", 2.0 ** -11)
+    m2 = const_manifold(v, "u", 2.0 ** -12)
+    monkeypatch.setattr(manifolds, name, lambda *args, **kw: math.nan)
+    with pytest.raises(ContractionViolated, match="nan"):
+        contraction_measurement(path.fwd[0], m1, m2, v, CONSTS)
+
+
 def test_fixture_stable_limit_is_zero_graph():
     _, v = fixture_vertex()
     path = path_from_vertices((v,) * 61, CONSTS, 0)

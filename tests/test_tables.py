@@ -137,9 +137,18 @@ HUGE_SQUARE = [Segment((-HUGE, -HUGE), (HUGE, -HUGE)),
                Segment((-HUGE, HUGE), (-HUGE, -HUGE))]
 
 
+def square(h):
+    return [Segment((-h, -h), (h, -h)), Segment((h, -h), (h, h)),
+            Segment((h, h), (-h, h)), Segment((-h, h), (-h, -h))]
+
+
 @pytest.mark.parametrize("build", [
     lambda: BilliardTable(HUGE_SQUARE, [[0, 1, 2, 3]], "hand-built", {}),
-    lambda: make_stadium(1.0, HUGE)], ids=["square", "stadium"])
+    lambda: make_stadium(1.0, HUGE),
+    # each side's square is 1e308, finite; only the diagonal's sum of two
+    # squares overflows
+    lambda: BilliardTable(square(0.5e154), [[0, 1, 2, 3]], "hand-built", {})],
+    ids=["square", "stadium", "square-diagonal"])
 def test_overflowing_boundary_diameter_refused(build):
     # the square once built with metric scale 0.0 after an overflow warning
     with warnings.catch_warnings():
@@ -174,6 +183,44 @@ def test_boundary_diameter_of_tiny_and_default_tables():
         assert table.boundary_diameter.hex() == diameter
         assert table.metric_scale.hex() == scale
     assert make_linear_fixture().metric_scale == 1.0
+
+
+def pairwise_diameter(table):
+    """The boundary diameter from the (N, N, 2) pairwise reduction
+    np.sum((p_i - p_j)**2, axis=-1), with the power-of-two rescaling of
+    tables below 2**-500."""
+    pts = np.concatenate(table._polyline(BOUNDARY_SAMPLES))
+    top = float(np.abs(pts).max())
+    shift = -math.frexp(top)[1] if 0.0 < top < 2.0 ** -500 else 0
+    pts = np.ldexp(pts, shift)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    return math.ldexp(math.sqrt(d2.max()), -shift)
+
+
+def random_specs(rng, n):
+    """n parameter lists of each builder, over six decades of scale."""
+    specs = []
+    for _ in range(n):
+        s = 10.0 ** rng.uniform(-3.0, 3.0)
+        u, v = rng.uniform(0.05, 0.95, 2)
+        specs += [(make_circle, (s,)), (make_stadium, (s, s * 4.0 * u)),
+                  (make_sinai, (s, s * u)),
+                  (make_flower, (s * math.sqrt(2.0) / v, s))]
+    return specs
+
+
+def test_boundary_diameter_is_the_pairwise_reduction():
+    # the two flat passes give the bits of the pairwise sum of squares on
+    # every builder default, 20 seeded specs per builder and a table whose
+    # points are scaled by a power of two first
+    tables = [mk() for mk in ALL_BUILDERS] + [make_circle(1e-200)]
+    tables += [mk(*args) for mk, args in
+               random_specs(np.random.default_rng(38), 20)]
+    assert len(tables) == 85
+    for table in tables:
+        expected = pairwise_diameter(table)
+        assert table.boundary_diameter.hex() == expected.hex()
+        assert table.metric_scale == 0.95 / math.hypot(expected, math.pi)
 
 
 @pytest.mark.parametrize("radius", [1e-15, 1e-20])
