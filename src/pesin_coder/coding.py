@@ -328,10 +328,23 @@ def gamma_close(g1: GammaPoint, g2: GammaPoint, j: int) -> bool:
     return True
 
 
-def _first_close(gamma: GammaPoint, net, centers, j: int) -> int | None:
-    """First center id of a net that is level-j close to gamma, if any."""
-    return next((cid for cid in net if gamma_close(gamma, centers[cid], j)),
-                None)
+def _net_key(gamma: GammaPoint) -> tuple:
+    """What a net index files gamma under: its middle point's coordinates."""
+    return gamma.table.metric_coords(gamma.points[1])
+
+
+def _net_index(table, j: int, keys) -> _CellIndex:
+    """A `_CellIndex` of net keys that finds every level-j close one."""
+    return _CellIndex(keys, _metric_radius(
+        table, math.exp(-NET_EXPONENT * (j + 2.0))))
+
+
+def _first_close(gamma: GammaPoint, net, index: _CellIndex, centers,
+                 j: int) -> int | None:
+    """First center id of a net that is level-j close to gamma, if any,
+    from the candidates that the net's index gives (see `coarse_grain`)."""
+    return next((net[k] for k in index.near(_net_key(gamma))
+                 if gamma_close(gamma, centers[net[k]], j)), None)
 
 
 # ------------------------------------------------------------ double charts
@@ -504,7 +517,8 @@ class Alphabet:
     ``graph`` holds every emitted chart and every passing edge; ``core``
     is the recurrent part (both degrees positive after trimming), which a
     finite aperiodic corpus legitimately leaves empty.  ``core`` and
-    ``vertex_index`` are derived from the graph and ``center_of_vertex``.
+    ``vertex_index`` are derived from the graph and ``center_of_vertex``,
+    and ``net_index`` (a `_CellIndex` per net) from ``centers``/``nets``.
     """
 
     cfg: EpsilonConfig
@@ -517,19 +531,25 @@ class Alphabet:
     stats: dict
     core: ShiftGraph = field(init=False)
     vertex_index: dict = field(init=False)
+    net_index: dict = field(init=False)
 
     def __post_init__(self):
         self.core = prune_graph(self.graph)
         self.vertex_index = {
             (c, v.p_s.expo, v.p_u.expo): i for i, (c, v)
             in enumerate(zip(self.center_of_vertex, self.graph.vertices))}
+        self.net_index = {
+            (base, j): _net_index(self.centers[0].table, j,
+                                  [_net_key(self.centers[c]) for c in net])
+            for (base, j), net in self.nets.items()}
 
     def find_center(self, gamma: GammaPoint) -> int | None:
         """Net center covering this gamma at its own level, if any; the
         lookup registers no box in the cover."""
         sig = _signature(gamma, self.cover.find_box)
-        return _first_close(gamma, self.nets.get((sig.base(), sig.j), ()),
-                            self.centers, sig.j)
+        key = (sig.base(), sig.j)
+        return (_first_close(gamma, self.nets[key], self.net_index[key],
+                             self.centers, sig.j) if key in self.nets else None)
 
     def vertex_id(self, center_id: int, p_s: LatticeSize,
                   p_u: LatticeSize) -> int | None:
@@ -577,7 +597,9 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
     distance is below 2 e^(-NET_EXPONENT (j + 2)) + 2^-1074 and the
     center lies in the cells that `near` looks up.  Its ids ascend in net
     order, so the first candidate that `gamma_close` passes is the first
-    center of the net that it passes.
+    center of the net that it passes.  Nothing here depends on gamma, so
+    `Alphabet.find_center` looks up the same way, in the alphabet's
+    ``net_index``, and also returns the center that the scan returns.
     """
     windows = [list(w) for w in windows]
     flat: list[GammaPoint] = [g for w in windows for g in w]
@@ -602,13 +624,10 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
         levels = sorted({sigs[fi].j for fi in members})
         for j in levels:
             net: list[int] = []
-            index = _CellIndex((), _metric_radius(
-                table, math.exp(-NET_EXPONENT * (j + 2.0))))
+            index = _net_index(table, j, ())
             for fi in members:
                 g = flat[fi]
-                key = table.metric_coords(g.points[1])
-                hit = _first_close(g, [net[k] for k in index.near(key)],
-                                   centers, j)
+                hit = _first_close(g, net, index, centers, j)
                 if hit is None:
                     cid = center_ids.get(fi)
                     if cid is None:
@@ -616,7 +635,7 @@ def coarse_grain(windows, cfg: EpsilonConfig, consts: RegularityConstants
                         centers.append(g)
                         center_ids[fi] = cid
                     net.append(cid)
-                    index.add(key)
+                    index.add(_net_key(g))
                     hit = cid
                 if sigs[fi].j == j:
                     assign[fi] = hit

@@ -42,8 +42,11 @@ class AssumptionViolated(PesinCoderError):
 
 
 class FormsDisagree(PesinCoderError):
-    """A billiard table's array form refused a row of `step_many` that its
-    scalar form maps: the bitwise pin between the two forms is broken.
+    """A billiard table's `step_many` refused a row that its scalar rerun
+    maps.  The rerun's embed and offset run through the same loop walk as
+    the rows, so only the step can disagree: `accel.run_step_many` refused
+    a step that `accel.run_orbit` takes, and the bitwise pin between the
+    two forms is broken.
 
     Attributes: row (the row's index), point (its embedded start point).
     """

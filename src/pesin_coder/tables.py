@@ -30,12 +30,12 @@ module asks which of the two it holds:
   step_many(x, d, forward, y)  offset(y, f^{+-1}(embed(x, d_k))) for N rows
                              d_k, and the first row that fails.
 
-A billiard table's step, embed and offset have a scalar form (one point; the
-sequential orbits run it) and an array form (N rows at once; step_many runs
-it, with `accel.run_step_many` for the step).  They are one geometry: the
-same IEEE operations in the same order, pinned bitwise to each other by a
-test on every row of full grids.  See `accel` for why cos, sin and atan2
-stay scalar `math` calls in both.
+A billiard table's step has a scalar form (`accel.run_orbit`, one point)
+and an array form (`accel.run_step_many`, N rows at once, for step_many),
+one geometry pinned bitwise by a test on every row of full grids; see
+`accel` for why cos, sin and atan2 stay scalar `math` calls in both.  embed
+and offset have one form, the loop walk `_wrap_many` and the junction
+offset `_offset_many` of step_many, run on one row.
 
 The discontinuity set D of a billiard map consists of the grazing fibers
 (|theta| = pi/2), the corner fibers (junction arclengths, all theta), and the
@@ -293,18 +293,20 @@ class BilliardTable:
         self._curvatures = np.array([self.curvature(c)
                                      for c in range(len(self.rows))])
         self._validate_closure()
-        # per component: its loop, its index there, the loop arclength
-        # before it and the loop total, for wrap_r and offset
-        self._loop_at = {}
-        # the loop number and prefix arclength again as arrays, for step_many
+        # per component: its loop's number, its position in that loop, the
+        # loop arclength before it and the loop's total length, for the walk
+        # (_wrap_many) and the junction offset (_offset_many)
         self._loop_index = np.full(len(self.rows), -1)
+        self._loop_position = np.zeros(len(self.rows), dtype=int)
         self._prefix = np.zeros(len(self.rows))
+        self._loop_length = np.zeros(len(self.rows))
         for k, loop in enumerate(self.loops):
             lengths = [self.lengths[c] for c in loop]
             for ix, c in enumerate(loop):
-                self._loop_at[c] = (loop, ix, sum(lengths[:ix]), sum(lengths))
                 self._loop_index[c] = k
-                self._prefix[c] = self._loop_at[c][2]
+                self._loop_position[c] = ix
+                self._prefix[c] = sum(lengths[:ix])
+                self._loop_length[c] = sum(lengths)
         self.corner_points = self._collect_corners()
         self._polylines = {}  # lazy, filled by _polyline()
         self.boundary_diameter = self._boundary_diameter()
@@ -468,34 +470,6 @@ class BilliardTable:
         if not abs(p.theta) <= math.pi / 2 + 1e-12:
             raise ValueError(f"|theta|={abs(p.theta)} exceeds pi/2")
 
-    def wrap_r(self, component: int, r: float) -> tuple[int, float]:
-        """Arclength modulo component length (wraparound on closed loops).
-
-        The walk passes one component at a time, so r must lie within two
-        loop lengths of 0, as every r that `embed` makes does: at 1e18 the
-        walk would take ~1e17 passes, and once r - L rounds back to r it
-        would never end.  The bound is written as "not within" so that NaN
-        and inf are refused too.
-        """
-        self._check_component(component)
-        L = self.lengths[component]
-        loop, idx, _, total = self._loop_at[component]
-        if not abs(r) <= 2.0 * total:
-            raise ValueError(f"arclength {r} on component {component} is not "
-                             f"within two loop lengths ({2.0 * total}) of 0")
-        if len(loop) == 1:
-            return component, r % L
-        # walk to the neighbouring component when r leaves [0, L)
-        while r < 0.0:
-            idx = (idx - 1) % len(loop)
-            component = loop[idx]
-            r += self.lengths[component]
-        while r >= self.lengths[component]:
-            r -= self.lengths[component]
-            idx = (idx + 1) % len(loop)
-            component = loop[idx]
-        return component, r
-
     def metric_coords(self, p: PhasePoint) -> tuple[float, float, float]:
         """(x, y, theta) of p: `distance` is metric_scale times the
         Euclidean distance of these."""
@@ -597,47 +571,33 @@ class BilliardTable:
         return comps, rs, ths, taus
 
     def embed(self, p: PhasePoint, dr: float, dtheta: float) -> PhasePoint:
-        """The phase point at offset (dr, dtheta) from p, walking the loop."""
+        """The phase point at (dr, dtheta) from p, one row of `_wrap_many`."""
         self._check_component(p.component)
         theta = p.theta + dtheta
         # written as "not within" so that NaN is refused too
         if not abs(theta) < math.pi / 2:
             raise DomainEscape(f"embedded angle {theta} leaves (-pi/2, pi/2)")
-        # wrap_r walks one component per pass, so the offset must be shorter
-        # than the loop (this also refuses NaN and inf)
-        total = self._loop_at[p.component][3]
+        # the walk passes one component at a time, so the offset must be
+        # shorter than the loop (this also refuses NaN and inf)
+        total = float(self._loop_length[p.component])
         if not abs(dr) < total:
             raise DomainEscape(
                 f"embedded arclength offset {dr} leaves (-{total}, {total}), "
                 f"the loop length")
-        return PhasePoint(*self.wrap_r(p.component, p.r + dr), theta)
+        comps, r = self._wrap_many(p.component,
+                                   np.array([p.r + dr], dtype=float))
+        return PhasePoint(int(comps[0]), float(r[0]), theta)
 
     def offset(self, x: PhasePoint, p: PhasePoint) -> np.ndarray:
-        """Signed (arclength, angle) offset from x to p along x's loop.
-
-        The arclength part goes the short way round the loop.  On a loop of
-        one component it is folded into (-L/2, L/2] by adding or subtracting
-        L, so that small offsets keep their full precision.
-        """
+        """Signed (arclength, angle) offset from x to p along x's loop: one
+        row of `_offset_many`, which raises OutOfDomain off that loop."""
         self._check_component(x.component)
         self._check_component(p.component)
-        loop, _, prefix_x, total = self._loop_at[x.component]
-        if p.component == x.component:
-            dr = p.r - x.r
-            if len(loop) == 1:
-                L = self.lengths[x.component]
-                if dr > L / 2.0:
-                    dr -= L
-                elif dr <= -L / 2.0:
-                    dr += L
-        else:
-            loop_p, _, prefix_p, _ = self._loop_at[p.component]
-            if loop_p is not loop:
-                raise OutOfDomain("points on different boundary loops")
-            sx = prefix_x + x.r
-            sp = prefix_p + p.r
-            dr = (sp - sx + total / 2.0) % total - total / 2.0
-        return np.array([dr, p.theta - x.theta])
+        dr, on_loop = self._offset_many(x, np.array([p.component]),
+                                        np.array([p.r]))
+        if not on_loop[0]:
+            raise OutOfDomain("points on different boundary loops")
+        return np.array([dr[0], p.theta - x.theta])
 
     def step_many(self, x: PhasePoint, d: np.ndarray, forward: bool,
                   y: PhasePoint):
@@ -645,12 +605,14 @@ class BilliardTable:
 
         Returns (offsets, fail), where fail is (k, exception) for the first
         row whose embed, step or offset raises, or None; rows k and later are
-        NaN.  The rows run through the array form of embed -> step -> offset
-        (`accel.run_step_many` for the step), which a test pins bitwise to
-        the scalar form on every row of full grids.  Row k alone is rerun in
-        the scalar form to raise its exception, so its class and message are
-        the scalar ones.  A row that the scalar form maps raises
-        FormsDisagree with the row and its start point: that pin is broken.
+        NaN.  The rows run through embed's checks, `_wrap_many`,
+        `accel.run_step_many` and `_offset_many`; a start point that the
+        walk refuses raises its ValueError, as in `embed`.  Row k alone is
+        rerun through embed, step and offset to raise its exception, so its
+        class and message are the scalar ones.  Only the step has a second
+        form there, so a row that the rerun maps raises FormsDisagree with
+        the row and its start point: the bitwise pin of `run_step_many` to
+        `run_orbit` is broken.
         """
         self._check_component(x.component)
         self._check_component(y.component)
@@ -659,7 +621,7 @@ class BilliardTable:
         sign = 1 if forward else -1
         theta = x.theta + d[:, 1]
         r = x.r + d[:, 0]
-        total = self._loop_at[x.component][3]
+        total = self._loop_length[x.component]
         n = _first_true(~(np.abs(theta) < math.pi / 2)
                         | ~(np.abs(d[:, 0]) < total), n)
         comps, r = self._wrap_many(x.component, r[:n])
@@ -681,14 +643,25 @@ class BilliardTable:
         raise FormsDisagree(n, p)
 
     def _wrap_many(self, component: int, r: np.ndarray):
-        """wrap_r(component, r_k) for the r_k that embed admits (less than a
-        loop length from the start), as (components, r); the walk updates r
-        in place."""
-        loop, idx0, _, _ = self._loop_at[component]
+        """The points at arclengths r_k from the start of `component`, as
+        (components, r): r_k walks the loop one component a pass into
+        [0, L) (modulo L on a loop of one component), updating r in place.
+        It ends within two rounds when each r_k is within two loop lengths
+        of 0, as every r that `embed` admits from phase space is; at 1e18
+        it would take ~1e17 passes, or never end once r - L rounds to r.
+        So the first r_k that is not within (NaN and inf too) raises
+        ValueError naming the component and r_k."""
+        loop = self.loops[self._loop_index[component]]
+        total = self._loop_length[component]
+        far = ~(np.abs(r) <= 2.0 * total)
+        if far.any():
+            raise ValueError(f"arclength {r[far][0]} on component {component} "
+                             f"is not within two loop lengths ({2.0 * total}) "
+                             f"of 0")
         if len(loop) == 1:
             return np.full(len(r), component), r % self._length_array[component]
         order = np.array(loop)
-        idx = np.full(len(r), idx0)
+        idx = np.full(len(r), self._loop_position[component])
         back = r < 0.0
         while back.any():
             idx[back] = (idx[back] - 1) % len(loop)
@@ -704,18 +677,21 @@ class BilliardTable:
         return comps, r
 
     def _offset_many(self, x: PhasePoint, comps: np.ndarray, r: np.ndarray):
-        """The arclength part of offset(x, p) for the points p = (comps, r),
-        and where p is on x's loop (offset raises OutOfDomain elsewhere)."""
-        loop, _, prefix_x, total = self._loop_at[x.component]
+        """The arclength part of the offset from x to the points (comps, r),
+        the short way round x's loop (folded into (-L/2, L/2] on a loop of
+        one component, so small offsets keep their precision), and where
+        each point is on that loop (`offset` raises OutOfDomain elsewhere)."""
         dr = r - x.r
         same = comps == x.component
-        if len(loop) == 1:
+        if len(self.loops[self._loop_index[x.component]]) == 1:
             L = self._length_array[x.component]
             return np.where(dr > L / 2.0, dr - L,
                             np.where(dr <= -L / 2.0, dr + L, dr)), same
-        sx = prefix_x + x.r
+        total = self._loop_length[x.component]
+        sx = self._prefix[x.component] + x.r
         sp = self._prefix[comps] + r
-        across = (sp - sx + total / 2.0) % total - total / 2.0
+        with np.errstate(invalid="ignore"):  # r = inf on x's own component
+            across = (sp - sx + total / 2.0) % total - total / 2.0
         on_loop = self._loop_index[comps] == self._loop_index[x.component]
         return np.where(same, dr, across), on_loop
 

@@ -735,11 +735,12 @@ class TestBatchedMapStep:
             assert off.tobytes() == scalar_rows(tb, x, d, forward, y).tobytes()
 
     def test_numpy_remainder_is_python_remainder(self):
-        # the wrap and the offset fold take % in numpy, the scalar form in
-        # Python: both keep fmod's sign fix and return +0.0 on exact multiples
+        # the wrap and the offset fold take % in numpy, as Python's % did
+        # in the scalar walk that the saved alphabets' digests came from:
+        # both keep fmod's sign fix and return +0.0 on exact multiples
         for tb in (make_circle(), make_stadium(), make_sinai(), make_flower()):
             for loop in tb.loops:
-                total = tb._loop_at[loop[0]][3]
+                total = float(tb._loop_length[loop[0]])
                 vals = [0.0, -0.0, total, -total, 2 * total, -3 * total,
                         total / 2.0, -total / 2.0, 1e-300, -1e-300, 5e-324,
                         -5e-324, math.nextafter(total, 0.0),

@@ -565,30 +565,60 @@ def net_gamma(shift: float) -> GammaPoint:
                       (0.9, 0.9, 0.9), p, p, p)
 
 
-@pytest.mark.parametrize("case", ["fixture-0", "fixture-1", "fixture-2",
-                                  "stadium", "cell-edge"])
-def test_net_selection_is_the_all_centers_scan(monkeypatch, case):
-    # the net index hands gamma_close only the centers whose middle point
-    # lies near the member's, in net order, so each lookup returns the
-    # center that the scan of the whole net returns
+NET_CASES = ["fixture-0", "fixture-1", "fixture-2", "stadium", "cell-edge"]
+
+
+def net_windows(case: str) -> list:
+    """The windows of a net lookup case: a fixture-code round, the tame
+    stadium window, or hand-built gammas across the cells of a net."""
     if case == "stadium":
-        windows = [stadium_gammas()[1]]
-    elif case == "cell-edge":
+        return [stadium_gammas()[1]]
+    if case == "cell-edge":
         r = math.exp(-NET_EXPONENT * (net_gamma(0.0).j + 2.0))
         assert r > 2.3e-308  # a normal double: the cell path
         # centers at 0, -1.5 r (the cell below) and 1.5 r; -0.75 r and
         # 0.75 r are close to two centers each and must take the first
         shifts = [0.0, -1.5 * r, 1.5 * r, -0.75 * r, 0.5 * r, -1.2 * r,
                   0.75 * r, 1.75 * r, -2.0 * r, r / 1e3]
-        windows = [[net_gamma(s) for s in shifts]]
-    else:
-        windows = fixture_round(int(case[-1]))
+        return [[net_gamma(s) for s in shifts]]
+    return fixture_round(int(case[-1]))
+
+
+@pytest.mark.parametrize("case", NET_CASES)
+def test_net_selection_is_the_all_centers_scan(monkeypatch, case):
+    # the net index hands gamma_close only the centers whose middle point
+    # lies near the member's, in net order, so each lookup returns the
+    # center that the scan of the whole net returns
+    windows = net_windows(case)
     got, alpha = net_hits(monkeypatch, windows)
     want = all_centers_hits(windows)
     assert got == want
     assert len(alpha.centers) == want.count(None)
     if case == "cell-edge":
         assert want == [None, None, None, 0, 0, 1, 0, 2, 1, 0]
+
+
+def scan_find_center(alpha: Alphabet, gamma: GammaPoint) -> int | None:
+    """Alphabet.find_center with a scan of the whole net, for reference."""
+    sig = coding._signature(gamma, alpha.cover.find_box)
+    return next((c for c in alpha.nets.get((sig.base(), sig.j), ())
+                 if gamma_close(gamma, alpha.centers[c], sig.j)), None)
+
+
+@pytest.mark.parametrize("case", NET_CASES)
+def test_find_center_is_the_whole_net_scan(tmp_path, case):
+    # find_center looks up the alphabet's net index, which load_alphabet
+    # rebuilds from the saved nets, so both alphabets answer as the scan
+    windows = net_windows(case)
+    alpha = (stadium_alphabet() if case == "stadium"
+             else coarse_grain(windows, CFG, CONSTS))
+    path = tmp_path / "alphabet.json"
+    save_alphabet(alpha, path)
+    gammas = [g for w in windows for g in w]
+    for a in (alpha, load_alphabet(path)):
+        want = [scan_find_center(a, g) for g in gammas]
+        assert [a.find_center(g) for g in gammas] == want
+        assert want.count(None) < len(want)
 
 
 def all_pairs_double_codings(points, table, tol: float) -> list:

@@ -579,7 +579,7 @@ def test_component_outside_the_table_refused(component):
              lambda: st.dist_to_D(p), lambda: st.embed(p, 0.1, 0.0),
              lambda: st.distance(p, inside), lambda: st.distance(inside, p),
              lambda: st.offset(inside, p), lambda: st.offset(p, inside),
-             lambda: st.wrap_r(component, 0.3),
+             lambda: st.embed(PhasePoint(component, 0.3, 0.1), 0.0, 0.0),
              lambda: st.step_many(p, rows, True, inside),
              lambda: st.step_many(inside, rows, True, p)]
     for call in calls:
@@ -784,17 +784,18 @@ def test_sinai_wall_rays_stay_out_of_the_cloud():
 
 
 def test_wrap_r_walks_loop():
+    # embed wraps the arclength r = p.r + dr round the loop
     st = make_stadium()
     # stepping past the end of the bottom segment lands on the right cap
-    c, r = st.wrap_r(0, 2.0 + 0.25)
-    assert c == 1 and abs(r - 0.25) < 1e-12
+    q = st.embed(PhasePoint(0, 0.0, 0.1), 2.0 + 0.25, 0.0)
+    assert q.component == 1 and abs(q.r - 0.25) < 1e-12
     # negative arclength walks backwards onto the left cap
-    c, r = st.wrap_r(0, -0.25)
-    assert c == 3 and abs(r - (math.pi - 0.25)) < 1e-12
+    q = st.embed(PhasePoint(0, 0.0, 0.1), -0.25, 0.0)
+    assert q.component == 3 and abs(q.r - (math.pi - 0.25)) < 1e-12
     # single-component loops just wrap mod length
     cir = make_circle()
-    c, r = cir.wrap_r(0, 2 * math.pi + 0.5)
-    assert c == 0 and abs(r - 0.5) < 1e-12
+    q = cir.embed(PhasePoint(0, 2 * math.pi, 0.1), 0.5, 0.0)
+    assert q.component == 0 and abs(q.r - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("mk", [make_circle, make_stadium])
@@ -803,7 +804,24 @@ def test_wrap_r_refuses_r_the_walk_cannot_finish(mk, r):
     # at -inf or 1e18 the stadium walk would not end, and NaN is no arclength
     with pytest.raises(ValueError,
                        match=f"^arclength {re.escape(str(r))} on component 0 "):
-        mk().wrap_r(0, r)
+        mk().embed(PhasePoint(0, r, 0.1), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("mk", [make_circle, make_stadium])
+@pytest.mark.parametrize("r", [100.0, -1000.0, 1e18, math.inf, math.nan])
+def test_step_many_refuses_the_start_points_embed_refuses(mk, r):
+    # step_many mapped the rows from r = 100 and -1000, which embed refuses,
+    # and from 1e18 or inf its walk did not end
+    tb = mk()
+    x = PhasePoint(0, r, 0.1)
+    d = np.array([[0.0, 0.0], [1e-3, 0.0], [-1e-3, 1e-3]])
+    with pytest.raises(ValueError) as want:
+        tb.embed(x, *d[0].tolist())
+    assert str(want.value).startswith(f"arclength {r} on component 0 ")
+    for forward in (True, False):
+        with pytest.raises(ValueError) as got:
+            tb.step_many(x, d, forward, PhasePoint(0, 0.5, 0.1))
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("mk", [make_circle, make_stadium, make_sinai,
@@ -813,7 +831,7 @@ def test_wrap_r_takes_every_r_embed_makes(mk):
     # length: the extremes of that range at every component
     tb = mk()
     for c, L in enumerate(tb.lengths):
-        total = tb._loop_at[c][3]
+        total = float(tb._loop_length[c])
         for r0 in (0.0, math.nextafter(L, 0.0), L):
             for dr in (math.nextafter(total, 0.0),
                        -math.nextafter(total, 0.0), 0.0):
@@ -834,11 +852,11 @@ def test_embed_refuses_non_finite_offsets(mk, dr, dtheta):
 
 @pytest.mark.parametrize("mk", [make_circle, make_stadium, make_flower])
 def test_embed_refuses_offsets_as_long_as_the_loop(mk):
-    # wrap_r walks one component per pass: at dr = 1e300 the stadium walk
-    # never ended, since r - L rounds back to r
+    # the walk passes one component at a time: at dr = 1e300 the stadium
+    # walk never ended, since r - L rounds back to r
     tb = mk()
     p = PhasePoint(0, 0.5, 0.1)
-    total = tb._loop_at[0][3]
+    total = float(tb._loop_length[0])
     for dr in (1e300, -1e300, total, -total):
         with pytest.raises(DomainEscape, match="leaves"):
             tb.embed(p, dr, 0.0)
@@ -846,6 +864,14 @@ def test_embed_refuses_offsets_as_long_as_the_loop(mk):
     for dr in (math.nextafter(total, 0.0), -math.nextafter(total, 0.0)):
         q = tb.embed(p, dr, 0.0)
         assert 0.0 <= q.r < tb.lengths[q.component]
+
+
+def test_offset_on_its_own_component_is_the_difference():
+    # the junction fold runs on every row of _offset_many and is discarded
+    # on x's own component, where r = inf makes it NaN without a warning
+    st = make_stadium()
+    got = st.offset(PhasePoint(0, 0.5, 0.1), PhasePoint(0, math.inf, 0.3))
+    assert got[0] == math.inf and got[1] == 0.3 - 0.1
 
 
 # sha256 of float.hex of each embed -> offset round trip across a junction
