@@ -35,6 +35,10 @@ compute them once per table with the IEEE expressions a per-step
 evaluation would use, so reading them gives the same bits and the loop
 does not recompute them at every component of every step.
 
+The step's thresholds `GRAZING_COS_TOL`, `MIN_FLIGHT` and `CORNER_TOL` live
+here; no kernel takes them as parameters, and `trace_ray` and `run_orbit`
+bind them to locals once per call.
+
 `comp_frame` gives the point and unit tangent at an arclength from one
 cos/sin pair.  `run_orbit` takes the frame of each hit once, reads the
 outgoing angle from its tangent and carries it into the next step as that
@@ -69,6 +73,10 @@ import numpy as np
 HAVE_NUMBA = False
 
 TWO_PI = 2.0 * math.pi
+
+GRAZING_COS_TOL = 1e-8  # |cos theta| below this counts as tangential
+MIN_FLIGHT = 1e-9  # shortest admissible chord
+CORNER_TOL = 1e-12  # arclength proximity to a flagged junction
 
 # status codes returned by the orbit kernel
 OK = 0
@@ -108,11 +116,6 @@ def arc_row(cx, cy, R, a0, orient, length, axc, axs, start_corner,
             1.0 if start_corner else 0.0, 1.0 if end_corner else 0.0)
 
 
-def comp_point(row, s):
-    """The point at arclength s: the first two entries of comp_frame."""
-    return comp_frame(row, s)[:2]
-
-
 def comp_frame(row, s):
     """The point and unit tangent at arclength s, as (px, py, tx, ty), from
     one cos/sin of the arc angle."""
@@ -138,12 +141,13 @@ def comp_curvature(row):
     return row[9] / row[7] if row[0] else 0.0
 
 
-def trace_ray(rows, px, py, dx, dy, min_flight):
-    """First boundary hit of the ray p + t*d, t > min_flight.
+def trace_ray(rows, px, py, dx, dy):
+    """First boundary hit of the ray p + t*d, t > MIN_FLIGHT.
 
     Returns (component index, arclength on it, flight time); index -1 when the
     ray misses everything (geometry inconsistency for closed tables).
     """
+    min_flight = MIN_FLIGHT
     best_t = 1e300
     best_i = -1
     best_s = 0.0
@@ -187,8 +191,7 @@ def trace_ray(rows, px, py, dx, dy, min_flight):
     return best_i, best_s, best_t
 
 
-def run_orbit(rows, comp0, r0, th0, n_steps, grazing_tol, min_flight,
-              corner_tol):
+def run_orbit(rows, comp0, r0, th0, n_steps):
     """Iterate the billiard map n_steps times from (comp0, r0, th0).
 
     Returns (comps, rs, thetas, taus, status, k) with four Python lists: k
@@ -202,6 +205,7 @@ def run_orbit(rows, comp0, r0, th0, n_steps, grazing_tol, min_flight,
     taus = []
     status = OK
     th = th0
+    grazing_tol, corner_tol = GRAZING_COS_TOL, CORNER_TOL
     px, py, tx, ty = comp_frame(rows[comp0], r0)
     for _ in range(n_steps):
         ct_ = cos(th)
@@ -212,7 +216,7 @@ def run_orbit(rows, comp0, r0, th0, n_steps, grazing_tol, min_flight,
         # inward normal is rot90(tangent) = (-ty, tx)
         dx = ct_ * (-ty) + st_ * tx
         dy = ct_ * tx + st_ * ty
-        ci, s, t = trace_ray(rows, px, py, dx, dy, min_flight)
+        ci, s, t = trace_ray(rows, px, py, dx, dy)
         if ci < 0:
             status = NO_INTERSECTION
             break
@@ -279,7 +283,7 @@ def comp_frames_many(cols, s, points):
     return out
 
 
-def trace_rays(rows, px, py, dx, dy, min_flight):
+def trace_rays(rows, px, py, dx, dy):
     """trace_ray for N rays at once, as arrays (index, arclength, flight).
 
     The components are visited in the scalar order, both arc roots in the
@@ -328,7 +332,7 @@ def trace_rays(rows, px, py, dx, dy, min_flight):
             t = (wx * uy - wy * ux) / den
             # >= refuses a NaN den, which trace_ray lets through to a NaN t
             # that its flight tests refuse
-            at = ((np.abs(den) >= 1e-14) & (t > min_flight)
+            at = ((np.abs(den) >= 1e-14) & (t > MIN_FLIGHT)
                   & (t < best_t)).nonzero()[0]
             if not at.size:
                 continue
@@ -356,7 +360,7 @@ def trace_rays(rows, px, py, dx, dy, min_flight):
                 mid = a0 + orient * half
                 mc, ms, cmax = cos(mid), sin(mid), cos(half + _CONE_MARGIN)
             for t in (nb - sq, nb + sq):
-                at = ((t > min_flight) & (t < best_t)).nonzero()[0]
+                at = ((t > MIN_FLIGHT) & (t < best_t)).nonzero()[0]
                 if not at.size:
                     continue
                 tr = t[at]
@@ -381,7 +385,7 @@ def trace_rays(rows, px, py, dx, dy, min_flight):
     return best_i, best_s, best_t
 
 
-def run_step_many(rows, comps, rs, ths, grazing_tol, min_flight, corner_tol):
+def run_step_many(rows, comps, rs, ths):
     """One run_orbit step from each of N states (comps, rs, ths), as arrays.
 
     Returns (comps, rs, thetas, status) of the images.  A row whose status
@@ -397,17 +401,16 @@ def run_step_many(rows, comps, rs, ths, grazing_tol, min_flight, corner_tol):
         ct_, st_ = _cos_sin(ths)
         dx = ct_ * (-ty) + st_ * tx
         dy = ct_ * tx + st_ * ty
-        ci, s, _ = trace_rays(rows, px, py, dx, dy, min_flight)
+        ci, s, _ = trace_rays(rows, px, py, dx, dy)
         hit = entries[:, ci]
         tx2, ty2 = comp_frames_many(hit, s, False)
         cos_out = -(dx * (-ty2) + dy * tx2)
         sin_out = dx * tx2 + dy * ty2
-    corner = (((hit[13] > 0.5) & (s < corner_tol))
-              | ((hit[14] > 0.5) & (hit[3] - s < corner_tol)))
+    corner = (((hit[13] > 0.5) & (s < CORNER_TOL))
+              | ((hit[14] > 0.5) & (hit[3] - s < CORNER_TOL)))
     # run_orbit's checks in its order: the first that fires is the status
-    status = np.where(
-        ct_ < grazing_tol, GRAZING, np.where(
-            ci < 0, NO_INTERSECTION, np.where(
-                cos_out < grazing_tol, GRAZING, np.where(corner, CORNER, OK))))
+    status = np.select(
+        [ct_ < GRAZING_COS_TOL, ci < 0, cos_out < GRAZING_COS_TOL, corner],
+        [GRAZING, NO_INTERSECTION, GRAZING, CORNER], OK)
     th = _math_map(math.atan2, sin_out, cos_out)
     return ci, s, th, status

@@ -19,6 +19,7 @@ sampled scale; the grid estimators are lower bounds on the analytic norms.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,11 +214,18 @@ def _probe_halfwidth(chart: PesinChart) -> float:
     return min(max(want, PROBE_FLOOR), cap)
 
 
-def _map_step(table, p: PhasePoint, forward: bool) -> PhasePoint:
+@contextmanager
+def _inside_probe_square():
+    """Raise a MapUndefined from the block as the probe's DomainEscape."""
     try:
-        return billiard_map(table, p) if forward else billiard_inverse(table, p)
+        yield
     except MapUndefined as e:
         raise DomainEscape(f"map undefined inside probe square: {e}") from e
+
+
+def _map_step(table, p: PhasePoint, forward: bool) -> PhasePoint:
+    with _inside_probe_square():
+        return billiard_map(table, p) if forward else billiard_inverse(table, p)
 
 
 def _sample_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
@@ -254,10 +262,8 @@ def _sample_grid(chart_x: PesinChart, chart_to: PesinChart, probe: float,
             f"image |w|_inf = {w_inf[k]:.3e} leaves the target square of "
             f"half-width {allow:.3e} at v = ({vs[k, 0]:.3e}, {vs[k, 1]:.3e})")
     if fail is not None:
-        err = fail[1]
-        if isinstance(err, MapUndefined):
-            raise DomainEscape(f"map undefined inside probe square: {err}") from err
-        raise err
+        with _inside_probe_square():
+            raise fail[1]
     jac = w[n_grid:]
     J0 = np.stack([jac[0] - jac[1], jac[2] - jac[3]], axis=1) / (2.0 * fd_step)
     return (xs, w[:n_grid, 0].reshape(V1.shape), w[:n_grid, 1].reshape(V1.shape),

@@ -18,18 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, MapUndefined
-from .tables import (
-    CORNER_TOL,
-    GRAZING_COS_TOL,
-    MIN_FLIGHT,
-    PhasePoint,
-    derivative_along_orbit,
-)
+from .tables import GRAZING_COS_TOL, PhasePoint, derivative_along_orbit
 
 __all__ = [
-    "GRAZING_COS_TOL",
-    "MIN_FLIGHT",
-    "CORNER_TOL",
     "HOLDER_PAIRS_PER_POINT",
     "ASSUMPTION_SEED",
     "RegularityConstants",

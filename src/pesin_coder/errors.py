@@ -43,10 +43,10 @@ class AssumptionViolated(PesinCoderError):
 
 class FormsDisagree(PesinCoderError):
     """A billiard table's `step_many` refused a row that its scalar rerun
-    maps.  The rerun's embed and offset run through the same loop walk as
-    the rows, so only the step can disagree: `accel.run_step_many` refused
-    a step that `accel.run_orbit` takes, and the bitwise pin between the
-    two forms is broken.
+    maps.  The rerun's embed shares the rows' refusal and loop walk, and
+    its offset their junction offset, so only the step can disagree:
+    `accel.run_step_many` refused a step that `accel.run_orbit` takes, and
+    the bitwise pin between the two forms is broken.
 
     Attributes: row (the row's index), point (its embedded start point).
     """

@@ -34,8 +34,9 @@ A billiard table's step has a scalar form (`accel.run_orbit`, one point)
 and an array form (`accel.run_step_many`, N rows at once, for step_many),
 one geometry pinned bitwise by a test on every row of full grids; see
 `accel` for why cos, sin and atan2 stay scalar `math` calls in both.  embed
-and offset have one form, the loop walk `_wrap_many` and the junction
-offset `_offset_many` of step_many, run on one row.
+and offset are one row of step_many's `_embed_many` (refusal and loop walk)
+and `_offset_many`, so the rerun of a failed row embeds and refuses as the
+rows did, and only the step can disagree (`FormsDisagree`).
 
 The discontinuity set D of a billiard map consists of the grazing fibers
 (|theta| = pi/2), the corner fibers (junction arclengths, all theta), and the
@@ -63,10 +64,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import (CORNER, GRAZING, OK, _cos_sin, _math_map, arc_row,
-                    comp_curvature, comp_frame, comp_frames_many, comp_point,
-                    run_orbit, run_step_many, segment_row, trace_ray,
-                    trace_rays)
+from .accel import (CORNER, CORNER_TOL, GRAZING, GRAZING_COS_TOL, MIN_FLIGHT,
+                    OK, _cos_sin, _math_map, arc_row, comp_curvature,
+                    comp_frame, comp_frames_many, run_orbit, run_step_many,
+                    segment_row, trace_ray, trace_rays)
 from .errors import (
     CornerHit,
     DomainEscape,
@@ -100,9 +101,6 @@ __all__ = [
     "make_table",
 ]
 
-GRAZING_COS_TOL = 1e-8  # |cos theta| below this counts as tangential
-MIN_FLIGHT = 1e-9  # shortest admissible chord
-CORNER_TOL = 1e-12  # arclength proximity to a flagged junction
 CLOSURE_TOL = 1e-12
 FD_STEP = 1e-6  # coordinate step of the central finite differences
 BOUNDARY_SAMPLES = 64  # boundary points per component for the table diameter
@@ -110,6 +108,10 @@ WINDING_SAMPLES = 100  # boundary points per component for contains_point
 # (point, polyline vertex) pairs per chunk of contains_point: 256 kB for
 # each of its float temporaries
 _WINDING_CHUNK = 1 << 15
+# the singularity cloud's density, one spacing of which each dist_to_D search
+# spans on either side of its row's parameter
+_CLOUD_TANGENCIES = 48  # tangency sources per arc
+_CLOUD_FAN = 64  # fan directions per corner
 # the chord points of each cloud row that contains_point tests, at
 # k / (_CHORD_CHECKS + 1) of the flight for k = 1 .. _CHORD_CHECKS
 _CHORD_CHECKS = 4
@@ -336,13 +338,13 @@ class BilliardTable:
                                  f"times by the loops, not once")
 
     def _end_point(self, c: int) -> tuple[float, float]:
-        return comp_point(self.rows[c], self.lengths[c])
+        return comp_frame(self.rows[c], self.lengths[c])[:2]
 
     def _validate_closure(self):
         for loop in self.loops:
             for ci, cj in zip(loop, loop[1:] + loop[:1]):
                 ex, ey = self._end_point(ci)
-                sx, sy = comp_point(self.rows[cj], 0.0)
+                sx, sy = comp_frame(self.rows[cj], 0.0)[:2]
                 gap = math.hypot(ex - sx, ey - sy)
                 if gap > CLOSURE_TOL:
                     raise ValueError(
@@ -438,7 +440,7 @@ class BilliardTable:
 
     def _polyline(self, samples_per_component: int) -> list[np.ndarray]:
         """Boundary samples of each loop (M x 2), built once per sample
-        count: the `comp_point` values, from one `comp_frames_many` call
+        count: the points of `comp_frame`, from one `comp_frames_many` call
         per loop."""
         if samples_per_component not in self._polylines:
             polys = []
@@ -474,7 +476,7 @@ class BilliardTable:
         """(x, y, theta) of p: `distance` is metric_scale times the
         Euclidean distance of these."""
         self._check_component(p.component)
-        return (*comp_point(self.rows[p.component], p.r), p.theta)
+        return (*comp_frame(self.rows[p.component], p.r)[:2], p.theta)
 
     def distance(self, p: PhasePoint, q: PhasePoint) -> float:
         px, py, pt = self.metric_coords(p)
@@ -509,8 +511,7 @@ class BilliardTable:
         self._check_component(p.component)
         sign = 1 if forward else -1
         comps, rs, ths, taus, status, _ = run_orbit(
-            self.rows, p.component, p.r, sign * p.theta, 1,
-            GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+            self.rows, p.component, p.r, sign * p.theta, 1)
         if status != OK:
             raise _kernel_error(status, PhasePoint(p.component, p.r, sign * p.theta))
         return PhasePoint(comps[1], rs[1], sign * ths[1]), taus[0]
@@ -561,8 +562,7 @@ class BilliardTable:
         """Kernel orbit of n steps as lists; sign=-1 runs the time-reversed
         map, whose angles come back negated."""
         comps, rs, ths, taus, status, k = run_orbit(
-            self.rows, p.component, p.r, sign * p.theta, n,
-            GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+            self.rows, p.component, p.r, sign * p.theta, n)
         if status != OK:
             err = _kernel_error(status, p)
             raise OrbitHitsDiscontinuity(k if sign > 0 else -k - 1, str(err)) from err
@@ -571,22 +571,31 @@ class BilliardTable:
         return comps, rs, ths, taus
 
     def embed(self, p: PhasePoint, dr: float, dtheta: float) -> PhasePoint:
-        """The phase point at (dr, dtheta) from p, one row of `_wrap_many`."""
+        """The phase point at (dr, dtheta) from p, one row of `_embed_many`."""
         self._check_component(p.component)
-        theta = p.theta + dtheta
-        # written as "not within" so that NaN is refused too
-        if not abs(theta) < math.pi / 2:
-            raise DomainEscape(f"embedded angle {theta} leaves (-pi/2, pi/2)")
-        # the walk passes one component at a time, so the offset must be
-        # shorter than the loop (this also refuses NaN and inf)
-        total = float(self._loop_length[p.component])
-        if not abs(dr) < total:
-            raise DomainEscape(
-                f"embedded arclength offset {dr} leaves (-{total}, {total}), "
-                f"the loop length")
-        comps, r = self._wrap_many(p.component,
-                                   np.array([p.r + dr], dtype=float))
-        return PhasePoint(int(comps[0]), float(r[0]), theta)
+        comps, r, theta, refused = self._embed_many(
+            p, np.array([[dr, dtheta]], dtype=float))
+        if refused:
+            raise refused[1]
+        return PhasePoint(int(comps[0]), float(r[0]), float(theta[0]))
+
+    def _embed_many(self, x: PhasePoint, d: np.ndarray):
+        """embed(x, *d_k) for the rows of d (N x 2) before the first that
+        embed refuses, as arrays (comps, r, theta), and that row's (k,
+        DomainEscape), or None: the one refusal of embed and step_many."""
+        theta = x.theta + d[:, 1]
+        total = float(self._loop_length[x.component])
+        # "within" refuses NaN too; the walk passes one component at a
+        # time, so the offset must be shorter than the loop
+        angle_ok = np.abs(theta) < math.pi / 2
+        n = _first_true(~(angle_ok & (np.abs(d[:, 0]) < total)), len(d))
+        comps, r = self._wrap_many(x.component, x.r + d[:n, 0])
+        if n == len(d):
+            return comps, r, theta, None
+        return comps, r, theta[:n], (n, DomainEscape(
+            f"embedded arclength offset {float(d[n, 0])} leaves "
+            f"(-{total}, {total}), the loop length" if angle_ok[n] else
+            f"embedded angle {float(theta[n])} leaves (-pi/2, pi/2)"))
 
     def offset(self, x: PhasePoint, p: PhasePoint) -> np.ndarray:
         """Signed (arclength, angle) offset from x to p along x's loop: one
@@ -605,30 +614,22 @@ class BilliardTable:
 
         Returns (offsets, fail), where fail is (k, exception) for the first
         row whose embed, step or offset raises, or None; rows k and later are
-        NaN.  The rows run through embed's checks, `_wrap_many`,
-        `accel.run_step_many` and `_offset_many`; a start point that the
-        walk refuses raises its ValueError, as in `embed`.  Row k alone is
-        rerun through embed, step and offset to raise its exception, so its
-        class and message are the scalar ones.  Only the step has a second
-        form there, so a row that the rerun maps raises FormsDisagree with
-        the row and its start point: the bitwise pin of `run_step_many` to
-        `run_orbit` is broken.
+        NaN.  The rows run through `_embed_many`, `accel.run_step_many` and
+        `_offset_many`; a start point that the walk refuses raises its
+        ValueError, as in `embed`.  Row k alone is rerun through embed, step
+        and offset to raise its exception, so its class and message are the
+        scalar ones.  The rerun's embed shares the rows' refusal, and only
+        the step has a second form there: a row that the rerun maps raises
+        FormsDisagree with the row and its start point, and the bitwise pin
+        of `run_step_many` to `run_orbit` is broken.
         """
         self._check_component(x.component)
         self._check_component(y.component)
-        n = len(d)
-        out = np.full((n, 2), np.nan)
+        out = np.full((len(d), 2), np.nan)
         sign = 1 if forward else -1
-        theta = x.theta + d[:, 1]
-        r = x.r + d[:, 0]
-        total = self._loop_length[x.component]
-        n = _first_true(~(np.abs(theta) < math.pi / 2)
-                        | ~(np.abs(d[:, 0]) < total), n)
-        comps, r = self._wrap_many(x.component, r[:n])
-        comps, r, th, status = run_step_many(
-            self.rows, comps, r, sign * theta[:n],
-            GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
-        n = _first_true(status != OK, n)
+        comps, r, theta, _ = self._embed_many(x, d)
+        comps, r, th, status = run_step_many(self.rows, comps, r, sign * theta)
+        n = _first_true(status != OK, len(theta))
         dr, on_loop = self._offset_many(y, comps[:n], r[:n])
         n = _first_true(~on_loop, n)
         out[:n, 0] = dr[:n]
@@ -711,7 +712,7 @@ class BilliardTable:
         else:
             src = self.corner_points[a]
             w = (math.cos(u), math.sin(u))
-        ci, s, t = trace_ray(self.rows, src[0], src[1], w[0], w[1], MIN_FLIGHT)
+        ci, s, t = trace_ray(self.rows, src[0], src[1], w[0], w[1])
         if ci < 0 or t > 1e200:
             return None
         hx, hy, tx, ty = comp_frame(self.rows[ci], s)
@@ -759,7 +760,7 @@ class BilliardTable:
         # parallel rays divide by zero and missed circles take the root of
         # a negative number; trace_rays masks those rows, as in run_step_many
         with np.errstate(divide="ignore", invalid="ignore"):
-            ci, s, t = trace_rays(self.rows, sx, sy, wx, wy, MIN_FLIGHT)
+            ci, s, t = trace_rays(self.rows, sx, sy, wx, wy)
         at = (~((ci < 0) | (t > 1e200))).nonzero()[0]
         hx, hy, tx, ty = comp_frames_many(cols[:, ci[at]], s[at], True)
         cos0 = -(wx[at] * -ty + wy[at] * tx)  # against the inward normal
@@ -791,15 +792,14 @@ class BilliardTable:
         """
         if self._singular_cloud is not None:
             return self._singular_cloud
-        n_tan = 48
-        n_fan = 64
         # tangent rays of straight pieces lie inside the wall: arcs only
         sources = [(0, ci, branch * (s + 1e-12))
                    for ci, L in enumerate(self.lengths) if self.rows[ci][0] == 1
-                   for s in np.linspace(0.0, L, n_tan, endpoint=False).tolist()
+                   for s in np.linspace(0.0, L, _CLOUD_TANGENCIES,
+                                        endpoint=False).tolist()
                    for branch in (1.0, -1.0)]
         sources += [(1, k, psi) for k in range(len(self.corner_points))
-                    for psi in np.linspace(0.0, 2 * math.pi, n_fan,
+                    for psi in np.linspace(0.0, 2 * math.pi, _CLOUD_FAN,
                                            endpoint=False).tolist()]
         at, hx, hy, theta, sx, sy, t, wx, wy = \
             self._trace_singular_sources(sources)
@@ -827,10 +827,8 @@ class BilliardTable:
         The cache is keyed by u, which dict lookup compares with ==; that
         equates only 0.0 with -0.0, and no search evaluates -0.0."""
         kind, a, u0 = self._singular_cloud["fam"][idx]
-        if kind == 0:
-            span = self.lengths[a] / 48.0
-        else:
-            span = 2 * math.pi / 64.0
+        span = (self.lengths[a] / _CLOUD_TANGENCIES if kind == 0
+                else 2 * math.pi / _CLOUD_FAN)
         top = self._search_tops[idx]
         px, py = P
         evals = 0
@@ -886,7 +884,7 @@ class BilliardTable:
         self._check_component(p.component)
         scale = self.metric_scale
         best_unscaled = math.pi / 2 - abs(p.theta)  # grazing fibers
-        P = comp_point(self.rows[p.component], p.r)
+        P = comp_frame(self.rows[p.component], p.r)[:2]
         for C in self.corner_points:  # corner fibers (all theta)
             best_unscaled = min(best_unscaled, math.hypot(P[0] - C[0], P[1] - C[1]))
         cloud = self.singularity_cloud()

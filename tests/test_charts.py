@@ -899,6 +899,14 @@ class TestBatchedMapStep:
 
 
 # ------------------------------------------------------------------- overlap
+def test_map_step_refuses_an_undefined_step():
+    p = PhasePoint(0, 0.3, math.pi / 2 - 1e-9)  # grazing
+    with pytest.raises(DomainEscape, match="^map undefined inside probe "
+                       "square: tangential collision from ") as ei:
+        _map_step(make_circle(), p, True)
+    assert isinstance(ei.value.__cause__, GrazingCollision)
+
+
 class TestOverlap:
     def test_chart_overlaps_itself(self):
         fx, seg, sp, ch0, ch1 = fixture_charts()

@@ -53,9 +53,6 @@ from pesin_coder.errors import (
 )
 from pesin_coder.lattice import EpsilonConfig
 from pesin_coder.tables import (
-    CORNER_TOL,
-    GRAZING_COS_TOL,
-    MIN_FLIGHT,
     PhasePoint,
     make_circle,
     make_flower,
@@ -81,8 +78,7 @@ def kernel_flights(table, seg) -> np.ndarray:
     kernel run forward from its first point."""
     p = seg.point(-seg.n_minus)
     _, _, _, taus, status, _ = run_orbit(
-        table.rows, p.component, p.r, p.theta, len(seg) - 1,
-        GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+        table.rows, p.component, p.r, p.theta, len(seg) - 1)
     assert status == OK
     return np.array(taus)
 

@@ -1201,41 +1201,39 @@ def test_save_load_round_trip_bitwise(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_load_refuses_other_net_exponent(tmp_path):
-    alpha = fixture_alphabet(0.0)
+def load_corrupted(tmp_path, alpha, corrupt):
+    """load_alphabet of alpha's saved file after corrupt edits its JSON
+    document, in place or by returning the document to write instead."""
     f = tmp_path / "alphabet.json"
     save_alphabet(alpha, f)
     doc = json.loads(f.read_text())
-    assert doc["stats"]["net_exponent"] == NET_EXPONENT == 8.0
-    doc["stats"]["net_exponent"] = 6.0
-    f.write_text(json.dumps(doc))
+    f.write_text(json.dumps(corrupt(doc) or doc))
+    return load_alphabet(f)
+
+
+def test_load_refuses_other_net_exponent(tmp_path):
+    def corrupt(doc):
+        assert doc["stats"]["net_exponent"] == NET_EXPONENT == 8.0
+        doc["stats"]["net_exponent"] = 6.0
     with pytest.raises(ValueError, match="net exponent 6.0"):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0), corrupt)
 
 
 def test_load_refuses_other_cover_side(tmp_path):
-    alpha = fixture_alphabet(0.0)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    assert doc["cover"]["side"] == COVER_SIDE == 0.25
-    doc["cover"]["side"] = 0.5
-    f.write_text(json.dumps(doc))
+    def corrupt(doc):
+        assert doc["cover"]["side"] == COVER_SIDE == 0.25
+        doc["cover"]["side"] = 0.5
     with pytest.raises(ValueError, match="box side 0.5"):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0), corrupt)
 
 
 def test_load_refuses_other_metric_scale(tmp_path):
     # the scale is derived from the table, so the file can only repeat it
-    alpha = fixture_alphabet(0.0)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    assert doc["table"]["metric_scale"] == 1.0
-    doc["table"]["metric_scale"] = 0.5
-    f.write_text(json.dumps(doc))
+    def corrupt(doc):
+        assert doc["table"]["metric_scale"] == 1.0
+        doc["table"]["metric_scale"] = 0.5
     with pytest.raises(ValueError, match=re.escape("table.metric_scale = 0.5")):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0), corrupt)
 
 
 @pytest.mark.parametrize("field, corrupt", [
@@ -1247,13 +1245,8 @@ def test_load_refuses_other_metric_scale(tmp_path):
 def test_load_refuses_center_ids_outside_the_file(tmp_path, field, corrupt):
     alpha = fixture_alphabet(0.0, H)
     assert len(alpha.centers) == 10
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    corrupt(doc)
-    f.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(field)):
-        load_alphabet(f)
+        load_corrupted(tmp_path, alpha, corrupt)
 
 
 @pytest.mark.parametrize("edge", [[0.0, 0], ["0", 0], [True, 0], [0, 10],
@@ -1263,13 +1256,9 @@ def test_load_refuses_center_ids_outside_the_file(tmp_path, field, corrupt):
 def test_load_refuses_bad_edges(tmp_path, edge):
     alpha = fixture_alphabet(0.0, H)
     assert alpha.graph.n_vertices == 10
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    doc["edges"][3] = edge
-    f.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape("edges[3]")):
-        load_alphabet(f)
+        load_corrupted(tmp_path, alpha,
+                       lambda doc: doc["edges"].__setitem__(3, edge))
 
 
 @pytest.mark.parametrize("field, corrupt", [
@@ -1284,14 +1273,8 @@ def test_load_refuses_bad_edges(tmp_path, edge):
 ], ids=["k-float", "l-str", "a-bool", "m-float", "j-str", "p_s-float",
         "p_u-bool", "vertex-j-float"])
 def test_load_refuses_non_integer_fields(tmp_path, field, corrupt):
-    alpha = fixture_alphabet(0.0, H)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    corrupt(doc)
-    f.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(field)):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0, H), corrupt)
 
 
 def _set_box(n, k, value):
@@ -1316,24 +1299,27 @@ def _set_box(n, k, value):
         "center-component-bool"])
 def test_load_refuses_coerced_cover_and_center_fields(tmp_path, field,
                                                        corrupt):
-    alpha = fixture_alphabet(0.0, H)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    assert doc["cover"]["boxes"] == [[0, 0, 0, 0]]
-    corrupt(doc)
-    f.write_text(json.dumps(doc))
+    def check_then_corrupt(doc):
+        assert doc["cover"]["boxes"] == [[0, 0, 0, 0]]
+        corrupt(doc)
     with pytest.raises(ValueError, match=re.escape(field)):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0, H), check_then_corrupt)
+
+
+def _edit(keys, change):
+    """The corruption change(obj, keys[-1]), obj the container that
+    keys[:-1] reach in the document."""
+    def corrupt(doc):
+        obj = doc
+        for key in keys[:-1]:
+            obj = obj[key]
+        change(obj, keys[-1])
+    return corrupt
 
 
 def _set_center(key, value, *index):
-    def corrupt(doc):
-        obj = doc["centers"][0][key]
-        for i in index[:-1]:
-            obj = obj[i]
-        obj[index[-1]] = value
-    return corrupt
+    return _edit(("centers", 0, key) + index,
+                 lambda obj, i: obj.__setitem__(i, value))
 
 
 @pytest.mark.parametrize("field, corrupt", [
@@ -1350,45 +1336,21 @@ def _set_center(key, value, *index):
 ], ids=["point-r-str", "point-theta-bool", "dist-str", "rho-str", "frame-str",
         "frame-chi-bool", "eps-str", "a-str", "beta-str", "K-bool"])
 def test_load_refuses_non_number_real_fields(tmp_path, field, corrupt):
-    alpha = fixture_alphabet(0.0, H)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    corrupt(doc)
-    f.write_text(json.dumps(doc))
     with pytest.raises(ValueError,
                        match=re.escape(field) + " = .* is not a number"):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0, H), corrupt)
 
 
 def _drop(*keys):
-    def corrupt(doc):
-        obj = doc
-        for key in keys[:-1]:
-            obj = obj[key]
-        del obj[keys[-1]]
-        return doc
-    return corrupt
+    return _edit(keys, lambda obj, key: obj.pop(key))
 
 
 def _shorten(*keys):
-    def corrupt(doc):
-        obj = doc
-        for key in keys:
-            obj = obj[key]
-        obj.pop()
-        return doc
-    return corrupt
+    return _edit(keys, lambda obj, key: obj[key].pop())
 
 
 def _as_list(*keys):
-    def corrupt(doc):
-        obj = doc
-        for key in keys[:-1]:
-            obj = obj[key]
-        obj[keys[-1]] = [obj[keys[-1]]]
-        return doc
-    return corrupt
+    return _edit(keys, lambda obj, key: obj.__setitem__(key, [obj[key]]))
 
 
 @pytest.mark.parametrize("message, corrupt", [
@@ -1427,25 +1389,16 @@ def _as_list(*keys):
         "two-Q", "two-dists", "two-rhos", "short-net-row", "short-net-k",
         "short-box-row", "table-kind-list", "table-params-list"])
 def test_load_refuses_malformed_files(tmp_path, message, corrupt):
-    alpha = fixture_alphabet(0.0, H)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    f.write_text(json.dumps(corrupt(json.loads(f.read_text()))))
     with pytest.raises(ValueError, match=re.escape(message)):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0, H), corrupt)
 
 
 @pytest.mark.parametrize("stretch", [1e160, 1e200])
 def test_load_refuses_a_frame_that_breaks_its_bounds(tmp_path, stretch):
     # s = u = 1e200 make det C underflow to 0; it raises as 1e160 does
-    alpha = fixture_alphabet(0.0, H)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    doc["centers"][0]["frames"][1][4:6] = [stretch, stretch]
-    f.write_text(json.dumps(doc))
     with pytest.raises(BoundViolated, match="closed form"):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0, H), _set_center(
+            "frames", [stretch, stretch], 1, slice(4, 6)))
 
 
 @pytest.mark.parametrize("message, corrupt", [
@@ -1471,25 +1424,14 @@ def test_load_refuses_impossible_center_values(tmp_path, message, corrupt):
     # each once escaped raw (OverflowError from the cover's box key,
     # ValueError from int(nan) or log(0), an unnamed distance error) or
     # loaded without complaint
-    alpha = fixture_alphabet(0.0, H)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    corrupt(doc)
-    f.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="^" + re.escape(message)):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0, H), corrupt)
 
 
 def test_load_refuses_empty_vertex_list(tmp_path):
-    alpha = fixture_alphabet(0.0)
-    f = tmp_path / "alphabet.json"
-    save_alphabet(alpha, f)
-    doc = json.loads(f.read_text())
-    doc["vertices"], doc["edges"] = [], []
-    f.write_text(json.dumps(doc))
     with pytest.raises(EmptyAlphabet):
-        load_alphabet(f)
+        load_corrupted(tmp_path, fixture_alphabet(0.0),
+                       lambda doc: doc.update(vertices=[], edges=[]))
 
 
 def test_loaded_alphabet_still_codes(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pesin_coder.accel import run_orbit
 from pesin_coder.dynamics import (
     RegularityConstants,
     billiard_inverse,
@@ -71,12 +72,8 @@ def test_circle_quarter_angle_example():
 
 
 def test_flight_length_is_chord():
-    from pesin_coder.accel import run_orbit
-    from pesin_coder.dynamics import CORNER_TOL, GRAZING_COS_TOL, MIN_FLIGHT
-
     tb = make_circle(radius=2.0)
-    taus = run_orbit(tb.rows, 0, 0.3, 0.5, 1,
-                     GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)[3]
+    taus = run_orbit(tb.rows, 0, 0.3, 0.5, 1)[3]
     assert abs(taus[0] - 2 * 2.0 * math.cos(0.5)) < 1e-12
 
 
@@ -222,14 +219,10 @@ def test_inverse_derivative_is_matrix_inverse():
 
 
 def test_derivative_along_orbit_matches_pointwise():
-    from pesin_coder.accel import run_orbit
-    from pesin_coder.dynamics import CORNER_TOL, GRAZING_COS_TOL, MIN_FLIGHT
-
     tb = make_flower()
     p = PhasePoint(0, 0.4, 0.23)
     comps, rs, ths, taus, status, k = run_orbit(
-        tb.rows, p.component, p.r, p.theta, 25,
-        GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+        tb.rows, p.component, p.r, p.theta, 25)
     assert status == 0
     mats = derivative_along_orbit(tb, comps, ths, taus)
     for i in range(25):

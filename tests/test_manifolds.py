@@ -57,7 +57,8 @@ from pesin_coder.manifolds import (
     validate_admissible,
     zero_manifold,
 )
-from pesin_coder.tables import PhasePoint, make_linear_fixture, make_stadium
+from pesin_coder.tables import (PhasePoint, make_circle, make_linear_fixture,
+                                make_sinai, make_stadium)
 
 from helpers import (
     CFG,
@@ -288,6 +289,17 @@ def test_graph_folded_on_strong_coupling():
         graph_transform(dec, m, v)
 
 
+def test_containment_refusal_when_the_back_check_misses(monkeypatch):
+    # no real edge reaches it: a residual of 1 stands in for a bad push
+    _, v = synthetic_vertex()
+    push = manifolds._push_graph
+    monkeypatch.setattr(manifolds, "_push_graph",
+                        lambda *args: push(*args)[:2] + (1.0,))
+    with pytest.raises(DomainEscape, match="^containment back-check "
+                       "residual 1.000e"):
+        graph_transform(manual_edge(0.3, 2.0), zero_manifold(v, "u"), v)
+
+
 def test_center_offset_enters_literally_at_desk_scale():
     _, v = synthetic_vertex()
     p = v.p_u.value
@@ -365,6 +377,26 @@ def test_contraction_fails_a_nan_distance(monkeypatch, name):
     monkeypatch.setattr(manifolds, name, lambda *args, **kw: math.nan)
     with pytest.raises(ContractionViolated, match="nan"):
         contraction_measurement(path.fwd[0], m1, m2, v, CONSTS)
+
+
+def test_advance_refuses_an_undefined_step():
+    p = PhasePoint(0, 0.3, math.pi / 2 - 1e-9)  # grazing
+    with pytest.raises(ShadowEscape, match="^orbit becomes undefined before "
+                       "step -3: tangential collision from ") as ei:
+        manifolds._advance(make_circle(), p, -3, billiard_inverse)
+    assert ei.value.n == -3
+
+
+def test_check_window_refuses_a_point_on_another_loop():
+    # a chart on the sinai square, a point on its scatterer
+    eta = LatticeSize(1, 0.5)
+    ch = PesinChart(make_sinai(), PhasePoint(0, 0.5, 0.1), minimal_frame(),
+                    eta, eta, 0.3)
+    with pytest.raises(ShadowEscape, match="^orbit leaves the chart component "
+                       "chain at step 2: points on different") as ei:
+        manifolds._check_window(PathVertex(ch, ch.Q, ch.Q),
+                                PhasePoint(4, 0.1, 0.0), 2)
+    assert ei.value.n == 2
 
 
 def test_fixture_stable_limit_is_zero_graph():

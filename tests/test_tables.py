@@ -16,7 +16,6 @@ from pesin_coder.accel import (
     NO_INTERSECTION,
     OK,
     comp_frame,
-    comp_point,
     run_orbit,
     run_step_many,
     segment_row,
@@ -29,11 +28,10 @@ from pesin_coder.errors import (
 from pesin_coder.tables import (
     Arc,
     BilliardTable,
-    CORNER_TOL,
-    GRAZING_COS_TOL,
-    MIN_FLIGHT,
     BOUNDARY_SAMPLES,
     WINDING_SAMPLES,
+    _CLOUD_FAN,
+    _CLOUD_TANGENCIES,
     _SEARCH_CACHE_DEPTH,
     _WINDING_CHUNK,
     PhasePoint,
@@ -58,8 +56,8 @@ def test_loops_close_all_tables():
         for loop in tb.loops:
             for i, ci in enumerate(loop):
                 cj = loop[(i + 1) % len(loop)]
-                ex, ey = comp_point(tb.rows[ci], tb.lengths[ci])
-                sx, sy = comp_point(tb.rows[cj], 0.0)
+                ex, ey = comp_frame(tb.rows[ci], tb.lengths[ci])[:2]
+                sx, sy = comp_frame(tb.rows[cj], 0.0)[:2]
                 assert math.hypot(ex - sx, ey - sy) < 1e-12
 
 
@@ -248,7 +246,7 @@ def test_corner_collection():
 
 def point_xy(tb, component: int, s: float) -> np.ndarray:
     """The boundary point at arclength s of a component, as an array."""
-    return np.array(comp_point(tb.rows[component], s))
+    return np.array(comp_frame(tb.rows[component], s)[:2])
 
 
 def inward_normal(tb, component: int, s: float) -> np.ndarray:
@@ -289,8 +287,8 @@ def test_arc_axis_rotation_consistency():
         rot = Arc(center=(0.0, 0.0), radius=1.0, a0=0.2 - axis, length=1.0,
                   orient=+1, axis=axis)
         for t in (0.0, 0.31, 0.99):
-            assert np.allclose(comp_point(rot.packed(), t),
-                               comp_point(base.packed(), t), atol=1e-12)
+            assert np.allclose(comp_frame(rot.packed(), t)[:2],
+                               comp_frame(base.packed(), t)[:2], atol=1e-12)
 
 
 def test_arc_axis_snaps_quarter_turns():
@@ -497,8 +495,7 @@ RUN_ORBIT_PINS = {
 def test_run_orbit_is_bitwise_pinned(case):
     mk, (c, r, th, n), pin, want_status, want_k = RUN_ORBIT_PINS[case]
     tb = mk()
-    comps, rs, ths, taus, status, k = run_orbit(
-        tb.rows, c, r, th, n, GRAZING_COS_TOL, MIN_FLIGHT, CORNER_TOL)
+    comps, rs, ths, taus, status, k = run_orbit(tb.rows, c, r, th, n)
     assert (status, k) == (want_status, want_k)
     out = [str(int(v)) for v in comps[:k + 1]]
     out += [float(v).hex() for a in (rs[:k + 1], ths[:k + 1], taus[:k]) for v in a]
@@ -510,12 +507,9 @@ def step_many_against_run_orbit(rows, states) -> set:
     against one run_orbit step from it: the same status and, when that is
     OK, the same image bit for bit.  Returns the statuses seen."""
     comps, rs, ths = (np.array(col) for col in zip(*states))
-    ci, s, th, status = run_step_many(rows, comps, rs, ths, GRAZING_COS_TOL,
-                                      MIN_FLIGHT, CORNER_TOL)
+    ci, s, th, status = run_step_many(rows, comps, rs, ths)
     for k, (c, r, t) in enumerate(states):
-        cs, rs1, ths1, _, want, n = run_orbit(rows, c, r, t, 1,
-                                              GRAZING_COS_TOL, MIN_FLIGHT,
-                                              CORNER_TOL)
+        cs, rs1, ths1, _, want, n = run_orbit(rows, c, r, t, 1)
         assert int(status[k]) == want, (k, c, r, t)
         if want == OK:
             assert n == 1
@@ -643,7 +637,7 @@ def test_contains_point_samples_the_boundary_once(monkeypatch):
 @pytest.mark.parametrize("mk", ALL_BUILDERS)
 @pytest.mark.parametrize("samples", [BOUNDARY_SAMPLES, WINDING_SAMPLES])
 def test_polyline_is_the_point_xy_samples(mk, samples):
-    # one comp_frames_many call per loop gives comp_point's bits
+    # one comp_frames_many call per loop gives comp_frame's point bits
     tb = mk()
     for loop, got in zip(tb.loops, tb._polyline(samples), strict=True):
         want = np.array([point_xy(tb, ci, s) for ci in loop
@@ -681,7 +675,7 @@ def test_a_row_only_the_array_form_refuses_is_typed(monkeypatch):
 
 @pytest.mark.parametrize("mk", ALL_BUILDERS)
 def test_distance_is_the_array_form(mk):
-    # distance reads comp_point on Python floats, with the bits of the
+    # distance reads comp_frame's point on Python floats, with the bits of the
     # difference of the two boundary points taken as numpy arrays
     tb = mk()
     pts = tb.liouville_sample(np.random.default_rng(3), 40)
@@ -700,10 +694,11 @@ def scalar_cloud(tb) -> dict:
     source, and one one-point winding test per chord point."""
     sources = [(0, ci, branch * (s + 1e-12))
                for ci, L in enumerate(tb.lengths) if tb.rows[ci][0] == 1
-               for s in np.linspace(0.0, L, 48, endpoint=False).tolist()
+               for s in np.linspace(0.0, L, _CLOUD_TANGENCIES,
+                                    endpoint=False).tolist()
                for branch in (1.0, -1.0)]
     sources += [(1, k, psi) for k in range(len(tb.corner_points))
-                for psi in np.linspace(0.0, 2 * math.pi, 64,
+                for psi in np.linspace(0.0, 2 * math.pi, _CLOUD_FAN,
                                        endpoint=False).tolist()]
     rows, fams = [], []
     for fam in sources:
@@ -822,6 +817,28 @@ def test_step_many_refuses_the_start_points_embed_refuses(mk, r):
         with pytest.raises(ValueError) as got:
             tb.step_many(x, d, forward, PhasePoint(0, 0.5, 0.1))
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("mk", [make_circle, make_stadium])
+@pytest.mark.parametrize("loops, dr, dtheta", [
+    (0, 0.0, 1.5), (0, 0.0, -1.7), (1, 0.0, 0.0), (-1, 0.0, 1e-3),
+    (0, math.nan, 0.0), (0, 1e-3, math.nan), (0, math.inf, 0.0)],
+    ids=["angle", "-angle", "loop", "-loop", "nan-dr", "nan-dtheta", "inf"])
+def test_step_many_reports_embeds_refusal(mk, loops, dr, dtheta):
+    # row 5 is the first that embed refuses (dr is counted from `loops`
+    # loop lengths): step_many returns it with embed's class and message,
+    # after five mapped rows and before two rows refused another way
+    tb = mk()
+    x = PhasePoint(0, 0.3, 0.1)
+    total = float(tb._loop_length[0])
+    d = np.array([(v, -v) for v in np.linspace(-1e-3, 1e-3, 5)]
+                 + [(loops * total + dr, dtheta), (0.0, 2.0), (-total, 0.0)])
+    with pytest.raises(DomainEscape) as want:
+        tb.embed(x, *d[5].tolist())
+    for forward in (True, False):
+        off, (k, e) = tb.step_many(x, d, forward, PhasePoint(0, 0.35, 0.1))
+        assert (k, type(e), str(e)) == (5, DomainEscape, str(want.value))
+        assert np.isfinite(off[:5]).all() and np.isnan(off[5:]).all()
 
 
 @pytest.mark.parametrize("mk", [make_circle, make_stadium, make_sinai,
@@ -1022,6 +1039,15 @@ def test_fixture_walk_raises_at_its_signed_step(start, step):
     assert ei.value.n == step
     assert str(ei.value) == (f"orbit hits discontinuity at step {step}: "
                              f"point outside fixture domain")
+
+
+def test_orbit_refuses_a_closing_step_onto_a_corner():
+    # one step, then the step that df at the last point needs lands on the
+    # corner (3, 1), as in RUN_ORBIT_PINS' rectangle-corner case
+    with pytest.raises(OrbitHitsDiscontinuity) as ei:
+        rectangle_3x1().orbit(PhasePoint(0, 1.0, math.pi / 4), 0, 1)
+    assert ei.value.n == 1 and ei.value.reason.startswith(
+        "derivative probe: traced ray lands on a junction from ")
 
 
 # --------------------------------------------------------------- table specs
